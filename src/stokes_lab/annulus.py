@@ -243,10 +243,6 @@ class GrowthReport:
     degenerate: bool
 
     @property
-    def g_ok(self) -> bool:
-        return self.degenerate or self.worst_g_violation <= self.tolerance
-
-    @property
     def q_ok(self) -> bool:
         return self.degenerate or self.worst_q_violation <= self.tolerance
 

@@ -5,10 +5,17 @@ The solution is sought as u(x) = v[psi](x) + kappa with
     v[psi](x) = int U(x - y) psi(y) ds_y ,
 
 the quadrature uses the periodic trapezoid rule plus the exact log-splitting
-weights (Martensen-Kussmaul), spectrally accurate on smooth curves.  The
-equilibrium space (densities whose layer potential is constant on the
-boundary) is computed by solving for constant right-hand sides; its weighted
-pairing with boundary data is the solvability residual that detects the
+weights (Martensen-Kussmaul), spectrally accurate on smooth curves.  Every
+boundary problem is a right-hand side of one bordered system
+
+    [ A   1 ] [psi  ]   [data]
+    [ W   0 ] [kappa] = [ t  ] ,
+
+factored once per operator: [data; 0] gives the Dirichlet pair (psi, kappa),
+[0; e_i] the equilibrium density with total e_i and constant trace -kappa.
+The bordered matrix stays well conditioned at the logarithmic-capacity
+radius, where A alone is singular.  The weighted pairing of boundary data
+with the equilibrium densities is the solvability residual that detects the
 Stokes paradox.
 """
 
@@ -79,10 +86,15 @@ def kress_log_weights(n: int) -> np.ndarray:
     return -(4.0 * np.pi / n) * (r.sum(axis=1) + np.cos(n * d / 2.0) / n)
 
 
-def _cond_estimate(a: np.ndarray, lu) -> float:
-    """1-norm condition estimate from an existing LU factorization."""
-    (gecon,) = get_lapack_funcs(("gecon",), (a,))
-    rcond, info = gecon(lu[0], np.linalg.norm(a, 1), norm="1")
+_AUG_COND_LIMIT = 1e12     # bordered system [A 1; W 0]
+_TOTALS_COND_LIMIT = 1e8   # totals matrix of the equilibrium basis
+
+
+def _cond_estimate(lu, anorm: float) -> float:
+    """1-norm condition estimate from an LU factorization and the 1-norm of
+    the factored matrix."""
+    (gecon,) = get_lapack_funcs(("gecon",), (lu[0],))
+    rcond, info = gecon(lu[0], anorm, norm="1")
     if info != 0 or not np.isfinite(rcond):
         return float("inf")
     return float(1.0 / max(rcond, 1e-300))
@@ -95,28 +107,53 @@ class SingleLayerOperator:
     curve: BoundaryCurve
     kernel: FundamentalSolution
     mat: np.ndarray  # (2N, 2N), interleaved node-component ordering
-    _lu: Optional[tuple] = field(default=None, repr=False)
+    _aug: Optional[tuple] = field(default=None, repr=False)  # (LU, cond)
 
-    @property
-    def lu(self):
-        if self._lu is None:
-            self._lu = lu_factor(self.mat)
-        return self._lu
+    def _augmented_lu(self) -> tuple:
+        """LU of the bordered matrix [A 1; W 0] and its condition estimate,
+        built on first use; raises SingularSystem past _AUG_COND_LIMIT."""
+        if self._aug is None:
+            n2 = 2 * self.curve.n
+            aug = np.zeros((n2 + 2, n2 + 2), order="F")  # lets getrf work in place
+            aug[:n2, :n2] = self.mat
+            for c in range(2):
+                aug[c:n2:2, n2 + c] = 1.0
+                aug[n2 + c, c:n2:2] = self.curve.weights
+            anorm = np.linalg.norm(aug, 1)
+            lu = lu_factor(aug, overwrite_a=True)
+            cond = _cond_estimate(lu, anorm)
+            if not np.isfinite(cond) or cond > _AUG_COND_LIMIT:
+                raise SingularSystem(
+                    f"augmented system condition {cond:.3g} exceeds {_AUG_COND_LIMIT:g}"
+                )
+            self._aug = (lu, cond)
+        return self._aug
 
     @property
     def cond(self) -> float:
-        """1-norm condition estimate of the assembled operator."""
-        return _cond_estimate(self.mat, self.lu)
+        """1-norm condition estimate of the bordered system [A 1; W 0]."""
+        return self._augmented_lu()[1]
 
     def apply(self, density) -> np.ndarray:
         psi = np.asarray(density, dtype=float).reshape(-1)
         return (self.mat @ psi).reshape(self.curve.n, 2)
 
-    def solve(self, rhs) -> np.ndarray:
-        b = np.asarray(rhs, dtype=float).reshape(-1)
-        x = lu_solve(self.lu, b)
-        x += lu_solve(self.lu, b - self.mat @ x)  # one refinement step
-        return x.reshape(self.curve.n, 2)
+
+def _augmented_solve(op: SingleLayerOperator, data, total) -> tuple:
+    """(psi, kappa) with v[psi] + kappa = data at the nodes and total(psi) =
+    total, from the cached factors plus one refinement step."""
+    lu, _ = op._augmented_lu()
+    n = op.curve.n
+    rhs = np.concatenate([np.reshape(data, -1), total])
+
+    def split(x):
+        return x[: 2 * n].reshape(n, 2), x[2 * n :]
+
+    x = lu_solve(lu, rhs)
+    psi, kappa = split(x)
+    residual = rhs - np.concatenate([(op.apply(psi) + kappa).reshape(-1), op.curve.total(psi)])
+    x += lu_solve(lu, residual)
+    return split(x)
 
 
 def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
@@ -172,8 +209,9 @@ class EquilibriumBasis:
 
     Each density is normalized to unit weighted L2 norm (all compatibility
     verdicts are invariant under this choice).  totals holds sum_k w_k psi_i
-    column-wise; its invertibility is the discrete form of the classical
-    rank-two property.
+    column-wise: a positive diagonal, since psi_i is the solution with total
+    e_i; its invertibility is the discrete form of the classical rank-two
+    property.
     """
 
     curve: BoundaryCurve
@@ -186,27 +224,25 @@ class EquilibriumBasis:
         return self.psi[i]
 
 
-def equilibrium_basis(op: SingleLayerOperator, cond_limit: float = 1e8) -> EquilibriumBasis:
-    """Solve A psi_i = const e_i and normalize; certify the totals matrix."""
+def equilibrium_basis(op: SingleLayerOperator) -> EquilibriumBasis:
+    """Solve [A 1; W 0] [psi_i; k_i] = [0; e_i] and normalize; certify the
+    totals matrix.  psi_i has total e_i / norm_i and constant trace
+    -k_i / norm_i."""
     curve = op.curve
-    n = curve.n
-    psi = np.empty((2, n, 2))
+    psi = np.empty((2, curve.n, 2))
     bvals = np.empty((2, 2))
-    for i in range(2):
-        rhs = np.zeros((n, 2))
-        rhs[:, i] = 1.0
-        sol = op.solve(rhs)
+    for i, e_i in enumerate(np.eye(2)):
+        sol, k_i = _augmented_solve(op, np.zeros((curve.n, 2)), e_i)
         norm = np.sqrt(curve.inner_product(sol, sol))
         if not np.isfinite(norm) or norm == 0.0:
-            raise DegenerateBasis("layer solve for a constant trace degenerated")
+            raise DegenerateBasis("augmented solve for a unit total degenerated")
         psi[i] = sol / norm
-        bvals[i] = np.array([0.0, 0.0])
-        bvals[i][i] = 1.0 / norm
+        bvals[i] = -k_i / norm
     totals = np.stack([curve.total(psi[0]), curve.total(psi[1])], axis=-1)
     cond = float(np.linalg.cond(totals))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _TOTALS_COND_LIMIT:
         raise DegenerateBasis(
-            f"totals matrix condition {cond:.3g} exceeds {cond_limit:g}; "
+            f"totals matrix condition {cond:.3g} exceeds {_TOTALS_COND_LIMIT:g}; "
             "discretization failure or curve outside the method's scope"
         )
     return EquilibriumBasis(
@@ -255,37 +291,16 @@ class ExteriorSolution:
         return self.curve.total(self.psi)
 
 
-def solve_dirichlet(op: SingleLayerOperator, data, cond_limit: float = 1e12) -> ExteriorSolution:
-    """Solve the augmented square system
-
-        [ A   1 ] [psi  ]   [data]
-        [ W   0 ] [kappa] = [ 0  ]
-
-    enforcing the zero-total side condition; the far field then satisfies
+def solve_dirichlet(op: SingleLayerOperator, data) -> ExteriorSolution:
+    """Solve the bordered system for right-hand side [data; 0], enforcing the
+    zero-total side condition; the far field then satisfies
     u - kappa = O(1/r)."""
     curve = op.curve
     u = _check_data(curve, data)
-    n = curve.n
-    m = 2 * n + 2
-    aug = np.zeros((m, m))
-    aug[: 2 * n, : 2 * n] = op.mat
-    for c in range(2):
-        aug[c : 2 * n : 2, 2 * n + c] = 1.0
-        aug[2 * n + c, c : 2 * n : 2] = curve.weights
-    rhs = np.zeros(m)
-    rhs[: 2 * n] = u.reshape(-1)
-
-    lu = lu_factor(aug)
-    cond = _cond_estimate(aug, lu)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularSystem(f"augmented system condition {cond:.3g} exceeds {cond_limit:g}")
-    x = lu_solve(lu, rhs)
-    x += lu_solve(lu, rhs - aug @ x)
-    psi = x[: 2 * n].reshape(n, 2)
-    kappa = x[2 * n :]
+    psi, kappa = _augmented_solve(op, u, np.zeros(2))
     replay = np.abs(op.apply(psi) + kappa - u).max()
     return ExteriorSolution(
-        curve=curve, kernel=op.kernel, psi=psi, kappa=kappa, cond=cond,
+        curve=curve, kernel=op.kernel, psi=psi, kappa=kappa, cond=op.cond,
         replay_error=float(replay),
     )
 

@@ -3,11 +3,7 @@
 Subcommands: paradox, basis, degiorgi, decay, contraction, gym.  Each run
 writes a JSON report plus CSV data series (floats at 17 significant digits,
 atomic rename) into --outdir.  Exit codes: 0 success, 1 usage/configuration
-error, 2 scientific-verdict failure.  STOKES_LAB_THREADS caps the linear
-algebra thread pools.
-
-Heavy imports stay inside the run functions so the thread cap can be applied
-before the numerical stack loads.
+error, 2 scientific-verdict failure.
 """
 
 from __future__ import annotations
@@ -92,17 +88,9 @@ def _parse_material(cfg: ExperimentConfig):
         lam, mu = _parse_pair(rest, "material: iso")
         if mu <= 0 or lam < 0:
             raise ConfigInvalid("material: need mu > 0 and lambda >= 0")
-        return ("iso", (lam, mu))
-    if kind == "degiorgi":
-        try:
-            xi = float(rest)
-        except ValueError:
-            raise ConfigInvalid(f"material: bad xi in {spec!r}") from None
-        if xi == 0:
-            raise ConfigInvalid("material: xi must be nonzero (the counter-example "
-                                "tensor is undefined at xi = 0)")
-        return ("degiorgi", (xi,))
-    raise ConfigInvalid(f"material: unknown kind {kind!r}")
+        return lam, mu
+    raise ConfigInvalid(f"material: unknown kind {kind!r}; boundary experiments "
+                        "need a constant material iso:lambda,mu")
 
 
 def _parse_grid(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -220,10 +208,7 @@ def _build_curve(cfg: ExperimentConfig):
 def _build_material(cfg: ExperimentConfig):
     from .tensors import IsotropicModuli
 
-    kind, args = _parse_material(cfg)
-    if kind == "iso":
-        return IsotropicModuli(args[0], args[1])
-    raise ConfigInvalid("material: boundary experiments need a constant (iso) material")
+    return IsotropicModuli(*_parse_material(cfg))
 
 
 def _boundary_data(cfg: ExperimentConfig, curve):
@@ -290,7 +275,6 @@ def _run_paradox(cfg: ExperimentConfig, out: dict):
                  float(np.abs(sol.total_density).max()), 1e-10,
                  float(np.abs(sol.total_density).max()) <= 1e-10),
     ]
-    out["condition_numbers"]["layer_operator"] = op.cond
     out["condition_numbers"]["augmented_system"] = sol.cond
     out["condition_numbers"]["totals_matrix"] = basis.cond_totals
     out["files"]["psi.csv"] = (
@@ -333,7 +317,7 @@ def _run_basis(cfg: ExperimentConfig, out: dict):
         out["verdicts"].append(
             _verdict("ellipse_direction_error", "residual", err, 1e-6, err <= 1e-6)
         )
-    out["condition_numbers"]["layer_operator"] = op.cond
+    out["condition_numbers"]["augmented_system"] = op.cond
     out["condition_numbers"]["totals_matrix"] = basis.cond_totals
     out["files"]["basis.csv"] = (header, cols)
 
@@ -437,7 +421,6 @@ def _run_decay(cfg: ExperimentConfig, out: dict):
         _verdict("far_field_slope", "alpha", slope, 0.05, abs(slope + 1.0) <= 0.05),
         _verdict("kappa_recovery", "kappa", kap, 1e-8, kap <= 1e-8),
     ]
-    out["condition_numbers"]["layer_operator"] = op.cond
     out["condition_numbers"]["augmented_system"] = sol.cond
     out["files"]["decay.csv"] = (["r", "dist"], [radii, dist])
 
@@ -708,16 +691,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("STOKES_LAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     cfg = ExperimentConfig(kind=args.kind)
     for key, val in vars(args).items():

@@ -155,11 +155,6 @@ class PolarGrid:
     def qp_shape_gradients(self) -> np.ndarray:
         return self._quadrature()["grad"]
 
-    @property
-    def cell_rings(self) -> np.ndarray:
-        """Radial layer index of each cell."""
-        return np.repeat(np.arange(self.n_r - 1), self.n_theta)
-
     # -- ring differencing ---------------------------------------------------
 
     def ring_gradient(self, values: np.ndarray, i: int) -> np.ndarray:

@@ -271,13 +271,23 @@ class TestSolveDirichlet:
         assert np.abs(sol.psi).max() < 1e-10
 
     def test_basis_span_survives_degenerate_scale(self):
-        """The computed densities stay inside the true equilibrium space
-        (constant densities on a circle) even where the solve is singular."""
-        curve = BoundaryCurve.circle(np.exp(0.25), n=128)
-        basis = bem.equilibrium_basis(bem.assemble_single_layer(curve, ISO))
-        for i in range(2):
-            assert np.abs(basis.psi[i] - basis.psi[i].mean(axis=0)).max() < 1e-10
-        assert abs(np.linalg.det(basis.totals)) > 1e-3
+        """psi_i has a positive multiple of e_i as its total on either side of
+        the log-capacity radius; on circles, including that radius where the
+        bare layer operator is singular, it is the constant density along e_i."""
+        for curve in (
+            BoundaryCurve.circle(1.0, n=128),
+            BoundaryCurve.circle(np.exp(0.25), n=128),
+            BoundaryCurve.ellipse(2.0, 1.0, n=128),
+        ):
+            basis = bem.equilibrium_basis(bem.assemble_single_layer(curve, ISO))
+            diag = np.diag(basis.totals)
+            assert np.all(diag > 1e-3)
+            assert np.abs(basis.totals - np.diag(diag)).max() < 1e-10
+            if curve.kind == "circle":
+                for i in range(2):
+                    const = np.zeros(2)
+                    const[i] = basis.psi[i][:, i].mean()
+                    assert np.abs(basis.psi[i] - const).max() < 1e-10
 
 
 class TestEvaluate:

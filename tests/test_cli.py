@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -34,6 +33,10 @@ class TestValidate:
     def test_bad_nodes(self):
         with pytest.raises(ConfigInvalid, match="nodes"):
             validate(ExperimentConfig(kind="paradox", nodes=17))
+
+    def test_degiorgi_material_rejected_for_boundary_runs(self):
+        with pytest.raises(ConfigInvalid, match="material"):
+            validate(ExperimentConfig(kind="paradox", material="degiorgi:2"))
 
     def test_pure(self):
         cfg = ExperimentConfig(kind="paradox")
@@ -147,6 +150,25 @@ class TestRuns:
         assert "ellipse_compatibility" in verd
         assert abs(verd["ellipse_compatibility"]["value"][0]) > 1.0
 
+    @pytest.mark.parametrize("kind", ["paradox", "basis", "decay"])
+    def test_one_dense_factorization_per_boundary_run(self, kind, tmp_path, monkeypatch):
+        from stokes_lab import bem
+
+        calls = []
+        real_lu_factor = bem.lu_factor
+
+        def counting_lu_factor(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(bem, "lu_factor", counting_lu_factor)
+        rep = run(ExperimentConfig(kind=kind, curve="ellipse:2,1", nodes=64, seed=1,
+                                   data="fourier:1,0.5", outdir=str(tmp_path)))
+        assert rep.ok()
+        assert calls == [(130, 130)]
+        assert set(rep.condition_numbers) <= {"augmented_system", "totals_matrix"}
+        assert rep.condition_numbers["augmented_system"] < 1e12
+
     def test_contraction_tabulated_material(self, tmp_path):
         rng = np.random.default_rng(0)
         r = rng.uniform(1.0, 24.0, size=40)
@@ -192,11 +214,3 @@ class TestMainExitCodes:
         code = main(["gym", "--check", "wirtinger", "--trials", "2", "--seed", "1",
                      "--outdir", str(tmp_path)])
         assert code == 2
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STOKES_LAB_THREADS", "1")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        code = main(["gym", "--check", "wirtinger", "--trials", "2", "--seed", "1",
-                     "--outdir", str(tmp_path)])
-        assert code == 0
-        assert os.environ.get("OMP_NUM_THREADS") == "1"
