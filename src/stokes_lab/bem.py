@@ -17,6 +17,17 @@ The bordered matrix stays well conditioned at the logarithmic-capacity
 radius, where A alone is singular.  The weighted pairing of boundary data
 with the equilibrium densities is the solvability residual that detects the
 Stokes paradox.
+
+Off the curve, v[psi] and its gradient are evaluated by the same plain
+quadrature, written as the kernel's angular series Phi(e) = sum_k Re(e^k) A_k
++ Im(e^k) B_k over the unit chords e = (x - y)/|x - y|: per block of targets,
+log r and the powers e^k (e^j / r for gradients) are formed as (rows, N)
+scalar arrays and contracted with the weighted density by matrix products.
+Cost: m targets take O(m N K) flops for K retained orders and no trig call;
+memory is a few (rows, N) arrays of about 2^14 pairs, independent of m.
+Accuracy is that of the trapezoid rule: spectral a few node spacings h away,
+degrading within about 1h of the curve (relative error about 5e-4 at 1h and
+5e-2 at 0.1h, measured against an exact solution).
 """
 
 from __future__ import annotations
@@ -34,9 +45,10 @@ from .errors import (
     DegenerateBasis,
     NotAnEllipse,
     PointInsideBody,
+    SingularPoint,
     SingularSystem,
 )
-from .kelvin import FundamentalSolution
+from .kelvin import FundamentalSolution, unit_powers
 from .tensors import IsotropicModuli, apply_tensor
 
 __all__ = [
@@ -179,19 +191,21 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
 
     dt = t[:, None] - t[None, :]
     log_fac = 4.0 * np.sin(dt / 2.0) ** 2
-    dvec = pts[:, None, :] - pts[None, :, :]
-    r2 = np.sum(dvec * dvec, axis=-1)
+    z = pts[:, 0] + 1j * pts[:, 1]
+    dz = z[:, None] - z[None, :]
+    r2 = dz.real**2 + dz.imag**2
 
     np.fill_diagonal(r2, 1.0)
     np.fill_diagonal(log_fac, 1.0)
-    phi = np.arctan2(dvec[..., 1], dvec[..., 0])
+    # unit chords; on the diagonal their limit, the unit tangent (Phi is even)
+    e = dz / np.sqrt(r2)
+    np.fill_diagonal(e, curve.tangent[:, 0] + 1j * curve.tangent[:, 1])
 
-    # smooth remainder M2 = Phi0 * (1/2) log(r^2 / 4 sin^2) + Phi(direction)
+    # smooth remainder M2 = Phi0 * (1/2) log(r^2 / 4 sin^2) + Phi(direction),
+    # whose diagonal limit is Phi0 log|x'(t)| + Phi(tangent)
     smooth_log = 0.5 * np.log(r2 / log_fac)
-    m2 = kernel.phi0[None, None] * smooth_log[..., None, None] + kernel.angular_part(phi)
-    tang_angle = np.arctan2(curve.tangent[:, 1], curve.tangent[:, 0])
-    diag = kernel.phi0[None] * np.log(speed)[:, None, None] + kernel.angular_part(tang_angle)
-    m2[np.arange(n), np.arange(n)] = diag
+    np.fill_diagonal(smooth_log, np.log(speed))
+    m2 = kernel.phi0[None, None] * smooth_log[..., None, None] + kernel.angular(e)
 
     rvec = kress_log_weights(n)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
@@ -305,30 +319,69 @@ def solve_dirichlet(op: SingleLayerOperator, data) -> ExteriorSolution:
     )
 
 
-def _layer_eval(curve, kernel, psi, x, want_gradient=False, chunk: int = 4096):
-    pts = np.atleast_2d(np.asarray(x, dtype=float)).reshape(-1, 2)
-    out = np.zeros((pts.shape[0], 2))
-    grad = np.zeros((pts.shape[0], 2, 2)) if want_gradient else None
-    wpsi = curve.weights[:, None] * psi
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        d = pts[lo:hi, None, :] - curve.points[None, :, :]
-        out[lo:hi] = np.einsum("mnij,nj->mi", kernel(d), wpsi)
-        if want_gradient:
-            grad[lo:hi] = np.einsum("mnijk,nj->mik", kernel.gradient(d), wpsi)
-    return out, grad
+# target-node pairs per evaluation block: each (rows, N) complex array takes
+# 256 kB and stays cache-resident (larger blocks measured slower)
+_BLOCK_PAIRS = 1 << 14
+
+
+def _layer_eval(curve, kernel, psi, x, gradient=False):
+    """v[psi] (m, 2), or its gradient (m, 2, 2), at the points x (..., 2).
+
+    Per block of targets only (rows, N) scalar arrays are formed: log r and
+    the powers e^k of the unit chords e = (x - y)/r, r = |x - y| (for the
+    gradient e^j / r).  Each is contracted with the weighted density by one
+    matrix product; the 2x2 series coefficients act on the (rows, 2) result.
+    With g = d/dx_1 + i d/dx_2, g log r = e / r and g Phi = i e Phi' / r, and
+    for a unit e
+        i e Re(e^k) / r = (i/2) (e^(k+1) + conj(e^(k-1))) / r,
+        i e Im(e^k) / r = (1/2) (e^(k+1) - conj(e^(k-1))) / r,
+    so order k of Phi' = dPhi/dphi reads the harmonics k - 1 and k + 1.
+    """
+    pts = np.asarray(x, dtype=float).reshape(-1, 2)
+    targets = pts[:, 0] + 1j * pts[:, 1]
+    nodes = curve.points[:, 0] + 1j * curve.points[:, 1]
+    wpsi = (curve.weights[:, None] * psi).astype(complex)
+    terms = list(kernel.terms(derivative=gradient))
+    if gradient:
+        orders = sorted({1} | {k + s for k, _, _ in terms for s in (-1, 1)})
+    else:
+        orders = [k for k, _, _ in terms]
+    out = np.empty((pts.shape[0], 2, 2) if gradient else (pts.shape[0], 2))
+    rows = max(1, _BLOCK_PAIRS // curve.n)
+    for lo in range(0, pts.shape[0], rows):
+        z = targets[lo : lo + rows, None] - nodes[None, :]
+        r2 = z.real**2 + z.imag**2
+        if not r2.all():
+            raise SingularPoint("layer potential requested at a quadrature node")
+        inv_r = 1.0 / np.sqrt(r2)
+        harmonics = unit_powers(z * inv_r, orders)
+        if gradient:
+            # c[j] = sum_n (e^j / r) wpsi_n; g = d u / dx_1 + i d u / dx_2
+            c = {j: (ej * inv_r) @ wpsi for j, ej in zip(orders, harmonics)}
+            g = c[1] @ kernel.phi0.T
+            for k, a, b in terms:
+                up, dn = c[k + 1], c[k - 1].conj()
+                g += 0.5 * ((1j * (up + dn)) @ a.T + (up - dn) @ b.T)
+            out[lo : lo + rows] = np.stack([g.real, g.imag], axis=-1)
+        else:
+            v = (0.5 * np.log(r2)) @ wpsi.real @ kernel.phi0.T
+            for (_, a, b), ek in zip(terms, harmonics):
+                vk = ek @ wpsi
+                v += vk.real @ a.T + vk.imag @ b.T
+            out[lo : lo + rows] = v
+    return out
 
 
 def evaluate(solution: ExteriorSolution, x) -> np.ndarray:
     """u(x) = v[psi](x) + kappa at points strictly outside the curve.
 
     Plain-quadrature evaluation: accuracy degrades within about one node
-    spacing of the boundary."""
+    spacing of the boundary.  Raises PointInsideBody inside the body and
+    SingularPoint at a quadrature node."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if np.any(solution.curve.is_inside(pts.reshape(-1, 2))):
         raise PointInsideBody("evaluation point lies inside the body")
-    val, _ = _layer_eval(solution.curve, solution.kernel, solution.psi, pts)
-    val = val + solution.kappa
+    val = _layer_eval(solution.curve, solution.kernel, solution.psi, pts) + solution.kappa
     return val.reshape(pts.shape) if np.asarray(x).ndim > 1 else val[0]
 
 
@@ -337,7 +390,7 @@ def evaluate_gradient(solution: ExteriorSolution, x) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if np.any(solution.curve.is_inside(pts.reshape(-1, 2))):
         raise PointInsideBody("evaluation point lies inside the body")
-    _, g = _layer_eval(solution.curve, solution.kernel, solution.psi, pts, want_gradient=True)
+    g = _layer_eval(solution.curve, solution.kernel, solution.psi, pts, gradient=True)
     return g.reshape(pts.shape[:-1] + (2, 2)) if np.asarray(x).ndim > 1 else g[0]
 
 
@@ -361,13 +414,13 @@ class MSpaceField:
 
     def __call__(self, x) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        val, _ = _layer_eval(self.curve, self.kernel, self.psi_prime, pts)
+        val = _layer_eval(self.curve, self.kernel, self.psi_prime, pts)
         val = val.reshape(pts.shape) - self.boundary_value
         return val if np.asarray(x).ndim > 1 else val[0]
 
     def gradient(self, x) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        _, g = _layer_eval(self.curve, self.kernel, self.psi_prime, pts, want_gradient=True)
+        g = _layer_eval(self.curve, self.kernel, self.psi_prime, pts, gradient=True)
         return g.reshape(pts.shape[:-1] + (2, 2)) if np.asarray(x).ndim > 1 else g[0]
 
     def log_comparison(self, x) -> np.ndarray:

@@ -12,6 +12,9 @@ import numpy as np
 
 __all__ = ["BoundaryCurve"]
 
+# point-edge pairs per block of the crossing-number test
+_BLOCK_PAIRS = 1 << 16
+
 
 class BoundaryCurve:
     """Closed curve sampled at N (even) quadrature nodes t_k = 2 pi k / N.
@@ -214,14 +217,16 @@ class BoundaryCurve:
             a, b = self.axes
             f = (pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2
             return f < 1.0
-        # winding number of the node polygon (exact enough at node resolution)
-        poly = self.points
-        x1 = poly
-        x2 = np.roll(poly, -1, axis=0)
-        inside = np.zeros(pts.shape[0], dtype=bool)
-        for k, p in enumerate(pts):
-            cond = (x1[:, 1] <= p[1]) != (x2[:, 1] <= p[1])
-            tpar = (p[1] - x1[:, 1]) / np.where(cond, x2[:, 1] - x1[:, 1], 1.0)
+        # crossing number of the node polygon (exact enough at node
+        # resolution), over blocks of points against all edges at once
+        x1 = self.points
+        x2 = np.roll(x1, -1, axis=0)
+        inside = np.empty(pts.shape[0], dtype=bool)
+        rows = max(1, _BLOCK_PAIRS // self.n)
+        for lo in range(0, pts.shape[0], rows):
+            p = pts[lo : lo + rows, None, :]
+            cond = (x1[:, 1] <= p[..., 1]) != (x2[:, 1] <= p[..., 1])
+            tpar = (p[..., 1] - x1[:, 1]) / np.where(cond, x2[:, 1] - x1[:, 1], 1.0)
             xc = x1[:, 0] + tpar * (x2[:, 0] - x1[:, 0])
-            inside[k] = (np.sum(cond & (xc > p[0])) % 2) == 1
+            inside[lo : lo + rows] = (np.sum(cond & (xc > p[..., 0]), axis=1) % 2) == 1
         return inside

@@ -10,7 +10,9 @@ strongly elliptic constant tensor, Phi comes from the angular representation
 where Gamma is the acoustic tensor; since log|cos| has a known cosine series,
 the angular integral is a periodic convolution and the Fourier coefficients of
 Phi follow from an FFT of Gamma^{-1}.  Both routes store Phi as a real cosine/
-sine series, which also yields the exact gradient.
+sine series, which also yields the exact gradient.  The series is summed over
+powers of the unit direction e = d/|d| (Re e^k = cos k phi, Im e^k = sin k phi),
+so evaluation calls no trig function.
 
 Normalization: div C0[grad(U e)] = -e delta, so the total traction of U e over
 any circle enclosing the origin (outward normal) equals -e.
@@ -23,7 +25,25 @@ import numpy as np
 from .errors import NotStronglyElliptic, SingularPoint
 from .tensors import ElasticityTensor, IsotropicModuli, strong_ellipticity_margin
 
-__all__ = ["FundamentalSolution", "fundamental_matrix", "acoustic_tensor"]
+__all__ = ["FundamentalSolution", "fundamental_matrix", "acoustic_tensor", "unit_powers"]
+
+# directions per block of the angular series, so that the (K, block)
+# harmonics stay cache-sized
+_BLOCK_DIRECTIONS = 1 << 14
+
+
+def unit_powers(e, orders):
+    """Yield e**k for each k of the ascending non-negative orders.
+
+    The powers come from repeated multiplication, so for unit directions
+    e = exp(i phi) the harmonics cos(k phi) + i sin(k phi) cost no trig call.
+    """
+    ek, at = np.ones_like(e), 0
+    for k in orders:
+        for _ in range(k - at):
+            ek = ek * e
+        at = k
+        yield ek
 
 
 def acoustic_tensor(C, n):
@@ -41,7 +61,9 @@ class FundamentalSolution:
         self.phi0 = np.asarray(phi0, dtype=float)          # (2,2)
         self.cos_coef = np.asarray(cos_coef, dtype=float)  # (K+1,2,2); [0] is the mean
         self.sin_coef = np.asarray(sin_coef, dtype=float)  # (K+1,2,2); [0] unused
-        self.orders = np.arange(self.cos_coef.shape[0])
+        # retained orders: those with a nonzero cosine or sine coefficient
+        nonzero = (self.cos_coef != 0.0).any(axis=(1, 2)) | (self.sin_coef != 0.0).any(axis=(1, 2))
+        self.orders = [int(k) for k in np.nonzero(nonzero)[0]]
 
     # -- constructors --------------------------------------------------------
 
@@ -104,25 +126,48 @@ class FundamentalSolution:
 
     # -- evaluation ----------------------------------------------------------
 
+    def terms(self, derivative: bool = False):
+        """Yield (k, A_k, B_k) over the retained orders k, so that
+
+            Phi(e) = sum_k Re(e^k) A_k + Im(e^k) B_k
+
+        at a unit direction e = exp(i phi); derivative=True gives the series
+        of d Phi / d phi instead, without its vanishing order 0.  Orders whose
+        cosine and sine coefficients both vanish are skipped."""
+        for k in self.orders:
+            c, s = self.cos_coef[k], self.sin_coef[k]
+            if not derivative:
+                yield k, c, s
+            elif k > 0:
+                yield k, k * s, -k * c
+
+    def angular(self, e, derivative: bool = False):
+        """Phi (or d Phi / d phi) at unit complex direction(s) e, shape
+        (...,2,2).
+
+        Per block of directions the harmonics e^k form a (K, block) array
+        whose real and imaginary parts meet the (K, 4) coefficients in two
+        matrix products."""
+        e = np.asarray(e, dtype=complex)
+        terms = list(self.terms(derivative))
+        orders = [k for k, _, _ in terms]
+        re_coef = np.reshape([a for _, a, _ in terms], (-1, 4))
+        im_coef = np.reshape([b for _, _, b in terms], (-1, 4))
+        flat = e.reshape(-1)
+        out = np.empty((flat.size, 4))
+        for lo in range(0, flat.size, _BLOCK_DIRECTIONS):
+            block = flat[lo : lo + _BLOCK_DIRECTIONS]
+            h = np.reshape(list(unit_powers(block, orders)), (len(orders), block.size))
+            out[lo : lo + _BLOCK_DIRECTIONS] = h.real.T @ re_coef + h.imag.T @ im_coef
+        return out.reshape(e.shape + (2, 2))
+
     def angular_part(self, phi):
         """Phi at angle(s) phi, shape (...,2,2)."""
-        phi = np.asarray(phi, dtype=float)
-        kphi = self.orders * phi[..., None]                # (...,K+1)
-        c = np.cos(kphi)
-        s = np.sin(kphi)
-        return np.einsum("...k,kij->...ij", c, self.cos_coef) + np.einsum(
-            "...k,kij->...ij", s, self.sin_coef
-        )
+        return self.angular(np.exp(1j * np.asarray(phi, dtype=float)))
 
     def angular_derivative(self, phi):
         """d Phi / d phi at angle(s) phi."""
-        phi = np.asarray(phi, dtype=float)
-        kphi = self.orders * phi[..., None]
-        c = np.cos(kphi) * self.orders
-        s = np.sin(kphi) * self.orders
-        return np.einsum("...k,kij->...ij", c, self.sin_coef) - np.einsum(
-            "...k,kij->...ij", s, self.cos_coef
-        )
+        return self.angular(np.exp(1j * np.asarray(phi, dtype=float)), derivative=True)
 
     def __call__(self, d):
         """U(d) for displacement difference(s) d of shape (...,2)."""
@@ -130,26 +175,26 @@ class FundamentalSolution:
         r2 = np.sum(d * d, axis=-1)
         if np.any(r2 == 0.0):
             raise SingularPoint("fundamental matrix requested at d = 0")
-        phi = np.arctan2(d[..., 1], d[..., 0])
+        e = (d[..., 0] + 1j * d[..., 1]) / np.sqrt(r2)
         logr = 0.5 * np.log(r2)
-        return self.phi0 * logr[..., None, None] + self.angular_part(phi)
+        return self.phi0 * logr[..., None, None] + self.angular(e)
 
     def gradient(self, d):
-        """grad U: array (...,2,2,2) with [...,i,j,k] = d U_ij / d x_k."""
+        """grad U: array (...,2,2,2) with [...,i,j,k] = d U_ij / d x_k.
+
+        grad U = (Phi0 d + dPhi/dphi t) / |d|^2 with t = (-d_2, d_1)."""
         d = np.asarray(d, dtype=float)
         r2 = np.sum(d * d, axis=-1)
         if np.any(r2 == 0.0):
             raise SingularPoint("gradient requested at d = 0")
-        r = np.sqrt(r2)
-        er = d / r[..., None]
-        et = np.stack([-er[..., 1], er[..., 0]], axis=-1)
-        phi = np.arctan2(d[..., 1], d[..., 0])
-        dphi = self.angular_derivative(phi)
+        e = (d[..., 0] + 1j * d[..., 1]) / np.sqrt(r2)
+        t = np.stack([-d[..., 1], d[..., 0]], axis=-1)
+        dphi = self.angular(e, derivative=True)
         grad = (
-            self.phi0[..., :, :, None] * er[..., None, None, :]
-            + dphi[..., :, :, None] * et[..., None, None, :]
+            self.phi0[..., :, :, None] * d[..., None, None, :]
+            + dphi[..., :, :, None] * t[..., None, None, :]
         )
-        return grad / r[..., None, None, None]
+        return grad / r2[..., None, None, None]
 
 
 def fundamental_matrix(c0, d, n_angles: int = 512):

@@ -7,9 +7,11 @@ from stokes_lab.errors import (
     CurveNotSmooth,
     NotAnEllipse,
     PointInsideBody,
+    SingularPoint,
 )
 from stokes_lab.kelvin import FundamentalSolution
-from stokes_lab.tensors import IsotropicModuli
+from stokes_lab.tensors import _VOIGT, ElasticityTensor, IsotropicModuli
+from test_kelvin import random_spd_tensor
 
 ISO = IsotropicModuli(1.0, 1.0)
 
@@ -340,6 +342,90 @@ class TestEvaluate:
         scale = max(np.abs(data).max(), 1.0)
         diff = np.abs(bem.evaluate(sol, pts) - bem.evaluate(sol_fine, pts)).max()
         assert diff <= 1e-3 * scale
+
+
+def _soft_shear_kernel():
+    """Orthotropic kernel with a shear modulus 1/20 of the axial ones: its
+    angular series keeps far more than 30 orders."""
+    voigt = np.diag([1.0, 1.0, 0.05])
+    kernel = FundamentalSolution.from_tensor(
+        ElasticityTensor(np.einsum("aij,ab,bhk->ijhk", _VOIGT, voigt, _VOIGT))
+    )
+    assert len(kernel.orders) > 30
+    return kernel
+
+
+class TestEvaluateOracle:
+    """The blocked series evaluator against the direct quadrature sum
+    sum_n U(x - y_n) w_n psi_n built from the kernel's own evaluation."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            FundamentalSolution.isotropic(ISO),
+            FundamentalSolution.from_tensor(random_spd_tensor(0)),
+            _soft_shear_kernel(),
+        ],
+        ids=["isotropic", "random_spd", "soft_shear"],
+    )
+    def test_matches_direct_sum(self, kernel):
+        curve = BoundaryCurve.ellipse(2.0, 1.0, n=128)
+        op = bem.assemble_single_layer(curve, kernel)
+        sol = bem.solve_dirichlet(op, np.stack([np.cos(curve.t), np.sin(2 * curve.t)], axis=-1))
+        rng = np.random.default_rng(5)
+        h = curve.weights.max()
+        m = 300
+        node = rng.integers(0, curve.n, m)
+        dist = h * np.geomspace(0.1, 100.0, m)
+        pts = (curve.points[node] - dist[:, None] * curve.normal[node]
+               + rng.uniform(-0.5, 0.5, (m, 1)) * h * curve.tangent[node])
+        assert not curve.is_inside(pts).any()
+
+        wpsi = curve.weights[:, None] * sol.psi
+        d = pts[:, None, :] - curve.points[None, :, :]
+        kern, kern_grad = kernel(d), kernel.gradient(d)
+        u_ref = np.einsum("mnij,nj->mi", kern, wpsi) + sol.kappa
+        g_ref = np.einsum("mnijk,nj->mik", kern_grad, wpsi)
+        # per target, relative to the sum of the magnitudes of its terms: the
+        # scale round-off acts on when far-field terms cancel
+        u_scale = np.einsum("mnij,nj->m", np.abs(kern), np.abs(wpsi)) + np.abs(sol.kappa).sum()
+        g_scale = np.einsum("mnijk,nj->m", np.abs(kern_grad), np.abs(wpsi))
+        u = bem.evaluate(sol, pts)
+        g = bem.evaluate_gradient(sol, pts)
+        assert (np.abs(u - u_ref).max(axis=-1) / u_scale).max() <= 1e-12
+        assert (np.abs(g - g_ref).max(axis=(-2, -1)) / g_scale).max() <= 1e-12
+
+        # one point gives (2,) and (2, 2); an (a, b, 2) batch keeps its shape
+        assert bem.evaluate(sol, pts[0]).shape == (2,)
+        assert bem.evaluate_gradient(sol, pts[0]).shape == (2, 2)
+        assert np.allclose(bem.evaluate(sol, pts[0]), u[0], rtol=1e-14, atol=0.0)
+        batch = pts[:12].reshape(3, 4, 2)
+        assert bem.evaluate(sol, batch).shape == (3, 4, 2)
+        assert bem.evaluate_gradient(sol, batch).shape == (3, 4, 2, 2)
+        assert np.allclose(bem.evaluate(sol, batch), u[:12].reshape(3, 4, 2), rtol=1e-14, atol=0.0)
+        assert np.allclose(bem.evaluate_gradient(sol, batch), g[:12].reshape(3, 4, 2, 2),
+                           rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            BoundaryCurve.circle(1.0, n=64),
+            BoundaryCurve.ellipse(2.0, 1.0, n=64),
+            BoundaryCurve.rounded_square(1.0, 0.25, n=64),
+        ],
+        ids=["circle", "ellipse", "square"],
+    )
+    def test_nodes_raise_typed_errors(self, curve):
+        """A target on a quadrature node is either inside the body or the
+        kernel's singular point: never a returned value."""
+        sol = bem.ExteriorSolution(
+            curve=curve, kernel=FundamentalSolution.isotropic(ISO),
+            psi=zero_total_density(curve), kappa=np.zeros(2), cond=1.0, replay_error=0.0,
+        )
+        for p in curve.points:
+            for fn in (bem.evaluate, bem.evaluate_gradient):
+                with pytest.raises((PointInsideBody, SingularPoint)):
+                    fn(sol, p)
 
 
 class TestMSpaceAndTraction:

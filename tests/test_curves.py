@@ -23,6 +23,25 @@ class TestGeometry:
         probe_out = curve.points - step * curve.normal
         assert not curve.is_inside(probe_out).any()
 
+    def test_crossing_number_matches_pointwise_loop(self):
+        """The blocked crossing-number test of rounded polygons gives the
+        booleans of the per-point loop written out here."""
+        rng = np.random.default_rng(11)
+        for curve in (BoundaryCurve.rounded_square(1.0, 0.25, n=128),
+                      BoundaryCurve.rounded_polygon([(0, 0), (2, 0), (0.5, 1.5)], 0.2, n=96)):
+            x1 = curve.points
+            x2 = np.roll(x1, -1, axis=0)
+            pts = np.concatenate([rng.uniform(-1.5, 2.5, size=(3000, 2)), x1, 0.5 * (x1 + x2)])
+            expect = np.zeros(pts.shape[0], dtype=bool)
+            for k, p in enumerate(pts):
+                cond = (x1[:, 1] <= p[1]) != (x2[:, 1] <= p[1])
+                tpar = (p[1] - x1[:, 1]) / np.where(cond, x2[:, 1] - x1[:, 1], 1.0)
+                xc = x1[:, 0] + tpar * (x2[:, 0] - x1[:, 0])
+                expect[k] = (np.sum(cond & (xc > p[0])) % 2) == 1
+            got = curve.is_inside(pts)
+            assert np.array_equal(got, expect)
+            assert 0 < got.sum() < got.size
+
     def test_normal_unit_and_orthogonal(self):
         c = BoundaryCurve.ellipse(2.0, 1.0, n=64)
         assert np.allclose(np.linalg.norm(c.normal, axis=1), 1.0)

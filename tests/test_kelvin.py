@@ -136,6 +136,29 @@ class TestKernel:
             fd = (fs(x + dx) - fs(x - dx)) / (2 * h)
             assert np.allclose(g[:, :, k], fd, atol=1e-8)
 
+    def test_series_matches_trig_reference(self):
+        """Harmonics from powers of the unit direction reproduce the stored
+        cosine/sine series and its derivative, written out with trig calls;
+        orders with zero coefficients are skipped."""
+        phi = np.linspace(-7.0, 7.0, 40001)  # several blocks of directions
+        for fs in (FundamentalSolution.isotropic(ISO),
+                   FundamentalSolution.from_tensor(random_spd_tensor(2))):
+            k = np.arange(fs.cos_coef.shape[0])
+            c = np.cos(k * phi[:, None])
+            s = np.sin(k * phi[:, None])
+            ref = np.einsum("pk,kij->pij", c, fs.cos_coef) + np.einsum("pk,kij->pij", s, fs.sin_coef)
+            dref = np.einsum("pk,kij->pij", k * c, fs.sin_coef) - np.einsum(
+                "pk,kij->pij", k * s, fs.cos_coef
+            )
+            assert np.abs(fs.angular_part(phi) - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(fs.angular_derivative(phi) - dref).max() <= 1e-13 * np.abs(dref).max()
+            d = 2.5 * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+            direct = fs(d) - fs.phi0 * np.log(2.5)
+            assert np.abs(direct - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert all(np.abs(fs.cos_coef[j]).max() + np.abs(fs.sin_coef[j]).max() > 0
+                       for j in fs.orders)
+        assert FundamentalSolution.isotropic(ISO).orders == [0, 2]
+
     def test_not_strongly_elliptic(self):
         with pytest.raises(NotStronglyElliptic):
             FundamentalSolution.from_tensor(np.zeros((2, 2, 2, 2)))
