@@ -17,7 +17,6 @@ from .annulus import (
     growth_monotonicity_check,
     net_traction_discrete,
     solve_annulus,
-    volume_potential,
 )
 from .bem import (
     EquilibriumBasis,

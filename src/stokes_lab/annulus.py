@@ -6,12 +6,12 @@ int grad(u) . C[grad(u)] over bilinear elements.  The module also measures
 the quantities the theory estimates: interior/exterior energy profiles and
 their rate-gamma monotonicity, the interior bound with its boundary
 functional, the truncated work-energy defect, net tractions, far-field decay
-exponents, the volume potential, and the contraction fixed point.
+exponents, and the contraction fixed point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,7 +19,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NotContracting, RadiusOutOfGrid, SolverDiverged
-from .kelvin import FundamentalSolution
 from .polar import DiscreteField, PolarGrid
 from .tensors import ElasticityField
 
@@ -36,7 +35,6 @@ __all__ = [
     "net_traction_discrete",
     "DecayFit",
     "decay_exponent_fit",
-    "volume_potential",
     "ContractionReport",
     "contraction_solve",
 ]
@@ -74,51 +72,41 @@ class VariationalProblem:
         return arr
 
 
-def _assemble_stiffness(grid: PolarGrid, action_qp: np.ndarray,
-                        chunk: int = 16384) -> sp.csr_matrix:
-    """K[(node a, m), (node b, h)] = int d_k N_a C_mkhl d_l N_b, chunked."""
-    cells = grid.cells
-    grad = grid.qp_shape_gradients
-    wq = grid.qp_weights
+def _assemble_stiffness(grid: PolarGrid, action_qp: np.ndarray) -> sp.csr_matrix:
+    """K[(node a, m), (node b, h)] = int d_k N_a C_mkhl d_l N_b.
+
+    Per Gauss point the element matrix is B (w C) B^T with
+    B[(a, m), (m', k)] = d_k N_a delta_mm'; the sum over the Gauss points
+    rides in the same batched matrix product.  Entries that sum to exact
+    zeros (the m != h blocks of Id_Lin-type materials) are dropped, since the
+    sparse LU would treat them as structure."""
+    nc, nq = grid.qp_weights.shape
+    grad = grid.qp_shape_gradients                                  # (nc, nq, 4, 2)
+    B = np.einsum("cqak,mn->cqamnk", grad, np.eye(2)).reshape(nc, nq, 8, 4)
+    wC = action_qp.reshape(nc, nq, 4, 4) * grid.qp_weights[..., None, None]
+    BC = (B @ wC).transpose(0, 2, 1, 3).reshape(nc, 8, 4 * nq)
+    ke = BC @ B.transpose(0, 1, 3, 2).reshape(nc, 4 * nq, 8)         # (nc, 8, 8)
+    dofs = (2 * grid.cells[:, :, None] + np.arange(2)).reshape(nc, 8)
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
     ndof = 2 * grid.n_nodes
-    mats = []
-    for lo in range(0, grid.n_cells, chunk):
-        hi = min(lo + chunk, grid.n_cells)
-        ke = np.einsum(
-            "cq,cqak,cqmkhl,cqbl->cambh",
-            wq[lo:hi], grad[lo:hi], action_qp[lo:hi], grad[lo:hi],
-            optimize=True,
-        )
-        cc = cells[lo:hi]
-        ones = np.ones((1, 1, 1, 1, 1), dtype=np.int64)
-        rows = 2 * cc[:, :, None, None, None] + np.arange(2)[None, None, :, None, None] * ones
-        cols = 2 * cc[:, None, None, :, None] + np.arange(2)[None, None, None, None, :] * ones
-        rows, cols = np.broadcast_arrays(rows, cols)
-        mats.append(
-            sp.coo_matrix(
-                (ke.ravel(), (rows.ravel(), cols.ravel())), shape=(ndof, ndof)
-            ).tocsr()
-        )
-    out = mats[0]
-    for m in mats[1:]:
-        out = out + m
-    return out
+    K = sp.coo_matrix((ke.ravel(), (rows.ravel(), cols.ravel())), shape=(ndof, ndof)).tocsr()
+    K.eliminate_zeros()
+    return K
 
 
-def _force_vector(grid: PolarGrid, force: Callable) -> np.ndarray:
-    f_qp = np.asarray(force(grid.qp_points), dtype=float)
-    fe = np.einsum("cq,qa,cqm->cam", grid.qp_weights, grid.qp_shapes, f_qp)
+def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
+    """Load vector int f.N_a; the force must vanish beyond r_max / 2."""
     b = np.zeros(2 * grid.n_nodes)
-    np.add.at(b, (2 * grid.cells[:, :, None] + np.arange(2)).ravel(), fe.ravel())
-    return b
-
-
-def _check_force_support(grid: PolarGrid, force: Callable):
+    if force is None:
+        return b
     f_qp = np.asarray(force(grid.qp_points), dtype=float)
     mags = np.linalg.norm(f_qp, axis=-1)
     outside = grid.qp_radii > 0.5 * grid.r_max
     if mags[outside].max(initial=0.0) > 1e-12 * max(mags.max(), 1.0):
         raise ValueError("volume force must be supported strictly inside r_max / 2")
+    fe = np.einsum("cq,qa,cqm->cam", grid.qp_weights, grid.qp_shapes, f_qp)
+    np.add.at(b, (2 * grid.cells[:, :, None] + np.arange(2)).ravel(), fe.ravel())
+    return b
 
 
 def _dirichlet_mask(grid: PolarGrid, problem: VariationalProblem):
@@ -138,6 +126,29 @@ def _dirichlet_mask(grid: PolarGrid, problem: VariationalProblem):
     return fixed, vals
 
 
+def _reduced_system(problem: VariationalProblem, grid: PolarGrid, action_qp: np.ndarray):
+    """Stiffness of the material action_qp restricted to the free DOFs.
+
+    Returns (K_ff as CSC, rhs, free mask, nodal values carrying the Dirichlet
+    data), with rhs = b_f - K_fd u_d."""
+    b = _force_vector(grid, problem.force)
+    K = _assemble_stiffness(grid, action_qp)
+    fixed, vals = _dirichlet_mask(grid, problem)
+    free = ~fixed
+    K_f = K[free]
+    rhs = b[free] - K_f[:, fixed] @ vals[fixed]
+    return K_f[:, free].tocsc(), rhs, free, vals
+
+
+def _sparse_lu(K_ff: sp.csc_matrix):
+    """SuperLU factors of the symmetric free-DOF stiffness, with the
+    minimum-degree ordering of A^T + A; SolverDiverged if it is singular."""
+    try:
+        return spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverDiverged(f"sparse LU failed: {exc}") from None
+
+
 def solve_annulus(
     problem: VariationalProblem,
     grid: PolarGrid,
@@ -155,17 +166,9 @@ def solve_annulus(
     if check_bounds:
         flat = pts.reshape(-1, 2)
         problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
-    if problem.force is not None:
-        _check_force_support(grid, problem.force)
 
-    K = _assemble_stiffness(grid, action)
-    b = _force_vector(grid, problem.force) if problem.force is not None else np.zeros(2 * grid.n_nodes)
-    fixed, vals = _dirichlet_mask(grid, problem)
-    free = ~fixed
-
-    rhs = b[free] - K[free][:, fixed] @ vals[fixed]
-    Kff = K[free][:, free].tocsc()
-    x = spla.spsolve(Kff, rhs)
+    Kff, rhs, free, vals = _reduced_system(problem, grid, action)
+    x = _sparse_lu(Kff).solve(rhs)
     scale = max(np.abs(rhs).max(), np.abs(Kff @ x).max(), 1e-300)
     rel = np.abs(Kff @ x - rhs).max() / scale
     if not np.all(np.isfinite(x)) or rel > residual_tol:
@@ -484,90 +487,6 @@ def decay_exponent_fit(
     )
 
 
-# -- volume potential -------------------------------------------------------
-
-
-def volume_potential(
-    force: Callable,
-    kernel: FundamentalSolution,
-    grid: PolarGrid,
-    refine_levels: int = 2,
-    chunk: int = 1024,
-) -> DiscreteField:
-    """v_f(x) = int U(x - y) f(y) dv_y at the grid nodes by direct quadrature.
-
-    Cells hosting or adjacent to a target node are re-integrated on a
-    subdivided Gauss rule (the kernel's log singularity is integrable, so two
-    refinement levels suffice for ~1e-4 absolute accuracy)."""
-    pts_q = grid.qp_points
-    w_q = grid.qp_weights
-    f_q = np.asarray(force(pts_q), dtype=float)
-    mags = np.linalg.norm(f_q, axis=-1)
-    support_cells = np.nonzero(mags.max(axis=1) > 1e-14 * mags.max(initial=0.0))[0]
-    targets = grid.node_points()
-    out = np.zeros((targets.shape[0], 2))
-    if support_cells.size == 0:
-        return DiscreteField(grid, out.reshape(grid.n_r, grid.n_theta, 2))
-
-    src_pts = pts_q[support_cells].reshape(-1, 2)
-    src_wf = (w_q[support_cells][..., None] * f_q[support_cells]).reshape(-1, 2)
-
-    for lo in range(0, targets.shape[0], chunk):
-        hi = min(lo + chunk, targets.shape[0])
-        d = targets[lo:hi, None, :] - src_pts[None, :, :]
-        r2 = np.sum(d * d, axis=-1)
-        bad = r2 < 1e-28
-        if np.any(bad):
-            d[bad] = 1.0
-        kern = kernel(d)
-        if np.any(bad):
-            kern[bad] = 0.0
-        out[lo:hi] = np.einsum("tsij,sj->ti", kern, src_wf)
-
-    # re-integrate the near cells per target with subdivided quadrature
-    centers = pts_q[support_cells].mean(axis=1)
-    diam = np.sqrt(w_q[support_cells].sum(axis=1)) * 2.0
-    gx, gw = np.polynomial.legendre.leggauss(4)
-    for c_idx, cell in enumerate(support_cells):
-        center = centers[c_idx]
-        near = np.nonzero(np.linalg.norm(targets - center, axis=1) < diam[c_idx])[0]
-        if near.size == 0:
-            continue
-        ic = cell // grid.n_theta
-        jc = cell % grid.n_theta
-        r0, r1 = grid.radii[ic], grid.radii[ic + 1]
-        t0 = grid.thetas[jc]
-        t1 = t0 + grid.dtheta
-        ns = 2 ** refine_levels * 2
-        redges = np.linspace(r0, r1, ns + 1)
-        tedges = np.linspace(t0, t1, ns + 1)
-        rq = (0.5 * (redges[1:] + redges[:-1])[:, None] +
-              0.5 * np.diff(redges)[:, None] * gx[None, :]).ravel()
-        tq = (0.5 * (tedges[1:] + tedges[:-1])[:, None] +
-              0.5 * np.diff(tedges)[:, None] * gx[None, :]).ravel()
-        wr = (0.5 * np.diff(redges)[:, None] * gw[None, :]).ravel()
-        wt = (0.5 * np.diff(tedges)[:, None] * gw[None, :]).ravel()
-        RQ, TQ = np.meshgrid(rq, tq, indexing="ij")
-        WQ = np.outer(wr, wt) * RQ
-        pts_fine = np.stack([RQ * np.cos(TQ), RQ * np.sin(TQ)], axis=-1).reshape(-1, 2)
-        f_fine = np.asarray(force(pts_fine), dtype=float)
-        wf_fine = WQ.reshape(-1, 1) * f_fine
-
-        d_coarse = targets[near][:, None, :] - pts_q[cell][None, :, :]
-        coarse = np.einsum(
-            "tsij,sj->ti", kernel(d_coarse), (w_q[cell][:, None] * f_q[cell])
-        )
-        d_fine = targets[near][:, None, :] - pts_fine[None, :, :]
-        r2 = np.sum(d_fine * d_fine, axis=-1)
-        ok = r2 > 1e-28
-        kern = np.zeros(r2.shape + (2, 2))
-        kern[ok] = kernel(d_fine[ok])
-        fine = np.einsum("tsij,sj->ti", kern, wf_fine)
-        out[near] += fine - coarse
-
-    return DiscreteField(grid, out.reshape(grid.n_r, grid.n_theta, 2))
-
-
 # -- contraction fixed point --------------------------------------------------
 
 
@@ -625,19 +544,11 @@ def contraction_solve(
     d = np.eye(2)
     c0_action = c0_scale * np.einsum("ih,jk->ijhk", d, d)
 
-    pts = grid.qp_points
-    action = problem.field(pts)
-    Kc = _assemble_stiffness(grid, action)
-    K0 = _assemble_stiffness(
-        grid, np.broadcast_to(c0_action, pts.shape[:-1] + (2, 2, 2, 2))
-    )
-    b = _force_vector(grid, problem.force) if problem.force is not None else np.zeros(2 * grid.n_nodes)
-    fixed, vals = _dirichlet_mask(grid, problem)
-    free = ~fixed
-    rhs = b[free] - Kc[free][:, fixed] @ vals[fixed]
-    Kc_ff = Kc[free][:, free].tocsc()
-    K0_ff = K0[free][:, free].tocsc()
-    green0 = spla.factorized(K0_ff)
+    Kc_ff, rhs, free, vals = _reduced_system(problem, grid, problem.field(grid.qp_points))
+    c0 = np.broadcast_to(c0_action, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
+    # the comparison operator needs only its matrix, not a second load vector
+    K0_ff = _reduced_system(replace(problem, force=None), grid, c0)[0]
+    green0 = _sparse_lu(K0_ff).solve
 
     w = np.zeros(rhs.size)
     factors = []

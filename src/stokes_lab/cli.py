@@ -128,6 +128,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         if cfg.trials < 1:
             raise ConfigInvalid("trials: must be positive")
     if cfg.kind == "contraction" and cfg.contrast_bounds:
+        if cfg.material.startswith("table:"):
+            raise ConfigInvalid("material, contrast_bounds: a tabulated material sets its "
+                                "own bounds; give one or the other")
         lo, hi = _parse_pair(cfg.contrast_bounds, "contrast_bounds")
         if not (0 < lo <= hi):
             raise ConfigInvalid("contrast_bounds: need 0 < lo <= hi")

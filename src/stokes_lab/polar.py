@@ -227,12 +227,12 @@ class DiscreteField:
         """(n_cells, nq, 2, 2) with [...,m,k] = d_k u_m at the Gauss points."""
         grid = self.grid
         u_cells = self.flat().reshape(grid.n_nodes, 2)[grid.cells]   # (nc, 4, 2)
-        return np.einsum("cqak,cam->cqmk", grid.qp_shape_gradients, u_cells)
+        return np.swapaxes(u_cells, -1, -2)[:, None] @ grid.qp_shape_gradients
 
     def values_at_qp(self) -> np.ndarray:
         grid = self.grid
         u_cells = self.flat().reshape(grid.n_nodes, 2)[grid.cells]
-        return np.einsum("qa,cam->cqm", grid.qp_shapes, u_cells)
+        return grid.qp_shapes @ u_cells
 
     def angular_mean(self, ring: int) -> np.ndarray:
         return self.values[ring].mean(axis=0)

@@ -3,6 +3,7 @@ import pytest
 
 from stokes_lab.annulus import (
     VariationalProblem,
+    _assemble_stiffness,
     caccioppoli_check,
     contraction_solve,
     decay_exponent_fit,
@@ -11,13 +12,13 @@ from stokes_lab.annulus import (
     growth_monotonicity_check,
     net_traction_discrete,
     solve_annulus,
-    volume_potential,
 )
 from stokes_lab.degiorgi import CounterexampleParams, closed_form, degiorgi_tensor, epsilon
 from stokes_lab.errors import (
     BoundsViolated,
     NotContracting,
     RadiusOutOfGrid,
+    SolverDiverged,
 )
 from stokes_lab.kelvin import FundamentalSolution
 from stokes_lab.polar import DiscreteField, PolarGrid
@@ -107,6 +108,36 @@ class TestPolarGrid:
             DiscreteField(g, bad)
 
 
+class TestAssembly:
+    def test_matches_cellwise_reference(self):
+        """The batched assembly against the per-cell, per-Gauss-point sum of
+        w d_k N_a C_mkhl d_l N_b, with no stored zeros in the result."""
+        grid = PolarGrid(2.0, 8, 16)
+        pts = grid.qp_points
+        rng = np.random.default_rng(3)
+        materials = {
+            "degiorgi-sym": degiorgi_tensor(2.0)(pts),
+            "degiorgi-lin": degiorgi_tensor(2.0, action_on="lin")(pts),
+            "random-scalar": (1.0 + rng.random(pts.shape[:-1]))[..., None, None, None, None]
+            * ID_LIN,
+        }
+        for name, action in materials.items():
+            ref = np.zeros((2 * grid.n_nodes, 2 * grid.n_nodes))
+            for c, nodes in enumerate(grid.cells):
+                for q in range(grid.qp_weights.shape[1]):
+                    grad = grid.qp_shape_gradients[c, q]        # (4, 2): d_k N_a
+                    ke = grid.qp_weights[c, q] * np.einsum(
+                        "ak,mkhl,bl->ambh", grad, action[c, q], grad
+                    )
+                    for a in range(4):
+                        for b in range(4):
+                            ref[2 * nodes[a]:2 * nodes[a] + 2,
+                                2 * nodes[b]:2 * nodes[b] + 2] += ke[a, :, b, :]
+            K = _assemble_stiffness(grid, action)
+            assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max(), name
+            assert np.all(K.data != 0), name
+
+
 class TestSolveAnnulus:
     def test_zero_data_zero_field(self):
         grid = PolarGrid(16.0, 24, 48)
@@ -173,8 +204,17 @@ class TestSolveAnnulus:
             field=constant_field(ISO.tensor()),
             force=lambda p: np.ones(np.asarray(p).shape),
         )
-        with pytest.raises(ValueError):
-            solve_annulus(prob, PolarGrid(8.0, 16, 32))
+        for solve in (solve_annulus, contraction_solve):
+            with pytest.raises(ValueError, match="r_max / 2"):
+                solve(prob, PolarGrid(8.0, 16, 32))
+
+    def test_singular_system_diverges(self):
+        fld = ElasticityField(
+            action=lambda p: np.zeros(np.asarray(p).shape[:-1] + (2, 2, 2, 2)), mu0=1.0, mue=1.0
+        )
+        prob = VariationalProblem(field=fld, outer_data=lambda th: np.stack([np.cos(th), 0 * th], -1))
+        with pytest.raises(SolverDiverged):
+            solve_annulus(prob, PolarGrid(8.0, 16, 32), check_bounds=False)
 
 
 class TestEnergyProfiles:
@@ -522,50 +562,6 @@ class TestDecayFit:
         m2 = u.max_over_ring(k2, offset=np.zeros(2))
         ratio = (m2 / m1) / (grid.radii[k2] / grid.radii[k1])
         assert abs(ratio - 1.0) < 0.05  # amplitude ~ r: the rigid rotation
-
-
-class TestVolumePotential:
-    def test_zero_force(self):
-        grid = PolarGrid(8.0, 16, 32)
-        fs = FundamentalSolution.isotropic(ISO)
-        v = volume_potential(lambda p: np.zeros(np.asarray(p).shape), fs, grid)
-        assert np.abs(v.values).max() == 0.0
-
-    def test_point_bump_matches_kernel(self):
-        fs = FundamentalSolution.isotropic(ISO)
-        x0 = np.array([3.0, 1.0])
-        w = 0.1
-
-        def bump(p):
-            pts = np.asarray(p, dtype=float)
-            d2 = np.sum((pts - x0) ** 2, axis=-1)
-            amp = np.where(d2 < (6 * w) ** 2, np.exp(-d2 / (2 * w**2)) / (2 * np.pi * w**2), 0.0)
-            out = np.zeros(pts.shape)
-            out[..., 0] = amp
-            return out
-
-        grid = PolarGrid(16.0, 64, 128)
-        v = volume_potential(bump, fs, grid)
-        pts = grid.node_points()
-        far = np.linalg.norm(pts - x0, axis=-1) > 3.0
-        exact = fs(pts[far] - x0) @ np.array([1.0, 0.0])
-        err = np.abs(v.flat().reshape(-1, 2)[far] - exact).max() / np.abs(exact).max()
-        assert err <= 1e-3
-
-    def test_linearity(self):
-        fs = FundamentalSolution.isotropic(ISO)
-        x0 = np.array([2.0, 0.5])
-
-        def bump(p):
-            pts = np.asarray(p, dtype=float)
-            d2 = np.sum((pts - x0) ** 2, axis=-1)
-            amp = np.where(d2 < 1.0, np.exp(-8 * d2), 0.0)
-            return np.stack([amp, -0.5 * amp], axis=-1)
-
-        grid = PolarGrid(8.0, 24, 48)
-        v1 = volume_potential(bump, fs, grid)
-        v2 = volume_potential(lambda p: 2.5 * bump(p), fs, grid)
-        assert np.allclose(v2.values, 2.5 * v1.values, atol=1e-13)
 
 
 def annulus_restricted_degiorgi(xi, lo=2.0, hi=16.0):

@@ -38,6 +38,12 @@ class TestValidate:
         with pytest.raises(ConfigInvalid, match="material"):
             validate(ExperimentConfig(kind="paradox", material="degiorgi:2"))
 
+    def test_table_material_with_contrast_bounds_rejected(self):
+        with pytest.raises(ConfigInvalid, match="material, contrast_bounds"):
+            validate(ExperimentConfig(kind="contraction", material="table:scales.csv",
+                                      contrast_bounds="1,1.2", seed=1))
+        validate(ExperimentConfig(kind="contraction", contrast_bounds="1,1.2", seed=1))
+
     def test_pure(self):
         cfg = ExperimentConfig(kind="paradox")
         validate(cfg)
@@ -111,8 +117,11 @@ class TestRuns:
                                  outdir=str(out)))
             run(ExperimentConfig(kind="decay", curve="circle:1", nodes=64, seed=5,
                                  outdir=str(out)))
-        assert (out1 / "gym" / "trials.csv").read_bytes() == (out2 / "gym" / "trials.csv").read_bytes()
-        assert (out1 / "decay" / "decay.csv").read_bytes() == (out2 / "decay" / "decay.csv").read_bytes()
+            run(ExperimentConfig(kind="contraction", contrast_bounds="1,1.5", grid="24x48",
+                                 rmax=24.0, seed=7, outdir=str(out)))
+        for kind, name in (("gym", "trials.csv"), ("decay", "decay.csv"),
+                           ("contraction", "factors.csv")):
+            assert (out1 / kind / name).read_bytes() == (out2 / kind / name).read_bytes()
 
     def test_decay_slope(self, tmp_path):
         rep = run(ExperimentConfig(kind="decay", curve="circle:1", nodes=128, seed=11,
