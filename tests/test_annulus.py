@@ -4,6 +4,10 @@ import pytest
 from stokes_lab.annulus import (
     VariationalProblem,
     _assemble_stiffness,
+    _comparison_solver,
+    _grad_q_norm,
+    _reduced_system,
+    _sparse_lu,
     caccioppoli_check,
     contraction_solve,
     decay_exponent_fit,
@@ -16,6 +20,7 @@ from stokes_lab.annulus import (
 from stokes_lab.degiorgi import CounterexampleParams, closed_form, degiorgi_tensor, epsilon
 from stokes_lab.errors import (
     BoundsViolated,
+    NotCirculant,
     NotContracting,
     RadiusOutOfGrid,
     SolverDiverged,
@@ -136,6 +141,32 @@ class TestAssembly:
             K = _assemble_stiffness(grid, action)
             assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max(), name
             assert np.all(K.data != 0), name
+
+
+class TestComparisonSolve:
+    """The FFT-in-theta inverse of the C0 = scale * Id_Lin stiffness."""
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
+    @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
+    def test_matches_superlu(self, nr, nt, kind):
+        grid = PolarGrid(16.0, nr, nt)
+        prob = VariationalProblem(field=constant_field(ISO.tensor()), outer_kind=kind)
+        c0 = np.broadcast_to(1.7 * ID_LIN, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
+        lu = _sparse_lu(_reduced_system(prob, grid, c0)[0])
+        green0 = _comparison_solver(grid, kind, 1.7)
+        rng = np.random.default_rng(nr + nt)
+        for _ in range(3):
+            b = rng.normal(size=lu.shape[0])
+            ref = lu.solve(b)
+            assert np.abs(green0(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_asymmetric_stencil_rejected(self):
+        grid = PolarGrid(16.0, 24, 48)
+        qp = grid._quadrature()
+        qp["grad"] = qp["grad"].copy()
+        qp["grad"][0, 0, 0] *= 1.1      # breaks theta -> -theta in the first cell
+        with pytest.raises(NotCirculant):
+            _comparison_solver(grid, "dirichlet", 1.0)
 
 
 class TestSolveAnnulus:
@@ -666,3 +697,58 @@ class TestContraction:
         prob = VariationalProblem(field=fld, force=smooth_force(16.0))
         with pytest.raises(NotContracting):
             contraction_solve(prob, grid)
+
+    def test_grad_norm_matches_cartesian_quadrature(self):
+        grid = PolarGrid(16.0, 24, 48)
+        values = np.random.default_rng(2).normal(size=(grid.n_r, grid.n_theta, 2))
+        g = DiscreteField(grid, values).gradient_at_qp()
+        mag = np.sqrt(np.sum(g * g, axis=(-2, -1)))
+        for q in (1.5, 2.0, 3.0):
+            ref = np.sum(grid.qp_weights * mag**q) ** (1.0 / q)
+            assert abs(_grad_q_norm(grid, values.ravel(), q) - ref) <= 1e-13 * ref, q
+
+    def test_factors_match_superlu_recursive_loop(self):
+        """Acceptance 8's random material: the factors equal those of a
+        fixed-point loop on SuperLU of the assembled C0 matrix that carries
+        its residual, at every iteration."""
+        grid = PolarGrid(64.0, 48, 96)
+        rng = np.random.default_rng(17)
+        a3 = rng.normal(size=3)
+        amp = rng.normal(size=4)
+
+        def act(p):
+            pts = np.asarray(p, dtype=float)
+            r = np.linalg.norm(pts, axis=-1)
+            th = np.arctan2(pts[..., 1], pts[..., 0])
+            s = 0.5 + 0.5 * np.tanh(a3[0] * np.cos(th) + a3[1] * np.sin(2 * th)
+                                    + a3[2] * np.cos(np.pi * r / 8))
+            return (1.0 + 0.25 * s)[..., None, None, None, None] * ID_LIN
+
+        def force(p):
+            pts = np.asarray(p, dtype=float)
+            r = np.linalg.norm(pts, axis=-1)
+            th = np.arctan2(pts[..., 1], pts[..., 0])
+            bump = np.exp(-((r - 5.0) / 2.0) ** 2) * (r < 32.0)
+            return np.stack([bump * (amp[0] + amp[1] * np.cos(2 * th)),
+                             bump * (amp[2] + amp[3] * np.sin(th))], axis=-1)
+
+        fld = ElasticityField(action=act, mu0=1.0, mue=1.25, lin_bounds_pair=(1.0, 1.25))
+        prob = VariationalProblem(field=fld, force=force)
+        _, rep = contraction_solve(prob, grid)
+        assert rep.converged
+
+        Kc, rhs, free, _ = _reduced_system(prob, grid, fld(grid.qp_points))
+        c0 = np.broadcast_to(1.25 * ID_LIN, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
+        lu = _sparse_lu(_reduced_system(prob, grid, c0)[0])
+        res = rhs
+        norms = []
+        for _ in range(rep.n_iter):
+            inc = lu.solve(res)
+            res = res - Kc @ inc
+            full = np.zeros(2 * grid.n_nodes)
+            full[free] = inc
+            g = DiscreteField(grid, full.reshape(grid.n_r, grid.n_theta, 2)).gradient_at_qp()
+            norms.append(np.sqrt(np.sum(grid.qp_weights * np.sum(g * g, axis=(-2, -1)))))
+        ref = np.asarray(norms[1:]) / np.asarray(norms[:-1])
+        assert rep.factors.shape == ref.shape
+        assert np.all(np.abs(rep.factors - ref) <= 1e-6 * ref)
