@@ -20,10 +20,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import NotCirculant, NotContracting, RadiusOutOfGrid, SolverDiverged
 from .polar import DiscreteField, PolarGrid
-from .tensors import ElasticityField
+from .tensors import ID_LIN, ElasticityField
 
 __all__ = [
     "VariationalProblem",
+    "bump_force",
     "solve_annulus",
     "EnergyProfile",
     "energy_profiles",
@@ -70,6 +71,24 @@ class VariationalProblem:
         if arr.shape != (grid.n_theta, 2):
             raise ValueError(f"boundary data must be (n_theta, 2), got {arr.shape}")
         return arr
+
+
+def bump_force(amp, r_max: float) -> Callable:
+    """Smooth volume force exp(-((r - 5)/2)^2) (a0 + a1 cos 2th, a2 + a3 sin th)
+    for the amplitudes amp = (a0, a1, a2, a3), cut off at r_max / 2 so that
+    it meets the support condition of VariationalProblem."""
+
+    def force(points):
+        pts = np.asarray(points, dtype=float)
+        r = np.linalg.norm(pts, axis=-1)
+        th = np.arctan2(pts[..., 1], pts[..., 0])
+        bump = np.exp(-((r - 5.0) / 2.0) ** 2) * (r < r_max / 2)
+        return np.stack(
+            [bump * (amp[0] + amp[1] * np.cos(2 * th)), bump * (amp[2] + amp[3] * np.sin(th))],
+            axis=-1,
+        )
+
+    return force
 
 
 def _element_matrices(grad: np.ndarray, weights: np.ndarray, action_qp: np.ndarray) -> np.ndarray:
@@ -542,8 +561,7 @@ def _comparison_solver(grid: PolarGrid, outer_kind: str, c0_scale: float) -> Cal
     """
     n_r, n_t = grid.n_r, grid.n_theta
     col = slice(None, None, n_t)                       # cell (i, 0) of every ring i
-    c0 = np.broadcast_to(c0_scale * np.einsum("ih,jk->ijhk", np.eye(2), np.eye(2)),
-                         grid.qp_weights[col].shape + (2, 2, 2, 2))
+    c0 = np.broadcast_to(c0_scale * ID_LIN, grid.qp_weights[col].shape + (2, 2, 2, 2))
     ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], c0)
     scalar = ke[:, 0::2, 0::2]                         # (n_r-1, 4, 4), component 0
 

@@ -59,6 +59,8 @@ __all__ = [
     "equilibrium_basis",
     "paradox_residual",
     "ellipse_compatibility",
+    "ellipse_direction_error",
+    "zero_total_density",
     "ExteriorSolution",
     "solve_dirichlet",
     "evaluate",
@@ -234,9 +236,6 @@ class EquilibriumBasis:
     boundary_values: np.ndarray  # (2, 2): constant trace of v[psi_i]
     cond_totals: float
 
-    def density(self, i: int) -> np.ndarray:
-        return self.psi[i]
-
 
 def equilibrium_basis(op: SingleLayerOperator) -> EquilibriumBasis:
     """Solve [A 1; W 0] [psi_i; k_i] = [0; e_i] and normalize; certify the
@@ -278,15 +277,38 @@ def paradox_residual(data, basis: EquilibriumBasis) -> np.ndarray:
     )
 
 
+def _check_ellipse(curve: BoundaryCurve):
+    if curve.kind not in ("ellipse", "circle") or curve.grad_f_norm is None:
+        raise NotAnEllipse("curve was not constructed as ellipse(a, b)")
+
+
 def ellipse_compatibility(data, curve: BoundaryCurve) -> np.ndarray:
     """Quadrature of data / |grad f| over an ellipse boundary.
 
     Agrees with paradox_residual up to an invertible 2x2 rescaling; the
     closed-form counterpart of the computed equilibrium pairing."""
-    if curve.kind not in ("ellipse", "circle") or curve.grad_f_norm is None:
-        raise NotAnEllipse("curve was not constructed as ellipse(a, b)")
+    _check_ellipse(curve)
     u = _check_data(curve, data)
     return np.einsum("k,ki->i", curve.weights / curve.grad_f_norm, u)
+
+
+def ellipse_direction_error(basis: EquilibriumBasis) -> float:
+    """Largest weighted L2 distance, up to sign, between an equilibrium
+    density psi_i and the closed-form one e_i / |grad f| (both normalized)
+    on an ellipse boundary."""
+    curve = basis.curve
+    _check_ellipse(curve)
+    err = 0.0
+    for i in range(2):
+        target = np.zeros((curve.n, 2))
+        target[:, i] = 1.0 / curve.grad_f_norm
+        target /= np.sqrt(curve.inner_product(target, target))
+        diff = min(
+            curve.inner_product(basis.psi[i] - target, basis.psi[i] - target),
+            curve.inner_product(basis.psi[i] + target, basis.psi[i] + target),
+        )
+        err = max(err, float(np.sqrt(diff)))
+    return err
 
 
 @dataclass
@@ -303,6 +325,20 @@ class ExteriorSolution:
     @property
     def total_density(self) -> np.ndarray:
         return self.curve.total(self.psi)
+
+
+def zero_total_density(curve: BoundaryCurve, rng) -> np.ndarray:
+    """Seeded smooth density of total zero on the curve: Fourier modes 1-3 in
+    the parameter with coefficients rng.normal(size=(3, 4)), minus its mean.
+    Its layer potential is compatible data for a decaying exterior solution."""
+    coefs = rng.normal(size=(3, 4))
+    t = curve.t
+    psi = np.zeros((curve.n, 2))
+    for k in range(3):
+        psi[:, 0] += coefs[k, 0] * np.cos((k + 1) * t) + coefs[k, 1] * np.sin((k + 1) * t)
+        psi[:, 1] += coefs[k, 2] * np.cos((k + 1) * t) + coefs[k, 3] * np.sin((k + 1) * t)
+    psi -= curve.total(psi) / curve.perimeter
+    return psi
 
 
 def solve_dirichlet(op: SingleLayerOperator, data) -> ExteriorSolution:
@@ -422,13 +458,6 @@ class MSpaceField:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         g = _layer_eval(self.curve, self.kernel, self.psi_prime, pts, gradient=True)
         return g.reshape(pts.shape[:-1] + (2, 2)) if np.asarray(x).ndim > 1 else g[0]
-
-    def log_comparison(self, x) -> np.ndarray:
-        """h(x) - Phi0 log|x| total(psi'): bounded as |x| grows."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(pts, axis=-1)
-        lead = np.log(r)[..., None] * (self.kernel.phi0 @ self.net_traction)
-        return self(pts) - lead
 
 
 def m_space_representative(op: SingleLayerOperator, psi_prime) -> MSpaceField:

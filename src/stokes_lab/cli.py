@@ -54,8 +54,7 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
         raise ConfigInvalid(f"{what}: expected 'a,b', got {text!r}") from None
 
 
-def _parse_curve(cfg: ExperimentConfig):
-    spec = cfg.curve
+def _parse_curve(spec: str, notes: list):
     kind, _, rest = spec.partition(":")
     if kind == "circle":
         try:
@@ -71,7 +70,7 @@ def _parse_curve(cfg: ExperimentConfig):
             raise ConfigInvalid("curve: ellipse semi-axes must be positive")
         if b > a:
             a, b = b, a
-            cfg.notes.append(f"ellipse axes normalized to a >= b: ({a}, {b})")
+            notes.append(f"ellipse axes normalized to a >= b: ({a}, {b})")
         return ("ellipse", (a, b))
     if kind == "rounded-square":
         h, r = _parse_pair(rest, "curve: rounded-square")
@@ -81,8 +80,7 @@ def _parse_curve(cfg: ExperimentConfig):
     raise ConfigInvalid(f"curve: unknown kind {kind!r}")
 
 
-def _parse_material(cfg: ExperimentConfig):
-    spec = cfg.material
+def _parse_material(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "iso":
         lam, mu = _parse_pair(rest, "material: iso")
@@ -93,32 +91,34 @@ def _parse_material(cfg: ExperimentConfig):
                         "need a constant material iso:lambda,mu")
 
 
-def _parse_grid(cfg: ExperimentConfig) -> tuple[int, int]:
+def _parse_grid(spec: str) -> tuple[int, int]:
     try:
-        nr, nt = (int(x) for x in cfg.grid.lower().split("x"))
+        nr, nt = (int(x) for x in spec.lower().split("x"))
     except Exception:
-        raise ConfigInvalid(f"grid: expected 'NRxNT', got {cfg.grid!r}") from None
+        raise ConfigInvalid(f"grid: expected 'NRxNT', got {spec!r}") from None
     if nr < 3 or nt < 8 or nt % 2:
         raise ConfigInvalid("grid: need nr >= 3 and even nt >= 8")
     return nr, nt
 
 
-def validate(cfg: ExperimentConfig) -> list[str]:
-    """Pure validation; raises ConfigInvalid with a field-precise message."""
+def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
+    """The parsed specs the experiment reads, and the run's notes; raises
+    ConfigInvalid with a field-precise message.  cfg is left as it is."""
+    spec, notes = {}, list(cfg.notes)
     if cfg.kind not in _EXPERIMENTS:
         raise ConfigInvalid(f"kind: unknown experiment {cfg.kind!r}")
     if cfg.kind in _RANDOMIZED and cfg.seed is None:
         raise ConfigInvalid(f"seed: mandatory for the randomized experiment {cfg.kind!r}")
     if cfg.kind in ("paradox", "basis", "decay"):
-        _parse_curve(cfg)
-        _parse_material(cfg)
+        spec["curve"] = _parse_curve(cfg.curve, notes)
+        spec["moduli"] = _parse_material(cfg.material)
         if not (16 <= cfg.nodes <= 2048) or cfg.nodes % 2:
             raise ConfigInvalid("nodes: need an even count in [16, 2048]")
     if cfg.kind in ("degiorgi", "contraction"):
         if cfg.xi == 0:
             raise ConfigInvalid("xi: must be nonzero (the counter-example tensor "
                                 "is undefined at xi = 0)")
-        _parse_grid(cfg)
+        spec["grid"] = _parse_grid(cfg.grid)
         if cfg.rmax < 16:
             raise ConfigInvalid("rmax: need at least 16 so the fit window [2, rmax/4] "
                                 "spans an octave")
@@ -134,7 +134,14 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         lo, hi = _parse_pair(cfg.contrast_bounds, "contrast_bounds")
         if not (0 < lo <= hi):
             raise ConfigInvalid("contrast_bounds: need 0 < lo <= hi")
-    return list(cfg.notes)
+        spec["bounds"] = lo, hi
+    return spec, notes
+
+
+def validate(cfg: ExperimentConfig) -> list[str]:
+    """Pure validation: the run's notes, or ConfigInvalid with a
+    field-precise message."""
+    return _parse(cfg)[1]
 
 
 # -- output helpers ------------------------------------------------------------
@@ -197,10 +204,10 @@ class RunReport:
 # -- experiment bodies -----------------------------------------------------------
 
 
-def _build_curve(cfg: ExperimentConfig):
+def _build_curve(cfg: ExperimentConfig, spec: dict):
     from .curves import BoundaryCurve
 
-    kind, args = _parse_curve(cfg)
+    kind, args = spec["curve"]
     if kind == "circle":
         return BoundaryCurve.circle(args[0], n=cfg.nodes)
     if kind == "ellipse":
@@ -208,10 +215,17 @@ def _build_curve(cfg: ExperimentConfig):
     return BoundaryCurve.rounded_square(args[0], args[1], n=cfg.nodes)
 
 
-def _build_material(cfg: ExperimentConfig):
-    from .tensors import IsotropicModuli
+def _read_csv(path: str, what: str):
+    """Finite numeric rows of a CSV file with one header line."""
+    import numpy as np
 
-    return IsotropicModuli(*_parse_material(cfg))
+    try:
+        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"{what}: cannot read {path!r}: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigInvalid(f"{what}: {path!r} holds non-finite values")
+    return arr
 
 
 def _boundary_data(cfg: ExperimentConfig, curve):
@@ -237,10 +251,7 @@ def _boundary_data(cfg: ExperimentConfig, curve):
         return u
     if kind == "file":
         # CSV of nodal values: header u1,u2 and one row per quadrature node
-        try:
-            arr = np.loadtxt(rest, delimiter=",", skiprows=1, ndmin=2)
-        except OSError:
-            raise ConfigInvalid(f"data: cannot read file {rest!r}") from None
+        arr = _read_csv(rest, "data")
         if arr.shape != (n, 2):
             raise ConfigInvalid(
                 f"data: file {rest!r} holds {arr.shape}, expected ({n}, 2) "
@@ -250,15 +261,38 @@ def _boundary_data(cfg: ExperimentConfig, curve):
     raise ConfigInvalid(f"data: unknown profile {kind!r}")
 
 
-def _run_paradox(cfg: ExperimentConfig, out: dict):
+def _table_material(path: str):
+    """Tabulated scalar stiffness: CSV header r,theta,scale; nearest-sample
+    lookup; Lin bounds certified by the tabulated extremes."""
+    import numpy as np
+
+    from .tensors import scalar_field
+
+    arr = _read_csv(path, "material")
+    if arr.shape[1] != 3 or arr.shape[0] < 1:
+        raise ConfigInvalid("material: table needs columns r,theta,scale")
+    scales = arr[:, 2]
+    if scales.min() <= 0:
+        raise ConfigInvalid("material: tabulated scales must be positive")
+    tab_pts = np.stack([arr[:, 0] * np.cos(arr[:, 1]), arr[:, 0] * np.sin(arr[:, 1])], axis=-1)
+
+    def nearest(pts):
+        d2s = np.sum((pts.reshape(-1, 2)[:, None, :] - tab_pts[None, :, :]) ** 2, axis=-1)
+        return scales[np.argmin(d2s, axis=1)].reshape(pts.shape[:-1])
+
+    return scalar_field(nearest, float(scales.min()), float(scales.max()),
+                        name="tabulated-scalar")
+
+
+def _run_paradox(cfg: ExperimentConfig, spec: dict, out: dict):
     import numpy as np
 
     from . import bem
+    from .tensors import IsotropicModuli
 
-    curve = _build_curve(cfg)
-    moduli = _build_material(cfg)
+    curve = _build_curve(cfg, spec)
     data = _boundary_data(cfg, curve)
-    op = bem.assemble_single_layer(curve, moduli)
+    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["moduli"]))
     basis = bem.equilibrium_basis(op)
     residual = bem.paradox_residual(data, basis)
     sol = bem.solve_dirichlet(op, data)
@@ -267,16 +301,14 @@ def _run_paradox(cfg: ExperimentConfig, out: dict):
         out["verdicts"].append(_verdict("ellipse_compatibility", "residual", compat, 1e-8, True))
 
     data_norm = float(np.sqrt(curve.inner_product(data, data)))
-    psi_norm = float(np.sqrt(curve.inner_product(sol.psi, sol.psi)))
     tol_replay = 1e-8 * max(data_norm, 1.0)
+    total = float(np.abs(sol.total_density).max())
     out["verdicts"] += [
         _verdict("paradox_residual", "residual", residual, 1e-8, True),
         _verdict("kappa", "kappa", sol.kappa, 1e-10, True),
         _verdict("boundary_replay", "residual", sol.replay_error, tol_replay,
                  sol.replay_error <= tol_replay),
-        _verdict("zero_total_density", "residual",
-                 float(np.abs(sol.total_density).max()), 1e-10,
-                 float(np.abs(sol.total_density).max()) <= 1e-10),
+        _verdict("zero_total_density", "residual", total, 1e-10, total <= 1e-10),
     ]
     out["condition_numbers"]["augmented_system"] = sol.cond
     out["condition_numbers"]["totals_matrix"] = basis.cond_totals
@@ -286,14 +318,14 @@ def _run_paradox(cfg: ExperimentConfig, out: dict):
     )
 
 
-def _run_basis(cfg: ExperimentConfig, out: dict):
+def _run_basis(cfg: ExperimentConfig, spec: dict, out: dict):
     import numpy as np
 
     from . import bem
+    from .tensors import IsotropicModuli
 
-    curve = _build_curve(cfg)
-    moduli = _build_material(cfg)
-    op = bem.assemble_single_layer(curve, moduli)
+    curve = _build_curve(cfg, spec)
+    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["moduli"]))
     basis = bem.equilibrium_basis(op)
     det = float(np.linalg.det(basis.totals))
     out["verdicts"].append(
@@ -307,16 +339,7 @@ def _run_basis(cfg: ExperimentConfig, out: dict):
     if curve.grad_f_norm is not None:
         header.append("grad_f_norm")
         cols.append(curve.grad_f_norm)
-        err = 0.0
-        for i in range(2):
-            target = np.zeros((curve.n, 2))
-            target[:, i] = 1.0 / curve.grad_f_norm
-            target /= np.sqrt(curve.inner_product(target, target))
-            diff = min(
-                curve.inner_product(basis.psi[i] - target, basis.psi[i] - target),
-                curve.inner_product(basis.psi[i] + target, basis.psi[i] + target),
-            )
-            err = max(err, float(np.sqrt(diff)))
+        err = bem.ellipse_direction_error(basis)
         out["verdicts"].append(
             _verdict("ellipse_direction_error", "residual", err, 1e-6, err <= 1e-6)
         )
@@ -325,7 +348,7 @@ def _run_basis(cfg: ExperimentConfig, out: dict):
     out["files"]["basis.csv"] = (header, cols)
 
 
-def _run_degiorgi(cfg: ExperimentConfig, out: dict):
+def _run_degiorgi(cfg: ExperimentConfig, spec: dict, out: dict):
     import numpy as np
 
     from .annulus import (
@@ -336,12 +359,11 @@ def _run_degiorgi(cfg: ExperimentConfig, out: dict):
         solve_annulus,
     )
     from .degiorgi import CounterexampleParams, closed_form, degiorgi_tensor, epsilon
-    from .polar import DiscreteField, PolarGrid
+    from .polar import DiscreteField, PolarGrid, relative_l2_error
     from .tensors import gamma_exponent
 
-    nr, nt = _parse_grid(cfg)
     xi = cfg.xi
-    grid = PolarGrid(cfg.rmax, nr, nt)
+    grid = PolarGrid(cfg.rmax, *spec["grid"])
     sol = closed_form(CounterexampleParams(xi, 1.0, -1.0))
     fld = degiorgi_tensor(xi)
     prob = VariationalProblem(
@@ -354,10 +376,7 @@ def _run_degiorgi(cfg: ExperimentConfig, out: dict):
     )
     u = solve_annulus(prob, grid)
     exact = DiscreteField.sample(grid, sol.displacement)
-    diff = DiscreteField(grid, u.values - exact.values)
-    num = float(np.sum(grid.qp_weights * np.sum(diff.values_at_qp() ** 2, axis=-1)))
-    den = float(np.sum(grid.qp_weights * np.sum(exact.values_at_qp() ** 2, axis=-1)))
-    l2 = float(np.sqrt(num / max(den, 1e-300)))
+    l2 = relative_l2_error(u, exact)
 
     # decaying branch: exponent fit and tail monotonicity; the geometric
     # ladder densifies on short grids so the regression keeps >= 5 radii
@@ -391,25 +410,16 @@ def _run_degiorgi(cfg: ExperimentConfig, out: dict):
     )
 
 
-def _run_decay(cfg: ExperimentConfig, out: dict):
+def _run_decay(cfg: ExperimentConfig, spec: dict, out: dict):
     import numpy as np
 
     from . import bem
+    from .tensors import IsotropicModuli
 
-    curve = _build_curve(cfg)
-    moduli = _build_material(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    coefs = rng.normal(size=(3, 4))
-    t = curve.t
-    psi_star = np.zeros((curve.n, 2))
-    for k in range(3):
-        psi_star[:, 0] += coefs[k, 0] * np.cos((k + 1) * t) + coefs[k, 1] * np.sin((k + 1) * t)
-        psi_star[:, 1] += coefs[k, 2] * np.cos((k + 1) * t) + coefs[k, 3] * np.sin((k + 1) * t)
-    psi_star -= curve.total(psi_star) / curve.perimeter
-
-    op = bem.assemble_single_layer(curve, moduli)
-    data = op.apply(psi_star)
-    sol = bem.solve_dirichlet(op, data)
+    curve = _build_curve(cfg, spec)
+    psi_star = bem.zero_total_density(curve, np.random.default_rng(cfg.seed))
+    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["moduli"]))
+    sol = bem.solve_dirichlet(op, op.apply(psi_star))
 
     radii = np.geomspace(10.0, 1000.0, 9)
     angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
@@ -428,99 +438,32 @@ def _run_decay(cfg: ExperimentConfig, out: dict):
     out["files"]["decay.csv"] = (["r", "dist"], [radii, dist])
 
 
-def _run_contraction(cfg: ExperimentConfig, out: dict):
+def _run_contraction(cfg: ExperimentConfig, spec: dict, out: dict):
     import numpy as np
 
-    from .annulus import VariationalProblem, contraction_solve, solve_annulus
-    from .degiorgi import degiorgi_tensor
+    from .annulus import VariationalProblem, bump_force, contraction_solve, solve_annulus
+    from .degiorgi import restricted_tensor
     from .polar import PolarGrid
-    from .tensors import ElasticityField
+    from .tensors import random_scalar_field
 
-    nr, nt = _parse_grid(cfg)
-    grid = PolarGrid(cfg.rmax, nr, nt)
-    d2 = np.eye(2)
-    id_lin = np.einsum("ih,jk->ijhk", d2, d2)
-
+    grid = PolarGrid(cfg.rmax, *spec["grid"])
     if cfg.material.startswith("table:"):
-        # tabulated scalar stiffness: CSV header r,theta,scale; nearest-sample
-        # lookup; Lin bounds certified by the tabulated extremes
-        path = cfg.material.partition(":")[2]
-        try:
-            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except OSError:
-            raise ConfigInvalid(f"material: cannot read table {path!r}") from None
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
-            raise ConfigInvalid("material: table needs columns r,theta,scale")
-        scales = arr[:, 2]
-        if scales.min() <= 0:
-            raise ConfigInvalid("material: tabulated scales must be positive")
-        tab_pts = np.stack(
-            [arr[:, 0] * np.cos(arr[:, 1]), arr[:, 0] * np.sin(arr[:, 1])], axis=-1
-        )
-        lo, hi = float(scales.min()), float(scales.max())
-
-        def act(p):
-            pts = np.asarray(p, dtype=float)
-            flat = pts.reshape(-1, 2)
-            d2s = np.sum((flat[:, None, :] - tab_pts[None, :, :]) ** 2, axis=-1)
-            s = scales[np.argmin(d2s, axis=1)].reshape(pts.shape[:-1])
-            return s[..., None, None, None, None] * id_lin
-
-        fld = ElasticityField(action=act, mu0=lo, mue=hi, lin_bounds_pair=(lo, hi),
-                              name="tabulated-scalar")
+        fld = _table_material(cfg.material.partition(":")[2])
     elif cfg.contrast_bounds:
-        lo, hi = _parse_pair(cfg.contrast_bounds, "contrast_bounds")
-        rng = np.random.default_rng(cfg.seed)
-        a3 = rng.normal(size=3)
-
-        def act(p):
-            pts = np.asarray(p, dtype=float)
-            r = np.linalg.norm(pts, axis=-1)
-            th = np.arctan2(pts[..., 1], pts[..., 0])
-            s = 0.5 + 0.5 * np.tanh(
-                a3[0] * np.cos(th) + a3[1] * np.sin(2 * th) + a3[2] * np.cos(np.pi * r / 8)
-            )
-            return (lo + (hi - lo) * s)[..., None, None, None, None] * id_lin
-
-        fld = ElasticityField(action=act, mu0=lo, mue=hi, lin_bounds_pair=(lo, hi),
-                              name="random-scalar")
+        fld = random_scalar_field(*spec["bounds"], np.random.default_rng(cfg.seed))
     else:
-        base = degiorgi_tensor(cfg.xi, action_on="lin")
-        mue = base.mue
-        lo_r, hi_r = 2.0, max(cfg.rmax / 4.0, 4.0)
+        fld = restricted_tensor(cfg.xi, 2.0, max(cfg.rmax / 4.0, 4.0))
+    amp = np.random.default_rng(cfg.seed).normal(size=4)
 
-        def act(p, base_action=base.action):
-            pts = np.asarray(p, dtype=float)
-            r = np.linalg.norm(pts, axis=-1)
-            a = base_action(pts)
-            outside = (r < lo_r) | (r > hi_r)
-            a[outside] = mue * id_lin
-            return a
-
-        fld = ElasticityField(action=act, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue),
-                              name=f"degiorgi-lin-annulus(xi={cfg.xi})")
-
-    rng = np.random.default_rng(0 if cfg.seed is None else cfg.seed)
-    amp = rng.normal(size=4)
-
-    def force(p):
-        pts = np.asarray(p, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        th = np.arctan2(pts[..., 1], pts[..., 0])
-        bump = np.exp(-((r - 5.0) / 2.0) ** 2) * (r < cfg.rmax / 2)
-        return np.stack(
-            [bump * (amp[0] + amp[1] * np.cos(2 * th)), bump * (amp[2] + amp[3] * np.sin(th))],
-            axis=-1,
-        )
-
-    prob = VariationalProblem(field=fld, inner_data=None, outer_kind="dirichlet", force=force)
+    prob = VariationalProblem(field=fld, inner_data=None, outer_kind="dirichlet",
+                              force=bump_force(amp, cfg.rmax))
     u_fix, rep = contraction_solve(prob, grid)
     u_dir = solve_annulus(prob, grid, check_bounds=False)
     agree = float(
         np.abs(u_fix.values - u_dir.values).max() / max(np.abs(u_dir.values).max(), 1e-300)
     )
-    lb = fld.lin_bounds_pair or (fld.mu0, fld.mue)
-    bound = (lb[1] - lb[0]) / lb[1]
+    lo, hi = fld.lin_bounds_pair
+    bound = (hi - lo) / hi
     out["verdicts"] += [
         _verdict("worst_contraction_factor", "residual", rep.worst_factor,
                  max(bound * 1.05, 0.5), rep.worst_factor <= max(bound * 1.05, 0.5)),
@@ -532,80 +475,29 @@ def _run_contraction(cfg: ExperimentConfig, out: dict):
     out["files"]["factors.csv"] = (["iteration", "factor"], [iters, rep.factors])
 
 
-def _run_gym(cfg: ExperimentConfig, out: dict):
+def _run_gym(cfg: ExperimentConfig, spec: dict, out: dict):
     import numpy as np
 
-    from .inequalities import RadialProfile, hardy_check, korn_first_check, wirtinger_check
+    from . import inequalities
 
     rng = np.random.default_rng(cfg.seed)
-    checks = ("wirtinger", "hardy", "korn") if cfg.check == "all" else (cfg.check,)
-    names, trial_ids, lhss, rhss, oks = [], [], [], [], []
-    all_ok = True
-
-    nth = 64
-    th = 2 * np.pi * np.arange(nth) / nth
-    nx = 33
-    x = np.linspace(-1.0, 1.0, nx)
-    hx = x[1] - x[0]
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    taper = np.cos(np.pi * X / 2) ** 2 * np.cos(np.pi * Y / 2) ** 2
-    rr = np.geomspace(1.0, 1e4, 800)
-
+    checks = tuple(inequalities.TRIALS) if cfg.check == "all" else (cfg.check,)
+    rows = ["check,trial,lhs,rhs,ok"]
+    oks = []
     for name in checks:
         for k in range(cfg.trials):
-            if name == "wirtinger":
-                coef = rng.normal(size=(6, 2))
-                u = sum(
-                    coef[m, 0] * np.cos((m + 1) * th) + coef[m, 1] * np.sin((m + 1) * th)
-                    for m in range(6)
-                )
-                sample = u
-                res = wirtinger_check(u, radius=float(rng.uniform(0.5, 5.0)))
-                lhs, rhs, ok = res.lhs, res.rhs, res.ok
-            elif name == "hardy":
-                q = float(rng.uniform(1.1, 1.9))
-                # stay inside the q-integrable class: p above (2-q)/q
-                p = (2.0 - q) / q + float(rng.uniform(0.05, 0.8))
-                amp = float(rng.uniform(0.1, 3.0))
-                u0 = rng.normal(size=2)
-                vals = u0[None, :] + amp * rr[:, None] ** (-p) * np.array([1.0, -0.5])
-                sample = vals
-                res = hardy_check(RadialProfile(rr, vals, q=q), u0)
-                lhs, rhs, ok = res.lhs, res.rhs_scaled, res.ok
-            else:
-                c = rng.normal(size=(2, 3))
-                u = np.stack(
-                    [
-                        taper * (c[0, 0] + c[0, 1] * X + c[0, 2] * Y),
-                        taper * (c[1, 0] + c[1, 1] * X + c[1, 2] * Y),
-                    ],
-                    axis=-1,
-                )
-                sample = u
-                res = korn_first_check(u, hx, hx)
-                lhs, rhs, ok = res.lhs, res.rhs, res.ok
-            names.append(name)
-            trial_ids.append(float(k))
-            lhss.append(lhs)
-            rhss.append(rhs)
-            oks.append(float(ok))
-            all_ok &= ok
-            if not ok:
+            trial = inequalities.TRIALS[name](rng)
+            rows.append(f"{name},{_fmt(k)},{_fmt(trial.lhs)},{_fmt(trial.rhs)},{_fmt(trial.ok)}")
+            oks.append(trial.ok)
+            if not trial.ok:
                 # dump the offending samples for triage
-                flat = np.asarray(sample).reshape(-1)
                 out["raw_files"][f"failure_{name}_{k}.csv"] = (
-                    "sample\n" + "\n".join(_fmt(v) for v in flat) + "\n"
+                    "sample\n" + "\n".join(_fmt(v) for v in np.ravel(trial.sample)) + "\n"
                 )
 
     out["verdicts"].append(
-        _verdict("all_trials_pass", "residual", float(np.mean(oks)), 1.0, all_ok)
+        _verdict("all_trials_pass", "residual", float(np.mean(oks)), 1.0, all(oks))
     )
-    rows = [
-        ",".join(["check", "trial", "lhs", "rhs", "ok"])
-    ] + [
-        f"{n},{_fmt(t)},{_fmt(a)},{_fmt(b)},{_fmt(o)}"
-        for n, t, a, b, o in zip(names, trial_ids, lhss, rhss, oks)
-    ]
     out["raw_files"]["trials.csv"] = "\n".join(rows) + "\n"
 
 
@@ -623,10 +515,10 @@ def run(cfg: ExperimentConfig) -> RunReport:
     """Validate, execute, and serialize one experiment; returns the report."""
     from . import __version__
 
-    notes = validate(cfg)
+    spec, notes = _parse(cfg)
     t0 = time.perf_counter()
     out = {"verdicts": [], "condition_numbers": {}, "files": {}, "raw_files": {}}
-    _RUNNERS[cfg.kind](cfg, out)
+    _RUNNERS[cfg.kind](cfg, spec, out)
 
     outdir = os.path.join(cfg.outdir, cfg.kind)
     written = []

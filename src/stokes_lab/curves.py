@@ -29,8 +29,7 @@ class BoundaryCurve:
     """
 
     def __init__(self, t, points, dpoints, kind: str, smooth: bool = True,
-                 grad_f_norm=None, axes: Optional[tuple[float, float]] = None,
-                 check: bool = True):
+                 grad_f_norm=None, axes: Optional[tuple[float, float]] = None):
         self.t = np.asarray(t, dtype=float)
         self.points = np.asarray(points, dtype=float)
         self.dpoints = np.asarray(dpoints, dtype=float)
@@ -49,8 +48,6 @@ class BoundaryCurve:
         self.normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=-1)
         self.tangent = tangent
         self.weights = self.speed * (2.0 * np.pi / n)
-        if check:
-            self._check_simple()
 
     # -- constructors ---------------------------------------------------------
 
@@ -81,6 +78,7 @@ class BoundaryCurve:
 
         Constant-speed arclength parametrization; C^1 but with curvature
         jumps, so layer quadrature downgrades from spectral to algebraic.
+        The strict-convexity and edge-fit checks make the curve simple.
         """
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
@@ -175,25 +173,6 @@ class BoundaryCurve:
         return cls.rounded_polygon(verts, radius, n=n)
 
     # -- geometry -------------------------------------------------------------
-
-    def _check_simple(self):
-        """Pairwise node-distance check that the discrete curve is simple."""
-        pts = self.points
-        n = self.n
-        if n > 1024:
-            stride = n // 512
-            pts = pts[::stride]
-            n = pts.shape[0]
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        sep = np.minimum(
-            np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]),
-            n - np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]),
-        )
-        mask = sep > 2
-        min_gap = np.sqrt(d2[mask].min()) if mask.any() else np.inf
-        spacing = self.weights.max()
-        if min_gap < 0.5 * spacing:
-            raise ValueError("curve self-intersects at the node resolution")
 
     @property
     def perimeter(self) -> float:

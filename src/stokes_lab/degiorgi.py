@@ -16,11 +16,12 @@ from typing import Literal
 import numpy as np
 
 from .errors import OriginSingular
-from .tensors import ElasticityField
+from .tensors import ID_LIN, ElasticityField
 
 __all__ = [
     "epsilon",
     "degiorgi_tensor",
+    "restricted_tensor",
     "CounterexampleParams",
     "ClosedFormSolution",
     "closed_form",
@@ -47,10 +48,9 @@ def _radial_dyads(points):
     return r, e
 
 
-# identity on Sym and identity on Lin, as fourth-order component arrays
+# identity on Sym, as a fourth-order component array
 _D = np.eye(2)
 _ID_SYM = 0.5 * (np.einsum("ih,jk->ijhk", _D, _D) + np.einsum("ik,jh->ijhk", _D, _D))
-_ID_LIN = np.einsum("ih,jk->ijhk", _D, _D)
 
 
 def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> ElasticityField:
@@ -65,7 +65,7 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
     if xi == 0:
         raise ValueError("xi must be nonzero")
     amp = 4.0 / (xi * xi)
-    base = _ID_SYM if action_on == "sym" else _ID_LIN
+    base = _ID_SYM if action_on == "sym" else ID_LIN
 
     def action(points):
         _, e = _radial_dyads(points)
@@ -81,6 +81,25 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
         lin_bounds_pair=(mu0, mue) if action_on == "lin" else None,
         name=f"degiorgi(xi={xi}, {action_on})",
     )
+
+
+def restricted_tensor(xi: float, lo: float, hi: float) -> ElasticityField:
+    """The Lin flavor of degiorgi_tensor(xi) on lo <= r <= hi, and its upper
+    bound 1 + 4/xi^2 times Id_Lin elsewhere, with Lin bounds (1, 1 + 4/xi^2):
+    a heterogeneous material of relative contrast (4/xi^2) / (1 + 4/xi^2)
+    that is homogeneous near the hole and far out."""
+    base = degiorgi_tensor(xi, action_on="lin")
+    mue = base.mue
+
+    def action(points):
+        pts = np.asarray(points, dtype=float)
+        r = np.linalg.norm(pts, axis=-1)
+        a = base.action(pts)
+        a[(r < lo) | (r > hi)] = mue * ID_LIN
+        return a
+
+    return ElasticityField(action=action, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue),
+                           name=f"degiorgi-lin-annulus(xi={xi})")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ __all__ = [
     "hardy_check",
     "KornResult",
     "korn_first_check",
+    "Trial",
+    "wirtinger_trial",
+    "hardy_trial",
+    "korn_trial",
+    "TRIALS",
 ]
 
 
@@ -182,3 +187,66 @@ def korn_first_check(u, hx: float, hy: float, slack: float = 1e-8) -> KornResult
     lhs = float(np.sum(grad * grad) * w)
     rhs = float(2.0 * np.sum(gs * gs) * w)
     return KornResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + slack) + 1e-300)
+
+
+# -- seeded random trials ------------------------------------------------------
+
+
+@dataclass
+class Trial:
+    """One random instance of a check: its input and both sides of the bound."""
+
+    sample: np.ndarray
+    lhs: float
+    rhs: float
+    ok: bool
+
+
+_TH64 = 2 * np.pi * np.arange(64) / 64
+_RADII = np.geomspace(1.0, 1e4, 800)
+_X = np.linspace(-1.0, 1.0, 33)
+_XX, _YY = np.meshgrid(_X, _X, indexing="ij")
+_TAPER = np.cos(np.pi * _XX / 2) ** 2 * np.cos(np.pi * _YY / 2) ** 2
+
+
+def wirtinger_trial(rng) -> Trial:
+    """Harmonics 1-6 with normal coefficients on 64 angles, on a circle of
+    radius uniform in [0.5, 5]."""
+    coef = rng.normal(size=(6, 2))
+    u = sum(
+        coef[m, 0] * np.cos((m + 1) * _TH64) + coef[m, 1] * np.sin((m + 1) * _TH64)
+        for m in range(6)
+    )
+    res = wirtinger_check(u, radius=float(rng.uniform(0.5, 5.0)))
+    return Trial(u, res.lhs, res.rhs, res.ok)
+
+
+def hardy_trial(rng) -> Trial:
+    """u0 + amp r^-p (1, -1/2) on 800 radii in [1, 1e4], q uniform in
+    [1.1, 1.9] and p inside the q-integrable class, above (2 - q)/q."""
+    q = float(rng.uniform(1.1, 1.9))
+    p = (2.0 - q) / q + float(rng.uniform(0.05, 0.8))
+    amp = float(rng.uniform(0.1, 3.0))
+    u0 = rng.normal(size=2)
+    vals = u0[None, :] + amp * _RADII[:, None] ** (-p) * np.array([1.0, -0.5])
+    res = hardy_check(RadialProfile(_RADII, vals, q=q), u0)
+    return Trial(vals, res.lhs, res.rhs_scaled, res.ok)
+
+
+def korn_trial(rng) -> Trial:
+    """Random affine field times a cos^2 taper vanishing on the boundary of
+    a 33x33 grid on [-1, 1]^2."""
+    c = rng.normal(size=(2, 3))
+    u = np.stack(
+        [
+            _TAPER * (c[0, 0] + c[0, 1] * _XX + c[0, 2] * _YY),
+            _TAPER * (c[1, 0] + c[1, 1] * _XX + c[1, 2] * _YY),
+        ],
+        axis=-1,
+    )
+    h = _X[1] - _X[0]
+    res = korn_first_check(u, h, h)
+    return Trial(u, res.lhs, res.rhs, res.ok)
+
+
+TRIALS = {"wirtinger": wirtinger_trial, "hardy": hardy_trial, "korn": korn_trial}

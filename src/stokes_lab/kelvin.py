@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NotStronglyElliptic, SingularPoint
 from .tensors import ElasticityTensor, IsotropicModuli, strong_ellipticity_margin
 
-__all__ = ["FundamentalSolution", "fundamental_matrix", "acoustic_tensor", "unit_powers"]
+__all__ = ["FundamentalSolution", "acoustic_tensor", "unit_powers"]
 
 # directions per block of the angular series, so that the (K, block)
 # harmonics stay cache-sized
@@ -161,14 +161,6 @@ class FundamentalSolution:
             out[lo : lo + _BLOCK_DIRECTIONS] = h.real.T @ re_coef + h.imag.T @ im_coef
         return out.reshape(e.shape + (2, 2))
 
-    def angular_part(self, phi):
-        """Phi at angle(s) phi, shape (...,2,2)."""
-        return self.angular(np.exp(1j * np.asarray(phi, dtype=float)))
-
-    def angular_derivative(self, phi):
-        """d Phi / d phi at angle(s) phi."""
-        return self.angular(np.exp(1j * np.asarray(phi, dtype=float)), derivative=True)
-
     def __call__(self, d):
         """U(d) for displacement difference(s) d of shape (...,2)."""
         d = np.asarray(d, dtype=float)
@@ -196,15 +188,3 @@ class FundamentalSolution:
         )
         return grad / r2[..., None, None, None]
 
-
-def fundamental_matrix(c0, d, n_angles: int = 512):
-    """One-shot evaluation U(d); prefer caching a FundamentalSolution for loops.
-
-    Isotropic inputs (IsotropicModuli) use the closed form; general constant
-    tensors go through the angular representation.
-    """
-    if isinstance(c0, IsotropicModuli):
-        fs = FundamentalSolution.isotropic(c0)
-    else:
-        fs = FundamentalSolution.from_tensor(c0, n_angles=n_angles)
-    return fs(d)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["PolarGrid", "DiscreteField"]
+__all__ = ["PolarGrid", "DiscreteField", "relative_l2_error"]
 
 _GAUSS1 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
@@ -264,3 +264,13 @@ class DiscreteField:
         if offset is not None:
             v = v - offset
         return float(np.linalg.norm(v, axis=-1).max())
+
+
+def relative_l2_error(u: DiscreteField, exact: DiscreteField) -> float:
+    """L2 norm of u - exact over the annulus relative to that of exact, both
+    by Gauss quadrature of the bilinear interpolants."""
+    grid = exact.grid
+    diff = DiscreteField(grid, u.values - exact.values)
+    num = float(np.sum(grid.qp_weights * np.sum(diff.values_at_qp() ** 2, axis=-1)))
+    den = float(np.sum(grid.qp_weights * np.sum(exact.values_at_qp() ** 2, axis=-1)))
+    return float(np.sqrt(num / max(den, 1e-300)))

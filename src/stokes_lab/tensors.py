@@ -27,6 +27,9 @@ __all__ = [
     "IsotropicModuli",
     "ElasticityField",
     "constant_field",
+    "ID_LIN",
+    "scalar_field",
+    "random_scalar_field",
     "apply_tensor",
     "certify_bounds",
     "lin_bounds",
@@ -58,6 +61,10 @@ _VOIGT = np.zeros((3, 2, 2))
 _VOIGT[0, 0, 0] = 1.0
 _VOIGT[1, 1, 1] = 1.0
 _VOIGT[2, 0, 1] = _VOIGT[2, 1, 0] = 1.0 / np.sqrt(2.0)
+
+# Identity on Lin, Id_Lin[L] = L, as fourth-order components d_ih d_jk.
+ID_LIN = np.einsum("ih,jk->ijhk", np.eye(2), np.eye(2))
+ID_LIN.flags.writeable = False
 
 # Orthonormal dyad basis of Lin: e_i x e_j, row-major.
 _LIN = np.zeros((4, 2, 2))
@@ -382,3 +389,34 @@ def constant_field(C, regular_at_infinity: bool = True, name: str = "") -> Elast
         regular_at_infinity=regular_at_infinity,
         name=name or "constant",
     )
+
+
+def scalar_field(scale, lo: float, hi: float, name: str = "") -> ElasticityField:
+    """The field s(x) Id_Lin with Sym and Lin bounds (lo, hi), for a scale
+    mapping (...,2) points to (...) stiffnesses; (lo, hi) is the caller's
+    certificate of the range of s."""
+
+    def action(points):
+        pts = np.asarray(points, dtype=float)
+        return scale(pts)[..., None, None, None, None] * ID_LIN
+
+    return ElasticityField(action=action, mu0=lo, mue=hi, lin_bounds_pair=(lo, hi), name=name)
+
+
+def random_scalar_field(lo: float, hi: float, rng) -> ElasticityField:
+    """Smooth seeded stiffness lo + (hi - lo) s(x) times Id_Lin, with
+
+        s = (1 + tanh(a0 cos th + a1 sin 2th + a2 cos(pi r / 8))) / 2
+
+    and a = rng.normal(size=3), so the field stays within (lo, hi)."""
+    a3 = rng.normal(size=3)
+
+    def scale(pts):
+        r = np.linalg.norm(pts, axis=-1)
+        th = np.arctan2(pts[..., 1], pts[..., 0])
+        s = 0.5 + 0.5 * np.tanh(
+            a3[0] * np.cos(th) + a3[1] * np.sin(2 * th) + a3[2] * np.cos(np.pi * r / 8)
+        )
+        return lo + (hi - lo) * s
+
+    return scalar_field(scale, lo, hi, name="random-scalar")

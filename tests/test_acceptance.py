@@ -16,6 +16,7 @@ from conftest import record_criterion
 from stokes_lab import bem
 from stokes_lab.annulus import (
     VariationalProblem,
+    bump_force,
     contraction_solve,
     decay_exponent_fit,
     energy_identity_residual,
@@ -32,14 +33,20 @@ from stokes_lab.degiorgi import (
     degiorgi_tensor,
     epsilon,
     q_tail_classify,
+    restricted_tensor,
 )
-from stokes_lab.inequalities import RadialProfile, hardy_check, korn_first_check, wirtinger_check
+from stokes_lab.inequalities import TRIALS, wirtinger_check
 from stokes_lab.kelvin import FundamentalSolution
-from stokes_lab.polar import DiscreteField, PolarGrid
-from stokes_lab.tensors import ElasticityField, IsotropicModuli, constant_field, gamma_exponent
+from stokes_lab.polar import DiscreteField, PolarGrid, relative_l2_error
+from stokes_lab.tensors import (
+    IsotropicModuli,
+    constant_field,
+    gamma_exponent,
+    random_scalar_field,
+    scalar_field,
+)
 
 ISO = IsotropicModuli(1.0, 1.0)
-ID_LIN = np.einsum("ih,jk->ijhk", np.eye(2), np.eye(2))
 
 
 def ring_data(func, radius=1.0):
@@ -47,22 +54,6 @@ def ring_data(func, radius=1.0):
         return func(np.stack([radius * np.cos(th), radius * np.sin(th)], axis=-1))
 
     return data
-
-
-def weighted_l2_error(grid, u, exact):
-    diff = DiscreteField(grid, u.values - exact.values)
-    num = np.sum(grid.qp_weights * np.sum(diff.values_at_qp() ** 2, axis=-1))
-    den = np.sum(grid.qp_weights * np.sum(exact.values_at_qp() ** 2, axis=-1))
-    return float(np.sqrt(num / max(den, 1e-300)))
-
-
-def zero_total_density(curve, rng):
-    psi = np.zeros((curve.n, 2))
-    for k in range(1, 4):
-        c = rng.normal(size=4)
-        psi[:, 0] += c[0] * np.cos(k * curve.t) + c[1] * np.sin(k * curve.t)
-        psi[:, 1] += c[2] * np.cos(k * curve.t) + c[3] * np.sin(k * curve.t)
-    return psi - curve.total(psi) / curve.perimeter
 
 
 def random_fourier_data(rng, n_modes=3):
@@ -81,23 +72,13 @@ def random_fourier_data(rng, n_modes=3):
 def test_criterion_1_ellipse_equilibrium_space():
     t0 = time.perf_counter()
     dets = {}
-    worst_err = 0.0
     for n in (256, 512):
         curve = BoundaryCurve.ellipse(2.0, 1.0, n=n)
         op = bem.assemble_single_layer(curve, ISO)
         basis = bem.equilibrium_basis(op)
         dets[n] = float(np.linalg.det(basis.totals))
         if n == 256:
-            for i in range(2):
-                target = np.zeros((curve.n, 2))
-                target[:, i] = 1.0 / curve.grad_f_norm
-                target /= np.sqrt(curve.inner_product(target, target))
-                err = min(
-                    np.sqrt(curve.inner_product(basis.psi[i] - s * target,
-                                                basis.psi[i] - s * target))
-                    for s in (1.0, -1.0)
-                )
-                worst_err = max(worst_err, err)
+            worst_err = bem.ellipse_direction_error(basis)
     elapsed = time.perf_counter() - t0
     det_change = abs(dets[512] - dets[256])
     ok = worst_err <= 1e-6 and abs(dets[256]) > 1e-3 and det_change <= 1e-6 and elapsed < 10.0
@@ -127,7 +108,7 @@ def test_criterion_2_stokes_paradox_both_directions():
     kappa_err = float(np.abs(sol_const.kappa - c).max())
 
     rng = np.random.default_rng(123)
-    psi_star = zero_total_density(curve, rng)
+    psi_star = bem.zero_total_density(curve, rng)
     sol_compat = bem.solve_dirichlet(op, op.apply(psi_star))
     kappa_compat = float(np.abs(sol_compat.kappa).max())
 
@@ -151,7 +132,7 @@ def test_criterion_3_far_field_decay():
     angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     slopes = []
     for _ in range(3):
-        sol = bem.solve_dirichlet(op, op.apply(zero_total_density(curve, rng)))
+        sol = bem.solve_dirichlet(op, op.apply(bem.zero_total_density(curve, rng)))
         dist = []
         for r in radii:
             pts = np.stack([r * np.cos(angles), r * np.sin(angles)], axis=-1)
@@ -176,7 +157,7 @@ def test_criterion_4_degiorgi_oracle():
             outer_data=ring_data(sol.displacement, 64.0),
         )
         u = solve_annulus(prob, grid)
-        errs.append(weighted_l2_error(grid, u, DiscreteField.sample(grid, sol.displacement)))
+        errs.append(relative_l2_error(u, DiscreteField.sample(grid, sol.displacement)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
     fits = {}
@@ -319,7 +300,7 @@ def test_criterion_7_energy_identity_and_net_traction():
     rng = np.random.default_rng(3)
     rels_bem = []
     for _ in range(3):
-        sol = bem.solve_dirichlet(op, op.apply(zero_total_density(curve, rng)))
+        sol = bem.solve_dirichlet(op, op.apply(bem.zero_total_density(curve, rng)))
         rels_bem.append(
             float(np.abs(bem.net_traction(sol)).max()
                   / np.sqrt(curve.inner_product(sol.psi, sol.psi)))
@@ -335,72 +316,28 @@ def test_criterion_7_energy_identity_and_net_traction():
     assert rel_d <= 1e-6 and max(rels_bem) <= 1e-6
 
 
-def _annulus_restricted_degiorgi(xi, lo=2.0, hi=16.0):
-    base = degiorgi_tensor(xi, action_on="lin")
-    mue = base.mue
-
-    def act(p, base_action=base.action):
-        pts = np.asarray(p, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        a = base_action(pts)
-        a[(r < lo) | (r > hi)] = mue * ID_LIN
-        return a
-
-    return ElasticityField(action=act, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue))
-
-
-def _smooth_force(rmax, rng=None):
-    amp = np.array([1.0, 0.5, -0.7, 0.3]) if rng is None else rng.normal(size=4)
-
-    def force(p):
-        pts = np.asarray(p, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        th = np.arctan2(pts[..., 1], pts[..., 0])
-        bump = np.exp(-((r - 5.0) / 2.0) ** 2) * (r < rmax / 2)
-        return np.stack(
-            [bump * (amp[0] + amp[1] * np.cos(2 * th)), bump * (amp[2] + amp[3] * np.sin(th))],
-            axis=-1,
-        )
-
-    return force
-
-
 def test_criterion_8_contraction_solver():
     grid = PolarGrid(64.0, 48, 96)
+    force = bump_force([1.0, 0.5, -0.7, 0.3], 64.0)
 
     # contrast 0.1: the counter-example tensor restricted to an annulus
-    fld_dg = _annulus_restricted_degiorgi(6.0)
-    prob_dg = VariationalProblem(field=fld_dg, force=_smooth_force(64.0))
+    fld_dg = restricted_tensor(6.0, 2.0, 16.0)
+    prob_dg = VariationalProblem(field=fld_dg, force=force)
     u_fix, rep_dg = contraction_solve(prob_dg, grid)
     u_dir = solve_annulus(prob_dg, grid, check_bounds=False)
     agree_dg = float(np.abs(u_fix.values - u_dir.values).max() / np.abs(u_dir.values).max())
 
     # contrast exactly 0.2: random smooth scalar field with bounds (1, 1.25)
     rng = np.random.default_rng(17)
-    a3 = rng.normal(size=3)
-
-    def act(p):
-        pts = np.asarray(p, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        th = np.arctan2(pts[..., 1], pts[..., 0])
-        s = 0.5 + 0.5 * np.tanh(a3[0] * np.cos(th) + a3[1] * np.sin(2 * th)
-                                + a3[2] * np.cos(np.pi * r / 8))
-        return (1.0 + 0.25 * s)[..., None, None, None, None] * ID_LIN
-
-    fld_r = ElasticityField(action=act, mu0=1.0, mue=1.25, lin_bounds_pair=(1.0, 1.25))
-    prob_r = VariationalProblem(field=fld_r, force=_smooth_force(64.0, rng))
+    fld_r = random_scalar_field(1.0, 1.25, rng)
+    prob_r = VariationalProblem(field=fld_r, force=bump_force(rng.normal(size=4), 64.0))
     u_fr, rep_r = contraction_solve(prob_r, grid)
     u_drr = solve_annulus(prob_r, grid, check_bounds=False)
     agree_r = float(np.abs(u_fr.values - u_drr.values).max() / np.abs(u_drr.values).max())
 
     # C == C0: one contraction step
-    mue = 2.0
-    fld0 = ElasticityField(
-        action=lambda p: np.broadcast_to(mue * ID_LIN,
-                                         np.asarray(p).shape[:-1] + (2, 2, 2, 2)).copy(),
-        mu0=mue, mue=mue, lin_bounds_pair=(mue, mue),
-    )
-    prob0 = VariationalProblem(field=fld0, force=_smooth_force(64.0))
+    fld0 = scalar_field(lambda p: np.full(p.shape[:-1], 2.0), 2.0, 2.0)
+    prob0 = VariationalProblem(field=fld0, force=force)
     _, rep0 = contraction_solve(prob0, grid)
 
     ok = (
@@ -423,37 +360,12 @@ def test_criterion_8_contraction_solver():
 
 def test_criterion_9_inequality_gym():
     rng = np.random.default_rng(99)
-    nth = 64
-    th = 2 * np.pi * np.arange(nth) / nth
-    rr = np.geomspace(1.0, 1e4, 800)
-    nx = 33
-    x = np.linspace(-1.0, 1.0, nx)
-    hx = x[1] - x[0]
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    taper = np.cos(np.pi * X / 2) ** 2 * np.cos(np.pi * Y / 2) ** 2
-
-    fails = {"wirtinger": 0, "hardy": 0, "korn": 0}
+    fails = dict.fromkeys(TRIALS, 0)
     for _ in range(1000):
-        coef = rng.normal(size=(6, 2))
-        u = sum(coef[k, 0] * np.cos((k + 1) * th) + coef[k, 1] * np.sin((k + 1) * th)
-                for k in range(6))
-        fails["wirtinger"] += not wirtinger_check(u, radius=float(rng.uniform(0.5, 5))).ok
+        for name, trial in TRIALS.items():
+            fails[name] += not trial(rng).ok
 
-        q = float(rng.uniform(1.1, 1.9))
-        p = (2.0 - q) / q + float(rng.uniform(0.05, 0.8))
-        u0 = rng.normal(size=2)
-        vals = u0[None, :] + float(rng.uniform(0.1, 3.0)) * rr[:, None] ** (-p) * np.array([1.0, -0.5])
-        fails["hardy"] += not hardy_check(RadialProfile(rr, vals, q=q), u0).ok
-
-        c = rng.normal(size=(2, 3))
-        uk = np.stack(
-            [taper * (c[0, 0] + c[0, 1] * X + c[0, 2] * Y),
-             taper * (c[1, 0] + c[1, 1] * X + c[1, 2] * Y)],
-            axis=-1,
-        )
-        fails["korn"] += not korn_first_check(uk, hx, hx).ok
-
-    res = wirtinger_check(np.sin(th), radius=1.0)
+    res = wirtinger_check(np.sin(2 * np.pi * np.arange(64) / 64), radius=1.0)
     first_harmonic_gap = abs(res.lhs - res.rhs) / res.rhs
 
     ok = all(v == 0 for v in fails.values()) and first_harmonic_gap <= 1e-10

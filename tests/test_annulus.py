@@ -8,6 +8,7 @@ from stokes_lab.annulus import (
     _grad_q_norm,
     _reduced_system,
     _sparse_lu,
+    bump_force,
     caccioppoli_check,
     contraction_solve,
     decay_exponent_fit,
@@ -17,7 +18,13 @@ from stokes_lab.annulus import (
     net_traction_discrete,
     solve_annulus,
 )
-from stokes_lab.degiorgi import CounterexampleParams, closed_form, degiorgi_tensor, epsilon
+from stokes_lab.degiorgi import (
+    CounterexampleParams,
+    closed_form,
+    degiorgi_tensor,
+    epsilon,
+    restricted_tensor,
+)
 from stokes_lab.errors import (
     BoundsViolated,
     NotCirculant,
@@ -26,11 +33,18 @@ from stokes_lab.errors import (
     SolverDiverged,
 )
 from stokes_lab.kelvin import FundamentalSolution
-from stokes_lab.polar import DiscreteField, PolarGrid
-from stokes_lab.tensors import ElasticityField, IsotropicModuli, constant_field, gamma_exponent
+from stokes_lab.polar import DiscreteField, PolarGrid, relative_l2_error
+from stokes_lab.tensors import (
+    ID_LIN,
+    ElasticityField,
+    IsotropicModuli,
+    constant_field,
+    gamma_exponent,
+    random_scalar_field,
+    scalar_field,
+)
 
 ISO = IsotropicModuli(1.0, 1.0)
-ID_LIN = np.einsum("ih,jk->ijhk", np.eye(2), np.eye(2))
 
 
 def ring_data(func):
@@ -45,13 +59,6 @@ def outer_ring_data(func, rmax):
         return func(np.stack([rmax * np.cos(th), rmax * np.sin(th)], axis=-1))
 
     return data
-
-
-def weighted_l2_error(grid, u, exact_field):
-    diff = DiscreteField(grid, u.values - exact_field.values)
-    num = np.sum(grid.qp_weights * np.sum(diff.values_at_qp() ** 2, axis=-1))
-    den = np.sum(grid.qp_weights * np.sum(exact_field.values_at_qp() ** 2, axis=-1))
-    return float(np.sqrt(num / max(den, 1e-300)))
 
 
 def degiorgi_problem(xi, rmax, coef=(1.0, -1.0)):
@@ -203,7 +210,7 @@ class TestSolveAnnulus:
         grid = PolarGrid(64.0, 64, 128)
         u = solve_annulus(prob, grid)
         exact = DiscreteField.sample(grid, sol.displacement)
-        assert weighted_l2_error(grid, u, exact) <= 1e-3
+        assert relative_l2_error(u, exact) <= 1e-3
 
     def test_minimization_property(self):
         sol, prob = degiorgi_problem(2.0, 16.0)
@@ -595,20 +602,6 @@ class TestDecayFit:
         assert abs(ratio - 1.0) < 0.05  # amplitude ~ r: the rigid rotation
 
 
-def annulus_restricted_degiorgi(xi, lo=2.0, hi=16.0):
-    base = degiorgi_tensor(xi, action_on="lin")
-    mue = base.mue
-
-    def act(p, base_action=base.action):
-        pts = np.asarray(p, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        a = base_action(pts)
-        a[(r < lo) | (r > hi)] = mue * ID_LIN
-        return a
-
-    return ElasticityField(action=act, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue))
-
-
 def smooth_force(rmax):
     def force(p):
         pts = np.asarray(p, dtype=float)
@@ -622,16 +615,8 @@ def smooth_force(rmax):
 
 class TestContraction:
     def test_identity_contrast_one_step(self):
-        mue = 2.0
-        fld = ElasticityField(
-            action=lambda p: np.broadcast_to(
-                mue * ID_LIN, np.asarray(p).shape[:-1] + (2, 2, 2, 2)
-            ).copy(),
-            mu0=mue,
-            mue=mue,
-            lin_bounds_pair=(mue, mue),
-        )
         grid = PolarGrid(32.0, 32, 64)
+        fld = scalar_field(lambda p: np.full(p.shape[:-1], 2.0), 2.0, 2.0)
         prob = VariationalProblem(field=fld, force=smooth_force(32.0))
         u, rep = contraction_solve(prob, grid)
         assert rep.converged
@@ -640,7 +625,7 @@ class TestContraction:
 
     def test_degiorgi_low_contrast(self):
         xi = 6.0
-        fld = annulus_restricted_degiorgi(xi)
+        fld = restricted_tensor(xi, 2.0, 16.0)
         grid = PolarGrid(64.0, 48, 96)
         prob = VariationalProblem(field=fld, force=smooth_force(64.0))
         u_fix, rep = contraction_solve(prob, grid)
@@ -651,17 +636,7 @@ class TestContraction:
         assert agree <= 1e-4
 
     def test_random_smooth_contrast(self):
-        rng = np.random.default_rng(5)
-        a3 = rng.normal(size=3)
-
-        def act(p):
-            pts = np.asarray(p, dtype=float)
-            r = np.linalg.norm(pts, axis=-1)
-            th = np.arctan2(pts[..., 1], pts[..., 0])
-            s = 0.5 + 0.5 * np.tanh(a3[0] * np.cos(th) + a3[1] * np.sin(2 * th) + a3[2] * np.cos(np.pi * r / 8))
-            return (1.0 + 0.2 * s)[..., None, None, None, None] * ID_LIN
-
-        fld = ElasticityField(action=act, mu0=1.0, mue=1.2, lin_bounds_pair=(1.0, 1.2))
+        fld = random_scalar_field(1.0, 1.2, np.random.default_rng(5))
         grid = PolarGrid(32.0, 32, 64)
         prob = VariationalProblem(field=fld, force=smooth_force(32.0))
         u, rep = contraction_solve(prob, grid)
@@ -675,7 +650,7 @@ class TestContraction:
         """The desk-scale factors remain below 1 for q near 2 on both sides;
         their relation to the exact operator norm is only observed, not
         proven, away from q = 2."""
-        fld = annulus_restricted_degiorgi(6.0)
+        fld = restricted_tensor(6.0, 2.0, 16.0)
         grid = PolarGrid(32.0, 32, 64)
         prob = VariationalProblem(field=fld, force=smooth_force(32.0))
         for q in (1.5, 2.0, 3.0):
@@ -685,14 +660,9 @@ class TestContraction:
 
     def test_not_contracting_detected(self):
         """An indefinite material (certificate violated) must trip the guard."""
-
-        def act(p):
-            pts = np.asarray(p, dtype=float)
-            r = np.linalg.norm(pts, axis=-1)
-            scale = np.where(r < 4.0, 1.0, -1.0)  # negative stiffness outside
-            return scale[..., None, None, None, None] * ID_LIN
-
-        fld = ElasticityField(action=act, mu0=0.1, mue=1.0, lin_bounds_pair=(0.1, 1.0))
+        fld = scalar_field(  # negative stiffness outside r = 4
+            lambda p: np.where(np.linalg.norm(p, axis=-1) < 4.0, 1.0, -1.0), 0.1, 1.0
+        )
         grid = PolarGrid(16.0, 24, 48)
         prob = VariationalProblem(field=fld, force=smooth_force(16.0))
         with pytest.raises(NotContracting):
@@ -713,27 +683,8 @@ class TestContraction:
         its residual, at every iteration."""
         grid = PolarGrid(64.0, 48, 96)
         rng = np.random.default_rng(17)
-        a3 = rng.normal(size=3)
-        amp = rng.normal(size=4)
-
-        def act(p):
-            pts = np.asarray(p, dtype=float)
-            r = np.linalg.norm(pts, axis=-1)
-            th = np.arctan2(pts[..., 1], pts[..., 0])
-            s = 0.5 + 0.5 * np.tanh(a3[0] * np.cos(th) + a3[1] * np.sin(2 * th)
-                                    + a3[2] * np.cos(np.pi * r / 8))
-            return (1.0 + 0.25 * s)[..., None, None, None, None] * ID_LIN
-
-        def force(p):
-            pts = np.asarray(p, dtype=float)
-            r = np.linalg.norm(pts, axis=-1)
-            th = np.arctan2(pts[..., 1], pts[..., 0])
-            bump = np.exp(-((r - 5.0) / 2.0) ** 2) * (r < 32.0)
-            return np.stack([bump * (amp[0] + amp[1] * np.cos(2 * th)),
-                             bump * (amp[2] + amp[3] * np.sin(th))], axis=-1)
-
-        fld = ElasticityField(action=act, mu0=1.0, mue=1.25, lin_bounds_pair=(1.0, 1.25))
-        prob = VariationalProblem(field=fld, force=force)
+        fld = random_scalar_field(1.0, 1.25, rng)
+        prob = VariationalProblem(field=fld, force=bump_force(rng.normal(size=4), 64.0))
         _, rep = contraction_solve(prob, grid)
         assert rep.converged
 

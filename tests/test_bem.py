@@ -28,15 +28,7 @@ def circle_basis(circle_op):
 
 
 def zero_total_density(curve, seed=3):
-    rng = np.random.default_rng(seed)
-    t = curve.t
-    psi = np.zeros((curve.n, 2))
-    for k in range(1, 4):
-        c = rng.normal(size=4)
-        psi[:, 0] += c[0] * np.cos(k * t) + c[1] * np.sin(k * t)
-        psi[:, 1] += c[2] * np.cos(k * t) + c[3] * np.sin(k * t)
-    psi -= curve.total(psi) / curve.perimeter
-    return psi
+    return bem.zero_total_density(curve, np.random.default_rng(seed))
 
 
 class TestAssembly:
@@ -326,14 +318,7 @@ class TestEvaluate:
 
         fine = BoundaryCurve.circle(1.0, n=2 * curve.n)
         op_fine = bem.assemble_single_layer(fine, ISO)
-        t = fine.t
-        psi_fine = np.zeros((fine.n, 2))
-        rng = np.random.default_rng(3)  # replays zero_total_density(curve)
-        for k in range(1, 4):
-            c = rng.normal(size=4)
-            psi_fine[:, 0] += c[0] * np.cos(k * t) + c[1] * np.sin(k * t)
-            psi_fine[:, 1] += c[2] * np.cos(k * t) + c[3] * np.sin(k * t)
-        psi_fine -= fine.total(psi_fine) / fine.perimeter
+        psi_fine = zero_total_density(fine)  # the same Fourier modes, twice the nodes
         sol_fine = bem.solve_dirichlet(op_fine, op_fine.apply(psi_fine))
 
         h = 2 * np.pi / curve.n
@@ -439,10 +424,13 @@ class TestMSpaceAndTraction:
         assert abs(np.linalg.det(np.stack([t1, t2]))) > 1e-6
 
     def test_log_growth_comparison_bounded(self, circle_op, circle_basis):
+        """h(x) - Phi0 log|x| total(psi') stays bounded as |x| grows."""
         h = bem.m_space_representative(circle_op, circle_basis.psi[0])
+        lead = h.kernel.phi0 @ h.net_traction
         for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             pts = np.outer([1e2, 1e4, 1e6], [np.cos(ang), np.sin(ang)])
-            rem = np.linalg.norm(h.log_comparison(pts), axis=-1)
+            log_r = np.log(np.linalg.norm(pts, axis=-1))
+            rem = np.linalg.norm(h(pts) - log_r[:, None] * lead, axis=-1)
             assert rem.max() < 1.0
             assert rem.std() < 0.05 * (1 + rem.mean())
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stokes_lab
 from stokes_lab.cli import ExperimentConfig, main, run, validate
 from stokes_lab.errors import ConfigInvalid
 
@@ -45,9 +49,10 @@ class TestValidate:
         validate(ExperimentConfig(kind="contraction", contrast_bounds="1,1.2", seed=1))
 
     def test_pure(self):
-        cfg = ExperimentConfig(kind="paradox")
-        validate(cfg)
-        validate(cfg)  # no side effects beyond notes
+        for cfg in (ExperimentConfig(kind="paradox"),
+                    ExperimentConfig(kind="basis", curve="ellipse:1,2")):
+            assert validate(cfg) == validate(cfg)
+            assert cfg.notes == []
 
 
 class TestRuns:
@@ -122,6 +127,11 @@ class TestRuns:
         for kind, name in (("gym", "trials.csv"), ("decay", "decay.csv"),
                            ("contraction", "factors.csv")):
             assert (out1 / kind / name).read_bytes() == (out2 / kind / name).read_bytes()
+
+    def test_reused_config_reports_one_note(self, tmp_path):
+        cfg = ExperimentConfig(kind="basis", curve="ellipse:1,2", nodes=64, outdir=str(tmp_path))
+        for _ in range(2):
+            assert len(run(cfg).notes) == 1
 
     def test_decay_slope(self, tmp_path):
         rep = run(ExperimentConfig(kind="decay", curve="circle:1", nodes=128, seed=11,
@@ -223,3 +233,30 @@ class TestMainExitCodes:
         code = main(["gym", "--check", "wirtinger", "--trials", "2", "--seed", "1",
                      "--outdir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("field, args, text", [
+        ("material", ["contraction", "--grid", "24x48", "--rmax", "24", "--seed", "1",
+                      "--material", "table:{path}"], "r,theta,scale\n1,abc,2\n"),
+        ("material", ["contraction", "--grid", "24x48", "--rmax", "24", "--seed", "1",
+                      "--material", "table:{path}"], "r,theta,scale\n2,0,1\n3,1,nan\n"),
+        ("data", ["paradox", "--nodes", "16", "--data", "file:{path}"], "u1,u2\n1,abc\n"),
+        ("data", ["paradox", "--nodes", "16", "--data", "file:{path}"],
+         "u1,u2\n" + "1,0\n" * 15 + "nan,0\n"),
+    ], ids=["table", "table-nan", "file", "file-nan"])
+    def test_malformed_csv_is_config_error(self, field, args, text, tmp_path, capsys):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        code = main([a.format(path=path) for a in args] + ["--outdir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{field}:" in err
+
+
+def test_cli_and_bem_imports_leave_out_sparse_and_annulus():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stokes_lab.__file__)))
+    code = ("import sys, stokes_lab.cli, stokes_lab.bem; "
+            "print([m for m in ('scipy.sparse', 'stokes_lab.annulus') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
