@@ -104,6 +104,35 @@ def _element_matrices(grad: np.ndarray, weights: np.ndarray, action_qp: np.ndarr
     return BC @ B.transpose(0, 1, 3, 2).reshape(nc, 4 * nq, 8)
 
 
+# local node offsets (ring, angle) of a cell's corners, in PolarGrid.cells order
+_CORNER_RING = (0, 1, 1, 0)
+_CORNER_ANGLE = (0, 0, 1, 1)
+
+
+def _theta_stencil(ke: np.ndarray):
+    """Circulant stencil of a stiffness whose element matrices repeat along
+    theta, read off the (n_r - 1, 4, 4, ...) matrices of the cells (i, 0)
+    over their corners (any trailing block shape).
+
+    Returns (same, up, down) with column d + 1 holding s(i, i, d),
+    s(i, i + 1, d) and s(i + 1, i, d): the block coupling node (i, j) to
+    node (i', j + d), d in {-1, 0, 1}."""
+    n_r = ke.shape[0] + 1
+    same = np.zeros((n_r, 3) + ke.shape[3:])
+    up = np.zeros((n_r - 1, 3) + ke.shape[3:])
+    down = np.zeros_like(up)
+    for a in range(4):
+        for b in range(4):
+            d = _CORNER_ANGLE[b] - _CORNER_ANGLE[a] + 1
+            if _CORNER_RING[a] == _CORNER_RING[b]:
+                same[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, d] += ke[:, a, b]
+            elif _CORNER_RING[a] == 0:
+                up[:, d] += ke[:, a, b]
+            else:
+                down[:, d] += ke[:, a, b]
+    return same, up, down
+
+
 def _assemble_stiffness(grid: PolarGrid, action_qp: np.ndarray) -> sp.csr_matrix:
     """K[(node a, m), (node b, h)] = int d_k N_a C_mkhl d_l N_b.
 
@@ -175,6 +204,156 @@ def _sparse_lu(K_ff: sp.csc_matrix):
         raise SolverDiverged(f"sparse LU failed: {exc}") from None
 
 
+def _check_residual(Kx: np.ndarray, rhs: np.ndarray, x: np.ndarray, tol: float):
+    scale = max(np.abs(rhs).max(), np.abs(Kx).max(), 1e-300)
+    rel = np.abs(Kx - rhs).max() / scale
+    if not np.all(np.isfinite(x)) or rel > tol:
+        raise SolverDiverged(f"direct solve residual {rel:.3g} exceeds {tol:g}")
+
+
+# -- rotation-equivariant materials: one FFT in theta ---------------------------
+
+_EQUIVARIANCE_BLOCK = 32        # theta-columns rotated per batch by the check
+
+
+def _rotations(thetas: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) rotations R(theta), mapping polar to Cartesian components."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def _rotation_equivariant(grid: PolarGrid, action_qp: np.ndarray) -> bool:
+    """Whether C(R x) = R * C(x) holds at the Gauss points: every theta-column
+    of cells, its 4x4 component matrices rotated into the column's polar frame
+    (Q^T C Q with Q = R(theta_j) x R(theta_j)), equals column 0 to 1e-12
+    relative.  Column j's Gauss geometry is column 0's rotated by theta_j, so
+    a passed check makes the stiffness block-circulant in polar components.
+    A few sampled columns are compared first, so that a material that
+    depends on theta is turned down at once; the rest follow in blocks of
+    columns, each rotated by two batched matrix products."""
+    n_t = grid.n_theta
+    # (column, row index a, ring, Gauss point, column index b)
+    C = action_qp.reshape(grid.n_r - 1, n_t, -1, 4, 4).transpose(1, 3, 0, 2, 4)
+    R = _rotations(grid.thetas)
+    Q = np.einsum("jia,jkb->jikab", R, R).reshape(n_t, 4, 4)
+    ref = C[0].reshape(-1, 4)
+    tol = 1e-12 * np.abs(ref).max()
+    blocks = [np.unique([1, n_t // 3, n_t // 2, n_t - 1])]
+    blocks += [np.arange(lo, min(lo + _EQUIVARIANCE_BLOCK, n_t))
+               for lo in range(1, n_t, _EQUIVARIANCE_BLOCK)]
+    for cols in blocks:
+        q = Q[cols]
+        qtc = np.swapaxes(q, -1, -2) @ C[cols].reshape(cols.size, 4, -1)
+        rotated = qtc.reshape(cols.size, -1, 4) @ q
+        if not np.abs(rotated - ref).max() <= tol:
+            return False
+    return True
+
+
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _inverse_2x2(D: np.ndarray) -> np.ndarray:
+    """Closed-form inverses adj(D) / det(D) of a stack of 2x2 blocks;
+    SolverDiverged when a determinant vanishes or a pivot is not finite."""
+    det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
+    size = np.abs(D).max(axis=(-2, -1))
+    if not np.all(np.isfinite(det) & (np.abs(det) > 1e-14 * size * size)):
+        raise SolverDiverged("stiffness of an angular mode is singular")
+    adj = np.swapaxes(D[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
+    return adj / det[..., None, None]
+
+
+def _mul_2x2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for stacks of 2x2 blocks X and 2xk blocks Y, as the sum of two
+    outer products: about 3x faster than matmul on stacks of small complex
+    blocks."""
+    return X[..., :, :1] * Y[..., :1, :] + X[..., :, 1:] * Y[..., 1:, :]
+
+
+def _block_thomas(A: np.ndarray, U: np.ndarray, L: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Solve the block-tridiagonal systems with diagonal A (n, m, 2, 2),
+    upper U and lower L (n - 1, m, 2, 2), one per index of axis 1, for the
+    right-hand sides F (n, m, 2): one forward sweep, one back sweep."""
+    n = A.shape[0]
+    W = np.empty_like(U)                                 # D_i^-1 U_i
+    z = np.empty(F.shape + (1,), dtype=np.result_type(A, F))
+    for i in range(n):                                   # z_i = D_i^-1 (F_i - L_{i-1} z_{i-1})
+        if i == 0:
+            D, r = A[0], F[0, ..., None]
+        else:
+            D = A[i] - _mul_2x2(L[i - 1], W[i - 1])
+            r = F[i, ..., None] - _mul_2x2(L[i - 1], z[i - 1])
+        Dinv = _inverse_2x2(D)
+        z[i] = _mul_2x2(Dinv, r)
+        if i < n - 1:
+            W[i] = _mul_2x2(Dinv, U[i])
+    for i in range(n - 2, -1, -1):
+        z[i] -= _mul_2x2(W[i], z[i + 1])
+    return z[..., 0]
+
+
+def _stencil_apply(stencil, x: np.ndarray) -> np.ndarray:
+    """K x for nodal values x (n_r, n_theta, 2) of the block-circulant
+    stiffness with the (same, up, down) stencil of _theta_stencil."""
+    same, up, down = stencil
+    y = np.zeros((x.shape[0], 2, x.shape[1]))
+    for d in (-1, 0, 1):
+        xs = np.roll(x, -d, axis=1).transpose(0, 2, 1)   # x[:, j + d], (n_r, 2, n_theta)
+        y += same[:, d + 1] @ xs
+        y[:-1] += up[:, d + 1] @ xs[1:]
+        y[1:] += down[:, d + 1] @ xs[:-1]
+    return y.transpose(0, 2, 1)
+
+
+def _fourier_solve(problem: VariationalProblem, grid: PolarGrid, action_qp: np.ndarray,
+                   residual_tol: float) -> DiscreteField:
+    """solve_annulus for a rotation-equivariant material.
+
+    In polar components the stiffness is block-circulant in theta with 2x2
+    blocks s(i, i', d), read off the element matrices of the first
+    theta-column of cells with their corners rotated by (0, 0, dtheta,
+    dtheta).  One real FFT in theta splits the system over the free rings
+    into one block-tridiagonal system per angular mode, with symbol
+    S_k = s(0) + s(1) e^{i phi_k} + s(-1) e^{-i phi_k}; the Dirichlet rings
+    enter the right-hand side through the off-diagonal blocks."""
+    n_r, n_t = grid.n_r, grid.n_theta
+    col = slice(None, None, n_t)                       # cell (i, 0) of every ring i
+    ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], action_qp[col])
+    T = np.zeros((8, 8))
+    for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(_CORNER_ANGLE, dtype=float))):
+        T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
+    pke = (T.T @ ke @ T).reshape(n_r - 1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4)
+    stencil = _theta_stencil(pke)
+
+    u = np.zeros((n_r, n_t, 2))                        # Dirichlet rings carry the data
+    u[0] = problem.boundary_values(grid, "inner")
+    last = n_r - 1                                     # last free ring
+    if problem.outer_kind == "dirichlet":
+        last = n_r - 2
+        u[-1] = problem.boundary_values(grid, "outer")
+    R = _rotations(grid.thetas)
+
+    def polar(v):                                      # R(theta_j)^T v at every node
+        return (v.reshape(n_r, n_t, 1, 2) @ R)[..., 0, :]
+
+    b = polar(_force_vector(grid, problem.force))
+    rhs = (b - _stencil_apply(stencil, polar(u)))[1:last + 1]
+
+    k = np.arange(n_t // 2 + 1)
+    phase = np.exp(1j * np.outer([-1.0, 0.0, 1.0], 2.0 * np.pi * k / n_t))
+    same, up, down = (np.einsum("idmh,dk->ikmh", s, phase) for s in stencil)
+    y = _block_thomas(same[1:last + 1], up[1:last], down[1:last],
+                      np.fft.rfft(rhs, axis=1))
+    x = np.fft.irfft(y, n=n_t, axis=1)
+
+    w = np.zeros((n_r, n_t, 2))
+    w[1:last + 1] = x
+    _check_residual(_stencil_apply(stencil, w)[1:last + 1], rhs, x, residual_tol)
+    u[1:last + 1] = (R @ x[..., None])[..., 0]
+    return DiscreteField(grid, u)
+
+
 def solve_annulus(
     problem: VariationalProblem,
     grid: PolarGrid,
@@ -183,22 +362,26 @@ def solve_annulus(
 ) -> DiscreteField:
     """Minimize the discrete energy subject to the boundary conditions.
 
-    Raises BoundsViolated when spot-checked material samples leave the
-    declared bounds, SolverDiverged when the direct solve cannot reach the
-    requested relative residual (ill-conditioning proxy).
+    A rotation-equivariant material, C(R x) = R * C(x) at every Gauss point
+    (isotropic constants, radial scalar fields, the counter-example tensors),
+    is solved by one FFT in theta and a block-tridiagonal sweep over the
+    rings per angular mode; any other material by a sparse LU of the reduced
+    system.  Raises BoundsViolated when spot-checked material samples leave
+    the declared bounds, SolverDiverged when the solve meets a singular
+    system or cannot reach the requested relative residual
+    (ill-conditioning proxy).
     """
     pts = grid.qp_points
     action = problem.field(pts)
     if check_bounds:
         flat = pts.reshape(-1, 2)
         problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
+    if _rotation_equivariant(grid, action):
+        return _fourier_solve(problem, grid, action, residual_tol)
 
     Kff, rhs, free, vals = _reduced_system(problem, grid, action)
     x = _sparse_lu(Kff).solve(rhs)
-    scale = max(np.abs(rhs).max(), np.abs(Kff @ x).max(), 1e-300)
-    rel = np.abs(Kff @ x - rhs).max() / scale
-    if not np.all(np.isfinite(x)) or rel > residual_tol:
-        raise SolverDiverged(f"direct solve residual {rel:.3g} exceeds {residual_tol:g}")
+    _check_residual(Kff @ x, rhs, x, residual_tol)
 
     u = vals.copy()
     u[free] = x
@@ -539,11 +722,6 @@ def _grad_q_norm(grid: PolarGrid, flat_values: np.ndarray, q: float) -> float:
     return float(np.sum(grid.qp_weights * g2 ** (0.5 * q)) ** (1.0 / q))
 
 
-# local node offsets (ring, angle) of a cell's corners, in PolarGrid.cells order
-_CORNER_RING = (0, 1, 1, 0)
-_CORNER_ANGLE = (0, 0, 1, 1)
-
-
 def _comparison_solver(grid: PolarGrid, outer_kind: str, c0_scale: float) -> Callable:
     """Q: inverse of the stiffness of C0 = c0_scale * Id_Lin on the free DOFs.
 
@@ -563,17 +741,7 @@ def _comparison_solver(grid: PolarGrid, outer_kind: str, c0_scale: float) -> Cal
     col = slice(None, None, n_t)                       # cell (i, 0) of every ring i
     c0 = np.broadcast_to(c0_scale * ID_LIN, grid.qp_weights[col].shape + (2, 2, 2, 2))
     ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], c0)
-    scalar = ke[:, 0::2, 0::2]                         # (n_r-1, 4, 4), component 0
-
-    same = np.zeros((n_r, 3))                          # s(i, i, d), column d + 1
-    next_ = np.zeros((n_r - 1, 3))                     # s(i, i + 1, d)
-    for a in range(4):
-        for b in range(4):
-            d = _CORNER_ANGLE[b] - _CORNER_ANGLE[a] + 1
-            if _CORNER_RING[a] == _CORNER_RING[b]:
-                same[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, d] += scalar[:, a, b]
-            elif _CORNER_RING[a] == 0:
-                next_[:, d] += scalar[:, a, b]
+    same, next_, _ = _theta_stencil(ke[:, 0::2, 0::2])   # component 0 only
     asym = max(np.abs(same[:, 0] - same[:, 2]).max(), np.abs(next_[:, 0] - next_[:, 2]).max())
     if asym > 1e-13 * np.abs(same).max():
         raise NotCirculant(f"comparison stencil s(d=-1) != s(d=+1) by {asym:.3g}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import circulant, get_lapack_funcs, lu_factor, lu_solve
 
 from .curves import BoundaryCurve
 from .errors import (
@@ -207,16 +207,24 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
     # whose diagonal limit is Phi0 log|x'(t)| + Phi(tangent)
     smooth_log = 0.5 * np.log(r2 / log_fac)
     np.fill_diagonal(smooth_log, np.log(speed))
-    m2 = kernel.phi0[None, None] * smooth_log[..., None, None] + kernel.angular(e)
+    angular = kernel.angular(e)
+    rmat = circulant(kress_log_weights(n))                # R_ij = R(t_i - t_j)
 
-    rvec = kress_log_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    rmat = rvec[idx]
-
-    a = rmat[..., None, None] * (0.5 * kernel.phi0)[None, None] + (2.0 * np.pi / n) * m2
-    a *= speed[None, :, None, None]
-    mat = a.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-    return SingleLayerOperator(curve=curve, kernel=kernel, mat=mat)
+    # entry (i, m, j, h) = (R_ij Phi0/2 + (2 pi / n) M2) speed_j, formed one
+    # component (m, h) at a time and written straight into the interleaved
+    # matrix
+    mat = np.empty((n, 2, n, 2))
+    comp = np.empty((n, n))
+    tmp = np.empty((n, n))
+    for m in range(2):
+        for h in range(2):
+            np.multiply(smooth_log, kernel.phi0[m, h], out=comp)
+            comp += angular[:, :, m, h]
+            comp *= 2.0 * np.pi / n
+            comp += np.multiply(rmat, 0.5 * kernel.phi0[m, h], out=tmp)
+            comp *= speed
+            mat[:, m, :, h] = comp
+    return SingleLayerOperator(curve=curve, kernel=kernel, mat=mat.reshape(2 * n, 2 * n))
 
 
 @dataclass

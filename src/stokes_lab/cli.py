@@ -261,9 +261,14 @@ def _boundary_data(cfg: ExperimentConfig, curve):
     raise ConfigInvalid(f"data: unknown profile {kind!r}")
 
 
+# point-sample pairs whose distances the table lookup forms at once
+_TABLE_BLOCK_PAIRS = 1 << 18
+
+
 def _table_material(path: str):
     """Tabulated scalar stiffness: CSV header r,theta,scale; nearest-sample
-    lookup; Lin bounds certified by the tabulated extremes."""
+    lookup, one block of points at a time; Lin bounds certified by the
+    tabulated extremes."""
     import numpy as np
 
     from .tensors import scalar_field
@@ -276,9 +281,15 @@ def _table_material(path: str):
         raise ConfigInvalid("material: tabulated scales must be positive")
     tab_pts = np.stack([arr[:, 0] * np.cos(arr[:, 1]), arr[:, 0] * np.sin(arr[:, 1])], axis=-1)
 
+    rows = max(_TABLE_BLOCK_PAIRS // len(tab_pts), 1)
+
     def nearest(pts):
-        d2s = np.sum((pts.reshape(-1, 2)[:, None, :] - tab_pts[None, :, :]) ** 2, axis=-1)
-        return scales[np.argmin(d2s, axis=1)].reshape(pts.shape[:-1])
+        flat = pts.reshape(-1, 2)
+        idx = np.empty(len(flat), dtype=np.intp)
+        for lo in range(0, len(flat), rows):
+            d2s = np.sum((flat[lo:lo + rows, None, :] - tab_pts[None, :, :]) ** 2, axis=-1)
+            idx[lo:lo + rows] = np.argmin(d2s, axis=1)
+        return scales[idx].reshape(pts.shape[:-1])
 
     return scalar_field(nearest, float(scales.min()), float(scales.max()),
                         name="tabulated-scalar")

@@ -7,6 +7,7 @@ from stokes_lab.annulus import (
     _comparison_solver,
     _grad_q_norm,
     _reduced_system,
+    _rotation_equivariant,
     _sparse_lu,
     bump_force,
     caccioppoli_check,
@@ -246,13 +247,112 @@ class TestSolveAnnulus:
             with pytest.raises(ValueError, match="r_max / 2"):
                 solve(prob, PolarGrid(8.0, 16, 32))
 
-    def test_singular_system_diverges(self):
-        fld = ElasticityField(
-            action=lambda p: np.zeros(np.asarray(p).shape[:-1] + (2, 2, 2, 2)), mu0=1.0, mue=1.0
+    def test_singular_system_diverges(self, monkeypatch):
+        """Both solve paths: a zero material is rotation-equivariant (Fourier
+        path), one that is zero on a quadrant only is not (SuperLU path)."""
+        lu_calls = count_sparse_lu(monkeypatch)
+
+        def zero(p):
+            return np.zeros(np.asarray(p).shape[:-1] + (2, 2, 2, 2))
+
+        def zero_quadrant(p):
+            p = np.asarray(p)
+            keep = ~((p[..., 0] > 0) & (p[..., 1] > 0))
+            return keep[..., None, None, None, None] * ISO.tensor().c
+
+        def data(th):
+            return np.stack([np.cos(th), 0 * th], -1)
+
+        for action, n_lu, message in ((zero, 0, "angular mode"), (zero_quadrant, 1, "sparse LU")):
+            lu_calls.clear()
+            fld = ElasticityField(action=action, mu0=1.0, mue=1.0)
+            prob = VariationalProblem(field=fld, outer_data=data)
+            with pytest.raises(SolverDiverged, match=message):
+                solve_annulus(prob, PolarGrid(8.0, 16, 32), check_bounds=False)
+            assert len(lu_calls) == n_lu
+
+
+def radial_scalar_field():
+    return scalar_field(
+        lambda p: 1.5 + 0.5 * np.tanh(np.linalg.norm(p, axis=-1) - 4.0), 1.0, 2.0, name="radial"
+    )
+
+
+def count_sparse_lu(monkeypatch) -> list:
+    """Shapes of the matrices solve_annulus hands to SuperLU from now on."""
+    import stokes_lab.annulus as annulus
+
+    calls = []
+
+    def counting(K):
+        calls.append(K.shape)
+        return _sparse_lu(K)
+
+    monkeypatch.setattr(annulus, "_sparse_lu", counting)
+    return calls
+
+
+class TestFourierSolve:
+    """solve_annulus on rotation-equivariant materials: one real FFT in theta
+    and a 2x2 block-tridiagonal sweep per angular mode, against SuperLU on
+    the assembled reduced system."""
+
+    MATERIALS = {
+        "degiorgi-sym": lambda: degiorgi_tensor(2.0),
+        "degiorgi-lin": lambda: degiorgi_tensor(2.0, "lin"),
+        "isotropic": lambda: constant_field(ISO.tensor()),
+        "restricted": lambda: restricted_tensor(6.0, 2.0, 8.0),
+        "radial-scalar": radial_scalar_field,
+    }
+
+    @pytest.mark.parametrize("material", sorted(MATERIALS))
+    @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
+    @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
+    def test_matches_superlu(self, nr, nt, kind, material, monkeypatch):
+        lu_calls = count_sparse_lu(monkeypatch)
+        grid = PolarGrid(16.0, nr, nt)
+        rng = np.random.default_rng(nr + nt)
+        prob = VariationalProblem(
+            field=self.MATERIALS[material](),
+            inner_data=rng.normal(size=(nt, 2)),
+            outer_kind=kind,
+            outer_data=rng.normal(size=(nt, 2)),
+            force=bump_force(rng.normal(size=4), 16.0),
         )
-        prob = VariationalProblem(field=fld, outer_data=lambda th: np.stack([np.cos(th), 0 * th], -1))
-        with pytest.raises(SolverDiverged):
-            solve_annulus(prob, PolarGrid(8.0, 16, 32), check_bounds=False)
+        u = solve_annulus(prob, grid, check_bounds=False)
+        assert lu_calls == []
+
+        Kff, rhs, free, vals = _reduced_system(prob, grid, prob.field(grid.qp_points))
+        ref = vals.copy()
+        ref[free] = _sparse_lu(Kff).solve(rhs)
+        assert np.abs(u.flat() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_path_choice(self, monkeypatch):
+        """Equivariant materials never reach SuperLU; a theta-dependent one,
+        or the counter-example perturbed in one theta-column of cells by
+        1e-9, takes exactly one factorization."""
+        lu_calls = count_sparse_lu(monkeypatch)
+        grid = PolarGrid(16.0, 24, 48)
+        base = degiorgi_tensor(2.0, "lin")
+        lo, hi = grid.thetas[5], grid.thetas[6]
+
+        def perturbed(p):
+            a = base.action(p)
+            th = np.mod(np.arctan2(p[..., 1], p[..., 0]), 2 * np.pi)
+            a[(th > lo) & (th < hi)] *= 1.0 + 1e-9
+            return a
+
+        cases = [(f(), 0) for f in TestFourierSolve.MATERIALS.values()]
+        cases += [
+            (random_scalar_field(1.0, 2.0, np.random.default_rng(3)), 1),
+            (ElasticityField(action=perturbed, mu0=base.mu0, mue=base.mue), 1),
+        ]
+        for fld, n_lu in cases:
+            lu_calls.clear()
+            assert _rotation_equivariant(grid, fld(grid.qp_points)) == (n_lu == 0)
+            prob = VariationalProblem(field=fld, force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
+            solve_annulus(prob, grid, check_bounds=False)
+            assert len(lu_calls) == n_lu, fld.name
 
 
 class TestEnergyProfiles:

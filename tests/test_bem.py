@@ -75,6 +75,39 @@ class TestAssembly:
         with pytest.warns(CurveNotSmooth):
             bem.assemble_single_layer(curve, ISO)
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("shape", ["ellipse", "rounded-square"])
+    def test_matches_full_array_formula(self, shape, n):
+        """The per-component assembly equals, bit for bit, the formula that
+        forms the whole (n, n, 2, 2) array and then interleaves it."""
+        if shape == "ellipse":
+            curve = BoundaryCurve.ellipse(2.0, 1.0, n=n)
+        else:
+            curve = BoundaryCurve.rounded_square(1.0, 0.25, n=n)
+        for kernel in (FundamentalSolution.isotropic(ISO),
+                       FundamentalSolution.from_tensor(random_spd_tensor(0))):
+            with pytest.warns(CurveNotSmooth) if not curve.smooth else _nullcontext():
+                op = bem.assemble_single_layer(curve, kernel)
+
+            t, speed = curve.t, curve.speed
+            dt = t[:, None] - t[None, :]
+            log_fac = 4.0 * np.sin(dt / 2.0) ** 2
+            z = curve.points[:, 0] + 1j * curve.points[:, 1]
+            dz = z[:, None] - z[None, :]
+            r2 = dz.real**2 + dz.imag**2
+            np.fill_diagonal(r2, 1.0)
+            np.fill_diagonal(log_fac, 1.0)
+            e = dz / np.sqrt(r2)
+            np.fill_diagonal(e, curve.tangent[:, 0] + 1j * curve.tangent[:, 1])
+            smooth_log = 0.5 * np.log(r2 / log_fac)
+            np.fill_diagonal(smooth_log, np.log(speed))
+            m2 = kernel.phi0[None, None] * smooth_log[..., None, None] + kernel.angular(e)
+            rvec = bem.kress_log_weights(n)
+            rmat = rvec[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+            a = rmat[..., None, None] * (0.5 * kernel.phi0)[None, None] + (2.0 * np.pi / n) * m2
+            a *= speed[None, :, None, None]
+            assert np.array_equal(op.mat, a.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n))
+
 
 class TestEquilibriumBasis:
     def test_circle_constant_directions(self, circle_basis):

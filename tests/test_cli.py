@@ -188,6 +188,62 @@ class TestRuns:
         assert set(rep.condition_numbers) <= {"augmented_system", "totals_matrix"}
         assert rep.condition_numbers["augmented_system"] < 1e12
 
+    @pytest.mark.parametrize("kind, extra, n_lu", [
+        ("degiorgi", {}, 0),
+        ("contraction", {"contrast_bounds": "1,1.5", "seed": 7}, 1),
+    ])
+    def test_superlu_factorizations_per_annulus_run(self, kind, extra, n_lu, tmp_path,
+                                                    monkeypatch):
+        """The counter-example is rotation-equivariant and takes the Fourier
+        solve; the seeded random material takes one sparse LU, in the direct
+        reference solve."""
+        from stokes_lab import annulus
+
+        calls = []
+        real_sparse_lu = annulus._sparse_lu
+
+        def counting_sparse_lu(K):
+            calls.append(K.shape)
+            return real_sparse_lu(K)
+
+        monkeypatch.setattr(annulus, "_sparse_lu", counting_sparse_lu)
+        rep = run(ExperimentConfig(kind=kind, grid="24x48", rmax=24.0, outdir=str(tmp_path),
+                                   **extra))
+        assert rep.ok()
+        assert len(calls) == n_lu
+
+    def test_table_lookup_is_blocked(self, tmp_path):
+        """A 2000-row table on a 24x48 grid: the nearest-sample lookup stays
+        under 32 MB (about 210 MB unblocked) and picks the samples the
+        unblocked argmin picks."""
+        import tracemalloc
+
+        from stokes_lab.cli import _table_material
+        from stokes_lab.polar import PolarGrid
+
+        rng = np.random.default_rng(4)
+        r = rng.uniform(1.0, 24.0, size=2000)
+        th = rng.uniform(0, 2 * np.pi, size=2000)
+        scale = rng.uniform(1.0, 1.2, size=2000)
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "r,theta,scale\n" + "\n".join(f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(r, th, scale))
+        )
+        fld = _table_material(str(path))
+        pts = PolarGrid(24.0, 24, 48).qp_points
+        tracemalloc.start()
+        try:
+            action = fld(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+        tab_pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        d2s = np.sum((pts.reshape(-1, 2)[:, None, :] - tab_pts[None, :, :]) ** 2, axis=-1)
+        ref = scale[np.argmin(d2s, axis=1)].reshape(pts.shape[:-1])
+        assert np.array_equal(action[..., 0, 0, 0, 0], ref)
+
     def test_contraction_tabulated_material(self, tmp_path):
         rng = np.random.default_rng(0)
         r = rng.uniform(1.0, 24.0, size=40)
