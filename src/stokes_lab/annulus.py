@@ -4,9 +4,8 @@ The exterior domain is replaced by the annulus 1 < r < r_max with a
 configurable outer condition; the solver minimizes the discrete energy
 int grad(u) . C[grad(u)] over bilinear elements.  The module also measures
 the quantities the theory estimates: interior/exterior energy profiles and
-their rate-gamma monotonicity, the interior bound with its boundary
-functional, the truncated work-energy defect, net tractions, far-field decay
-exponents, and the contraction fixed point.
+their rate-gamma monotonicity, the truncated work-energy defect, net
+tractions, far-field decay exponents, and the contraction fixed point.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "energy_profiles",
     "GrowthReport",
     "growth_monotonicity_check",
-    "CaccioppoliReport",
-    "caccioppoli_check",
     "energy_identity_residual",
     "net_traction_discrete",
     "DecayFit",
@@ -164,34 +161,33 @@ def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
     return b
 
 
-def _dirichlet_mask(grid: PolarGrid, problem: VariationalProblem):
-    fixed = np.zeros(2 * grid.n_nodes, dtype=bool)
-    vals = np.zeros(2 * grid.n_nodes)
-    inner = problem.boundary_values(grid, "inner")
-    ids = grid.node_id(0, np.arange(grid.n_theta))
-    fixed[2 * ids] = fixed[2 * ids + 1] = True
-    vals[2 * ids] = inner[:, 0]
-    vals[2 * ids + 1] = inner[:, 1]
-    if problem.outer_kind == "dirichlet":
-        outer = problem.boundary_values(grid, "outer")
-        ids = grid.node_id(grid.n_r - 1, np.arange(grid.n_theta))
-        fixed[2 * ids] = fixed[2 * ids + 1] = True
-        vals[2 * ids] = outer[:, 0]
-        vals[2 * ids + 1] = outer[:, 1]
-    return fixed, vals
+def _dirichlet_rings(problem: VariationalProblem, grid: PolarGrid):
+    """Nodal values (n_r, n_theta, 2) carrying the Dirichlet data on the inner
+    ring (and on the outer ring under a Dirichlet outer condition), zero on
+    the free rings, and the index `last` of the last free ring.
+
+    The free rings are 1..last, a contiguous range of DOFs in ring-major
+    order: last = n_r - 2 with a Dirichlet outer ring, n_r - 1 otherwise."""
+    u = np.zeros((grid.n_r, grid.n_theta, 2))
+    u[0] = problem.boundary_values(grid, "inner")
+    if problem.outer_kind == "traction_free":
+        return u, grid.n_r - 1
+    u[-1] = problem.boundary_values(grid, "outer")
+    return u, grid.n_r - 2
 
 
 def _reduced_system(problem: VariationalProblem, grid: PolarGrid, action_qp: np.ndarray):
     """Stiffness of the material action_qp restricted to the free DOFs.
 
-    Returns (K_ff as CSC, rhs, free mask, nodal values carrying the Dirichlet
-    data), with rhs = b_f - K_fd u_d."""
+    Returns (K_ff as CSC, rhs, free DOFs as a slice, nodal values carrying the
+    Dirichlet data), with rhs = b_f - K_fd u_d."""
     b = _force_vector(grid, problem.force)
     K = _assemble_stiffness(grid, action_qp)
-    fixed, vals = _dirichlet_mask(grid, problem)
-    free = ~fixed
+    u, last = _dirichlet_rings(problem, grid)
+    vals = u.reshape(-1)
+    free = slice(2 * grid.n_theta, 2 * grid.n_theta * (last + 1))
     K_f = K[free]
-    rhs = b[free] - K_f[:, fixed] @ vals[fixed]
+    rhs = b[free] - K_f @ vals                         # vals vanish on the free DOFs
     return K_f[:, free].tocsc(), rhs, free, vals
 
 
@@ -204,11 +200,15 @@ def _sparse_lu(K_ff: sp.csc_matrix):
         raise SolverDiverged(f"sparse LU failed: {exc}") from None
 
 
-def _check_residual(Kx: np.ndarray, rhs: np.ndarray, x: np.ndarray, tol: float):
+# relative max-norm residual a direct solve must reach
+_RESIDUAL_TOL = 1e-8
+
+
+def _check_residual(Kx: np.ndarray, rhs: np.ndarray, x: np.ndarray):
     scale = max(np.abs(rhs).max(), np.abs(Kx).max(), 1e-300)
     rel = np.abs(Kx - rhs).max() / scale
-    if not np.all(np.isfinite(x)) or rel > tol:
-        raise SolverDiverged(f"direct solve residual {rel:.3g} exceeds {tol:g}")
+    if not np.all(np.isfinite(x)) or rel > _RESIDUAL_TOL:
+        raise SolverDiverged(f"direct solve residual {rel:.3g} exceeds {_RESIDUAL_TOL:g}")
 
 
 # -- rotation-equivariant materials: one FFT in theta ---------------------------
@@ -306,8 +306,8 @@ def _stencil_apply(stencil, x: np.ndarray) -> np.ndarray:
     return y.transpose(0, 2, 1)
 
 
-def _fourier_solve(problem: VariationalProblem, grid: PolarGrid, action_qp: np.ndarray,
-                   residual_tol: float) -> DiscreteField:
+def _fourier_solve(problem: VariationalProblem, grid: PolarGrid,
+                   action_qp: np.ndarray) -> DiscreteField:
     """solve_annulus for a rotation-equivariant material.
 
     In polar components the stiffness is block-circulant in theta with 2x2
@@ -326,12 +326,7 @@ def _fourier_solve(problem: VariationalProblem, grid: PolarGrid, action_qp: np.n
     pke = (T.T @ ke @ T).reshape(n_r - 1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4)
     stencil = _theta_stencil(pke)
 
-    u = np.zeros((n_r, n_t, 2))                        # Dirichlet rings carry the data
-    u[0] = problem.boundary_values(grid, "inner")
-    last = n_r - 1                                     # last free ring
-    if problem.outer_kind == "dirichlet":
-        last = n_r - 2
-        u[-1] = problem.boundary_values(grid, "outer")
+    u, last = _dirichlet_rings(problem, grid)
     R = _rotations(grid.thetas)
 
     def polar(v):                                      # R(theta_j)^T v at every node
@@ -349,7 +344,7 @@ def _fourier_solve(problem: VariationalProblem, grid: PolarGrid, action_qp: np.n
 
     w = np.zeros((n_r, n_t, 2))
     w[1:last + 1] = x
-    _check_residual(_stencil_apply(stencil, w)[1:last + 1], rhs, x, residual_tol)
+    _check_residual(_stencil_apply(stencil, w)[1:last + 1], rhs, x)
     u[1:last + 1] = (R @ x[..., None])[..., 0]
     return DiscreteField(grid, u)
 
@@ -358,7 +353,6 @@ def solve_annulus(
     problem: VariationalProblem,
     grid: PolarGrid,
     check_bounds: bool = True,
-    residual_tol: float = 1e-8,
 ) -> DiscreteField:
     """Minimize the discrete energy subject to the boundary conditions.
 
@@ -368,8 +362,8 @@ def solve_annulus(
     rings per angular mode; any other material by a sparse LU of the reduced
     system.  Raises BoundsViolated when spot-checked material samples leave
     the declared bounds, SolverDiverged when the solve meets a singular
-    system or cannot reach the requested relative residual
-    (ill-conditioning proxy).
+    system or cannot reach a relative residual of 1e-8 (ill-conditioning
+    proxy).
     """
     pts = grid.qp_points
     action = problem.field(pts)
@@ -377,11 +371,11 @@ def solve_annulus(
         flat = pts.reshape(-1, 2)
         problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
     if _rotation_equivariant(grid, action):
-        return _fourier_solve(problem, grid, action, residual_tol)
+        return _fourier_solve(problem, grid, action)
 
     Kff, rhs, free, vals = _reduced_system(problem, grid, action)
     x = _sparse_lu(Kff).solve(rhs)
-    _check_residual(Kff @ x, rhs, x, residual_tol)
+    _check_residual(Kff @ x, rhs, x)
 
     u = vals.copy()
     u[free] = x
@@ -427,14 +421,25 @@ def energy_profiles(u: DiscreteField) -> EnergyProfile:
     return EnergyProfile(radii=grid.radii.copy(), G=G, Q=G[-1] - G)
 
 
-def _dyadic_rings(grid: PolarGrid, lo: float, hi: float) -> list[int]:
+def _nearest_rings(radii: np.ndarray, targets) -> list[int]:
+    """Distinct indices of the rings nearest to the target radii, ascending,
+    without ring 0 (the inner boundary)."""
+    rings = sorted({int(np.argmin(np.abs(radii - t))) for t in np.atleast_1d(targets)})
+    return [k for k in rings if k > 0]
+
+
+def _dyadic_rings(radii: np.ndarray, lo: float, hi: float) -> list[int]:
+    """_nearest_rings of the dyadic ladder lo, 2 lo, 4 lo, ... up to hi."""
     targets = []
     r = lo
     while r <= hi * (1 + 1e-12):
         targets.append(r)
         r *= 2.0
-    rings = sorted({grid.nearest_ring(t) for t in targets})
-    return [k for k in rings if 0 < k < grid.n_r]
+    return _nearest_rings(radii, targets)
+
+
+# largest fractional drop or rise of a monotonicity audit that passes
+_GROWTH_TOLERANCE = 0.01
 
 
 @dataclass
@@ -459,31 +464,17 @@ class GrowthReport:
         return self.degenerate or self.worst_q_violation <= self.tolerance
 
 
-def growth_monotonicity_check(
-    profile: EnergyProfile,
-    gamma: float,
-    radii: Optional[np.ndarray] = None,
-    tolerance: float = 0.01,
-) -> GrowthReport:
-    """Audit the two rate-gamma monotonicities on dyadic sample radii.
+def growth_monotonicity_check(profile: EnergyProfile, gamma: float) -> GrowthReport:
+    """Audit the two rate-gamma monotonicities on the dyadic radii 2, 4, ...
+    up to r_max / 2.
 
     The interior inequality needs the field to solve the homogeneous equation
     down to the center or to vanish on the inner boundary with zero net
     traction; the exterior one needs a decaying finite-energy field.  The
     report only measures; the caller asserts on the class that applies.
     """
-    grid_radii = profile.radii
-    if radii is None:
-        rmax = grid_radii[-1]
-        radii = []
-        r = 2.0
-        while r <= rmax / 2 * (1 + 1e-12):
-            radii.append(r)
-            r *= 2.0
-        radii = np.asarray(radii)
-    idx = sorted({int(np.argmin(np.abs(grid_radii - r))) for r in np.atleast_1d(radii)})
-    idx = [k for k in idx if 0 < k < grid_radii.size]
-    rs = grid_radii[idx]
+    idx = _dyadic_rings(profile.radii, 2.0, profile.radii[-1] / 2)
+    rs = profile.radii[idx]
     G = profile.G[idx]
     Q = profile.Q[idx]
 
@@ -491,7 +482,7 @@ def growth_monotonicity_check(
     # constant fields produce pure round-off energy (~1e-30); flag them
     if total <= 1e-20 or not np.isfinite(total):
         return GrowthReport(gamma, rs, np.zeros_like(rs), np.zeros_like(rs),
-                            0.0, 0.0, tolerance, degenerate=True)
+                            0.0, 0.0, _GROWTH_TOLERANCE, degenerate=True)
 
     g_scaled = G / rs**gamma
     q_scaled = rs**gamma * Q
@@ -505,7 +496,7 @@ def growth_monotonicity_check(
         q_scaled=q_scaled,
         worst_g_violation=float(np.maximum(g_drop, 0.0).max(initial=0.0)),
         worst_q_violation=float(np.maximum(q_rise, 0.0).max(initial=0.0)),
-        tolerance=tolerance,
+        tolerance=_GROWTH_TOLERANCE,
         degenerate=False,
     )
 
@@ -527,76 +518,6 @@ def _ring_traction_data(u: DiscreteField, problem: VariationalProblem, ring: int
     action = problem.field(pts)
     stress = np.einsum("nmkhl,nhl->nmk", action, grad)
     return pts, grad, stress
-
-
-def sigma_boundary_functional(u: DiscreteField, problem: VariationalProblem) -> float:
-    """The three-term boundary-plus-force functional
-
-        sigma(u) = 2 int_{boundary} u.s(u)
-                   - mu0 int_{boundary} n.[grad u - (div u) 1] u
-                   + 2 int f.u ,
-
-    with the normal pointing out of the annulus into the hole (n = -e_r)."""
-    grid = u.grid
-    pts, grad, stress = _ring_traction_data(u, problem, 0)
-    n = -pts / grid.radii[0]
-    uv = u.values[0]
-    w = grid.radii[0] * grid.dtheta
-
-    s_u = np.einsum("nmk,nk->nm", stress, n)
-    term1 = 2.0 * w * np.einsum("nm,nm->", uv, s_u)
-
-    div = grad[..., 0, 0] + grad[..., 1, 1]
-    m = grad - div[:, None, None] * np.eye(2)
-    mu_vec = np.einsum("nmk,nk->nm", m, uv)
-    term2 = -problem.field.mu0 * w * np.einsum("nm,nm->", n, mu_vec)
-
-    term3 = 0.0
-    if problem.force is not None:
-        f_qp = np.asarray(problem.force(grid.qp_points), dtype=float)
-        term3 = 2.0 * float(
-            np.sum(grid.qp_weights * np.einsum("cqm,cqm->cq", f_qp, u.values_at_qp()))
-        )
-    return float(term1 + term2 + term3)
-
-
-@dataclass
-class CaccioppoliReport:
-    """Both sides of the interior bound at radius R: the gradient energy over
-    1 < r < R against R^-2 int_{R<r<2R} |u|^2 + sigma(u)."""
-
-    radius: float
-    lhs: float
-    tail_term: float
-    sigma: float
-    ratio: float
-    degenerate: bool
-
-
-def caccioppoli_check(u: DiscreteField, problem: VariationalProblem, radius: float) -> CaccioppoliReport:
-    grid = u.grid
-    if 2.0 * radius > grid.r_max * (1 + 1e-12) or radius <= grid.r_min:
-        raise RadiusOutOfGrid(f"need r_min < R and 2R <= r_max, got R={radius}")
-    kR = grid.nearest_ring(radius)
-    k2R = grid.nearest_ring(2.0 * radius)
-    R = grid.radii[kR]
-
-    g = u.gradient_at_qp()
-    grad_sq = np.sum(g * g, axis=(-2, -1))
-    ring_grad = _ring_sums(grid, grad_sq)
-    lhs = float(ring_grad[:kR].sum())
-
-    vals_sq = np.sum(u.values_at_qp() ** 2, axis=-1)
-    ring_vals = _ring_sums(grid, vals_sq)
-    tail = float(ring_vals[kR:k2R].sum()) / R**2
-
-    sigma = sigma_boundary_functional(u, problem)
-    denom = tail + sigma
-    degenerate = lhs == 0.0 and abs(denom) < 1e-300
-    ratio = float("nan") if degenerate else lhs / denom if denom != 0 else float("inf")
-    return CaccioppoliReport(
-        radius=R, lhs=lhs, tail_term=tail, sigma=sigma, ratio=ratio, degenerate=degenerate
-    )
 
 
 def energy_identity_residual(u: DiscreteField, problem: VariationalProblem, radius: float) -> float:
@@ -660,11 +581,11 @@ class DecayFit:
     poor_fit: bool
 
 
-def decay_exponent_fit(
-    u: DiscreteField,
-    radii: Optional[np.ndarray] = None,
-    poor_fit_tol: float = 0.1,
-) -> DecayFit:
+# rms log-log residual beyond which a decay fit is flagged poor
+_POOR_FIT_RMS = 0.1
+
+
+def decay_exponent_fit(u: DiscreteField, radii: Optional[np.ndarray] = None) -> DecayFit:
     """Fit u - u0 = O(r^-alpha) on (at least 5) dyadic radii.
 
     u0 is the angular mean at the largest fitting radius; radii are snapped to
@@ -672,10 +593,9 @@ def decay_exponent_fit(
     quarter is dropped to suppress truncation pollution)."""
     grid = u.grid
     if radii is None:
-        rings = _dyadic_rings(grid, 2.0, grid.r_max / 4.0)
+        rings = _dyadic_rings(grid.radii, 2.0, grid.r_max / 4.0)
     else:
-        rings = sorted({grid.nearest_ring(r) for r in np.atleast_1d(radii)})
-        rings = [k for k in rings if 0 < k < grid.n_r]
+        rings = _nearest_rings(grid.radii, radii)
     if len(rings) < 5:
         raise ValueError(f"need >= 5 distinct fitting radii, got {len(rings)}")
 
@@ -692,7 +612,7 @@ def decay_exponent_fit(
         residual=rms,
         radii=rs,
         distances=d,
-        poor_fit=rms > poor_fit_tol,
+        poor_fit=rms > _POOR_FIT_RMS,
     )
 
 
@@ -722,8 +642,9 @@ def _grad_q_norm(grid: PolarGrid, flat_values: np.ndarray, q: float) -> float:
     return float(np.sum(grid.qp_weights * g2 ** (0.5 * q)) ** (1.0 / q))
 
 
-def _comparison_solver(grid: PolarGrid, outer_kind: str, c0_scale: float) -> Callable:
-    """Q: inverse of the stiffness of C0 = c0_scale * Id_Lin on the free DOFs.
+def _comparison_solver(problem: VariationalProblem, grid: PolarGrid, c0_scale: float) -> Callable:
+    """Q: inverse of the stiffness of C0 = c0_scale * Id_Lin on the free DOFs
+    of the problem.
 
     C0 couples no components and is rotation-invariant, so its stiffness is
     the same scalar operator on both Cartesian components and circulant in
@@ -737,7 +658,7 @@ def _comparison_solver(grid: PolarGrid, outer_kind: str, c0_scale: float) -> Cal
     (ring, theta, component), to Q applied to it.  Raises NotCirculant when
     the stencil is not symmetric in d, SolverDiverged when a pivot vanishes.
     """
-    n_r, n_t = grid.n_r, grid.n_theta
+    n_t = grid.n_theta
     col = slice(None, None, n_t)                       # cell (i, 0) of every ring i
     c0 = np.broadcast_to(c0_scale * ID_LIN, grid.qp_weights[col].shape + (2, 2, 2, 2))
     ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], c0)
@@ -746,7 +667,7 @@ def _comparison_solver(grid: PolarGrid, outer_kind: str, c0_scale: float) -> Cal
     if asym > 1e-13 * np.abs(same).max():
         raise NotCirculant(f"comparison stencil s(d=-1) != s(d=+1) by {asym:.3g}")
 
-    last = n_r - 1 if outer_kind == "traction_free" else n_r - 2
+    last = _dirichlet_rings(problem, grid)[1]
     cos = np.cos(2.0 * np.pi * np.arange(n_t // 2 + 1) / n_t)
     phase = np.stack([cos, np.ones_like(cos), cos])  # symbol of d = -1, 0, 1, (3, modes)
     diag = same[1:last + 1] @ phase                    # (free rings, modes)
@@ -775,13 +696,13 @@ def _comparison_solver(grid: PolarGrid, outer_kind: str, c0_scale: float) -> Cal
     return solve
 
 
+# the iteration stops once an increment is this fraction of the first one
+_CONTRACTION_TOL = 1e-12
+_CONTRACTION_MAX_ITER = 100
+
+
 def contraction_solve(
-    problem: VariationalProblem,
-    grid: PolarGrid,
-    c0_scale: Optional[float] = None,
-    q: float = 2.0,
-    tol: float = 1e-12,
-    max_iter: int = 100,
+    problem: VariationalProblem, grid: PolarGrid, q: float = 2.0
 ) -> tuple[DiscreteField, ContractionReport]:
     """Fixed-point iteration v_{k+1} = v_f + Q[v_k] for the heterogeneous
     problem, preconditioned by the comparison material C0 = scale * (identity
@@ -796,19 +717,19 @@ def contraction_solve(
     step to step (each step applies Q to what the previous increment left),
     so the increments never cancel against the data and their ratios stay
     clear of round-off.  Per-iteration contraction factors are measured in
-    the gradient L^q norm; with the default scale = the upper Lin bound of
-    the material, the factor is bounded by the relative contrast
-    (scale - lower) / scale.  Raises NotContracting after three consecutive
-    factors above 1.
+    the gradient L^q norm; with scale = the upper Lin bound of the material
+    (mue when it declares none), the factor is bounded by the relative
+    contrast (scale - lower) / scale.  The iteration stops once an increment
+    is 1e-12 of the first, or after 100 steps.  Raises NotContracting after
+    three consecutive factors above 1.
     """
-    if c0_scale is None:
-        if problem.field.lin_bounds_pair is not None:
-            c0_scale = problem.field.lin_bounds_pair[1]
-        else:
-            c0_scale = problem.field.mue
+    if problem.field.lin_bounds_pair is not None:
+        c0_scale = problem.field.lin_bounds_pair[1]
+    else:
+        c0_scale = problem.field.mue
 
     Kc_ff, rhs, free, vals = _reduced_system(problem, grid, problem.field(grid.qp_points))
-    green0 = _comparison_solver(grid, problem.outer_kind, c0_scale)
+    green0 = _comparison_solver(problem, grid, c0_scale)
 
     w = np.zeros(rhs.size)
     res = rhs
@@ -819,7 +740,7 @@ def contraction_solve(
     converged = False
     n_iter = 0
     scale_norm = None
-    for k in range(max_iter):
+    for k in range(_CONTRACTION_MAX_ITER):
         inc = green0(res)
         res = res - Kc_ff @ inc
         w = w + inc
@@ -840,7 +761,7 @@ def contraction_solve(
                     f"iterations (last {fac:.3g}); contrast too large"
                 )
         prev_inc_norm = inc_norm
-        if inc_norm <= tol * scale_norm:
+        if inc_norm <= _CONTRACTION_TOL * scale_norm:
             converged = True
             break
 

@@ -9,6 +9,7 @@ error, 2 scientific-verdict failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -127,6 +128,11 @@ def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
             raise ConfigInvalid(f"check: unknown inequality {cfg.check!r}")
         if cfg.trials < 1:
             raise ConfigInvalid("trials: must be positive")
+    if (cfg.kind == "contraction" and cfg.material not in ("", ExperimentConfig.material)
+            and not cfg.material.startswith("table:")):
+        raise ConfigInvalid(f"material: contraction takes only table:<csv>, got "
+                            f"{cfg.material!r}; the counter-example tensor is set by xi, "
+                            "a random field by contrast_bounds")
     if cfg.kind == "contraction" and cfg.contrast_bounds:
         if cfg.material.startswith("table:"):
             raise ConfigInvalid("material, contrast_bounds: a tabulated material sets its "
@@ -147,10 +153,6 @@ def validate(cfg: ExperimentConfig) -> list[str]:
 # -- output helpers ------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_atomic(path: str, text: str):
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
@@ -166,11 +168,18 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_csv(path: str, header: list[str], columns: list) -> str:
-    rows = zip(*columns)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """Columns of numbers (written as floats at 17 significant digits) or of
+    strings under one header line, the whole table formatted by one `%`."""
+    import numpy as np
+
+    cells, specs = [], []
+    for col in columns:
+        text = len(col) > 0 and isinstance(col[0], str)
+        cells.append(list(col) if text else np.asarray(col, dtype=float).tolist())
+        specs.append("%s" if text else "%.17g")
+    n_rows = len(cells[0]) if cells else 0
+    body = (",".join(specs) + "\n") * n_rows % tuple(itertools.chain.from_iterable(zip(*cells)))
+    _write_atomic(path, ",".join(header) + "\n" + body)
     return path
 
 
@@ -493,23 +502,20 @@ def _run_gym(cfg: ExperimentConfig, spec: dict, out: dict):
 
     rng = np.random.default_rng(cfg.seed)
     checks = tuple(inequalities.TRIALS) if cfg.check == "all" else (cfg.check,)
-    rows = ["check,trial,lhs,rhs,ok"]
-    oks = []
+    rows = []
     for name in checks:
         for k in range(cfg.trials):
             trial = inequalities.TRIALS[name](rng)
-            rows.append(f"{name},{_fmt(k)},{_fmt(trial.lhs)},{_fmt(trial.rhs)},{_fmt(trial.ok)}")
-            oks.append(trial.ok)
+            rows.append((name, k, trial.lhs, trial.rhs, trial.ok))
             if not trial.ok:
                 # dump the offending samples for triage
-                out["raw_files"][f"failure_{name}_{k}.csv"] = (
-                    "sample\n" + "\n".join(_fmt(v) for v in np.ravel(trial.sample)) + "\n"
-                )
+                out["files"][f"failure_{name}_{k}.csv"] = (["sample"], [np.ravel(trial.sample)])
 
+    oks = [row[-1] for row in rows]
     out["verdicts"].append(
         _verdict("all_trials_pass", "residual", float(np.mean(oks)), 1.0, all(oks))
     )
-    out["raw_files"]["trials.csv"] = "\n".join(rows) + "\n"
+    out["files"]["trials.csv"] = (["check", "trial", "lhs", "rhs", "ok"], list(zip(*rows)))
 
 
 _RUNNERS = {
@@ -528,17 +534,13 @@ def run(cfg: ExperimentConfig) -> RunReport:
 
     spec, notes = _parse(cfg)
     t0 = time.perf_counter()
-    out = {"verdicts": [], "condition_numbers": {}, "files": {}, "raw_files": {}}
+    out = {"verdicts": [], "condition_numbers": {}, "files": {}}
     _RUNNERS[cfg.kind](cfg, spec, out)
 
     outdir = os.path.join(cfg.outdir, cfg.kind)
     written = []
     for fname, (header, cols) in out["files"].items():
         written.append(_write_csv(os.path.join(outdir, fname), header, cols))
-    for fname, text in out["raw_files"].items():
-        path = os.path.join(outdir, fname)
-        _write_atomic(path, text)
-        written.append(path)
 
     report = RunReport(
         config=cfg.echo(),

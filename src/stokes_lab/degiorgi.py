@@ -182,20 +182,21 @@ class TailVerdict:
         )
 
 
-def q_tail_classify(
-    params: CounterexampleParams,
-    q: float,
-    r_max: float = 2.0**20,
-    flat_band: float = 0.10,
-) -> TailVerdict:
-    """Classify the q-energy tail of the closed-form field over 1 < r < r_max.
+# outer radius of the tail classification, and the band of total change
+# around flat within which the verdict is INCONCLUSIVE
+_TAIL_R_MAX = 2.0**20
+_TAIL_FLAT_BAND = 0.10
+
+
+def q_tail_classify(params: CounterexampleParams, q: float) -> TailVerdict:
+    """Classify the q-energy tail of the closed-form field over 1 < r < 2^20.
 
     Integrates T(R) = int |grad u|^q on dyadic annuli by Gauss quadrature of
     the exact radial integrand.  The verdict reads off the total geometric
     trend of the increments across the ladder (skipping the first two octaves
     where the subdominant branch still matters): increments shrinking ->
-    CONVERGENT, bounded below -> DIVERGENT, total change within `flat_band`
-    of flat -> INCONCLUSIVE (q too near the threshold for this r_max).
+    CONVERGENT, bounded below -> DIVERGENT, total change within 10% of flat
+    -> INCONCLUSIVE (q too near the threshold for this outer radius).
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
@@ -203,7 +204,7 @@ def q_tail_classify(
     eps = sol.eps
     threshold = 2.0 / (1.0 - eps)
 
-    n_oct = max(int(np.floor(np.log2(r_max))), 4)
+    n_oct = max(int(np.floor(np.log2(_TAIL_R_MAX))), 4)
     edges = 2.0 ** np.arange(n_oct + 1)
     # 64-point Gauss per octave in log r: exact enough for the smooth integrand
     gx, gw = np.polynomial.legendre.leggauss(64)
@@ -220,7 +221,7 @@ def q_tail_classify(
     trend = float(window[-1] / window[0])
     flagged = abs(q - threshold) <= 0.02 * threshold
 
-    if abs(trend - 1.0) <= flat_band:
+    if abs(trend - 1.0) <= _TAIL_FLAT_BAND:
         verdict = "INCONCLUSIVE"
     elif trend < 1.0:
         verdict = "CONVERGENT"
@@ -246,17 +247,16 @@ class MembershipReport:
     vanishes_on_unit_circle: bool
 
 
-def not_in_M_certificate(
-    params: CounterexampleParams, radii=(1e2, 1e4, 1e6)
-) -> MembershipReport:
+def not_in_M_certificate(params: CounterexampleParams) -> MembershipReport:
     """Desk-checkable facts behind the exclusion from the obstruction space:
-    the field vanishes on the unit circle yet grows faster than log r."""
+    the field vanishes on the unit circle yet grows faster than log r, read
+    at the radii 1e2, 1e4 and 1e6."""
     sol = closed_form(params)
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     trace = np.linalg.norm(sol.displacement(ring), axis=-1).max()
 
-    radii = np.asarray(radii, dtype=float)
+    radii = np.array([1e2, 1e4, 1e6])
     pts = np.stack([radii, np.zeros_like(radii)], axis=-1)
     mags = np.linalg.norm(sol.displacement(pts), axis=-1)
     ratios = mags / np.log(radii)

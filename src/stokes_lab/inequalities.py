@@ -42,12 +42,13 @@ class WirtingerResult:
         return self.lhs / self.rhs if self.rhs > 0 else (0.0 if self.lhs == 0 else np.inf)
 
 
-def wirtinger_check(samples, radius: float = 1.0, slack: float = 1e-10) -> WirtingerResult:
+def wirtinger_check(samples, radius: float = 1.0) -> WirtingerResult:
     """Zero-mean periodic function against its arclength derivative on a circle.
 
     samples: uniform angular values, shape (n,) or (n, d); the derivative is
     spectral (FFT), so band-limited inputs are handled exactly and equality
-    at the first harmonic is reproduced to round-off.
+    at the first harmonic is reproduced to round-off; ok forgives a relative
+    excess of 1e-10.
     """
     u = np.asarray(samples, dtype=float)
     if u.ndim == 1:
@@ -63,7 +64,7 @@ def wirtinger_check(samples, radius: float = 1.0, slack: float = 1e-10) -> Wirti
     du_dtheta = np.fft.ifft(1j * k[:, None] * np.fft.fft(u, axis=0), axis=0).real
     du_ds = du_dtheta / radius
     rhs = float(radius**2 * np.sum(du_ds**2) * w)
-    return WirtingerResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + slack) + 1e-300)
+    return WirtingerResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-10) + 1e-300)
 
 
 @dataclass
@@ -154,12 +155,13 @@ class KornResult:
         return self.lhs / self.rhs if self.rhs > 0 else (0.0 if self.lhs == 0 else np.inf)
 
 
-def korn_first_check(u, hx: float, hy: float, slack: float = 1e-8) -> KornResult:
+def korn_first_check(u, hx: float, hy: float) -> KornResult:
     """First Korn bound |grad u|_2 <= sqrt(2) |sym grad u|_2 for nodal fields
     vanishing on the boundary of a uniform Cartesian grid.
 
     Gradients by centered differences on the interior (the field is extended
-    by its boundary zeros), both sides by the same cell quadrature.
+    by its boundary zeros), both sides by the same cell quadrature; ok
+    forgives a relative excess of 1e-8.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 3 or u.shape[2] != 2:
@@ -186,7 +188,7 @@ def korn_first_check(u, hx: float, hy: float, slack: float = 1e-8) -> KornResult
     w = hx * hy
     lhs = float(np.sum(grad * grad) * w)
     rhs = float(2.0 * np.sum(gs * gs) * w)
-    return KornResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + slack) + 1e-300)
+    return KornResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-8) + 1e-300)
 
 
 # -- seeded random trials ------------------------------------------------------

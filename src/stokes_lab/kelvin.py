@@ -82,18 +82,19 @@ class FundamentalSolution:
         return cls(moduli.tensor(), phi0, cos_coef, sin_coef)
 
     @classmethod
-    def from_tensor(cls, c0, n_angles: int = 512, margin_tol: float = 0.0) -> "FundamentalSolution":
+    def from_tensor(cls, c0, n_angles: int = 512) -> "FundamentalSolution":
         """Angular-representation construction for a general constant tensor.
 
         Computes Gamma(n)^{-1} at n_angles directions, convolves with the
         cosine series of log|cos| by FFT, and keeps the (spectrally decaying)
-        trigonometric coefficients of Phi.
+        trigonometric coefficients of Phi.  Raises NotStronglyElliptic when
+        the strong-ellipticity margin is not positive.
         """
         if not isinstance(c0, ElasticityTensor):
             c0 = ElasticityTensor(c0)
         margin = strong_ellipticity_margin(c0)
-        if margin <= margin_tol:
-            raise NotStronglyElliptic(f"ellipticity margin {margin:.6g} <= {margin_tol:g}")
+        if margin <= 0.0:
+            raise NotStronglyElliptic(f"ellipticity margin {margin:.6g} <= 0")
 
         m = int(n_angles)
         theta = 2.0 * np.pi * np.arange(m) / m

@@ -80,15 +80,14 @@ class ElasticityTensor:
     vanishes on skew arguments.
     """
 
-    def __init__(self, components, check: bool = True):
+    def __init__(self, components):
         c = np.asarray(components, dtype=float)
         if c.shape != (2, 2, 2, 2):
             raise ValueError(f"expected shape (2,2,2,2), got {c.shape}")
-        if check:
-            major = np.transpose(c, (2, 3, 0, 1))
-            scale = max(np.abs(c).max(), 1.0)
-            if np.abs(c - major).max() > 1e-12 * scale:
-                raise ValueError("components lack major symmetry")
+        major = np.transpose(c, (2, 3, 0, 1))
+        scale = max(np.abs(c).max(), 1.0)
+        if np.abs(c - major).max() > 1e-12 * scale:
+            raise ValueError("components lack major symmetry")
         # project the input pair onto Sym: the action ignores skew input
         c = 0.5 * (c + np.transpose(c, (0, 1, 3, 2)))
         self.c = c
@@ -199,15 +198,21 @@ def _rank_one_form(c, alpha, beta):
     return np.einsum("ijhk,...i,...j,...h,...k->...", c, a, b, a, b)
 
 
-def strong_ellipticity_margin(C, n_angles: int = 720, newton_steps: int = 3) -> float:
+# angular samples per half circle, and Newton steps refining their minimizer
+_MARGIN_ANGLES = 720
+_MARGIN_NEWTON_STEPS = 3
+
+
+def strong_ellipticity_margin(C) -> float:
     """Minimum of a.C[a x b]b over unit vectors a, b.
 
-    Dense angular sampling (n_angles per circle) locates the minimizing pair;
-    a few Newton steps in the two angles refine it.  A positive value
-    certifies strong ellipticity; a nonpositive return is a valid verdict.
+    Dense angular sampling (720 angles per half circle) locates the
+    minimizing pair; three Newton steps in the two angles refine it.  A
+    positive value certifies strong ellipticity; a nonpositive return is a
+    valid verdict.
     """
     c = C.c if isinstance(C, ElasticityTensor) else np.asarray(C, dtype=float)
-    ang = np.linspace(0.0, np.pi, n_angles, endpoint=False)  # the form is pi-periodic
+    ang = np.linspace(0.0, np.pi, _MARGIN_ANGLES, endpoint=False)  # the form is pi-periodic
     vals = _rank_one_form(c, ang[:, None], ang[None, :])
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     alpha, beta = ang[i], ang[j]
@@ -216,7 +221,7 @@ def strong_ellipticity_margin(C, n_angles: int = 720, newton_steps: int = 3) -> 
         return np.array([np.cos(t), np.sin(t)]), np.array([-np.sin(t), np.cos(t)])
 
     f = vals[i, j]
-    for _ in range(newton_steps):
+    for _ in range(_MARGIN_NEWTON_STEPS):
         a, da = vecs(alpha)
         b, db = vecs(beta)
 
@@ -336,8 +341,9 @@ class ElasticityField:
     def __call__(self, points) -> np.ndarray:
         return self.action(np.asarray(points, dtype=float))
 
-    def check_bounds_at(self, points, tol: float = 1e-9):
-        """Verify the declared Sym bounds at the sampled points.
+    def check_bounds_at(self, points):
+        """Verify the declared Sym bounds at the sampled points, up to a slack
+        of 1e-9 max(mue, 1).
 
         Raises BoundsViolated naming the worst offender; returns the sampled
         (min, max) eigenvalue range when the certificate holds.
@@ -348,7 +354,7 @@ class ElasticityField:
         m = 0.5 * (m + np.swapaxes(m, -1, -2))
         ev = np.linalg.eigvalsh(m)
         lo, hi = float(ev[..., 0].min()), float(ev[..., -1].max())
-        slack = tol * max(self.mue, 1.0)
+        slack = 1e-9 * max(self.mue, 1.0)
         if lo < self.mu0 - slack or hi > self.mue + slack:
             k = int(np.argmin(ev[..., 0])) if lo < self.mu0 - slack else int(np.argmax(ev[..., -1]))
             raise BoundsViolated(

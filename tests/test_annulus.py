@@ -5,12 +5,12 @@ from stokes_lab.annulus import (
     VariationalProblem,
     _assemble_stiffness,
     _comparison_solver,
+    _force_vector,
     _grad_q_norm,
     _reduced_system,
     _rotation_equivariant,
     _sparse_lu,
     bump_force,
-    caccioppoli_check,
     contraction_solve,
     decay_exponent_fit,
     energy_identity_residual,
@@ -150,6 +150,46 @@ class TestAssembly:
             assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max(), name
             assert np.all(K.data != 0), name
 
+    @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
+    def test_reduced_system_matches_mask_formula(self, kind):
+        """The free DOFs as one slice of rings give the bit-identical K_ff and
+        rhs of the boolean-mask selection written out here, for a
+        theta-dependent material with inner data, outer data and a force."""
+        grid = PolarGrid(16.0, 24, 48)
+        rng = np.random.default_rng(11)
+        prob = VariationalProblem(
+            field=random_scalar_field(1.0, 2.0, rng),
+            inner_data=rng.normal(size=(grid.n_theta, 2)),
+            outer_kind=kind,
+            outer_data=rng.normal(size=(grid.n_theta, 2)),
+            force=bump_force(rng.normal(size=4), 16.0),
+        )
+        action = prob.field(grid.qp_points)
+        Kff, rhs, free, vals = _reduced_system(prob, grid, action)
+
+        fixed = np.zeros(2 * grid.n_nodes, dtype=bool)
+        ref_vals = np.zeros(2 * grid.n_nodes)
+        rings = [(0, prob.inner_data)]
+        if kind == "dirichlet":
+            rings.append((grid.n_r - 1, prob.outer_data))
+        for ring, data in rings:
+            ids = grid.node_id(ring, np.arange(grid.n_theta))
+            fixed[2 * ids] = fixed[2 * ids + 1] = True
+            ref_vals[2 * ids] = data[:, 0]
+            ref_vals[2 * ids + 1] = data[:, 1]
+        K = _assemble_stiffness(grid, action)
+        b = _force_vector(grid, prob.force)
+        K_f = K[~fixed]
+        ref_rhs = b[~fixed] - K_f[:, fixed] @ ref_vals[fixed]
+        ref_K = K_f[:, ~fixed].tocsc()
+
+        assert np.array_equal(Kff.indptr, ref_K.indptr)
+        assert np.array_equal(Kff.indices, ref_K.indices)
+        assert np.array_equal(Kff.data, ref_K.data)
+        assert np.array_equal(rhs, ref_rhs)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(np.arange(2 * grid.n_nodes)[free], np.nonzero(~fixed)[0])
+
 
 class TestComparisonSolve:
     """The FFT-in-theta inverse of the C0 = scale * Id_Lin stiffness."""
@@ -161,7 +201,7 @@ class TestComparisonSolve:
         prob = VariationalProblem(field=constant_field(ISO.tensor()), outer_kind=kind)
         c0 = np.broadcast_to(1.7 * ID_LIN, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
         lu = _sparse_lu(_reduced_system(prob, grid, c0)[0])
-        green0 = _comparison_solver(grid, kind, 1.7)
+        green0 = _comparison_solver(prob, grid, 1.7)
         rng = np.random.default_rng(nr + nt)
         for _ in range(3):
             b = rng.normal(size=lu.shape[0])
@@ -173,8 +213,9 @@ class TestComparisonSolve:
         qp = grid._quadrature()
         qp["grad"] = qp["grad"].copy()
         qp["grad"][0, 0, 0] *= 1.1      # breaks theta -> -theta in the first cell
+        prob = VariationalProblem(field=constant_field(ISO.tensor()))
         with pytest.raises(NotCirculant):
-            _comparison_solver(grid, "dirichlet", 1.0)
+            _comparison_solver(prob, grid, 1.0)
 
 
 class TestSolveAnnulus:
@@ -247,10 +288,10 @@ class TestSolveAnnulus:
             with pytest.raises(ValueError, match="r_max / 2"):
                 solve(prob, PolarGrid(8.0, 16, 32))
 
-    def test_singular_system_diverges(self, monkeypatch):
+    def test_singular_system_diverges(self, sparse_lu_calls):
         """Both solve paths: a zero material is rotation-equivariant (Fourier
         path), one that is zero on a quadrant only is not (SuperLU path)."""
-        lu_calls = count_sparse_lu(monkeypatch)
+        lu_calls = sparse_lu_calls
 
         def zero(p):
             return np.zeros(np.asarray(p).shape[:-1] + (2, 2, 2, 2))
@@ -278,20 +319,6 @@ def radial_scalar_field():
     )
 
 
-def count_sparse_lu(monkeypatch) -> list:
-    """Shapes of the matrices solve_annulus hands to SuperLU from now on."""
-    import stokes_lab.annulus as annulus
-
-    calls = []
-
-    def counting(K):
-        calls.append(K.shape)
-        return _sparse_lu(K)
-
-    monkeypatch.setattr(annulus, "_sparse_lu", counting)
-    return calls
-
-
 class TestFourierSolve:
     """solve_annulus on rotation-equivariant materials: one real FFT in theta
     and a 2x2 block-tridiagonal sweep per angular mode, against SuperLU on
@@ -308,8 +335,8 @@ class TestFourierSolve:
     @pytest.mark.parametrize("material", sorted(MATERIALS))
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
-    def test_matches_superlu(self, nr, nt, kind, material, monkeypatch):
-        lu_calls = count_sparse_lu(monkeypatch)
+    def test_matches_superlu(self, nr, nt, kind, material, sparse_lu_calls):
+        lu_calls = sparse_lu_calls
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
         prob = VariationalProblem(
@@ -327,11 +354,11 @@ class TestFourierSolve:
         ref[free] = _sparse_lu(Kff).solve(rhs)
         assert np.abs(u.flat() - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_path_choice(self, monkeypatch):
+    def test_path_choice(self, sparse_lu_calls):
         """Equivariant materials never reach SuperLU; a theta-dependent one,
         or the counter-example perturbed in one theta-column of cells by
         1e-9, takes exactly one factorization."""
-        lu_calls = count_sparse_lu(monkeypatch)
+        lu_calls = sparse_lu_calls
         grid = PolarGrid(16.0, 24, 48)
         base = degiorgi_tensor(2.0, "lin")
         lo, hi = grid.thetas[5], grid.thetas[6]
@@ -385,6 +412,28 @@ class TestEnergyProfiles:
                 * (Rk ** (-2 * eps) - 64.0 ** (-2 * eps)) / (2 * eps)
             )
             assert abs(prof.Q[k] - q_oracle) <= 0.01 * q_oracle
+
+    def test_exterior_variant_ratio_bounded(self):
+        """Decaying fields also satisfy the boundary-free exterior bound
+        int_{r>2R} |grad u|^2 <= c R^-2 int_{T_R} |u|^2 with stable c."""
+        dec, _ = degiorgi_problem(2.0, 64.0, coef=(0.0, 1.0))
+        grid = PolarGrid(64.0, 96, 192)
+        u = DiscreteField.sample(grid, dec.displacement)
+        g = u.gradient_at_qp()
+        grad_sq = np.sum(g * g, axis=(-2, -1))
+        vals_sq = np.sum(u.values_at_qp() ** 2, axis=-1)
+        ring_grad = (np.sum(grad_sq * grid.qp_weights, axis=-1)
+                     .reshape(grid.n_r - 1, grid.n_theta).sum(axis=1))
+        ring_vals = (np.sum(vals_sq * grid.qp_weights, axis=-1)
+                     .reshape(grid.n_r - 1, grid.n_theta).sum(axis=1))
+        ratios = []
+        for R in (4.0, 8.0, 16.0):
+            kR = grid.nearest_ring(R)
+            k2R = grid.nearest_ring(2.0 * R)
+            lhs = ring_grad[k2R:].sum()
+            rhs = ring_vals[kR:k2R].sum() / grid.radii[kR] ** 2
+            ratios.append(lhs / rhs)
+        assert max(ratios) / min(ratios) < 2.0
 
 
 class TestGrowthMonotonicity:
@@ -442,84 +491,6 @@ class TestGrowthMonotonicity:
             assert rep.worst_g_violation <= 0.01
 
 
-class TestCaccioppoli:
-    def test_bounded_ratio_decaying_branch(self):
-        xi = 2.0
-        dec, prob = degiorgi_problem(xi, 64.0, coef=(0.0, 1.0))
-        grid = PolarGrid(64.0, 96, 192)
-        u = DiscreteField.sample(grid, dec.displacement)
-        ratios = [caccioppoli_check(u, prob, R).ratio for R in (4.0, 8.0, 16.0, 32.0)]
-        assert np.all(np.isfinite(ratios))
-        assert max(ratios) / min(ratios) < 3.0
-        assert max(ratios) < 10.0
-
-    def test_sigma_matches_hand_value(self):
-        """sigma for the decaying branch at xi=2: 2 pi (4 eps - 1); the ring
-        stencils converge to it at second order."""
-        xi = 2.0
-        dec, prob = degiorgi_problem(xi, 64.0, coef=(0.0, 1.0))
-        expect = 2 * np.pi * (4 * epsilon(xi) - 1.0)
-        errs = []
-        for nr, nt in ((96, 192), (192, 384)):
-            grid = PolarGrid(64.0, nr, nt)
-            u = DiscreteField.sample(grid, dec.displacement)
-            errs.append(abs(caccioppoli_check(u, prob, 8.0).sigma - expect) / expect)
-        assert errs[-1] <= 2e-3
-        assert np.log2(errs[0] / errs[1]) > 1.5
-
-    def test_zero_field_degenerate(self):
-        grid = PolarGrid(16.0, 24, 48)
-        prob = VariationalProblem(field=constant_field(ISO.tensor()))
-        rep = caccioppoli_check(DiscreteField.zeros(grid), prob, 4.0)
-        assert rep.degenerate
-
-    def test_refinement_stability(self):
-        fs = FundamentalSolution.isotropic(ISO)
-
-        def exact(p):
-            return fs(np.asarray(p) - np.array([0.2, 0.1])) @ np.array([1.0, 0.0])
-
-        vals = []
-        for nr, nt in ((48, 96), (96, 192)):
-            grid = PolarGrid(64.0, nr, nt)
-            prob = VariationalProblem(
-                field=constant_field(ISO.tensor()),
-                inner_data=ring_data(exact),
-                outer_data=outer_ring_data(exact, 64.0),
-            )
-            u = solve_annulus(prob, grid)
-            vals.append(caccioppoli_check(u, prob, 8.0).ratio)
-        assert abs(vals[1] - vals[0]) <= 0.10 * abs(vals[0])
-
-    def test_radius_out_of_grid(self):
-        grid = PolarGrid(16.0, 24, 48)
-        prob = VariationalProblem(field=constant_field(ISO.tensor()))
-        with pytest.raises(RadiusOutOfGrid):
-            caccioppoli_check(DiscreteField.zeros(grid), prob, 12.0)
-
-    def test_exterior_variant_ratio_bounded(self):
-        """Decaying fields also satisfy the boundary-free exterior bound
-        int_{r>2R} |grad u|^2 <= c R^-2 int_{T_R} |u|^2 with stable c."""
-        dec, _ = degiorgi_problem(2.0, 64.0, coef=(0.0, 1.0))
-        grid = PolarGrid(64.0, 96, 192)
-        u = DiscreteField.sample(grid, dec.displacement)
-        g = u.gradient_at_qp()
-        grad_sq = np.sum(g * g, axis=(-2, -1))
-        vals_sq = np.sum(u.values_at_qp() ** 2, axis=-1)
-        ring_grad = (np.sum(grad_sq * grid.qp_weights, axis=-1)
-                     .reshape(grid.n_r - 1, grid.n_theta).sum(axis=1))
-        ring_vals = (np.sum(vals_sq * grid.qp_weights, axis=-1)
-                     .reshape(grid.n_r - 1, grid.n_theta).sum(axis=1))
-        ratios = []
-        for R in (4.0, 8.0, 16.0):
-            kR = grid.nearest_ring(R)
-            k2R = grid.nearest_ring(2.0 * R)
-            lhs = ring_grad[k2R:].sum()
-            rhs = ring_vals[kR:k2R].sum() / grid.radii[kR] ** 2
-            ratios.append(lhs / rhs)
-        assert max(ratios) / min(ratios) < 2.0
-
-
 class TestEnergyIdentity:
     def test_zero_field(self):
         grid = PolarGrid(16.0, 24, 48)
@@ -553,6 +524,12 @@ class TestEnergyIdentity:
         )
         u = solve_annulus(prob, grid)
         assert energy_identity_residual(u, prob, 16.0) <= 0.01
+
+    def test_radius_below_first_ring(self):
+        grid = PolarGrid(16.0, 24, 48)
+        prob = VariationalProblem(field=constant_field(ISO.tensor()))
+        with pytest.raises(RadiusOutOfGrid):
+            energy_identity_residual(DiscreteField.zeros(grid), prob, 1.0)
 
 
 class TestNetTraction:

@@ -48,6 +48,19 @@ class TestValidate:
                                       contrast_bounds="1,1.2", seed=1))
         validate(ExperimentConfig(kind="contraction", contrast_bounds="1,1.2", seed=1))
 
+    def test_contraction_rejects_unused_material(self, tmp_path, capsys):
+        """contraction reads no iso: material, so naming one is an error, not
+        a silent run of the counter-example tensor."""
+        with pytest.raises(ConfigInvalid, match="material"):
+            validate(ExperimentConfig(kind="contraction", material="iso:5,3", seed=1))
+        for material in ("", ExperimentConfig.material, "table:scales.csv"):
+            validate(ExperimentConfig(kind="contraction", material=material, seed=1))
+        code = main(["contraction", "--material", "iso:5,3", "--grid", "24x48", "--rmax", "24",
+                     "--seed", "1", "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "material:" in capsys.readouterr().err
+        assert not (tmp_path / "contraction").exists()
+
     def test_pure(self):
         for cfg in (ExperimentConfig(kind="paradox"),
                     ExperimentConfig(kind="basis", curve="ellipse:1,2")):
@@ -106,7 +119,7 @@ class TestRuns:
 
         monkeypatch.setattr(
             ineq, "wirtinger_check",
-            lambda u, radius=1.0, slack=0.0: WirtingerResult(lhs=2.0, rhs=1.0, ok=False),
+            lambda u, radius=1.0: WirtingerResult(lhs=2.0, rhs=1.0, ok=False),
         )
         rep = run(ExperimentConfig(kind="gym", check="wirtinger", trials=2, seed=1,
                                    outdir=str(tmp_path)))
@@ -114,6 +127,31 @@ class TestRuns:
         dumps = list((tmp_path / "gym").glob("failure_wirtinger_*.csv"))
         assert len(dumps) == 2
         assert dumps[0].read_text().startswith("sample\n")
+
+    def test_csv_writer_matches_per_cell_format(self, tmp_path):
+        """The one-`%` table formatting writes the bytes of a per-cell
+        f"{float(x):.17g}" (str for string columns), edge values included."""
+        from stokes_lab.cli import _write_csv
+
+        header = ["name", "n", "flag", "x", "y"]
+        columns = [
+            ["a", "bb", "c", "dd", "e"],
+            np.arange(5),
+            [True, False, True, True, False],
+            np.array([-0.0, 5e-324, 1e308, -1.5e-7, 0.1]),
+            [1, 2.5, np.float64(1 / 3), -7, 2**60 + 1],
+        ]
+        rows = zip(*columns)
+        expect = ",".join(header) + "\n" + "".join(
+            ",".join(v if isinstance(v, str) else f"{float(v):.17g}" for v in row) + "\n"
+            for row in rows
+        )
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), header, columns)
+        assert path.read_bytes() == expect.encode()
+
+        _write_csv(str(path), ["r", "dist"], [np.array([]), []])
+        assert path.read_bytes() == b"r,dist\n"
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -193,24 +231,14 @@ class TestRuns:
         ("contraction", {"contrast_bounds": "1,1.5", "seed": 7}, 1),
     ])
     def test_superlu_factorizations_per_annulus_run(self, kind, extra, n_lu, tmp_path,
-                                                    monkeypatch):
+                                                    sparse_lu_calls):
         """The counter-example is rotation-equivariant and takes the Fourier
         solve; the seeded random material takes one sparse LU, in the direct
         reference solve."""
-        from stokes_lab import annulus
-
-        calls = []
-        real_sparse_lu = annulus._sparse_lu
-
-        def counting_sparse_lu(K):
-            calls.append(K.shape)
-            return real_sparse_lu(K)
-
-        monkeypatch.setattr(annulus, "_sparse_lu", counting_sparse_lu)
         rep = run(ExperimentConfig(kind=kind, grid="24x48", rmax=24.0, outdir=str(tmp_path),
                                    **extra))
         assert rep.ok()
-        assert len(calls) == n_lu
+        assert len(sparse_lu_calls) == n_lu
 
     def test_table_lookup_is_blocked(self, tmp_path):
         """A 2000-row table on a 24x48 grid: the nearest-sample lookup stays
@@ -284,7 +312,7 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(
             ineq, "wirtinger_check",
-            lambda u, radius=1.0, slack=0.0: WirtingerResult(lhs=2.0, rhs=1.0, ok=False),
+            lambda u, radius=1.0: WirtingerResult(lhs=2.0, rhs=1.0, ok=False),
         )
         code = main(["gym", "--check", "wirtinger", "--trials", "2", "--seed", "1",
                      "--outdir", str(tmp_path)])
