@@ -1,16 +1,19 @@
 """Command-line front end: deterministic experiment runs with serialized outputs.
 
-Subcommands: paradox, basis, degiorgi, decay, contraction, gym.  Each run
-writes a JSON report plus CSV data series (floats at 17 significant digits,
-atomic rename) into --outdir.  Exit codes: 0 success, 1 usage/configuration
-error, 2 scientific-verdict failure.
+Subcommands: paradox, basis, degiorgi, decay, contraction, gym, each with one
+option per ExperimentConfig field it reads, plus --outdir.  Each run writes a
+JSON report plus CSV data series (floats at 17 significant digits, atomic
+rename) into --outdir.  Exit codes: 0 success, 1 usage/configuration error,
+2 scientific-verdict failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,9 +23,6 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ConfigInvalid, NotContracting
 
 __all__ = ["main", "ExperimentConfig", "validate", "run"]
-
-_EXPERIMENTS = ("paradox", "basis", "degiorgi", "decay", "contraction", "gym")
-_RANDOMIZED = ("decay", "contraction", "gym")
 
 
 @dataclass
@@ -42,49 +42,81 @@ class ExperimentConfig:
     outdir: str = "runs"
     notes: list = dc_field(default_factory=list)
 
-    def echo(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "notes"}
-        return d
+
+# -- field grammars: each maps a field's value to what the runner reads, adds
+# -- any note to `notes`, or raises ConfigInvalid naming the field
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _parse_numbers(text: str, what: str, count: int | None = 2) -> tuple[float, ...]:
+    """`count` comma-separated finite numbers (any positive count for None)."""
     try:
-        a, b = (float(x) for x in text.split(","))
-        return a, b
-    except Exception:
-        raise ConfigInvalid(f"{what}: expected 'a,b', got {text!r}") from None
+        nums = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        nums = ()
+    if not nums or len(nums) != (count or len(nums)) or not all(map(math.isfinite, nums)):
+        raise ConfigInvalid(f"{what}: expected {count or 'some'} comma-separated finite "
+                            f"numbers, got {text!r}")
+    return nums
+
+
+def _rule(ok, message: str):
+    """The parser that passes a value for which ok(value) holds."""
+
+    def parse(value, notes):
+        if not ok(value):
+            raise ConfigInvalid(f"{message}, got {value!r}")
+        return value
+
+    return parse
+
+
+_parse_nodes = _rule(lambda n: 16 <= n <= 2048 and n % 2 == 0,
+                     "nodes: need an even count in [16, 2048]")
+_parse_xi = _rule(lambda xi: xi != 0 and math.isfinite(xi), "xi: must be finite and nonzero "
+                  "(the counter-example tensor is undefined at xi = 0)")
+_parse_rmax = _rule(lambda r: 16 <= r < math.inf, "rmax: need a finite value of at least 16 "
+                    "so the fit window [2, rmax/4] spans an octave")
+_parse_check = _rule(lambda c: c in ("wirtinger", "hardy", "korn", "all"),
+                     "check: need wirtinger, hardy, korn or all")
+_parse_trials = _rule(lambda t: t >= 1, "trials: must be positive")
+_parse_seed = _rule(lambda s: s is not None and s >= 0,
+                    "seed: a non-negative seed is mandatory for a randomized experiment")
 
 
 def _parse_curve(spec: str, notes: list):
+    """The function of the node count that builds the curve `spec` names."""
     kind, _, rest = spec.partition(":")
     if kind == "circle":
-        try:
-            a = float(rest)
-        except ValueError:
-            raise ConfigInvalid(f"curve: circle radius not a number in {spec!r}") from None
-        if a <= 0:
+        args = _parse_numbers(rest, "curve: circle", 1)
+        if args[0] <= 0:
             raise ConfigInvalid("curve: circle radius must be positive")
-        return ("circle", (a,))
-    if kind == "ellipse":
-        a, b = _parse_pair(rest, "curve: ellipse")
+    elif kind == "ellipse":
+        a, b = _parse_numbers(rest, "curve: ellipse")
         if a <= 0 or b <= 0:
             raise ConfigInvalid("curve: ellipse semi-axes must be positive")
         if b > a:
             a, b = b, a
             notes.append(f"ellipse axes normalized to a >= b: ({a}, {b})")
-        return ("ellipse", (a, b))
-    if kind == "rounded-square":
-        h, r = _parse_pair(rest, "curve: rounded-square")
-        if h <= 0 or r <= 0 or r >= h:
+        args = (a, b)
+    elif kind == "rounded-square":
+        args = _parse_numbers(rest, "curve: rounded-square")
+        if args[0] <= 0 or args[1] <= 0 or args[1] >= args[0]:
             raise ConfigInvalid("curve: rounded-square needs 0 < radius < half_side")
-        return ("rounded-square", (h, r))
-    raise ConfigInvalid(f"curve: unknown kind {kind!r}")
+    else:
+        raise ConfigInvalid(f"curve: unknown kind {kind!r}")
+
+    def build(n: int):
+        from .curves import BoundaryCurve
+
+        return getattr(BoundaryCurve, kind.replace("-", "_"))(*args, n=n)
+
+    return build
 
 
-def _parse_material(spec: str):
+def _parse_material(spec: str, notes: list) -> tuple[float, float]:
     kind, _, rest = spec.partition(":")
     if kind == "iso":
-        lam, mu = _parse_pair(rest, "material: iso")
+        lam, mu = _parse_numbers(rest, "material: iso")
         if mu <= 0 or lam < 0:
             raise ConfigInvalid("material: need mu > 0 and lambda >= 0")
         return lam, mu
@@ -92,7 +124,29 @@ def _parse_material(spec: str):
                         "need a constant material iso:lambda,mu")
 
 
-def _parse_grid(spec: str) -> tuple[int, int]:
+def _parse_table(spec: str, notes: list) -> str | None:
+    """contraction's material: the path of a table:<csv>, or None when the
+    material is left unset ("" or the default)."""
+    if spec in ("", ExperimentConfig.material):
+        return None
+    kind, _, path = spec.partition(":")
+    if kind != "table" or not path:
+        raise ConfigInvalid(f"material: contraction takes only table:<csv>, got {spec!r}; the "
+                            "counter-example tensor is set by xi, a random field by "
+                            "contrast_bounds")
+    return path
+
+
+def _parse_bounds(spec: str, notes: list) -> tuple[float, float] | None:
+    if not spec:
+        return None
+    lo, hi = _parse_numbers(spec, "contrast_bounds")
+    if not (0 < lo <= hi):
+        raise ConfigInvalid("contrast_bounds: need 0 < lo <= hi")
+    return lo, hi
+
+
+def _parse_grid(spec: str, notes: list) -> tuple[int, int]:
     try:
         nr, nt = (int(x) for x in spec.lower().split("x"))
     except Exception:
@@ -102,52 +156,43 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     return nr, nt
 
 
-def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    """The parsed specs the experiment reads, and the run's notes; raises
-    ConfigInvalid with a field-precise message.  cfg is left as it is."""
-    spec, notes = {}, list(cfg.notes)
-    if cfg.kind not in _EXPERIMENTS:
-        raise ConfigInvalid(f"kind: unknown experiment {cfg.kind!r}")
-    if cfg.kind in _RANDOMIZED and cfg.seed is None:
-        raise ConfigInvalid(f"seed: mandatory for the randomized experiment {cfg.kind!r}")
-    if cfg.kind in ("paradox", "basis", "decay"):
-        spec["curve"] = _parse_curve(cfg.curve, notes)
-        spec["moduli"] = _parse_material(cfg.material)
-        if not (16 <= cfg.nodes <= 2048) or cfg.nodes % 2:
-            raise ConfigInvalid("nodes: need an even count in [16, 2048]")
-    if cfg.kind in ("degiorgi", "contraction"):
-        if cfg.xi == 0:
-            raise ConfigInvalid("xi: must be nonzero (the counter-example tensor "
-                                "is undefined at xi = 0)")
-        spec["grid"] = _parse_grid(cfg.grid)
-        if cfg.rmax < 16:
-            raise ConfigInvalid("rmax: need at least 16 so the fit window [2, rmax/4] "
-                                "spans an octave")
-    if cfg.kind == "gym":
-        if cfg.check not in ("wirtinger", "hardy", "korn", "all"):
-            raise ConfigInvalid(f"check: unknown inequality {cfg.check!r}")
-        if cfg.trials < 1:
-            raise ConfigInvalid("trials: must be positive")
-    if (cfg.kind == "contraction" and cfg.material not in ("", ExperimentConfig.material)
-            and not cfg.material.startswith("table:")):
-        raise ConfigInvalid(f"material: contraction takes only table:<csv>, got "
-                            f"{cfg.material!r}; the counter-example tensor is set by xi, "
-                            "a random field by contrast_bounds")
-    if cfg.kind == "contraction" and cfg.contrast_bounds:
-        if cfg.material.startswith("table:"):
-            raise ConfigInvalid("material, contrast_bounds: a tabulated material sets its "
-                                "own bounds; give one or the other")
-        lo, hi = _parse_pair(cfg.contrast_bounds, "contrast_bounds")
-        if not (0 < lo <= hi):
-            raise ConfigInvalid("contrast_bounds: need 0 < lo <= hi")
-        spec["bounds"] = lo, hi
-    return spec, notes
+def _parse_data(spec: str, notes: list):
+    """The function of the curve that gives the nodal boundary data `spec`
+    names; a file: profile is read when that function runs."""
+    import numpy as np
 
+    kind, _, rest = spec.partition(":")
+    if kind == "const":
+        c = _parse_numbers(rest, "data: const")
+        return lambda curve: np.tile(c, (curve.n, 1))
+    if kind == "tangent" and not rest:
+        return lambda curve: np.stack([-np.sin(curve.t), np.cos(curve.t)], axis=-1)
+    if kind == "fourier":
+        coefs = _parse_numbers(rest, "data: fourier", None)
 
-def validate(cfg: ExperimentConfig) -> list[str]:
-    """Pure validation: the run's notes, or ConfigInvalid with a
-    field-precise message."""
-    return _parse(cfg)[1]
+        def fourier(curve):
+            u = np.zeros((curve.n, 2))
+            for k, c in enumerate(coefs, start=1):
+                u[:, 0] += c * np.cos(k * curve.t)
+                u[:, 1] += c * np.sin(k * curve.t)
+            return u
+
+        return fourier
+    if kind == "file" and rest:
+
+        def from_file(curve):
+            # CSV of nodal values: header u1,u2 and one row per quadrature node
+            arr = _read_csv(rest, "data")
+            if arr.shape != (curve.n, 2):
+                raise ConfigInvalid(
+                    f"data: file {rest!r} holds {arr.shape}, expected ({curve.n}, 2) "
+                    "nodal values matching --nodes"
+                )
+            return arr
+
+        return from_file
+    raise ConfigInvalid(f"data: unknown profile {spec!r}; need const:cx,cy, tangent, "
+                        "fourier:c1,c2,... or file:<csv>")
 
 
 # -- output helpers ------------------------------------------------------------
@@ -210,18 +255,7 @@ class RunReport:
         return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
 
 
-# -- experiment bodies -----------------------------------------------------------
-
-
-def _build_curve(cfg: ExperimentConfig, spec: dict):
-    from .curves import BoundaryCurve
-
-    kind, args = spec["curve"]
-    if kind == "circle":
-        return BoundaryCurve.circle(args[0], n=cfg.nodes)
-    if kind == "ellipse":
-        return BoundaryCurve.ellipse(args[0], args[1], n=cfg.nodes)
-    return BoundaryCurve.rounded_square(args[0], args[1], n=cfg.nodes)
+# -- experiment bodies: each reads only the parsed fields in `spec` -------------
 
 
 def _read_csv(path: str, what: str):
@@ -237,82 +271,27 @@ def _read_csv(path: str, what: str):
     return arr
 
 
-def _boundary_data(cfg: ExperimentConfig, curve):
-    import numpy as np
-
-    spec = cfg.data
-    kind, _, rest = spec.partition(":")
-    n = curve.n
-    if kind == "const":
-        cx, cy = _parse_pair(rest, "data: const")
-        return np.tile([cx, cy], (n, 1))
-    if kind == "tangent":
-        return np.stack([-np.sin(curve.t), np.cos(curve.t)], axis=-1)
-    if kind == "fourier":
-        try:
-            coefs = [float(x) for x in rest.split(",")]
-        except Exception:
-            raise ConfigInvalid(f"data: bad fourier coefficients {rest!r}") from None
-        u = np.zeros((n, 2))
-        for k, c in enumerate(coefs, start=1):
-            u[:, 0] += c * np.cos(k * curve.t)
-            u[:, 1] += c * np.sin(k * curve.t)
-        return u
-    if kind == "file":
-        # CSV of nodal values: header u1,u2 and one row per quadrature node
-        arr = _read_csv(rest, "data")
-        if arr.shape != (n, 2):
-            raise ConfigInvalid(
-                f"data: file {rest!r} holds {arr.shape}, expected ({n}, 2) "
-                "nodal values matching --nodes"
-            )
-        return arr
-    raise ConfigInvalid(f"data: unknown profile {kind!r}")
-
-
-# point-sample pairs whose distances the table lookup forms at once
-_TABLE_BLOCK_PAIRS = 1 << 18
-
-
 def _table_material(path: str):
-    """Tabulated scalar stiffness: CSV header r,theta,scale; nearest-sample
-    lookup, one block of points at a time; Lin bounds certified by the
-    tabulated extremes."""
-    import numpy as np
-
-    from .tensors import scalar_field
+    """The tabulated scalar stiffness of a CSV with header r,theta,scale."""
+    from .tensors import tabulated_scalar_field
 
     arr = _read_csv(path, "material")
     if arr.shape[1] != 3 or arr.shape[0] < 1:
         raise ConfigInvalid("material: table needs columns r,theta,scale")
-    scales = arr[:, 2]
-    if scales.min() <= 0:
+    if arr[:, 2].min() <= 0:
         raise ConfigInvalid("material: tabulated scales must be positive")
-    tab_pts = np.stack([arr[:, 0] * np.cos(arr[:, 1]), arr[:, 0] * np.sin(arr[:, 1])], axis=-1)
-
-    rows = max(_TABLE_BLOCK_PAIRS // len(tab_pts), 1)
-
-    def nearest(pts):
-        flat = pts.reshape(-1, 2)
-        idx = np.empty(len(flat), dtype=np.intp)
-        for lo in range(0, len(flat), rows):
-            d2s = np.sum((flat[lo:lo + rows, None, :] - tab_pts[None, :, :]) ** 2, axis=-1)
-            idx[lo:lo + rows] = np.argmin(d2s, axis=1)
-        return scales[idx].reshape(pts.shape[:-1])
-
-    return scalar_field(nearest, float(scales.min()), float(scales.max()),
-                        name="tabulated-scalar")
+    return tabulated_scalar_field(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
-def _run_paradox(cfg: ExperimentConfig, spec: dict, out: dict):
+def _run_paradox(spec: dict, out: dict):
     import numpy as np
 
     from . import bem
     from .tensors import IsotropicModuli
 
-    curve = _build_curve(cfg, spec)
-    data = _boundary_data(cfg, curve)
-    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["moduli"]))
+    curve = spec["curve"](spec["nodes"])
+    data = spec["data"](curve)
+    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["material"]))
     basis = bem.equilibrium_basis(op)
     residual = bem.paradox_residual(data, basis)
     sol = bem.solve_dirichlet(op, data)
@@ -338,14 +317,14 @@ def _run_paradox(cfg: ExperimentConfig, spec: dict, out: dict):
     )
 
 
-def _run_basis(cfg: ExperimentConfig, spec: dict, out: dict):
+def _run_basis(spec: dict, out: dict):
     import numpy as np
 
     from . import bem
     from .tensors import IsotropicModuli
 
-    curve = _build_curve(cfg, spec)
-    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["moduli"]))
+    curve = spec["curve"](spec["nodes"])
+    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["material"]))
     basis = bem.equilibrium_basis(op)
     det = float(np.linalg.det(basis.totals))
     out["verdicts"].append(
@@ -368,7 +347,7 @@ def _run_basis(cfg: ExperimentConfig, spec: dict, out: dict):
     out["files"]["basis.csv"] = (header, cols)
 
 
-def _run_degiorgi(cfg: ExperimentConfig, spec: dict, out: dict):
+def _run_degiorgi(spec: dict, out: dict):
     import numpy as np
 
     from .annulus import (
@@ -382,8 +361,8 @@ def _run_degiorgi(cfg: ExperimentConfig, spec: dict, out: dict):
     from .polar import DiscreteField, PolarGrid, relative_l2_error
     from .tensors import gamma_exponent
 
-    xi = cfg.xi
-    grid = PolarGrid(cfg.rmax, *spec["grid"])
+    xi, rmax = spec["xi"], spec["rmax"]
+    grid = PolarGrid(rmax, *spec["grid"])
     sol = closed_form(CounterexampleParams(xi, 1.0, -1.0))
     fld = degiorgi_tensor(xi)
     prob = VariationalProblem(
@@ -391,7 +370,7 @@ def _run_degiorgi(cfg: ExperimentConfig, spec: dict, out: dict):
         inner_data=None,
         outer_kind="dirichlet",
         outer_data=lambda th: sol.displacement(
-            np.stack([cfg.rmax * np.cos(th), cfg.rmax * np.sin(th)], axis=-1)
+            np.stack([rmax * np.cos(th), rmax * np.sin(th)], axis=-1)
         ),
     )
     u = solve_annulus(prob, grid)
@@ -402,7 +381,7 @@ def _run_degiorgi(cfg: ExperimentConfig, spec: dict, out: dict):
     # ladder densifies on short grids so the regression keeps >= 5 radii
     dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
     u_dec = DiscreteField.sample(grid, dec.displacement)
-    hi = cfg.rmax / 4.0
+    hi = rmax / 4.0
     n_pts = max(5, 2 * int(np.log2(max(hi / 2.0, 2.0))) + 1)
     ladder = np.geomspace(2.0, hi, n_pts)
     fit = decay_exponent_fit(u_dec, radii=ladder)
@@ -424,21 +403,18 @@ def _run_degiorgi(cfg: ExperimentConfig, spec: dict, out: dict):
         ["r", "theta", "u1", "u2", "u1_exact", "u2_exact"],
         [rr, tt, u.flat()[0::2], u.flat()[1::2], exact.flat()[0::2], exact.flat()[1::2]],
     )
-    out["files"]["profiles.csv"] = (
-        ["R", "G", "Q"],
-        [prof.radii, prof.G, prof.Q],
-    )
+    out["files"]["profiles.csv"] = (["R", "G", "Q"], [prof.radii, prof.G, prof.Q])
 
 
-def _run_decay(cfg: ExperimentConfig, spec: dict, out: dict):
+def _run_decay(spec: dict, out: dict):
     import numpy as np
 
     from . import bem
     from .tensors import IsotropicModuli
 
-    curve = _build_curve(cfg, spec)
-    psi_star = bem.zero_total_density(curve, np.random.default_rng(cfg.seed))
-    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["moduli"]))
+    curve = spec["curve"](spec["nodes"])
+    psi_star = bem.zero_total_density(curve, np.random.default_rng(spec["seed"]))
+    op = bem.assemble_single_layer(curve, IsotropicModuli(*spec["material"]))
     sol = bem.solve_dirichlet(op, op.apply(psi_star))
 
     radii = np.geomspace(10.0, 1000.0, 9)
@@ -448,7 +424,9 @@ def _run_decay(cfg: ExperimentConfig, spec: dict, out: dict):
         pts = np.stack([r * np.cos(angles), r * np.sin(angles)], axis=-1)
         vals = bem.evaluate(sol, pts)
         dist[i] = np.linalg.norm(vals - sol.kappa, axis=-1).max()
-    slope = float(np.polyfit(np.log(radii), np.log(dist), 1)[0])
+    # the r^-2 term still bends the log-log line out to r ~ 100 (slopes off
+    # by 0.07 on a 2x1 ellipse): fit the outer three radii, r >= 316
+    slope = float(np.polyfit(np.log(radii[6:]), np.log(dist[6:]), 1)[0])
     kap = float(np.abs(sol.kappa).max())
     out["verdicts"] += [
         _verdict("far_field_slope", "alpha", slope, 0.05, abs(slope + 1.0) <= 0.05),
@@ -458,7 +436,7 @@ def _run_decay(cfg: ExperimentConfig, spec: dict, out: dict):
     out["files"]["decay.csv"] = (["r", "dist"], [radii, dist])
 
 
-def _run_contraction(cfg: ExperimentConfig, spec: dict, out: dict):
+def _run_contraction(spec: dict, out: dict):
     import numpy as np
 
     from .annulus import VariationalProblem, bump_force, contraction_solve, solve_annulus
@@ -466,17 +444,18 @@ def _run_contraction(cfg: ExperimentConfig, spec: dict, out: dict):
     from .polar import PolarGrid
     from .tensors import random_scalar_field
 
-    grid = PolarGrid(cfg.rmax, *spec["grid"])
-    if cfg.material.startswith("table:"):
-        fld = _table_material(cfg.material.partition(":")[2])
-    elif cfg.contrast_bounds:
-        fld = random_scalar_field(*spec["bounds"], np.random.default_rng(cfg.seed))
+    rmax = spec["rmax"]
+    grid = PolarGrid(rmax, *spec["grid"])
+    if spec["material"] is not None:
+        fld = _table_material(spec["material"])
+    elif spec["contrast_bounds"] is not None:
+        fld = random_scalar_field(*spec["contrast_bounds"], np.random.default_rng(spec["seed"]))
     else:
-        fld = restricted_tensor(cfg.xi, 2.0, max(cfg.rmax / 4.0, 4.0))
-    amp = np.random.default_rng(cfg.seed).normal(size=4)
+        fld = restricted_tensor(spec["xi"], 2.0, max(rmax / 4.0, 4.0))
+    amp = np.random.default_rng(spec["seed"]).normal(size=4)
 
     prob = VariationalProblem(field=fld, inner_data=None, outer_kind="dirichlet",
-                              force=bump_force(amp, cfg.rmax))
+                              force=bump_force(amp, rmax))
     u_fix, rep = contraction_solve(prob, grid)
     u_dir = solve_annulus(prob, grid, check_bounds=False)
     agree = float(
@@ -495,16 +474,16 @@ def _run_contraction(cfg: ExperimentConfig, spec: dict, out: dict):
     out["files"]["factors.csv"] = (["iteration", "factor"], [iters, rep.factors])
 
 
-def _run_gym(cfg: ExperimentConfig, spec: dict, out: dict):
+def _run_gym(spec: dict, out: dict):
     import numpy as np
 
     from . import inequalities
 
-    rng = np.random.default_rng(cfg.seed)
-    checks = tuple(inequalities.TRIALS) if cfg.check == "all" else (cfg.check,)
+    rng = np.random.default_rng(spec["seed"])
+    checks = tuple(inequalities.TRIALS) if spec["check"] == "all" else (spec["check"],)
     rows = []
     for name in checks:
-        for k in range(cfg.trials):
+        for k in range(spec["trials"]):
             trial = inequalities.TRIALS[name](rng)
             rows.append((name, k, trial.lhs, trial.rhs, trial.ok))
             if not trial.ok:
@@ -518,14 +497,53 @@ def _run_gym(cfg: ExperimentConfig, spec: dict, out: dict):
     out["files"]["trials.csv"] = (["check", "trial", "lhs", "rhs", "ok"], list(zip(*rows)))
 
 
-_RUNNERS = {
-    "paradox": _run_paradox,
-    "basis": _run_basis,
-    "degiorgi": _run_degiorgi,
-    "decay": _run_decay,
-    "contraction": _run_contraction,
-    "gym": _run_gym,
+# Each experiment's runner and the ExperimentConfig fields it reads, each with
+# the parser of its grammar: the one statement of what an experiment takes.
+# The parser, validation and the report's config echo all derive from it.
+_BOUNDARY = {"curve": _parse_curve, "material": _parse_material, "nodes": _parse_nodes}
+_ANNULUS = {"xi": _parse_xi, "grid": _parse_grid, "rmax": _parse_rmax}
+_EXPERIMENTS = {
+    "paradox": (_run_paradox, {**_BOUNDARY, "data": _parse_data}),
+    "basis": (_run_basis, _BOUNDARY),
+    "degiorgi": (_run_degiorgi, _ANNULUS),
+    "decay": (_run_decay, {**_BOUNDARY, "seed": _parse_seed}),
+    "contraction": (_run_contraction, {**_ANNULUS, "contrast_bounds": _parse_bounds,
+                                       "material": _parse_table, "seed": _parse_seed}),
+    "gym": (_run_gym, {"check": _parse_check, "trials": _parse_trials, "seed": _parse_seed}),
 }
+
+
+def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
+    """The parsed value of each field the experiment reads (None for a
+    contraction material source the run does not use), and the run's notes;
+    raises ConfigInvalid with a field-precise message.  cfg is left as it is."""
+    if cfg.kind not in _EXPERIMENTS:
+        raise ConfigInvalid(f"kind: unknown experiment {cfg.kind!r}")
+    reads = _EXPERIMENTS[cfg.kind][1]
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name not in (*reads, "kind", "outdir", "notes") and value != f.default:
+            raise ConfigInvalid(f"{f.name}: {cfg.kind} does not read it, got {value!r}")
+    notes = list(cfg.notes)
+    spec = {name: parse(getattr(cfg, name), notes) for name, parse in reads.items()}
+    if cfg.kind == "contraction":
+        # one material source: a table, a random field or the restricted
+        # counter-example tensor of xi (the default)
+        given = [f for f in ("material", "contrast_bounds", "xi")
+                 if spec[f] is not None and getattr(cfg, f) != getattr(ExperimentConfig, f)]
+        if len(given) > 1:
+            raise ConfigInvalid(f"{', '.join(given)}: contraction takes one material source, "
+                                "a table:<csv> material, contrast_bounds or xi")
+        for f in ("material", "contrast_bounds", "xi"):
+            if f != (given or ["xi"])[0]:
+                spec[f] = None
+    return spec, notes
+
+
+def validate(cfg: ExperimentConfig) -> list[str]:
+    """Pure validation: the run's notes, or ConfigInvalid with a
+    field-precise message."""
+    return _parse(cfg)[1]
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
@@ -535,15 +553,15 @@ def run(cfg: ExperimentConfig) -> RunReport:
     spec, notes = _parse(cfg)
     t0 = time.perf_counter()
     out = {"verdicts": [], "condition_numbers": {}, "files": {}}
-    _RUNNERS[cfg.kind](cfg, spec, out)
+    _EXPERIMENTS[cfg.kind][0](spec, out)
 
     outdir = os.path.join(cfg.outdir, cfg.kind)
-    written = []
-    for fname, (header, cols) in out["files"].items():
-        written.append(_write_csv(os.path.join(outdir, fname), header, cols))
+    written = [_write_csv(os.path.join(outdir, fname), header, cols)
+               for fname, (header, cols) in out["files"].items()]
 
     report = RunReport(
-        config=cfg.echo(),
+        config={"kind": cfg.kind,
+                **{f: None if v is None else getattr(cfg, f) for f, v in spec.items()}},
         version=__version__,
         verdicts=out["verdicts"],
         condition_numbers=out["condition_numbers"],
@@ -568,43 +586,23 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="stokes-lab", description=__doc__)
     sub = p.add_subparsers(dest="kind", required=True)
-
-    def common(sp):
-        sp.add_argument("--outdir", default="runs")
-        sp.add_argument("--seed", type=int, default=None)
-
-    for name in ("paradox", "basis", "decay"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--curve", default="circle:1")
-        sp.add_argument("--material", default="iso:1,1")
-        sp.add_argument("--nodes", type=int, default=256)
-        if name == "paradox":
-            sp.add_argument("--data", default="const:1,0")
-        common(sp)
-
-    for name in ("degiorgi", "contraction"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--xi", type=float, default=2.0)
-        sp.add_argument("--grid", default="64x128")
-        sp.add_argument("--rmax", type=float, default=64.0)
-        if name == "contraction":
-            sp.add_argument("--contrast-bounds", dest="contrast_bounds", default="")
-            sp.add_argument("--material", default="")
-        common(sp)
-
-    sp = sub.add_parser("gym")
-    sp.add_argument("--check", default="all")
-    sp.add_argument("--trials", type=int, default=1000)
-    common(sp)
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    for kind, (_, reads) in _EXPERIMENTS.items():
+        sp = sub.add_parser(kind)
+        for name in (*reads, "outdir"):
+            typ = {"int": int, "float": float}.get(fields[name].type.split()[0], str)
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, type=typ)
     return p
 
 
-def main(argv=None) -> int:
+def _config(argv) -> ExperimentConfig:
+    """The config a command line gives, with defaults for options left out."""
     args = _build_parser().parse_args(argv)
-    cfg = ExperimentConfig(kind=args.kind)
-    for key, val in vars(args).items():
-        if key != "kind" and hasattr(cfg, key) and val is not None:
-            setattr(cfg, key, val)
+    return ExperimentConfig(**{k: v for k, v in vars(args).items() if v is not None})
+
+
+def main(argv=None) -> int:
+    cfg = _config(argv)
     try:
         report = run(cfg)
     except ConfigInvalid as exc:

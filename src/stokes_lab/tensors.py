@@ -29,6 +29,7 @@ __all__ = [
     "constant_field",
     "ID_LIN",
     "scalar_field",
+    "tabulated_scalar_field",
     "random_scalar_field",
     "apply_tensor",
     "certify_bounds",
@@ -407,6 +408,30 @@ def scalar_field(scale, lo: float, hi: float, name: str = "") -> ElasticityField
         return scale(pts)[..., None, None, None, None] * ID_LIN
 
     return ElasticityField(action=action, mu0=lo, mue=hi, lin_bounds_pair=(lo, hi), name=name)
+
+
+# point-sample pairs whose distances the nearest-sample lookup forms at once
+_TABLE_BLOCK_PAIRS = 1 << 18
+
+
+def tabulated_scalar_field(r, theta, scales) -> ElasticityField:
+    """The scalar field s(x) Id_Lin whose s(x) is the scale of the sample
+    nearest to x, for samples at polar coordinates (r, theta); the lookup
+    runs one block of points at a time, and the Sym and Lin bounds are the
+    extreme scales."""
+    tab_pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    rows = max(_TABLE_BLOCK_PAIRS // len(tab_pts), 1)
+
+    def nearest(pts):
+        flat = pts.reshape(-1, 2)
+        idx = np.empty(len(flat), dtype=np.intp)
+        for lo in range(0, len(flat), rows):
+            d2s = np.sum((flat[lo:lo + rows, None, :] - tab_pts[None, :, :]) ** 2, axis=-1)
+            idx[lo:lo + rows] = np.argmin(d2s, axis=1)
+        return scales[idx].reshape(pts.shape[:-1])
+
+    return scalar_field(nearest, float(scales.min()), float(scales.max()),
+                        name="tabulated-scalar")
 
 
 def random_scalar_field(lo: float, hi: float, rng) -> ElasticityField:

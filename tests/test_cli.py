@@ -1,14 +1,36 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stokes_lab
+from stokes_lab import cli
 from stokes_lab.cli import ExperimentConfig, main, run, validate
 from stokes_lab.errors import ConfigInvalid
+
+# the config fields each experiment reads, written out independently of cli
+READS = {
+    "paradox": {"curve", "material", "nodes", "data"},
+    "basis": {"curve", "material", "nodes"},
+    "degiorgi": {"xi", "grid", "rmax"},
+    "decay": {"curve", "material", "nodes", "seed"},
+    "contraction": {"xi", "grid", "rmax", "contrast_bounds", "material", "seed"},
+    "gym": {"check", "trials", "seed"},
+}
+# a valid value other than the default for every experiment input
+NON_DEFAULT = {"curve": "ellipse:2,1", "material": "iso:2,1", "data": "tangent", "nodes": 64,
+               "xi": 3.0, "grid": "32x64", "rmax": 32.0, "check": "korn", "trials": 5,
+               "contrast_bounds": "1,2", "seed": 1}
+UNREAD = [(kind, f) for kind, reads in READS.items() for f in NON_DEFAULT if f not in reads]
+
+
+def seeded(kind: str, **fields) -> ExperimentConfig:
+    return ExperimentConfig(kind=kind, **({"seed": 1} if "seed" in READS[kind] else {}), **fields)
 
 
 class TestValidate:
@@ -25,6 +47,19 @@ class TestValidate:
     def test_xi_zero_rejected(self):
         with pytest.raises(ConfigInvalid, match="xi"):
             validate(ExperimentConfig(kind="degiorgi", xi=0.0))
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("paradox", "curve", "circle:nan"), ("basis", "curve", "ellipse:2,inf"),
+        ("paradox", "material", "iso:nan,1"), ("paradox", "data", "fourier:1,nan"),
+        ("degiorgi", "xi", float("nan")), ("degiorgi", "rmax", float("inf")),
+        ("contraction", "contrast_bounds", "1,inf"),
+    ])
+    def test_non_finite_numbers_rejected(self, kind, field, value):
+        """A non-finite number in a spec is a configuration error, not a
+        failure deep in the run (circle:nan raised ValueError from the curve,
+        xi = nan InvalidBounds)."""
+        with pytest.raises(ConfigInvalid, match=field):
+            validate(seeded(kind, **{field: value}))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigInvalid, match="kind"):
@@ -60,6 +95,44 @@ class TestValidate:
         assert code == 1
         assert "material:" in capsys.readouterr().err
         assert not (tmp_path / "contraction").exists()
+
+    @pytest.mark.parametrize("kind, field, extra", [(k, f, {}) for k, f in UNREAD] + [
+        ("contraction", "xi", {"contrast_bounds": "1,2"}),
+        ("contraction", "xi", {"material": "table:scales.csv"}),
+    ], ids=[f"{k}-{f}" for k, f in UNREAD] + ["contraction-xi-bounds", "contraction-xi-table"])
+    def test_unread_field_rejected(self, kind, field, extra):
+        """A field the experiment does not read, or contraction's xi beside
+        another material source, is a configuration error naming the field."""
+        assert len(UNREAD) == 43
+        with pytest.raises(ConfigInvalid) as exc:
+            validate(seeded(kind, **{field: NON_DEFAULT[field]}, **extra))
+        assert field in str(exc.value).partition(":")[0].split(", ")
+
+    @pytest.mark.parametrize("data", ["bogus:1", "fourier:1,x", "const:1", "tangent:2", "file:"])
+    def test_bad_data_rejected(self, data):
+        with pytest.raises(ConfigInvalid, match="data"):
+            validate(ExperimentConfig(kind="paradox", data=data))
+
+    def test_readme_examples_validate(self):
+        """Every command line of README's usage block parses and validates."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = [line for line in readme.splitlines() if line.startswith("stokes-lab ")]
+        assert {shlex.split(line)[1] for line in lines} == set(READS)
+        for line in lines:
+            validate(cli._config(shlex.split(line)[1:]))
+
+    def test_options_are_the_fields_read(self):
+        """Each subcommand takes --outdir and one option per field it reads,
+        and no option sets a default of its own."""
+        for kind, reads in READS.items():
+            for field in NON_DEFAULT:
+                argv = [kind, "--" + field.replace("_", "-"), str(NON_DEFAULT[field])]
+                if field in reads:
+                    assert getattr(cli._config(argv), field) == NON_DEFAULT[field]
+                else:
+                    with pytest.raises(SystemExit):
+                        cli._config(argv)
+            assert cli._config([kind]) == ExperimentConfig(kind=kind)
 
     def test_pure(self):
         for cfg in (ExperimentConfig(kind="paradox"),
@@ -172,12 +245,27 @@ class TestRuns:
             assert len(run(cfg).notes) == 1
 
     def test_decay_slope(self, tmp_path):
-        rep = run(ExperimentConfig(kind="decay", curve="circle:1", nodes=128, seed=11,
-                                   outdir=str(tmp_path)))
+        """The 2x1 ellipse at seeds 67 and 111 is solved correctly, but a fit
+        from r = 10 read the r^-2 term's bend as a slope off by more than 0.05."""
+        for curve, nodes, seed in (("circle:1", 128, 11), ("ellipse:2,1", 256, 67),
+                                   ("ellipse:2,1", 256, 111)):
+            rep = run(ExperimentConfig(kind="decay", curve=curve, nodes=nodes, seed=seed,
+                                       outdir=str(tmp_path)))
+            verd = {v["name"]: v for v in rep.verdicts}
+            assert verd["far_field_slope"]["quantity"] == "alpha"
+            assert abs(verd["far_field_slope"]["value"] + 1.0) <= 0.05, (curve, seed)
+            assert rep.ok()
+
+    def test_decay_slope_fails_slower_decay(self, tmp_path, monkeypatch):
+        """Control: distances that decay like r^-1/2 fail the verdict."""
+        from stokes_lab import bem
+
+        monkeypatch.setattr(bem, "evaluate", lambda sol, pts: sol.kappa + np.linalg.norm(
+            pts, axis=-1, keepdims=True) ** -0.5)
+        rep = run(ExperimentConfig(kind="decay", nodes=64, seed=11, outdir=str(tmp_path)))
         verd = {v["name"]: v for v in rep.verdicts}
-        assert verd["far_field_slope"]["quantity"] == "alpha"
-        assert abs(verd["far_field_slope"]["value"] + 1.0) <= 0.05
-        assert rep.ok()
+        assert verd["far_field_slope"]["value"] == pytest.approx(-0.5)
+        assert not verd["far_field_slope"]["pass"]
 
     def test_contraction_run(self, tmp_path):
         rep = run(ExperimentConfig(kind="contraction", xi=6.0, grid="24x48", rmax=24.0,
@@ -219,8 +307,9 @@ class TestRuns:
             return real_lu_factor(a, *args, **kwargs)
 
         monkeypatch.setattr(bem, "lu_factor", counting_lu_factor)
-        rep = run(ExperimentConfig(kind=kind, curve="ellipse:2,1", nodes=64, seed=1,
-                                   data="fourier:1,0.5", outdir=str(tmp_path)))
+        extra = {"paradox": {"data": "fourier:1,0.5"}, "decay": {"seed": 1}}.get(kind, {})
+        rep = run(ExperimentConfig(kind=kind, curve="ellipse:2,1", nodes=64,
+                                   outdir=str(tmp_path), **extra))
         assert rep.ok()
         assert calls == [(130, 130)]
         assert set(rep.condition_numbers) <= {"augmented_system", "totals_matrix"}
@@ -240,24 +329,20 @@ class TestRuns:
         assert rep.ok()
         assert len(sparse_lu_calls) == n_lu
 
-    def test_table_lookup_is_blocked(self, tmp_path):
+    def test_table_lookup_is_blocked(self):
         """A 2000-row table on a 24x48 grid: the nearest-sample lookup stays
         under 32 MB (about 210 MB unblocked) and picks the samples the
         unblocked argmin picks."""
         import tracemalloc
 
-        from stokes_lab.cli import _table_material
         from stokes_lab.polar import PolarGrid
+        from stokes_lab.tensors import tabulated_scalar_field
 
         rng = np.random.default_rng(4)
         r = rng.uniform(1.0, 24.0, size=2000)
         th = rng.uniform(0, 2 * np.pi, size=2000)
         scale = rng.uniform(1.0, 1.2, size=2000)
-        path = tmp_path / "table.csv"
-        path.write_text(
-            "r,theta,scale\n" + "\n".join(f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(r, th, scale))
-        )
-        fld = _table_material(str(path))
+        fld = tabulated_scalar_field(r, th, scale)
         pts = PolarGrid(24.0, 24, 48).qp_points
         tracemalloc.start()
         try:
@@ -286,6 +371,25 @@ class TestRuns:
         assert rep.ok()
         verd = {v["name"]: v for v in rep.verdicts}
         assert verd["worst_contraction_factor"]["value"] <= 0.5
+
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("paradox", {"nodes": 16}), ("basis", {"nodes": 16}), ("decay", {"nodes": 16}),
+        ("degiorgi", {"grid": "24x48", "rmax": 16.0}),
+        ("contraction", {"grid": "24x48", "rmax": 16.0, "contrast_bounds": "1,1.5"}),
+        ("gym", {"check": "wirtinger", "trials": 1}),
+    ], ids=["paradox", "basis", "decay", "degiorgi", "contraction", "gym"])
+    def test_report_echoes_the_fields_read(self, kind, fields, tmp_path):
+        """report.json's config holds the fields the experiment reads, and
+        null for a contraction material source the run did not use."""
+        run(seeded(kind, outdir=str(tmp_path), **fields))
+        config = json.loads((tmp_path / kind / "report.json").read_text())["config"]
+        assert set(config) == {"kind"} | READS[kind]
+        assert config["kind"] == kind
+        for field, value in fields.items():
+            assert config[field] == value
+        if kind == "contraction":
+            assert config["xi"] is None and config["material"] is None
 
 
 class TestMainExitCodes:
