@@ -2,20 +2,22 @@
 
 The exterior domain is replaced by the annulus 1 < r < r_max with a
 configurable outer condition; the solver minimizes the discrete energy
-int grad(u) . C[grad(u)] over bilinear elements.  The module also measures
-the quantities the theory estimates: interior/exterior energy profiles and
-their rate-gamma monotonicity, the truncated work-energy defect, net
-tractions, far-field decay exponents, and the contraction fixed point.
+int grad(u) . C[grad(u)] over bilinear elements, by an angular Fourier solve
+for rotation-equivariant materials and by conjugate gradients on a 9-point
+stencil, preconditioned by that Fourier solve, for any other.  The module
+also measures the quantities the theory estimates: interior/exterior energy
+profiles and their rate-gamma monotonicity, the truncated work-energy
+defect, net tractions, far-field decay exponents, and the contraction fixed
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NotCirculant, NotContracting, RadiusOutOfGrid, SolverDiverged
 from .polar import DiscreteField, PolarGrid
@@ -91,14 +93,19 @@ def bump_force(amp, r_max: float) -> Callable:
 def _element_matrices(grad: np.ndarray, weights: np.ndarray, action_qp: np.ndarray) -> np.ndarray:
     """(nc, 8, 8) element matrices, rows and columns (node a, component m).
 
-    Per Gauss point the element matrix is B (w C) B^T with
-    B[(a, m), (m', k)] = d_k N_a delta_mm'; the sum over the Gauss points
-    rides in the same batched matrix product."""
+    Block (m, h) sums w d_k N_a C_mkhl d_l N_b over the Gauss points and
+    k, l.  Each of the four component pairs is contracted on its own: over
+    k per Gauss point, then over the Gauss points and l in one batched
+    matrix product per cell."""
     nc, nq = weights.shape
-    B = np.einsum("cqak,mn->cqamnk", grad, np.eye(2)).reshape(nc, nq, 8, 4)
-    wC = action_qp.reshape(nc, nq, 4, 4) * weights[..., None, None]
-    BC = (B @ wC).transpose(0, 2, 1, 3).reshape(nc, 8, 4 * nq)
-    return BC @ B.transpose(0, 1, 3, 2).reshape(nc, 4 * nq, 8)
+    wC = (action_qp.reshape(nc, nq, 4, 4) * weights[..., None, None]).reshape(nc, nq, 2, 2, 2, 2)
+    grad_t = grad.transpose(0, 1, 3, 2).reshape(nc, 2 * nq, 4)     # rows (Gauss point, l)
+    ke = np.empty((nc, 4, 2, 4, 2))
+    for m in range(2):
+        for h in range(2):
+            gc = grad @ wC[:, :, m, :, h, :]                       # (nc, nq, a, l)
+            ke[:, :, m, :, h] = gc.transpose(0, 2, 1, 3).reshape(nc, 4, 2 * nq) @ grad_t
+    return ke.reshape(nc, 8, 8)
 
 
 # local node offsets (ring, angle) of a cell's corners, in PolarGrid.cells order
@@ -107,11 +114,13 @@ _CORNER_ANGLE = (0, 0, 1, 1)
 
 
 def _theta_stencil(ke: np.ndarray):
-    """Circulant stencil of a stiffness whose element matrices repeat along
-    theta, read off the (n_r - 1, 4, 4, ...) matrices of the cells (i, 0)
-    over their corners (any trailing block shape).
+    """Stencil of the stiffness with the (n_r - 1, 4, 4, ..., n_cols)
+    matrices ke of its cells over their corners (any block shape between),
+    the last axis running over the theta-columns j of cells: all of them, or
+    only column 0 (n_cols = 1) when the element matrices repeat along theta
+    and the stiffness is circulant.
 
-    Returns (same, up, down) with column d + 1 holding s(i, i, d),
+    Returns (same, up, down) with [:, d + 1, ..., j] holding s(i, i, d),
     s(i, i + 1, d) and s(i + 1, i, d): the block coupling node (i, j) to
     node (i', j + d), d in {-1, 0, 1}."""
     n_r = ke.shape[0] + 1
@@ -121,29 +130,35 @@ def _theta_stencil(ke: np.ndarray):
     for a in range(4):
         for b in range(4):
             d = _CORNER_ANGLE[b] - _CORNER_ANGLE[a] + 1
+            # corner a of the cell in column j is a node of column j + A_a
+            kab = np.roll(ke[:, a, b], _CORNER_ANGLE[a], axis=-1)
             if _CORNER_RING[a] == _CORNER_RING[b]:
-                same[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, d] += ke[:, a, b]
+                same[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, d] += kab
             elif _CORNER_RING[a] == 0:
-                up[:, d] += ke[:, a, b]
+                up[:, d] += kab
             else:
-                down[:, d] += ke[:, a, b]
+                down[:, d] += kab
     return same, up, down
 
 
-def _assemble_stiffness(grid: PolarGrid, action_qp: np.ndarray) -> sp.csr_matrix:
-    """K[(node a, m), (node b, h)] = int d_k N_a C_mkhl d_l N_b.
+def _stencil_apply(stencil, x: np.ndarray) -> np.ndarray:
+    """K x for nodal values x (n, n_theta, 2) on the n rings of the
+    block-circulant stiffness with the (same, up, down) stencil of
+    _theta_stencil, its 2x2 blocks shared by every theta."""
+    same, up, down = stencil
+    y = np.zeros((x.shape[0], 2, x.shape[1]))
+    for d in (-1, 0, 1):
+        xs = np.roll(x, -d, axis=1).transpose(0, 2, 1)   # x[:, j + d], (n, 2, n_theta)
+        y += same[:, d + 1] @ xs
+        y[:-1] += up[:, d + 1] @ xs[1:]
+        y[1:] += down[:, d + 1] @ xs[:-1]
+    return y.transpose(0, 2, 1)
 
-    Entries that sum to exact zeros (the m != h blocks of Id_Lin-type
-    materials) are dropped, since the sparse LU would treat them as
-    structure."""
-    ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights, action_qp)
-    nc = grid.n_cells
-    dofs = (2 * grid.cells[:, :, None] + np.arange(2)).reshape(nc, 8)
-    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-    ndof = 2 * grid.n_nodes
-    K = sp.coo_matrix((ke.ravel(), (rows.ravel(), cols.ravel())), shape=(ndof, ndof)).tocsr()
-    K.eliminate_zeros()
-    return K
+
+def _free_rings(stencil, last: int):
+    """A (same, up, down) stencil restricted to the free rings 1..last."""
+    same, up, down = stencil
+    return same[1:last + 1], up[1:last], down[1:last]
 
 
 def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
@@ -176,31 +191,7 @@ def _dirichlet_rings(problem: VariationalProblem, grid: PolarGrid):
     return u, grid.n_r - 2
 
 
-def _reduced_system(problem: VariationalProblem, grid: PolarGrid, action_qp: np.ndarray):
-    """Stiffness of the material action_qp restricted to the free DOFs.
-
-    Returns (K_ff as CSC, rhs, free DOFs as a slice, nodal values carrying the
-    Dirichlet data), with rhs = b_f - K_fd u_d."""
-    b = _force_vector(grid, problem.force)
-    K = _assemble_stiffness(grid, action_qp)
-    u, last = _dirichlet_rings(problem, grid)
-    vals = u.reshape(-1)
-    free = slice(2 * grid.n_theta, 2 * grid.n_theta * (last + 1))
-    K_f = K[free]
-    rhs = b[free] - K_f @ vals                         # vals vanish on the free DOFs
-    return K_f[:, free].tocsc(), rhs, free, vals
-
-
-def _sparse_lu(K_ff: sp.csc_matrix):
-    """SuperLU factors of the symmetric free-DOF stiffness, with the
-    minimum-degree ordering of A^T + A; SolverDiverged if it is singular."""
-    try:
-        return spla.splu(K_ff, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SolverDiverged(f"sparse LU failed: {exc}") from None
-
-
-# relative max-norm residual a direct solve must reach
+# relative max-norm residual a solve must reach
 _RESIDUAL_TOL = 1e-8
 
 
@@ -208,12 +199,67 @@ def _check_residual(Kx: np.ndarray, rhs: np.ndarray, x: np.ndarray):
     scale = max(np.abs(rhs).max(), np.abs(Kx).max(), 1e-300)
     rel = np.abs(Kx - rhs).max() / scale
     if not np.all(np.isfinite(x)) or rel > _RESIDUAL_TOL:
-        raise SolverDiverged(f"direct solve residual {rel:.3g} exceeds {_RESIDUAL_TOL:g}")
+        raise SolverDiverged(f"solve residual {rel:.3g} exceeds {_RESIDUAL_TOL:g}")
 
 
-# -- rotation-equivariant materials: one FFT in theta ---------------------------
+class _Stiffness:
+    """A material's action at the Gauss points of a grid and, built on first
+    use, its stiffness as a 9-point stencil of Cartesian 2x2 blocks: one
+    block per node and neighbour, from the element matrices of every
+    theta-column of cells.  A contraction run builds it once for its
+    fixed-point iteration and its direct reference solve."""
 
-_EQUIVARIANCE_BLOCK = 32        # theta-columns rotated per batch by the check
+    def __init__(self, problem: VariationalProblem, grid: PolarGrid):
+        self.grid = grid
+        self.action = problem.field(grid.qp_points)
+
+    @cached_property
+    def stencil(self) -> np.ndarray:
+        return _cartesian_stencil(self.grid, self.action)
+
+
+def _cartesian_stencil(grid: PolarGrid, action_qp: np.ndarray) -> np.ndarray:
+    """(n_r, 2, 3, 3, 2, n_theta) stencil S[i, m, o + 1, d + 1, h, j]: the
+    entry coupling component m of node (i, j) to component h of node
+    (i + o, j + d), zero where ring i + o is off the grid."""
+    n_r = grid.n_r
+    ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights, action_qp)
+    cells = ke.reshape(n_r - 1, grid.n_theta, 4, 2, 4, 2).transpose(0, 2, 4, 3, 5, 1)
+    same, up, down = (s.transpose(0, 2, 1, 3, 4) for s in _theta_stencil(cells))  # (i, m, d, h, j)
+    S = np.zeros((n_r, 2, 3, 3, 2, grid.n_theta))
+    S[1:, :, 0] = down
+    S[:, :, 1] = same
+    S[:-1, :, 2] = up
+    return S
+
+
+def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x for nodal values x (n, n_theta, 2) on the n rings of a stencil S
+    of _cartesian_stencil, or of its rows on n consecutive rings; x counts
+    as zero on the rings beyond them."""
+    n, n_t = x.shape[:2]
+    xp = np.zeros((n + 2, 2, n_t + 2))
+    xp[1:-1, :, 1:-1] = x.transpose(0, 2, 1)
+    xp[:, :, 0], xp[:, :, -1] = xp[:, :, -2], xp[:, :, 1]          # periodic in theta
+    X = np.stack([xp[o:o + n, :, d:d + n_t] for o in range(3) for d in range(3)], axis=1)
+    y = np.einsum("imkj,ikj->imj", S.reshape(n, 2, 18, n_t), X.reshape(n, 18, n_t))
+    return y.transpose(0, 2, 1)
+
+
+def _free_system(problem: VariationalProblem, stiffness: _Stiffness):
+    """The stencil rows of the free rings 1..last, the right-hand side
+    b_f - K_fd u_d there, the nodal values u (n_r, n_theta, 2) carrying the
+    Dirichlet data, and last."""
+    grid = stiffness.grid
+    u, last = _dirichlet_rings(problem, grid)
+    b = _force_vector(grid, problem.force).reshape(u.shape)
+    rhs = (b - _stiffness_apply(stiffness.stencil, u))[1:last + 1]   # u vanishes on the free rings
+    return stiffness.stencil[1:last + 1], rhs, u, last
+
+
+# -- angular Fourier solve of block-circulant stiffnesses ------------------------
+
+_EQUIVARIANCE_BLOCK = 32        # theta-columns rotated per batch into their polar frames
 
 
 def _rotations(thetas: np.ndarray) -> np.ndarray:
@@ -222,32 +268,56 @@ def _rotations(thetas: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
+def _to_polar(R: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R(theta_j)^T v at every node of nodal values v (..., n_theta, 2)."""
+    return (v[..., None, :] @ R)[..., 0, :]
+
+
+def _to_cartesian(R: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R(theta_j) x at every node of polar components x (..., n_theta, 2)."""
+    return (R @ x[..., None])[..., 0]
+
+
+def _polar_frame(grid: PolarGrid, action_qp: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 4x4 component matrices of the theta-columns `cols` of cells
+    rotated into each column's polar frame, Q^T C Q with
+    Q = R(theta_j) x R(theta_j), by two batched matrix products; laid out as
+    (column, row index a, ring, Gauss point, column index b)."""
+    C = action_qp.reshape(grid.n_r - 1, grid.n_theta, -1, 4, 4).transpose(1, 3, 0, 2, 4)[cols]
+    R = _rotations(grid.thetas[cols])
+    q = np.einsum("jia,jkb->jikab", R, R).reshape(cols.size, 4, 4)
+    qtc = np.swapaxes(q, -1, -2) @ C.reshape(cols.size, 4, -1)
+    return (qtc.reshape(cols.size, -1, 4) @ q).reshape(C.shape)
+
+
 def _rotation_equivariant(grid: PolarGrid, action_qp: np.ndarray) -> bool:
     """Whether C(R x) = R * C(x) holds at the Gauss points: every theta-column
-    of cells, its 4x4 component matrices rotated into the column's polar frame
-    (Q^T C Q with Q = R(theta_j) x R(theta_j)), equals column 0 to 1e-12
+    of cells, rotated into its polar frame, equals column 0 to 1e-12
     relative.  Column j's Gauss geometry is column 0's rotated by theta_j, so
     a passed check makes the stiffness block-circulant in polar components.
     A few sampled columns are compared first, so that a material that
-    depends on theta is turned down at once; the rest follow in blocks of
-    columns, each rotated by two batched matrix products."""
+    depends on theta is turned down at once; the rest follow in blocks."""
     n_t = grid.n_theta
-    # (column, row index a, ring, Gauss point, column index b)
-    C = action_qp.reshape(grid.n_r - 1, n_t, -1, 4, 4).transpose(1, 3, 0, 2, 4)
-    R = _rotations(grid.thetas)
-    Q = np.einsum("jia,jkb->jikab", R, R).reshape(n_t, 4, 4)
-    ref = C[0].reshape(-1, 4)
+    ref = _polar_frame(grid, action_qp, np.array([0]))[0]   # R(0) = identity
     tol = 1e-12 * np.abs(ref).max()
     blocks = [np.unique([1, n_t // 3, n_t // 2, n_t - 1])]
     blocks += [np.arange(lo, min(lo + _EQUIVARIANCE_BLOCK, n_t))
                for lo in range(1, n_t, _EQUIVARIANCE_BLOCK)]
-    for cols in blocks:
-        q = Q[cols]
-        qtc = np.swapaxes(q, -1, -2) @ C[cols].reshape(cols.size, 4, -1)
-        rotated = qtc.reshape(cols.size, -1, 4) @ q
-        if not np.abs(rotated - ref).max() <= tol:
-            return False
-    return True
+    return all(np.abs(_polar_frame(grid, action_qp, cols) - ref).max() <= tol
+               for cols in blocks)
+
+
+def _polar_stencil(grid: PolarGrid, action0: np.ndarray):
+    """The circulant stencil, in polar components, of the equivariant
+    material whose action on the cells (i, 0) is action0: their element
+    matrices with the corners rotated by (0, 0, dtheta, dtheta)."""
+    col = slice(None, None, grid.n_theta)              # cell (i, 0) of every ring i
+    ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], action0)
+    T = np.zeros((8, 8))
+    for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(_CORNER_ANGLE, dtype=float))):
+        T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
+    pke = (T.T @ ke @ T).reshape(grid.n_r - 1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4)
+    return tuple(s[..., 0] for s in _theta_stencil(pke[..., None]))
 
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -271,115 +341,168 @@ def _mul_2x2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X[..., :, :1] * Y[..., :1, :] + X[..., :, 1:] * Y[..., 1:, :]
 
 
-def _block_thomas(A: np.ndarray, U: np.ndarray, L: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve the block-tridiagonal systems with diagonal A (n, m, 2, 2),
-    upper U and lower L (n - 1, m, 2, 2), one per index of axis 1, for the
-    right-hand sides F (n, m, 2): one forward sweep, one back sweep."""
-    n = A.shape[0]
-    W = np.empty_like(U)                                 # D_i^-1 U_i
-    z = np.empty(F.shape + (1,), dtype=np.result_type(A, F))
-    for i in range(n):                                   # z_i = D_i^-1 (F_i - L_{i-1} z_{i-1})
-        if i == 0:
-            D, r = A[0], F[0, ..., None]
-        else:
-            D = A[i] - _mul_2x2(L[i - 1], W[i - 1])
-            r = F[i, ..., None] - _mul_2x2(L[i - 1], z[i - 1])
-        Dinv = _inverse_2x2(D)
-        z[i] = _mul_2x2(Dinv, r)
-        if i < n - 1:
-            W[i] = _mul_2x2(Dinv, U[i])
-    for i in range(n - 2, -1, -1):
+def _block_thomas_factor(A: np.ndarray, U: np.ndarray, L: np.ndarray):
+    """Forward-sweep factors of the block-tridiagonal systems with diagonal
+    A (n, m, 2, 2), upper U and lower L (n - 1, m, 2, 2), one per index of
+    axis 1: the inverse pivots D_i^-1, W_i = D_i^-1 U_i, and L."""
+    Dinv = np.empty_like(A)
+    W = np.empty_like(U)
+    for i in range(A.shape[0]):
+        Dinv[i] = _inverse_2x2(A[0] if i == 0 else A[i] - _mul_2x2(L[i - 1], W[i - 1]))
+        if i < U.shape[0]:
+            W[i] = _mul_2x2(Dinv[i], U[i])
+    return Dinv, W, L
+
+
+def _block_thomas_solve(factors, F: np.ndarray) -> np.ndarray:
+    """Solve the factored systems for the right-hand sides F (n, m, 2): one
+    forward sweep, one back sweep."""
+    Dinv, W, L = factors
+    z = np.empty(F.shape + (1,), dtype=np.result_type(Dinv, F))
+    for i in range(F.shape[0]):                          # z_i = D_i^-1 (F_i - L_{i-1} z_{i-1})
+        r = F[0, ..., None] if i == 0 else F[i, ..., None] - _mul_2x2(L[i - 1], z[i - 1])
+        z[i] = _mul_2x2(Dinv[i], r)
+    for i in range(F.shape[0] - 2, -1, -1):
         z[i] -= _mul_2x2(W[i], z[i + 1])
     return z[..., 0]
 
 
-def _stencil_apply(stencil, x: np.ndarray) -> np.ndarray:
-    """K x for nodal values x (n_r, n_theta, 2) of the block-circulant
-    stiffness with the (same, up, down) stencil of _theta_stencil."""
-    same, up, down = stencil
-    y = np.zeros((x.shape[0], 2, x.shape[1]))
-    for d in (-1, 0, 1):
-        xs = np.roll(x, -d, axis=1).transpose(0, 2, 1)   # x[:, j + d], (n_r, 2, n_theta)
-        y += same[:, d + 1] @ xs
-        y[:-1] += up[:, d + 1] @ xs[1:]
-        y[1:] += down[:, d + 1] @ xs[:-1]
-    return y.transpose(0, 2, 1)
+def _fourier_inverse(stencil, n_theta: int) -> Callable:
+    """The inverse of a block-circulant stiffness on the free rings, given
+    by its restricted polar-component stencil.  One real FFT in theta splits
+    it into one block-tridiagonal system over the rings per angular mode,
+    with symbol S_k = s(0) + s(1) e^{i phi_k} + s(-1) e^{-i phi_k}; these
+    are factored here, once.  The returned solve maps polar components
+    (free rings, n_theta, 2) to polar components."""
+    k = np.arange(n_theta // 2 + 1)
+    phase = np.exp(1j * np.outer([-1.0, 0.0, 1.0], 2.0 * np.pi * k / n_theta))
+    same, up, down = (np.einsum("idmh,dk->ikmh", s, phase) for s in stencil)
+    factors = _block_thomas_factor(same, up, down)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = _block_thomas_solve(factors, np.fft.rfft(rhs, axis=1))
+        return np.fft.irfft(y, n=n_theta, axis=1)
+
+    return solve
 
 
 def _fourier_solve(problem: VariationalProblem, grid: PolarGrid,
                    action_qp: np.ndarray) -> DiscreteField:
-    """solve_annulus for a rotation-equivariant material.
-
-    In polar components the stiffness is block-circulant in theta with 2x2
-    blocks s(i, i', d), read off the element matrices of the first
-    theta-column of cells with their corners rotated by (0, 0, dtheta,
-    dtheta).  One real FFT in theta splits the system over the free rings
-    into one block-tridiagonal system per angular mode, with symbol
-    S_k = s(0) + s(1) e^{i phi_k} + s(-1) e^{-i phi_k}; the Dirichlet rings
-    enter the right-hand side through the off-diagonal blocks."""
-    n_r, n_t = grid.n_r, grid.n_theta
-    col = slice(None, None, n_t)                       # cell (i, 0) of every ring i
-    ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], action_qp[col])
-    T = np.zeros((8, 8))
-    for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(_CORNER_ANGLE, dtype=float))):
-        T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
-    pke = (T.T @ ke @ T).reshape(n_r - 1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4)
-    stencil = _theta_stencil(pke)
-
+    """solve_annulus for a rotation-equivariant material: the Fourier
+    inverse of its polar-component stiffness, read off the first
+    theta-column of cells; the Dirichlet rings enter the right-hand side
+    through the off-diagonal blocks."""
+    stencil = _polar_stencil(grid, action_qp[:: grid.n_theta])
     u, last = _dirichlet_rings(problem, grid)
     R = _rotations(grid.thetas)
-
-    def polar(v):                                      # R(theta_j)^T v at every node
-        return (v.reshape(n_r, n_t, 1, 2) @ R)[..., 0, :]
-
-    b = polar(_force_vector(grid, problem.force))
-    rhs = (b - _stencil_apply(stencil, polar(u)))[1:last + 1]
-
-    k = np.arange(n_t // 2 + 1)
-    phase = np.exp(1j * np.outer([-1.0, 0.0, 1.0], 2.0 * np.pi * k / n_t))
-    same, up, down = (np.einsum("idmh,dk->ikmh", s, phase) for s in stencil)
-    y = _block_thomas(same[1:last + 1], up[1:last], down[1:last],
-                      np.fft.rfft(rhs, axis=1))
-    x = np.fft.irfft(y, n=n_t, axis=1)
-
-    w = np.zeros((n_r, n_t, 2))
-    w[1:last + 1] = x
-    _check_residual(_stencil_apply(stencil, w)[1:last + 1], rhs, x)
-    u[1:last + 1] = (R @ x[..., None])[..., 0]
+    b = _to_polar(R, _force_vector(grid, problem.force).reshape(u.shape))
+    rhs = (b - _stencil_apply(stencil, _to_polar(R, u)))[1:last + 1]
+    K_f = _free_rings(stencil, last)
+    x = _fourier_inverse(K_f, grid.n_theta)(rhs)
+    _check_residual(_stencil_apply(K_f, x), rhs, x)
+    u[1:last + 1] = _to_cartesian(R, x)
     return DiscreteField(grid, u)
+
+
+# -- any other material: conjugate gradients -----------------------------------
+
+_PCG_TOL = 1e-12                # relative residual at which conjugate gradients stop
+_PCG_MAX_ITER = 500             # steps after which they fail
+_SINGULAR_DIAGONAL = 1e-14      # free DOFs with a diagonal this small relative to the largest
+
+
+def _averaged_inverse(grid: PolarGrid, action_qp: np.ndarray, last: int) -> Callable:
+    """Preconditioner of the stiffness on the free rings 1..last: the
+    Fourier inverse for the equivariant material whose polar-frame action
+    on each Gauss-point ring is the theta-average of this material's (T.
+    Chan's optimal circulant preconditioner, applied ring by ring), mapping
+    Cartesian residuals to Cartesian corrections."""
+    n_t = grid.n_theta
+    total = sum(_polar_frame(grid, action_qp, np.arange(lo, min(lo + _EQUIVARIANCE_BLOCK, n_t)))
+                .sum(axis=0) for lo in range(0, n_t, _EQUIVARIANCE_BLOCK))
+    mean = (total / n_t).transpose(1, 2, 0, 3).reshape(grid.n_r - 1, -1, 2, 2, 2, 2)
+    inverse = _fourier_inverse(_free_rings(_polar_stencil(grid, mean), last), n_t)
+    R = _rotations(grid.thetas)
+    return lambda r: _to_cartesian(R, inverse(_to_polar(R, r)))
+
+
+def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray) -> np.ndarray:
+    """Preconditioned conjugate gradients for K x = rhs from x = 0, run to a
+    relative residual of _PCG_TOL; SolverDiverged on a breakdown
+    (p^T K p <= 0 or not finite) or when _PCG_MAX_ITER steps do not reach it."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    stop = _PCG_TOL * np.linalg.norm(rhs)
+    if np.linalg.norm(r) <= stop:
+        return x
+    z = precondition(r)
+    p = z
+    rz = np.vdot(r, z)
+    for _ in range(_PCG_MAX_ITER):
+        Kp = apply(p)
+        pKp = np.vdot(p, Kp)
+        if not (np.isfinite(pKp) and pKp > 0):
+            raise SolverDiverged(f"conjugate gradients broke down: p^T K p = {pKp:.3g}")
+        alpha = rz / pKp
+        x += alpha * p
+        r -= alpha * Kp
+        if np.linalg.norm(r) <= stop:
+            return x
+        z = precondition(r)
+        rz, rz_prev = np.vdot(r, z), rz
+        p = z + (rz / rz_prev) * p
+    raise SolverDiverged(f"conjugate gradients did not reach a relative residual of "
+                         f"{_PCG_TOL:g} in {_PCG_MAX_ITER} steps")
+
+
+def _pcg_solve(problem: VariationalProblem, stiffness: _Stiffness) -> DiscreteField:
+    K_f, rhs, u, last = _free_system(problem, stiffness)
+    diag = K_f[:, [0, 1], 1, 1, [0, 1]]
+    weak = np.count_nonzero(diag <= _SINGULAR_DIAGONAL * diag.max())
+    if weak:
+        raise SolverDiverged(f"stiffness is singular: {weak} of {diag.size} free DOFs have a "
+                             f"diagonal at most {_SINGULAR_DIAGONAL:g} of the largest")
+    precondition = _averaged_inverse(stiffness.grid, stiffness.action, last)
+    x = _pcg(lambda p: _stiffness_apply(K_f, p), precondition, rhs)
+    _check_residual(_stiffness_apply(K_f, x), rhs, x)
+    u[1:last + 1] = x
+    return DiscreteField(stiffness.grid, u)
 
 
 def solve_annulus(
     problem: VariationalProblem,
     grid: PolarGrid,
     check_bounds: bool = True,
+    *,
+    _stiffness: Optional[_Stiffness] = None,
 ) -> DiscreteField:
     """Minimize the discrete energy subject to the boundary conditions.
 
     A rotation-equivariant material, C(R x) = R * C(x) at every Gauss point
     (isotropic constants, radial scalar fields, the counter-example tensors),
-    is solved by one FFT in theta and a block-tridiagonal sweep over the
-    rings per angular mode; any other material by a sparse LU of the reduced
-    system.  Raises BoundsViolated when spot-checked material samples leave
-    the declared bounds, SolverDiverged when the solve meets a singular
-    system or cannot reach a relative residual of 1e-8 (ill-conditioning
-    proxy).
+    is solved directly by one FFT in theta and a block-tridiagonal sweep
+    over the rings per angular mode.  Any other material is solved by
+    conjugate gradients on its stiffness stencil to a relative residual of
+    1e-12, preconditioned by that Fourier solve for the material averaged
+    over theta in its polar frame; the step count is bounded in terms of
+    the contrast of the material to that average (10-20 steps at contrast 2).
+    Raises BoundsViolated when spot-checked material samples leave the
+    declared bounds, SolverDiverged when the system is singular (a vanishing
+    angular mode, or a free DOF whose stiffness diagonal is at most 1e-14 of
+    the largest), when conjugate gradients break down or take more than 500
+    steps, or when the result misses a relative residual of 1e-8
+    (ill-conditioning proxy).
+
+    _stiffness is a private hand-off: the _Stiffness of this problem on
+    this grid, when the caller has built it already.
     """
-    pts = grid.qp_points
-    action = problem.field(pts)
+    stiffness = _Stiffness(problem, grid) if _stiffness is None else _stiffness
     if check_bounds:
-        flat = pts.reshape(-1, 2)
+        flat = grid.qp_points.reshape(-1, 2)
         problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
-    if _rotation_equivariant(grid, action):
-        return _fourier_solve(problem, grid, action)
-
-    Kff, rhs, free, vals = _reduced_system(problem, grid, action)
-    x = _sparse_lu(Kff).solve(rhs)
-    _check_residual(Kff @ x, rhs, x)
-
-    u = vals.copy()
-    u[free] = x
-    return DiscreteField(grid, u.reshape(grid.n_r, grid.n_theta, 2))
+    if _rotation_equivariant(grid, stiffness.action):
+        return _fourier_solve(problem, grid, stiffness.action)
+    return _pcg_solve(problem, stiffness)
 
 
 # -- energy bookkeeping --------------------------------------------------------
@@ -662,7 +785,7 @@ def _comparison_solver(problem: VariationalProblem, grid: PolarGrid, c0_scale: f
     col = slice(None, None, n_t)                       # cell (i, 0) of every ring i
     c0 = np.broadcast_to(c0_scale * ID_LIN, grid.qp_weights[col].shape + (2, 2, 2, 2))
     ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], c0)
-    same, next_, _ = _theta_stencil(ke[:, 0::2, 0::2])   # component 0 only
+    same, next_, _ = (s[..., 0] for s in _theta_stencil(ke[:, 0::2, 0::2, None]))  # component 0
     asym = max(np.abs(same[:, 0] - same[:, 2]).max(), np.abs(next_[:, 0] - next_[:, 2]).max())
     if asym > 1e-13 * np.abs(same).max():
         raise NotCirculant(f"comparison stencil s(d=-1) != s(d=+1) by {asym:.3g}")
@@ -702,7 +825,8 @@ _CONTRACTION_MAX_ITER = 100
 
 
 def contraction_solve(
-    problem: VariationalProblem, grid: PolarGrid, q: float = 2.0
+    problem: VariationalProblem, grid: PolarGrid, q: float = 2.0, *,
+    _stiffness: Optional[_Stiffness] = None,
 ) -> tuple[DiscreteField, ContractionReport]:
     """Fixed-point iteration v_{k+1} = v_f + Q[v_k] for the heterogeneous
     problem, preconditioned by the comparison material C0 = scale * (identity
@@ -712,37 +836,45 @@ def contraction_solve(
     conditions, the desk-scale stand-in for the whole-plane kernel
     convolution: C0 is rotation-invariant, so one real FFT in theta splits
     that operator into one tridiagonal system over the rings per angular
-    mode, factored once per call.  The limit therefore solves exactly the
-    same discrete system as solve_annulus.  The residual is carried from
-    step to step (each step applies Q to what the previous increment left),
-    so the increments never cancel against the data and their ratios stay
-    clear of round-off.  Per-iteration contraction factors are measured in
-    the gradient L^q norm; with scale = the upper Lin bound of the material
-    (mue when it declares none), the factor is bounded by the relative
-    contrast (scale - lower) / scale.  The iteration stops once an increment
-    is 1e-12 of the first, or after 100 steps.  Raises NotContracting after
-    three consecutive factors above 1.
+    mode, factored once per call; it stays a scalar solve, apart from the
+    2x2 block sweeps of solve_annulus.  The limit therefore solves exactly
+    the same discrete system as solve_annulus.  The residual is carried from
+    step to step: each step applies Q to what the previous increment left,
+    and the material's stiffness to the increment, as the 9-point stencil of
+    2x2 blocks that solve_annulus's conjugate gradients use, built once per
+    call.  So the increments never cancel against the data and their ratios
+    stay clear of round-off.  Per-iteration contraction factors are
+    measured in the gradient L^q norm; with scale = the upper Lin bound of
+    the material (mue when it declares none), the factor is bounded by the
+    relative contrast (scale - lower) / scale.  The iteration stops once an
+    increment is 1e-12 of the first, or after 100 steps.  Raises
+    NotContracting after three consecutive factors above 1.  _stiffness is
+    the private hand-off of solve_annulus.
     """
     if problem.field.lin_bounds_pair is not None:
         c0_scale = problem.field.lin_bounds_pair[1]
     else:
         c0_scale = problem.field.mue
 
-    Kc_ff, rhs, free, vals = _reduced_system(problem, grid, problem.field(grid.qp_points))
+    stiffness = _Stiffness(problem, grid) if _stiffness is None else _stiffness
+    K_f, rhs, u, last = _free_system(problem, stiffness)
     green0 = _comparison_solver(problem, grid, c0_scale)
+    shape = rhs.shape
+    rhs = rhs.reshape(-1)
+    free = slice(2 * grid.n_theta, 2 * grid.n_theta * (last + 1))
 
     w = np.zeros(rhs.size)
     res = rhs
     factors = []
     prev_inc_norm = None
-    full = vals.copy()
+    full = u.reshape(-1)
     n_bad = 0
     converged = False
     n_iter = 0
     scale_norm = None
     for k in range(_CONTRACTION_MAX_ITER):
         inc = green0(res)
-        res = res - Kc_ff @ inc
+        res = res - _stiffness_apply(K_f, inc.reshape(shape)).reshape(-1)
         w = w + inc
         n_iter = k + 1
         full[free] = w

@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -439,7 +440,8 @@ def _run_decay(spec: dict, out: dict):
 def _run_contraction(spec: dict, out: dict):
     import numpy as np
 
-    from .annulus import VariationalProblem, bump_force, contraction_solve, solve_annulus
+    from .annulus import (VariationalProblem, _Stiffness, bump_force, contraction_solve,
+                          solve_annulus)
     from .degiorgi import restricted_tensor
     from .polar import PolarGrid
     from .tensors import random_scalar_field
@@ -456,8 +458,10 @@ def _run_contraction(spec: dict, out: dict):
 
     prob = VariationalProblem(field=fld, inner_data=None, outer_kind="dirichlet",
                               force=bump_force(amp, rmax))
-    u_fix, rep = contraction_solve(prob, grid)
-    u_dir = solve_annulus(prob, grid, check_bounds=False)
+    # both solves on one evaluation of the material and one build of its stiffness
+    stiffness = _Stiffness(prob, grid)
+    u_fix, rep = contraction_solve(prob, grid, _stiffness=stiffness)
+    u_dir = solve_annulus(prob, grid, check_bounds=False, _stiffness=stiffness)
     agree = float(
         np.abs(u_fix.values - u_dir.values).max() / max(np.abs(u_dir.values).max(), 1e-300)
     )
@@ -513,6 +517,25 @@ _EXPERIMENTS = {
 }
 
 
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _field_type(name: str) -> type:
+    """int, float or str: the type that the annotation of an ExperimentConfig
+    field names first (str for any other)."""
+    return {"int": int, "float": float}.get(_FIELDS[name].type.split()[0], str)
+
+
+def _has_type(name: str, value) -> bool:
+    """Whether value fits the annotation of the field: an int for int (any
+    integer, not a bool), a real number for float, None only where the
+    annotation allows it."""
+    if value is None:
+        return "None" in _FIELDS[name].type
+    typ = {int: numbers.Integral, float: numbers.Real}.get(_field_type(name), str)
+    return isinstance(value, typ) and not isinstance(value, bool)
+
+
 def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     """The parsed value of each field the experiment reads (None for a
     contraction material source the run does not use), and the run's notes;
@@ -524,6 +547,10 @@ def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         value = getattr(cfg, f.name)
         if f.name not in (*reads, "kind", "outdir", "notes") and value != f.default:
             raise ConfigInvalid(f"{f.name}: {cfg.kind} does not read it, got {value!r}")
+    for name in reads:
+        if not _has_type(name, getattr(cfg, name)):
+            raise ConfigInvalid(f"{name}: expected {_field_type(name).__name__}, "
+                                f"got {getattr(cfg, name)!r}")
     notes = list(cfg.notes)
     spec = {name: parse(getattr(cfg, name), notes) for name, parse in reads.items()}
     if cfg.kind == "contraction":
@@ -586,12 +613,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="stokes-lab", description=__doc__)
     sub = p.add_subparsers(dest="kind", required=True)
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     for kind, (_, reads) in _EXPERIMENTS.items():
         sp = sub.add_parser(kind)
         for name in (*reads, "outdir"):
-            typ = {"int": int, "float": float}.get(fields[name].type.split()[0], str)
-            sp.add_argument("--" + name.replace("_", "-"), dest=name, type=typ)
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, type=_field_type(name))
     return p
 
 

@@ -69,8 +69,13 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
 
     def action(points):
         _, e = _radial_dyads(points)
-        p4 = np.einsum("...i,...j,...h,...k->...ijhk", e, e, e, e)
-        return base + amp * p4
+        # ((e_i e_j) e_h) e_k: outer products by broadcasting, multiplied left
+        # to right; then base + amp * p4 in place, without two more temporaries
+        ee = e[..., :, None] * e[..., None, :]
+        p4 = ee[..., None, None] * e[..., None, None, :, None] * e[..., None, None, None, :]
+        p4 *= amp
+        p4 += base
+        return p4
 
     mu0, mue = 1.0, 1.0 + amp
     return ElasticityField(

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import ReferenceSystem
+
+from stokes_lab import annulus
 from stokes_lab.annulus import (
     VariationalProblem,
-    _assemble_stiffness,
+    _cartesian_stencil,
     _comparison_solver,
     _force_vector,
+    _free_system,
     _grad_q_norm,
-    _reduced_system,
     _rotation_equivariant,
-    _sparse_lu,
+    _Stiffness,
+    _stiffness_apply,
     bump_force,
     contraction_solve,
     decay_exponent_fit,
@@ -43,6 +47,7 @@ from stokes_lab.tensors import (
     gamma_exponent,
     random_scalar_field,
     scalar_field,
+    tabulated_scalar_field,
 )
 
 ISO = IsotropicModuli(1.0, 1.0)
@@ -123,8 +128,8 @@ class TestPolarGrid:
 
 class TestAssembly:
     def test_matches_cellwise_reference(self):
-        """The batched assembly against the per-cell, per-Gauss-point sum of
-        w d_k N_a C_mkhl d_l N_b, with no stored zeros in the result."""
+        """The stiffness stencil, applied to every unit vector, against the
+        per-cell, per-Gauss-point sum of w d_k N_a C_mkhl d_l N_b."""
         grid = PolarGrid(2.0, 8, 16)
         pts = grid.qp_points
         rng = np.random.default_rng(3)
@@ -146,15 +151,17 @@ class TestAssembly:
                         for b in range(4):
                             ref[2 * nodes[a]:2 * nodes[a] + 2,
                                 2 * nodes[b]:2 * nodes[b] + 2] += ke[a, :, b, :]
-            K = _assemble_stiffness(grid, action)
-            assert np.abs(K.toarray() - ref).max() <= 1e-14 * np.abs(ref).max(), name
-            assert np.all(K.data != 0), name
+            S = _cartesian_stencil(grid, action)
+            units = np.eye(2 * grid.n_nodes).reshape(-1, grid.n_r, grid.n_theta, 2)
+            K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
+            assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max(), name
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     def test_reduced_system_matches_mask_formula(self, kind):
-        """The free DOFs as one slice of rings give the bit-identical K_ff and
-        rhs of the boolean-mask selection written out here, for a
-        theta-dependent material with inner data, outer data and a force."""
+        """The stencil rows of the free rings and the right-hand side of
+        _free_system give the K_ff x and rhs of the boolean-mask selection on
+        the scattered matrix written out here, for a theta-dependent material
+        with inner data, outer data and a force."""
         grid = PolarGrid(16.0, 24, 48)
         rng = np.random.default_rng(11)
         prob = VariationalProblem(
@@ -164,8 +171,7 @@ class TestAssembly:
             outer_data=rng.normal(size=(grid.n_theta, 2)),
             force=bump_force(rng.normal(size=4), 16.0),
         )
-        action = prob.field(grid.qp_points)
-        Kff, rhs, free, vals = _reduced_system(prob, grid, action)
+        K_f, rhs, u, last = _free_system(prob, _Stiffness(prob, grid))
 
         fixed = np.zeros(2 * grid.n_nodes, dtype=bool)
         ref_vals = np.zeros(2 * grid.n_nodes)
@@ -177,18 +183,18 @@ class TestAssembly:
             fixed[2 * ids] = fixed[2 * ids + 1] = True
             ref_vals[2 * ids] = data[:, 0]
             ref_vals[2 * ids + 1] = data[:, 1]
-        K = _assemble_stiffness(grid, action)
-        b = _force_vector(grid, prob.force)
-        K_f = K[~fixed]
-        ref_rhs = b[~fixed] - K_f[:, fixed] @ ref_vals[fixed]
-        ref_K = K_f[:, ~fixed].tocsc()
+        ref = ReferenceSystem(prob, grid)
+        K_mask = ref.K[~fixed]
+        ref_rhs = _force_vector(grid, prob.force)[~fixed] - K_mask[:, fixed] @ ref_vals[fixed]
+        x = rng.normal(size=rhs.shape)
+        ref_Kx = K_mask[:, ~fixed] @ x.ravel()
 
-        assert np.array_equal(Kff.indptr, ref_K.indptr)
-        assert np.array_equal(Kff.indices, ref_K.indices)
-        assert np.array_equal(Kff.data, ref_K.data)
-        assert np.array_equal(rhs, ref_rhs)
-        assert np.array_equal(vals, ref_vals)
-        assert np.array_equal(np.arange(2 * grid.n_nodes)[free], np.nonzero(~fixed)[0])
+        assert np.array_equal(np.arange(2 * grid.n_nodes)[ref.free], np.nonzero(~fixed)[0])
+        assert last == (grid.n_r - 2 if kind == "dirichlet" else grid.n_r - 1)
+        assert np.array_equal(u.ravel(), ref_vals)
+        assert np.abs(rhs.ravel() - ref_rhs).max() <= 1e-13 * np.abs(ref_rhs).max()
+        Kx = _stiffness_apply(K_f, x).ravel()
+        assert np.abs(Kx - ref_Kx).max() <= 1e-13 * np.abs(ref_Kx).max()
 
 
 class TestComparisonSolve:
@@ -200,12 +206,12 @@ class TestComparisonSolve:
         grid = PolarGrid(16.0, nr, nt)
         prob = VariationalProblem(field=constant_field(ISO.tensor()), outer_kind=kind)
         c0 = np.broadcast_to(1.7 * ID_LIN, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
-        lu = _sparse_lu(_reduced_system(prob, grid, c0)[0])
+        reference = ReferenceSystem(prob, grid, c0)
         green0 = _comparison_solver(prob, grid, 1.7)
         rng = np.random.default_rng(nr + nt)
         for _ in range(3):
-            b = rng.normal(size=lu.shape[0])
-            ref = lu.solve(b)
+            b = rng.normal(size=reference.rhs.size)
+            ref = reference.solve(b)
             assert np.abs(green0(b) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_asymmetric_stencil_rejected(self):
@@ -288,10 +294,11 @@ class TestSolveAnnulus:
             with pytest.raises(ValueError, match="r_max / 2"):
                 solve(prob, PolarGrid(8.0, 16, 32))
 
-    def test_singular_system_diverges(self, sparse_lu_calls):
+    def test_singular_system_diverges(self, stiffness_builds):
         """Both solve paths: a zero material is rotation-equivariant (Fourier
-        path), one that is zero on a quadrant only is not (SuperLU path)."""
-        lu_calls = sparse_lu_calls
+        path); one that is zero on a quadrant only is not, and the free DOFs
+        inside that quadrant have no stiffness (conjugate-gradient path,
+        which would converge there and return a wrong field)."""
 
         def zero(p):
             return np.zeros(np.asarray(p).shape[:-1] + (2, 2, 2, 2))
@@ -304,19 +311,35 @@ class TestSolveAnnulus:
         def data(th):
             return np.stack([np.cos(th), 0 * th], -1)
 
-        for action, n_lu, message in ((zero, 0, "angular mode"), (zero_quadrant, 1, "sparse LU")):
-            lu_calls.clear()
+        for action, n_builds, message in ((zero, 0, "angular mode"),
+                                          (zero_quadrant, 1, "196 of 896 free DOFs")):
+            stiffness_builds.clear()
             fld = ElasticityField(action=action, mu0=1.0, mue=1.0)
             prob = VariationalProblem(field=fld, outer_data=data)
             with pytest.raises(SolverDiverged, match=message):
                 solve_annulus(prob, PolarGrid(8.0, 16, 32), check_bounds=False)
-            assert len(lu_calls) == n_lu
+            assert len(stiffness_builds) == n_builds
 
 
 def radial_scalar_field():
     return scalar_field(
         lambda p: 1.5 + 0.5 * np.tanh(np.linalg.norm(p, axis=-1) - 4.0), 1.0, 2.0, name="radial"
     )
+
+
+def perturbed_counterexample(grid):
+    """The Lin counter-example tensor scaled by 1 + 1e-9 in one theta-column
+    of the grid's cells: a material that is not rotation-equivariant."""
+    base = degiorgi_tensor(2.0, "lin")
+    lo, hi = grid.thetas[5], grid.thetas[6]
+
+    def perturbed(p):
+        a = base.action(p)
+        th = np.mod(np.arctan2(p[..., 1], p[..., 0]), 2 * np.pi)
+        a[(th > lo) & (th < hi)] *= 1.0 + 1e-9
+        return a
+
+    return ElasticityField(action=perturbed, mu0=base.mu0, mue=base.mue, name="perturbed")
 
 
 class TestFourierSolve:
@@ -335,8 +358,7 @@ class TestFourierSolve:
     @pytest.mark.parametrize("material", sorted(MATERIALS))
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
-    def test_matches_superlu(self, nr, nt, kind, material, sparse_lu_calls):
-        lu_calls = sparse_lu_calls
+    def test_matches_superlu(self, nr, nt, kind, material, stiffness_builds):
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
         prob = VariationalProblem(
@@ -347,39 +369,89 @@ class TestFourierSolve:
             force=bump_force(rng.normal(size=4), 16.0),
         )
         u = solve_annulus(prob, grid, check_bounds=False)
-        assert lu_calls == []
+        assert stiffness_builds == []
 
-        Kff, rhs, free, vals = _reduced_system(prob, grid, prob.field(grid.qp_points))
-        ref = vals.copy()
-        ref[free] = _sparse_lu(Kff).solve(rhs)
+        ref = ReferenceSystem(prob, grid).nodal()
         assert np.abs(u.flat() - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_path_choice(self, sparse_lu_calls):
-        """Equivariant materials never reach SuperLU; a theta-dependent one,
-        or the counter-example perturbed in one theta-column of cells by
-        1e-9, takes exactly one factorization."""
-        lu_calls = sparse_lu_calls
+    def test_path_choice(self, stiffness_builds):
+        """Equivariant materials never build the Cartesian stiffness; a
+        theta-dependent one, or the counter-example perturbed in one
+        theta-column of cells by 1e-9, builds it exactly once, for conjugate
+        gradients."""
         grid = PolarGrid(16.0, 24, 48)
-        base = degiorgi_tensor(2.0, "lin")
-        lo, hi = grid.thetas[5], grid.thetas[6]
-
-        def perturbed(p):
-            a = base.action(p)
-            th = np.mod(np.arctan2(p[..., 1], p[..., 0]), 2 * np.pi)
-            a[(th > lo) & (th < hi)] *= 1.0 + 1e-9
-            return a
-
         cases = [(f(), 0) for f in TestFourierSolve.MATERIALS.values()]
         cases += [
             (random_scalar_field(1.0, 2.0, np.random.default_rng(3)), 1),
-            (ElasticityField(action=perturbed, mu0=base.mu0, mue=base.mue), 1),
+            (perturbed_counterexample(grid), 1),
         ]
-        for fld, n_lu in cases:
-            lu_calls.clear()
-            assert _rotation_equivariant(grid, fld(grid.qp_points)) == (n_lu == 0)
+        for fld, n_builds in cases:
+            stiffness_builds.clear()
+            assert _rotation_equivariant(grid, fld(grid.qp_points)) == (n_builds == 0)
             prob = VariationalProblem(field=fld, force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
             solve_annulus(prob, grid, check_bounds=False)
-            assert len(lu_calls) == n_lu, fld.name
+            assert len(stiffness_builds) == n_builds, fld.name
+
+
+def table_field(rng):
+    """A tabulated scalar stiffness with 100 samples in [1, 1.5] on r < 16."""
+    n = 100
+    return tabulated_scalar_field(rng.uniform(1.0, 16.0, n), rng.uniform(0.0, 2 * np.pi, n),
+                                  rng.uniform(1.0, 1.5, n))
+
+
+class TestConjugateGradients:
+    """solve_annulus on materials that depend on theta: conjugate gradients on
+    the stiffness stencil, preconditioned by the Fourier solve of the
+    theta-averaged material, against SuperLU on the assembled reduced system."""
+
+    MATERIALS = {
+        "random-scalar": lambda grid, rng: random_scalar_field(1.0, 2.0, rng),
+        "table": lambda grid, rng: table_field(rng),
+        "perturbed": lambda grid, rng: perturbed_counterexample(grid),
+    }
+
+    @pytest.mark.parametrize("material", sorted(MATERIALS))
+    @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
+    @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96)])
+    def test_matches_superlu(self, nr, nt, kind, material, stiffness_builds):
+        grid = PolarGrid(16.0, nr, nt)
+        rng = np.random.default_rng(nr + nt)
+        prob = VariationalProblem(
+            field=self.MATERIALS[material](grid, rng),
+            inner_data=rng.normal(size=(nt, 2)),
+            outer_kind=kind,
+            outer_data=rng.normal(size=(nt, 2)),
+            force=bump_force(rng.normal(size=4), 16.0),
+        )
+        u = solve_annulus(prob, grid, check_bounds=False)
+        assert len(stiffness_builds) == 1
+
+        ref = ReferenceSystem(prob, grid).nodal()
+        assert np.abs(u.flat() - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_iteration_cap_diverges(self, monkeypatch):
+        grid = PolarGrid(16.0, 24, 48)
+        prob = VariationalProblem(field=random_scalar_field(1.0, 2.0, np.random.default_rng(3)),
+                                  force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
+        monkeypatch.setattr(annulus, "_PCG_MAX_ITER", 3)
+        with pytest.raises(SolverDiverged, match="in 3 steps"):
+            solve_annulus(prob, grid, check_bounds=False)
+
+    def test_indefinite_material_breaks_down(self):
+        """Positive stiffness diagonals pass the singular guard, but coupling
+        d_1 u_1 to d_2 u_2 by 3 makes the material indefinite."""
+
+        def action(p):
+            c = ID_LIN.copy()
+            c[0, 0, 1, 1] = c[1, 1, 0, 0] = 3.0
+            th = np.arctan2(p[..., 1], p[..., 0])
+            return (1.5 + 0.5 * np.cos(th))[..., None, None, None, None] * c
+
+        prob = VariationalProblem(field=ElasticityField(action=action, mu0=1.0, mue=1.0),
+                                  force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
+        with pytest.raises(SolverDiverged, match="broke down"):
+            solve_annulus(prob, PolarGrid(16.0, 24, 48), check_bounds=False)
 
 
 class TestEnergyProfiles:
@@ -765,16 +837,16 @@ class TestContraction:
         _, rep = contraction_solve(prob, grid)
         assert rep.converged
 
-        Kc, rhs, free, _ = _reduced_system(prob, grid, fld(grid.qp_points))
+        heterogeneous = ReferenceSystem(prob, grid)
         c0 = np.broadcast_to(1.25 * ID_LIN, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
-        lu = _sparse_lu(_reduced_system(prob, grid, c0)[0])
-        res = rhs
+        comparison = ReferenceSystem(prob, grid, c0)
+        res = heterogeneous.rhs
         norms = []
         for _ in range(rep.n_iter):
-            inc = lu.solve(res)
-            res = res - Kc @ inc
+            inc = comparison.solve(res)
+            res = res - heterogeneous.K_ff @ inc
             full = np.zeros(2 * grid.n_nodes)
-            full[free] = inc
+            full[heterogeneous.free] = inc
             g = DiscreteField(grid, full.reshape(grid.n_r, grid.n_theta, 2)).gradient_at_qp()
             norms.append(np.sqrt(np.sum(grid.qp_weights * np.sum(g * g, axis=(-2, -1)))))
         ref = np.asarray(norms[1:]) / np.asarray(norms[:-1])

@@ -108,6 +108,24 @@ class TestValidate:
             validate(seeded(kind, **{field: NON_DEFAULT[field]}, **extra))
         assert field in str(exc.value).partition(":")[0].split(", ")
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("gym", "trials", "5"), ("gym", "seed", 1.5), ("gym", "seed", True),
+        ("degiorgi", "grid", 64), ("degiorgi", "rmax", "64"), ("paradox", "nodes", 64.0),
+        ("contraction", "contrast_bounds", None),
+    ])
+    def test_wrong_type_rejected(self, kind, field, value):
+        """A Python-API value of the wrong type for a read field is a
+        configuration error at validation, not a TypeError in a rule or in
+        the run (trials="5" failed the trials rule, seed=1.5 SeedSequence)."""
+        cfg = seeded(kind)
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigInvalid, match=f"{field}: expected"):
+            validate(cfg)
+
+    def test_numbers_of_either_kind_accepted(self):
+        validate(ExperimentConfig(kind="degiorgi", rmax=64, xi=np.float64(2.0)))
+        validate(ExperimentConfig(kind="gym", seed=np.int64(3), trials=5))
+
     @pytest.mark.parametrize("data", ["bogus:1", "fourier:1,x", "const:1", "tangent:2", "file:"])
     def test_bad_data_rejected(self, data):
         with pytest.raises(ConfigInvalid, match="data"):
@@ -315,19 +333,22 @@ class TestRuns:
         assert set(rep.condition_numbers) <= {"augmented_system", "totals_matrix"}
         assert rep.condition_numbers["augmented_system"] < 1e12
 
-    @pytest.mark.parametrize("kind, extra, n_lu", [
+    @pytest.mark.parametrize("kind, extra, n_builds", [
         ("degiorgi", {}, 0),
         ("contraction", {"contrast_bounds": "1,1.5", "seed": 7}, 1),
+        ("contraction", {"seed": 7}, 1),
     ])
-    def test_superlu_factorizations_per_annulus_run(self, kind, extra, n_lu, tmp_path,
-                                                    sparse_lu_calls):
+    def test_stiffness_builds_per_annulus_run(self, kind, extra, n_builds, tmp_path,
+                                              stiffness_builds):
         """The counter-example is rotation-equivariant and takes the Fourier
-        solve; the seeded random material takes one sparse LU, in the direct
-        reference solve."""
+        solve with no Cartesian stiffness; a contraction run builds that
+        stiffness once and hands it from the fixed-point iteration to the
+        direct reference solve (conjugate gradients for the seeded random
+        material, the Fourier solve for the restricted counter-example)."""
         rep = run(ExperimentConfig(kind=kind, grid="24x48", rmax=24.0, outdir=str(tmp_path),
                                    **extra))
         assert rep.ok()
-        assert len(sparse_lu_calls) == n_lu
+        assert stiffness_builds == [(24, 48)] * n_builds
 
     def test_table_lookup_is_blocked(self):
         """A 2000-row table on a 24x48 grid: the nearest-sample lookup stays
@@ -448,3 +469,13 @@ def test_cli_and_bem_imports_leave_out_sparse_and_annulus():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_annulus_import_leaves_out_sparse():
+    """The annulus solvers work on stencils: no scipy.sparse."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stokes_lab.__file__)))
+    code = "import sys, stokes_lab.annulus; print('scipy.sparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
