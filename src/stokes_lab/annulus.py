@@ -2,11 +2,15 @@
 
 The exterior domain is replaced by the annulus 1 < r < r_max with a
 configurable outer condition; the solver minimizes the discrete energy
-int grad(u) . C[grad(u)] over bilinear elements, by an angular Fourier solve
-for rotation-equivariant materials and by conjugate gradients on a 9-point
-stencil, preconditioned by that Fourier solve, for any other.  The module
-also measures the quantities the theory estimates: interior/exterior energy
-profiles and their rate-gamma monotonicity, the truncated work-energy
+int grad(u) . C[grad(u)] over bilinear elements.  Every stiffness is a
+9-point stencil of 2x2 blocks over the (ring, theta) nodes, with one column
+of blocks per theta-column of cells, or a single column when it is
+block-circulant in theta.  A block-circulant stiffness (a rotation-equivariant
+material in polar components, the contraction's comparison material in
+Cartesian ones) is inverted by one angular Fourier solve; any other material
+is solved by conjugate gradients preconditioned by that Fourier solve.  The
+module also measures the quantities the theory estimates: interior/exterior
+energy profiles and their rate-gamma monotonicity, the truncated work-energy
 defect, net tractions, far-field decay exponents, and the contraction fixed
 point.
 """
@@ -19,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotCirculant, NotContracting, RadiusOutOfGrid, SolverDiverged
+from .errors import NotContracting, RadiusOutOfGrid, SolverDiverged
 from .polar import DiscreteField, PolarGrid
 from .tensors import ID_LIN, ElasticityField
 
@@ -44,10 +48,10 @@ __all__ = [
 class VariationalProblem:
     """Data of the truncated exterior problem.
 
-    inner_data / outer_data: nodal (n_theta, 2) arrays, callables of theta,
-    or None for zero.  outer_kind is "dirichlet" or "traction_free" (natural
-    condition: the outer ring stays free).  force, when present, must be
-    supported strictly inside r_max / 2.
+    inner_data / outer_data: finite nodal (n_theta, 2) arrays, callables of
+    theta returning one, or None for zero.  outer_kind is "dirichlet" or
+    "traction_free" (natural condition: the outer ring stays free).  force,
+    when present, must be supported strictly inside r_max / 2.
     """
 
     field: ElasticityField
@@ -64,11 +68,12 @@ class VariationalProblem:
         data = self.inner_data if which == "inner" else self.outer_data
         if data is None:
             return np.zeros((grid.n_theta, 2))
-        if callable(data):
-            return np.asarray(data(grid.thetas), dtype=float).reshape(grid.n_theta, 2)
-        arr = np.asarray(data, dtype=float)
+        arr = np.asarray(data(grid.thetas) if callable(data) else data, dtype=float)
         if arr.shape != (grid.n_theta, 2):
-            raise ValueError(f"boundary data must be (n_theta, 2), got {arr.shape}")
+            raise ValueError(f"{which} boundary data must have shape (n_theta, 2) = "
+                             f"({grid.n_theta}, 2), got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{which} boundary data must be finite")
         return arr
 
 
@@ -113,52 +118,39 @@ _CORNER_RING = (0, 1, 1, 0)
 _CORNER_ANGLE = (0, 0, 1, 1)
 
 
-def _theta_stencil(ke: np.ndarray):
-    """Stencil of the stiffness with the (n_r - 1, 4, 4, ..., n_cols)
-    matrices ke of its cells over their corners (any block shape between),
-    the last axis running over the theta-columns j of cells: all of them, or
-    only column 0 (n_cols = 1) when the element matrices repeat along theta
-    and the stiffness is circulant.
-
-    Returns (same, up, down) with [:, d + 1, ..., j] holding s(i, i, d),
-    s(i, i + 1, d) and s(i + 1, i, d): the block coupling node (i, j) to
-    node (i', j + d), d in {-1, 0, 1}."""
-    n_r = ke.shape[0] + 1
-    same = np.zeros((n_r, 3) + ke.shape[3:])
-    up = np.zeros((n_r - 1, 3) + ke.shape[3:])
-    down = np.zeros_like(up)
+def _stencil(ke: np.ndarray) -> np.ndarray:
+    """The (n_r, 2, 3, 3, 2, n_cols) stencil S[i, m, o + 1, d + 1, h, j] of
+    the stiffness with the (n_r - 1, n_cols, 8, 8) element matrices ke of its
+    cells, rows and columns (corner a, component m): the entry coupling
+    component m of node (i, j) to component h of node (i + o, j + d), zero
+    where ring i + o is off the grid.  Axis j runs over the theta-columns of
+    cells: all of them, or only column 0 (n_cols = 1) when the element
+    matrices repeat along theta and the stiffness is circulant."""
+    n_r, n_cols = ke.shape[0] + 1, ke.shape[1]
+    # (i, a, b, m, h, j): ring, corners a and b, components m and h, column
+    cells = ke.reshape(n_r - 1, n_cols, 4, 2, 4, 2).transpose(0, 2, 4, 3, 5, 1)
+    S = np.zeros((n_r, 2, 3, 3, 2, n_cols))
     for a in range(4):
         for b in range(4):
+            o = _CORNER_RING[b] - _CORNER_RING[a] + 1
             d = _CORNER_ANGLE[b] - _CORNER_ANGLE[a] + 1
             # corner a of the cell in column j is a node of column j + A_a
-            kab = np.roll(ke[:, a, b], _CORNER_ANGLE[a], axis=-1)
-            if _CORNER_RING[a] == _CORNER_RING[b]:
-                same[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, d] += kab
-            elif _CORNER_RING[a] == 0:
-                up[:, d] += kab
-            else:
-                down[:, d] += kab
-    return same, up, down
+            kab = np.roll(cells[:, a, b], _CORNER_ANGLE[a], axis=-1)
+            S[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, :, o, d] += kab
+    return S
 
 
-def _stencil_apply(stencil, x: np.ndarray) -> np.ndarray:
-    """K x for nodal values x (n, n_theta, 2) on the n rings of the
-    block-circulant stiffness with the (same, up, down) stencil of
-    _theta_stencil, its 2x2 blocks shared by every theta."""
-    same, up, down = stencil
-    y = np.zeros((x.shape[0], 2, x.shape[1]))
-    for d in (-1, 0, 1):
-        xs = np.roll(x, -d, axis=1).transpose(0, 2, 1)   # x[:, j + d], (n, 2, n_theta)
-        y += same[:, d + 1] @ xs
-        y[:-1] += up[:, d + 1] @ xs[1:]
-        y[1:] += down[:, d + 1] @ xs[:-1]
+def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x for nodal values x (n, n_theta, 2) on the n rings of a stencil S
+    of _stencil, or of its rows on n consecutive rings; x counts as zero on
+    the rings beyond them.  A one-column S is shared by every theta."""
+    n, n_t = x.shape[:2]
+    xp = np.zeros((n + 2, 2, n_t + 2))
+    xp[1:-1, :, 1:-1] = x.transpose(0, 2, 1)
+    xp[:, :, 0], xp[:, :, -1] = xp[:, :, -2], xp[:, :, 1]          # periodic in theta
+    X = np.stack([xp[o:o + n, :, d:d + n_t] for o in range(3) for d in range(3)], axis=1)
+    y = np.einsum("imkj,ikj->imj", S.reshape(n, 2, 18, -1), X.reshape(n, 18, n_t))
     return y.transpose(0, 2, 1)
-
-
-def _free_rings(stencil, last: int):
-    """A (same, up, down) stencil restricted to the free rings 1..last."""
-    same, up, down = stencil
-    return same[1:last + 1], up[1:last], down[1:last]
 
 
 def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
@@ -176,21 +168,6 @@ def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
     return b
 
 
-def _dirichlet_rings(problem: VariationalProblem, grid: PolarGrid):
-    """Nodal values (n_r, n_theta, 2) carrying the Dirichlet data on the inner
-    ring (and on the outer ring under a Dirichlet outer condition), zero on
-    the free rings, and the index `last` of the last free ring.
-
-    The free rings are 1..last, a contiguous range of DOFs in ring-major
-    order: last = n_r - 2 with a Dirichlet outer ring, n_r - 1 otherwise."""
-    u = np.zeros((grid.n_r, grid.n_theta, 2))
-    u[0] = problem.boundary_values(grid, "inner")
-    if problem.outer_kind == "traction_free":
-        return u, grid.n_r - 1
-    u[-1] = problem.boundary_values(grid, "outer")
-    return u, grid.n_r - 2
-
-
 # relative max-norm residual a solve must reach
 _RESIDUAL_TOL = 1e-8
 
@@ -203,58 +180,57 @@ def _check_residual(Kx: np.ndarray, rhs: np.ndarray, x: np.ndarray):
 
 
 class _Stiffness:
-    """A material's action at the Gauss points of a grid and, built on first
-    use, its stiffness as a 9-point stencil of Cartesian 2x2 blocks: one
-    block per node and neighbour, from the element matrices of every
-    theta-column of cells.  A contraction run builds it once for its
-    fixed-point iteration and its direct reference solve."""
+    """The free system of a problem on a grid.  The free rings are 1..last, a
+    contiguous range of DOFs in ring-major order: last = n_r - 2 with a
+    Dirichlet outer ring, n_r - 1 otherwise.  Held at once: the material's
+    action at the Gauss points and the nodal values u carrying the Dirichlet
+    data on the inner ring (and on the outer ring under a Dirichlet outer
+    condition), zero on the free rings.  Built on first use: the load vector,
+    the Cartesian stencil of the stiffness (one 2x2 block per node and
+    neighbour, from the element matrices of every theta-column of cells),
+    its rows K_f on the free rings and the right-hand side b_f - K_fd u_d
+    there.  A contraction run builds it once for its fixed-point iteration
+    and its direct reference solve."""
 
     def __init__(self, problem: VariationalProblem, grid: PolarGrid):
         self.grid = grid
+        self.problem = problem
         self.action = problem.field(grid.qp_points)
+        self._u = np.zeros((grid.n_r, grid.n_theta, 2))
+        self._u[0] = problem.boundary_values(grid, "inner")
+        self.last = grid.n_r - 1
+        if problem.outer_kind == "dirichlet":
+            self._u[-1] = problem.boundary_values(grid, "outer")
+            self.last -= 1
+
+    @property
+    def u(self) -> np.ndarray:
+        """A copy of the nodal values (n_r, n_theta, 2) carrying the Dirichlet data."""
+        return self._u.copy()
+
+    @cached_property
+    def load(self) -> np.ndarray:
+        return _force_vector(self.grid, self.problem.force).reshape(self._u.shape)
 
     @cached_property
     def stencil(self) -> np.ndarray:
         return _cartesian_stencil(self.grid, self.action)
 
+    @property
+    def K_f(self) -> np.ndarray:
+        return self.stencil[1:self.last + 1]
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        # u vanishes on the free rings, so K u is K_fd u_d there
+        return (self.load - _stiffness_apply(self.stencil, self._u))[1:self.last + 1]
+
 
 def _cartesian_stencil(grid: PolarGrid, action_qp: np.ndarray) -> np.ndarray:
-    """(n_r, 2, 3, 3, 2, n_theta) stencil S[i, m, o + 1, d + 1, h, j]: the
-    entry coupling component m of node (i, j) to component h of node
-    (i + o, j + d), zero where ring i + o is off the grid."""
-    n_r = grid.n_r
+    """The stencil of the stiffness in Cartesian components, from the element
+    matrices of every cell."""
     ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights, action_qp)
-    cells = ke.reshape(n_r - 1, grid.n_theta, 4, 2, 4, 2).transpose(0, 2, 4, 3, 5, 1)
-    same, up, down = (s.transpose(0, 2, 1, 3, 4) for s in _theta_stencil(cells))  # (i, m, d, h, j)
-    S = np.zeros((n_r, 2, 3, 3, 2, grid.n_theta))
-    S[1:, :, 0] = down
-    S[:, :, 1] = same
-    S[:-1, :, 2] = up
-    return S
-
-
-def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K x for nodal values x (n, n_theta, 2) on the n rings of a stencil S
-    of _cartesian_stencil, or of its rows on n consecutive rings; x counts
-    as zero on the rings beyond them."""
-    n, n_t = x.shape[:2]
-    xp = np.zeros((n + 2, 2, n_t + 2))
-    xp[1:-1, :, 1:-1] = x.transpose(0, 2, 1)
-    xp[:, :, 0], xp[:, :, -1] = xp[:, :, -2], xp[:, :, 1]          # periodic in theta
-    X = np.stack([xp[o:o + n, :, d:d + n_t] for o in range(3) for d in range(3)], axis=1)
-    y = np.einsum("imkj,ikj->imj", S.reshape(n, 2, 18, n_t), X.reshape(n, 18, n_t))
-    return y.transpose(0, 2, 1)
-
-
-def _free_system(problem: VariationalProblem, stiffness: _Stiffness):
-    """The stencil rows of the free rings 1..last, the right-hand side
-    b_f - K_fd u_d there, the nodal values u (n_r, n_theta, 2) carrying the
-    Dirichlet data, and last."""
-    grid = stiffness.grid
-    u, last = _dirichlet_rings(problem, grid)
-    b = _force_vector(grid, problem.force).reshape(u.shape)
-    rhs = (b - _stiffness_apply(stiffness.stencil, u))[1:last + 1]   # u vanishes on the free rings
-    return stiffness.stencil[1:last + 1], rhs, u, last
+    return _stencil(ke.reshape(grid.n_r - 1, grid.n_theta, 8, 8))
 
 
 # -- angular Fourier solve of block-circulant stiffnesses ------------------------
@@ -307,8 +283,8 @@ def _rotation_equivariant(grid: PolarGrid, action_qp: np.ndarray) -> bool:
                for cols in blocks)
 
 
-def _polar_stencil(grid: PolarGrid, action0: np.ndarray):
-    """The circulant stencil, in polar components, of the equivariant
+def _polar_stencil(grid: PolarGrid, action0: np.ndarray) -> np.ndarray:
+    """The one-column stencil, in polar components, of the equivariant
     material whose action on the cells (i, 0) is action0: their element
     matrices with the corners rotated by (0, 0, dtheta, dtheta)."""
     col = slice(None, None, grid.n_theta)              # cell (i, 0) of every ring i
@@ -316,91 +292,95 @@ def _polar_stencil(grid: PolarGrid, action0: np.ndarray):
     T = np.zeros((8, 8))
     for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(_CORNER_ANGLE, dtype=float))):
         T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
-    pke = (T.T @ ke @ T).reshape(grid.n_r - 1, 4, 2, 4, 2).transpose(0, 1, 3, 2, 4)
-    return tuple(s[..., 0] for s in _theta_stencil(pke[..., None]))
+    return _stencil((T.T @ ke @ T)[:, None])
 
 
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# The block-tridiagonal helpers below hold stacks of 2x2 (or 2xk) blocks as
+# (..., 2, 2, m) arrays, the stack index last: their elementwise products then
+# run over contiguous rows of m entries, about twice as fast as over (m, 2, 2).
+
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
 
 
 def _inverse_2x2(D: np.ndarray) -> np.ndarray:
     """Closed-form inverses adj(D) / det(D) of a stack of 2x2 blocks;
     SolverDiverged when a determinant vanishes or a pivot is not finite."""
-    det = D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]
-    size = np.abs(D).max(axis=(-2, -1))
+    det = D[..., 0, 0, :] * D[..., 1, 1, :] - D[..., 0, 1, :] * D[..., 1, 0, :]
+    size = np.abs(D).max(axis=(-3, -2))
     if not np.all(np.isfinite(det) & (np.abs(det) > 1e-14 * size * size)):
         raise SolverDiverged("stiffness of an angular mode is singular")
-    adj = np.swapaxes(D[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
-    return adj / det[..., None, None]
+    adj = np.swapaxes(D[..., ::-1, ::-1, :], -3, -2) * _ADJUGATE_SIGNS
+    return adj / det[..., None, None, :]
 
 
 def _mul_2x2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X @ Y for stacks of 2x2 blocks X and 2xk blocks Y, as the sum of two
     outer products: about 3x faster than matmul on stacks of small complex
     blocks."""
-    return X[..., :, :1] * Y[..., :1, :] + X[..., :, 1:] * Y[..., 1:, :]
+    return X[..., :, :1, :] * Y[..., :1, :, :] + X[..., :, 1:, :] * Y[..., 1:, :, :]
 
 
 def _block_thomas_factor(A: np.ndarray, U: np.ndarray, L: np.ndarray):
     """Forward-sweep factors of the block-tridiagonal systems with diagonal
-    A (n, m, 2, 2), upper U and lower L (n - 1, m, 2, 2), one per index of
-    axis 1: the inverse pivots D_i^-1, W_i = D_i^-1 U_i, and L."""
+    A (n, 2, 2, m), upper U and lower L (n - 1, 2, 2, m), one per index of
+    the last axis: the inverse pivots D_i^-1, W_i = D_i^-1 U_i and
+    M_i = D_i^-1 L_{i-1}."""
     Dinv = np.empty_like(A)
     W = np.empty_like(U)
-    for i in range(A.shape[0]):
-        Dinv[i] = _inverse_2x2(A[0] if i == 0 else A[i] - _mul_2x2(L[i - 1], W[i - 1]))
-        if i < U.shape[0]:
-            W[i] = _mul_2x2(Dinv[i], U[i])
-    return Dinv, W, L
+    M = np.empty_like(L)
+    Dinv[0] = _inverse_2x2(A[0])
+    for i in range(1, A.shape[0]):
+        W[i - 1] = _mul_2x2(Dinv[i - 1], U[i - 1])
+        Dinv[i] = _inverse_2x2(A[i] - _mul_2x2(L[i - 1], W[i - 1]))
+        M[i - 1] = _mul_2x2(Dinv[i], L[i - 1])
+    return Dinv, W, M
 
 
 def _block_thomas_solve(factors, F: np.ndarray) -> np.ndarray:
-    """Solve the factored systems for the right-hand sides F (n, m, 2): one
-    forward sweep, one back sweep."""
-    Dinv, W, L = factors
-    z = np.empty(F.shape + (1,), dtype=np.result_type(Dinv, F))
-    for i in range(F.shape[0]):                          # z_i = D_i^-1 (F_i - L_{i-1} z_{i-1})
-        r = F[0, ..., None] if i == 0 else F[i, ..., None] - _mul_2x2(L[i - 1], z[i - 1])
-        z[i] = _mul_2x2(Dinv[i], r)
+    """Solve the factored systems for the right-hand sides F (n, 2, m): all
+    D_i^-1 F_i in one batch, then a forward sweep
+    z_i = D_i^-1 F_i - M_i z_{i-1} and a back sweep z_i -= W_i z_{i+1}."""
+    Dinv, W, M = factors
+    z = _mul_2x2(Dinv, F[:, :, None])
+    for i in range(1, F.shape[0]):
+        z[i] -= _mul_2x2(M[i - 1], z[i - 1])
     for i in range(F.shape[0] - 2, -1, -1):
         z[i] -= _mul_2x2(W[i], z[i + 1])
-    return z[..., 0]
+    return z[:, :, 0]
 
 
-def _fourier_inverse(stencil, n_theta: int) -> Callable:
-    """The inverse of a block-circulant stiffness on the free rings, given
-    by its restricted polar-component stencil.  One real FFT in theta splits
-    it into one block-tridiagonal system over the rings per angular mode,
-    with symbol S_k = s(0) + s(1) e^{i phi_k} + s(-1) e^{-i phi_k}; these
-    are factored here, once.  The returned solve maps polar components
-    (free rings, n_theta, 2) to polar components."""
+def _fourier_inverse(S: np.ndarray, n_theta: int) -> Callable:
+    """The inverse of a block-circulant stiffness on its free rings, given by
+    the rows S of its one-column stencil on those rings.  One real FFT in
+    theta splits it into one block-tridiagonal system over the rings per
+    angular mode, with symbol s(0) + s(1) e^{i phi_k} + s(-1) e^{-i phi_k};
+    these are factored here, once.  The returned solve maps nodal values
+    (free rings, n_theta, 2) to nodal values in the components of S."""
     k = np.arange(n_theta // 2 + 1)
     phase = np.exp(1j * np.outer([-1.0, 0.0, 1.0], 2.0 * np.pi * k / n_theta))
-    same, up, down = (np.einsum("idmh,dk->ikmh", s, phase) for s in stencil)
-    factors = _block_thomas_factor(same, up, down)
+    down, same, up = (np.einsum("imdh,dk->imhk", S[:, :, o, :, :, 0], phase) for o in range(3))
+    factors = _block_thomas_factor(same, up[:-1], down[1:])
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        y = _block_thomas_solve(factors, np.fft.rfft(rhs, axis=1))
-        return np.fft.irfft(y, n=n_theta, axis=1)
+        y = _block_thomas_solve(factors, np.fft.rfft(rhs.transpose(0, 2, 1), axis=2))
+        return np.fft.irfft(y, n=n_theta, axis=2).transpose(0, 2, 1)
 
     return solve
 
 
-def _fourier_solve(problem: VariationalProblem, grid: PolarGrid,
-                   action_qp: np.ndarray) -> DiscreteField:
+def _fourier_solve(stiffness: _Stiffness) -> DiscreteField:
     """solve_annulus for a rotation-equivariant material: the Fourier
     inverse of its polar-component stiffness, read off the first
     theta-column of cells; the Dirichlet rings enter the right-hand side
     through the off-diagonal blocks."""
-    stencil = _polar_stencil(grid, action_qp[:: grid.n_theta])
-    u, last = _dirichlet_rings(problem, grid)
+    grid, free = stiffness.grid, slice(1, stiffness.last + 1)
+    S = _polar_stencil(grid, stiffness.action[:: grid.n_theta])
+    u = stiffness.u
     R = _rotations(grid.thetas)
-    b = _to_polar(R, _force_vector(grid, problem.force).reshape(u.shape))
-    rhs = (b - _stencil_apply(stencil, _to_polar(R, u)))[1:last + 1]
-    K_f = _free_rings(stencil, last)
-    x = _fourier_inverse(K_f, grid.n_theta)(rhs)
-    _check_residual(_stencil_apply(K_f, x), rhs, x)
-    u[1:last + 1] = _to_cartesian(R, x)
+    rhs = (_to_polar(R, stiffness.load) - _stiffness_apply(S, _to_polar(R, u)))[free]
+    x = _fourier_inverse(S[free], grid.n_theta)(rhs)
+    _check_residual(_stiffness_apply(S[free], x), rhs, x)
+    u[free] = _to_cartesian(R, x)
     return DiscreteField(grid, u)
 
 
@@ -421,7 +401,7 @@ def _averaged_inverse(grid: PolarGrid, action_qp: np.ndarray, last: int) -> Call
     total = sum(_polar_frame(grid, action_qp, np.arange(lo, min(lo + _EQUIVARIANCE_BLOCK, n_t)))
                 .sum(axis=0) for lo in range(0, n_t, _EQUIVARIANCE_BLOCK))
     mean = (total / n_t).transpose(1, 2, 0, 3).reshape(grid.n_r - 1, -1, 2, 2, 2, 2)
-    inverse = _fourier_inverse(_free_rings(_polar_stencil(grid, mean), last), n_t)
+    inverse = _fourier_inverse(_polar_stencil(grid, mean)[1:last + 1], n_t)
     R = _rotations(grid.thetas)
     return lambda r: _to_cartesian(R, inverse(_to_polar(R, r)))
 
@@ -455,17 +435,18 @@ def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray) -> np.ndarray
                          f"{_PCG_TOL:g} in {_PCG_MAX_ITER} steps")
 
 
-def _pcg_solve(problem: VariationalProblem, stiffness: _Stiffness) -> DiscreteField:
-    K_f, rhs, u, last = _free_system(problem, stiffness)
+def _pcg_solve(stiffness: _Stiffness) -> DiscreteField:
+    K_f, rhs = stiffness.K_f, stiffness.rhs
     diag = K_f[:, [0, 1], 1, 1, [0, 1]]
     weak = np.count_nonzero(diag <= _SINGULAR_DIAGONAL * diag.max())
     if weak:
         raise SolverDiverged(f"stiffness is singular: {weak} of {diag.size} free DOFs have a "
                              f"diagonal at most {_SINGULAR_DIAGONAL:g} of the largest")
-    precondition = _averaged_inverse(stiffness.grid, stiffness.action, last)
+    precondition = _averaged_inverse(stiffness.grid, stiffness.action, stiffness.last)
     x = _pcg(lambda p: _stiffness_apply(K_f, p), precondition, rhs)
     _check_residual(_stiffness_apply(K_f, x), rhs, x)
-    u[1:last + 1] = x
+    u = stiffness.u
+    u[1:stiffness.last + 1] = x
     return DiscreteField(stiffness.grid, u)
 
 
@@ -501,8 +482,8 @@ def solve_annulus(
         flat = grid.qp_points.reshape(-1, 2)
         problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
     if _rotation_equivariant(grid, stiffness.action):
-        return _fourier_solve(problem, grid, stiffness.action)
-    return _pcg_solve(problem, stiffness)
+        return _fourier_solve(stiffness)
+    return _pcg_solve(stiffness)
 
 
 # -- energy bookkeeping --------------------------------------------------------
@@ -760,63 +741,22 @@ class ContractionReport:
         return max(self.n_iter - 1, 0)
 
 
-def _grad_q_norm(grid: PolarGrid, flat_values: np.ndarray, q: float) -> float:
-    g2 = grid.gradient_sq_at_qp(flat_values)
+def _grad_q_norm(grid: PolarGrid, values: np.ndarray, q: float) -> float:
+    g2 = grid.gradient_sq_at_qp(values)
     return float(np.sum(grid.qp_weights * g2 ** (0.5 * q)) ** (1.0 / q))
 
 
-def _comparison_solver(problem: VariationalProblem, grid: PolarGrid, c0_scale: float) -> Callable:
-    """Q: inverse of the stiffness of C0 = c0_scale * Id_Lin on the free DOFs
-    of the problem.
-
-    C0 couples no components and is rotation-invariant, so its stiffness is
-    the same scalar operator on both Cartesian components and circulant in
-    theta, with stencil s(i, i', d) over ring pairs and angular offsets
-    d in {-1, 0, 1}, read off the element matrices of the first theta-column
-    of cells.  The grid is symmetric under theta -> -theta, so s(d=-1) =
-    s(d=+1) and mode k of a real FFT in theta sees the real symmetric
-    tridiagonal matrix s(0) + 2 s(1) cos(2 pi k / n_theta) over the free
-    rings (the Dirichlet rings drop out whole).  One Thomas factorization
-    serves every mode; the returned solve maps a free-DOF vector, ordered
-    (ring, theta, component), to Q applied to it.  Raises NotCirculant when
-    the stencil is not symmetric in d, SolverDiverged when a pivot vanishes.
-    """
-    n_t = grid.n_theta
-    col = slice(None, None, n_t)                       # cell (i, 0) of every ring i
+def _comparison_solver(grid: PolarGrid, last: int, c0_scale: float) -> Callable:
+    """Q: the Fourier inverse of the stiffness of C0 = c0_scale * Id_Lin on
+    the free rings 1..last.  C0 couples no components and is
+    rotation-invariant, so its stiffness is block-circulant in Cartesian
+    components, with the stencil read off the element matrices of the first
+    theta-column of cells; Q maps Cartesian nodal values to Cartesian nodal
+    values."""
+    col = slice(None, None, grid.n_theta)              # cell (i, 0) of every ring i
     c0 = np.broadcast_to(c0_scale * ID_LIN, grid.qp_weights[col].shape + (2, 2, 2, 2))
     ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], c0)
-    same, next_, _ = (s[..., 0] for s in _theta_stencil(ke[:, 0::2, 0::2, None]))  # component 0
-    asym = max(np.abs(same[:, 0] - same[:, 2]).max(), np.abs(next_[:, 0] - next_[:, 2]).max())
-    if asym > 1e-13 * np.abs(same).max():
-        raise NotCirculant(f"comparison stencil s(d=-1) != s(d=+1) by {asym:.3g}")
-
-    last = _dirichlet_rings(problem, grid)[1]
-    cos = np.cos(2.0 * np.pi * np.arange(n_t // 2 + 1) / n_t)
-    phase = np.stack([cos, np.ones_like(cos), cos])  # symbol of d = -1, 0, 1, (3, modes)
-    diag = same[1:last + 1] @ phase                    # (free rings, modes)
-    off = next_[1:last] @ phase
-    nf = diag.shape[0]
-    inv_piv = np.empty_like(diag)
-    upper = np.empty_like(off)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_piv[0] = 1.0 / diag[0]
-        for i in range(1, nf):
-            upper[i - 1] = off[i - 1] * inv_piv[i - 1]
-            inv_piv[i] = 1.0 / (diag[i] - off[i - 1] * upper[i - 1])
-    if not np.all(np.isfinite(inv_piv)):
-        raise SolverDiverged("comparison operator is singular")
-    inv_piv, off, upper = inv_piv[..., None], off[..., None], upper[..., None]
-
-    def solve(res: np.ndarray) -> np.ndarray:
-        y = np.fft.rfft(res.reshape(nf, n_t, 2), axis=1)
-        y[0] *= inv_piv[0]
-        for i in range(1, nf):
-            y[i] = (y[i] - off[i - 1] * y[i - 1]) * inv_piv[i]
-        for i in range(nf - 2, -1, -1):
-            y[i] -= upper[i] * y[i + 1]
-        return np.fft.irfft(y, n=n_t, axis=1).reshape(-1)
-
-    return solve
+    return _fourier_inverse(_stencil(ke[:, None])[1:last + 1], grid.n_theta)
 
 
 # the iteration stops once an increment is this fraction of the first one
@@ -834,20 +774,22 @@ def contraction_solve(
 
     Q inverts the discrete C0-operator on the same grid and boundary
     conditions, the desk-scale stand-in for the whole-plane kernel
-    convolution: C0 is rotation-invariant, so one real FFT in theta splits
-    that operator into one tridiagonal system over the rings per angular
-    mode, factored once per call; it stays a scalar solve, apart from the
-    2x2 block sweeps of solve_annulus.  The limit therefore solves exactly
-    the same discrete system as solve_annulus.  The residual is carried from
-    step to step: each step applies Q to what the previous increment left,
-    and the material's stiffness to the increment, as the 9-point stencil of
-    2x2 blocks that solve_annulus's conjugate gradients use, built once per
-    call.  So the increments never cancel against the data and their ratios
-    stay clear of round-off.  Per-iteration contraction factors are
-    measured in the gradient L^q norm; with scale = the upper Lin bound of
-    the material (mue when it declares none), the factor is bounded by the
-    relative contrast (scale - lower) / scale.  The iteration stops once an
-    increment is 1e-12 of the first, or after 100 steps.  Raises
+    convolution: C0 is rotation-invariant, so Q is the angular Fourier
+    inverse of solve_annulus (one real FFT in theta and one 2x2
+    block-tridiagonal sweep over the rings per angular mode), factored once
+    per call.  The limit therefore solves exactly the same discrete system
+    as solve_annulus.  The residual is carried from step to step: each step
+    applies Q to what the previous increment left, and the material's
+    stiffness to the increment, as the 9-point stencil of 2x2 blocks that
+    solve_annulus's conjugate gradients use.  That stencil, the load vector
+    and the right-hand side are built once per call, or once per run when
+    _stiffness is handed on to solve_annulus.  So the increments never
+    cancel against the data and their ratios stay clear of round-off.
+    Per-iteration contraction factors are measured in the gradient L^q
+    norm; with scale = the upper Lin bound of the material (mue when it
+    declares none), the factor is bounded by the relative contrast
+    (scale - lower) / scale.  The iteration stops once an increment is
+    1e-12 of the first, or after 100 steps.  Raises
     NotContracting after three consecutive factors above 1.  _stiffness is
     the private hand-off of solve_annulus.
     """
@@ -857,29 +799,23 @@ def contraction_solve(
         c0_scale = problem.field.mue
 
     stiffness = _Stiffness(problem, grid) if _stiffness is None else _stiffness
-    K_f, rhs, u, last = _free_system(problem, stiffness)
-    green0 = _comparison_solver(problem, grid, c0_scale)
-    shape = rhs.shape
-    rhs = rhs.reshape(-1)
-    free = slice(2 * grid.n_theta, 2 * grid.n_theta * (last + 1))
+    K_f, res, last = stiffness.K_f, stiffness.rhs, stiffness.last
+    green0 = _comparison_solver(grid, last, c0_scale)
 
-    w = np.zeros(rhs.size)
-    res = rhs
+    w = np.zeros_like(res)
+    inc_full = np.zeros((grid.n_r, grid.n_theta, 2))
     factors = []
     prev_inc_norm = None
-    full = u.reshape(-1)
     n_bad = 0
     converged = False
     n_iter = 0
     scale_norm = None
     for k in range(_CONTRACTION_MAX_ITER):
         inc = green0(res)
-        res = res - _stiffness_apply(K_f, inc.reshape(shape)).reshape(-1)
+        res = res - _stiffness_apply(K_f, inc)
         w = w + inc
         n_iter = k + 1
-        full[free] = w
-        inc_full = np.zeros_like(full)
-        inc_full[free] = inc
+        inc_full[1:last + 1] = inc
         inc_norm = _grad_q_norm(grid, inc_full, q)
         if scale_norm is None:
             scale_norm = max(inc_norm, 1e-300)
@@ -897,7 +833,9 @@ def contraction_solve(
             converged = True
             break
 
-    field_out = DiscreteField(grid, full.reshape(grid.n_r, grid.n_theta, 2))
+    u = stiffness.u
+    u[1:last + 1] = w
+    field_out = DiscreteField(grid, u)
     return field_out, ContractionReport(
         factors=np.asarray(factors),
         q=q,

@@ -67,10 +67,6 @@ class NotContracting(StokesLabError):
     """Fixed-point factors exceeded 1 for three consecutive iterations."""
 
 
-class NotCirculant(StokesLabError):
-    """An angular stencil meant to be circulant and symmetric in theta is not."""
-
-
 # --- counter-example --------------------------------------------------------
 
 class OriginSingular(StokesLabError):

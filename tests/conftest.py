@@ -22,20 +22,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def stiffness_builds(monkeypatch):
-    """Grids (n_r, n_theta) of the Cartesian stiffness stencils that
-    stokes_lab.annulus builds from now on, in call order."""
+def annulus_calls(monkeypatch):
+    """annulus_calls(name): the grids (n_r, n_theta) of the calls that
+    stokes_lab.annulus makes from now on to its builder `name`, whose first
+    argument is the grid, in call order."""
     from stokes_lab import annulus
 
-    calls = []
-    real_build = annulus._cartesian_stencil
+    def count(name):
+        calls = []
+        real = getattr(annulus, name)
 
-    def counting(grid, action_qp):
-        calls.append((grid.n_r, grid.n_theta))
-        return real_build(grid, action_qp)
+        def counting(grid, *args, **kwargs):
+            calls.append((grid.n_r, grid.n_theta))
+            return real(grid, *args, **kwargs)
 
-    monkeypatch.setattr(annulus, "_cartesian_stencil", counting)
-    return calls
+        monkeypatch.setattr(annulus, name, counting)
+        return calls
+
+    return count
 
 
 class ReferenceSystem:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conftest import ReferenceSystem
 
@@ -9,8 +10,8 @@ from stokes_lab.annulus import (
     _cartesian_stencil,
     _comparison_solver,
     _force_vector,
-    _free_system,
     _grad_q_norm,
+    _polar_stencil,
     _rotation_equivariant,
     _Stiffness,
     _stiffness_apply,
@@ -32,7 +33,6 @@ from stokes_lab.degiorgi import (
 )
 from stokes_lab.errors import (
     BoundsViolated,
-    NotCirculant,
     NotContracting,
     RadiusOutOfGrid,
     SolverDiverged,
@@ -129,8 +129,14 @@ class TestPolarGrid:
 class TestAssembly:
     def test_matches_cellwise_reference(self):
         """The stiffness stencil, applied to every unit vector, against the
-        per-cell, per-Gauss-point sum of w d_k N_a C_mkhl d_l N_b."""
+        per-cell, per-Gauss-point sum of w d_k N_a C_mkhl d_l N_b.  For the
+        equivariant materials the one-column polar stencil, broadcast over
+        theta, too: against P^T K P with P the block diagonal of the
+        rotations R(theta_j) of the nodes."""
         grid = PolarGrid(2.0, 8, 16)
+        c, s = np.cos(grid.thetas), np.sin(grid.thetas)
+        rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        P = block_diag(*np.tile(rotations, (grid.n_r, 1, 1)))
         pts = grid.qp_points
         rng = np.random.default_rng(3)
         materials = {
@@ -155,11 +161,17 @@ class TestAssembly:
             units = np.eye(2 * grid.n_nodes).reshape(-1, grid.n_r, grid.n_theta, 2)
             K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
             assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max(), name
+            if name.startswith("degiorgi"):
+                S = _polar_stencil(grid, action[:: grid.n_theta])
+                assert S.shape[-1] == 1
+                K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
+                polar_ref = P.T @ ref @ P
+                assert np.abs(K - polar_ref).max() <= 1e-14 * np.abs(polar_ref).max(), name
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     def test_reduced_system_matches_mask_formula(self, kind):
-        """The stencil rows of the free rings and the right-hand side of
-        _free_system give the K_ff x and rhs of the boolean-mask selection on
+        """The stencil rows of the free rings and the right-hand side held by
+        _Stiffness give the K_ff x and rhs of the boolean-mask selection on
         the scattered matrix written out here, for a theta-dependent material
         with inner data, outer data and a force."""
         grid = PolarGrid(16.0, 24, 48)
@@ -171,7 +183,8 @@ class TestAssembly:
             outer_data=rng.normal(size=(grid.n_theta, 2)),
             force=bump_force(rng.normal(size=4), 16.0),
         )
-        K_f, rhs, u, last = _free_system(prob, _Stiffness(prob, grid))
+        stiffness = _Stiffness(prob, grid)
+        K_f, rhs, u, last = stiffness.K_f, stiffness.rhs, stiffness.u, stiffness.last
 
         fixed = np.zeros(2 * grid.n_nodes, dtype=bool)
         ref_vals = np.zeros(2 * grid.n_nodes)
@@ -207,21 +220,13 @@ class TestComparisonSolve:
         prob = VariationalProblem(field=constant_field(ISO.tensor()), outer_kind=kind)
         c0 = np.broadcast_to(1.7 * ID_LIN, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
         reference = ReferenceSystem(prob, grid, c0)
-        green0 = _comparison_solver(prob, grid, 1.7)
+        last = grid.n_r - 2 if kind == "dirichlet" else grid.n_r - 1
+        green0 = _comparison_solver(grid, last, 1.7)
         rng = np.random.default_rng(nr + nt)
         for _ in range(3):
-            b = rng.normal(size=reference.rhs.size)
-            ref = reference.solve(b)
-            assert np.abs(green0(b) - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_asymmetric_stencil_rejected(self):
-        grid = PolarGrid(16.0, 24, 48)
-        qp = grid._quadrature()
-        qp["grad"] = qp["grad"].copy()
-        qp["grad"][0, 0, 0] *= 1.1      # breaks theta -> -theta in the first cell
-        prob = VariationalProblem(field=constant_field(ISO.tensor()))
-        with pytest.raises(NotCirculant):
-            _comparison_solver(prob, grid, 1.0)
+            b = rng.normal(size=(last, nt, 2))
+            ref = reference.solve(b.ravel())
+            assert np.abs(green0(b).ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSolveAnnulus:
@@ -294,11 +299,28 @@ class TestSolveAnnulus:
             with pytest.raises(ValueError, match="r_max / 2"):
                 solve(prob, PolarGrid(8.0, 16, 32))
 
-    def test_singular_system_diverges(self, stiffness_builds):
+    @pytest.mark.parametrize("data, match", [
+        ({"outer_data": lambda th: np.stack([np.cos(th), np.sin(th)])},
+         r"outer boundary data must have shape .* got \(2, 32\)"),
+        ({"inner_data": lambda th: np.full((th.size, 2), np.nan)},
+         "inner boundary data must be finite"),
+        ({"outer_data": np.full((32, 2), np.inf)}, "outer boundary data must be finite"),
+    ], ids=["transposed-callable", "nan-callable", "inf-array"])
+    def test_boundary_data_validated(self, data, match):
+        """Callable data are checked like array data: a (2, n_theta) result is
+        not reshaped into a scrambled ring, and non-finite data are a
+        ValueError naming the ring, not a diverged solve."""
+        prob = VariationalProblem(field=constant_field(ISO.tensor()), **data)
+        for solve in (solve_annulus, contraction_solve):
+            with pytest.raises(ValueError, match=match):
+                solve(prob, PolarGrid(8.0, 16, 32))
+
+    def test_singular_system_diverges(self, annulus_calls):
         """Both solve paths: a zero material is rotation-equivariant (Fourier
         path); one that is zero on a quadrant only is not, and the free DOFs
         inside that quadrant have no stiffness (conjugate-gradient path,
         which would converge there and return a wrong field)."""
+        stiffness_builds = annulus_calls("_cartesian_stencil")
 
         def zero(p):
             return np.zeros(np.asarray(p).shape[:-1] + (2, 2, 2, 2))
@@ -358,7 +380,8 @@ class TestFourierSolve:
     @pytest.mark.parametrize("material", sorted(MATERIALS))
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
-    def test_matches_superlu(self, nr, nt, kind, material, stiffness_builds):
+    def test_matches_superlu(self, nr, nt, kind, material, annulus_calls):
+        stiffness_builds = annulus_calls("_cartesian_stencil")
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
         prob = VariationalProblem(
@@ -374,11 +397,12 @@ class TestFourierSolve:
         ref = ReferenceSystem(prob, grid).nodal()
         assert np.abs(u.flat() - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_path_choice(self, stiffness_builds):
+    def test_path_choice(self, annulus_calls):
         """Equivariant materials never build the Cartesian stiffness; a
         theta-dependent one, or the counter-example perturbed in one
         theta-column of cells by 1e-9, builds it exactly once, for conjugate
         gradients."""
+        stiffness_builds = annulus_calls("_cartesian_stencil")
         grid = PolarGrid(16.0, 24, 48)
         cases = [(f(), 0) for f in TestFourierSolve.MATERIALS.values()]
         cases += [
@@ -414,7 +438,8 @@ class TestConjugateGradients:
     @pytest.mark.parametrize("material", sorted(MATERIALS))
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96)])
-    def test_matches_superlu(self, nr, nt, kind, material, stiffness_builds):
+    def test_matches_superlu(self, nr, nt, kind, material, annulus_calls):
+        stiffness_builds = annulus_calls("_cartesian_stencil")
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
         prob = VariationalProblem(

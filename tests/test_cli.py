@@ -339,16 +339,20 @@ class TestRuns:
         ("contraction", {"seed": 7}, 1),
     ])
     def test_stiffness_builds_per_annulus_run(self, kind, extra, n_builds, tmp_path,
-                                              stiffness_builds):
+                                              annulus_calls):
         """The counter-example is rotation-equivariant and takes the Fourier
         solve with no Cartesian stiffness; a contraction run builds that
         stiffness once and hands it from the fixed-point iteration to the
         direct reference solve (conjugate gradients for the seeded random
-        material, the Fourier solve for the restricted counter-example)."""
+        material, the Fourier solve for the restricted counter-example).
+        Every run builds its load vector once, a contraction run too."""
+        stiffness_builds = annulus_calls("_cartesian_stencil")
+        load_builds = annulus_calls("_force_vector")
         rep = run(ExperimentConfig(kind=kind, grid="24x48", rmax=24.0, outdir=str(tmp_path),
                                    **extra))
         assert rep.ok()
         assert stiffness_builds == [(24, 48)] * n_builds
+        assert load_builds == [(24, 48)]
 
     def test_table_lookup_is_blocked(self):
         """A 2000-row table on a 24x48 grid: the nearest-sample lookup stays
