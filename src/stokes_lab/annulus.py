@@ -2,17 +2,20 @@
 
 The exterior domain is replaced by the annulus 1 < r < r_max with a
 configurable outer condition; the solver minimizes the discrete energy
-int grad(u) . C[grad(u)] over bilinear elements.  Every stiffness is a
-9-point stencil of 2x2 blocks over the (ring, theta) nodes, with one column
-of blocks per theta-column of cells, or a single column when it is
-block-circulant in theta.  A block-circulant stiffness (a rotation-equivariant
-material in polar components, the contraction's comparison material in
-Cartesian ones) is inverted by one angular Fourier solve; any other material
-is solved by conjugate gradients preconditioned by that Fourier solve.  The
-module also measures the quantities the theory estimates: interior/exterior
-energy profiles and their rate-gamma monotonicity, the truncated work-energy
-defect, net tractions, far-field decay exponents, and the contraction fixed
-point.
+int grad(u) . C[grad(u)] over bilinear elements.  Every stiffness is built
+once, in polar components: the material at the Gauss points of each
+theta-column of cells is rotated into that column's polar frame, and the
+stiffness is a 9-point stencil of 2x2 blocks over the (ring, theta) nodes,
+with one column of blocks per theta-column of cells, or a single column when
+the material is rotation-equivariant and the stiffness block-circulant in
+theta.  A block-circulant stiffness is inverted by one angular Fourier
+solve; any other is solved by conjugate gradients preconditioned by the
+Fourier solve of its theta-mean.  Only the load and the Dirichlet data (on
+the way in) and the solution (on the way out) are rotated between Cartesian
+and polar components.  The module also measures the quantities the theory
+estimates: interior/exterior energy profiles and their rate-gamma
+monotonicity, the truncated work-energy defect, net tractions, far-field
+decay exponents, and the contraction fixed point.
 """
 
 from __future__ import annotations
@@ -95,22 +98,28 @@ def bump_force(amp, r_max: float) -> Callable:
     return force
 
 
-def _element_matrices(grad: np.ndarray, weights: np.ndarray, action_qp: np.ndarray) -> np.ndarray:
-    """(nc, 8, 8) element matrices, rows and columns (node a, component m).
+def _element_matrices(grad: np.ndarray, weights: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(..., 8, 8) element matrices, rows and columns (node a, component m),
+    of cells with the Gauss-point shape gradients grad (..., nq, 4, 2),
+    weights (..., nq) and material component matrices C (..., nq, 4, 4),
+    rows (m, k) and columns (h, l); the leading axes broadcast.
 
     Block (m, h) sums w d_k N_a C_mkhl d_l N_b over the Gauss points and
     k, l.  Each of the four component pairs is contracted on its own: over
     k per Gauss point, then over the Gauss points and l in one batched
     matrix product per cell."""
-    nc, nq = weights.shape
-    wC = (action_qp.reshape(nc, nq, 4, 4) * weights[..., None, None]).reshape(nc, nq, 2, 2, 2, 2)
-    grad_t = grad.transpose(0, 1, 3, 2).reshape(nc, 2 * nq, 4)     # rows (Gauss point, l)
-    ke = np.empty((nc, 4, 2, 4, 2))
+    nq = weights.shape[-1]
+    wC = C * weights[..., None, None]
+    lead = wC.shape[:-3]
+    wC = wC.reshape(lead + (nq, 2, 2, 2, 2))
+    # rows (Gauss point, l)
+    grad_t = np.swapaxes(grad, -1, -2).reshape(grad.shape[:-3] + (2 * nq, 4))
+    ke = np.empty(lead + (4, 2, 4, 2))
     for m in range(2):
         for h in range(2):
-            gc = grad @ wC[:, :, m, :, h, :]                       # (nc, nq, a, l)
-            ke[:, :, m, :, h] = gc.transpose(0, 2, 1, 3).reshape(nc, 4, 2 * nq) @ grad_t
-    return ke.reshape(nc, 8, 8)
+            gc = grad @ wC[..., m, :, h, :]                        # (..., nq, a, l)
+            ke[..., :, m, :, h] = np.swapaxes(gc, -3, -2).reshape(lead + (4, 2 * nq)) @ grad_t
+    return ke.reshape(lead + (8, 8))
 
 
 # local node offsets (ring, angle) of a cell's corners, in PolarGrid.cells order
@@ -168,74 +177,9 @@ def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
     return b
 
 
-# relative max-norm residual a solve must reach
-_RESIDUAL_TOL = 1e-8
+# -- the polar frame ------------------------------------------------------------
 
-
-def _check_residual(Kx: np.ndarray, rhs: np.ndarray, x: np.ndarray):
-    scale = max(np.abs(rhs).max(), np.abs(Kx).max(), 1e-300)
-    rel = np.abs(Kx - rhs).max() / scale
-    if not np.all(np.isfinite(x)) or rel > _RESIDUAL_TOL:
-        raise SolverDiverged(f"solve residual {rel:.3g} exceeds {_RESIDUAL_TOL:g}")
-
-
-class _Stiffness:
-    """The free system of a problem on a grid.  The free rings are 1..last, a
-    contiguous range of DOFs in ring-major order: last = n_r - 2 with a
-    Dirichlet outer ring, n_r - 1 otherwise.  Held at once: the material's
-    action at the Gauss points and the nodal values u carrying the Dirichlet
-    data on the inner ring (and on the outer ring under a Dirichlet outer
-    condition), zero on the free rings.  Built on first use: the load vector,
-    the Cartesian stencil of the stiffness (one 2x2 block per node and
-    neighbour, from the element matrices of every theta-column of cells),
-    its rows K_f on the free rings and the right-hand side b_f - K_fd u_d
-    there.  A contraction run builds it once for its fixed-point iteration
-    and its direct reference solve."""
-
-    def __init__(self, problem: VariationalProblem, grid: PolarGrid):
-        self.grid = grid
-        self.problem = problem
-        self.action = problem.field(grid.qp_points)
-        self._u = np.zeros((grid.n_r, grid.n_theta, 2))
-        self._u[0] = problem.boundary_values(grid, "inner")
-        self.last = grid.n_r - 1
-        if problem.outer_kind == "dirichlet":
-            self._u[-1] = problem.boundary_values(grid, "outer")
-            self.last -= 1
-
-    @property
-    def u(self) -> np.ndarray:
-        """A copy of the nodal values (n_r, n_theta, 2) carrying the Dirichlet data."""
-        return self._u.copy()
-
-    @cached_property
-    def load(self) -> np.ndarray:
-        return _force_vector(self.grid, self.problem.force).reshape(self._u.shape)
-
-    @cached_property
-    def stencil(self) -> np.ndarray:
-        return _cartesian_stencil(self.grid, self.action)
-
-    @property
-    def K_f(self) -> np.ndarray:
-        return self.stencil[1:self.last + 1]
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        # u vanishes on the free rings, so K u is K_fd u_d there
-        return (self.load - _stiffness_apply(self.stencil, self._u))[1:self.last + 1]
-
-
-def _cartesian_stencil(grid: PolarGrid, action_qp: np.ndarray) -> np.ndarray:
-    """The stencil of the stiffness in Cartesian components, from the element
-    matrices of every cell."""
-    ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights, action_qp)
-    return _stencil(ke.reshape(grid.n_r - 1, grid.n_theta, 8, 8))
-
-
-# -- angular Fourier solve of block-circulant stiffnesses ------------------------
-
-_EQUIVARIANCE_BLOCK = 32        # theta-columns rotated per batch into their polar frames
+_FRAME_BLOCK = 32               # theta-columns of cells evaluated and rotated per batch
 
 
 def _rotations(thetas: np.ndarray) -> np.ndarray:
@@ -254,46 +198,125 @@ def _to_cartesian(R: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (R @ x[..., None])[..., 0]
 
 
-def _polar_frame(grid: PolarGrid, action_qp: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The 4x4 component matrices of the theta-columns `cols` of cells
-    rotated into each column's polar frame, Q^T C Q with
-    Q = R(theta_j) x R(theta_j), by two batched matrix products; laid out as
-    (column, row index a, ring, Gauss point, column index b)."""
-    C = action_qp.reshape(grid.n_r - 1, grid.n_theta, -1, 4, 4).transpose(1, 3, 0, 2, 4)[cols]
-    R = _rotations(grid.thetas[cols])
-    q = np.einsum("jia,jkb->jikab", R, R).reshape(cols.size, 4, 4)
-    qtc = np.swapaxes(q, -1, -2) @ C.reshape(cols.size, 4, -1)
-    return (qtc.reshape(cols.size, -1, 4) @ q).reshape(C.shape)
+def _polar_frame(C: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The material C (n_r - 1, n_cols, nq, 2, 2, 2, 2) at the Gauss points
+    of the theta-columns of cells that start at the angles thetas, rotated
+    into each column's polar frame, Q^T C Q with Q = R(theta_j) x R(theta_j),
+    by two batched matrix products; laid out as in _material_frame."""
+    n_rc, n_cols = C.shape[:2]
+    R = _rotations(thetas)
+    q = np.einsum("jia,jkb->jikab", R, R).reshape(n_cols, 4, 4)
+    # (column, row index a, ring, Gauss point, column index b)
+    C = C.reshape(n_rc, n_cols, -1, 4, 4).transpose(1, 3, 0, 2, 4)
+    qtc = np.swapaxes(q, -1, -2) @ C.reshape(n_cols, 4, -1)
+    return (qtc.reshape(n_cols, -1, 4) @ q).reshape(C.shape).transpose(2, 0, 3, 1, 4)
 
 
-def _rotation_equivariant(grid: PolarGrid, action_qp: np.ndarray) -> bool:
-    """Whether C(R x) = R * C(x) holds at the Gauss points: every theta-column
-    of cells, rotated into its polar frame, equals column 0 to 1e-12
-    relative.  Column j's Gauss geometry is column 0's rotated by theta_j, so
-    a passed check makes the stiffness block-circulant in polar components.
-    A few sampled columns are compared first, so that a material that
-    depends on theta is turned down at once; the rest follow in blocks."""
+def _material_frame(field: ElasticityField, grid: PolarGrid) -> np.ndarray:
+    """The material at the Gauss points, rotated into the polar frame of each
+    theta-column of cells: (n_r - 1, n_cols, nq, 4, 4) component matrices,
+    rows (m, k) and columns (h, l).  It is evaluated and rotated one block
+    of columns at a time, and each block is compared with column 0.  When
+    every column equals column 0 to 1e-12 relative, C(R x) = R * C(x) holds
+    at the Gauss points and only column 0 is kept (n_cols = 1): column j's
+    Gauss geometry is column 0's rotated by theta_j, so the stiffness is
+    then block-circulant in polar components."""
     n_t = grid.n_theta
-    ref = _polar_frame(grid, action_qp, np.array([0]))[0]   # R(0) = identity
-    tol = 1e-12 * np.abs(ref).max()
-    blocks = [np.unique([1, n_t // 3, n_t // 2, n_t - 1])]
-    blocks += [np.arange(lo, min(lo + _EQUIVARIANCE_BLOCK, n_t))
-               for lo in range(1, n_t, _EQUIVARIANCE_BLOCK)]
-    return all(np.abs(_polar_frame(grid, action_qp, cols) - ref).max() <= tol
-               for cols in blocks)
+    pts = grid.qp_points.reshape(grid.n_r - 1, n_t, -1, 2)
+    frame = np.empty(pts.shape[:-1] + (4, 4))
+    equivariant = True
+    for lo in range(0, n_t, _FRAME_BLOCK):
+        cols = slice(lo, min(lo + _FRAME_BLOCK, n_t))
+        frame[:, cols] = _polar_frame(field(pts[:, cols]), grid.thetas[cols])
+        if lo == 0:
+            ref = frame[:, :1]                          # R(0) is the identity
+            tol = 1e-12 * np.abs(ref).max()
+        equivariant = equivariant and np.abs(frame[:, cols] - ref).max() <= tol
+    return frame[:, :1].copy() if equivariant else frame
 
 
-def _polar_stencil(grid: PolarGrid, action0: np.ndarray) -> np.ndarray:
-    """The one-column stencil, in polar components, of the equivariant
-    material whose action on the cells (i, 0) is action0: their element
-    matrices with the corners rotated by (0, 0, dtheta, dtheta)."""
+def _polar_stencil(grid: PolarGrid, frame: np.ndarray) -> np.ndarray:
+    """The stencil, in the polar components of the nodes, of the stiffness
+    of the material with the polar frame `frame` of _material_frame: one
+    column for a one-column frame, n_theta otherwise.  Column j's Gauss
+    geometry is column 0's rotated by theta_j, so in its own frame its
+    element matrices come from column 0's shape gradients and weights; their
+    corners are then rotated by (0, 0, dtheta, dtheta) to the nodes' frames."""
     col = slice(None, None, grid.n_theta)              # cell (i, 0) of every ring i
-    ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], action0)
+    ke = _element_matrices(grid.qp_shape_gradients[col, None], grid.qp_weights[col, None], frame)
     T = np.zeros((8, 8))
     for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(_CORNER_ANGLE, dtype=float))):
         T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
-    return _stencil((T.T @ ke @ T)[:, None])
+    return _stencil(T.T @ ke @ T)
 
+
+def _identity_stencil(grid: PolarGrid, scale: float) -> np.ndarray:
+    """The one-column polar stencil of the stiffness of scale * Id_Lin."""
+    shape = (grid.n_r - 1, 1, grid.qp_weights.shape[1], 4, 4)
+    return _polar_stencil(grid, np.broadcast_to(scale * ID_LIN.reshape(4, 4), shape))
+
+
+class _Stiffness:
+    """The free system of a problem on a grid, in polar components.  The
+    free rings are 1..last, a contiguous range of DOFs in ring-major order:
+    last = n_r - 2 with a Dirichlet outer ring, n_r - 1 otherwise.  Held at
+    once: the material's polar frame (_material_frame), the rotations
+    R(theta_j) of the node columns and the Cartesian nodal values carrying
+    the Dirichlet data on the inner ring (and on the outer ring under a
+    Dirichlet outer condition), zero on the free rings.  Built on first use:
+    the polar stencil of the stiffness, its rows K_f on the free rings and
+    the right-hand side b_f - K_fd u_d there, from the load and the
+    Dirichlet data rotated to polar components.  A contraction run builds
+    it once for its fixed-point iteration and its direct reference solve."""
+
+    def __init__(self, problem: VariationalProblem, grid: PolarGrid):
+        self.grid = grid
+        self.problem = problem
+        self.frame = _material_frame(problem.field, grid)
+        self.rotations = _rotations(grid.thetas)
+        self._u = np.zeros((grid.n_r, grid.n_theta, 2))
+        self._u[0] = problem.boundary_values(grid, "inner")
+        self.last = grid.n_r - 1
+        if problem.outer_kind == "dirichlet":
+            self._u[-1] = problem.boundary_values(grid, "outer")
+            self.last -= 1
+
+    @cached_property
+    def stencil(self) -> np.ndarray:
+        return _polar_stencil(self.grid, self.frame)
+
+    @property
+    def K_f(self) -> np.ndarray:
+        return self.stencil[1:self.last + 1]
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        R = self.rotations
+        load = _force_vector(self.grid, self.problem.force).reshape(self._u.shape)
+        # u vanishes on the free rings, so K u is K_fd u_d there
+        u = _to_polar(R, self._u)
+        return (_to_polar(R, load) - _stiffness_apply(self.stencil, u))[1:self.last + 1]
+
+    def field(self, x: np.ndarray) -> DiscreteField:
+        """The displacement with the polar components x on the free rings and
+        the Dirichlet data on the others."""
+        u = self._u.copy()
+        u[1:self.last + 1] = _to_cartesian(self.rotations, x)
+        return DiscreteField(self.grid, u)
+
+
+# relative max-norm residual a solve must reach
+_RESIDUAL_TOL = 1e-8
+
+
+def _check_residual(Kx: np.ndarray, rhs: np.ndarray, x: np.ndarray):
+    scale = max(np.abs(rhs).max(), np.abs(Kx).max(), 1e-300)
+    rel = np.abs(Kx - rhs).max() / scale
+    if not np.all(np.isfinite(x)) or rel > _RESIDUAL_TOL:
+        raise SolverDiverged(f"solve residual {rel:.3g} exceeds {_RESIDUAL_TOL:g}")
+
+
+# -- angular Fourier solve of block-circulant stiffnesses ------------------------
 
 # The block-tridiagonal helpers below hold stacks of 2x2 (or 2xk) blocks as
 # (..., 2, 2, m) arrays, the stack index last: their elementwise products then
@@ -368,42 +391,11 @@ def _fourier_inverse(S: np.ndarray, n_theta: int) -> Callable:
     return solve
 
 
-def _fourier_solve(stiffness: _Stiffness) -> DiscreteField:
-    """solve_annulus for a rotation-equivariant material: the Fourier
-    inverse of its polar-component stiffness, read off the first
-    theta-column of cells; the Dirichlet rings enter the right-hand side
-    through the off-diagonal blocks."""
-    grid, free = stiffness.grid, slice(1, stiffness.last + 1)
-    S = _polar_stencil(grid, stiffness.action[:: grid.n_theta])
-    u = stiffness.u
-    R = _rotations(grid.thetas)
-    rhs = (_to_polar(R, stiffness.load) - _stiffness_apply(S, _to_polar(R, u)))[free]
-    x = _fourier_inverse(S[free], grid.n_theta)(rhs)
-    _check_residual(_stiffness_apply(S[free], x), rhs, x)
-    u[free] = _to_cartesian(R, x)
-    return DiscreteField(grid, u)
-
-
 # -- any other material: conjugate gradients -----------------------------------
 
 _PCG_TOL = 1e-12                # relative residual at which conjugate gradients stop
 _PCG_MAX_ITER = 500             # steps after which they fail
 _SINGULAR_DIAGONAL = 1e-14      # free DOFs with a diagonal this small relative to the largest
-
-
-def _averaged_inverse(grid: PolarGrid, action_qp: np.ndarray, last: int) -> Callable:
-    """Preconditioner of the stiffness on the free rings 1..last: the
-    Fourier inverse for the equivariant material whose polar-frame action
-    on each Gauss-point ring is the theta-average of this material's (T.
-    Chan's optimal circulant preconditioner, applied ring by ring), mapping
-    Cartesian residuals to Cartesian corrections."""
-    n_t = grid.n_theta
-    total = sum(_polar_frame(grid, action_qp, np.arange(lo, min(lo + _EQUIVARIANCE_BLOCK, n_t)))
-                .sum(axis=0) for lo in range(0, n_t, _EQUIVARIANCE_BLOCK))
-    mean = (total / n_t).transpose(1, 2, 0, 3).reshape(grid.n_r - 1, -1, 2, 2, 2, 2)
-    inverse = _fourier_inverse(_polar_stencil(grid, mean)[1:last + 1], n_t)
-    R = _rotations(grid.thetas)
-    return lambda r: _to_cartesian(R, inverse(_to_polar(R, r)))
 
 
 def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray) -> np.ndarray:
@@ -435,19 +427,27 @@ def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray) -> np.ndarray
                          f"{_PCG_TOL:g} in {_PCG_MAX_ITER} steps")
 
 
-def _pcg_solve(stiffness: _Stiffness) -> DiscreteField:
+def _solve(stiffness: _Stiffness) -> np.ndarray:
+    """The polar components of the solution on the free rings.  The Fourier
+    inverse of the theta-mean of the stiffness (for a theta-dependent one,
+    T. Chan's optimal circulant preconditioner applied ring by ring) solves
+    a one-column stiffness directly and preconditions conjugate gradients on
+    any other."""
     K_f, rhs = stiffness.K_f, stiffness.rhs
-    diag = K_f[:, [0, 1], 1, 1, [0, 1]]
-    weak = np.count_nonzero(diag <= _SINGULAR_DIAGONAL * diag.max())
-    if weak:
-        raise SolverDiverged(f"stiffness is singular: {weak} of {diag.size} free DOFs have a "
-                             f"diagonal at most {_SINGULAR_DIAGONAL:g} of the largest")
-    precondition = _averaged_inverse(stiffness.grid, stiffness.action, stiffness.last)
-    x = _pcg(lambda p: _stiffness_apply(K_f, p), precondition, rhs)
+    circulant = K_f.shape[-1] == 1
+    if not circulant:
+        diag = K_f[:, [0, 1], 1, 1, [0, 1]]
+        weak = np.count_nonzero(diag <= _SINGULAR_DIAGONAL * diag.max())
+        if weak:
+            raise SolverDiverged(f"stiffness is singular: {weak} of {diag.size} free DOFs have a "
+                                 f"diagonal at most {_SINGULAR_DIAGONAL:g} of the largest")
+    inverse = _fourier_inverse(K_f.mean(axis=-1, keepdims=True), stiffness.grid.n_theta)
+    if circulant:
+        x = inverse(rhs)
+    else:
+        x = _pcg(lambda p: _stiffness_apply(K_f, p), inverse, rhs)
     _check_residual(_stiffness_apply(K_f, x), rhs, x)
-    u = stiffness.u
-    u[1:stiffness.last + 1] = x
-    return DiscreteField(stiffness.grid, u)
+    return x
 
 
 def solve_annulus(
@@ -459,14 +459,16 @@ def solve_annulus(
 ) -> DiscreteField:
     """Minimize the discrete energy subject to the boundary conditions.
 
-    A rotation-equivariant material, C(R x) = R * C(x) at every Gauss point
-    (isotropic constants, radial scalar fields, the counter-example tensors),
-    is solved directly by one FFT in theta and a block-tridiagonal sweep
-    over the rings per angular mode.  Any other material is solved by
+    The stiffness is built in polar components.  For a rotation-equivariant
+    material, C(R x) = R * C(x) at every Gauss point (isotropic constants,
+    radial scalar fields, the counter-example tensors), it is block-circulant
+    in theta and solved directly by one FFT in theta and a block-tridiagonal
+    sweep over the rings per angular mode.  Any other material is solved by
     conjugate gradients on its stiffness stencil to a relative residual of
-    1e-12, preconditioned by that Fourier solve for the material averaged
-    over theta in its polar frame; the step count is bounded in terms of
-    the contrast of the material to that average (10-20 steps at contrast 2).
+    1e-12, preconditioned by that Fourier solve for the theta-mean of the
+    stencil (the stencil of the material averaged over theta in its polar
+    frame); the step count is bounded in terms of the contrast of the
+    material to that average (10-20 steps at contrast 2).
     Raises BoundsViolated when spot-checked material samples leave the
     declared bounds, SolverDiverged when the system is singular (a vanishing
     angular mode, or a free DOF whose stiffness diagonal is at most 1e-14 of
@@ -481,9 +483,7 @@ def solve_annulus(
     if check_bounds:
         flat = grid.qp_points.reshape(-1, 2)
         problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
-    if _rotation_equivariant(grid, stiffness.action):
-        return _fourier_solve(stiffness)
-    return _pcg_solve(stiffness)
+    return stiffness.field(_solve(stiffness))
 
 
 # -- energy bookkeeping --------------------------------------------------------
@@ -726,7 +726,6 @@ def decay_exponent_fit(u: DiscreteField, radii: Optional[np.ndarray] = None) -> 
 @dataclass
 class ContractionReport:
     factors: np.ndarray
-    q: float
     n_iter: int
     converged: bool
     c0_scale: float
@@ -741,31 +740,13 @@ class ContractionReport:
         return max(self.n_iter - 1, 0)
 
 
-def _grad_q_norm(grid: PolarGrid, values: np.ndarray, q: float) -> float:
-    g2 = grid.gradient_sq_at_qp(values)
-    return float(np.sum(grid.qp_weights * g2 ** (0.5 * q)) ** (1.0 / q))
-
-
-def _comparison_solver(grid: PolarGrid, last: int, c0_scale: float) -> Callable:
-    """Q: the Fourier inverse of the stiffness of C0 = c0_scale * Id_Lin on
-    the free rings 1..last.  C0 couples no components and is
-    rotation-invariant, so its stiffness is block-circulant in Cartesian
-    components, with the stencil read off the element matrices of the first
-    theta-column of cells; Q maps Cartesian nodal values to Cartesian nodal
-    values."""
-    col = slice(None, None, grid.n_theta)              # cell (i, 0) of every ring i
-    c0 = np.broadcast_to(c0_scale * ID_LIN, grid.qp_weights[col].shape + (2, 2, 2, 2))
-    ke = _element_matrices(grid.qp_shape_gradients[col], grid.qp_weights[col], c0)
-    return _fourier_inverse(_stencil(ke[:, None])[1:last + 1], grid.n_theta)
-
-
 # the iteration stops once an increment is this fraction of the first one
 _CONTRACTION_TOL = 1e-12
 _CONTRACTION_MAX_ITER = 100
 
 
 def contraction_solve(
-    problem: VariationalProblem, grid: PolarGrid, q: float = 2.0, *,
+    problem: VariationalProblem, grid: PolarGrid, *,
     _stiffness: Optional[_Stiffness] = None,
 ) -> tuple[DiscreteField, ContractionReport]:
     """Fixed-point iteration v_{k+1} = v_f + Q[v_k] for the heterogeneous
@@ -774,24 +755,26 @@ def contraction_solve(
 
     Q inverts the discrete C0-operator on the same grid and boundary
     conditions, the desk-scale stand-in for the whole-plane kernel
-    convolution: C0 is rotation-invariant, so Q is the angular Fourier
-    inverse of solve_annulus (one real FFT in theta and one 2x2
-    block-tridiagonal sweep over the rings per angular mode), factored once
-    per call.  The limit therefore solves exactly the same discrete system
-    as solve_annulus.  The residual is carried from step to step: each step
-    applies Q to what the previous increment left, and the material's
-    stiffness to the increment, as the 9-point stencil of 2x2 blocks that
-    solve_annulus's conjugate gradients use.  That stencil, the load vector
-    and the right-hand side are built once per call, or once per run when
-    _stiffness is handed on to solve_annulus.  So the increments never
-    cancel against the data and their ratios stay clear of round-off.
-    Per-iteration contraction factors are measured in the gradient L^q
-    norm; with scale = the upper Lin bound of the material (mue when it
-    declares none), the factor is bounded by the relative contrast
-    (scale - lower) / scale.  The iteration stops once an increment is
-    1e-12 of the first, or after 100 steps.  Raises
-    NotContracting after three consecutive factors above 1.  _stiffness is
-    the private hand-off of solve_annulus.
+    convolution: C0 is rotation-invariant, so its polar stencil has one
+    column and Q is the angular Fourier inverse of solve_annulus (one real
+    FFT in theta and one 2x2 block-tridiagonal sweep over the rings per
+    angular mode), factored once per call.  The limit therefore solves
+    exactly the same discrete system as solve_annulus.  The iteration runs
+    in polar components and carries its residual from step to step: each
+    step applies Q to what the previous increment left, and the material's
+    polar stencil to the increment.  That stencil and the right-hand side
+    are built once per call, or once per run when _stiffness is handed on
+    to solve_annulus.  So the increments never cancel against the data and
+    their ratios stay clear of round-off.  Per-iteration contraction factors
+    are ratios of the gradient L^2 norms of the increments, each measured
+    as sqrt(inc^T K0 inc / scale) with the C0 stiffness K0: under the same
+    Gauss rule this is the quadrature of |grad inc|^2, since the energy of
+    the identity product is the same in every frame.  With scale = the upper
+    Lin bound of the material (mue when it declares none), the factor is
+    bounded by the relative contrast (scale - lower) / scale.  The iteration
+    stops once an increment is 1e-12 of the first, or after 100 steps.
+    Raises NotContracting after three consecutive factors above 1.
+    _stiffness is the private hand-off of solve_annulus.
     """
     if problem.field.lin_bounds_pair is not None:
         c0_scale = problem.field.lin_bounds_pair[1]
@@ -800,10 +783,10 @@ def contraction_solve(
 
     stiffness = _Stiffness(problem, grid) if _stiffness is None else _stiffness
     K_f, res, last = stiffness.K_f, stiffness.rhs, stiffness.last
-    green0 = _comparison_solver(grid, last, c0_scale)
+    K0_f = _identity_stencil(grid, c0_scale)[1:last + 1]
+    green0 = _fourier_inverse(K0_f, grid.n_theta)
 
     w = np.zeros_like(res)
-    inc_full = np.zeros((grid.n_r, grid.n_theta, 2))
     factors = []
     prev_inc_norm = None
     n_bad = 0
@@ -815,8 +798,7 @@ def contraction_solve(
         res = res - _stiffness_apply(K_f, inc)
         w = w + inc
         n_iter = k + 1
-        inc_full[1:last + 1] = inc
-        inc_norm = _grad_q_norm(grid, inc_full, q)
+        inc_norm = float(np.sqrt(max(np.vdot(inc, _stiffness_apply(K0_f, inc)), 0.0) / c0_scale))
         if scale_norm is None:
             scale_norm = max(inc_norm, 1e-300)
         if prev_inc_norm is not None and prev_inc_norm > 0:
@@ -825,7 +807,7 @@ def contraction_solve(
             n_bad = n_bad + 1 if fac > 1.0 else 0
             if n_bad >= 3:
                 raise NotContracting(
-                    f"gradient-L^{q:g} factors exceeded 1 for 3 consecutive "
+                    f"gradient-L^2 factors exceeded 1 for 3 consecutive "
                     f"iterations (last {fac:.3g}); contrast too large"
                 )
         prev_inc_norm = inc_norm
@@ -833,12 +815,8 @@ def contraction_solve(
             converged = True
             break
 
-    u = stiffness.u
-    u[1:last + 1] = w
-    field_out = DiscreteField(grid, u)
-    return field_out, ContractionReport(
+    return stiffness.field(w), ContractionReport(
         factors=np.asarray(factors),
-        q=q,
         n_iter=n_iter,
         converged=converged,
         c0_scale=float(c0_scale),

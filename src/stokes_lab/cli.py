@@ -148,12 +148,11 @@ def _parse_bounds(spec: str, notes: list) -> tuple[float, float] | None:
 
 
 def _parse_grid(spec: str, notes: list) -> tuple[int, int]:
+    """(nr, nt); _parse checks them, with rmax, by building the PolarGrid."""
     try:
         nr, nt = (int(x) for x in spec.lower().split("x"))
     except Exception:
         raise ConfigInvalid(f"grid: expected 'NRxNT', got {spec!r}") from None
-    if nr < 3 or nt < 8 or nt % 2:
-        raise ConfigInvalid("grid: need nr >= 3 and even nt >= 8")
     return nr, nt
 
 
@@ -359,11 +358,10 @@ def _run_degiorgi(spec: dict, out: dict):
         solve_annulus,
     )
     from .degiorgi import CounterexampleParams, closed_form, degiorgi_tensor, epsilon
-    from .polar import DiscreteField, PolarGrid, relative_l2_error
+    from .polar import DiscreteField, relative_l2_error
     from .tensors import gamma_exponent
 
-    xi, rmax = spec["xi"], spec["rmax"]
-    grid = PolarGrid(rmax, *spec["grid"])
+    xi, rmax, grid = spec["xi"], spec["rmax"], spec["grid"]
     sol = closed_form(CounterexampleParams(xi, 1.0, -1.0))
     fld = degiorgi_tensor(xi)
     prob = VariationalProblem(
@@ -443,18 +441,17 @@ def _run_contraction(spec: dict, out: dict):
     from .annulus import (VariationalProblem, _Stiffness, bump_force, contraction_solve,
                           solve_annulus)
     from .degiorgi import restricted_tensor
-    from .polar import PolarGrid
     from .tensors import random_scalar_field
 
-    rmax = spec["rmax"]
-    grid = PolarGrid(rmax, *spec["grid"])
+    rmax, grid = spec["rmax"], spec["grid"]
+    rng = np.random.default_rng(spec["seed"])
     if spec["material"] is not None:
         fld = _table_material(spec["material"])
     elif spec["contrast_bounds"] is not None:
-        fld = random_scalar_field(*spec["contrast_bounds"], np.random.default_rng(spec["seed"]))
+        fld = random_scalar_field(*spec["contrast_bounds"], rng)
     else:
         fld = restricted_tensor(spec["xi"], 2.0, max(rmax / 4.0, 4.0))
-    amp = np.random.default_rng(spec["seed"]).normal(size=4)
+    amp = rng.normal(size=4)        # drawn after the material's coefficients
 
     prob = VariationalProblem(field=fld, inner_data=None, outer_kind="dirichlet",
                               force=bump_force(amp, rmax))
@@ -538,8 +535,9 @@ def _has_type(name: str, value) -> bool:
 
 def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     """The parsed value of each field the experiment reads (None for a
-    contraction material source the run does not use), and the run's notes;
-    raises ConfigInvalid with a field-precise message.  cfg is left as it is."""
+    contraction material source the run does not use; the PolarGrid of grid
+    and rmax for grid), and the run's notes; raises ConfigInvalid with a
+    field-precise message.  cfg is left as it is."""
     if cfg.kind not in _EXPERIMENTS:
         raise ConfigInvalid(f"kind: unknown experiment {cfg.kind!r}")
     reads = _EXPERIMENTS[cfg.kind][1]
@@ -553,6 +551,14 @@ def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
                                 f"got {getattr(cfg, name)!r}")
     notes = list(cfg.notes)
     spec = {name: parse(getattr(cfg, name), notes) for name, parse in reads.items()}
+    if "grid" in reads:
+        # the annulus runs read grid and rmax; PolarGrid owns their grading rule
+        from .polar import PolarGrid
+
+        try:
+            spec["grid"] = PolarGrid(spec["rmax"], *spec["grid"])
+        except ValueError as exc:
+            raise ConfigInvalid(f"grid: {exc}") from None
     if cfg.kind == "contraction":
         # one material source: a table, a random field or the restricted
         # counter-example tensor of xi (the default)

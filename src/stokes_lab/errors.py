@@ -15,10 +15,6 @@ class InvalidBounds(StokesLabError):
     """Positivity bounds must satisfy 0 < lower <= upper."""
 
 
-class GridTooCoarse(StokesLabError):
-    """Too few nodes per direction for the requested difference stencils."""
-
-
 class BoundsViolated(StokesLabError):
     """A sampled tensor falls outside the declared positivity bounds."""
 

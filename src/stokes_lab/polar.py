@@ -131,8 +131,7 @@ class PolarGrid:
 
         pts = rq[..., None] * er
         self._qp = {
-            "rq": rq, "tq": tq, "wq": wq, "shapes": shp, "grad": grad, "points": pts,
-            "ref_grad": np.concatenate([dxi, deta]),          # (2 nq, 4)
+            "rq": rq, "wq": wq, "shapes": shp, "grad": grad, "points": pts,
         }
         return self._qp
 
@@ -155,27 +154,6 @@ class PolarGrid:
     @property
     def qp_shape_gradients(self) -> np.ndarray:
         return self._quadrature()["grad"]
-
-    def gradient_sq_at_qp(self, values: np.ndarray) -> np.ndarray:
-        """|grad u|^2 at the Gauss points, (n_cells, nq), of nodal values
-        holding n_r * n_theta * 2 numbers.
-
-        The Frobenius norm is rotation-invariant, so it equals
-        |d_r u|^2 + r^-2 |d_theta u|^2 summed over the Cartesian components;
-        the reference derivatives of every cell come from one matrix product
-        over the four corner slices."""
-        qp = self._quadrature()
-        nq = qp["wq"].shape[1]
-        n_rc = self.n_r - 1
-        v = np.asarray(values, dtype=float).reshape(self.n_r, self.n_theta, 2)
-        lo, hi = v[:-1], v[1:]
-        corners = np.stack([lo, hi, np.roll(hi, -1, axis=1), np.roll(lo, -1, axis=1)])
-        d = (qp["ref_grad"] @ corners.reshape(4, -1)).reshape(2, nq, n_rc, 2 * self.n_theta)
-        d[0] *= (2.0 / np.diff(self.radii))[:, None]                    # d_r
-        d[1] *= (2.0 / self.dtheta / qp["rq"][:: self.n_theta].T)[:, :, None]  # r^-1 d_theta
-        d *= d
-        g2 = (d[0] + d[1]).reshape(nq, self.n_cells, 2)
-        return (g2[..., 0] + g2[..., 1]).T
 
     # -- ring differencing ---------------------------------------------------
 

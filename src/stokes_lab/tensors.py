@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     BoundsViolated,
-    GridTooCoarse,
     InvalidBounds,
     NotPositiveDefinite,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "traction",
     "gamma_exponent",
     "sqrtL_exponent",
-    "korn_identity_residual",
 ]
 
 
@@ -269,50 +267,6 @@ def sqrtL_exponent(lam: float, Lam: float) -> float:
     """Uniqueness-class exponent 1/sqrt(Lambda/lambda) in (0, 1]."""
     _check_bounds_pair(lam, Lam)
     return float(np.sqrt(lam / Lam))
-
-
-def korn_identity_residual(u, hx: float, hy: float) -> float:
-    """Max-norm defect of the pointwise identity
-    |sym grad u|^2 - |skw grad u|^2 = div[(grad u)u - (div u)u] + |div u|^2
-    for nodal values u of shape (nx, ny, 2) on a uniform Cartesian grid.
-
-    Both sides are built from centered differences along genuinely different
-    routes (the right side differences the divergence of an already
-    differenced product), so the defect measures discrete-calculus
-    consistency; it vanishes at order h^2 under refinement for smooth fields.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 3 or u.shape[2] != 2:
-        raise ValueError(f"expected (nx, ny, 2) nodal values, got {u.shape}")
-    nx, ny = u.shape[:2]
-    if nx < 5 or ny < 5:
-        raise GridTooCoarse(
-            f"need at least 5 nodes per direction for nested stencils, got {nx}x{ny}"
-        )
-
-    def d_x(f):
-        return (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hx)
-
-    def d_y(f):
-        return (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hy)
-
-    # first derivatives on the depth-1 interior
-    gx = d_x(u)           # (nx-2, ny-2, 2): du_i/dx
-    gy = d_y(u)           # du_i/dy
-    grad = np.stack([gx, gy], axis=-1)              # (...,2,2): grad[i,k] = d_k u_i
-    div = grad[..., 0, 0] + grad[..., 1, 1]
-    u_in = u[1:-1, 1:-1]
-
-    gs = sym(grad)
-    ga = skw(grad)
-    lhs = np.sum(gs * gs, axis=(-2, -1)) - np.sum(ga * ga, axis=(-2, -1))
-
-    # g = (grad u)u - (div u)u, then its divergence on the depth-2 interior
-    g = np.einsum("...ik,...k->...i", grad, u_in) - div[..., None] * u_in
-    div_g = d_x(g)[..., 0] + d_y(g)[..., 1]
-    rhs = div_g + (div[1:-1, 1:-1]) ** 2
-
-    return float(np.abs(lhs[1:-1, 1:-1] - rhs).max())
 
 
 @dataclass

@@ -23,18 +23,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def annulus_calls(monkeypatch):
-    """annulus_calls(name): the grids (n_r, n_theta) of the calls that
-    stokes_lab.annulus makes from now on to its builder `name`, whose first
-    argument is the grid, in call order."""
+    """annulus_calls(name, result=None): the grids (n_r, n_theta) of the
+    calls that stokes_lab.annulus makes from now on to its builder `name`,
+    whose first argument is the grid, in call order; each followed by
+    result(returned value) when result is given."""
     from stokes_lab import annulus
 
-    def count(name):
+    def count(name, result=None):
         calls = []
         real = getattr(annulus, name)
 
         def counting(grid, *args, **kwargs):
-            calls.append((grid.n_r, grid.n_theta))
-            return real(grid, *args, **kwargs)
+            out = real(grid, *args, **kwargs)
+            calls.append((grid.n_r, grid.n_theta) + (() if result is None else (result(out),)))
+            return out
 
         monkeypatch.setattr(annulus, name, counting)
         return calls
@@ -59,7 +61,8 @@ class ReferenceSystem:
 
         if action is None:
             action = problem.field(grid.qp_points)
-        ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights, action)
+        ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights,
+                               action.reshape(action.shape[:2] + (4, 4)))
         dofs = (2 * grid.cells[:, :, None] + np.arange(2)).reshape(-1, 8)
         rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
         ndof = 2 * grid.n_nodes

@@ -7,14 +7,17 @@ from conftest import ReferenceSystem
 from stokes_lab import annulus
 from stokes_lab.annulus import (
     VariationalProblem,
-    _cartesian_stencil,
-    _comparison_solver,
     _force_vector,
-    _grad_q_norm,
+    _fourier_inverse,
+    _identity_stencil,
+    _material_frame,
+    _polar_frame,
     _polar_stencil,
-    _rotation_equivariant,
+    _rotations,
     _Stiffness,
     _stiffness_apply,
+    _to_cartesian,
+    _to_polar,
     bump_force,
     contraction_solve,
     decay_exponent_fit,
@@ -126,26 +129,27 @@ class TestPolarGrid:
             DiscreteField(g, bad)
 
 
+def stencil_columns(S):
+    return S.shape[-1]
+
+
 class TestAssembly:
     def test_matches_cellwise_reference(self):
-        """The stiffness stencil, applied to every unit vector, against the
-        per-cell, per-Gauss-point sum of w d_k N_a C_mkhl d_l N_b.  For the
-        equivariant materials the one-column polar stencil, broadcast over
-        theta, too: against P^T K P with P the block diagonal of the
-        rotations R(theta_j) of the nodes."""
+        """The polar stencil of the material's polar frame, applied to every
+        unit vector, against P^T K P: K the per-cell, per-Gauss-point sum of
+        w d_k N_a C_mkhl d_l N_b in Cartesian components, P the block
+        diagonal of the rotations R(theta_j) of the nodes.  The equivariant
+        materials give one column, the theta-dependent one n_theta."""
         grid = PolarGrid(2.0, 8, 16)
-        c, s = np.cos(grid.thetas), np.sin(grid.thetas)
-        rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-        P = block_diag(*np.tile(rotations, (grid.n_r, 1, 1)))
-        pts = grid.qp_points
-        rng = np.random.default_rng(3)
+        P = block_diag(*np.tile(_rotations(grid.thetas), (grid.n_r, 1, 1)))
         materials = {
-            "degiorgi-sym": degiorgi_tensor(2.0)(pts),
-            "degiorgi-lin": degiorgi_tensor(2.0, action_on="lin")(pts),
-            "random-scalar": (1.0 + rng.random(pts.shape[:-1]))[..., None, None, None, None]
-            * ID_LIN,
+            "degiorgi-sym": (degiorgi_tensor(2.0), 1),
+            "degiorgi-lin": (degiorgi_tensor(2.0, action_on="lin"), 1),
+            "random-scalar": (random_scalar_field(1.0, 2.0, np.random.default_rng(3)),
+                              grid.n_theta),
         }
-        for name, action in materials.items():
+        for name, (fld, n_cols) in materials.items():
+            action = fld(grid.qp_points)
             ref = np.zeros((2 * grid.n_nodes, 2 * grid.n_nodes))
             for c, nodes in enumerate(grid.cells):
                 for q in range(grid.qp_weights.shape[1]):
@@ -157,23 +161,45 @@ class TestAssembly:
                         for b in range(4):
                             ref[2 * nodes[a]:2 * nodes[a] + 2,
                                 2 * nodes[b]:2 * nodes[b] + 2] += ke[a, :, b, :]
-            S = _cartesian_stencil(grid, action)
+            polar_ref = P.T @ ref @ P
+            S = _polar_stencil(grid, _material_frame(fld, grid))
+            assert S.shape[-1] == n_cols, name
             units = np.eye(2 * grid.n_nodes).reshape(-1, grid.n_r, grid.n_theta, 2)
             K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
-            assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max(), name
-            if name.startswith("degiorgi"):
-                S = _polar_stencil(grid, action[:: grid.n_theta])
-                assert S.shape[-1] == 1
-                K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
-                polar_ref = P.T @ ref @ P
-                assert np.abs(K - polar_ref).max() <= 1e-14 * np.abs(polar_ref).max(), name
+            assert np.abs(K - polar_ref).max() <= 1e-14 * np.abs(polar_ref).max(), name
+
+    @pytest.mark.parametrize("nt", [40, 48])
+    def test_blockwise_frame_matches_whole_grid(self, nt):
+        """_material_frame evaluates and rotates blocks of 32 theta-columns
+        (the last one partial at n_theta = 40 and 48): bit for bit the
+        rotation of the whole grid's action at once, for every shipped
+        material; the equivariant ones keep column 0 only."""
+        grid = PolarGrid(16.0, 24, nt)
+        rng = np.random.default_rng(5)
+        materials = {
+            "isotropic": constant_field(ISO.tensor()),
+            "degiorgi-sym": degiorgi_tensor(2.0),
+            "degiorgi-lin": degiorgi_tensor(2.0, "lin"),
+            "restricted": restricted_tensor(6.0, 2.0, 8.0),
+            "radial-scalar": radial_scalar_field(),
+            "random-scalar": random_scalar_field(1.0, 2.0, rng),
+            "table": table_field(rng),
+        }
+        for name, fld in materials.items():
+            action = fld(grid.qp_points).reshape(grid.n_r - 1, nt, -1, 2, 2, 2, 2)
+            whole = _polar_frame(action, grid.thetas)
+            frame = _material_frame(fld, grid)
+            n_cols = nt if name in ("random-scalar", "table") else 1
+            assert frame.shape == (grid.n_r - 1, n_cols, 4, 4, 4), name
+            assert np.array_equal(frame, whole[:, :n_cols]), name
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     def test_reduced_system_matches_mask_formula(self, kind):
-        """The stencil rows of the free rings and the right-hand side held by
-        _Stiffness give the K_ff x and rhs of the boolean-mask selection on
-        the scattered matrix written out here, for a theta-dependent material
-        with inner data, outer data and a force."""
+        """The polar stencil rows of the free rings and the polar right-hand
+        side held by _Stiffness give the K_ff x and rhs of the boolean-mask
+        selection on the scattered Cartesian matrix written out here, rotated
+        node by node, for a theta-dependent material with inner data, outer
+        data and a force."""
         grid = PolarGrid(16.0, 24, 48)
         rng = np.random.default_rng(11)
         prob = VariationalProblem(
@@ -184,7 +210,9 @@ class TestAssembly:
             force=bump_force(rng.normal(size=4), 16.0),
         )
         stiffness = _Stiffness(prob, grid)
-        K_f, rhs, u, last = stiffness.K_f, stiffness.rhs, stiffness.u, stiffness.last
+        K_f, rhs, last = stiffness.K_f, stiffness.rhs, stiffness.last
+        u = stiffness.field(np.zeros_like(rhs)).values
+        R = _rotations(grid.thetas)
 
         fixed = np.zeros(2 * grid.n_nodes, dtype=bool)
         ref_vals = np.zeros(2 * grid.n_nodes)
@@ -200,18 +228,20 @@ class TestAssembly:
         K_mask = ref.K[~fixed]
         ref_rhs = _force_vector(grid, prob.force)[~fixed] - K_mask[:, fixed] @ ref_vals[fixed]
         x = rng.normal(size=rhs.shape)
-        ref_Kx = K_mask[:, ~fixed] @ x.ravel()
+        ref_Kx = _to_polar(R, (K_mask[:, ~fixed] @ _to_cartesian(R, x).ravel()).reshape(x.shape))
+        ref_rhs = _to_polar(R, ref_rhs.reshape(x.shape))
 
         assert np.array_equal(np.arange(2 * grid.n_nodes)[ref.free], np.nonzero(~fixed)[0])
         assert last == (grid.n_r - 2 if kind == "dirichlet" else grid.n_r - 1)
         assert np.array_equal(u.ravel(), ref_vals)
-        assert np.abs(rhs.ravel() - ref_rhs).max() <= 1e-13 * np.abs(ref_rhs).max()
-        Kx = _stiffness_apply(K_f, x).ravel()
+        assert np.abs(rhs - ref_rhs).max() <= 1e-13 * np.abs(ref_rhs).max()
+        Kx = _stiffness_apply(K_f, x)
         assert np.abs(Kx - ref_Kx).max() <= 1e-13 * np.abs(ref_Kx).max()
 
 
 class TestComparisonSolve:
-    """The FFT-in-theta inverse of the C0 = scale * Id_Lin stiffness."""
+    """The FFT-in-theta inverse of the C0 = scale * Id_Lin stiffness, in
+    polar components."""
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
@@ -221,12 +251,14 @@ class TestComparisonSolve:
         c0 = np.broadcast_to(1.7 * ID_LIN, grid.qp_points.shape[:-1] + (2, 2, 2, 2))
         reference = ReferenceSystem(prob, grid, c0)
         last = grid.n_r - 2 if kind == "dirichlet" else grid.n_r - 1
-        green0 = _comparison_solver(grid, last, 1.7)
+        green0 = _fourier_inverse(_identity_stencil(grid, 1.7)[1:last + 1], nt)
+        R = _rotations(grid.thetas)
         rng = np.random.default_rng(nr + nt)
         for _ in range(3):
             b = rng.normal(size=(last, nt, 2))
             ref = reference.solve(b.ravel())
-            assert np.abs(green0(b).ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+            x = _to_cartesian(R, green0(_to_polar(R, b)))
+            assert np.abs(x.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSolveAnnulus:
@@ -316,11 +348,12 @@ class TestSolveAnnulus:
                 solve(prob, PolarGrid(8.0, 16, 32))
 
     def test_singular_system_diverges(self, annulus_calls):
-        """Both solve paths: a zero material is rotation-equivariant (Fourier
-        path); one that is zero on a quadrant only is not, and the free DOFs
-        inside that quadrant have no stiffness (conjugate-gradient path,
-        which would converge there and return a wrong field)."""
-        stiffness_builds = annulus_calls("_cartesian_stencil")
+        """Both solve paths: a zero material is rotation-equivariant (one
+        stencil column, Fourier path); one that is zero on a quadrant only is
+        not, and the free DOFs inside that quadrant have no stiffness
+        (conjugate-gradient path, which would converge there and return a
+        wrong field)."""
+        stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
 
         def zero(p):
             return np.zeros(np.asarray(p).shape[:-1] + (2, 2, 2, 2))
@@ -333,14 +366,14 @@ class TestSolveAnnulus:
         def data(th):
             return np.stack([np.cos(th), 0 * th], -1)
 
-        for action, n_builds, message in ((zero, 0, "angular mode"),
-                                          (zero_quadrant, 1, "196 of 896 free DOFs")):
+        for action, n_cols, message in ((zero, 1, "angular mode"),
+                                         (zero_quadrant, 32, "196 of 896 free DOFs")):
             stiffness_builds.clear()
             fld = ElasticityField(action=action, mu0=1.0, mue=1.0)
             prob = VariationalProblem(field=fld, outer_data=data)
             with pytest.raises(SolverDiverged, match=message):
                 solve_annulus(prob, PolarGrid(8.0, 16, 32), check_bounds=False)
-            assert len(stiffness_builds) == n_builds
+            assert stiffness_builds == [(16, 32, n_cols)]
 
 
 def radial_scalar_field():
@@ -381,7 +414,7 @@ class TestFourierSolve:
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
     def test_matches_superlu(self, nr, nt, kind, material, annulus_calls):
-        stiffness_builds = annulus_calls("_cartesian_stencil")
+        stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
         prob = VariationalProblem(
@@ -392,29 +425,29 @@ class TestFourierSolve:
             force=bump_force(rng.normal(size=4), 16.0),
         )
         u = solve_annulus(prob, grid, check_bounds=False)
-        assert stiffness_builds == []
+        assert stiffness_builds == [(nr, nt, 1)]
 
         ref = ReferenceSystem(prob, grid).nodal()
         assert np.abs(u.flat() - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_path_choice(self, annulus_calls):
-        """Equivariant materials never build the Cartesian stiffness; a
-        theta-dependent one, or the counter-example perturbed in one
-        theta-column of cells by 1e-9, builds it exactly once, for conjugate
-        gradients."""
-        stiffness_builds = annulus_calls("_cartesian_stencil")
+        """Every solve builds one polar stencil: one column for the
+        equivariant materials, n_theta columns (conjugate gradients) for a
+        theta-dependent one or for the counter-example perturbed in one
+        theta-column of cells by 1e-9."""
+        stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
         grid = PolarGrid(16.0, 24, 48)
-        cases = [(f(), 0) for f in TestFourierSolve.MATERIALS.values()]
+        cases = [(f(), 1) for f in TestFourierSolve.MATERIALS.values()]
         cases += [
-            (random_scalar_field(1.0, 2.0, np.random.default_rng(3)), 1),
-            (perturbed_counterexample(grid), 1),
+            (random_scalar_field(1.0, 2.0, np.random.default_rng(3)), 48),
+            (perturbed_counterexample(grid), 48),
         ]
-        for fld, n_builds in cases:
+        for fld, n_cols in cases:
             stiffness_builds.clear()
-            assert _rotation_equivariant(grid, fld(grid.qp_points)) == (n_builds == 0)
+            assert _material_frame(fld, grid).shape[1] == n_cols, fld.name
             prob = VariationalProblem(field=fld, force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
             solve_annulus(prob, grid, check_bounds=False)
-            assert len(stiffness_builds) == n_builds, fld.name
+            assert stiffness_builds == [(24, 48, n_cols)], fld.name
 
 
 def table_field(rng):
@@ -426,8 +459,8 @@ def table_field(rng):
 
 class TestConjugateGradients:
     """solve_annulus on materials that depend on theta: conjugate gradients on
-    the stiffness stencil, preconditioned by the Fourier solve of the
-    theta-averaged material, against SuperLU on the assembled reduced system."""
+    the polar stiffness stencil, preconditioned by the Fourier solve of its
+    theta-mean, against SuperLU on the assembled reduced system."""
 
     MATERIALS = {
         "random-scalar": lambda grid, rng: random_scalar_field(1.0, 2.0, rng),
@@ -439,7 +472,7 @@ class TestConjugateGradients:
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96)])
     def test_matches_superlu(self, nr, nt, kind, material, annulus_calls):
-        stiffness_builds = annulus_calls("_cartesian_stencil")
+        stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
         prob = VariationalProblem(
@@ -450,7 +483,7 @@ class TestConjugateGradients:
             force=bump_force(rng.normal(size=4), 16.0),
         )
         u = solve_annulus(prob, grid, check_bounds=False)
-        assert len(stiffness_builds) == 1
+        assert stiffness_builds == [(nr, nt, nt)]
 
         ref = ReferenceSystem(prob, grid).nodal()
         assert np.abs(u.flat() - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -820,18 +853,6 @@ class TestContraction:
         if mid.size >= 4:
             assert np.var(mid) <= 0.2 * np.mean(mid) ** 2
 
-    def test_factors_stay_contractive_off_q_two(self):
-        """The desk-scale factors remain below 1 for q near 2 on both sides;
-        their relation to the exact operator norm is only observed, not
-        proven, away from q = 2."""
-        fld = restricted_tensor(6.0, 2.0, 16.0)
-        grid = PolarGrid(32.0, 32, 64)
-        prob = VariationalProblem(field=fld, force=smooth_force(32.0))
-        for q in (1.5, 2.0, 3.0):
-            _, rep = contraction_solve(prob, grid, q=q)
-            assert rep.converged
-            assert rep.worst_factor < 0.5, q
-
     def test_not_contracting_detected(self):
         """An indefinite material (certificate violated) must trip the guard."""
         fld = scalar_field(  # negative stiffness outside r = 4
@@ -843,13 +864,21 @@ class TestContraction:
             contraction_solve(prob, grid)
 
     def test_grad_norm_matches_cartesian_quadrature(self):
+        """The measure of an increment, sqrt(x^T K0 x / scale) with the polar
+        stencil K0 of scale * Id_Lin, is the Gauss-rule L^2 norm of the
+        Cartesian gradient of the field with polar components x on the free
+        rings and zero on the Dirichlet rings, for both outer conditions."""
         grid = PolarGrid(16.0, 24, 48)
-        values = np.random.default_rng(2).normal(size=(grid.n_r, grid.n_theta, 2))
-        g = DiscreteField(grid, values).gradient_at_qp()
-        mag = np.sqrt(np.sum(g * g, axis=(-2, -1)))
-        for q in (1.5, 2.0, 3.0):
-            ref = np.sum(grid.qp_weights * mag**q) ** (1.0 / q)
-            assert abs(_grad_q_norm(grid, values.ravel(), q) - ref) <= 1e-13 * ref, q
+        rng = np.random.default_rng(2)
+        for last in (grid.n_r - 2, grid.n_r - 1):          # Dirichlet, traction-free
+            x = rng.normal(size=(last, grid.n_theta, 2))
+            K0_f = _identity_stencil(grid, 1.7)[1:last + 1]
+            norm = np.sqrt(np.vdot(x, _stiffness_apply(K0_f, x)) / 1.7)
+            values = np.zeros((grid.n_r, grid.n_theta, 2))
+            values[1:last + 1] = _to_cartesian(_rotations(grid.thetas), x)
+            g = DiscreteField(grid, values).gradient_at_qp()
+            ref = np.sqrt(np.sum(grid.qp_weights * np.sum(g * g, axis=(-2, -1))))
+            assert abs(norm - ref) <= 1e-13 * ref, last
 
     def test_factors_match_superlu_recursive_loop(self):
         """Acceptance 8's random material: the factors equal those of a

@@ -69,6 +69,18 @@ class TestValidate:
         with pytest.raises(ConfigInvalid, match="grid"):
             validate(ExperimentConfig(kind="degiorgi", grid="banana"))
 
+    @pytest.mark.parametrize("grid, match", [
+        ("16x32", r"grid: geometric grading ratio 1\.3195 outside \[1, 1\.2\]"),
+        ("2x32", "grid: need at least 3 radial nodes"),
+        ("24x31", "grid: n_theta must be even and >= 8"),
+    ], ids=["graded", "rings", "angles"])
+    @pytest.mark.parametrize("kind", ["degiorgi", "contraction"])
+    def test_grid_rejected_by_polar_grid_rule(self, kind, grid, match):
+        """grid and rmax must make a PolarGrid (grading ratio at most 1.2 at
+        the default rmax 64): validate reports what run would crash on."""
+        with pytest.raises(ConfigInvalid, match=match):
+            validate(seeded(kind, grid=grid))
+
     def test_bad_nodes(self):
         with pytest.raises(ConfigInvalid, match="nodes"):
             validate(ExperimentConfig(kind="paradox", nodes=17))
@@ -292,6 +304,31 @@ class TestRuns:
         verd = {v["name"]: v for v in rep.verdicts}
         assert verd["direct_solver_agreement"]["value"] <= 1e-4
 
+    @pytest.mark.parametrize("extra", [{"contrast_bounds": "1,2"}, {}], ids=["random", "xi"])
+    def test_contraction_force_drawn_after_material(self, extra, tmp_path, monkeypatch):
+        """The force amplitudes continue the seed's stream after the random
+        material's three coefficients, so they are not those coefficients
+        again; with the restricted counter-example (no draws) they are the
+        stream's first four numbers, as before."""
+        from stokes_lab import annulus
+
+        amps = []
+        real = annulus.bump_force
+
+        def recording(amp, r_max):
+            amps.append(np.array(amp))
+            return real(amp, r_max)
+
+        monkeypatch.setattr(annulus, "bump_force", recording)
+        run(ExperimentConfig(kind="contraction", grid="24x48", rmax=24.0, seed=5,
+                             outdir=str(tmp_path), **extra))
+        draws = np.random.default_rng(5).normal(size=7)
+        if extra:
+            assert np.array_equal(amps[0], draws[3:])
+            assert not np.any(np.isin(amps[0], draws[:3]))
+        else:
+            assert np.array_equal(amps[0], draws[:4])
+
     def test_paradox_data_from_file(self, tmp_path):
         n = 64
         t = np.linspace(0, 2 * np.pi, n, endpoint=False)
@@ -333,25 +370,26 @@ class TestRuns:
         assert set(rep.condition_numbers) <= {"augmented_system", "totals_matrix"}
         assert rep.condition_numbers["augmented_system"] < 1e12
 
-    @pytest.mark.parametrize("kind, extra, n_builds", [
+    @pytest.mark.parametrize("kind, extra, n_comparison", [
         ("degiorgi", {}, 0),
         ("contraction", {"contrast_bounds": "1,1.5", "seed": 7}, 1),
         ("contraction", {"seed": 7}, 1),
     ])
-    def test_stiffness_builds_per_annulus_run(self, kind, extra, n_builds, tmp_path,
+    def test_stiffness_builds_per_annulus_run(self, kind, extra, n_comparison, tmp_path,
                                               annulus_calls):
-        """The counter-example is rotation-equivariant and takes the Fourier
-        solve with no Cartesian stiffness; a contraction run builds that
-        stiffness once and hands it from the fixed-point iteration to the
-        direct reference solve (conjugate gradients for the seeded random
-        material, the Fourier solve for the restricted counter-example).
-        Every run builds its load vector once, a contraction run too."""
-        stiffness_builds = annulus_calls("_cartesian_stencil")
+        """Every run builds one polar stencil of its material: one column for
+        the rotation-equivariant counter-example tensors, n_theta for the
+        seeded random material.  A contraction run hands it from the
+        fixed-point iteration to the direct reference solve and builds one
+        more, the one-column stencil of its comparison material.  Every run
+        builds its load vector once, a contraction run too."""
+        stiffness_builds = annulus_calls("_polar_stencil", lambda S: S.shape[-1])
         load_builds = annulus_calls("_force_vector")
         rep = run(ExperimentConfig(kind=kind, grid="24x48", rmax=24.0, outdir=str(tmp_path),
                                    **extra))
         assert rep.ok()
-        assert stiffness_builds == [(24, 48)] * n_builds
+        n_cols = 48 if "contrast_bounds" in extra else 1
+        assert stiffness_builds == [(24, 48, n_cols)] + [(24, 48, 1)] * n_comparison
         assert load_builds == [(24, 48)]
 
     def test_table_lookup_is_blocked(self):
@@ -446,6 +484,15 @@ class TestMainExitCodes:
         code = main(["gym", "--check", "wirtinger", "--trials", "2", "--seed", "1",
                      "--outdir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [["degiorgi"], ["contraction", "--seed", "1"]],
+                             ids=["degiorgi", "contraction"])
+    def test_coarse_grid_is_config_error(self, args, tmp_path, capsys):
+        code = main(args + ["--grid", "16x32", "--outdir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error: grid:" in err and "Traceback" not in err
+        assert not (tmp_path / args[0]).exists()
 
     @pytest.mark.parametrize("field, args, text", [
         ("material", ["contraction", "--grid", "24x48", "--rmax", "24", "--seed", "1",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stokes_lab.errors import GridTooCoarse, InvalidBounds, NotPositiveDefinite
+from stokes_lab.errors import InvalidBounds, NotPositiveDefinite
 from stokes_lab.tensors import (
     ElasticityTensor,
     IsotropicModuli,
@@ -9,7 +9,6 @@ from stokes_lab.tensors import (
     certify_bounds,
     constant_field,
     gamma_exponent,
-    korn_identity_residual,
     lin_bounds,
     sqrtL_exponent,
     strong_ellipticity_margin,
@@ -195,39 +194,6 @@ class TestExponents:
             gamma_exponent(2.0, 1.0)
         with pytest.raises(InvalidBounds):
             sqrtL_exponent(-1.0, 1.0)
-
-
-def sample_grid(func, n, lo=-1.0, hi=1.0):
-    x = np.linspace(lo, hi, n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    u = np.stack(func(X, Y), axis=-1)
-    return u, x[1] - x[0]
-
-
-class TestKornIdentity:
-    def test_linear_fields_exact(self):
-        for fn in (
-            lambda X, Y: (X, np.zeros_like(X)),
-            lambda X, Y: (Y, np.zeros_like(X)),
-            lambda X, Y: (-Y, X),
-        ):
-            u, h = sample_grid(fn, 9)
-            assert korn_identity_residual(u, h, h) < 1e-12
-
-    def test_second_order_convergence(self):
-        def fn(X, Y):
-            return (np.sin(X) * np.cosh(Y), X**3 - X * Y**2)
-
-        res = []
-        for n in (17, 33, 65):
-            u, h = sample_grid(fn, n)
-            res.append(korn_identity_residual(u, h, h))
-        orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
-        assert all(o > 1.6 for o in orders)
-
-    def test_too_coarse(self):
-        with pytest.raises(GridTooCoarse):
-            korn_identity_residual(np.zeros((4, 9, 2)), 0.1, 0.1)
 
 
 class TestField:
