@@ -525,19 +525,29 @@ def energy_profiles(u: DiscreteField) -> EnergyProfile:
     return EnergyProfile(radii=grid.radii.copy(), G=G, Q=G[-1] - G)
 
 
+def _ring_at(radii: np.ndarray, radius: float) -> int:
+    """Index of the ring nearest to radius; raises RadiusOutOfGrid for a
+    radius outside [radii[0], radii[-1]]."""
+    if not radii[0] <= radius <= radii[-1]:
+        raise RadiusOutOfGrid(f"radius {radius} outside the grid [{radii[0]:g}, {radii[-1]:g}]")
+    return int(np.argmin(np.abs(radii - radius)))
+
+
 def _nearest_rings(radii: np.ndarray, targets) -> list[int]:
     """Distinct indices of the rings nearest to the target radii, ascending,
     without ring 0 (the inner boundary)."""
-    rings = sorted({int(np.argmin(np.abs(radii - t))) for t in np.atleast_1d(targets)})
+    rings = sorted({_ring_at(radii, t) for t in np.atleast_1d(targets)})
     return [k for k in rings if k > 0]
 
 
 def _dyadic_rings(radii: np.ndarray, lo: float, hi: float) -> list[int]:
-    """_nearest_rings of the dyadic ladder lo, 2 lo, 4 lo, ... up to hi."""
+    """_nearest_rings of the dyadic ladder lo, 2 lo, 4 lo, ... up to hi,
+    without the rungs below the inner ring."""
     targets = []
     r = lo
     while r <= hi * (1 + 1e-12):
-        targets.append(r)
+        if r >= radii[0]:
+            targets.append(r)
         r *= 2.0
     return _nearest_rings(radii, targets)
 
@@ -629,9 +639,11 @@ def energy_identity_residual(u: DiscreteField, problem: VariationalProblem, radi
 
         int_{1<r<R} grad u . C[grad u] = int_{r=1} u.s(u) + int_{r=R} u.s(u),
 
-    inner normal = -e_r (out of the annulus), outer normal = +e_r."""
+    inner normal = -e_r (out of the annulus), outer normal = +e_r; R is the
+    ring nearest to radius, and RadiusOutOfGrid is raised outside the grid or
+    on the inner ring."""
     grid = u.grid
-    kR = grid.nearest_ring(radius)
+    kR = _ring_at(grid.radii, radius)
     if kR <= 0:
         raise RadiusOutOfGrid(f"radius {radius} below the first interior ring")
     R = grid.radii[kR]
@@ -659,10 +671,11 @@ def net_traction_discrete(u: DiscreteField, problem: VariationalProblem,
     """Quadrature of the traction over a grid circle with the normal pointing
     toward the hole (the boundary functional of the exterior domain).
 
-    Defaults to the inner boundary r = 1; pass another radius for the flux
+    Defaults to the inner boundary r = 1; pass another radius (snapped to the
+    nearest ring, RadiusOutOfGrid outside the grid) for the flux
     conservation cross-check.  Vanishes for decaying solutions."""
     grid = u.grid
-    ring = 0 if radius is None else grid.nearest_ring(radius)
+    ring = 0 if radius is None else _ring_at(grid.radii, radius)
     pts, grad, stress = _ring_traction_data(u, problem, ring)
     r = grid.radii[ring]
     n = -pts / r
@@ -693,8 +706,9 @@ def decay_exponent_fit(u: DiscreteField, radii: Optional[np.ndarray] = None) -> 
     """Fit u - u0 = O(r^-alpha) on (at least 5) dyadic radii.
 
     u0 is the angular mean at the largest fitting radius; radii are snapped to
-    grid rings and default to the dyadic ladder inside [2, r_max/4] (the outer
-    quarter is dropped to suppress truncation pollution)."""
+    the nearest grid rings (RadiusOutOfGrid outside the grid) and default to
+    the dyadic ladder inside [2, r_max/4] (the outer quarter is dropped to
+    suppress truncation pollution)."""
     grid = u.grid
     if radii is None:
         rings = _dyadic_rings(grid.radii, 2.0, grid.r_max / 4.0)

@@ -65,9 +65,7 @@ __all__ = [
     "solve_dirichlet",
     "evaluate",
     "evaluate_gradient",
-    "MSpaceField",
     "m_space_representative",
-    "net_traction",
     "circle_traction_total",
 ]
 
@@ -321,7 +319,9 @@ def ellipse_direction_error(basis: EquilibriumBasis) -> float:
 
 @dataclass
 class ExteriorSolution:
-    """Pair (psi, kappa) realizing u = v[psi] + kappa outside the curve."""
+    """Pair (psi, kappa) realizing u = v[psi] + kappa outside the curve.
+
+    Dirichlet solves and obstruction-space fields share this type."""
 
     curve: BoundaryCurve
     kernel: FundamentalSolution
@@ -332,6 +332,9 @@ class ExteriorSolution:
 
     @property
     def total_density(self) -> np.ndarray:
+        """sum_k w_k psi_k, the net boundary traction of u by the
+        layer-potential flux identity (normal pointing out of the exterior
+        domain); cross-validated in tests by large-circle quadrature."""
         return self.curve.total(self.psi)
 
 
@@ -438,56 +441,20 @@ def evaluate_gradient(solution: ExteriorSolution, x) -> np.ndarray:
     return g.reshape(pts.shape[:-1] + (2, 2)) if np.asarray(x).ndim > 1 else g[0]
 
 
-@dataclass
-class MSpaceField:
-    """Boundary-vanishing log-growing field h = v[psi'] - v[psi']|_boundary.
+def m_space_representative(op: SingleLayerOperator, psi_prime) -> ExteriorSolution:
+    """The obstruction-space field h = v[psi'] - v[psi']|_boundary of an
+    equilibrium density psi', as the pair (psi', -mean trace).
 
-    Built from an equilibrium density psi'; its net traction equals the
-    (nonzero) total of psi', and h grows like Phi0 log r * total at infinity.
-    """
-
-    curve: BoundaryCurve
-    kernel: FundamentalSolution
-    psi_prime: np.ndarray
-    boundary_value: np.ndarray   # (2,) constant trace of v[psi']
-    trace_deviation: float       # max deviation of the replayed trace
-
-    @property
-    def net_traction(self) -> np.ndarray:
-        return self.curve.total(self.psi_prime)
-
-    def __call__(self, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        val = _layer_eval(self.curve, self.kernel, self.psi_prime, pts)
-        val = val.reshape(pts.shape) - self.boundary_value
-        return val if np.asarray(x).ndim > 1 else val[0]
-
-    def gradient(self, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        g = _layer_eval(self.curve, self.kernel, self.psi_prime, pts, gradient=True)
-        return g.reshape(pts.shape[:-1] + (2, 2)) if np.asarray(x).ndim > 1 else g[0]
-
-
-def m_space_representative(op: SingleLayerOperator, psi_prime) -> MSpaceField:
-    """Wrap an equilibrium density as the obstruction-space field h."""
-    curve = op.curve
+    h vanishes on the boundary up to replay_error, the largest deviation of
+    the trace from its mean; its net traction is the (nonzero) total of psi',
+    and h grows like Phi0 log r * total at infinity."""
     psi = np.asarray(psi_prime, dtype=float)
     trace = op.apply(psi)
     bval = trace.mean(axis=0)
-    dev = float(np.abs(trace - bval).max())
-    return MSpaceField(
-        curve=curve, kernel=op.kernel, psi_prime=psi, boundary_value=bval,
-        trace_deviation=dev,
+    return ExteriorSolution(
+        curve=op.curve, kernel=op.kernel, psi=psi, kappa=-bval, cond=op.cond,
+        replay_error=float(np.abs(trace - bval).max()),
     )
-
-
-def net_traction(solution: ExteriorSolution) -> np.ndarray:
-    """Net boundary traction of the represented solution = total density.
-
-    The layer-potential flux identity: the traction functional over the
-    boundary (normal pointing out of the exterior domain) equals
-    sum_k w_k psi_k.  Cross-validated in tests by large-circle quadrature."""
-    return solution.total_density
 
 
 def circle_traction_total(gradient_fn, c0, radius: float, n_nodes: int = 1024,

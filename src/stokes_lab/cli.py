@@ -4,7 +4,8 @@ Subcommands: paradox, basis, degiorgi, decay, contraction, gym, each with one
 option per ExperimentConfig field it reads, plus --outdir.  Each run writes a
 JSON report plus CSV data series (floats at 17 significant digits, atomic
 rename) into --outdir.  Exit codes: 0 success, 1 usage/configuration error,
-2 scientific-verdict failure.
+2 scientific-verdict failure or a solver error (a StokesLabError other than
+ConfigInvalid, named on stderr) on a valid configuration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ConfigInvalid, NotContracting
+from .errors import ConfigInvalid, StokesLabError
 
 __all__ = ["main", "ExperimentConfig", "validate", "run"]
 
@@ -357,12 +358,12 @@ def _run_degiorgi(spec: dict, out: dict):
         growth_monotonicity_check,
         solve_annulus,
     )
-    from .degiorgi import CounterexampleParams, closed_form, degiorgi_tensor, epsilon
+    from .degiorgi import ClosedFormSolution, degiorgi_tensor, epsilon
     from .polar import DiscreteField, relative_l2_error
     from .tensors import gamma_exponent
 
     xi, rmax, grid = spec["xi"], spec["rmax"], spec["grid"]
-    sol = closed_form(CounterexampleParams(xi, 1.0, -1.0))
+    sol = ClosedFormSolution(xi, 1.0, -1.0)
     fld = degiorgi_tensor(xi)
     prob = VariationalProblem(
         field=fld,
@@ -378,7 +379,7 @@ def _run_degiorgi(spec: dict, out: dict):
 
     # decaying branch: exponent fit and tail monotonicity; the geometric
     # ladder densifies on short grids so the regression keeps >= 5 radii
-    dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+    dec = ClosedFormSolution(xi, 0.0, 1.0)
     u_dec = DiscreteField.sample(grid, dec.displacement)
     hi = rmax / 4.0
     n_pts = max(5, 2 * int(np.log2(max(hi / 2.0, 2.0))) + 1)
@@ -639,8 +640,9 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"stokes-lab: configuration error: {exc}", file=sys.stderr)
         return 1
-    except NotContracting as exc:
-        print(f"stokes-lab: verdict failure: {exc}", file=sys.stderr)
+    except StokesLabError as exc:
+        # a solver error on a valid config (NotContracting, SingularSystem, ...)
+        print(f"stokes-lab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(report.to_json(), end="")
     return 0 if report.ok() else 2

@@ -160,10 +160,7 @@ class BoundaryCurve:
                 pts[k] = a0 + radius * np.array([np.cos(phi), np.sin(phi)])
                 tau = np.array([-np.sin(phi), np.cos(phi)])
                 dpts[k] = tau * scale
-        curve = cls(t, pts, dpts, kind="rounded_polygon", smooth=False)
-        curve._polygon = verts
-        curve._rounding = radius
-        return curve
+        return cls(t, pts, dpts, kind="rounded_polygon", smooth=False)
 
     @classmethod
     def rounded_square(cls, half_side: float = 1.0, radius: float = 0.25,

@@ -10,7 +10,7 @@ the origin is excluded by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -22,12 +22,9 @@ __all__ = [
     "epsilon",
     "degiorgi_tensor",
     "restricted_tensor",
-    "CounterexampleParams",
     "ClosedFormSolution",
-    "closed_form",
     "q_tail_classify",
     "TailVerdict",
-    "not_in_M_certificate",
 ]
 
 _DEF_ORIGIN_TOL = 1e-12
@@ -82,7 +79,6 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
         action=action,
         mu0=mu0,
         mue=mue,
-        regular_at_infinity=False,
         lin_bounds_pair=(mu0, mue) if action_on == "lin" else None,
         name=f"degiorgi(xi={xi}, {action_on})",
     )
@@ -108,7 +104,9 @@ def restricted_tensor(xi: float, lo: float, hi: float) -> ElasticityField:
 
 
 @dataclass(frozen=True)
-class CounterexampleParams:
+class ClosedFormSolution:
+    """Exact radial solution u = (c1 r^eps + c2 r^(-eps)) e_r with exact gradient."""
+
     xi: float
     c1: float = 1.0
     c2: float = -1.0
@@ -121,27 +119,15 @@ class CounterexampleParams:
     def eps(self) -> float:
         return epsilon(self.xi)
 
-
-@dataclass
-class ClosedFormSolution:
-    """Exact radial solution u = (c1 r^eps + c2 r^(-eps)) e_r with exact gradient."""
-
-    params: CounterexampleParams
-    eps: float = field(init=False)
-
-    def __post_init__(self):
-        self.eps = self.params.eps
-
     def radial(self, r):
         r = np.asarray(r, dtype=float)
-        return self.params.c1 * r**self.eps + self.params.c2 * r ** (-self.eps)
+        eps = self.eps
+        return self.c1 * r**eps + self.c2 * r ** (-eps)
 
     def radial_derivative(self, r):
         r = np.asarray(r, dtype=float)
-        return self.eps * (
-            self.params.c1 * r ** (self.eps - 1.0)
-            - self.params.c2 * r ** (-self.eps - 1.0)
-        )
+        eps = self.eps
+        return eps * (self.c1 * r ** (eps - 1.0) - self.c2 * r ** (-eps - 1.0))
 
     def displacement(self, points):
         r, e = _radial_dyads(points)
@@ -160,14 +146,6 @@ class ClosedFormSolution:
         """|grad u|^2 as a function of radius only (rotational symmetry)."""
         r = np.asarray(r, dtype=float)
         return self.radial_derivative(r) ** 2 + (self.radial(r) / r) ** 2
-
-    def divergence(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.radial_derivative(r) + self.radial(r) / r
-
-
-def closed_form(params: CounterexampleParams) -> ClosedFormSolution:
-    return ClosedFormSolution(params)
 
 
 @dataclass
@@ -193,7 +171,7 @@ _TAIL_R_MAX = 2.0**20
 _TAIL_FLAT_BAND = 0.10
 
 
-def q_tail_classify(params: CounterexampleParams, q: float) -> TailVerdict:
+def q_tail_classify(sol: ClosedFormSolution, q: float) -> TailVerdict:
     """Classify the q-energy tail of the closed-form field over 1 < r < 2^20.
 
     Integrates T(R) = int |grad u|^q on dyadic annuli by Gauss quadrature of
@@ -205,7 +183,6 @@ def q_tail_classify(params: CounterexampleParams, q: float) -> TailVerdict:
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
-    sol = closed_form(params)
     eps = sol.eps
     threshold = 2.0 / (1.0 - eps)
 
@@ -240,35 +217,4 @@ def q_tail_classify(params: CounterexampleParams, q: float) -> TailVerdict:
         increments=increments,
         trend=trend,
         flagged_critical=flagged,
-    )
-
-
-@dataclass
-class MembershipReport:
-    boundary_trace_max: float       # max |u| on the unit circle
-    radii: np.ndarray
-    log_ratios: np.ndarray          # |u(r e1)| / log r at the sampled radii
-    strictly_increasing: bool       # growth beats every logarithmic rate
-    vanishes_on_unit_circle: bool
-
-
-def not_in_M_certificate(params: CounterexampleParams) -> MembershipReport:
-    """Desk-checkable facts behind the exclusion from the obstruction space:
-    the field vanishes on the unit circle yet grows faster than log r, read
-    at the radii 1e2, 1e4 and 1e6."""
-    sol = closed_form(params)
-    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    trace = np.linalg.norm(sol.displacement(ring), axis=-1).max()
-
-    radii = np.array([1e2, 1e4, 1e6])
-    pts = np.stack([radii, np.zeros_like(radii)], axis=-1)
-    mags = np.linalg.norm(sol.displacement(pts), axis=-1)
-    ratios = mags / np.log(radii)
-    return MembershipReport(
-        boundary_trace_max=float(trace),
-        radii=radii,
-        log_ratios=ratios,
-        strictly_increasing=bool(np.all(np.diff(ratios) > 0)),
-        vanishes_on_unit_circle=bool(trace < 1e-12),
     )

@@ -56,7 +56,8 @@ class SolverDiverged(StokesLabError):
 
 
 class RadiusOutOfGrid(StokesLabError):
-    """A sampling radius (or its double) falls outside the polar grid."""
+    """A sampling radius falls outside the polar grid, or on its inner ring
+    where an interior ring is needed."""
 
 
 class NotContracting(StokesLabError):

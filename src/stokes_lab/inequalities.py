@@ -16,14 +16,10 @@ import numpy as np
 from .errors import BoundaryNotZero, NonDecayingProfile
 
 __all__ = [
-    "WirtingerResult",
-    "wirtinger_check",
-    "RadialProfile",
-    "HardyResult",
-    "hardy_check",
-    "KornResult",
-    "korn_first_check",
     "Trial",
+    "wirtinger_check",
+    "hardy_check",
+    "korn_first_check",
     "wirtinger_trial",
     "hardy_trial",
     "korn_trial",
@@ -32,17 +28,16 @@ __all__ = [
 
 
 @dataclass
-class WirtingerResult:
-    lhs: float       # int |u - mean|^2 over the circle
-    rhs: float       # R^2 int |du/ds|^2 over the circle
+class Trial:
+    """One instance of a check: its input and both sides of the bound."""
+
+    sample: np.ndarray
+    lhs: float
+    rhs: float
     ok: bool
 
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else (0.0 if self.lhs == 0 else np.inf)
 
-
-def wirtinger_check(samples, radius: float = 1.0) -> WirtingerResult:
+def wirtinger_check(samples, radius: float = 1.0) -> Trial:
     """Zero-mean periodic function against its arclength derivative on a circle.
 
     samples: uniform angular values, shape (n,) or (n, d); the derivative is
@@ -50,9 +45,8 @@ def wirtinger_check(samples, radius: float = 1.0) -> WirtingerResult:
     at the first harmonic is reproduced to round-off; ok forgives a relative
     excess of 1e-10.
     """
-    u = np.asarray(samples, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    sample = np.asarray(samples, dtype=float)
+    u = sample[:, None] if sample.ndim == 1 else sample
     n = u.shape[0]
     if n < 16:
         raise ValueError(f"need at least 16 uniform samples, got {n}")
@@ -64,53 +58,29 @@ def wirtinger_check(samples, radius: float = 1.0) -> WirtingerResult:
     du_dtheta = np.fft.ifft(1j * k[:, None] * np.fft.fft(u, axis=0), axis=0).real
     du_ds = du_dtheta / radius
     rhs = float(radius**2 * np.sum(du_ds**2) * w)
-    return WirtingerResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-10) + 1e-300)
+    return Trial(sample, lhs, rhs, ok=lhs <= rhs * (1.0 + 1e-10) + 1e-300)
 
 
-@dataclass
-class RadialProfile:
-    """Samples u(r_i) on an increasing radial grid over [1, r_max]."""
-
-    r: np.ndarray
-    values: np.ndarray   # (m,) or (m, d)
-    q: float
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.r.ndim != 1 or self.r.size != self.values.shape[0]:
-            raise ValueError("radii and values disagree in length")
-        if np.any(np.diff(self.r) <= 0):
-            raise ValueError("radii must be strictly increasing")
-        if self.q <= 1:
-            raise ValueError("q must exceed 1")
-
-
-@dataclass
-class HardyResult:
-    lhs: float          # int |u - u0|^q / r^q (area weight folded in)
-    rhs_scaled: float   # c_q * int |u'|^q (same weight)
-    ok: bool
-    constant: float     # the sharp radial constant used
-    q: float
-
-
-def hardy_check(profile: RadialProfile, u0) -> HardyResult:
-    """Radial weighted bound for q in (1, 2): the decaying part of u is
-    controlled by its gradient with the sharp constant (q/(2-q))^q.
+def hardy_check(r, values, q: float, u0) -> Trial:
+    """Radial weighted bound for q in (1, 2) on samples u(r_i) over a
+    strictly increasing radial grid: the decaying part of u is controlled by
+    its gradient with the sharp constant (q/(2-q))^q; rhs is that constant
+    times the gradient integral.
 
     The bound presumes a q-integrable gradient (profiles decaying slower
     than r^((q-2)/q) leave that class and the truncated comparison rightly
     fails; the constant is approached as the decay rate drops toward the
-    threshold).  For q > 2 the checked statement flips: u/r inherits
-    q-integrability from the gradient; both tails are then reported and ok
-    means the lhs tail decays whenever the rhs tail does.
+    threshold).
     """
-    q = profile.q
-    r = profile.r
-    u = profile.values
+    r = np.asarray(r, dtype=float)
+    sample = np.asarray(values, dtype=float)
+    u = sample[:, None] if sample.ndim == 1 else sample
+    if r.ndim != 1 or r.size != u.shape[0]:
+        raise ValueError("radii and values disagree in length")
+    if np.any(np.diff(r) <= 0):
+        raise ValueError("radii must be strictly increasing")
+    if not 1.0 < q < 2.0:
+        raise ValueError(f"q must lie in (1, 2), got {q}")
     u0 = np.broadcast_to(np.asarray(u0, dtype=float), u.shape[1:])
     dev = np.linalg.norm(u - u0, axis=-1)
 
@@ -118,7 +88,7 @@ def hardy_check(profile: RadialProfile, u0) -> HardyResult:
     m = dev.size
     head = dev[: m // 2].mean()
     tail = dev[-max(m // 8, 2):].mean()
-    if q < 2 and tail > max(head, 1e-300) * 1.5:
+    if tail > max(head, 1e-300) * 1.5:
         raise NonDecayingProfile("the tail of |u - u0| grows; no far-field constant")
 
     du = np.gradient(u, r, axis=0)
@@ -127,35 +97,11 @@ def hardy_check(profile: RadialProfile, u0) -> HardyResult:
     lhs = float(np.trapezoid(dev**q / r**q * area, r))
     grad_int = float(np.trapezoid(gmag**q * area, r))
 
-    if q < 2.0:
-        c_q = (q / (2.0 - q)) ** q
-        return HardyResult(lhs=lhs, rhs_scaled=c_q * grad_int,
-                           ok=lhs <= c_q * grad_int * (1.0 + 1e-8) + 1e-300,
-                           constant=c_q, q=q)
-
-    # q > 2 branch: compare dyadic tail increments of |u/r|^q and |u'|^q
-    ratio_pts = np.linspace(0.25, 1.0, 4) * r[-1]
-    idx = [int(np.argmin(np.abs(r - rp))) for rp in ratio_pts]
-    lhs_tail = [float(np.trapezoid((dev**q / r**q * area)[i:], r[i:])) for i in idx]
-    rhs_tail = [float(np.trapezoid((gmag**q * area)[i:], r[i:])) for i in idx]
-    rhs_decays = rhs_tail[0] <= 0 or rhs_tail[-1] <= rhs_tail[0]
-    lhs_decays = lhs_tail[0] <= 0 or lhs_tail[-1] <= lhs_tail[0]
-    ok = (not rhs_decays) or lhs_decays
-    return HardyResult(lhs=lhs, rhs_scaled=grad_int, ok=ok, constant=1.0, q=q)
+    rhs = (q / (2.0 - q)) ** q * grad_int
+    return Trial(sample, lhs, rhs, ok=lhs <= rhs * (1.0 + 1e-8) + 1e-300)
 
 
-@dataclass
-class KornResult:
-    lhs: float    # int |grad u|^2
-    rhs: float    # 2 int |sym grad u|^2
-    ok: bool
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else (0.0 if self.lhs == 0 else np.inf)
-
-
-def korn_first_check(u, hx: float, hy: float) -> KornResult:
+def korn_first_check(u, hx: float, hy: float) -> Trial:
     """First Korn bound |grad u|_2 <= sqrt(2) |sym grad u|_2 for nodal fields
     vanishing on the boundary of a uniform Cartesian grid.
 
@@ -188,20 +134,10 @@ def korn_first_check(u, hx: float, hy: float) -> KornResult:
     w = hx * hy
     lhs = float(np.sum(grad * grad) * w)
     rhs = float(2.0 * np.sum(gs * gs) * w)
-    return KornResult(lhs=lhs, rhs=rhs, ok=lhs <= rhs * (1.0 + 1e-8) + 1e-300)
+    return Trial(u, lhs, rhs, ok=lhs <= rhs * (1.0 + 1e-8) + 1e-300)
 
 
 # -- seeded random trials ------------------------------------------------------
-
-
-@dataclass
-class Trial:
-    """One random instance of a check: its input and both sides of the bound."""
-
-    sample: np.ndarray
-    lhs: float
-    rhs: float
-    ok: bool
 
 
 _TH64 = 2 * np.pi * np.arange(64) / 64
@@ -219,8 +155,7 @@ def wirtinger_trial(rng) -> Trial:
         coef[m, 0] * np.cos((m + 1) * _TH64) + coef[m, 1] * np.sin((m + 1) * _TH64)
         for m in range(6)
     )
-    res = wirtinger_check(u, radius=float(rng.uniform(0.5, 5.0)))
-    return Trial(u, res.lhs, res.rhs, res.ok)
+    return wirtinger_check(u, radius=float(rng.uniform(0.5, 5.0)))
 
 
 def hardy_trial(rng) -> Trial:
@@ -231,8 +166,7 @@ def hardy_trial(rng) -> Trial:
     amp = float(rng.uniform(0.1, 3.0))
     u0 = rng.normal(size=2)
     vals = u0[None, :] + amp * _RADII[:, None] ** (-p) * np.array([1.0, -0.5])
-    res = hardy_check(RadialProfile(_RADII, vals, q=q), u0)
-    return Trial(vals, res.lhs, res.rhs_scaled, res.ok)
+    return hardy_check(_RADII, vals, q, u0)
 
 
 def korn_trial(rng) -> Trial:
@@ -247,8 +181,7 @@ def korn_trial(rng) -> Trial:
         axis=-1,
     )
     h = _X[1] - _X[0]
-    res = korn_first_check(u, h, h)
-    return Trial(u, res.lhs, res.rhs, res.ok)
+    return korn_first_check(u, h, h)
 
 
 TRIALS = {"wirtinger": wirtinger_trial, "hardy": hardy_trial, "korn": korn_trial}

@@ -56,8 +56,7 @@ def acoustic_tensor(C, n):
 class FundamentalSolution:
     """Evaluator for U(d) = Phi0 log|d| + Phi(d/|d|) and its exact gradient."""
 
-    def __init__(self, c0: ElasticityTensor, phi0, cos_coef, sin_coef):
-        self.c0 = c0
+    def __init__(self, phi0, cos_coef, sin_coef):
         self.phi0 = np.asarray(phi0, dtype=float)          # (2,2)
         self.cos_coef = np.asarray(cos_coef, dtype=float)  # (K+1,2,2); [0] is the mean
         self.sin_coef = np.asarray(sin_coef, dtype=float)  # (K+1,2,2); [0] unused
@@ -79,7 +78,7 @@ class FundamentalSolution:
         cos_coef[0] = 0.5 * beta * np.eye(2)
         cos_coef[2] = 0.5 * beta * np.diag([1.0, -1.0])
         sin_coef[2] = 0.5 * beta * np.array([[0.0, 1.0], [1.0, 0.0]])
-        return cls(moduli.tensor(), phi0, cos_coef, sin_coef)
+        return cls(phi0, cos_coef, sin_coef)
 
     @classmethod
     def from_tensor(cls, c0, n_angles: int = 512) -> "FundamentalSolution":
@@ -123,7 +122,7 @@ class FundamentalSolution:
         # drop the numerically-zero tail so evaluation stays cheap
         mags = np.abs(cos_coef).max(axis=(1, 2)) + np.abs(sin_coef).max(axis=(1, 2))
         keep = max(int(np.nonzero(mags > 1e-15 * mags.max())[0].max()) + 1, 3)
-        return cls(c0, phi0, cos_coef[:keep], sin_coef[:keep])
+        return cls(phi0, cos_coef[:keep], sin_coef[:keep])
 
     # -- evaluation ----------------------------------------------------------
 

@@ -191,9 +191,6 @@ class PolarGrid:
             + du_dt[:, :, None] * et[:, None, :] / r[i]
         )
 
-    def nearest_ring(self, radius: float) -> int:
-        return int(np.argmin(np.abs(self.radii - radius)))
-
 
 @dataclass
 class DiscreteField:

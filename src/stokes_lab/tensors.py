@@ -21,7 +21,6 @@ from .errors import (
 
 __all__ = [
     "sym",
-    "skw",
     "ElasticityTensor",
     "IsotropicModuli",
     "ElasticityField",
@@ -32,11 +31,8 @@ __all__ = [
     "random_scalar_field",
     "apply_tensor",
     "certify_bounds",
-    "lin_bounds",
     "strong_ellipticity_margin",
-    "traction",
     "gamma_exponent",
-    "sqrtL_exponent",
 ]
 
 
@@ -44,12 +40,6 @@ def sym(a):
     """Symmetric part of a (...,2,2) array."""
     a = np.asarray(a, dtype=float)
     return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def skw(a):
-    """Skew part of a (...,2,2) array."""
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a - np.swapaxes(a, -1, -2))
 
 
 # Orthonormal basis of Sym under the Frobenius product: e1xe1, e2xe2,
@@ -64,11 +54,6 @@ _VOIGT[2, 0, 1] = _VOIGT[2, 1, 0] = 1.0 / np.sqrt(2.0)
 # Identity on Lin, Id_Lin[L] = L, as fourth-order components d_ih d_jk.
 ID_LIN = np.einsum("ih,jk->ijhk", np.eye(2), np.eye(2))
 ID_LIN.flags.writeable = False
-
-# Orthonormal dyad basis of Lin: e_i x e_j, row-major.
-_LIN = np.zeros((4, 2, 2))
-for _n, (_i, _j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-    _LIN[_n, _i, _j] = 1.0
 
 
 class ElasticityTensor:
@@ -175,21 +160,6 @@ def certify_bounds(C) -> tuple[float, float]:
     return float(ev[0]), float(ev[-1])
 
 
-def lin_bounds(c) -> tuple[float, float]:
-    """Extreme eigenvalues of the symmetrized action on all of Lin.
-
-    Certifies lambda |E|^2 <= E.C[E] <= Lambda |E|^2 for every E in Lin; this
-    is the stronger hypothesis under which the sqrt(L)-type results and the
-    fixed-point construction operate.  The action must not be the
-    skew-annihilating one for the lower bound to be positive.
-    """
-    c = c.c if isinstance(c, ElasticityTensor) else np.asarray(c, dtype=float)
-    m = np.einsum("aij,ijhk,bhk->ab", _LIN, c, _LIN)
-    m = 0.5 * (m + m.T)
-    ev = np.linalg.eigvalsh(m)
-    return float(ev[0]), float(ev[-1])
-
-
 def _rank_one_form(c, alpha, beta):
     """a.C[a x b]b for unit vectors at angles alpha, beta (broadcastable)."""
     a = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
@@ -246,12 +216,6 @@ def strong_ellipticity_margin(C) -> float:
     return float(min(f, f_ref, vals[i, j]))
 
 
-def traction(C, grad_u, n):
-    """Boundary force density C[grad_u] n for a unit normal n."""
-    s = apply_tensor(C, grad_u)
-    return np.einsum("...ij,...j->...i", s, np.asarray(n, dtype=float))
-
-
 def _check_bounds_pair(mu0: float, mue: float):
     if not (0.0 < mu0 <= mue):
         raise InvalidBounds(f"need 0 < mu0 <= mue, got ({mu0}, {mue})")
@@ -261,12 +225,6 @@ def gamma_exponent(mu0: float, mue: float) -> float:
     """Energy-growth rate 4 mu0 / (5 mu0 + 8 mue); lies in (0, 4/13]."""
     _check_bounds_pair(mu0, mue)
     return 4.0 * mu0 / (5.0 * mu0 + 8.0 * mue)
-
-
-def sqrtL_exponent(lam: float, Lam: float) -> float:
-    """Uniqueness-class exponent 1/sqrt(Lambda/lambda) in (0, 1]."""
-    _check_bounds_pair(lam, Lam)
-    return float(np.sqrt(lam / Lam))
 
 
 @dataclass
@@ -285,8 +243,6 @@ class ElasticityField:
     action: Callable[[np.ndarray], np.ndarray]
     mu0: float
     mue: float
-    c0: Optional[ElasticityTensor] = None
-    regular_at_infinity: bool = False
     lin_bounds_pair: Optional[tuple[float, float]] = None
     name: str = ""
 
@@ -318,18 +274,8 @@ class ElasticityField:
             )
         return lo, hi
 
-    def check_limit_along_ray(self, direction, radii) -> np.ndarray:
-        """|C(r d) - C0| along a ray; meaningful when regular_at_infinity."""
-        if self.c0 is None:
-            raise ValueError("field declares no limit tensor")
-        d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
-        pts = np.asarray(radii, dtype=float)[:, None] * d[None, :]
-        act = self(pts)
-        return np.sqrt(np.sum((act - self.c0.c) ** 2, axis=(-4, -3, -2, -1)))
 
-
-def constant_field(C, regular_at_infinity: bool = True, name: str = "") -> ElasticityField:
+def constant_field(C) -> ElasticityField:
     """Wrap a constant tensor (or IsotropicModuli) as an ElasticityField."""
     if isinstance(C, IsotropicModuli):
         C = C.tensor()
@@ -342,14 +288,7 @@ def constant_field(C, regular_at_infinity: bool = True, name: str = "") -> Elast
         pts = np.asarray(points, dtype=float)
         return np.broadcast_to(comp, pts.shape[:-1] + (2, 2, 2, 2)).copy()
 
-    return ElasticityField(
-        action=action,
-        mu0=mu0,
-        mue=mue,
-        c0=C,
-        regular_at_infinity=regular_at_infinity,
-        name=name or "constant",
-    )
+    return ElasticityField(action=action, mu0=mu0, mue=mue, name="constant")
 
 
 def scalar_field(scale, lo: float, hi: float, name: str = "") -> ElasticityField:

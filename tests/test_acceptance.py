@@ -28,8 +28,7 @@ from stokes_lab.annulus import (
 from stokes_lab.cli import ExperimentConfig, run
 from stokes_lab.curves import BoundaryCurve
 from stokes_lab.degiorgi import (
-    CounterexampleParams,
-    closed_form,
+    ClosedFormSolution,
     degiorgi_tensor,
     epsilon,
     q_tail_classify,
@@ -147,7 +146,7 @@ def test_criterion_3_far_field_decay():
 
 def test_criterion_4_degiorgi_oracle():
     xi_ref = 2.0
-    sol = closed_form(CounterexampleParams(xi_ref, 1.0, -1.0))
+    sol = ClosedFormSolution(xi_ref, 1.0, -1.0)
     errs = []
     for nr, nt in ((32, 64), (64, 128), (128, 256)):
         grid = PolarGrid(64.0, nr, nt)
@@ -162,7 +161,7 @@ def test_criterion_4_degiorgi_oracle():
 
     fits = {}
     for xi in (1.0, 2.0, 4.0):
-        dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+        dec = ClosedFormSolution(xi, 0.0, 1.0)
         grid = PolarGrid(128.0, 128, 256)
         prob = VariationalProblem(
             field=degiorgi_tensor(xi),
@@ -189,7 +188,7 @@ def test_criterion_4_degiorgi_oracle():
 
 
 def test_criterion_5_integrability_threshold():
-    par = CounterexampleParams(2.0, 1.0, -1.0)
+    par = ClosedFormSolution(2.0, 1.0, -1.0)
     qs = (2.0, 3.0, 5.0, 6.5, 7.0, 8.0)
     verdicts = [q_tail_classify(par, q=q).verdict for q in qs]
     thr = q_tail_classify(par, q=2.0).threshold
@@ -225,11 +224,11 @@ def test_criterion_6_growth_monotonicity():
     gam_dg = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
     grid = PolarGrid(64.0, 256, 512)
 
-    grow = closed_form(CounterexampleParams(xi, 1.0, -1.0))
+    grow = ClosedFormSolution(xi, 1.0, -1.0)
     rep_grow = growth_monotonicity_check(
         energy_profiles(DiscreteField.sample(grid, grow.displacement)), gam_dg
     )
-    dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+    dec = ClosedFormSolution(xi, 0.0, 1.0)
     rep_dec = growth_monotonicity_check(
         energy_profiles(DiscreteField.sample(grid, dec.displacement)), gam_dg
     )
@@ -282,7 +281,7 @@ def test_criterion_7_energy_identity_and_net_traction():
     res_k = energy_identity_residual(u_k, prob_k, 16.0)
 
     xi = 2.0
-    dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+    dec = ClosedFormSolution(xi, 0.0, 1.0)
     prob_d = VariationalProblem(
         field=degiorgi_tensor(xi),
         inner_data=ring_data(dec.displacement, 1.0),
@@ -302,7 +301,7 @@ def test_criterion_7_energy_identity_and_net_traction():
     for _ in range(3):
         sol = bem.solve_dirichlet(op, op.apply(bem.zero_total_density(curve, rng)))
         rels_bem.append(
-            float(np.abs(bem.net_traction(sol)).max()
+            float(np.abs(sol.total_density).max()
                   / np.sqrt(curve.inner_product(sol.psi, sol.psi)))
         )
 

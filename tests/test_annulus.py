@@ -13,6 +13,7 @@ from stokes_lab.annulus import (
     _material_frame,
     _polar_frame,
     _polar_stencil,
+    _ring_at,
     _rotations,
     _Stiffness,
     _stiffness_apply,
@@ -28,8 +29,7 @@ from stokes_lab.annulus import (
     solve_annulus,
 )
 from stokes_lab.degiorgi import (
-    CounterexampleParams,
-    closed_form,
+    ClosedFormSolution,
     degiorgi_tensor,
     epsilon,
     restricted_tensor,
@@ -71,7 +71,7 @@ def outer_ring_data(func, rmax):
 
 
 def degiorgi_problem(xi, rmax, coef=(1.0, -1.0)):
-    sol = closed_form(CounterexampleParams(xi, *coef))
+    sol = ClosedFormSolution(xi, *coef)
     prob = VariationalProblem(
         field=degiorgi_tensor(xi),
         inner_data=ring_data(sol.displacement) if coef != (1.0, -1.0) else None,
@@ -521,7 +521,7 @@ class TestEnergyProfiles:
 
     def test_partition_identity(self):
         grid = PolarGrid(64.0, 48, 96)
-        dec = closed_form(CounterexampleParams(2.0, 0.0, 1.0))
+        dec = ClosedFormSolution(2.0, 0.0, 1.0)
         prof = energy_profiles(DiscreteField.sample(grid, dec.displacement))
         assert np.abs(prof.G + prof.Q - prof.total).max() < 1e-12 * prof.total
         assert np.all(np.diff(prof.G) >= -1e-15)
@@ -532,10 +532,10 @@ class TestEnergyProfiles:
         xi = 2.0
         eps = epsilon(xi)
         grid = PolarGrid(64.0, 128, 256)
-        dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+        dec = ClosedFormSolution(xi, 0.0, 1.0)
         prof = energy_profiles(DiscreteField.sample(grid, dec.displacement))
         for R in (4.0, 8.0, 16.0):
-            k = grid.nearest_ring(R)
+            k = _ring_at(grid.radii, R)
             Rk = grid.radii[k]
             q_oracle = (
                 2 * np.pi * ((1 + eps**2) + (1 - eps) ** 2)
@@ -558,8 +558,8 @@ class TestEnergyProfiles:
                      .reshape(grid.n_r - 1, grid.n_theta).sum(axis=1))
         ratios = []
         for R in (4.0, 8.0, 16.0):
-            kR = grid.nearest_ring(R)
-            k2R = grid.nearest_ring(2.0 * R)
+            kR = _ring_at(grid.radii, R)
+            k2R = _ring_at(grid.radii, 2.0 * R)
             lhs = ring_grad[k2R:].sum()
             rhs = ring_vals[kR:k2R].sum() / grid.radii[kR] ** 2
             ratios.append(lhs / rhs)
@@ -571,7 +571,7 @@ class TestGrowthMonotonicity:
         xi = 2.0
         gam = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
         grid = PolarGrid(64.0, 128, 256)
-        dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+        dec = ClosedFormSolution(xi, 0.0, 1.0)
         rep = growth_monotonicity_check(energy_profiles(DiscreteField.sample(grid, dec.displacement)), gam)
         assert rep.worst_q_violation <= 0.01
 
@@ -579,7 +579,7 @@ class TestGrowthMonotonicity:
         xi = 2.0
         gam = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
         grid = PolarGrid(64.0, 128, 256)
-        grow = closed_form(CounterexampleParams(xi, 1.0, -1.0))
+        grow = ClosedFormSolution(xi, 1.0, -1.0)
         rep = growth_monotonicity_check(energy_profiles(DiscreteField.sample(grid, grow.displacement)), gam)
         assert rep.worst_g_violation <= 0.01
 
@@ -589,7 +589,7 @@ class TestGrowthMonotonicity:
         xi = 2.0
         gam = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
         grid = PolarGrid(64.0, 128, 256)
-        dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+        dec = ClosedFormSolution(xi, 0.0, 1.0)
         rep = growth_monotonicity_check(energy_profiles(DiscreteField.sample(grid, dec.displacement)), gam)
         assert rep.worst_g_violation > 0.05
 
@@ -630,7 +630,7 @@ class TestEnergyIdentity:
 
     def test_degiorgi_residual_and_order(self):
         xi = 2.0
-        dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+        dec = ClosedFormSolution(xi, 0.0, 1.0)
         prob = VariationalProblem(field=degiorgi_tensor(xi), inner_data=ring_data(dec.displacement))
         res = []
         for nr, nt in ((64, 128), (128, 256)):
@@ -661,6 +661,15 @@ class TestEnergyIdentity:
         with pytest.raises(RadiusOutOfGrid):
             energy_identity_residual(DiscreteField.zeros(grid), prob, 1.0)
 
+    @pytest.mark.parametrize("radius", [1e6, 0.5])
+    def test_radius_outside_grid(self, radius):
+        """A radius beyond r_max or below r_min raises, rather than reading
+        the residual at the nearest (boundary) ring."""
+        grid = PolarGrid(16.0, 32, 64)
+        prob = VariationalProblem(field=constant_field(ISO.tensor()))
+        with pytest.raises(RadiusOutOfGrid):
+            energy_identity_residual(DiscreteField.zeros(grid), prob, radius)
+
 
 class TestNetTraction:
     def test_decaying_branch_vanishes(self):
@@ -678,6 +687,13 @@ class TestNetTraction:
         t1 = net_traction_discrete(u, prob, radius=4.0)
         t2 = net_traction_discrete(u, prob, radius=16.0)
         assert np.abs(t1 - t2).max() <= 1e-6 * max(np.abs(u.values).max(), 1.0)
+
+    @pytest.mark.parametrize("radius", [0.01, 1e3])
+    def test_radius_outside_grid(self, radius):
+        grid = PolarGrid(16.0, 32, 64)
+        prob = VariationalProblem(field=constant_field(ISO.tensor()))
+        with pytest.raises(RadiusOutOfGrid):
+            net_traction_discrete(DiscreteField.zeros(grid), prob, radius=radius)
 
     def test_growing_branch_nets_zero_by_symmetry(self):
         """Angular symmetry nets the energy-infinite branch to zero as well:
@@ -706,10 +722,10 @@ class TestNetTraction:
         # sample on an annulus held off the body (layer evaluation is
         # singular on the curve itself)
         grid = PolarGrid(64.0, 96, 192, r_min=1.5)
-        u = DiscreteField.sample(grid, h)
+        u = DiscreteField.sample(grid, lambda p: bem.evaluate(h, p))
         prob = VariationalProblem(field=constant_field(ISO.tensor()))
         t = net_traction_discrete(u, prob, radius=8.0)
-        expect = h.net_traction
+        expect = h.total_density
         assert np.abs(t - expect).max() <= 0.02 * np.linalg.norm(expect)
 
 
@@ -717,7 +733,7 @@ class TestDecayFit:
     @pytest.mark.parametrize("xi", [1.0, 2.0, 4.0])
     def test_degiorgi_exponent(self, xi):
         grid = PolarGrid(128.0, 128, 256)
-        dec = closed_form(CounterexampleParams(xi, 0.0, 1.0))
+        dec = ClosedFormSolution(xi, 0.0, 1.0)
         fit = decay_exponent_fit(DiscreteField.sample(grid, dec.displacement))
         assert abs(fit.alpha - epsilon(xi)) <= 0.02
         assert not fit.poor_fit
@@ -753,6 +769,25 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_exponent_fit(DiscreteField(grid, np.ones((32, 64, 2))))
 
+    def test_default_ladder_skips_rungs_inside_the_hole(self):
+        """On a grid starting beyond r = 2 the default ladder's lower rungs
+        are skipped, not refused as out of the grid."""
+        grid = PolarGrid(256.0, 64, 64, r_min=3.0)
+        u = DiscreteField.sample(grid, lambda p: p / np.sum(p * p, axis=-1)[..., None])
+        fit = decay_exponent_fit(u)
+        assert abs(fit.alpha - 1.0) < 0.02 and fit.radii[0] > 3.0
+
+    def test_explicit_radius_outside_grid(self):
+        """Explicit fitting radii beyond r_max raise instead of collapsing
+        onto the last ring."""
+        grid = PolarGrid(16.0, 32, 64)
+        u = DiscreteField.sample(grid, lambda p: np.linalg.norm(p, axis=-1)[..., None] ** -1.0
+                                 * np.array([1.0, 0.0]))
+        radii = [2.0, 3.0, 4.0, 6.0, 8.0, 32.0]
+        assert decay_exponent_fit(u, radii=radii[:-1]).alpha > 0.9
+        with pytest.raises(RadiusOutOfGrid):
+            decay_exponent_fit(u, radii=radii)
+
     def test_regular_at_infinity_upgrades_decay(self):
         """With an isotropic far field and a compactly supported perturbation
         near the hole, the fitted decay exponent climbs to ~1 (alpha >= 0.9).
@@ -771,9 +806,10 @@ class TestDecayFit:
             p4 = np.einsum("...i,...j,...h,...k->...ijhk", e, e, e, e)
             return iso.c + 4.0 * g[..., None, None, None, None] * p4
 
-        fld = ElasticityField(action=action, mu0=2.0, mue=8.0, c0=iso,
-                              regular_at_infinity=True)
-        assert np.abs(fld.check_limit_along_ray([1.0, 1.0], [5.0, 50.0])).max() < 1e-14
+        fld = ElasticityField(action=action, mu0=2.0, mue=8.0)
+        # isotropic beyond r = 4: the action along a ray equals iso
+        ray = np.outer([5.0, 50.0], [1.0, 1.0]) / np.sqrt(2.0)
+        assert np.abs(fld(ray) - iso.c).max() < 1e-14
 
         rng = np.random.default_rng(1)
         grid = PolarGrid(128.0, 128, 256)
@@ -802,7 +838,7 @@ class TestDecayFit:
             outer_kind="traction_free",
         )
         u = solve_annulus(prob, grid)
-        k1, k2 = grid.nearest_ring(4.0), grid.nearest_ring(32.0)
+        k1, k2 = _ring_at(grid.radii, 4.0), _ring_at(grid.radii, 32.0)
         m1 = u.max_over_ring(k1, offset=np.zeros(2))
         m2 = u.max_over_ring(k2, offset=np.zeros(2))
         ratio = (m2 / m1) / (grid.radii[k2] / grid.radii[k1])

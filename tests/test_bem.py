@@ -37,9 +37,7 @@ class TestAssembly:
         log kernel integrates to 2 pi a log a on the boundary."""
         for a in (0.5, 2.0):
             curve = BoundaryCurve.circle(a, n=64)
-            log_kernel = FundamentalSolution(
-                None, np.eye(2), np.zeros((1, 2, 2)), np.zeros((1, 2, 2))
-            )
+            log_kernel = FundamentalSolution(np.eye(2), np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
             op = bem.assemble_single_layer(curve, log_kernel)
             const = np.zeros((64, 2))
             const[:, 0] = 1.0
@@ -448,36 +446,45 @@ class TestEvaluateOracle:
 
 class TestMSpaceAndTraction:
     def test_boundary_trace_vanishes(self, circle_op, circle_basis):
+        """On the 256-node circle the representative's trace deviates from
+        zero by less than 1e-8, reported as its replay error."""
         h = bem.m_space_representative(circle_op, circle_basis.psi[0])
-        assert h.trace_deviation < 1e-8
+        assert h.replay_error < 1e-8
+
+    def test_evaluation_inside_body_raises(self, circle_op, circle_basis):
+        h = bem.m_space_representative(circle_op, circle_basis.psi[0])
+        for fn in (bem.evaluate, bem.evaluate_gradient):
+            with pytest.raises(PointInsideBody):
+                fn(h, np.array([0.3, -0.2]))
 
     def test_net_tractions_span(self, circle_op, circle_basis):
-        t1 = bem.m_space_representative(circle_op, circle_basis.psi[0]).net_traction
-        t2 = bem.m_space_representative(circle_op, circle_basis.psi[1]).net_traction
+        t1 = bem.m_space_representative(circle_op, circle_basis.psi[0]).total_density
+        t2 = bem.m_space_representative(circle_op, circle_basis.psi[1]).total_density
         assert abs(np.linalg.det(np.stack([t1, t2]))) > 1e-6
 
     def test_log_growth_comparison_bounded(self, circle_op, circle_basis):
         """h(x) - Phi0 log|x| total(psi') stays bounded as |x| grows."""
         h = bem.m_space_representative(circle_op, circle_basis.psi[0])
-        lead = h.kernel.phi0 @ h.net_traction
+        lead = h.kernel.phi0 @ h.total_density
         for ang in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             pts = np.outer([1e2, 1e4, 1e6], [np.cos(ang), np.sin(ang)])
             log_r = np.log(np.linalg.norm(pts, axis=-1))
-            rem = np.linalg.norm(h(pts) - log_r[:, None] * lead, axis=-1)
+            rem = np.linalg.norm(bem.evaluate(h, pts) - log_r[:, None] * lead, axis=-1)
             assert rem.max() < 1.0
             assert rem.std() < 0.05 * (1 + rem.mean())
 
     def test_net_traction_zero_for_solutions(self, circle_op):
         psi_star = zero_total_density(circle_op.curve)
         sol = bem.solve_dirichlet(circle_op, circle_op.apply(psi_star))
-        assert np.abs(bem.net_traction(sol)).max() < 1e-10
+        assert np.abs(sol.total_density).max() < 1e-10
 
     def test_circle_quadrature_cross_check(self, circle_op, circle_basis):
         h = bem.m_space_representative(circle_op, circle_basis.psi[0])
         total = bem.circle_traction_total(
-            h.gradient, ISO.tensor(), radius=50.0, n_nodes=1024, toward_origin=True
+            lambda p: bem.evaluate_gradient(h, p), ISO.tensor(), radius=50.0, n_nodes=1024,
+            toward_origin=True,
         )
-        assert np.abs(total - h.net_traction).max() < 1e-6
+        assert np.abs(total - h.total_density).max() < 1e-6
 
     def test_work_energy_relation(self, circle_op):
         """Boundary work balances the annular energy within 1%.

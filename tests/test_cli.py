@@ -218,11 +218,10 @@ class TestRuns:
 
     def test_gym_failure_dumps_offending_field(self, tmp_path, monkeypatch):
         import stokes_lab.inequalities as ineq
-        from stokes_lab.inequalities import WirtingerResult
 
         monkeypatch.setattr(
             ineq, "wirtinger_check",
-            lambda u, radius=1.0: WirtingerResult(lhs=2.0, rhs=1.0, ok=False),
+            lambda u, radius=1.0: ineq.Trial(u, lhs=2.0, rhs=1.0, ok=False),
         )
         rep = run(ExperimentConfig(kind="gym", check="wirtinger", trials=2, seed=1,
                                    outdir=str(tmp_path)))
@@ -473,13 +472,40 @@ class TestMainExitCodes:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, error", [
+        (["paradox", "--material", "iso:1e13,1", "--nodes", "64"], "SingularSystem"),
+        (["basis", "--material", "iso:1e16,1", "--nodes", "64"], "SingularSystem"),
+    ], ids=["paradox", "basis"])
+    def test_solver_error_exits_two(self, args, error, tmp_path, capsys):
+        """A nearly incompressible material passes validation, but its
+        bordered system is too ill-conditioned: the error is named on stderr,
+        without a traceback, and no report is written."""
+        code = main(args + ["--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"stokes-lab: {error}: " in err and "Traceback" not in err
+        assert not (tmp_path / args[0]).exists()
+
+    def test_not_contracting_exits_two(self, tmp_path, capsys, monkeypatch):
+        from stokes_lab import annulus
+        from stokes_lab.errors import NotContracting
+
+        def diverge(*args, **kwargs):
+            raise NotContracting("factors above 1 for three consecutive iterations")
+
+        monkeypatch.setattr(annulus, "contraction_solve", diverge)
+        code = main(["contraction", "--grid", "24x48", "--rmax", "24", "--seed", "1",
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "stokes-lab: NotContracting: " in capsys.readouterr().err
+        assert not (tmp_path / "contraction").exists()
+
     def test_verdict_failure_exits_two(self, tmp_path, monkeypatch):
         import stokes_lab.inequalities as ineq
-        from stokes_lab.inequalities import WirtingerResult
 
         monkeypatch.setattr(
             ineq, "wirtinger_check",
-            lambda u, radius=1.0: WirtingerResult(lhs=2.0, rhs=1.0, ok=False),
+            lambda u, radius=1.0: ineq.Trial(u, lhs=2.0, rhs=1.0, ok=False),
         )
         code = main(["gym", "--check", "wirtinger", "--trials", "2", "--seed", "1",
                      "--outdir", str(tmp_path)])
@@ -512,21 +538,20 @@ class TestMainExitCodes:
         assert "configuration error" in err and f"{field}:" in err
 
 
-def test_cli_and_bem_imports_leave_out_sparse_and_annulus():
+@pytest.mark.parametrize("modules, absent", [
+    ("stokes_lab.cli, stokes_lab.annulus, stokes_lab.degiorgi, stokes_lab.inequalities",
+     ("scipy",)),
+    ("stokes_lab.cli, stokes_lab.bem", ("scipy.sparse", "stokes_lab.annulus")),
+], ids=["annulus-cli-without-scipy", "bem-without-sparse-or-annulus"])
+def test_imports_leave_out(modules, absent):
+    """Importing a module loads only what it needs: the annulus experiments
+    load no scipy at all (scipy.linalg alone costs about 0.3 s of a CLI
+    start), and the boundary solver neither scipy.sparse nor the annulus."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(stokes_lab.__file__)))
-    code = ("import sys, stokes_lab.cli, stokes_lab.bem; "
-            "print([m for m in ('scipy.sparse', 'stokes_lab.annulus') if m in sys.modules])")
+    code = (f"import sys, {modules}; absent = {absent!r}; "
+            "print(sorted(m for m in sys.modules "
+            "if any(m == a or m.startswith(a + '.') for a in absent)))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_annulus_import_leaves_out_sparse():
-    """The annulus solvers work on stencils: no scipy.sparse."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stokes_lab.__file__)))
-    code = "import sys, stokes_lab.annulus; print('scipy.sparse' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"

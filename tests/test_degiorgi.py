@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from stokes_lab.degiorgi import (
-    CounterexampleParams,
-    closed_form,
+    ClosedFormSolution,
     degiorgi_tensor,
     epsilon,
-    not_in_M_certificate,
     q_tail_classify,
 )
 from stokes_lab.errors import OriginSingular
-from stokes_lab.tensors import apply_tensor, certify_bounds, lin_bounds, sym
+from stokes_lab.tensors import apply_tensor, certify_bounds, sym
 
 
 class TestEpsilon:
@@ -40,13 +38,9 @@ class TestEpsilon:
         1/sqrt(Lambda/lambda) class exponent of its own bounds exactly:
         r^eps is O(r^{1/sqrt L}) but not o(r^{1/sqrt L}), so the o-class is
         sharp for uniqueness modulo the obstruction fields."""
-        from stokes_lab.tensors import sqrtL_exponent
-
         rng = np.random.default_rng(4)
         for xi in rng.uniform(0.2, 8.0, size=25):
-            assert np.isclose(
-                sqrtL_exponent(1.0, 1.0 + 4.0 / xi**2), epsilon(xi), rtol=1e-14
-            )
+            assert np.isclose(np.sqrt(1.0 / (1.0 + 4.0 / xi**2)), epsilon(xi), rtol=1e-14)
 
 
 class TestTensor:
@@ -82,8 +76,10 @@ class TestTensor:
     def test_lin_flavor(self):
         fld = degiorgi_tensor(2.0, action_on="lin")
         act = fld(np.array([1.0, 1.0]))
-        lo, hi = lin_bounds(act)
-        assert np.isclose(lo, 1.0) and np.isclose(hi, 2.0)
+        # the declared Lin bounds are the extreme eigenvalues on the dyad basis
+        ev = np.linalg.eigvalsh(act.reshape(4, 4))
+        assert fld.lin_bounds_pair == (1.0, 2.0)
+        assert np.isclose(ev[0], 1.0) and np.isclose(ev[-1], 2.0)
         # agrees with the sym flavor on symmetric arguments
         act_sym = degiorgi_tensor(2.0)(np.array([1.0, 1.0]))
         rng = np.random.default_rng(2)
@@ -94,20 +90,24 @@ class TestTensor:
 
 
 class TestClosedForm:
+    def test_xi_zero_rejected(self):
+        with pytest.raises(ValueError):
+            ClosedFormSolution(0.0)
+
     def test_vanishes_on_unit_circle(self):
-        sol = closed_form(CounterexampleParams(2.0, 1.0, -1.0))
+        sol = ClosedFormSolution(2.0, 1.0, -1.0)
         th = np.linspace(0, 2 * np.pi, 37)
         pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
         assert np.abs(sol.displacement(pts)).max() < 1e-14
 
     def test_homogeneity_of_growing_branch(self):
-        sol = closed_form(CounterexampleParams(2.0, 1.0, 0.0))
+        sol = ClosedFormSolution(2.0, 1.0, 0.0)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(10, 2)) + np.array([3.0, 0.0])
         assert np.allclose(sol.displacement(2 * x), 2**sol.eps * sol.displacement(x))
 
     def test_gradient_matches_finite_differences(self):
-        sol = closed_form(CounterexampleParams(2.0, 0.7, -0.4))
+        sol = ClosedFormSolution(2.0, 0.7, -0.4)
         rng = np.random.default_rng(3)
         h = 1e-6
         for _ in range(10):
@@ -123,7 +123,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("coef", [(1.0, -1.0), (0.0, 1.0)])
     def test_pde_residual_second_order(self, xi, coef):
         """div C[grad u] -> 0 at order h^2 for both branches (finite differences)."""
-        sol = closed_form(CounterexampleParams(xi, *coef))
+        sol = ClosedFormSolution(xi, *coef)
         fld = degiorgi_tensor(xi)
         rng = np.random.default_rng(42)
         pts = np.stack(
@@ -148,29 +148,29 @@ class TestClosedForm:
 
 class TestTailClassification:
     def test_threshold_value(self):
-        v = q_tail_classify(CounterexampleParams(2.0), q=8.0)
+        v = q_tail_classify(ClosedFormSolution(2.0), q=8.0)
         assert np.isclose(v.threshold, 2.0 / (1.0 - 1.0 / np.sqrt(2.0)))
 
     def test_convergent_above_threshold(self):
-        v = q_tail_classify(CounterexampleParams(2.0), q=8.0)
+        v = q_tail_classify(ClosedFormSolution(2.0), q=8.0)
         assert v.verdict == "CONVERGENT"
 
     def test_divergent_at_two(self):
-        v = q_tail_classify(CounterexampleParams(2.0), q=2.0)
+        v = q_tail_classify(ClosedFormSolution(2.0), q=2.0)
         assert v.verdict == "DIVERGENT"
         # increments grow like R^{2 eps}
         ratios = v.increments[3:] / v.increments[2:-1]
         assert np.allclose(ratios, 2.0 ** (2 * epsilon(2.0)), rtol=0.05)
 
     def test_at_threshold_flagged(self):
-        par = CounterexampleParams(2.0)
+        par = ClosedFormSolution(2.0)
         thr = 2.0 / (1.0 - epsilon(2.0))
         v = q_tail_classify(par, q=thr)
         assert v.flagged_critical
         assert v.verdict in ("INCONCLUSIVE", "DIVERGENT")
 
     def test_single_flip_across_ladder(self):
-        par = CounterexampleParams(2.0)
+        par = ClosedFormSolution(2.0)
         verdicts = [q_tail_classify(par, q=q).verdict for q in (2, 3, 5, 6.5, 7, 8)]
         definite = [v for v in verdicts if v != "INCONCLUSIVE"]
         flips = sum(a != b for a, b in zip(definite, definite[1:]))
@@ -179,16 +179,5 @@ class TestTailClassification:
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
-            q_tail_classify(CounterexampleParams(2.0), q=1.0)
+            q_tail_classify(ClosedFormSolution(2.0), q=1.0)
 
-
-class TestMembership:
-    def test_growing_branch_beats_log(self):
-        rep = not_in_M_certificate(CounterexampleParams(2.0, 1.0, -1.0))
-        assert rep.vanishes_on_unit_circle
-        assert rep.strictly_increasing
-
-    def test_decaying_branch_contrast(self):
-        rep = not_in_M_certificate(CounterexampleParams(2.0, 0.0, 1.0))
-        assert not rep.vanishes_on_unit_circle
-        assert np.all(np.diff(rep.log_ratios) < 0)

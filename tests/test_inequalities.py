@@ -3,7 +3,6 @@ import pytest
 
 from stokes_lab.errors import BoundaryNotZero, NonDecayingProfile
 from stokes_lab.inequalities import (
-    RadialProfile,
     hardy_check,
     hardy_trial,
     korn_first_check,
@@ -63,7 +62,8 @@ class TestWirtinger:
                 coef[k, 0] * np.cos((k + 2) * TH64) + coef[k, 1] * np.sin((k + 2) * TH64)
                 for k in range(5)
             )
-            worst = max(worst, wirtinger_check(u).ratio)
+            res = wirtinger_check(u)
+            worst = max(worst, res.lhs / res.rhs)
         assert worst < 1.0 - 1e-3
 
     def test_minimum_samples(self):
@@ -74,16 +74,19 @@ class TestWirtinger:
 class TestHardy:
     def test_u_equals_u0(self):
         rr = np.geomspace(1.0, 1e4, 500)
-        res = hardy_check(RadialProfile(rr, np.full_like(rr, 2.5), q=1.5), 2.5)
+        res = hardy_check(rr, np.full_like(rr, 2.5), 1.5, 2.5)
         assert res.lhs == 0.0 and res.ok
 
     def test_inverse_sqrt_profile(self):
         """u = r^(-1/2), q = 3/2: both sides finite, truncated lhs known."""
         rr = np.geomspace(1.0, 1e4, 4000)
-        res = hardy_check(RadialProfile(rr, rr**-0.5, q=1.5), 0.0)
+        res = hardy_check(rr, rr**-0.5, 1.5, 0.0)
         lhs_exact = 8 * np.pi * (1 - (1e4) ** -0.25)
         assert abs(res.lhs - lhs_exact) <= 1e-3 * lhs_exact
-        assert np.isclose(res.constant, (1.5 / 0.5) ** 1.5)
+        # rhs carries the sharp constant (q/(2-q))^q = 3^1.5 times the
+        # gradient integral 2 pi int |u'|^1.5 r dr = 2^1.5 pi (1 - 1e4^-0.25)
+        rhs_exact = 3**1.5 * 2**1.5 * np.pi * (1 - (1e4) ** -0.25)
+        assert abs(res.rhs - rhs_exact) <= 1e-3 * rhs_exact
         assert res.ok
 
     def test_sharp_constant_not_violated_near_extremal(self):
@@ -93,25 +96,20 @@ class TestHardy:
         for q in (1.3, 1.5, 1.7):
             p_star = (2.0 - q) / q
             for dp in (0.05, 0.2, 0.5, 1.0):
-                res = hardy_check(RadialProfile(rr, rr ** -(p_star + dp), q=q), 0.0)
+                res = hardy_check(rr, rr ** -(p_star + dp), q, 0.0)
                 assert res.ok, (q, dp)
 
     def test_out_of_class_profile_fails_honestly(self):
         """Below the threshold the gradient is not q-integrable and the
         truncated comparison must expose that the bound does not hold."""
         rr = np.geomspace(1.0, 1e6, 6000)
-        res = hardy_check(RadialProfile(rr, rr**-0.2, q=1.3), 0.0)
+        res = hardy_check(rr, rr**-0.2, 1.3, 0.0)
         assert not res.ok
-
-    def test_q_above_two_branch(self):
-        rr = np.geomspace(1.0, 1e4, 2000)
-        res = hardy_check(RadialProfile(rr, rr**-0.5, q=2.5), 0.0)
-        assert res.ok
 
     def test_non_decaying_raises(self):
         rr = np.geomspace(1.0, 1e4, 500)
         with pytest.raises(NonDecayingProfile):
-            hardy_check(RadialProfile(rr, rr**0.5, q=1.5), 0.0)
+            hardy_check(rr, rr**0.5, 1.5, 0.0)
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(9)
@@ -119,10 +117,14 @@ class TestHardy:
             assert hardy_trial(rng).ok
 
     def test_profile_validation(self):
+        rr = np.geomspace(1.0, 1e4, 500)
         with pytest.raises(ValueError):
-            RadialProfile(np.array([1.0, 1.0, 2.0]), np.zeros(3), q=1.5)
+            hardy_check(np.array([1.0, 1.0, 2.0]), np.zeros(3), 1.5, 0.0)   # unsorted
         with pytest.raises(ValueError):
-            RadialProfile(np.array([1.0, 2.0]), np.zeros(2), q=0.5)
+            hardy_check(np.array([1.0, 2.0]), np.zeros(3), 1.5, 0.0)        # lengths
+        for q in (0.5, 1.0, 2.0, 2.5):                                       # q not in (1, 2)
+            with pytest.raises(ValueError):
+                hardy_check(rr, rr**-0.5, q, 0.0)
 
 
 class TestKornFirst:
@@ -135,7 +137,7 @@ class TestKornFirst:
         u[:, 0] = u[:, -1] = 0.0
         res = korn_first_check(u, h, h)
         assert res.ok
-        assert res.ratio <= 0.75
+        assert res.lhs / res.rhs <= 0.75
 
     def test_randomized_sweep(self):
         rng = np.random.default_rng(10)
@@ -147,7 +149,7 @@ class TestKornFirst:
         u = np.stack([-Y * taper, X * taper], axis=-1)
         res = korn_first_check(u, h, h)
         assert res.ok
-        assert res.ratio > 0.85
+        assert res.lhs / res.rhs > 0.85
 
     def test_boundary_not_zero(self):
         u = np.ones((17, 17, 2))
