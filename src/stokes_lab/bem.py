@@ -13,6 +13,10 @@ boundary problem is a right-hand side of one bordered system
 
 factored once per operator: [data; 0] gives the Dirichlet pair (psi, kappa),
 [0; e_i] the equilibrium density with total e_i and constant trace -kappa.
+The operator holds this one C-ordered (2N+2)^2 array, A being a view of it;
+it is assembled a block of rows at a time, and LAPACK factors its transpose,
+which is Fortran-contiguous as it stands, so the only other full-size array
+is the factors themselves.
 The bordered matrix stays well conditioned at the logarithmic-capacity
 radius, where A alone is singular.  The weighted pairing of boundary data
 with the equilibrium densities is the solvability residual that detects the
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import circulant, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .curves import BoundaryCurve
 from .errors import (
@@ -90,23 +94,25 @@ def _check_data(curve: BoundaryCurve, data) -> np.ndarray:
 def kress_log_weights(n: int) -> np.ndarray:
     """Quadrature weights R_j for the periodic integral of
     f(s) log(4 sin^2((t-s)/2)) ds at offsets t - s_j = 2 pi j / n; exact
-    for trigonometric polynomials of degree < n/2."""
-    j = np.arange(n)
-    d = 2.0 * np.pi * j / n
-    m = np.arange(1, n // 2)
-    r = np.cos(np.outer(d, m)) / m
-    return -(4.0 * np.pi / n) * (r.sum(axis=1) + np.cos(n * d / 2.0) / n)
+    for trigonometric polynomials of degree < n/2.
+
+    R_j = -(4 pi / n) (sum_{m=1}^{n/2-1} cos(m d_j) / m + cos(n d_j / 2) / n),
+    d_j = 2 pi j / n, is the inverse real FFT of the coefficients 1/m
+    (m = 1..n/2, the Nyquist one counted once) scaled by -2 pi."""
+    coef = np.zeros(n // 2 + 1)
+    coef[1:] = 1.0 / np.arange(1, n // 2 + 1)
+    return -2.0 * np.pi * np.fft.irfft(coef, n)
 
 
 _AUG_COND_LIMIT = 1e12     # bordered system [A 1; W 0]
 _TOTALS_COND_LIMIT = 1e8   # totals matrix of the equilibrium basis
 
 
-def _cond_estimate(lu, anorm: float) -> float:
-    """1-norm condition estimate from an LU factorization and the 1-norm of
-    the factored matrix."""
-    (gecon,) = get_lapack_funcs(("gecon",), (lu[0],))
-    rcond, info = gecon(lu[0], anorm, norm="1")
+def _cond_estimate(lu, at) -> float:
+    """1-norm condition estimate of the matrix whose transpose `at` is
+    factored in `lu`: the infinity-norm estimate for `at` itself."""
+    gecon, lange = get_lapack_funcs(("gecon", "lange"), (lu[0],))
+    rcond, info = gecon(lu[0], lange("I", at), norm="I")
     if info != 0 or not np.isfinite(rcond):
         return float("inf")
     return float(1.0 / max(rcond, 1e-300))
@@ -114,26 +120,28 @@ def _cond_estimate(lu, anorm: float) -> float:
 
 @dataclass
 class SingleLayerOperator:
-    """Dense Nystrom discretization of the simple-layer boundary map."""
+    """Dense Nystrom discretization of the simple-layer boundary map, held
+    as the bordered matrix [A 1; W 0] of its boundary problems."""
 
     curve: BoundaryCurve
     kernel: FundamentalSolution
-    mat: np.ndarray  # (2N, 2N), interleaved node-component ordering
-    _aug: Optional[tuple] = field(default=None, repr=False)  # (LU, cond)
+    bordered: np.ndarray  # (2N+2, 2N+2) C-ordered; A interleaves node and component
+    _aug: Optional[tuple] = field(default=None, repr=False)  # (LU of bordered.T, cond)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """A, the (2N, 2N) leading block of the bordered matrix (a view)."""
+        n2 = 2 * self.curve.n
+        return self.bordered[:n2, :n2]
 
     def _augmented_lu(self) -> tuple:
-        """LU of the bordered matrix [A 1; W 0] and its condition estimate,
-        built on first use; raises SingularSystem past _AUG_COND_LIMIT."""
+        """LU of the transpose of [A 1; W 0] and the bordered matrix's
+        condition estimate, built on first use; raises SingularSystem past
+        _AUG_COND_LIMIT."""
         if self._aug is None:
-            n2 = 2 * self.curve.n
-            aug = np.zeros((n2 + 2, n2 + 2), order="F")  # lets getrf work in place
-            aug[:n2, :n2] = self.mat
-            for c in range(2):
-                aug[c:n2:2, n2 + c] = 1.0
-                aug[n2 + c, c:n2:2] = self.curve.weights
-            anorm = np.linalg.norm(aug, 1)
-            lu = lu_factor(aug, overwrite_a=True)
-            cond = _cond_estimate(lu, anorm)
+            at = self.bordered.T  # Fortran-contiguous: getrf copies it once, untransposed
+            lu = lu_factor(at)
+            cond = _cond_estimate(lu, at)
             if not np.isfinite(cond) or cond > _AUG_COND_LIMIT:
                 raise SingularSystem(
                     f"augmented system condition {cond:.3g} exceeds {_AUG_COND_LIMIT:g}"
@@ -153,28 +161,39 @@ class SingleLayerOperator:
 
 def _augmented_solve(op: SingleLayerOperator, data, total) -> tuple:
     """(psi, kappa) with v[psi] + kappa = data at the nodes and total(psi) =
-    total, from the cached factors plus one refinement step."""
+    total, from the cached factors of the transpose plus one refinement step."""
     lu, _ = op._augmented_lu()
     n = op.curve.n
     rhs = np.concatenate([np.reshape(data, -1), total])
+    x = lu_solve(lu, rhs, trans=1)
+    x += lu_solve(lu, rhs - op.bordered @ x, trans=1)
+    return x[: 2 * n].reshape(n, 2), x[2 * n :]
 
-    def split(x):
-        return x[: 2 * n].reshape(n, 2), x[2 * n :]
 
-    x = lu_solve(lu, rhs)
-    psi, kappa = split(x)
-    residual = rhs - np.concatenate([(op.apply(psi) + kappa).reshape(-1), op.curve.total(psi)])
-    x += lu_solve(lu, residual)
-    return split(x)
+# node pairs per block of assembly rows or evaluation targets: each (rows, N)
+# complex array takes 256 kB and stays cache-resident (larger blocks measured
+# slower)
+_BLOCK_PAIRS = 1 << 14
 
 
 def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
-    """Assemble the 2N x 2N matrix mapping nodal densities to v[psi] at the nodes.
+    """Assemble the bordered matrix [A 1; W 0] whose 2N x 2N block A maps
+    nodal densities to v[psi] at the nodes.
 
     The kernel's log part is integrated by the exact periodic log-splitting
     weights; the smooth remainder by the plain trapezoid rule.  On the rounded
     polygon the same composite rule applies but only with algebraic accuracy,
     which is reported as a CurveNotSmooth warning.
+
+    A is written straight into the bordered array, one block of rows at a
+    time, so apart from the result only a few (rows, N) arrays are live.  Its
+    entry (i, m, j, h) is (Phi0 S_ij + (2 pi / n) Phi(e_ij)) speed_j, where
+    the log terms S_ij = (pi / n) log r_ij^2 + crow[(i - j) % n] take the
+    parameter-difference parts of the splitting from one circulant row:
+    crow_k = R_k / 2 - (pi / n) log(4 sin^2(pi k / n)), crow_0 = R_0 / 2, and
+    S_ii = crow_0 + (2 pi / n) log speed_i (the limit of the smooth
+    remainder Phi0 (1/2) log(r^2 / 4 sin^2) + Phi(direction) is
+    Phi0 log|x'(t)| + Phi(tangent), Phi being even).
     """
     kernel = _as_kernel(c0)
     if not curve.smooth:
@@ -185,44 +204,50 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
             stacklevel=2,
         )
     n = curve.n
-    t = curve.t
-    pts = curve.points
+    n2 = 2 * n
+    crow = 0.5 * kress_log_weights(n)
+    crow[1:] -= (np.pi / n) * np.log(4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
+
+    bordered = np.zeros((n2 + 2, n2 + 2))
+    blocks = bordered[:n2, :n2].reshape(n, 2, n, 2)
+    rows = max(1, _BLOCK_PAIRS // n)
+    for lo in range(0, n, rows):
+        _layer_rows(blocks[lo : lo + rows], curve, kernel, crow, lo)
+    for c in range(2):
+        bordered[c:n2:2, n2 + c] = 1.0
+        bordered[n2 + c, c:n2:2] = curve.weights
+    return SingleLayerOperator(curve=curve, kernel=kernel, bordered=bordered)
+
+
+def _layer_rows(out, curve: BoundaryCurve, kernel: FundamentalSolution, crow, lo: int):
+    """Write the rows of A for nodes lo, lo + 1, ... into out, their
+    (rows, 2, N, 2) block of the bordered array (see assemble_single_layer).
+    Only (rows, N) arrays are formed, and they are freed on return."""
+    n = curve.n
+    i = np.arange(lo, lo + out.shape[0])
     speed = curve.speed
-
-    dt = t[:, None] - t[None, :]
-    log_fac = 4.0 * np.sin(dt / 2.0) ** 2
-    z = pts[:, 0] + 1j * pts[:, 1]
-    dz = z[:, None] - z[None, :]
-    r2 = dz.real**2 + dz.imag**2
-
-    np.fill_diagonal(r2, 1.0)
-    np.fill_diagonal(log_fac, 1.0)
-    # unit chords; on the diagonal their limit, the unit tangent (Phi is even)
-    e = dz / np.sqrt(r2)
-    np.fill_diagonal(e, curve.tangent[:, 0] + 1j * curve.tangent[:, 1])
-
-    # smooth remainder M2 = Phi0 * (1/2) log(r^2 / 4 sin^2) + Phi(direction),
-    # whose diagonal limit is Phi0 log|x'(t)| + Phi(tangent)
-    smooth_log = 0.5 * np.log(r2 / log_fac)
-    np.fill_diagonal(smooth_log, np.log(speed))
+    z = curve.points[:, 0] + 1j * curve.points[:, 1]
+    e = z[i, None] - z[None, :]
+    r2 = e.real**2 + e.imag**2
+    r2[i - lo, i] = 1.0
+    # unit chords; on the diagonal their limit, the unit tangent
+    e /= np.sqrt(r2)
+    e[i - lo, i] = curve.tangent[i, 0] + 1j * curve.tangent[i, 1]
+    s = np.log(r2, out=r2)
+    s *= np.pi / n
+    offset = i[:, None] - np.arange(n)
+    offset %= n
+    s += crow[offset]
+    s[i - lo, i] = crow[0] + (2.0 * np.pi / n) * np.log(speed[i])
+    s *= speed
     angular = kernel.angular(e)
-    rmat = circulant(kress_log_weights(n))                # R_ij = R(t_i - t_j)
-
-    # entry (i, m, j, h) = (R_ij Phi0/2 + (2 pi / n) M2) speed_j, formed one
-    # component (m, h) at a time and written straight into the interleaved
-    # matrix
-    mat = np.empty((n, 2, n, 2))
-    comp = np.empty((n, n))
-    tmp = np.empty((n, n))
+    w = (2.0 * np.pi / n) * speed
+    # one (rows, N) component (m, h) at a time: long inner loops
     for m in range(2):
         for h in range(2):
-            np.multiply(smooth_log, kernel.phi0[m, h], out=comp)
-            comp += angular[:, :, m, h]
-            comp *= 2.0 * np.pi / n
-            comp += np.multiply(rmat, 0.5 * kernel.phi0[m, h], out=tmp)
-            comp *= speed
-            mat[:, m, :, h] = comp
-    return SingleLayerOperator(curve=curve, kernel=kernel, mat=mat.reshape(2 * n, 2 * n))
+            comp = angular[:, :, m, h] * w
+            comp += kernel.phi0[m, h] * s
+            out[:, m, :, h] = comp
 
 
 @dataclass
@@ -364,11 +389,6 @@ def solve_dirichlet(op: SingleLayerOperator, data) -> ExteriorSolution:
         curve=curve, kernel=op.kernel, psi=psi, kappa=kappa, cond=op.cond,
         replay_error=float(replay),
     )
-
-
-# target-node pairs per evaluation block: each (rows, N) complex array takes
-# 256 kB and stays cache-resident (larger blocks measured slower)
-_BLOCK_PAIRS = 1 << 14
 
 
 def _layer_eval(curve, kernel, psi, x, gradient=False):

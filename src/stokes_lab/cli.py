@@ -303,9 +303,16 @@ def _run_paradox(spec: dict, out: dict):
     data_norm = float(np.sqrt(curve.inner_product(data, data)))
     tol_replay = 1e-8 * max(data_norm, 1.0)
     total = float(np.abs(sol.total_density).max())
+    # reciprocity: with A weighted-symmetric, <data, psi_i>_w = total(psi_i) . kappa;
+    # the basis and the Dirichlet solve share one factorization, so this
+    # holds to round-off unless that solve path is wrong
+    reciprocity = float(np.abs(residual - basis.totals.T @ sol.kappa).max())
+    tol_reciprocity = 1e-10 * max(data_norm, 1.0)
     out["verdicts"] += [
         _verdict("paradox_residual", "residual", residual, 1e-8, True),
         _verdict("kappa", "kappa", sol.kappa, 1e-10, True),
+        _verdict("kappa_reciprocity", "residual", reciprocity, tol_reciprocity,
+                 reciprocity <= tol_reciprocity),
         _verdict("boundary_replay", "residual", sol.replay_error, tol_replay,
                  sol.replay_error <= tol_replay),
         _verdict("zero_total_density", "residual", total, 1e-10, total <= 1e-10),

@@ -80,7 +80,6 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
         mu0=mu0,
         mue=mue,
         lin_bounds_pair=(mu0, mue) if action_on == "lin" else None,
-        name=f"degiorgi(xi={xi}, {action_on})",
     )
 
 
@@ -99,8 +98,7 @@ def restricted_tensor(xi: float, lo: float, hi: float) -> ElasticityField:
         a[(r < lo) | (r > hi)] = mue * ID_LIN
         return a
 
-    return ElasticityField(action=action, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue),
-                           name=f"degiorgi-lin-annulus(xi={xi})")
+    return ElasticityField(action=action, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,9 @@ class FundamentalSolution:
         out = np.empty((flat.size, 4))
         for lo in range(0, flat.size, _BLOCK_DIRECTIONS):
             block = flat[lo : lo + _BLOCK_DIRECTIONS]
-            h = np.reshape(list(unit_powers(block, orders)), (len(orders), block.size))
+            h = np.empty((len(orders), block.size), dtype=complex)
+            for row, ek in zip(h, unit_powers(block, orders)):
+                row[...] = ek
             out[lo : lo + _BLOCK_DIRECTIONS] = h.real.T @ re_coef + h.imag.T @ im_coef
         return out.reshape(e.shape + (2, 2))
 

@@ -244,7 +244,6 @@ class ElasticityField:
     mu0: float
     mue: float
     lin_bounds_pair: Optional[tuple[float, float]] = None
-    name: str = ""
 
     def __post_init__(self):
         _check_bounds_pair(self.mu0, self.mue)
@@ -288,10 +287,10 @@ def constant_field(C) -> ElasticityField:
         pts = np.asarray(points, dtype=float)
         return np.broadcast_to(comp, pts.shape[:-1] + (2, 2, 2, 2)).copy()
 
-    return ElasticityField(action=action, mu0=mu0, mue=mue, name="constant")
+    return ElasticityField(action=action, mu0=mu0, mue=mue)
 
 
-def scalar_field(scale, lo: float, hi: float, name: str = "") -> ElasticityField:
+def scalar_field(scale, lo: float, hi: float) -> ElasticityField:
     """The field s(x) Id_Lin with Sym and Lin bounds (lo, hi), for a scale
     mapping (...,2) points to (...) stiffnesses; (lo, hi) is the caller's
     certificate of the range of s."""
@@ -300,7 +299,7 @@ def scalar_field(scale, lo: float, hi: float, name: str = "") -> ElasticityField
         pts = np.asarray(points, dtype=float)
         return scale(pts)[..., None, None, None, None] * ID_LIN
 
-    return ElasticityField(action=action, mu0=lo, mue=hi, lin_bounds_pair=(lo, hi), name=name)
+    return ElasticityField(action=action, mu0=lo, mue=hi, lin_bounds_pair=(lo, hi))
 
 
 # point-sample pairs whose distances the nearest-sample lookup forms at once
@@ -323,8 +322,7 @@ def tabulated_scalar_field(r, theta, scales) -> ElasticityField:
             idx[lo:lo + rows] = np.argmin(d2s, axis=1)
         return scales[idx].reshape(pts.shape[:-1])
 
-    return scalar_field(nearest, float(scales.min()), float(scales.max()),
-                        name="tabulated-scalar")
+    return scalar_field(nearest, float(scales.min()), float(scales.max()))
 
 
 def random_scalar_field(lo: float, hi: float, rng) -> ElasticityField:
@@ -343,4 +341,4 @@ def random_scalar_field(lo: float, hi: float, rng) -> ElasticityField:
         )
         return lo + (hi - lo) * s
 
-    return scalar_field(scale, lo, hi, name="random-scalar")
+    return scalar_field(scale, lo, hi)

@@ -378,7 +378,7 @@ class TestSolveAnnulus:
 
 def radial_scalar_field():
     return scalar_field(
-        lambda p: 1.5 + 0.5 * np.tanh(np.linalg.norm(p, axis=-1) - 4.0), 1.0, 2.0, name="radial"
+        lambda p: 1.5 + 0.5 * np.tanh(np.linalg.norm(p, axis=-1) - 4.0), 1.0, 2.0
     )
 
 
@@ -394,7 +394,7 @@ def perturbed_counterexample(grid):
         a[(th > lo) & (th < hi)] *= 1.0 + 1e-9
         return a
 
-    return ElasticityField(action=perturbed, mu0=base.mu0, mue=base.mue, name="perturbed")
+    return ElasticityField(action=perturbed, mu0=base.mu0, mue=base.mue)
 
 
 class TestFourierSolve:
@@ -437,17 +437,17 @@ class TestFourierSolve:
         theta-column of cells by 1e-9."""
         stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
         grid = PolarGrid(16.0, 24, 48)
-        cases = [(f(), 1) for f in TestFourierSolve.MATERIALS.values()]
+        cases = [(label, f(), 1) for label, f in TestFourierSolve.MATERIALS.items()]
         cases += [
-            (random_scalar_field(1.0, 2.0, np.random.default_rng(3)), 48),
-            (perturbed_counterexample(grid), 48),
+            ("random-scalar", random_scalar_field(1.0, 2.0, np.random.default_rng(3)), 48),
+            ("perturbed", perturbed_counterexample(grid), 48),
         ]
-        for fld, n_cols in cases:
+        for label, fld, n_cols in cases:
             stiffness_builds.clear()
-            assert _material_frame(fld, grid).shape[1] == n_cols, fld.name
+            assert _material_frame(fld, grid).shape[1] == n_cols, label
             prob = VariationalProblem(field=fld, force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
             solve_annulus(prob, grid, check_bounds=False)
-            assert stiffness_builds == [(24, 48, n_cols)], fld.name
+            assert stiffness_builds == [(24, 48, n_cols)], label
 
 
 def table_field(rng):

@@ -349,6 +349,27 @@ class TestRuns:
         assert "ellipse_compatibility" in verd
         assert abs(verd["ellipse_compatibility"]["value"][0]) > 1.0
 
+    def test_kappa_reciprocity_fails_on_perturbed_kappa(self, tmp_path, monkeypatch):
+        """The pairings equal the basis totals times kappa to round-off; a
+        kappa off by 1e-6 fails the verdict."""
+        from stokes_lab import bem
+
+        cfg = ExperimentConfig(kind="paradox", curve="ellipse:2,1", nodes=128,
+                               data="fourier:1,0.5,0.25", outdir=str(tmp_path))
+        verd = {v["name"]: v for v in run(cfg).verdicts}["kappa_reciprocity"]
+        assert verd["pass"] and verd["value"] <= 1e-13
+        real = bem.solve_dirichlet
+
+        def perturbed(op, data):
+            sol = real(op, data)
+            sol.kappa = sol.kappa + 1e-6
+            return sol
+
+        monkeypatch.setattr(bem, "solve_dirichlet", perturbed)
+        rep = run(cfg)
+        verd = {v["name"]: v for v in rep.verdicts}["kappa_reciprocity"]
+        assert not verd["pass"] and not rep.ok()
+
     @pytest.mark.parametrize("kind", ["paradox", "basis", "decay"])
     def test_one_dense_factorization_per_boundary_run(self, kind, tmp_path, monkeypatch):
         from stokes_lab import bem
