@@ -3,12 +3,14 @@
 The exterior domain is replaced by the annulus 1 < r < r_max with a
 configurable outer condition; the solver minimizes the discrete energy
 int grad(u) . C[grad(u)] over bilinear elements.  Every stiffness is built
-once, in polar components: the material at the Gauss points of each
-theta-column of cells is rotated into that column's polar frame, and the
-stiffness is a 9-point stencil of 2x2 blocks over the (ring, theta) nodes,
-with one column of blocks per theta-column of cells, or a single column when
-the material is rotation-equivariant and the stiffness block-circulant in
-theta.  A block-circulant stiffness is inverted by one angular Fourier
+once, in polar components, one block of theta-columns at a time: the
+material at the Gauss points of each theta-column of cells is rotated into
+that column's polar frame, turned into element matrices and added into a
+9-point stencil of 2x2 blocks over the (ring, theta) nodes, with one column
+of blocks per theta-column of nodes, or a single column when the material is
+rotation-equivariant and the stiffness block-circulant in theta.  Neither
+the whole grid's frame nor its element matrices are ever held.  A
+block-circulant stiffness is inverted by one angular Fourier
 solve; any other is solved by conjugate gradients preconditioned by the
 Fourier solve of its theta-mean.  Only the load and the Dirichlet data (on
 the way in) and the solution (on the way out) are rotated between Cartesian
@@ -127,26 +129,25 @@ _CORNER_RING = (0, 1, 1, 0)
 _CORNER_ANGLE = (0, 0, 1, 1)
 
 
-def _stencil(ke: np.ndarray) -> np.ndarray:
-    """The (n_r, 2, 3, 3, 2, n_cols) stencil S[i, m, o + 1, d + 1, h, j] of
-    the stiffness with the (n_r - 1, n_cols, 8, 8) element matrices ke of its
-    cells, rows and columns (corner a, component m): the entry coupling
+def _add_cells(S: np.ndarray, ke: np.ndarray, nodes: slice):
+    """Add to the node columns `nodes` of the (n_r, 2, 3, 3, 2, n_cols)
+    stencil S[i, m, o + 1, d + 1, h, j] the element matrices ke
+    (n_r - 1, len + 1, 8, 8), rows and columns (corner a, component m), of
+    the theta-columns of cells nodes.start - 1 .. nodes.stop - 1.  S couples
     component m of node (i, j) to component h of node (i + o, j + d), zero
-    where ring i + o is off the grid.  Axis j runs over the theta-columns of
-    cells: all of them, or only column 0 (n_cols = 1) when the element
-    matrices repeat along theta and the stiffness is circulant."""
-    n_r, n_cols = ke.shape[0] + 1, ke.shape[1]
+    where ring i + o is off the grid; corner a of the cell in column j is a
+    node of column j + A_a, so node column j takes its corners with A_a = 0
+    from cell j and those with A_a = 1 from cell j - 1."""
+    n_r, n = S.shape[0], ke.shape[1]
     # (i, a, b, m, h, j): ring, corners a and b, components m and h, column
-    cells = ke.reshape(n_r - 1, n_cols, 4, 2, 4, 2).transpose(0, 2, 4, 3, 5, 1)
-    S = np.zeros((n_r, 2, 3, 3, 2, n_cols))
+    cells = ke.reshape(n_r - 1, n, 4, 2, 4, 2).transpose(0, 2, 4, 3, 5, 1)
     for a in range(4):
+        own = cells[:, a, ..., 1 - _CORNER_ANGLE[a]:n - _CORNER_ANGLE[a]]
+        rows = S[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, ..., nodes]
         for b in range(4):
             o = _CORNER_RING[b] - _CORNER_RING[a] + 1
             d = _CORNER_ANGLE[b] - _CORNER_ANGLE[a] + 1
-            # corner a of the cell in column j is a node of column j + A_a
-            kab = np.roll(cells[:, a, b], _CORNER_ANGLE[a], axis=-1)
-            S[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, :, o, d] += kab
-    return S
+            rows[:, :, o, d] += own[:, b]
 
 
 def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,7 +180,7 @@ def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
 
 # -- the polar frame ------------------------------------------------------------
 
-_FRAME_BLOCK = 32               # theta-columns of cells evaluated and rotated per batch
+_FRAME_BLOCK = 32               # theta-columns of nodes built per batch
 
 
 def _rotations(thetas: np.ndarray) -> np.ndarray:
@@ -202,7 +203,8 @@ def _polar_frame(C: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """The material C (n_r - 1, n_cols, nq, 2, 2, 2, 2) at the Gauss points
     of the theta-columns of cells that start at the angles thetas, rotated
     into each column's polar frame, Q^T C Q with Q = R(theta_j) x R(theta_j),
-    by two batched matrix products; laid out as in _material_frame."""
+    by two batched matrix products: (n_r - 1, n_cols, nq, 4, 4) component
+    matrices, rows (m, k) and columns (h, l)."""
     n_rc, n_cols = C.shape[:2]
     R = _rotations(thetas)
     q = np.einsum("jia,jkb->jikab", R, R).reshape(n_cols, 4, 4)
@@ -212,67 +214,82 @@ def _polar_frame(C: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return (qtc.reshape(n_cols, -1, 4) @ q).reshape(C.shape).transpose(2, 0, 3, 1, 4)
 
 
-def _material_frame(field: ElasticityField, grid: PolarGrid) -> np.ndarray:
-    """The material at the Gauss points, rotated into the polar frame of each
-    theta-column of cells: (n_r - 1, n_cols, nq, 4, 4) component matrices,
-    rows (m, k) and columns (h, l).  It is evaluated and rotated one block
-    of columns at a time, and each block is compared with column 0.  When
-    every column equals column 0 to 1e-12 relative, C(R x) = R * C(x) holds
-    at the Gauss points and only column 0 is kept (n_cols = 1): column j's
-    Gauss geometry is column 0's rotated by theta_j, so the stiffness is
-    then block-circulant in polar components."""
+def _polar_stencil(grid: PolarGrid, field: Callable) -> np.ndarray:
+    """The stencil (_add_cells), in the polar components of the nodes, of the
+    stiffness of the material field, built one block of _FRAME_BLOCK
+    theta-columns of nodes at a time from the cells that touch them.
+
+    Per block, the material at the cells' Gauss points is rotated into each
+    cell column's polar frame (_polar_frame) and compared with column 0's.
+    Column j's Gauss geometry is column 0's rotated by theta_j, so in its
+    own frame its element matrices come from column 0's shape gradients and
+    weights; their corners are then rotated by (0, 0, dtheta, dtheta) to the
+    nodes' frames.  While every column equals column 0 to 1e-12 relative,
+    C(R x) = R * C(x) holds at the Gauss points and nothing is kept: the
+    stiffness is block-circulant and its stencil has the one column of
+    column 0's frame.  At the first block that differs, the n_theta-column
+    stencil is allocated and the earlier blocks are evaluated again."""
     n_t = grid.n_theta
     pts = grid.qp_points.reshape(grid.n_r - 1, n_t, -1, 2)
-    frame = np.empty(pts.shape[:-1] + (4, 4))
-    equivariant = True
-    for lo in range(0, n_t, _FRAME_BLOCK):
-        cols = slice(lo, min(lo + _FRAME_BLOCK, n_t))
-        frame[:, cols] = _polar_frame(field(pts[:, cols]), grid.thetas[cols])
-        if lo == 0:
-            ref = frame[:, :1]                          # R(0) is the identity
-            tol = 1e-12 * np.abs(ref).max()
-        equivariant = equivariant and np.abs(frame[:, cols] - ref).max() <= tol
-    return frame[:, :1].copy() if equivariant else frame
-
-
-def _polar_stencil(grid: PolarGrid, frame: np.ndarray) -> np.ndarray:
-    """The stencil, in the polar components of the nodes, of the stiffness
-    of the material with the polar frame `frame` of _material_frame: one
-    column for a one-column frame, n_theta otherwise.  Column j's Gauss
-    geometry is column 0's rotated by theta_j, so in its own frame its
-    element matrices come from column 0's shape gradients and weights; their
-    corners are then rotated by (0, 0, dtheta, dtheta) to the nodes' frames."""
-    col = slice(None, None, grid.n_theta)              # cell (i, 0) of every ring i
-    ke = _element_matrices(grid.qp_shape_gradients[col, None], grid.qp_weights[col, None], frame)
+    grad = grid.column_shape_gradients[:, None]
+    weights = grid.qp_weights[::n_t, None]
     T = np.zeros((8, 8))
     for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(_CORNER_ANGLE, dtype=float))):
         T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
-    return _stencil(T.T @ ke @ T)
+
+    def block(lo):
+        """The node columns from lo and the polar frame of their cells."""
+        nodes = slice(lo, min(lo + _FRAME_BLOCK, n_t))
+        cells = np.arange(lo - 1, nodes.stop) % n_t
+        return nodes, _polar_frame(field(pts[:, cells]), grid.thetas[cells])
+
+    def element_matrices(frame):
+        return T.T @ _element_matrices(grad, weights, frame) @ T
+
+    S = None
+    for lo in range(0, n_t, _FRAME_BLOCK):
+        nodes, frame = block(lo)
+        if lo == 0:
+            ref = frame[:, 1:2]                         # column 0: R(0) is the identity
+            tol = 1e-12 * np.abs(ref).max()
+        if S is None and np.abs(frame - ref).max() > tol:
+            S = np.zeros((grid.n_r, 2, 3, 3, 2, n_t))
+            for early in range(0, lo, _FRAME_BLOCK):
+                nodes_e, frame_e = block(early)
+                _add_cells(S, element_matrices(frame_e), nodes_e)
+        if S is not None:
+            _add_cells(S, element_matrices(frame), nodes)
+    if S is None:
+        # one column: the cell before column 0 is column 0 itself
+        S = np.zeros((grid.n_r, 2, 3, 3, 2, 1))
+        ke = element_matrices(ref)
+        _add_cells(S, np.broadcast_to(ke, (ke.shape[0], 2) + ke.shape[2:]), slice(0, 1))
+    return S
 
 
 def _identity_stencil(grid: PolarGrid, scale: float) -> np.ndarray:
     """The one-column polar stencil of the stiffness of scale * Id_Lin."""
-    shape = (grid.n_r - 1, 1, grid.qp_weights.shape[1], 4, 4)
-    return _polar_stencil(grid, np.broadcast_to(scale * ID_LIN.reshape(4, 4), shape))
+    c0 = scale * ID_LIN
+    return _polar_stencil(grid, lambda p: np.broadcast_to(c0, p.shape[:-1] + c0.shape))
 
 
 class _Stiffness:
     """The free system of a problem on a grid, in polar components.  The
     free rings are 1..last, a contiguous range of DOFs in ring-major order:
     last = n_r - 2 with a Dirichlet outer ring, n_r - 1 otherwise.  Held at
-    once: the material's polar frame (_material_frame), the rotations
-    R(theta_j) of the node columns and the Cartesian nodal values carrying
-    the Dirichlet data on the inner ring (and on the outer ring under a
-    Dirichlet outer condition), zero on the free rings.  Built on first use:
-    the polar stencil of the stiffness, its rows K_f on the free rings and
-    the right-hand side b_f - K_fd u_d there, from the load and the
-    Dirichlet data rotated to polar components.  A contraction run builds
-    it once for its fixed-point iteration and its direct reference solve."""
+    once: the rotations R(theta_j) of the node columns and the Cartesian
+    nodal values carrying the Dirichlet data on the inner ring (and on the
+    outer ring under a Dirichlet outer condition), zero on the free rings.
+    Built on first use: the polar stencil of the stiffness (_polar_stencil,
+    from the material one block of theta-columns at a time), its rows K_f on
+    the free rings and the right-hand side b_f - K_fd u_d there, from the
+    load and the Dirichlet data rotated to polar components.  A contraction
+    run builds it once for its fixed-point iteration and its direct
+    reference solve."""
 
     def __init__(self, problem: VariationalProblem, grid: PolarGrid):
         self.grid = grid
         self.problem = problem
-        self.frame = _material_frame(problem.field, grid)
         self.rotations = _rotations(grid.thetas)
         self._u = np.zeros((grid.n_r, grid.n_theta, 2))
         self._u[0] = problem.boundary_values(grid, "inner")
@@ -283,7 +300,7 @@ class _Stiffness:
 
     @cached_property
     def stencil(self) -> np.ndarray:
-        return _polar_stencil(self.grid, self.frame)
+        return _polar_stencil(self.grid, self.problem.field)
 
     @property
     def K_f(self) -> np.ndarray:

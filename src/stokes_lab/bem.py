@@ -64,6 +64,7 @@ __all__ = [
     "paradox_residual",
     "ellipse_compatibility",
     "ellipse_direction_error",
+    "ellipse_residual_agreement",
     "zero_total_density",
     "ExteriorSolution",
     "solve_dirichlet",
@@ -316,11 +317,24 @@ def _check_ellipse(curve: BoundaryCurve):
 def ellipse_compatibility(data, curve: BoundaryCurve) -> np.ndarray:
     """Quadrature of data / |grad f| over an ellipse boundary.
 
-    Agrees with paradox_residual up to an invertible 2x2 rescaling; the
-    closed-form counterpart of the computed equilibrium pairing."""
+    Agrees with paradox_residual up to an invertible 2x2 rescaling
+    (ellipse_residual_agreement); the closed-form counterpart of the
+    computed equilibrium pairing."""
     _check_ellipse(curve)
     u = _check_data(curve, data)
     return np.einsum("k,ki->i", curve.weights / curve.grad_f_norm, u)
+
+
+def _ellipse_densities(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form equilibrium densities e_i / |grad f| of an ellipse
+    boundary normalized to unit weighted L2 norm, (2, N, 2), and their norms
+    before normalization, (2,)."""
+    _check_ellipse(curve)
+    dens = np.zeros((2, curve.n, 2))
+    for i in range(2):
+        dens[i, :, i] = 1.0 / curve.grad_f_norm
+    norms = np.array([np.sqrt(curve.inner_product(d, d)) for d in dens])
+    return dens / norms[:, None, None], norms
 
 
 def ellipse_direction_error(basis: EquilibriumBasis) -> float:
@@ -328,18 +342,26 @@ def ellipse_direction_error(basis: EquilibriumBasis) -> float:
     density psi_i and the closed-form one e_i / |grad f| (both normalized)
     on an ellipse boundary."""
     curve = basis.curve
-    _check_ellipse(curve)
     err = 0.0
-    for i in range(2):
-        target = np.zeros((curve.n, 2))
-        target[:, i] = 1.0 / curve.grad_f_norm
-        target /= np.sqrt(curve.inner_product(target, target))
-        diff = min(
-            curve.inner_product(basis.psi[i] - target, basis.psi[i] - target),
-            curve.inner_product(basis.psi[i] + target, basis.psi[i] + target),
-        )
+    for psi, target in zip(basis.psi, _ellipse_densities(curve)[0]):
+        diff = min(curve.inner_product(psi - target, psi - target),
+                   curve.inner_product(psi + target, psi + target))
         err = max(err, float(np.sqrt(diff)))
     return err
+
+
+def ellipse_residual_agreement(residual, compat, basis: EquilibriumBasis) -> float:
+    """Largest |residual_i - s_i compat_i / ||e_i / |grad f|||_w| over i on an
+    ellipse boundary: the paradox residual <data, psi_i>_w against the
+    closed-form compatibility compat = ellipse_compatibility(data, curve),
+    rescaled by the norm of the closed-form density and signed by
+    s_i = sign <psi_i, e_i / |grad f|>_w.  Both pair the data with the same
+    normalized density, so they differ by the discretization error of psi_i
+    (ellipse_direction_error) times the data's norm."""
+    curve = basis.curve
+    targets, norms = _ellipse_densities(curve)
+    signs = np.sign([curve.inner_product(psi, t) for psi, t in zip(basis.psi, targets)])
+    return float(np.abs(np.asarray(residual) - signs * np.asarray(compat) / norms).max())
 
 
 @dataclass

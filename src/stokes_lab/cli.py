@@ -296,11 +296,19 @@ def _run_paradox(spec: dict, out: dict):
     basis = bem.equilibrium_basis(op)
     residual = bem.paradox_residual(data, basis)
     sol = bem.solve_dirichlet(op, data)
+    data_norm = float(np.sqrt(curve.inner_product(data, data)))
     if curve.grad_f_norm is not None:
         compat = bem.ellipse_compatibility(data, curve)
-        out["verdicts"].append(_verdict("ellipse_compatibility", "residual", compat, 1e-8, True))
+        # the residual pairs the data with psi_i, the closed form with
+        # e_i / |grad f|: on an ellipse these agree to round-off after rescaling
+        agreement = bem.ellipse_residual_agreement(residual, compat, basis)
+        tol_agreement = 1e-10 * max(data_norm, 1.0)
+        out["verdicts"] += [
+            _verdict("ellipse_compatibility", "residual", compat, 1e-8, True),
+            _verdict("ellipse_residual_agreement", "residual", agreement, tol_agreement,
+                     agreement <= tol_agreement),
+        ]
 
-    data_norm = float(np.sqrt(curve.inner_product(data, data)))
     tol_replay = 1e-8 * max(data_norm, 1.0)
     total = float(np.abs(sol.total_density).max())
     # reciprocity: with A weighted-symmetric, <data, psi_i>_w = total(psi_i) . kappa;

@@ -1,9 +1,11 @@
 """Graded polar grids on annuli and nodal displacement fields.
 
 Bilinear elements on (r, theta) cells with exact polar Jacobians; 2x2 Gauss
-quadrature per cell.  The grid caches its quadrature geometry (positions,
-weights with the r dr dtheta area element folded in, and Cartesian shape
-gradients), so repeated assemblies and energy integrals stay vectorized.
+quadrature per cell.  The grid caches its quadrature geometry (positions and
+weights with the r dr dtheta area element folded in), so repeated
+assemblies and energy integrals stay vectorized.  Cartesian shape gradients
+are made when read: those of theta-column 0 for the stiffness, which rotates
+them to every other column, and the whole grid's for field gradients.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ import numpy as np
 __all__ = ["PolarGrid", "DiscreteField", "relative_l2_error"]
 
 _GAUSS1 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+
+
+def _ref_points():
+    """Radial and angular reference coordinates (xi, eta) of the 2x2 Gauss
+    points in the reference square, each (nq,)."""
+    gx, gy = np.meshgrid(_GAUSS1, _GAUSS1, indexing="ij")
+    return gx.ravel(), gy.ravel()
 
 
 class PolarGrid:
@@ -93,12 +102,7 @@ class PolarGrid:
         dr = (r1 - r0)[:, None]                       # (n_r-1, 1)
         rmid = (0.5 * (r0 + r1))[:, None]
         dt = self.dtheta
-
-        # tensor 2x2 Gauss in the reference square
-        gx, gy = np.meshgrid(_GAUSS1, _GAUSS1, indexing="ij")
-        xi = gx.ravel()                               # radial ref coordinate
-        eta = gy.ravel()                              # angular ref coordinate
-        nq = xi.size
+        xi, eta = _ref_points()
 
         rq_ring = rmid + 0.5 * dr * xi[None, :]       # (n_r-1, nq)
         rq = np.repeat(rq_ring, n_t, axis=0)          # (n_cells, nq)
@@ -118,22 +122,27 @@ class PolarGrid:
             ],
             axis=-1,
         )                                              # (nq, 4)
+
+        pts = rq[..., None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
+        self._qp = {"rq": rq, "wq": wq, "shapes": shp, "points": pts}
+        return self._qp
+
+    def _shape_gradients(self, n_cols: int) -> np.ndarray:
+        """(n_r - 1, n_cols, nq, 4, 2) Cartesian gradients d_k N_a of the shape
+        functions at the Gauss points of the cells in the theta-columns
+        0..n_cols - 1, one elementwise formula for any n_cols."""
+        xi, eta = _ref_points()
+        dt = self.dtheta
+        dr = np.diff(self.radii)[:, None, None, None]                # (n_r-1, 1, 1, 1)
+        rq = self.qp_radii[::self.n_theta, None, :, None]           # (n_r-1, 1, nq, 1)
+        tq = self.thetas[:n_cols, None] + 0.5 * dt * (1.0 + eta)[None, :]
+        er = np.stack([np.cos(tq), np.sin(tq)], axis=-1)[:, :, None, :]    # (n_cols, nq, 1, 2)
+        et = np.stack([-np.sin(tq), np.cos(tq)], axis=-1)[:, :, None, :]
         dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=-1)
         deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=-1)
-
-        er = np.stack([np.cos(tq), np.sin(tq)], axis=-1)        # (n_cells, nq, 2)
-        et = np.stack([-np.sin(tq), np.cos(tq)], axis=-1)
-        dr_cell = np.repeat(dr, n_t, axis=0)                     # (n_cells, 1)
-        d_dr = dxi[None] * (2.0 / dr_cell)[:, :, None]           # (n_cells, nq, 4)
-        d_dt = deta[None] * (2.0 / dt) / rq[:, :, None]
-        grad = d_dr[..., None] * er[:, :, None, :] + d_dt[..., None] * et[:, :, None, :]
-        # grad: (n_cells, nq, 4, 2) Cartesian gradient of each shape function
-
-        pts = rq[..., None] * er
-        self._qp = {
-            "rq": rq, "wq": wq, "shapes": shp, "grad": grad, "points": pts,
-        }
-        return self._qp
+        d_dr = dxi * (2.0 / dr)                                       # (n_r-1, 1, nq, 4)
+        d_dt = deta * (2.0 / dt) / rq
+        return d_dr[..., None] * er + d_dt[..., None] * et
 
     @property
     def qp_points(self) -> np.ndarray:
@@ -153,7 +162,13 @@ class PolarGrid:
 
     @property
     def qp_shape_gradients(self) -> np.ndarray:
-        return self._quadrature()["grad"]
+        """(n_cells, nq, 4, 2) shape gradients of every cell, made on each read."""
+        return self._shape_gradients(self.n_theta).reshape(self.n_cells, -1, 4, 2)
+
+    @property
+    def column_shape_gradients(self) -> np.ndarray:
+        """(n_r - 1, nq, 4, 2) shape gradients of the cells of theta-column 0."""
+        return self._shape_gradients(1)[:, 0]
 
     # -- ring differencing ---------------------------------------------------
 

@@ -10,8 +10,6 @@ from stokes_lab.annulus import (
     _force_vector,
     _fourier_inverse,
     _identity_stencil,
-    _material_frame,
-    _polar_frame,
     _polar_stencil,
     _ring_at,
     _rotations,
@@ -96,6 +94,12 @@ class TestPolarGrid:
         g = PolarGrid(16.0, 48, 96)
         assert np.isclose(g.qp_weights.sum(), np.pi * (16.0**2 - 1.0), rtol=1e-12)
 
+    def test_column_shape_gradients_slice_the_whole_grid(self):
+        """Theta-column 0's shape gradients, made without the whole grid's,
+        are bit for bit every n_theta-th cell of the whole grid's."""
+        for g in (PolarGrid(16.0, 24, 48), PolarGrid(64.0, 128, 256)):
+            assert np.array_equal(g.column_shape_gradients, g.qp_shape_gradients[::g.n_theta])
+
     def test_ring_gradient_second_order(self):
         def u(p):
             return np.stack([np.sin(p[..., 0]), p[..., 0] * p[..., 1] ** 2], axis=-1)
@@ -135,45 +139,50 @@ def stencil_columns(S):
 
 class TestAssembly:
     def test_matches_cellwise_reference(self):
-        """The polar stencil of the material's polar frame, applied to every
-        unit vector, against P^T K P: K the per-cell, per-Gauss-point sum of
+        """The polar stencil of the material, applied to every unit vector,
+        against P^T K P: K the per-cell, per-Gauss-point sum of
         w d_k N_a C_mkhl d_l N_b in Cartesian components, P the block
         diagonal of the rotations R(theta_j) of the nodes.  The equivariant
-        materials give one column, the theta-dependent one n_theta."""
-        grid = PolarGrid(2.0, 8, 16)
-        P = block_diag(*np.tile(_rotations(grid.thetas), (grid.n_r, 1, 1)))
-        materials = {
-            "degiorgi-sym": (degiorgi_tensor(2.0), 1),
-            "degiorgi-lin": (degiorgi_tensor(2.0, action_on="lin"), 1),
-            "random-scalar": (random_scalar_field(1.0, 2.0, np.random.default_rng(3)),
-                              grid.n_theta),
-        }
-        for name, (fld, n_cols) in materials.items():
-            action = fld(grid.qp_points)
-            ref = np.zeros((2 * grid.n_nodes, 2 * grid.n_nodes))
-            for c, nodes in enumerate(grid.cells):
-                for q in range(grid.qp_weights.shape[1]):
-                    grad = grid.qp_shape_gradients[c, q]        # (4, 2): d_k N_a
-                    ke = grid.qp_weights[c, q] * np.einsum(
-                        "ak,mkhl,bl->ambh", grad, action[c, q], grad
-                    )
-                    for a in range(4):
-                        for b in range(4):
-                            ref[2 * nodes[a]:2 * nodes[a] + 2,
-                                2 * nodes[b]:2 * nodes[b] + 2] += ke[a, :, b, :]
-            polar_ref = P.T @ ref @ P
-            S = _polar_stencil(grid, _material_frame(fld, grid))
-            assert S.shape[-1] == n_cols, name
-            units = np.eye(2 * grid.n_nodes).reshape(-1, grid.n_r, grid.n_theta, 2)
-            K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
-            assert np.abs(K - polar_ref).max() <= 1e-14 * np.abs(polar_ref).max(), name
+        materials give one column, the theta-dependent ones n_theta; at
+        n_theta = 40 and 48 the last block of theta-columns is partial and
+        wraps to column 0, and the counter-example perturbed in a late
+        theta-column of cells is built again from block 0."""
+        for nt in (16, 40, 48):
+            grid = PolarGrid(2.0, 8, nt)
+            P = block_diag(*np.tile(_rotations(grid.thetas), (grid.n_r, 1, 1)))
+            grad = grid.qp_shape_gradients
+            materials = {
+                "degiorgi-sym": (degiorgi_tensor(2.0), 1),
+                "degiorgi-lin": (degiorgi_tensor(2.0, action_on="lin"), 1),
+                "random-scalar": (random_scalar_field(1.0, 2.0, np.random.default_rng(3)), nt),
+                "perturbed": (perturbed_counterexample(grid, nt - 8), nt),
+            }
+            for name, (fld, n_cols) in materials.items():
+                action = fld(grid.qp_points)
+                ref = np.zeros((2 * grid.n_nodes, 2 * grid.n_nodes))
+                for c, nodes in enumerate(grid.cells):
+                    for q in range(grid.qp_weights.shape[1]):
+                        ke = grid.qp_weights[c, q] * np.einsum(
+                            "ak,mkhl,bl->ambh", grad[c, q], action[c, q], grad[c, q]
+                        )
+                        for a in range(4):
+                            for b in range(4):
+                                ref[2 * nodes[a]:2 * nodes[a] + 2,
+                                    2 * nodes[b]:2 * nodes[b] + 2] += ke[a, :, b, :]
+                polar_ref = P.T @ ref @ P
+                S = _polar_stencil(grid, fld)
+                assert S.shape[-1] == n_cols, (nt, name)
+                units = np.eye(2 * grid.n_nodes).reshape(-1, grid.n_r, grid.n_theta, 2)
+                K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
+                assert np.abs(K - polar_ref).max() <= 1e-14 * np.abs(polar_ref).max(), (nt, name)
 
     @pytest.mark.parametrize("nt", [40, 48])
-    def test_blockwise_frame_matches_whole_grid(self, nt):
-        """_material_frame evaluates and rotates blocks of 32 theta-columns
-        (the last one partial at n_theta = 40 and 48): bit for bit the
-        rotation of the whole grid's action at once, for every shipped
-        material; the equivariant ones keep column 0 only."""
+    def test_blockwise_frame_matches_whole_grid(self, nt, monkeypatch):
+        """_polar_stencil evaluates, rotates and assembles blocks of 32
+        theta-columns (the last one partial at n_theta = 40 and 48): bit for
+        bit the stencil built from the whole grid in one block, for every
+        shipped material and for the counter-example perturbed in a late
+        theta-column; the equivariant ones keep column 0 only."""
         grid = PolarGrid(16.0, 24, nt)
         rng = np.random.default_rng(5)
         materials = {
@@ -184,14 +193,54 @@ class TestAssembly:
             "radial-scalar": radial_scalar_field(),
             "random-scalar": random_scalar_field(1.0, 2.0, rng),
             "table": table_field(rng),
+            "perturbed": perturbed_counterexample(grid, 36),
         }
+        blockwise = {name: _polar_stencil(grid, fld) for name, fld in materials.items()}
+        monkeypatch.setattr(annulus, "_FRAME_BLOCK", nt)
         for name, fld in materials.items():
-            action = fld(grid.qp_points).reshape(grid.n_r - 1, nt, -1, 2, 2, 2, 2)
-            whole = _polar_frame(action, grid.thetas)
-            frame = _material_frame(fld, grid)
-            n_cols = nt if name in ("random-scalar", "table") else 1
-            assert frame.shape == (grid.n_r - 1, n_cols, 4, 4, 4), name
-            assert np.array_equal(frame, whole[:, :n_cols]), name
+            n_cols = nt if name in ("random-scalar", "table", "perturbed") else 1
+            assert blockwise[name].shape == (grid.n_r, 2, 3, 3, 2, n_cols), name
+            assert np.array_equal(blockwise[name], _polar_stencil(grid, fld)), name
+
+    def test_late_theta_dependence(self, annulus_calls):
+        """The counter-example perturbed in theta-column 40 of 48 matches every
+        block but the second to column 0: the solve builds its stencil once,
+        with n_theta columns, and that stencil acts as the cellwise Cartesian
+        matrix rotated to the nodes' polar frames."""
+        stiffness_builds = annulus_calls("_polar_stencil", lambda S: S)
+        grid = PolarGrid(16.0, 24, 48)
+        prob = VariationalProblem(field=perturbed_counterexample(grid, 40),
+                                  force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
+        solve_annulus(prob, grid, check_bounds=False)
+        assert [call[:2] for call in stiffness_builds] == [(24, 48)]
+        S = stiffness_builds[0][2]
+        assert S.shape[-1] == 48
+
+        K = ReferenceSystem(prob, grid).K
+        R = _rotations(grid.thetas)
+        rng = np.random.default_rng(40)
+        for _ in range(4):
+            x = rng.normal(size=(grid.n_r, grid.n_theta, 2))
+            ref = _to_polar(R, (K @ _to_cartesian(R, x).ravel()).reshape(x.shape))
+            assert np.abs(_stiffness_apply(S, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_theta_dependent_build_holds_little_beyond_its_stencil(self):
+        """Built one block of theta-columns at a time, a theta-dependent
+        stencil at n_theta = 256 peaks below three times its own size
+        (tracemalloc, the grid's quadrature already made)."""
+        import tracemalloc
+
+        grid = PolarGrid(64.0, 128, 256)
+        fld = random_scalar_field(1.0, 2.0, np.random.default_rng(3))
+        grid.qp_points
+        tracemalloc.start()
+        try:
+            S = _polar_stencil(grid, fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.shape[-1] == 256
+        assert peak <= 3 * S.nbytes
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     def test_reduced_system_matches_mask_formula(self, kind):
@@ -382,11 +431,11 @@ def radial_scalar_field():
     )
 
 
-def perturbed_counterexample(grid):
+def perturbed_counterexample(grid, column=5):
     """The Lin counter-example tensor scaled by 1 + 1e-9 in one theta-column
     of the grid's cells: a material that is not rotation-equivariant."""
     base = degiorgi_tensor(2.0, "lin")
-    lo, hi = grid.thetas[5], grid.thetas[6]
+    lo, hi = grid.thetas[column], grid.thetas[column + 1]
 
     def perturbed(p):
         a = base.action(p)
@@ -444,7 +493,6 @@ class TestFourierSolve:
         ]
         for label, fld, n_cols in cases:
             stiffness_builds.clear()
-            assert _material_frame(fld, grid).shape[1] == n_cols, label
             prob = VariationalProblem(field=fld, force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
             solve_annulus(prob, grid, check_bounds=False)
             assert stiffness_builds == [(24, 48, n_cols)], label

@@ -349,6 +349,25 @@ class TestRuns:
         assert "ellipse_compatibility" in verd
         assert abs(verd["ellipse_compatibility"]["value"][0]) > 1.0
 
+    def test_ellipse_residual_agreement_fails_on_perturbed_compatibility(self, tmp_path,
+                                                                          monkeypatch):
+        """On a circle and an ellipse the residual equals the closed-form
+        compatibility, rescaled and signed, to round-off; a compatibility off
+        by a factor 1 + 1e-6 fails the verdict."""
+        from stokes_lab import bem
+
+        for curve in ("circle:1", "ellipse:2,1"):
+            cfg = ExperimentConfig(kind="paradox", curve=curve, nodes=128,
+                                   data="const:0.3,-2", outdir=str(tmp_path))
+            verd = {v["name"]: v for v in run(cfg).verdicts}["ellipse_residual_agreement"]
+            assert verd["pass"] and verd["value"] <= 1e-13, curve
+        real = bem.ellipse_compatibility
+        monkeypatch.setattr(bem, "ellipse_compatibility",
+                            lambda data, curve: real(data, curve) * (1.0 + 1e-6))
+        rep = run(cfg)
+        verd = {v["name"]: v for v in rep.verdicts}["ellipse_residual_agreement"]
+        assert not verd["pass"] and not rep.ok()
+
     def test_kappa_reciprocity_fails_on_perturbed_kappa(self, tmp_path, monkeypatch):
         """The pairings equal the basis totals times kappa to round-off; a
         kappa off by 1e-6 fails the verdict."""
