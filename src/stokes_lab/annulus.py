@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotContracting, RadiusOutOfGrid, SolverDiverged
-from .polar import DiscreteField, PolarGrid
+from .polar import CORNER_ANGLE, CORNER_RING, DiscreteField, PolarGrid, scatter_corners
 from .tensors import ID_LIN, ElasticityField
 
 __all__ = [
@@ -124,11 +124,6 @@ def _element_matrices(grad: np.ndarray, weights: np.ndarray, C: np.ndarray) -> n
     return ke.reshape(lead + (8, 8))
 
 
-# local node offsets (ring, angle) of a cell's corners, in PolarGrid.cells order
-_CORNER_RING = (0, 1, 1, 0)
-_CORNER_ANGLE = (0, 0, 1, 1)
-
-
 def _add_cells(S: np.ndarray, ke: np.ndarray, nodes: slice):
     """Add to the node columns `nodes` of the (n_r, 2, 3, 3, 2, n_cols)
     stencil S[i, m, o + 1, d + 1, h, j] the element matrices ke
@@ -142,11 +137,11 @@ def _add_cells(S: np.ndarray, ke: np.ndarray, nodes: slice):
     # (i, a, b, m, h, j): ring, corners a and b, components m and h, column
     cells = ke.reshape(n_r - 1, n, 4, 2, 4, 2).transpose(0, 2, 4, 3, 5, 1)
     for a in range(4):
-        own = cells[:, a, ..., 1 - _CORNER_ANGLE[a]:n - _CORNER_ANGLE[a]]
-        rows = S[_CORNER_RING[a]:_CORNER_RING[a] + n_r - 1, ..., nodes]
+        own = cells[:, a, ..., 1 - CORNER_ANGLE[a]:n - CORNER_ANGLE[a]]
+        rows = S[CORNER_RING[a]:CORNER_RING[a] + n_r - 1, ..., nodes]
         for b in range(4):
-            o = _CORNER_RING[b] - _CORNER_RING[a] + 1
-            d = _CORNER_ANGLE[b] - _CORNER_ANGLE[a] + 1
+            o = CORNER_RING[b] - CORNER_RING[a] + 1
+            d = CORNER_ANGLE[b] - CORNER_ANGLE[a] + 1
             rows[:, :, o, d] += own[:, b]
 
 
@@ -164,18 +159,16 @@ def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
-    """Load vector int f.N_a; the force must vanish beyond r_max / 2."""
-    b = np.zeros(2 * grid.n_nodes)
+    """Load vector int f.N_a, nodal (n_r, n_theta, 2); the force must vanish
+    beyond r_max / 2."""
     if force is None:
-        return b
+        return np.zeros((grid.n_r, grid.n_theta, 2))
     f_qp = np.asarray(force(grid.qp_points), dtype=float)
     mags = np.linalg.norm(f_qp, axis=-1)
-    outside = grid.qp_radii > 0.5 * grid.r_max
-    if mags[outside].max(initial=0.0) > 1e-12 * max(mags.max(), 1.0):
+    outside = grid.qp_radii[:, None] > 0.5 * grid.r_max
+    if mags.max(initial=0.0, where=outside) > 1e-12 * max(mags.max(), 1.0):
         raise ValueError("volume force must be supported strictly inside r_max / 2")
-    fe = np.einsum("cq,qa,cqm->cam", grid.qp_weights, grid.qp_shapes, f_qp)
-    np.add.at(b, (2 * grid.cells[:, :, None] + np.arange(2)).ravel(), fe.ravel())
-    return b
+    return scatter_corners(np.einsum("iq,qa,ijqm->ijam", grid.qp_weights, grid.qp_shapes, f_qp))
 
 
 # -- the polar frame ------------------------------------------------------------
@@ -230,11 +223,11 @@ def _polar_stencil(grid: PolarGrid, field: Callable) -> np.ndarray:
     column 0's frame.  At the first block that differs, the n_theta-column
     stencil is allocated and the earlier blocks are evaluated again."""
     n_t = grid.n_theta
-    pts = grid.qp_points.reshape(grid.n_r - 1, n_t, -1, 2)
+    pts = grid.qp_points
     grad = grid.column_shape_gradients[:, None]
-    weights = grid.qp_weights[::n_t, None]
+    weights = grid.qp_weights[:, None]
     T = np.zeros((8, 8))
-    for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(_CORNER_ANGLE, dtype=float))):
+    for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(CORNER_ANGLE, dtype=float))):
         T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
 
     def block(lo):
@@ -309,10 +302,9 @@ class _Stiffness:
     @cached_property
     def rhs(self) -> np.ndarray:
         R = self.rotations
-        load = _force_vector(self.grid, self.problem.force).reshape(self._u.shape)
+        load = _to_polar(R, _force_vector(self.grid, self.problem.force))
         # u vanishes on the free rings, so K u is K_fd u_d there
-        u = _to_polar(R, self._u)
-        return (_to_polar(R, load) - _stiffness_apply(self.stencil, u))[1:self.last + 1]
+        return (load - _stiffness_apply(self.stencil, _to_polar(R, self._u)))[1:self.last + 1]
 
     def field(self, x: np.ndarray) -> DiscreteField:
         """The displacement with the polar components x on the free rings and
@@ -507,15 +499,16 @@ def solve_annulus(
 
 
 def _dirichlet_integrand_qp(u: DiscreteField) -> np.ndarray:
-    """|grad u|^2 + |div u|^2 at the Gauss points, (n_cells, nq)."""
+    """|grad u|^2 + |div u|^2 at the Gauss points, (n_r - 1, n_theta, nq)."""
     g = u.gradient_at_qp()
     div = g[..., 0, 0] + g[..., 1, 1]
     return np.sum(g * g, axis=(-2, -1)) + div * div
 
 
-def _ring_sums(grid: PolarGrid, cell_qp_values: np.ndarray) -> np.ndarray:
-    per_cell = np.sum(cell_qp_values * grid.qp_weights, axis=-1)
-    return per_cell.reshape(grid.n_r - 1, grid.n_theta).sum(axis=1)
+def _ring_sums(grid: PolarGrid, qp_values: np.ndarray) -> np.ndarray:
+    """The Gauss-rule integrals over each ring of cells of the values
+    (n_r - 1, n_theta, nq) at the Gauss points."""
+    return np.sum(qp_values * grid.qp_weights[:, None], axis=-1).sum(axis=1)
 
 
 @dataclass
@@ -642,10 +635,7 @@ def _ring_traction_data(u: DiscreteField, problem: VariationalProblem, ring: int
     and stress = C[grad] evaluated with the problem's material."""
     grid = u.grid
     grad = grid.ring_gradient(u.values, ring)
-    pts = np.stack(
-        [grid.radii[ring] * np.cos(grid.thetas), grid.radii[ring] * np.sin(grid.thetas)],
-        axis=-1,
-    )
+    pts = grid.node_points()[ring]
     action = problem.field(pts)
     stress = np.einsum("nmkhl,nhl->nmk", action, grad)
     return pts, grad, stress
@@ -667,7 +657,7 @@ def energy_identity_residual(u: DiscreteField, problem: VariationalProblem, radi
 
     g = u.gradient_at_qp()
     action = problem.field(grid.qp_points)
-    dens = np.einsum("cqmk,cqmkhl,cqhl->cq", g, action, g)
+    dens = np.einsum("...mk,...mkhl,...hl->...", g, action, g)
     ring_e = _ring_sums(grid, dens)
     energy = float(ring_e[:kR].sum())
 

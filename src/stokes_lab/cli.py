@@ -74,8 +74,9 @@ def _rule(ok, message: str):
 
 _parse_nodes = _rule(lambda n: 16 <= n <= 2048 and n % 2 == 0,
                      "nodes: need an even count in [16, 2048]")
-_parse_xi = _rule(lambda xi: xi != 0 and math.isfinite(xi), "xi: must be finite and nonzero "
-                  "(the counter-example tensor is undefined at xi = 0)")
+_parse_xi = _rule(lambda xi: math.isfinite(xi) and float(xi) * float(xi) > 4.0 / sys.float_info.max,
+                  "xi: need a finite xi with |xi| >= about 1.5e-154, so that the counter-example "
+                  "tensor's 4/xi^2 is finite (it is undefined at xi = 0)")
 _parse_rmax = _rule(lambda r: 16 <= r < math.inf, "rmax: need a finite value of at least 16 "
                     "so the fit window [2, rmax/4] spans an octave")
 _parse_check = _rule(lambda c: c in ("wirtinger", "hardy", "korn", "all"),
@@ -411,12 +412,12 @@ def _run_degiorgi(spec: dict, out: dict):
         _verdict("tail_monotonicity", "gamma", rep.worst_q_violation, rep.tolerance, rep.q_ok),
     ]
     out["condition_numbers"]["grading_ratio"] = grid.ratio
-    pts = grid.node_points()
+    pts = grid.node_points().reshape(-1, 2)
     rr = np.linalg.norm(pts, axis=-1)
     tt = np.arctan2(pts[:, 1], pts[:, 0])
     out["files"]["solution.csv"] = (
         ["r", "theta", "u1", "u2", "u1_exact", "u2_exact"],
-        [rr, tt, u.flat()[0::2], u.flat()[1::2], exact.flat()[0::2], exact.flat()[1::2]],
+        [rr, tt, *u.values.reshape(-1, 2).T, *exact.values.reshape(-1, 2).T],
     )
     out["files"]["profiles.csv"] = (["R", "G", "Q"], [prof.radii, prof.G, prof.Q])
 

@@ -10,6 +10,7 @@ the origin is excluded by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -59,9 +60,10 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
     with the same bounds; the two agree on symmetric arguments and share the
     closed-form radial family.
     """
-    if xi == 0:
-        raise ValueError("xi must be nonzero")
-    amp = 4.0 / (xi * xi)
+    sq = float(xi) * float(xi)
+    amp = 4.0 / sq if sq > 0 else math.inf
+    if not math.isfinite(amp):
+        raise ValueError(f"4/xi^2 must be finite, got xi = {xi!r}")
     base = _ID_SYM if action_on == "sym" else ID_LIN
 
     def action(points):

@@ -1,11 +1,16 @@
 """Graded polar grids on annuli and nodal displacement fields.
 
 Bilinear elements on (r, theta) cells with exact polar Jacobians; 2x2 Gauss
-quadrature per cell.  The grid caches its quadrature geometry (positions and
-weights with the r dr dtheta area element folded in), so repeated
-assemblies and energy integrals stay vectorized.  Cartesian shape gradients
-are made when read: those of theta-column 0 for the stiffness, which rotates
-them to every other column, and the whole grid's for field gradients.
+quadrature per cell.  Arrays are laid out ring first, theta-column second:
+nodal values (n_r, n_theta, ...), cells (n_r - 1, n_theta, ...) and their
+Gauss points (n_r - 1, n_theta, nq, ...).  Corner a of cell (i, j) is node
+(i + CORNER_RING[a], j + CORNER_ANGLE[a] mod n_theta); `corners` gathers
+nodal values to the corners and `scatter_corners`, its adjoint, sums them
+back.  The grid caches its quadrature geometry: the Gauss points, and per
+ring the radii and weights (the r dr dtheta area element folded in).
+Cartesian shape gradients are made when read: those of theta-column 0 for
+the stiffness, which rotates them to every other column, and the whole
+grid's for field gradients.
 """
 
 from __future__ import annotations
@@ -18,6 +23,29 @@ import numpy as np
 __all__ = ["PolarGrid", "DiscreteField", "relative_l2_error"]
 
 _GAUSS1 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+
+# (ring, angle) offsets of a cell's corners, counterclockwise in (r, theta)
+CORNER_RING = (0, 1, 1, 0)
+CORNER_ANGLE = (0, 0, 1, 1)
+
+
+def corners(u: np.ndarray) -> np.ndarray:
+    """(n_r - 1, n_theta, 4, ...) values at the corners of every cell of the
+    nodal values u (n_r, n_theta, ...)."""
+    n = u.shape[0] - 1
+    return np.stack([np.roll(u[i:i + n], -d, axis=1) for i, d in zip(CORNER_RING, CORNER_ANGLE)],
+                    axis=2)
+
+
+def scatter_corners(c: np.ndarray) -> np.ndarray:
+    """The adjoint of corners: the nodal values (n_r, n_theta, ...) that sum
+    the per-corner values c (n_r - 1, n_theta, 4, ...) of the cells at each
+    node."""
+    n = c.shape[0]
+    u = np.zeros((n + 1, c.shape[1]) + c.shape[3:])
+    for a, (i, d) in enumerate(zip(CORNER_RING, CORNER_ANGLE)):
+        u[i:i + n] += np.roll(c[:, :, a], d, axis=1)
+    return u
 
 
 def _ref_points():
@@ -54,49 +82,16 @@ class PolarGrid:
         self.dtheta = 2.0 * np.pi / n_theta
         self._qp = None
 
-    # -- topology --------------------------------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_r * self.n_theta
-
-    @property
-    def n_cells(self) -> int:
-        return (self.n_r - 1) * self.n_theta
-
-    def node_id(self, i, j):
-        return np.asarray(i) * self.n_theta + np.asarray(j) % self.n_theta
-
-    @property
-    def cells(self) -> np.ndarray:
-        """(n_cells, 4) node ids, ring-major, counterclockwise in (r, theta)."""
-        ic, jc = np.meshgrid(
-            np.arange(self.n_r - 1), np.arange(self.n_theta), indexing="ij"
-        )
-        ic = ic.ravel()
-        jc = jc.ravel()
-        return np.stack(
-            [
-                self.node_id(ic, jc),
-                self.node_id(ic + 1, jc),
-                self.node_id(ic + 1, jc + 1),
-                self.node_id(ic, jc + 1),
-            ],
-            axis=-1,
-        )
-
     def node_points(self) -> np.ndarray:
-        """(n_nodes, 2) Cartesian positions, ring-major."""
-        r = np.repeat(self.radii, self.n_theta)
-        t = np.tile(self.thetas, self.n_r)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+        """(n_r, n_theta, 2) Cartesian positions of the nodes."""
+        t = self.thetas
+        return self.radii[:, None, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
     # -- quadrature geometry -----------------------------------------------------
 
     def _quadrature(self):
         if self._qp is not None:
             return self._qp
-        n_r, n_t = self.n_r, self.n_theta
         r0 = self.radii[:-1]
         r1 = self.radii[1:]
         dr = (r1 - r0)[:, None]                       # (n_r-1, 1)
@@ -104,15 +99,11 @@ class PolarGrid:
         dt = self.dtheta
         xi, eta = _ref_points()
 
-        rq_ring = rmid + 0.5 * dr * xi[None, :]       # (n_r-1, nq)
-        rq = np.repeat(rq_ring, n_t, axis=0)          # (n_cells, nq)
-        t0 = self.thetas[None, :].repeat(n_r - 1, axis=0).ravel()
-        tq = t0[:, None] + 0.5 * dt * (1.0 + eta)[None, :]
+        rq = rmid + 0.5 * dr * xi[None, :]            # (n_r-1, nq)
+        tq = self.thetas[:, None] + 0.5 * dt * (1.0 + eta)[None, :]     # (n_theta, nq)
+        wq = 0.25 * dr * dt * rq                      # area weight incl. Jacobian r
 
-        wq_ring = 0.25 * dr * dt * rq_ring            # area weight incl. Jacobian r
-        wq = np.repeat(wq_ring, n_t, axis=0)
-
-        # bilinear shapes: nodes ordered (i,j), (i+1,j), (i+1,j+1), (i,j+1)
+        # bilinear shapes, one per corner (CORNER_RING, CORNER_ANGLE)
         shp = 0.25 * np.stack(
             [
                 (1 - xi) * (1 - eta),
@@ -123,7 +114,7 @@ class PolarGrid:
             axis=-1,
         )                                              # (nq, 4)
 
-        pts = rq[..., None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
+        pts = rq[:, None, :, None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
         self._qp = {"rq": rq, "wq": wq, "shapes": shp, "points": pts}
         return self._qp
 
@@ -134,7 +125,7 @@ class PolarGrid:
         xi, eta = _ref_points()
         dt = self.dtheta
         dr = np.diff(self.radii)[:, None, None, None]                # (n_r-1, 1, 1, 1)
-        rq = self.qp_radii[::self.n_theta, None, :, None]           # (n_r-1, 1, nq, 1)
+        rq = self.qp_radii[:, None, :, None]                        # (n_r-1, 1, nq, 1)
         tq = self.thetas[:n_cols, None] + 0.5 * dt * (1.0 + eta)[None, :]
         er = np.stack([np.cos(tq), np.sin(tq)], axis=-1)[:, :, None, :]    # (n_cols, nq, 1, 2)
         et = np.stack([-np.sin(tq), np.cos(tq)], axis=-1)[:, :, None, :]
@@ -146,24 +137,30 @@ class PolarGrid:
 
     @property
     def qp_points(self) -> np.ndarray:
+        """(n_r - 1, n_theta, nq, 2) Cartesian Gauss points of every cell."""
         return self._quadrature()["points"]
 
     @property
     def qp_weights(self) -> np.ndarray:
+        """(n_r - 1, nq) Gauss weights of a cell of each ring, the same in
+        every theta-column."""
         return self._quadrature()["wq"]
 
     @property
     def qp_radii(self) -> np.ndarray:
+        """(n_r - 1, nq) Gauss-point radii of a cell of each ring."""
         return self._quadrature()["rq"]
 
     @property
     def qp_shapes(self) -> np.ndarray:
+        """(nq, 4) values of the corners' shape functions at the Gauss points."""
         return self._quadrature()["shapes"]
 
     @property
     def qp_shape_gradients(self) -> np.ndarray:
-        """(n_cells, nq, 4, 2) shape gradients of every cell, made on each read."""
-        return self._shape_gradients(self.n_theta).reshape(self.n_cells, -1, 4, 2)
+        """(n_r - 1, n_theta, nq, 4, 2) shape gradients of every cell, made on
+        each read."""
+        return self._shape_gradients(self.n_theta)
 
     @property
     def column_shape_gradients(self) -> np.ndarray:
@@ -225,26 +222,21 @@ class DiscreteField:
     @classmethod
     def sample(cls, grid: PolarGrid, func: Callable) -> "DiscreteField":
         """Sample func(points (...,2)) -> (...,2) at the grid nodes."""
-        pts = grid.node_points().reshape(grid.n_r, grid.n_theta, 2)
-        return cls(grid, np.asarray(func(pts), dtype=float))
+        return cls(grid, np.asarray(func(grid.node_points()), dtype=float))
 
     @classmethod
     def zeros(cls, grid: PolarGrid) -> "DiscreteField":
         return cls(grid, np.zeros((grid.n_r, grid.n_theta, 2)))
 
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
     def gradient_at_qp(self) -> np.ndarray:
-        """(n_cells, nq, 2, 2) with [...,m,k] = d_k u_m at the Gauss points."""
-        grid = self.grid
-        u_cells = self.flat().reshape(grid.n_nodes, 2)[grid.cells]   # (nc, 4, 2)
-        return np.swapaxes(u_cells, -1, -2)[:, None] @ grid.qp_shape_gradients
+        """(n_r - 1, n_theta, nq, 2, 2) with [..., m, k] = d_k u_m at the Gauss
+        points of every cell."""
+        u_cells = np.swapaxes(corners(self.values), -1, -2)        # (n_r-1, n_theta, 2, 4)
+        return u_cells[:, :, None] @ self.grid.qp_shape_gradients
 
     def values_at_qp(self) -> np.ndarray:
-        grid = self.grid
-        u_cells = self.flat().reshape(grid.n_nodes, 2)[grid.cells]
-        return grid.qp_shapes @ u_cells
+        """(n_r - 1, n_theta, nq, 2) values at the Gauss points of every cell."""
+        return self.grid.qp_shapes @ corners(self.values)
 
     def angular_mean(self, ring: int) -> np.ndarray:
         return self.values[ring].mean(axis=0)
@@ -261,6 +253,7 @@ def relative_l2_error(u: DiscreteField, exact: DiscreteField) -> float:
     by Gauss quadrature of the bilinear interpolants."""
     grid = exact.grid
     diff = DiscreteField(grid, u.values - exact.values)
-    num = float(np.sum(grid.qp_weights * np.sum(diff.values_at_qp() ** 2, axis=-1)))
-    den = float(np.sum(grid.qp_weights * np.sum(exact.values_at_qp() ** 2, axis=-1)))
+    w = grid.qp_weights[:, None]
+    num = float(np.sum(w * np.sum(diff.values_at_qp() ** 2, axis=-1)))
+    den = float(np.sum(w * np.sum(exact.values_at_qp() ** 2, axis=-1)))
     return float(np.sqrt(num / max(den, 1e-300)))

@@ -94,13 +94,6 @@ class ElasticityTensor:
             self._bounds = certify_bounds(self)
         return self._bounds
 
-    def voigt(self) -> np.ndarray:
-        """Induced symmetric 3x3 matrix on the orthonormal Sym basis."""
-        return np.einsum("aij,ijhk,bhk->ab", _VOIGT, self.c, _VOIGT)
-
-    def __repr__(self):
-        return f"ElasticityTensor(voigt=\n{self.voigt()!r})"
-
 
 @dataclass(frozen=True)
 class IsotropicModuli:
@@ -115,14 +108,6 @@ class IsotropicModuli:
                 f"need mu_shear > 0 and lambda_lame >= 0, "
                 f"got ({self.lambda_lame}, {self.mu_shear})"
             )
-
-    @property
-    def mu0(self) -> float:
-        return 2.0 * self.mu_shear
-
-    @property
-    def mue(self) -> float:
-        return 2.0 * self.mu_shear + 2.0 * self.lambda_lame
 
     def tensor(self) -> ElasticityTensor:
         lam, mu = self.lambda_lame, self.mu_shear

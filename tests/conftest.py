@@ -44,12 +44,24 @@ def annulus_calls(monkeypatch):
     return count
 
 
+def cell_nodes(grid) -> np.ndarray:
+    """(n_r - 1, n_theta, 4) ring-major ids i * n_theta + j of the corner
+    nodes of every cell."""
+    from stokes_lab.polar import CORNER_ANGLE, CORNER_RING
+
+    i, j = np.meshgrid(np.arange(grid.n_r - 1), np.arange(grid.n_theta), indexing="ij")
+    return np.stack([(i + di) * grid.n_theta + (j + dj) % grid.n_theta
+                     for di, dj in zip(CORNER_RING, CORNER_ANGLE)], axis=-1)
+
+
 class ReferenceSystem:
     """The discrete annulus problem assembled the textbook way: the element
-    matrices scattered into one scipy.sparse matrix K, the free DOFs (the
-    rings between the Dirichlet rings, as one slice `free` of the flat
-    ring-major DOFs) selected from it, and a SuperLU solve, factored on
-    first use.  The stencil solvers are tested against it.
+    matrices scattered into one scipy.sparse matrix K over a node numbering
+    of its own (node (i, j) is i * n_theta + j, ring-major, the cells'
+    corners from CORNER_RING and CORNER_ANGLE), the free DOFs (the rings
+    between the Dirichlet rings, as one slice `free` of the flat DOFs)
+    selected from it, and a SuperLU solve, factored on first use.  The
+    stencil solvers are tested against it.
 
     vals holds the flat nodal values carrying the Dirichlet data, K_ff the
     free-DOF stiffness and rhs = b_f - K_fd u_d."""
@@ -61,11 +73,11 @@ class ReferenceSystem:
 
         if action is None:
             action = problem.field(grid.qp_points)
-        ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights,
-                               action.reshape(action.shape[:2] + (4, 4)))
-        dofs = (2 * grid.cells[:, :, None] + np.arange(2)).reshape(-1, 8)
+        ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights[:, None],
+                               action.reshape(action.shape[:3] + (4, 4)))
+        dofs = (2 * cell_nodes(grid)[..., None] + np.arange(2)).reshape(-1, 8)
         rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-        ndof = 2 * grid.n_nodes
+        ndof = 2 * grid.n_r * grid.n_theta
         self.K = sp.csr_matrix((ke.ravel(), (rows.ravel(), cols.ravel())), shape=(ndof, ndof))
 
         u = np.zeros((grid.n_r, grid.n_theta, 2))
@@ -77,7 +89,7 @@ class ReferenceSystem:
         self.vals = u.reshape(-1)
         self.free = slice(2 * grid.n_theta, 2 * grid.n_theta * (last + 1))
         K_f = self.K[self.free]
-        self.rhs = _force_vector(grid, problem.force)[self.free] - K_f @ self.vals
+        self.rhs = _force_vector(grid, problem.force).ravel()[self.free] - K_f @ self.vals
         self.K_ff = K_f[:, self.free].tocsc()
 
     @functools.cached_property

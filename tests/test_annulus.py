@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import ReferenceSystem
+from conftest import ReferenceSystem, cell_nodes
 
 from stokes_lab import annulus
 from stokes_lab.annulus import (
@@ -39,7 +39,13 @@ from stokes_lab.errors import (
     SolverDiverged,
 )
 from stokes_lab.kelvin import FundamentalSolution
-from stokes_lab.polar import DiscreteField, PolarGrid, relative_l2_error
+from stokes_lab.polar import (
+    DiscreteField,
+    PolarGrid,
+    corners,
+    relative_l2_error,
+    scatter_corners,
+)
 from stokes_lab.tensors import (
     ID_LIN,
     ElasticityField,
@@ -92,13 +98,46 @@ class TestPolarGrid:
 
     def test_quadrature_measures_area(self):
         g = PolarGrid(16.0, 48, 96)
-        assert np.isclose(g.qp_weights.sum(), np.pi * (16.0**2 - 1.0), rtol=1e-12)
+        assert np.isclose(g.n_theta * g.qp_weights.sum(), np.pi * (16.0**2 - 1.0), rtol=1e-12)
 
     def test_column_shape_gradients_slice_the_whole_grid(self):
         """Theta-column 0's shape gradients, made without the whole grid's,
-        are bit for bit every n_theta-th cell of the whole grid's."""
+        are bit for bit the whole grid's in theta-column 0."""
         for g in (PolarGrid(16.0, 24, 48), PolarGrid(64.0, 128, 256)):
-            assert np.array_equal(g.column_shape_gradients, g.qp_shape_gradients[::g.n_theta])
+            assert np.array_equal(g.column_shape_gradients, g.qp_shape_gradients[:, 0])
+
+    @pytest.mark.parametrize("nt", [8, 40])
+    def test_corner_gather_and_scatter(self, nt):
+        """corners gathers nodal values as a node-id table of the cells'
+        corners, (i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1) wrapping
+        from theta-column n_theta - 1 to column 0, does; scatter_corners is
+        its adjoint."""
+        grid = PolarGrid(4.0, 12, nt)
+        i, j = np.meshgrid(np.arange(grid.n_r - 1), np.arange(nt), indexing="ij")
+        ids = np.stack([i * nt + j, (i + 1) * nt + j,
+                        (i + 1) * nt + (j + 1) % nt, i * nt + (j + 1) % nt], axis=-1)
+        assert np.array_equal(cell_nodes(grid), ids)
+        rng = np.random.default_rng(nt)
+        u = rng.normal(size=(grid.n_r, nt, 2))
+        c = rng.normal(size=(grid.n_r - 1, nt, 4, 2))
+        assert np.array_equal(corners(u), u.reshape(-1, 2)[ids])
+        scale = np.vdot(np.abs(corners(u)), np.abs(c))
+        assert abs(np.vdot(corners(u), c) - np.vdot(u, scatter_corners(c))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("nt", [8, 40])
+    def test_force_vector_matches_node_id_scatter(self, nt):
+        """The load vector against the per-cell element loads summed into the
+        flat ring-major DOFs through a node-id table by np.add.at."""
+        grid = PolarGrid(16.0, 24, nt)
+        force = bump_force([1.0, 0.5, -0.3, 0.2], 16.0)
+        f_qp = force(grid.qp_points).reshape(-1, 4, 2)
+        w = np.repeat(grid.qp_weights, nt, axis=0)
+        fe = np.einsum("cq,qa,cqm->cam", w, grid.qp_shapes, f_qp)
+        ref = np.zeros(2 * grid.n_r * nt)
+        np.add.at(ref, (2 * cell_nodes(grid).reshape(-1, 4, 1) + np.arange(2)).ravel(), fe.ravel())
+        b = _force_vector(grid, force)
+        assert b.shape == (grid.n_r, nt, 2)
+        assert np.abs(b.ravel() - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_ring_gradient_second_order(self):
         def u(p):
@@ -150,7 +189,9 @@ class TestAssembly:
         for nt in (16, 40, 48):
             grid = PolarGrid(2.0, 8, nt)
             P = block_diag(*np.tile(_rotations(grid.thetas), (grid.n_r, 1, 1)))
-            grad = grid.qp_shape_gradients
+            n_nodes = grid.n_r * grid.n_theta
+            grad = grid.qp_shape_gradients.reshape(-1, 4, 4, 2)
+            weights = np.repeat(grid.qp_weights, nt, axis=0)
             materials = {
                 "degiorgi-sym": (degiorgi_tensor(2.0), 1),
                 "degiorgi-lin": (degiorgi_tensor(2.0, action_on="lin"), 1),
@@ -158,11 +199,11 @@ class TestAssembly:
                 "perturbed": (perturbed_counterexample(grid, nt - 8), nt),
             }
             for name, (fld, n_cols) in materials.items():
-                action = fld(grid.qp_points)
-                ref = np.zeros((2 * grid.n_nodes, 2 * grid.n_nodes))
-                for c, nodes in enumerate(grid.cells):
-                    for q in range(grid.qp_weights.shape[1]):
-                        ke = grid.qp_weights[c, q] * np.einsum(
+                action = fld(grid.qp_points).reshape(-1, 4, 2, 2, 2, 2)
+                ref = np.zeros((2 * n_nodes, 2 * n_nodes))
+                for c, nodes in enumerate(cell_nodes(grid).reshape(-1, 4)):
+                    for q in range(weights.shape[1]):
+                        ke = weights[c, q] * np.einsum(
                             "ak,mkhl,bl->ambh", grad[c, q], action[c, q], grad[c, q]
                         )
                         for a in range(4):
@@ -172,7 +213,7 @@ class TestAssembly:
                 polar_ref = P.T @ ref @ P
                 S = _polar_stencil(grid, fld)
                 assert S.shape[-1] == n_cols, (nt, name)
-                units = np.eye(2 * grid.n_nodes).reshape(-1, grid.n_r, grid.n_theta, 2)
+                units = np.eye(2 * n_nodes).reshape(-1, grid.n_r, grid.n_theta, 2)
                 K = np.stack([_stiffness_apply(S, e).ravel() for e in units], axis=1)
                 assert np.abs(K - polar_ref).max() <= 1e-14 * np.abs(polar_ref).max(), (nt, name)
 
@@ -263,24 +304,26 @@ class TestAssembly:
         u = stiffness.field(np.zeros_like(rhs)).values
         R = _rotations(grid.thetas)
 
-        fixed = np.zeros(2 * grid.n_nodes, dtype=bool)
-        ref_vals = np.zeros(2 * grid.n_nodes)
+        n_nodes = grid.n_r * grid.n_theta
+        fixed = np.zeros(2 * n_nodes, dtype=bool)
+        ref_vals = np.zeros(2 * n_nodes)
         rings = [(0, prob.inner_data)]
         if kind == "dirichlet":
             rings.append((grid.n_r - 1, prob.outer_data))
         for ring, data in rings:
-            ids = grid.node_id(ring, np.arange(grid.n_theta))
+            ids = ring * grid.n_theta + np.arange(grid.n_theta)
             fixed[2 * ids] = fixed[2 * ids + 1] = True
             ref_vals[2 * ids] = data[:, 0]
             ref_vals[2 * ids + 1] = data[:, 1]
         ref = ReferenceSystem(prob, grid)
         K_mask = ref.K[~fixed]
-        ref_rhs = _force_vector(grid, prob.force)[~fixed] - K_mask[:, fixed] @ ref_vals[fixed]
+        load = _force_vector(grid, prob.force).ravel()
+        ref_rhs = load[~fixed] - K_mask[:, fixed] @ ref_vals[fixed]
         x = rng.normal(size=rhs.shape)
         ref_Kx = _to_polar(R, (K_mask[:, ~fixed] @ _to_cartesian(R, x).ravel()).reshape(x.shape))
         ref_rhs = _to_polar(R, ref_rhs.reshape(x.shape))
 
-        assert np.array_equal(np.arange(2 * grid.n_nodes)[ref.free], np.nonzero(~fixed)[0])
+        assert np.array_equal(np.arange(2 * n_nodes)[ref.free], np.nonzero(~fixed)[0])
         assert last == (grid.n_r - 2 if kind == "dirichlet" else grid.n_r - 1)
         assert np.array_equal(u.ravel(), ref_vals)
         assert np.abs(rhs - ref_rhs).max() <= 1e-13 * np.abs(ref_rhs).max()
@@ -354,7 +397,8 @@ class TestSolveAnnulus:
 
         def energy(f):
             g = f.gradient_at_qp()
-            return float(np.sum(grid.qp_weights * np.einsum("cqmk,cqmkhl,cqhl->cq", g, action, g)))
+            dens = np.einsum("ijqmk,ijqmkhl,ijqhl->ijq", g, action, g)
+            return float(np.sum(grid.qp_weights[:, None] * dens))
 
         e0 = energy(u)
         rng = np.random.default_rng(0)
@@ -477,7 +521,7 @@ class TestFourierSolve:
         assert stiffness_builds == [(nr, nt, 1)]
 
         ref = ReferenceSystem(prob, grid).nodal()
-        assert np.abs(u.flat() - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_path_choice(self, annulus_calls):
         """Every solve builds one polar stencil: one column for the
@@ -534,7 +578,7 @@ class TestConjugateGradients:
         assert stiffness_builds == [(nr, nt, nt)]
 
         ref = ReferenceSystem(prob, grid).nodal()
-        assert np.abs(u.flat() - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(u.values.ravel() - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_iteration_cap_diverges(self, monkeypatch):
         grid = PolarGrid(16.0, 24, 48)
@@ -600,10 +644,8 @@ class TestEnergyProfiles:
         g = u.gradient_at_qp()
         grad_sq = np.sum(g * g, axis=(-2, -1))
         vals_sq = np.sum(u.values_at_qp() ** 2, axis=-1)
-        ring_grad = (np.sum(grad_sq * grid.qp_weights, axis=-1)
-                     .reshape(grid.n_r - 1, grid.n_theta).sum(axis=1))
-        ring_vals = (np.sum(vals_sq * grid.qp_weights, axis=-1)
-                     .reshape(grid.n_r - 1, grid.n_theta).sum(axis=1))
+        ring_grad = np.sum(grad_sq * grid.qp_weights[:, None], axis=(1, 2))
+        ring_vals = np.sum(vals_sq * grid.qp_weights[:, None], axis=(1, 2))
         ratios = []
         for R in (4.0, 8.0, 16.0):
             kR = _ring_at(grid.radii, R)
@@ -961,7 +1003,7 @@ class TestContraction:
             values = np.zeros((grid.n_r, grid.n_theta, 2))
             values[1:last + 1] = _to_cartesian(_rotations(grid.thetas), x)
             g = DiscreteField(grid, values).gradient_at_qp()
-            ref = np.sqrt(np.sum(grid.qp_weights * np.sum(g * g, axis=(-2, -1))))
+            ref = np.sqrt(np.sum(grid.qp_weights[:, None] * np.sum(g * g, axis=(-2, -1))))
             assert abs(norm - ref) <= 1e-13 * ref, last
 
     def test_factors_match_superlu_recursive_loop(self):
@@ -983,10 +1025,10 @@ class TestContraction:
         for _ in range(rep.n_iter):
             inc = comparison.solve(res)
             res = res - heterogeneous.K_ff @ inc
-            full = np.zeros(2 * grid.n_nodes)
+            full = np.zeros(2 * grid.n_r * grid.n_theta)
             full[heterogeneous.free] = inc
             g = DiscreteField(grid, full.reshape(grid.n_r, grid.n_theta, 2)).gradient_at_qp()
-            norms.append(np.sqrt(np.sum(grid.qp_weights * np.sum(g * g, axis=(-2, -1)))))
+            norms.append(np.sqrt(np.sum(grid.qp_weights[:, None] * np.sum(g * g, axis=(-2, -1)))))
         ref = np.asarray(norms[1:]) / np.asarray(norms[:-1])
         assert rep.factors.shape == ref.shape
         assert np.all(np.abs(rep.factors - ref) <= 1e-6 * ref)

@@ -507,6 +507,18 @@ class TestMainExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("kind", ["degiorgi", "contraction"])
+    @pytest.mark.parametrize("xi", ["1e-200", "1e-160"])
+    def test_tiny_xi_is_a_config_error(self, kind, xi, tmp_path, capsys):
+        """Below about 1.5e-154, 4/xi^2 is not a finite float: the run stops
+        at validation, naming xi, instead of dividing by zero or passing an
+        infinite stiffness to the solver."""
+        code = main([kind, "--xi", xi, "--grid", "24x48", "--rmax", "16",
+                     "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "stokes-lab: configuration error: xi:" in capsys.readouterr().err
+        assert not (tmp_path / kind).exists()
+
     def test_config_error(self, tmp_path, capsys):
         code = main(["gym", "--trials", "5", "--outdir", str(tmp_path)])  # no seed
         assert code == 1

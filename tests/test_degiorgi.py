@@ -61,6 +61,11 @@ class TestTensor:
         with pytest.raises(ValueError):
             degiorgi_tensor(0.0)
 
+    @pytest.mark.parametrize("xi", [1e-200, 1e-160])
+    def test_xi_with_infinite_reinforcement_rejected(self, xi):
+        with pytest.raises(ValueError, match="4/xi"):
+            degiorgi_tensor(xi)
+
     def test_major_symmetry_random_pairs(self):
         fld = degiorgi_tensor(3.0)
         rng = np.random.default_rng(5)
