@@ -23,7 +23,6 @@ decay exponents, and the contraction fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -269,42 +268,31 @@ def _identity_stencil(grid: PolarGrid, scale: float) -> np.ndarray:
 class _Stiffness:
     """The free system of a problem on a grid, in polar components.  The
     free rings are 1..last, a contiguous range of DOFs in ring-major order:
-    last = n_r - 2 with a Dirichlet outer ring, n_r - 1 otherwise.  Held at
-    once: the rotations R(theta_j) of the node columns and the Cartesian
-    nodal values carrying the Dirichlet data on the inner ring (and on the
-    outer ring under a Dirichlet outer condition), zero on the free rings.
-    Built on first use: the polar stencil of the stiffness (_polar_stencil,
-    from the material one block of theta-columns at a time), its rows K_f on
-    the free rings and the right-hand side b_f - K_fd u_d there, from the
-    load and the Dirichlet data rotated to polar components.  A contraction
-    run builds it once for its fixed-point iteration and its direct
-    reference solve."""
+    last = n_r - 2 with a Dirichlet outer ring, n_r - 1 otherwise.  Built at
+    once, in this order: the rotations R(theta_j) of the node columns and the
+    Cartesian nodal values carrying the Dirichlet data on the inner ring (and
+    on the outer ring under a Dirichlet outer condition), zero on the free
+    rings; the load in polar components, whose support is checked before the
+    material is evaluated; the polar stencil of the stiffness
+    (_polar_stencil, from the material one block of theta-columns at a time);
+    its rows K_f on the free rings and the right-hand side b_f - K_fd u_d
+    there.  A contraction run builds it once for its fixed-point iteration
+    and its direct reference solve."""
 
     def __init__(self, problem: VariationalProblem, grid: PolarGrid):
         self.grid = grid
-        self.problem = problem
-        self.rotations = _rotations(grid.thetas)
+        self.rotations = R = _rotations(grid.thetas)
         self._u = np.zeros((grid.n_r, grid.n_theta, 2))
         self._u[0] = problem.boundary_values(grid, "inner")
         self.last = grid.n_r - 1
         if problem.outer_kind == "dirichlet":
             self._u[-1] = problem.boundary_values(grid, "outer")
             self.last -= 1
-
-    @cached_property
-    def stencil(self) -> np.ndarray:
-        return _polar_stencil(self.grid, self.problem.field)
-
-    @property
-    def K_f(self) -> np.ndarray:
-        return self.stencil[1:self.last + 1]
-
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        R = self.rotations
-        load = _to_polar(R, _force_vector(self.grid, self.problem.force))
+        load = _to_polar(R, _force_vector(grid, problem.force))
+        stencil = _polar_stencil(grid, problem.field)
+        self.K_f = stencil[1:self.last + 1]
         # u vanishes on the free rings, so K u is K_fd u_d there
-        return (load - _stiffness_apply(self.stencil, _to_polar(R, self._u)))[1:self.last + 1]
+        self.rhs = (load - _stiffness_apply(stencil, _to_polar(R, self._u)))[1:self.last + 1]
 
     def field(self, x: np.ndarray) -> DiscreteField:
         """The displacement with the polar components x on the free rings and
@@ -459,20 +447,16 @@ def _solve(stiffness: _Stiffness) -> np.ndarray:
     return x
 
 
-def solve_annulus(
-    problem: VariationalProblem,
-    grid: PolarGrid,
-    check_bounds: bool = True,
-    *,
-    _stiffness: Optional[_Stiffness] = None,
-) -> DiscreteField:
+def solve_annulus(problem: VariationalProblem, grid: PolarGrid) -> DiscreteField:
     """Minimize the discrete energy subject to the boundary conditions.
 
-    The stiffness is built in polar components.  For a rotation-equivariant
-    material, C(R x) = R * C(x) at every Gauss point (isotropic constants,
-    radial scalar fields, the counter-example tensors), it is block-circulant
-    in theta and solved directly by one FFT in theta and a block-tridiagonal
-    sweep over the rings per angular mode.  Any other material is solved by
+    The declared bounds of the material are spot-checked at about 257 Gauss
+    points first, before anything is built.  The stiffness is built in polar
+    components.  For a rotation-equivariant material, C(R x) = R * C(x) at
+    every Gauss point (isotropic constants, radial scalar fields, the
+    counter-example tensors), it is block-circulant in theta and solved
+    directly by one FFT in theta and a block-tridiagonal sweep over the
+    rings per angular mode.  Any other material is solved by
     conjugate gradients on its stiffness stencil to a relative residual of
     1e-12, preconditioned by that Fourier solve for the theta-mean of the
     stencil (the stencil of the material averaged over theta in its polar
@@ -484,14 +468,10 @@ def solve_annulus(
     the largest), when conjugate gradients break down or take more than 500
     steps, or when the result misses a relative residual of 1e-8
     (ill-conditioning proxy).
-
-    _stiffness is a private hand-off: the _Stiffness of this problem on
-    this grid, when the caller has built it already.
     """
-    stiffness = _Stiffness(problem, grid) if _stiffness is None else _stiffness
-    if check_bounds:
-        flat = grid.qp_points.reshape(-1, 2)
-        problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
+    flat = grid.qp_points.reshape(-1, 2)
+    problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
+    stiffness = _Stiffness(problem, grid)
     return stiffness.field(_solve(stiffness))
 
 
@@ -750,6 +730,7 @@ class ContractionReport:
     n_iter: int
     converged: bool
     c0_scale: float
+    direct_agreement: float     # max|u_fix - u_dir| / max|u_dir| against the direct solve
 
     @property
     def worst_factor(self) -> float:
@@ -767,12 +748,12 @@ _CONTRACTION_MAX_ITER = 100
 
 
 def contraction_solve(
-    problem: VariationalProblem, grid: PolarGrid, *,
-    _stiffness: Optional[_Stiffness] = None,
+    problem: VariationalProblem, grid: PolarGrid
 ) -> tuple[DiscreteField, ContractionReport]:
     """Fixed-point iteration v_{k+1} = v_f + Q[v_k] for the heterogeneous
     problem, preconditioned by the comparison material C0 = scale * (identity
-    product) C0_ijhk = scale * d_ih d_jk.
+    product) C0_ijhk = scale * d_ih d_jk, and its agreement with the direct
+    solve.
 
     Q inverts the discrete C0-operator on the same grid and boundary
     conditions, the desk-scale stand-in for the whole-plane kernel
@@ -780,29 +761,33 @@ def contraction_solve(
     column and Q is the angular Fourier inverse of solve_annulus (one real
     FFT in theta and one 2x2 block-tridiagonal sweep over the rings per
     angular mode), factored once per call.  The limit therefore solves
-    exactly the same discrete system as solve_annulus.  The iteration runs
-    in polar components and carries its residual from step to step: each
-    step applies Q to what the previous increment left, and the material's
-    polar stencil to the increment.  That stencil and the right-hand side
-    are built once per call, or once per run when _stiffness is handed on
-    to solve_annulus.  So the increments never cancel against the data and
-    their ratios stay clear of round-off.  Per-iteration contraction factors
-    are ratios of the gradient L^2 norms of the increments, each measured
-    as sqrt(inc^T K0 inc / scale) with the C0 stiffness K0: under the same
-    Gauss rule this is the quadrature of |grad inc|^2, since the energy of
-    the identity product is the same in every frame.  With scale = the upper
-    Lin bound of the material (mue when it declares none), the factor is
-    bounded by the relative contrast (scale - lower) / scale.  The iteration
-    stops once an increment is 1e-12 of the first, or after 100 steps.
-    Raises NotContracting after three consecutive factors above 1.
-    _stiffness is the private hand-off of solve_annulus.
+    exactly the same discrete system as solve_annulus.  One _Stiffness
+    serves both: the direct solve of solve_annulus runs on it first, before
+    Q is factored, and only its nodal values u_dir are kept; direct_agreement
+    is max|u_fix - u_dir| / max(max|u_dir|, 1e-300).  The declared bounds are
+    not spot-checked, so an indefinite material meets the NotContracting
+    guard.  The iteration runs in polar components and carries its residual
+    from step to step: each step applies Q to what the previous increment
+    left, and the material's polar stencil to the increment.  So the
+    increments never cancel against the data and their ratios stay clear of
+    round-off.  Per-iteration contraction factors are ratios of the gradient
+    L^2 norms of the increments, each measured as sqrt(inc^T K0 inc / scale)
+    with the C0 stiffness K0: under the same Gauss rule this is the
+    quadrature of |grad inc|^2, since the energy of the identity product is
+    the same in every frame.  With scale = the upper Lin bound of the
+    material (mue when it declares none), the factor is bounded by the
+    relative contrast (scale - lower) / scale.  The iteration stops once an
+    increment is 1e-12 of the first, or after 100 steps.  Raises
+    NotContracting after three consecutive factors above 1, and what the
+    direct solve raises.
     """
     if problem.field.lin_bounds_pair is not None:
         c0_scale = problem.field.lin_bounds_pair[1]
     else:
         c0_scale = problem.field.mue
 
-    stiffness = _Stiffness(problem, grid) if _stiffness is None else _stiffness
+    stiffness = _Stiffness(problem, grid)
+    u_dir = stiffness.field(_solve(stiffness)).values   # before Q: their work arrays never coexist
     K_f, res, last = stiffness.K_f, stiffness.rhs, stiffness.last
     K0_f = _identity_stencil(grid, c0_scale)[1:last + 1]
     green0 = _fourier_inverse(K0_f, grid.n_theta)
@@ -836,9 +821,13 @@ def contraction_solve(
             converged = True
             break
 
-    return stiffness.field(w), ContractionReport(
+    u_fix = stiffness.field(w)
+    return u_fix, ContractionReport(
         factors=np.asarray(factors),
         n_iter=n_iter,
         converged=converged,
         c0_scale=float(c0_scale),
+        direct_agreement=float(
+            np.abs(u_fix.values - u_dir).max() / max(np.abs(u_dir).max(), 1e-300)
+        ),
     )

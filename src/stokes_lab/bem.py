@@ -141,7 +141,7 @@ class SingleLayerOperator:
         _AUG_COND_LIMIT."""
         if self._aug is None:
             at = self.bordered.T  # Fortran-contiguous: getrf copies it once, untransposed
-            lu = lu_factor(at)
+            lu = lu_factor(at, check_finite=False)  # assemble_single_layer checked it
             cond = _cond_estimate(lu, at)
             if not np.isfinite(cond) or cond > _AUG_COND_LIMIT:
                 raise SingularSystem(
@@ -194,7 +194,8 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
     crow_k = R_k / 2 - (pi / n) log(4 sin^2(pi k / n)), crow_0 = R_0 / 2, and
     S_ii = crow_0 + (2 pi / n) log speed_i (the limit of the smooth
     remainder Phi0 (1/2) log(r^2 / 4 sin^2) + Phi(direction) is
-    Phi0 log|x'(t)| + Phi(tangent), Phi being even).
+    Phi0 log|x'(t)| + Phi(tangent), Phi being even).  Raises SingularSystem
+    when an entry is not finite; that scan replaces lu_factor's own.
     """
     kernel = _as_kernel(c0)
     if not curve.smooth:
@@ -217,6 +218,9 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
     for c in range(2):
         bordered[c:n2:2, n2 + c] = 1.0
         bordered[n2 + c, c:n2:2] = curve.weights
+    if not np.isfinite(bordered).all():
+        raise SingularSystem("bordered matrix holds non-finite entries: the curve's squared "
+                             "chord lengths under- or overflow float64")
     return SingleLayerOperator(curve=curve, kernel=kernel, bordered=bordered)
 
 

@@ -97,16 +97,21 @@ class ElasticityTensor:
 
 @dataclass(frozen=True)
 class IsotropicModuli:
-    """Lame parameters of an isotropic material: C[E] = 2 mu E + lambda tr(E) I."""
+    """Lame parameters of an isotropic material: C[E] = 2 mu E + lambda tr(E) I.
+
+    The Kelvin matrix divides by 4 pi mu (lambda + 2 mu), so that product
+    must be a positive, finite, normal float, besides mu > 0 and lambda >= 0."""
 
     lambda_lame: float
     mu_shear: float
 
     def __post_init__(self):
-        if self.mu_shear <= 0 or self.lambda_lame < 0:
+        lam, mu = float(self.lambda_lame), float(self.mu_shear)
+        kelvin = 4.0 * np.pi * mu * (lam + 2.0 * mu)
+        if not (mu > 0 and lam >= 0 and np.finfo(float).tiny <= kelvin < np.inf):
             raise InvalidBounds(
-                f"need mu_shear > 0 and lambda_lame >= 0, "
-                f"got ({self.lambda_lame}, {self.mu_shear})"
+                f"need mu_shear > 0, lambda_lame >= 0 and a positive, finite, normal "
+                f"4 pi mu (lambda + 2 mu), got ({self.lambda_lame}, {self.mu_shear})"
             )
 
     def tensor(self) -> ElasticityTensor:

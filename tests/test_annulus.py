@@ -13,6 +13,7 @@ from stokes_lab.annulus import (
     _polar_stencil,
     _ring_at,
     _rotations,
+    _solve,
     _Stiffness,
     _stiffness_apply,
     _to_cartesian,
@@ -58,6 +59,13 @@ from stokes_lab.tensors import (
 )
 
 ISO = IsotropicModuli(1.0, 1.0)
+
+
+def solve_unchecked(prob, grid):
+    """solve_annulus without its spot-check of the declared bounds, for the
+    materials that break them on purpose."""
+    stiffness = _Stiffness(prob, grid)
+    return stiffness.field(_solve(stiffness))
 
 
 def ring_data(func):
@@ -252,7 +260,7 @@ class TestAssembly:
         grid = PolarGrid(16.0, 24, 48)
         prob = VariationalProblem(field=perturbed_counterexample(grid, 40),
                                   force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
-        solve_annulus(prob, grid, check_bounds=False)
+        solve_annulus(prob, grid)
         assert [call[:2] for call in stiffness_builds] == [(24, 48)]
         S = stiffness_builds[0][2]
         assert S.shape[-1] == 48
@@ -465,7 +473,7 @@ class TestSolveAnnulus:
             fld = ElasticityField(action=action, mu0=1.0, mue=1.0)
             prob = VariationalProblem(field=fld, outer_data=data)
             with pytest.raises(SolverDiverged, match=message):
-                solve_annulus(prob, PolarGrid(8.0, 16, 32), check_bounds=False)
+                solve_unchecked(prob, PolarGrid(8.0, 16, 32))
             assert stiffness_builds == [(16, 32, n_cols)]
 
 
@@ -517,7 +525,7 @@ class TestFourierSolve:
             outer_data=rng.normal(size=(nt, 2)),
             force=bump_force(rng.normal(size=4), 16.0),
         )
-        u = solve_annulus(prob, grid, check_bounds=False)
+        u = solve_annulus(prob, grid)
         assert stiffness_builds == [(nr, nt, 1)]
 
         ref = ReferenceSystem(prob, grid).nodal()
@@ -538,7 +546,7 @@ class TestFourierSolve:
         for label, fld, n_cols in cases:
             stiffness_builds.clear()
             prob = VariationalProblem(field=fld, force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
-            solve_annulus(prob, grid, check_bounds=False)
+            solve_unchecked(prob, grid)
             assert stiffness_builds == [(24, 48, n_cols)], label
 
 
@@ -574,7 +582,7 @@ class TestConjugateGradients:
             outer_data=rng.normal(size=(nt, 2)),
             force=bump_force(rng.normal(size=4), 16.0),
         )
-        u = solve_annulus(prob, grid, check_bounds=False)
+        u = (solve_unchecked if material == "perturbed" else solve_annulus)(prob, grid)
         assert stiffness_builds == [(nr, nt, nt)]
 
         ref = ReferenceSystem(prob, grid).nodal()
@@ -586,7 +594,7 @@ class TestConjugateGradients:
                                   force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
         monkeypatch.setattr(annulus, "_PCG_MAX_ITER", 3)
         with pytest.raises(SolverDiverged, match="in 3 steps"):
-            solve_annulus(prob, grid, check_bounds=False)
+            solve_annulus(prob, grid)
 
     def test_indefinite_material_breaks_down(self):
         """Positive stiffness diagonals pass the singular guard, but coupling
@@ -601,7 +609,7 @@ class TestConjugateGradients:
         prob = VariationalProblem(field=ElasticityField(action=action, mu0=1.0, mue=1.0),
                                   force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
         with pytest.raises(SolverDiverged, match="broke down"):
-            solve_annulus(prob, PolarGrid(16.0, 24, 48), check_bounds=False)
+            solve_unchecked(prob, PolarGrid(16.0, 24, 48))
 
 
 class TestEnergyProfiles:
@@ -964,7 +972,7 @@ class TestContraction:
         u_fix, rep = contraction_solve(prob, grid)
         assert rep.converged
         assert rep.worst_factor <= 0.35
-        u_dir = solve_annulus(prob, grid, check_bounds=False)
+        u_dir = solve_annulus(prob, grid)
         agree = np.abs(u_fix.values - u_dir.values).max() / np.abs(u_dir.values).max()
         assert agree <= 1e-4
 
@@ -978,6 +986,25 @@ class TestContraction:
         mid = rep.factors[1:-1]
         if mid.size >= 4:
             assert np.var(mid) <= 0.2 * np.mean(mid) ** 2
+
+    @pytest.mark.parametrize("material, n_cols", [
+        (lambda: restricted_tensor(6.0, 2.0, 8.0), 1),
+        (lambda: random_scalar_field(1.0, 2.0, np.random.default_rng(5)), 48),
+    ], ids=["fourier", "conjugate-gradients"])
+    def test_direct_agreement_matches_solve_annulus(self, material, n_cols, annulus_calls):
+        """The report's agreement with the direct solve equals, bit for bit,
+        the agreement with an independent solve_annulus of the same problem,
+        on both solve paths."""
+        stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
+        grid = PolarGrid(16.0, 24, 48)
+        prob = VariationalProblem(field=material(), force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
+        u_fix, rep = contraction_solve(prob, grid)
+        u_dir = solve_annulus(prob, grid)
+        assert stiffness_builds == [(24, 48, n_cols), (24, 48, 1), (24, 48, n_cols)]
+        agree = np.abs(u_fix.values - u_dir.values).max() / max(np.abs(u_dir.values).max(), 1e-300)
+        assert rep.converged
+        assert rep.direct_agreement == agree
+        assert 0.0 < agree <= 1e-4
 
     def test_not_contracting_detected(self):
         """An indefinite material (certificate violated) must trip the guard."""

@@ -53,11 +53,15 @@ class TestValidate:
         ("paradox", "material", "iso:nan,1"), ("paradox", "data", "fourier:1,nan"),
         ("degiorgi", "xi", float("nan")), ("degiorgi", "rmax", float("inf")),
         ("contraction", "contrast_bounds", "1,inf"),
+        ("paradox", "material", "iso:0,1e-200"), ("basis", "material", "iso:1e-200,1e-200"),
+        ("decay", "material", "iso:0,1e-170"), ("paradox", "material", "iso:1e300,1e300"),
     ])
     def test_non_finite_numbers_rejected(self, kind, field, value):
         """A non-finite number in a spec is a configuration error, not a
         failure deep in the run (circle:nan raised ValueError from the curve,
-        xi = nan InvalidBounds)."""
+        xi = nan InvalidBounds); so is a material whose Kelvin denominator
+        4 pi mu (lambda + 2 mu) under- or overflows (it divided by zero, or
+        ended in SingularSystem)."""
         with pytest.raises(ConfigInvalid, match=field):
             validate(seeded(kind, **{field: value}))
 
@@ -418,8 +422,8 @@ class TestRuns:
                                               annulus_calls):
         """Every run builds one polar stencil of its material: one column for
         the rotation-equivariant counter-example tensors, n_theta for the
-        seeded random material.  A contraction run hands it from the
-        fixed-point iteration to the direct reference solve and builds one
+        seeded random material.  A contraction run shares it between its
+        direct reference solve and its fixed-point iteration, and builds one
         more, the one-column stencil of its comparison material.  Every run
         builds its load vector once, a contraction run too."""
         stiffness_builds = annulus_calls("_polar_stencil", lambda S: S.shape[-1])
@@ -524,14 +528,24 @@ class TestMainExitCodes:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    # the curve's geometry already under- or overflows on the way to the
+    # assembly's non-finite check; those floating-point warnings are expected
+    EXTREME_CURVE = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
     @pytest.mark.parametrize("args, error", [
         (["paradox", "--material", "iso:1e13,1", "--nodes", "64"], "SingularSystem"),
         (["basis", "--material", "iso:1e16,1", "--nodes", "64"], "SingularSystem"),
-    ], ids=["paradox", "basis"])
+        pytest.param(["paradox", "--curve", "circle:1e-300", "--nodes", "64"], "SingularSystem",
+                     marks=EXTREME_CURVE),
+        pytest.param(["decay", "--curve", "circle:1e200", "--nodes", "64", "--seed", "0"],
+                     "SingularSystem", marks=EXTREME_CURVE),
+    ], ids=["paradox", "basis", "tiny-circle", "huge-circle"])
     def test_solver_error_exits_two(self, args, error, tmp_path, capsys):
         """A nearly incompressible material passes validation, but its
-        bordered system is too ill-conditioned: the error is named on stderr,
-        without a traceback, and no report is written."""
+        bordered system is too ill-conditioned; a circle too small or too
+        large for float64 gives a bordered matrix with non-finite entries.
+        The error is named on stderr, without a traceback, and no report is
+        written."""
         code = main(args + ["--outdir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
@@ -572,22 +586,28 @@ class TestMainExitCodes:
         assert "configuration error: grid:" in err and "Traceback" not in err
         assert not (tmp_path / args[0]).exists()
 
-    @pytest.mark.parametrize("field, args, text", [
-        ("material", ["contraction", "--grid", "24x48", "--rmax", "24", "--seed", "1",
-                      "--material", "table:{path}"], "r,theta,scale\n1,abc,2\n"),
-        ("material", ["contraction", "--grid", "24x48", "--rmax", "24", "--seed", "1",
-                      "--material", "table:{path}"], "r,theta,scale\n2,0,1\n3,1,nan\n"),
-        ("data", ["paradox", "--nodes", "16", "--data", "file:{path}"], "u1,u2\n1,abc\n"),
-        ("data", ["paradox", "--nodes", "16", "--data", "file:{path}"],
-         "u1,u2\n" + "1,0\n" * 15 + "nan,0\n"),
-    ], ids=["table", "table-nan", "file", "file-nan"])
-    def test_malformed_csv_is_config_error(self, field, args, text, tmp_path, capsys):
+    TABLE = ["contraction", "--grid", "24x48", "--rmax", "24", "--seed", "1",
+             "--material", "table:{path}"]
+    FILE = ["paradox", "--nodes", "16", "--data", "file:{path}"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, args, text, reason", [
+        ("material", TABLE, "r,theta,scale\n1,abc,2\n", "cannot read"),
+        ("material", TABLE, "r,theta,scale\n2,0,1\n3,1,nan\n", "non-finite"),
+        ("data", FILE, "u1,u2\n1,abc\n", "cannot read"),
+        ("data", FILE, "u1,u2\n" + "1,0\n" * 15 + "nan,0\n", "non-finite"),
+        ("material", TABLE, "r,theta,scale\n", "holds no rows"),
+        ("data", FILE, "u1,u2\n", "holds no rows"),
+    ], ids=["table", "table-nan", "file", "file-nan", "table-header-only", "file-header-only"])
+    def test_malformed_csv_is_config_error(self, field, args, text, reason, tmp_path, capsys):
+        """Under warnings as errors: a header-only file is refused by name,
+        without NumPy's warning about empty input."""
         path = tmp_path / "input.csv"
         path.write_text(text)
         code = main([a.format(path=path) for a in args] + ["--outdir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "configuration error" in err and f"{field}:" in err
+        assert "configuration error" in err and f"{field}:" in err and reason in err
 
 
 @pytest.mark.parametrize("modules, absent", [
