@@ -5,14 +5,15 @@ configurable outer condition; the solver minimizes the discrete energy
 int grad(u) . C[grad(u)] over bilinear elements.  Every stiffness is built
 once, in polar components, one block of theta-columns at a time: the
 material at the Gauss points of each theta-column of cells is rotated into
-that column's polar frame, turned into element matrices and added into a
-9-point stencil of 2x2 blocks over the (ring, theta) nodes, with one column
-of blocks per theta-column of nodes, or a single column when the material is
-rotation-equivariant and the stiffness block-circulant in theta.  Neither
-the whole grid's frame nor its element matrices are ever held.  A
-block-circulant stiffness is inverted by one angular Fourier
-solve; any other is solved by conjugate gradients preconditioned by the
-Fourier solve of its theta-mean.  Only the load and the Dirichlet data (on
+that column's polar frame, turned into element matrices by one matrix
+product per ring and added into a 9-point stencil of 2x2 blocks over the
+(ring, theta) nodes, with one column of blocks per theta-column of nodes,
+or a single column when the material is rotation-equivariant and the
+stiffness block-circulant in theta.  Neither the whole grid's frame nor its
+element matrices are ever held.  A block-circulant stiffness is inverted by
+one angular Fourier solve (a block-Thomas sweep over the rings per mode);
+any other is solved by conjugate gradients preconditioned by the Fourier
+solve of its theta-mean.  Only the load and the Dirichlet data (on
 the way in) and the solution (on the way out) are rotated between Cartesian
 and polar components.  The module also measures the quantities the theory
 estimates: interior/exterior energy profiles and their rate-gamma
@@ -99,30 +100,6 @@ def bump_force(amp, r_max: float) -> Callable:
     return force
 
 
-def _element_matrices(grad: np.ndarray, weights: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(..., 8, 8) element matrices, rows and columns (node a, component m),
-    of cells with the Gauss-point shape gradients grad (..., nq, 4, 2),
-    weights (..., nq) and material component matrices C (..., nq, 4, 4),
-    rows (m, k) and columns (h, l); the leading axes broadcast.
-
-    Block (m, h) sums w d_k N_a C_mkhl d_l N_b over the Gauss points and
-    k, l.  Each of the four component pairs is contracted on its own: over
-    k per Gauss point, then over the Gauss points and l in one batched
-    matrix product per cell."""
-    nq = weights.shape[-1]
-    wC = C * weights[..., None, None]
-    lead = wC.shape[:-3]
-    wC = wC.reshape(lead + (nq, 2, 2, 2, 2))
-    # rows (Gauss point, l)
-    grad_t = np.swapaxes(grad, -1, -2).reshape(grad.shape[:-3] + (2 * nq, 4))
-    ke = np.empty(lead + (4, 2, 4, 2))
-    for m in range(2):
-        for h in range(2):
-            gc = grad @ wC[..., m, :, h, :]                        # (..., nq, a, l)
-            ke[..., :, m, :, h] = np.swapaxes(gc, -3, -2).reshape(lead + (4, 2 * nq)) @ grad_t
-    return ke.reshape(lead + (8, 8))
-
-
 def _add_cells(S: np.ndarray, ke: np.ndarray, nodes: slice):
     """Add to the node columns `nodes` of the (n_r, 2, 3, 3, 2, n_cols)
     stencil S[i, m, o + 1, d + 1, h, j] the element matrices ke
@@ -195,15 +172,51 @@ def _polar_frame(C: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """The material C (n_r - 1, n_cols, nq, 2, 2, 2, 2) at the Gauss points
     of the theta-columns of cells that start at the angles thetas, rotated
     into each column's polar frame, Q^T C Q with Q = R(theta_j) x R(theta_j),
-    by two batched matrix products: (n_r - 1, n_cols, nq, 4, 4) component
-    matrices, rows (m, k) and columns (h, l)."""
-    n_rc, n_cols = C.shape[:2]
+    by two batched matrix products: a (n_r - 1, n_cols, 2, 2, nq, 2, 2) view
+    of the components C[q, m k, h l] with the axes (m, h, q, k, l) last."""
+    n_rc, n_cols, nq = C.shape[:3]
     R = _rotations(thetas)
     q = np.einsum("jia,jkb->jikab", R, R).reshape(n_cols, 4, 4)
-    # (column, row index a, ring, Gauss point, column index b)
-    C = C.reshape(n_rc, n_cols, -1, 4, 4).transpose(1, 3, 0, 2, 4)
+    # (column, row index (m, k), ring, Gauss point, column index (h, l))
+    C = C.reshape(n_rc, n_cols, nq, 4, 4).transpose(1, 3, 0, 2, 4)
     qtc = np.swapaxes(q, -1, -2) @ C.reshape(n_cols, 4, -1)
-    return (qtc.reshape(n_cols, -1, 4) @ q).reshape(C.shape).transpose(2, 0, 3, 1, 4)
+    qtcq = (qtc.reshape(n_cols, -1, 4) @ q).reshape(n_cols, 2, 2, n_rc, nq, 2, 2)
+    return qtcq.transpose(3, 0, 1, 5, 4, 2, 6)
+
+
+def _shape_products(grid: PolarGrid) -> np.ndarray:
+    """(n_r - 1, 4 nq, 16) products w_q d_k N_a d_l N_b of theta-column 0's
+    cells, rows (q, k, l) and columns (corner a, corner b)."""
+    g = grid.column_shape_gradients
+    return np.einsum("iq,iqak,iqbl->iqklab", grid.qp_weights, g, g).reshape(g.shape[0], -1, 16)
+
+
+def _cell_matrices(P: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """(n_r - 1, n_cols, 8, 8) element matrices ke[(a m), (b h)], the sum of
+    P[(q k l), (a b)] C[q, m k, h l] over (q, k, l) for the shape products P
+    and the polar frame (_polar_frame), as one matrix product per ring of
+    the frame's rows (column, m, h)."""
+    n_rc, n_cols = frame.shape[:2]
+    ke = (frame.reshape(n_rc, 4 * n_cols, -1) @ P).reshape(n_rc, n_cols, 2, 2, 4, 4)
+    return ke.transpose(0, 1, 4, 2, 5, 3).reshape(n_rc, n_cols, 8, 8)
+
+
+def _element_map(grid: PolarGrid) -> Callable:
+    """Polar frame -> element matrices in the nodes' frames: column j's cells
+    are column 0's rotated by theta_j, so they take column 0's shape products
+    (_cell_matrices) and corners rotated by (0, 0, dtheta, dtheta), T^T ke T."""
+    P, T = _shape_products(grid), np.zeros((4, 2, 4, 2))
+    T[range(4), :, range(4)] = _rotations(grid.dtheta * np.asarray(CORNER_ANGLE, dtype=float))
+    T = T.reshape(8, 8)
+    return lambda frame: T.T @ _cell_matrices(P, frame) @ T
+
+
+def _column_stencil(ke: np.ndarray) -> np.ndarray:
+    """The one-column stencil of the element matrices ke (n_r - 1, 1, 8, 8)
+    of every theta-column: the cell before column 0 is column 0 itself."""
+    S = np.zeros((ke.shape[0] + 1, 2, 3, 3, 2, 1))
+    _add_cells(S, np.broadcast_to(ke, (ke.shape[0], 2) + ke.shape[2:]), slice(0, 1))
+    return S
 
 
 def _polar_stencil(grid: PolarGrid, field: Callable) -> np.ndarray:
@@ -212,31 +225,22 @@ def _polar_stencil(grid: PolarGrid, field: Callable) -> np.ndarray:
     theta-columns of nodes at a time from the cells that touch them.
 
     Per block, the material at the cells' Gauss points is rotated into each
-    cell column's polar frame (_polar_frame) and compared with column 0's.
-    Column j's Gauss geometry is column 0's rotated by theta_j, so in its
-    own frame its element matrices come from column 0's shape gradients and
-    weights; their corners are then rotated by (0, 0, dtheta, dtheta) to the
-    nodes' frames.  While every column equals column 0 to 1e-12 relative,
-    C(R x) = R * C(x) holds at the Gauss points and nothing is kept: the
-    stiffness is block-circulant and its stencil has the one column of
-    column 0's frame.  At the first block that differs, the n_theta-column
-    stencil is allocated and the earlier blocks are evaluated again."""
+    cell column's polar frame (_polar_frame), compared with column 0's and
+    turned into element matrices (_element_map).  While every column equals
+    column 0 to 1e-12 relative, C(R x) = R * C(x) holds at the Gauss points
+    and nothing is kept: the stiffness is block-circulant and its stencil
+    has the one column of column 0's frame.  At the first block that
+    differs, the n_theta-column stencil is allocated and the earlier blocks
+    are evaluated again."""
     n_t = grid.n_theta
     pts = grid.qp_points
-    grad = grid.column_shape_gradients[:, None]
-    weights = grid.qp_weights[:, None]
-    T = np.zeros((8, 8))
-    for a, rot in enumerate(_rotations(grid.dtheta * np.asarray(CORNER_ANGLE, dtype=float))):
-        T[2 * a:2 * a + 2, 2 * a:2 * a + 2] = rot
+    element_matrices = _element_map(grid)
 
     def block(lo):
         """The node columns from lo and the polar frame of their cells."""
         nodes = slice(lo, min(lo + _FRAME_BLOCK, n_t))
         cells = np.arange(lo - 1, nodes.stop) % n_t
         return nodes, _polar_frame(field(pts[:, cells]), grid.thetas[cells])
-
-    def element_matrices(frame):
-        return T.T @ _element_matrices(grad, weights, frame) @ T
 
     S = None
     for lo in range(0, n_t, _FRAME_BLOCK):
@@ -251,18 +255,15 @@ def _polar_stencil(grid: PolarGrid, field: Callable) -> np.ndarray:
                 _add_cells(S, element_matrices(frame_e), nodes_e)
         if S is not None:
             _add_cells(S, element_matrices(frame), nodes)
-    if S is None:
-        # one column: the cell before column 0 is column 0 itself
-        S = np.zeros((grid.n_r, 2, 3, 3, 2, 1))
-        ke = element_matrices(ref)
-        _add_cells(S, np.broadcast_to(ke, (ke.shape[0], 2) + ke.shape[2:]), slice(0, 1))
-    return S
+    return _column_stencil(element_matrices(ref)) if S is None else S
 
 
 def _identity_stencil(grid: PolarGrid, scale: float) -> np.ndarray:
-    """The one-column polar stencil of the stiffness of scale * Id_Lin."""
-    c0 = scale * ID_LIN
-    return _polar_stencil(grid, lambda p: np.broadcast_to(c0, p.shape[:-1] + c0.shape))
+    """The one-column polar stencil of the stiffness of scale * Id_Lin, whose
+    frame in every column is itself: Id_Lin is invariant under R x R."""
+    c0 = (scale * ID_LIN).transpose(0, 2, 1, 3)                       # axes (m, h, k, l)
+    frame = np.broadcast_to(c0[:, :, None], (grid.n_r - 1, 1, 2, 2, len(grid.qp_shapes), 2, 2))
+    return _column_stencil(_element_map(grid)(frame))
 
 
 class _Stiffness:
@@ -344,29 +345,31 @@ def _block_thomas_factor(A: np.ndarray, U: np.ndarray, L: np.ndarray):
     """Forward-sweep factors of the block-tridiagonal systems with diagonal
     A (n, 2, 2, m), upper U and lower L (n - 1, 2, 2, m), one per index of
     the last axis: the inverse pivots D_i^-1, W_i = D_i^-1 U_i and
-    M_i = D_i^-1 L_{i-1}."""
+    M_i = D_i^-1 L_{i-1}; W and M column-first, W[i, c, r] = W_i[r, c], so
+    that the solve sweeps read each block's columns as (2, m) rows."""
     Dinv = np.empty_like(A)
     W = np.empty_like(U)
     M = np.empty_like(L)
+    W_rows, M_rows = np.swapaxes(W, 1, 2), np.swapaxes(M, 1, 2)
     Dinv[0] = _inverse_2x2(A[0])
     for i in range(1, A.shape[0]):
-        W[i - 1] = _mul_2x2(Dinv[i - 1], U[i - 1])
-        Dinv[i] = _inverse_2x2(A[i] - _mul_2x2(L[i - 1], W[i - 1]))
-        M[i - 1] = _mul_2x2(Dinv[i], L[i - 1])
+        W_rows[i - 1] = _mul_2x2(Dinv[i - 1], U[i - 1])
+        Dinv[i] = _inverse_2x2(A[i] - _mul_2x2(L[i - 1], W_rows[i - 1]))
+        M_rows[i - 1] = _mul_2x2(Dinv[i], L[i - 1])
     return Dinv, W, M
 
 
 def _block_thomas_solve(factors, F: np.ndarray) -> np.ndarray:
     """Solve the factored systems for the right-hand sides F (n, 2, m): all
-    D_i^-1 F_i in one batch, then a forward sweep
-    z_i = D_i^-1 F_i - M_i z_{i-1} and a back sweep z_i -= W_i z_{i+1}."""
+    D_i^-1 F_i in one batch, then the sweeps z_i -= M_i z_{i-1} forward and
+    z_i -= W_i z_{i+1} back, each step two factor columns times one entry."""
     Dinv, W, M = factors
-    z = _mul_2x2(Dinv, F[:, :, None])
-    for i in range(1, F.shape[0]):
-        z[i] -= _mul_2x2(M[i - 1], z[i - 1])
-    for i in range(F.shape[0] - 2, -1, -1):
-        z[i] -= _mul_2x2(W[i], z[i + 1])
-    return z[:, :, 0]
+    z = _mul_2x2(Dinv, F[:, :, None])[:, :, 0]
+    for (m0, m1), prev, cur in zip(M, z, z[1:]):
+        cur -= m0 * prev[0] + m1 * prev[1]
+    for (w0, w1), nxt, cur in zip(W[::-1], z[::-1], z[-2::-1]):
+        cur -= w0 * nxt[0] + w1 * nxt[1]
+    return z
 
 
 def _fourier_inverse(S: np.ndarray, n_theta: int) -> Callable:
@@ -771,15 +774,16 @@ def contraction_solve(
     left, and the material's polar stencil to the increment.  So the
     increments never cancel against the data and their ratios stay clear of
     round-off.  Per-iteration contraction factors are ratios of the gradient
-    L^2 norms of the increments, each measured as sqrt(inc^T K0 inc / scale)
-    with the C0 stiffness K0: under the same Gauss rule this is the
-    quadrature of |grad inc|^2, since the energy of the identity product is
-    the same in every frame.  With scale = the upper Lin bound of the
-    material (mue when it declares none), the factor is bounded by the
-    relative contrast (scale - lower) / scale.  The iteration stops once an
-    increment is 1e-12 of the first, or after 100 steps.  Raises
-    NotContracting after three consecutive factors above 1, and what the
-    direct solve raises.
+    L^2 norms of the increments, each sqrt(inc^T K0 inc / scale) with the C0
+    stiffness K0: under the same Gauss rule this is the quadrature of
+    |grad inc|^2, since the energy of the identity product is the same in
+    every frame.  As inc = Q res, K0 inc is res, so the norm is read as
+    sqrt(inc . res / scale) from res before its update, with no stencil
+    applied.  With scale = the upper Lin bound of the material (mue when it
+    declares none), the factor is bounded by the relative contrast
+    (scale - lower) / scale.  The iteration stops once an increment is 1e-12
+    of the first, or after 100 steps.  Raises NotContracting after three
+    consecutive factors above 1, and what the direct solve raises.
     """
     if problem.field.lin_bounds_pair is not None:
         c0_scale = problem.field.lin_bounds_pair[1]
@@ -789,22 +793,18 @@ def contraction_solve(
     stiffness = _Stiffness(problem, grid)
     u_dir = stiffness.field(_solve(stiffness)).values   # before Q: their work arrays never coexist
     K_f, res, last = stiffness.K_f, stiffness.rhs, stiffness.last
-    K0_f = _identity_stencil(grid, c0_scale)[1:last + 1]
-    green0 = _fourier_inverse(K0_f, grid.n_theta)
+    green0 = _fourier_inverse(_identity_stencil(grid, c0_scale)[1:last + 1], grid.n_theta)
 
     w = np.zeros_like(res)
     factors = []
     prev_inc_norm = None
     n_bad = 0
-    converged = False
-    n_iter = 0
     scale_norm = None
-    for k in range(_CONTRACTION_MAX_ITER):
+    for n_iter in range(1, _CONTRACTION_MAX_ITER + 1):
         inc = green0(res)
+        inc_norm = float(np.sqrt(max(np.vdot(inc, res), 0.0) / c0_scale))
         res = res - _stiffness_apply(K_f, inc)
         w = w + inc
-        n_iter = k + 1
-        inc_norm = float(np.sqrt(max(np.vdot(inc, _stiffness_apply(K0_f, inc)), 0.0) / c0_scale))
         if scale_norm is None:
             scale_norm = max(inc_norm, 1e-300)
         if prev_inc_norm is not None and prev_inc_norm > 0:
@@ -817,8 +817,8 @@ def contraction_solve(
                     f"iterations (last {fac:.3g}); contrast too large"
                 )
         prev_inc_norm = inc_norm
-        if inc_norm <= _CONTRACTION_TOL * scale_norm:
-            converged = True
+        converged = inc_norm <= _CONTRACTION_TOL * scale_norm
+        if converged:
             break
 
     u_fix = stiffness.field(w)

@@ -54,14 +54,25 @@ def cell_nodes(grid) -> np.ndarray:
                      for di, dj in zip(CORNER_RING, CORNER_ANGLE)], axis=-1)
 
 
+def element_matrices(grid, action) -> np.ndarray:
+    """(n_r - 1, n_theta, 8, 8) Cartesian element matrices of every cell,
+    rows and columns (corner a, component m): the textbook sum over the
+    Gauss points q and k, l of w_q d_k N_a C_mkhl d_l N_b, for the material
+    components action (n_r - 1, n_theta, nq, 2, 2, 2, 2)."""
+    g = grid.qp_shape_gradients
+    ke = np.einsum("iq,ijqak,ijqmkhl,ijqbl->ijambh", grid.qp_weights, g, action, g)
+    return ke.reshape(ke.shape[:2] + (8, 8))
+
+
 class ReferenceSystem:
     """The discrete annulus problem assembled the textbook way: the element
-    matrices scattered into one scipy.sparse matrix K over a node numbering
+    matrices (element_matrices) scattered into one scipy.sparse matrix K over a node numbering
     of its own (node (i, j) is i * n_theta + j, ring-major, the cells'
     corners from CORNER_RING and CORNER_ANGLE), the free DOFs (the rings
     between the Dirichlet rings, as one slice `free` of the flat DOFs)
     selected from it, and a SuperLU solve, factored on first use.  The
-    stencil solvers are tested against it.
+    stencil solvers are tested against it, and it shares no code with the
+    stencil builder.
 
     vals holds the flat nodal values carrying the Dirichlet data, K_ff the
     free-DOF stiffness and rhs = b_f - K_fd u_d."""
@@ -69,12 +80,11 @@ class ReferenceSystem:
     def __init__(self, problem, grid, action=None):
         import scipy.sparse as sp
 
-        from stokes_lab.annulus import _element_matrices, _force_vector
+        from stokes_lab.annulus import _force_vector
 
         if action is None:
             action = problem.field(grid.qp_points)
-        ke = _element_matrices(grid.qp_shape_gradients, grid.qp_weights[:, None],
-                               action.reshape(action.shape[:3] + (4, 4)))
+        ke = element_matrices(grid, action)
         dofs = (2 * cell_nodes(grid)[..., None] + np.arange(2)).reshape(-1, 8)
         rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
         ndof = 2 * grid.n_r * grid.n_theta

@@ -7,12 +7,17 @@ from conftest import ReferenceSystem, cell_nodes
 from stokes_lab import annulus
 from stokes_lab.annulus import (
     VariationalProblem,
+    _block_thomas_factor,
+    _block_thomas_solve,
+    _cell_matrices,
     _force_vector,
     _fourier_inverse,
     _identity_stencil,
+    _polar_frame,
     _polar_stencil,
     _ring_at,
     _rotations,
+    _shape_products,
     _solve,
     _Stiffness,
     _stiffness_apply,
@@ -338,10 +343,52 @@ class TestAssembly:
         Kx = _stiffness_apply(K_f, x)
         assert np.abs(Kx - ref_Kx).max() <= 1e-13 * np.abs(ref_Kx).max()
 
+    @staticmethod
+    def textbook_polar_matrices(grid, fld):
+        """(n_r - 1, n_theta, 4, 2, 4, 2) element matrices of every cell in
+        its column's polar frame: the material rotated by R(theta_j) index
+        by index, then the sum over q, k, l of w_q d_k N_a C_mkhl d_l N_b
+        with column 0's shape gradients."""
+        R = _rotations(grid.thetas)
+        C = np.einsum("jxm,jyk,ijqxyzw,jzh,jwl->ijqmkhl", R, R, fld(grid.qp_points), R, R)
+        g = grid.column_shape_gradients
+        return np.einsum("iq,iqak,ijqmkhl,iqbl->ijambh", grid.qp_weights, g, C, g)
+
+    @pytest.mark.parametrize("material", ["random-scalar", "degiorgi"])
+    def test_ring_product_matches_textbook_sum(self, material):
+        """The element matrices of one batched product per ring of the polar
+        frame with column 0's shape products equal the textbook sum to 1e-14
+        of the largest entry; with one entry of the shape products perturbed
+        they do not."""
+        grid = PolarGrid(4.0, 12, 32)
+        fld = {"random-scalar": random_scalar_field(1.0, 2.0, np.random.default_rng(4)),
+               "degiorgi": degiorgi_tensor(2.0)}[material]
+        ref = self.textbook_polar_matrices(grid, fld).reshape(grid.n_r - 1, grid.n_theta, 8, 8)
+        frame = _polar_frame(fld(grid.qp_points), grid.thetas)
+        P = _shape_products(grid)
+        tol = 1e-14 * np.abs(ref).max()
+        assert np.abs(_cell_matrices(P, frame) - ref).max() <= tol
+        P[5, 4, 9] *= 1.0 + 1e-9                      # ring 5, q = 1, k = l = 0, corners (2, 1)
+        assert np.abs(_cell_matrices(P, frame) - ref).max() > tol
+
 
 class TestComparisonSolve:
     """The FFT-in-theta inverse of the C0 = scale * Id_Lin stiffness, in
     polar components."""
+
+    @pytest.mark.parametrize("nr, nt", [(24, 48), (40, 72)])
+    def test_identity_stencil_is_polar_stencil(self, nr, nt):
+        """Built directly from scale * Id_Lin, the comparison stencil equals,
+        bit for bit, the stencil _polar_stencil finds for the constant field
+        scale * Id_Lin, whose every column frame is the constant itself."""
+        grid = PolarGrid(16.0, nr, nt)
+
+        def c0(p):
+            return np.broadcast_to(1.7 * ID_LIN, np.asarray(p).shape[:-1] + (2, 2, 2, 2))
+
+        S = _identity_stencil(grid, 1.7)
+        assert S.shape == (nr, 2, 3, 3, 2, 1)
+        assert np.array_equal(S, _polar_stencil(grid, c0))
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
@@ -530,6 +577,31 @@ class TestFourierSolve:
 
         ref = ReferenceSystem(prob, grid).nodal()
         assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_block_thomas_matches_dense_solve(self):
+        """The column-first block-Thomas sweep solves the block-tridiagonal
+        system of the angular modes 0, 1 and n_theta / 2 of a one-column
+        stencil's free rings as numpy.linalg.solve does on the assembled
+        dense matrix of each mode."""
+        grid = PolarGrid(4.0, 12, 24)
+        S = _polar_stencil(grid, degiorgi_tensor(2.0))[1:grid.n_r - 1, ..., 0]
+        n = S.shape[0]
+        modes = [0, 1, grid.n_theta // 2]
+        phi = 2.0 * np.pi * np.asarray(modes) / grid.n_theta
+        phase = np.exp(1j * np.outer([-1.0, 0.0, 1.0], phi))
+        # blocks (ring, row m, column h, mode) coupling ring i to ring i + o - 1
+        blocks = [np.einsum("imdh,dk->imhk", S[:, :, o], phase) for o in range(3)]
+        rng = np.random.default_rng(8)
+        F = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+        z = _block_thomas_solve(_block_thomas_factor(blocks[1], blocks[2][:-1], blocks[0][1:]), F)
+        for k in range(3):
+            dense = np.zeros((2 * n, 2 * n), dtype=complex)
+            for i in range(n):
+                for o in range(3):
+                    if 0 <= i + o - 1 < n:
+                        dense[2 * i:2 * i + 2, 2 * (i + o - 1):2 * (i + o)] = blocks[o][i, :, :, k]
+            ref = np.linalg.solve(dense, F[..., k].ravel())
+            assert np.abs(z[..., k].ravel() - ref).max() <= 1e-12 * np.abs(ref).max(), modes[k]
 
     def test_path_choice(self, annulus_calls):
         """Every solve builds one polar stencil: one column for the
@@ -996,11 +1068,13 @@ class TestContraction:
         the agreement with an independent solve_annulus of the same problem,
         on both solve paths."""
         stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
+        comparison_builds = annulus_calls("_identity_stencil", stencil_columns)
         grid = PolarGrid(16.0, 24, 48)
         prob = VariationalProblem(field=material(), force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
         u_fix, rep = contraction_solve(prob, grid)
         u_dir = solve_annulus(prob, grid)
-        assert stiffness_builds == [(24, 48, n_cols), (24, 48, 1), (24, 48, n_cols)]
+        assert stiffness_builds == [(24, 48, n_cols), (24, 48, n_cols)]
+        assert comparison_builds == [(24, 48, 1)]
         agree = np.abs(u_fix.values - u_dir.values).max() / max(np.abs(u_dir.values).max(), 1e-300)
         assert rep.converged
         assert rep.direct_agreement == agree
