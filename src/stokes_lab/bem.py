@@ -183,7 +183,7 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
 
     The kernel's log part is integrated by the exact periodic log-splitting
     weights; the smooth remainder by the plain trapezoid rule.  On the rounded
-    polygon the same composite rule applies but only with algebraic accuracy,
+    square the same composite rule applies but only with algebraic accuracy,
     which is reported as a CurveNotSmooth warning.
 
     A is written straight into the bordered array, one block of rows at a
@@ -219,8 +219,7 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
         bordered[c:n2:2, n2 + c] = 1.0
         bordered[n2 + c, c:n2:2] = curve.weights
     if not np.isfinite(bordered).all():
-        raise SingularSystem("bordered matrix holds non-finite entries: the curve's squared "
-                             "chord lengths under- or overflow float64")
+        raise SingularSystem("bordered matrix holds non-finite entries")
     return SingleLayerOperator(curve=curve, kernel=kernel, bordered=bordered)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -88,33 +89,19 @@ _parse_seed = _rule(lambda s: s is not None and s >= 0,
 
 
 def _parse_curve(spec: str, notes: list):
-    """The function of the node count that builds the curve `spec` names."""
+    """The BoundaryCurve constructor that `spec` names, with its arguments
+    bound; _parse builds the curve, with nodes, and BoundaryCurve checks it."""
+    from .curves import BoundaryCurve
+
     kind, _, rest = spec.partition(":")
-    if kind == "circle":
-        args = _parse_numbers(rest, "curve: circle", 1)
-        if args[0] <= 0:
-            raise ConfigInvalid("curve: circle radius must be positive")
-    elif kind == "ellipse":
-        a, b = _parse_numbers(rest, "curve: ellipse")
-        if a <= 0 or b <= 0:
-            raise ConfigInvalid("curve: ellipse semi-axes must be positive")
-        if b > a:
-            a, b = b, a
-            notes.append(f"ellipse axes normalized to a >= b: ({a}, {b})")
-        args = (a, b)
-    elif kind == "rounded-square":
-        args = _parse_numbers(rest, "curve: rounded-square")
-        if args[0] <= 0 or args[1] <= 0 or args[1] >= args[0]:
-            raise ConfigInvalid("curve: rounded-square needs 0 < radius < half_side")
-    else:
+    count = {"circle": 1, "ellipse": 2, "rounded-square": 2}.get(kind)
+    if count is None:
         raise ConfigInvalid(f"curve: unknown kind {kind!r}")
-
-    def build(n: int):
-        from .curves import BoundaryCurve
-
-        return getattr(BoundaryCurve, kind.replace("-", "_"))(*args, n=n)
-
-    return build
+    args = _parse_numbers(rest, f"curve: {kind}", count)
+    if kind == "ellipse" and args[1] > args[0]:
+        args = args[::-1]
+        notes.append(f"ellipse axes normalized to a >= b: {args}")
+    return functools.partial(getattr(BoundaryCurve, kind.replace("-", "_")), *args)
 
 
 def _parse_material(spec: str, notes: list):
@@ -299,7 +286,7 @@ def _run_paradox(spec: dict, out: dict):
 
     from . import bem
 
-    curve = spec["curve"](spec["nodes"])
+    curve = spec["curve"]
     data = spec["data"](curve)
     op = bem.assemble_single_layer(curve, spec["material"])
     basis = bem.equilibrium_basis(op)
@@ -347,7 +334,7 @@ def _run_basis(spec: dict, out: dict):
 
     from . import bem
 
-    curve = spec["curve"](spec["nodes"])
+    curve = spec["curve"]
     op = bem.assemble_single_layer(curve, spec["material"])
     basis = bem.equilibrium_basis(op)
     det = float(np.linalg.det(basis.totals))
@@ -434,7 +421,7 @@ def _run_decay(spec: dict, out: dict):
 
     from . import bem
 
-    curve = spec["curve"](spec["nodes"])
+    curve = spec["curve"]
     psi_star = bem.zero_total_density(curve, np.random.default_rng(spec["seed"]))
     op = bem.assemble_single_layer(curve, spec["material"])
     sol = bem.solve_dirichlet(op, op.apply(psi_star))
@@ -552,9 +539,10 @@ def _has_type(name: str, value) -> bool:
 
 def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
     """The parsed value of each field the experiment reads (None for a
-    contraction material source the run does not use; the PolarGrid of grid
-    and rmax for grid), and the run's notes; raises ConfigInvalid with a
-    field-precise message.  cfg is left as it is."""
+    contraction material source the run does not use; the BoundaryCurve of
+    curve and nodes for curve, the PolarGrid of grid and rmax for grid), and
+    the run's notes; raises ConfigInvalid with a field-precise message.  cfg
+    is left as it is."""
     if cfg.kind not in _EXPERIMENTS:
         raise ConfigInvalid(f"kind: unknown experiment {cfg.kind!r}")
     reads = _EXPERIMENTS[cfg.kind][1]
@@ -568,6 +556,12 @@ def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
                                 f"got {getattr(cfg, name)!r}")
     notes = list(cfg.notes)
     spec = {name: parse(getattr(cfg, name), notes) for name, parse in reads.items()}
+    if "curve" in reads:
+        # the boundary runs read curve and nodes; BoundaryCurve owns the curve rules
+        try:
+            spec["curve"] = spec["curve"](n=spec["nodes"])
+        except ValueError as exc:
+            raise ConfigInvalid(f"curve: {exc}") from None
     if "grid" in reads:
         # the annulus runs read grid and rmax; PolarGrid owns their grading rule
         from .polar import PolarGrid

@@ -8,6 +8,7 @@ from stokes_lab.errors import (
     NotAnEllipse,
     PointInsideBody,
     SingularPoint,
+    SingularSystem,
 )
 from stokes_lab.kelvin import FundamentalSolution
 from stokes_lab.tensors import _VOIGT, ElasticityTensor, IsotropicModuli
@@ -72,6 +73,14 @@ class TestAssembly:
         curve = BoundaryCurve.rounded_square(1.0, 0.25, n=128)
         with pytest.warns(CurveNotSmooth):
             bem.assemble_single_layer(curve, ISO)
+
+    def test_non_finite_kernel_is_singular(self):
+        """A bordered matrix with a non-finite entry is refused by the
+        assembly's own scan, before any factorization."""
+        iso = FundamentalSolution.isotropic(ISO)
+        kernel = FundamentalSolution(np.full((2, 2), np.nan), iso.cos_coef, iso.sin_coef)
+        with pytest.raises(SingularSystem, match="non-finite"):
+            bem.assemble_single_layer(BoundaryCurve.circle(1.0, n=64), kernel)
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("shape", ["ellipse", "rounded-square"])
@@ -175,6 +184,17 @@ class TestEquilibriumBasis:
                 op = bem.assemble_single_layer(curve, ISO)
             basis = bem.equilibrium_basis(op)
             assert abs(np.linalg.det(basis.totals)) > 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_square_basis_quarter_turn_equivariant(self, n):
+        """A quarter turn maps the rounded square to itself, node j to node
+        j + n/4, and the isotropic kernel to itself, so it maps psi_1 (total
+        e_1) to psi_2 (total e_2): psi_2 shifted by n/4 is psi_1 turned."""
+        curve = BoundaryCurve.rounded_square(1.0, 0.25, n=n)
+        with pytest.warns(CurveNotSmooth):
+            psi1, psi2 = bem.equilibrium_basis(bem.assemble_single_layer(curve, ISO)).psi
+        turned = np.stack([-psi1[:, 1], psi1[:, 0]], axis=-1)
+        assert np.abs(np.roll(psi2, -n // 4, axis=0) - turned).max() <= 1e-11 * np.abs(psi1).max()
 
     def test_replay_reproduces_constants(self, circle_op, circle_basis):
         for i in range(2):

@@ -530,28 +530,33 @@ class TestMainExitCodes:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
-    # the curve's geometry already under- or overflows on the way to the
-    # assembly's non-finite check; those floating-point warnings are expected
-    EXTREME_CURVE = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
     @pytest.mark.parametrize("args, error", [
         (["paradox", "--material", "iso:1e13,1", "--nodes", "64"], "SingularSystem"),
         (["basis", "--material", "iso:1e16,1", "--nodes", "64"], "SingularSystem"),
-        pytest.param(["paradox", "--curve", "circle:1e-300", "--nodes", "64"], "SingularSystem",
-                     marks=EXTREME_CURVE),
-        pytest.param(["decay", "--curve", "circle:1e200", "--nodes", "64", "--seed", "0"],
-                     "SingularSystem", marks=EXTREME_CURVE),
-    ], ids=["paradox", "basis", "tiny-circle", "huge-circle"])
+    ], ids=["paradox", "basis"])
     def test_solver_error_exits_two(self, args, error, tmp_path, capsys):
         """A nearly incompressible material passes validation, but its
-        bordered system is too ill-conditioned; a circle too small or too
-        large for float64 gives a bordered matrix with non-finite entries.
-        The error is named on stderr, without a traceback, and no report is
-        written."""
+        bordered system is too ill-conditioned.  The error is named on
+        stderr, without a traceback, and no report is written."""
         code = main(args + ["--outdir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"stokes-lab: {error}: " in err and "Traceback" not in err
+        assert not (tmp_path / args[0]).exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        ["paradox", "--curve", "circle:1e-300", "--nodes", "64"],
+        ["decay", "--curve", "circle:1e200", "--nodes", "64", "--seed", "0"],
+        ["basis", "--curve", "rounded-square:1e-300,1e-301", "--nodes", "64"],
+    ], ids=["tiny-circle", "huge-circle", "tiny-square"])
+    def test_extreme_curve_is_config_error(self, args, tmp_path, capsys):
+        """A curve too small or too large for float64 is refused when the
+        run is validated, naming curve, without a floating-point warning."""
+        code = main(args + ["--outdir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stokes-lab: configuration error: curve:" in err and "Traceback" not in err
         assert not (tmp_path / args[0]).exists()
 
     def test_not_contracting_exits_two(self, tmp_path, capsys, monkeypatch):

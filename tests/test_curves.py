@@ -23,24 +23,59 @@ class TestGeometry:
         probe_out = curve.points - step * curve.normal
         assert not curve.is_inside(probe_out).any()
 
-    def test_crossing_number_matches_pointwise_loop(self):
-        """The blocked crossing-number test of rounded polygons gives the
-        booleans of the per-point loop written out here."""
-        rng = np.random.default_rng(11)
-        for curve in (BoundaryCurve.rounded_square(1.0, 0.25, n=128),
-                      BoundaryCurve.rounded_polygon([(0, 0), (2, 0), (0.5, 1.5)], 0.2, n=96)):
-            x1 = curve.points
-            x2 = np.roll(x1, -1, axis=0)
-            pts = np.concatenate([rng.uniform(-1.5, 2.5, size=(3000, 2)), x1, 0.5 * (x1 + x2)])
-            expect = np.zeros(pts.shape[0], dtype=bool)
-            for k, p in enumerate(pts):
-                cond = (x1[:, 1] <= p[1]) != (x2[:, 1] <= p[1])
-                tpar = (p[1] - x1[:, 1]) / np.where(cond, x2[:, 1] - x1[:, 1], 1.0)
-                xc = x1[:, 0] + tpar * (x2[:, 0] - x1[:, 0])
-                expect[k] = (np.sum(cond & (xc > p[0])) % 2) == 1
-            got = curve.is_inside(pts)
-            assert np.array_equal(got, expect)
-            assert 0 < got.sum() < got.size
+    def test_inside_matches_crossing_number_of_fine_polygon(self):
+        """The rounded square's exact inside rule gives the booleans of a
+        crossing-number loop over its 4096-node polygon, at seeded points
+        and at points 5e-3 off the nodes of a coarser curve, all more than
+        1e-3 from the curve (the chords leave the arcs by under 2e-6)."""
+        curve = BoundaryCurve.rounded_square(1.0, 0.25, n=128)
+        x1 = BoundaryCurve.rounded_square(1.0, 0.25, n=4096).points
+        x2 = np.roll(x1, -1, axis=0)
+        # nodes at most 1.9e-3 apart: 2e-3 from all of them is 1e-3 from the curve
+        pts = np.concatenate([np.random.default_rng(11).uniform(-1.5, 1.5, size=(3000, 2)),
+                              curve.points + 5e-3 * curve.normal,
+                              curve.points - 5e-3 * curve.normal])
+        pts = pts[[np.hypot(*(x1 - p).T).min() > 2e-3 for p in pts]]
+        expect = np.zeros(pts.shape[0], dtype=bool)
+        for k, p in enumerate(pts):
+            cond = (x1[:, 1] <= p[1]) != (x2[:, 1] <= p[1])
+            tpar = (p[1] - x1[:, 1]) / np.where(cond, x2[:, 1] - x1[:, 1], 1.0)
+            xc = x1[:, 0] + tpar * (x2[:, 0] - x1[:, 0])
+            expect[k] = (np.sum(cond & (xc > p[0])) % 2) == 1
+        got = curve.is_inside(pts)
+        assert pts.shape[0] > 3000
+        assert np.array_equal(got, expect)
+        assert 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_square_nodes_quarter_turn_symmetric(self, n):
+        """Node j + n/4 is node j turned by a quarter turn, bit for bit, and
+        so is its derivative."""
+        c = BoundaryCurve.rounded_square(1.0, 0.25, n=n)
+        for v in (c.points, c.dpoints):
+            turned = np.stack([-v[:, 1], v[:, 0]], axis=-1)
+            assert np.array_equal(np.roll(v, -n // 4, axis=0), turned)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("h, rho", [(1.0, 0.25), (1.5, 0.4)])
+    def test_square_nodes_on_curve(self, h, rho, n):
+        """Nodes beyond the inner square [rho - h, h - rho]^2 in both
+        coordinates lie at distance rho from their arc's centre; the others
+        on a side, |x| = h or |y| = h; both to 1e-15 relative to h."""
+        c = BoundaryCurve.rounded_square(h, rho, n=n)
+        gap = np.abs(c.points) - (h - rho)
+        on_arc = (gap > 0).all(axis=1)
+        assert 0 < on_arc.sum() < n
+        assert np.abs(np.hypot(*gap[on_arc].T) - rho).max() <= 1e-15 * h
+        assert np.abs(np.abs(c.points[~on_arc]).max(axis=1) - h).max() <= 1e-15 * h
+        # constant speed: consecutive nodes on one piece are one step of
+        # arclength apart, a chord of that length on a side, of that arc on an arc
+        step = c.speed[0] * 2.0 * np.pi / n
+        chord = np.hypot(*(np.roll(c.points, -1, axis=0) - c.points).T)
+        next_on_arc = np.roll(on_arc, -1)
+        arc_chord = 2.0 * rho * np.sin(step / (2.0 * rho))
+        assert np.abs(chord[on_arc & next_on_arc] - arc_chord).max() <= 1e-15 * h
+        assert np.abs(chord[~on_arc & ~next_on_arc] - step).max() <= 1e-15 * h
 
     def test_normal_unit_and_orthogonal(self):
         c = BoundaryCurve.ellipse(2.0, 1.0, n=64)
@@ -87,11 +122,25 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BoundaryCurve.circle(1.0, n=8)
 
-    def test_rejects_nonconvex_or_oversized_rounding(self):
-        with pytest.raises(ValueError):
-            BoundaryCurve.rounded_polygon([(0, 0), (2, 0), (2, 2), (1, 0.5)], 0.1)
-        with pytest.raises(ValueError):
+    def test_rejects_oversized_rounding(self):
+        with pytest.raises(ValueError, match="radius"):
             BoundaryCurve.rounded_square(1.0, 1.01)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("build", [
+        lambda: BoundaryCurve.circle(1e-300, n=64),
+        lambda: BoundaryCurve.circle(1e200, n=64),
+        lambda: BoundaryCurve.rounded_square(1e-300, 1e-301, n=64),
+        # |grad f| overflows (a warning) in the constructor, before the check
+        pytest.param(lambda: BoundaryCurve.ellipse(1.0, 1e-200, n=64),
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ], ids=["tiny-circle", "huge-circle", "tiny-square", "flat-ellipse"])
+    def test_rejects_scale_outside_float64(self, build):
+        """A curve whose squared node chords or speeds underflow, or whose
+        squared extent overflows, is refused before any speed or tangent is
+        formed."""
+        with pytest.raises(ValueError, match="float64"):
+            build()
 
     def test_inside_classification(self):
         for c in (BoundaryCurve.ellipse(2, 1, n=64), BoundaryCurve.rounded_square(1.0, 0.25, n=128)):
