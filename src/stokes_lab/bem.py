@@ -9,18 +9,27 @@ weights (Martensen-Kussmaul), spectrally accurate on smooth curves.  Every
 boundary problem is a right-hand side of one bordered system
 
     [ A   1 ] [psi  ]   [data]
-    [ W   0 ] [kappa] = [ t  ] ,
+    [ W   0 ] [kappa] = [ t  ] :
 
-factored once per operator: [data; 0] gives the Dirichlet pair (psi, kappa),
-[0; e_i] the equilibrium density with total e_i and constant trace -kappa.
-The operator holds this one C-ordered (2N+2)^2 array, A being a view of it;
-it is assembled a block of rows at a time, and LAPACK factors its transpose,
-which is Fortran-contiguous as it stands, so the only other full-size array
-is the factors themselves.
-The bordered matrix stays well conditioned at the logarithmic-capacity
-radius, where A alone is singular.  The weighted pairing of boundary data
-with the equilibrium densities is the solvability residual that detects the
-Stokes paradox.
+[data; 0] gives the Dirichlet pair (psi, kappa), [0; e_i] the equilibrium
+density with total e_i and constant trace -kappa.  Every curve is centrally
+symmetric (node j + N/2 is node j turned by pi, bit for bit) and the kernel is
+even, so with the nodes split into halves A = [B C; C B].  The operator holds
+only H = [B C], the (N, 2N) rows of nodes 0..N/2-1, assembled a block of rows
+at a time.  In the coordinates s = (psi1 + psi2)/2, a = (psi1 - psi2)/2 the
+system splits into the even block E = [B+C 1; 2w 0] (w the weights of nodes
+0..N/2-1) for (s, kappa) and the odd block O = B - C for a, whose densities
+have total zero (the symmetry reduction of Allgower, Boehmer, Georg and
+Miranda, SIAM J. Numer. Anal. 29 (1992) 534-552).  Each block is factored
+once per operator, together a quarter of the flops of one LU of the bordered
+matrix; LAPACK factors their transposes in place.  A solve is a pair of
+half-size solves plus one refinement step whose residual is taken in the
+original coordinates, through A psi = [H psi; H swap(psi)].  The bordered
+system stays well conditioned at the logarithmic-capacity radius, where A
+alone is singular: that singular direction is even, so it falls in the
+bordered block E.  The weighted pairing of boundary data with the
+equilibrium densities is the solvability residual that detects the Stokes
+paradox.
 
 Off the curve, v[psi] and its gradient are evaluated by the same plain
 quadrature, written as the kernel's angular series Phi(e) = sum_k Re(e^k) A_k
@@ -105,15 +114,15 @@ def kress_log_weights(n: int) -> np.ndarray:
     return -2.0 * np.pi * np.fft.irfft(coef, n)
 
 
-_AUG_COND_LIMIT = 1e12     # bordered system [A 1; W 0]
+_AUG_COND_LIMIT = 1e12     # symmetry blocks diag(E, O) of the bordered system
 _TOTALS_COND_LIMIT = 1e8   # totals matrix of the equilibrium basis
 
 
-def _cond_estimate(lu, at) -> float:
-    """1-norm condition estimate of the matrix whose transpose `at` is
-    factored in `lu`: the infinity-norm estimate for `at` itself."""
-    gecon, lange = get_lapack_funcs(("gecon", "lange"), (lu[0],))
-    rcond, info = gecon(lu[0], lange("I", at), norm="I")
+def _cond_estimate(lu, norm: float) -> float:
+    """1-norm condition estimate of the matrix X whose transpose is factored
+    in `lu`, given norm = ||X||_1: the infinity-norm estimate for X^T."""
+    gecon = get_lapack_funcs("gecon", (lu[0],))
+    rcond, info = gecon(lu[0], norm, norm="I")
     if info != 0 or not np.isfinite(rcond):
         return float("inf")
     return float(1.0 / max(rcond, 1e-300))
@@ -121,54 +130,82 @@ def _cond_estimate(lu, at) -> float:
 
 @dataclass
 class SingleLayerOperator:
-    """Dense Nystrom discretization of the simple-layer boundary map, held
-    as the bordered matrix [A 1; W 0] of its boundary problems."""
+    """Dense Nystrom discretization of the simple-layer boundary map on a
+    centrally symmetric curve.  With the nodes split into halves 0..N/2-1 and
+    N/2..N-1, A = [B C; C B]; the operator holds only H = [B C]."""
 
     curve: BoundaryCurve
     kernel: FundamentalSolution
-    bordered: np.ndarray  # (2N+2, 2N+2) C-ordered; A interleaves node and component
-    _aug: Optional[tuple] = field(default=None, repr=False)  # (LU of bordered.T, cond)
-
-    @property
-    def mat(self) -> np.ndarray:
-        """A, the (2N, 2N) leading block of the bordered matrix (a view)."""
-        n2 = 2 * self.curve.n
-        return self.bordered[:n2, :n2]
+    rows: np.ndarray  # H, (N, 2N) C-ordered; rows and columns interleave node and component
+    _aug: Optional[tuple] = field(default=None, repr=False)  # (LU of E.T, LU of O.T, cond)
 
     def _augmented_lu(self) -> tuple:
-        """LU of the transpose of [A 1; W 0] and the bordered matrix's
-        condition estimate, built on first use; raises SingularSystem past
-        _AUG_COND_LIMIT."""
+        """LUs of the transposes of the even block E = [B+C 1; 2 w 0] (w the
+        weights of nodes 0..N/2-1) and the odd block O = B - C, and the
+        condition estimate max(||E||, ||O||) max(||E^-1||, ||O^-1||) of
+        diag(E, O) in the 1-norm; built on first use, and raises
+        SingularSystem past _AUG_COND_LIMIT."""
         if self._aug is None:
-            at = self.bordered.T  # Fortran-contiguous: getrf copies it once, untransposed
-            lu = lu_factor(at, check_finite=False)  # assemble_single_layer checked it
-            cond = _cond_estimate(lu, at)
+            n = self.curve.n
+            b, c = self.rows[:, :n], self.rows[:, n:]
+            even = np.zeros((n + 2, n + 2))
+            np.add(b, c, out=even[:n, :n])
+            even[0:n:2, n] = even[1:n:2, n + 1] = 1.0
+            even[n, 0:n:2] = even[n + 1, 1:n:2] = 2.0 * self.curve.weights[: n // 2]
+            lange = get_lapack_funcs("lange", (even,))
+            lus, norms, inverse_norms = [], [], []
+            for block in (even, b - c):
+                at = block.T  # Fortran-contiguous: getrf factors it in place
+                norm = lange("I", at)  # ||block||_1, taken before the factors overwrite it
+                # assemble_single_layer checked H for non-finite entries
+                lus.append(lu_factor(at, overwrite_a=True, check_finite=False))
+                norms.append(norm)
+                inverse_norms.append(_cond_estimate(lus[-1], norm) / norm)
+            cond = max(norms) * max(inverse_norms)
             if not np.isfinite(cond) or cond > _AUG_COND_LIMIT:
                 raise SingularSystem(
                     f"augmented system condition {cond:.3g} exceeds {_AUG_COND_LIMIT:g}"
                 )
-            self._aug = (lu, cond)
+            self._aug = (lus[0], lus[1], cond)
         return self._aug
 
     @property
     def cond(self) -> float:
-        """1-norm condition estimate of the bordered system [A 1; W 0]."""
-        return self._augmented_lu()[1]
+        """1-norm condition estimate of diag(E, O), the bordered system
+        [A 1; W 0] in even/odd coordinates (see _augmented_lu)."""
+        return self._augmented_lu()[2]
 
     def apply(self, density) -> np.ndarray:
+        """A psi at the nodes, (N, 2): [H psi; H swap(psi)], swap exchanging
+        the two node halves."""
         psi = np.asarray(density, dtype=float).reshape(-1)
-        return (self.mat @ psi).reshape(self.curve.n, 2)
+        both = np.stack([psi, np.roll(psi, self.curve.n)], axis=1)
+        return (self.rows @ both).T.reshape(self.curve.n, 2)
+
+
+def _split_solve(even_lu, odd_lu, data, total) -> tuple:
+    """(psi, kappa) of the bordered system from its even and odd blocks:
+    E [s; kappa] = [(d1 + d2) / 2; total], O a = (d1 - d2) / 2 and
+    psi = [s + a; s - a], for flat data [d1; d2] split at the node halves."""
+    n = data.size // 2
+    d1, d2 = data[:n], data[n:]
+    x = lu_solve(even_lu, np.concatenate([0.5 * (d1 + d2), total]), trans=1)
+    a = lu_solve(odd_lu, 0.5 * (d1 - d2), trans=1)
+    return np.concatenate([x[:n] + a, x[:n] - a]), x[n:]
 
 
 def _augmented_solve(op: SingleLayerOperator, data, total) -> tuple:
     """(psi, kappa) with v[psi] + kappa = data at the nodes and total(psi) =
-    total, from the cached factors of the transpose plus one refinement step."""
-    lu, _ = op._augmented_lu()
+    total, from the cached block factors plus one refinement step whose
+    residual is taken in the original coordinates."""
+    even_lu, odd_lu, _ = op._augmented_lu()
     n = op.curve.n
-    rhs = np.concatenate([np.reshape(data, -1), total])
-    x = lu_solve(lu, rhs, trans=1)
-    x += lu_solve(lu, rhs - op.bordered @ x, trans=1)
-    return x[: 2 * n].reshape(n, 2), x[2 * n :]
+    data = np.reshape(data, -1)
+    psi, kappa = _split_solve(even_lu, odd_lu, data, total)
+    residual = data - (op.apply(psi) + kappa).reshape(-1)
+    dpsi, dkappa = _split_solve(even_lu, odd_lu, residual,
+                                total - op.curve.total(psi.reshape(n, 2)))
+    return (psi + dpsi).reshape(n, 2), kappa + dkappa
 
 
 # node pairs per block of assembly rows or evaluation targets: each (rows, N)
@@ -178,26 +215,32 @@ _BLOCK_PAIRS = 1 << 14
 
 
 def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
-    """Assemble the bordered matrix [A 1; W 0] whose 2N x 2N block A maps
-    nodal densities to v[psi] at the nodes.
+    """Assemble H = [B C], the rows of the 2N x 2N matrix A (mapping nodal
+    densities to v[psi] at the nodes) for nodes 0..N/2-1.
 
-    The kernel's log part is integrated by the exact periodic log-splitting
-    weights; the smooth remainder by the plain trapezoid rule.  On the rounded
-    square the same composite rule applies but only with algebraic accuracy,
-    which is reported as a CurveNotSmooth warning.
+    The curve's nodes are centrally symmetric and the kernel is even, so
+    the rows of nodes N/2..N-1 are those of H with the column halves swapped:
+    A = [B C; C B].  The kernel's log part is integrated by the exact periodic
+    log-splitting weights; the smooth remainder by the plain trapezoid rule.
+    On the rounded square the same composite rule applies but only with
+    algebraic accuracy, which is reported as a CurveNotSmooth warning.
 
-    A is written straight into the bordered array, one block of rows at a
-    time, so apart from the result only a few (rows, N) arrays are live.  Its
-    entry (i, m, j, h) is (Phi0 S_ij + (2 pi / n) Phi(e_ij)) speed_j, where
+    H is written one block of rows at a time, so apart from the result only a
+    few (rows, N) arrays are live.  Its entry (i, m, j, h) is
+    (Phi0 S_ij + (2 pi / n) Phi(e_ij)) speed_j, where
     the log terms S_ij = (pi / n) log r_ij^2 + crow[(i - j) % n] take the
     parameter-difference parts of the splitting from one circulant row:
     crow_k = R_k / 2 - (pi / n) log(4 sin^2(pi k / n)), crow_0 = R_0 / 2, and
     S_ii = crow_0 + (2 pi / n) log speed_i (the limit of the smooth
     remainder Phi0 (1/2) log(r^2 / 4 sin^2) + Phi(direction) is
-    Phi0 log|x'(t)| + Phi(tangent), Phi being even).  Raises SingularSystem
-    when an entry is not finite; that scan replaces lu_factor's own.
+    Phi0 log|x'(t)| + Phi(tangent), Phi being even).  Raises ValueError for
+    a kernel with odd angular orders, and SingularSystem when an entry is not
+    finite; that scan replaces lu_factor's own.
     """
     kernel = _as_kernel(c0)
+    if any(k % 2 for k in kernel.orders):
+        raise ValueError("kernel has odd angular orders, so U(-d) != U(d) and "
+                         "A = [B C; C B] fails")
     if not curve.smooth:
         warnings.warn(
             "curve is only piecewise-smooth: quadrature accuracy downgrades "
@@ -206,26 +249,22 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
             stacklevel=2,
         )
     n = curve.n
-    n2 = 2 * n
     crow = 0.5 * kress_log_weights(n)
     crow[1:] -= (np.pi / n) * np.log(4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
 
-    bordered = np.zeros((n2 + 2, n2 + 2))
-    blocks = bordered[:n2, :n2].reshape(n, 2, n, 2)
-    rows = max(1, _BLOCK_PAIRS // n)
-    for lo in range(0, n, rows):
-        _layer_rows(blocks[lo : lo + rows], curve, kernel, crow, lo)
-    for c in range(2):
-        bordered[c:n2:2, n2 + c] = 1.0
-        bordered[n2 + c, c:n2:2] = curve.weights
-    if not np.isfinite(bordered).all():
-        raise SingularSystem("bordered matrix holds non-finite entries")
-    return SingleLayerOperator(curve=curve, kernel=kernel, bordered=bordered)
+    rows = np.empty((n, 2 * n))
+    blocks = rows.reshape(n // 2, 2, n, 2)
+    step = max(1, _BLOCK_PAIRS // n)
+    for lo in range(0, n // 2, step):
+        _layer_rows(blocks[lo : lo + step], curve, kernel, crow, lo)
+    if not np.isfinite(rows).all():
+        raise SingularSystem("layer matrix holds non-finite entries")
+    return SingleLayerOperator(curve=curve, kernel=kernel, rows=rows)
 
 
 def _layer_rows(out, curve: BoundaryCurve, kernel: FundamentalSolution, crow, lo: int):
     """Write the rows of A for nodes lo, lo + 1, ... into out, their
-    (rows, 2, N, 2) block of the bordered array (see assemble_single_layer).
+    (rows, 2, N, 2) block of H (see assemble_single_layer).
     Only (rows, N) arrays are formed, and they are freed on return."""
     n = curve.n
     i = np.arange(lo, lo + out.shape[0])
@@ -239,9 +278,7 @@ def _layer_rows(out, curve: BoundaryCurve, kernel: FundamentalSolution, crow, lo
     e[i - lo, i] = curve.tangent[i, 0] + 1j * curve.tangent[i, 1]
     s = np.log(r2, out=r2)
     s *= np.pi / n
-    offset = i[:, None] - np.arange(n)
-    offset %= n
-    s += crow[offset]
+    s += crow[(i[:, None] - np.arange(n)) % n]
     s[i - lo, i] = crow[0] + (2.0 * np.pi / n) * np.log(speed[i])
     s *= speed
     angular = kernel.angular(e)

@@ -2,7 +2,8 @@
 
 Three curves: the circle and the ellipse (smooth, spectral quadrature) and
 the rounded square, the Lipschitz stand-in.  Each constructor hands the
-curve its own exact inside rule.
+curve its own exact inside rule, and builds nodes that are exactly centrally
+symmetric (node j + N/2 is node j turned by pi).
 
 Convention: curves are parametrized counterclockwise on [0, 2pi); the stored
 unit normal points out of the exterior domain, i.e. into the bounded body.
@@ -17,6 +18,11 @@ __all__ = ["BoundaryCurve"]
 # [[0, -1], [1, 0]]^k for k = 0..3: integer matrices, so each turn is exact
 _QUARTER_TURNS = np.stack([np.linalg.matrix_power(np.array([[0, -1], [1, 0]]), k)
                            for k in range(4)])
+
+
+def _with_half_turn(first):
+    """Nodes N/2..N-1 as the exact negation of nodes 0..N/2-1: (N/2, 2) -> (N, 2)."""
+    return np.concatenate([first, -first])
 
 
 def _inside_ellipse(a: float, b: float):
@@ -39,6 +45,10 @@ class BoundaryCurve:
     ValueError when the geometry under- or overflows float64: a squared node
     chord or squared speed below the smallest normal float, or a squared
     bounding-box diagonal (a bound on every squared chord) that is not finite.
+    Also raises ValueError unless the nodes are exactly centrally symmetric,
+    node j + N/2 being node j turned by pi (points and derivatives negated bit
+    for bit): the boundary solver factors its operator in that symmetry's
+    even and odd blocks.
     """
 
     def __init__(self, t, points, dpoints, kind: str, inside, smooth: bool = True,
@@ -63,6 +73,11 @@ class BoundaryCurve:
                 and np.isfinite(extent2)):
             raise ValueError("scale outside float64: a squared node chord or speed is below "
                              "the smallest normal float, or the squared extent is not finite")
+        half = n // 2
+        if not (np.array_equal(self.points[half:], -self.points[:half])
+                and np.array_equal(self.dpoints[half:], -self.dpoints[:half])):
+            raise ValueError("nodes are not centrally symmetric: node j + N/2 must be "
+                             "node j turned by pi, in points and derivatives")
         self.speed = np.linalg.norm(self.dpoints, axis=1)
         tangent = self.dpoints / self.speed[:, None]
         # CCW parametrization: (-tau_y, tau_x) points into the body
@@ -77,8 +92,9 @@ class BoundaryCurve:
         if a <= 0:
             raise ValueError("radius must be positive")
         t = 2.0 * np.pi * np.arange(n) / n
-        pts = a * np.stack([np.cos(t), np.sin(t)], axis=-1)
-        dpts = a * np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        first = t[: n // 2]
+        pts = _with_half_turn(a * np.stack([np.cos(first), np.sin(first)], axis=-1))
+        dpts = _with_half_turn(a * np.stack([-np.sin(first), np.cos(first)], axis=-1))
         gf = np.full(n, 2.0 / a)  # |grad f| for f = |x|^2/a^2
         return cls(t, pts, dpts, kind="circle", inside=_inside_ellipse(a, a), grad_f_norm=gf)
 
@@ -88,9 +104,12 @@ class BoundaryCurve:
         if a <= 0 or b <= 0:
             raise ValueError("semi-axes must be positive")
         t = 2.0 * np.pi * np.arange(n) / n
-        pts = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-        dpts = np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
-        gf = 2.0 * np.sqrt((np.cos(t) / a) ** 2 + (np.sin(t) / b) ** 2)
+        first = t[: n // 2]
+        pts = _with_half_turn(np.stack([a * np.cos(first), b * np.sin(first)], axis=-1))
+        dpts = _with_half_turn(np.stack([-a * np.sin(first), b * np.cos(first)], axis=-1))
+        # an axis below about 1e-154 overflows here; __init__ refuses that scale
+        with np.errstate(over="ignore"):
+            gf = np.tile(2.0 * np.sqrt((np.cos(first) / a) ** 2 + (np.sin(first) / b) ** 2), 2)
         return cls(t, pts, dpts, kind="ellipse", inside=_inside_ellipse(a, b), grad_f_norm=gf)
 
     @classmethod
@@ -104,7 +123,9 @@ class BoundaryCurve:
         (rho - h, -h) to (h - rho, -h) and the quarter arc about
         (h - rho, rho - h); node j lies on side k = 4j // n, the fraction
         (4j mod n) / n along it, at side 0's point there turned k quarter
-        turns.  So for n % 4 == 0 the nodes are exactly quarter-turn symmetric.
+        turns.  So for n % 4 == 0 the nodes are exactly quarter-turn symmetric,
+        and for every even n exactly centrally symmetric (node j + n/2 is on
+        side k + 2 at the same fraction).
         Inside is distance below rho from the inner square [rho - h, h - rho]^2.
         """
         h, rho = half_side, radius

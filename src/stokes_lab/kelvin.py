@@ -37,11 +37,13 @@ def unit_powers(e, orders):
 
     The powers come from repeated multiplication, so for unit directions
     e = exp(i phi) the harmonics cos(k phi) + i sin(k phi) cost no trig call.
+    Every power is yielded in the same array, multiplied in place, so a
+    caller that keeps one past the next step must copy it.
     """
     ek, at = np.ones_like(e), 0
     for k in orders:
         for _ in range(k - at):
-            ek = ek * e
+            ek *= e
         at = k
         yield ek
 
@@ -145,22 +147,23 @@ class FundamentalSolution:
         """Phi (or d Phi / d phi) at unit complex direction(s) e, shape
         (...,2,2).
 
-        Per block of directions the harmonics e^k form a (K, block) array
-        whose real and imaginary parts meet the (K, 4) coefficients in two
-        matrix products."""
+        Per block of directions the real and imaginary parts of the
+        harmonics e^k are stacked in one contiguous (2K, block) array, which
+        meets the stacked (2K, 4) cosine and sine coefficients in one matrix
+        product."""
         e = np.asarray(e, dtype=complex)
         terms = list(self.terms(derivative))
         orders = [k for k, _, _ in terms]
-        re_coef = np.reshape([a for _, a, _ in terms], (-1, 4))
-        im_coef = np.reshape([b for _, _, b in terms], (-1, 4))
+        coef = np.reshape([a for _, a, _ in terms] + [b for _, _, b in terms], (-1, 4))
         flat = e.reshape(-1)
         out = np.empty((flat.size, 4))
         for lo in range(0, flat.size, _BLOCK_DIRECTIONS):
             block = flat[lo : lo + _BLOCK_DIRECTIONS]
-            h = np.empty((len(orders), block.size), dtype=complex)
-            for row, ek in zip(h, unit_powers(block, orders)):
-                row[...] = ek
-            out[lo : lo + _BLOCK_DIRECTIONS] = h.real.T @ re_coef + h.imag.T @ im_coef
+            h = np.empty((2, len(orders), block.size))
+            for row, ek in enumerate(unit_powers(block, orders)):
+                h[0, row] = ek.real
+                h[1, row] = ek.imag
+            np.matmul(h.reshape(-1, block.size).T, coef, out=out[lo : lo + _BLOCK_DIRECTIONS])
         return out.reshape(e.shape + (2, 2))
 
     def __call__(self, d):

@@ -32,6 +32,46 @@ def zero_total_density(curve, seed=3):
     return bem.zero_total_density(curve, np.random.default_rng(seed))
 
 
+def full_from_rows(op):
+    """A = [B C; C B], rebuilt from the stored rows H = [B C]."""
+    b, c = np.hsplit(op.rows, 2)
+    return np.block([[b, c], [c, b]])
+
+
+def bordered(curve, a):
+    """[A 1; W 0] around a (2N, 2N) matrix A."""
+    n2 = 2 * curve.n
+    m = np.zeros((n2 + 2, n2 + 2))
+    m[:n2, :n2] = a
+    for c in range(2):
+        m[c:n2:2, n2 + c] = 1.0
+        m[n2 + c, c:n2:2] = curve.weights
+    return m
+
+
+def full_array_formula(curve, kernel):
+    """A by the formula that forms the whole (n, n, 2, 2) array and then
+    interleaves it: no circulant row, no row blocks, no symmetry."""
+    n, t, speed = curve.n, curve.t, curve.speed
+    dt = t[:, None] - t[None, :]
+    log_fac = 4.0 * np.sin(dt / 2.0) ** 2
+    z = curve.points[:, 0] + 1j * curve.points[:, 1]
+    dz = z[:, None] - z[None, :]
+    r2 = dz.real**2 + dz.imag**2
+    np.fill_diagonal(r2, 1.0)
+    np.fill_diagonal(log_fac, 1.0)
+    e = dz / np.sqrt(r2)
+    np.fill_diagonal(e, curve.tangent[:, 0] + 1j * curve.tangent[:, 1])
+    smooth_log = 0.5 * np.log(r2 / log_fac)
+    np.fill_diagonal(smooth_log, np.log(speed))
+    m2 = kernel.phi0[None, None] * smooth_log[..., None, None] + kernel.angular(e)
+    rvec = bem.kress_log_weights(n)
+    rmat = rvec[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    a = rmat[..., None, None] * (0.5 * kernel.phi0)[None, None] + (2.0 * np.pi / n) * m2
+    a *= speed[None, :, None, None]
+    return a.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
 class TestAssembly:
     def test_log_kernel_closed_form(self):
         """Scalar single layer of a constant density on circle(a): the pure
@@ -49,13 +89,14 @@ class TestAssembly:
     def test_block_symmetry_on_circle(self):
         curve = BoundaryCurve.circle(1.0, n=64)
         op = bem.assemble_single_layer(curve, ISO)
-        assert np.abs(op.mat - op.mat.T).max() < 1e-12
+        a = full_from_rows(op)
+        assert np.abs(a - a.T).max() < 1e-12
 
     def test_weighted_self_adjointness_on_ellipse(self):
         curve = BoundaryCurve.ellipse(2.0, 1.0, n=64)
         op = bem.assemble_single_layer(curve, ISO)
         w = np.repeat(curve.weights, 2)
-        wa = w[:, None] * op.mat
+        wa = w[:, None] * full_from_rows(op)
         assert np.abs(wa - wa.T).max() < 1e-12
 
     def test_self_convergence(self):
@@ -75,21 +116,31 @@ class TestAssembly:
             bem.assemble_single_layer(curve, ISO)
 
     def test_non_finite_kernel_is_singular(self):
-        """A bordered matrix with a non-finite entry is refused by the
+        """A layer matrix with a non-finite entry is refused by the
         assembly's own scan, before any factorization."""
         iso = FundamentalSolution.isotropic(ISO)
         kernel = FundamentalSolution(np.full((2, 2), np.nan), iso.cos_coef, iso.sin_coef)
         with pytest.raises(SingularSystem, match="non-finite"):
             bem.assemble_single_layer(BoundaryCurve.circle(1.0, n=64), kernel)
 
+    def test_odd_kernel_is_refused(self):
+        """A kernel with an odd angular order is not even, so the rows of the
+        second node half are not those of the first with the column halves
+        swapped; assembly refuses it."""
+        iso = FundamentalSolution.isotropic(ISO)
+        cos_coef = iso.cos_coef.copy()
+        cos_coef[1] = 0.1 * np.eye(2)
+        kernel = FundamentalSolution(iso.phi0, cos_coef, iso.sin_coef)
+        with pytest.raises(ValueError, match="odd angular orders"):
+            bem.assemble_single_layer(BoundaryCurve.circle(1.0, n=64), kernel)
+
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("shape", ["ellipse", "rounded-square"])
     def test_matches_full_array_formula(self, shape, n):
-        """The row-block assembly equals, to round-off, the formula that
-        forms the whole (n, n, 2, 2) array and then interleaves it, and the
-        bordered array holds the unit columns and the weight rows.  (Taking
-        the parameter-difference terms from one circulant row changes the
-        round-off by up to 1.6e-14 of the largest entry.)"""
+        """A rebuilt from the stored rows H = [B C] equals, to round-off, the
+        formula that forms the whole (n, n, 2, 2) array and then interleaves
+        it.  (Taking the parameter-difference terms from one circulant row
+        changes the round-off by up to 1.6e-14 of the largest entry.)"""
         if shape == "ellipse":
             curve = BoundaryCurve.ellipse(2.0, 1.0, n=n)
         else:
@@ -98,31 +149,9 @@ class TestAssembly:
                        FundamentalSolution.from_tensor(random_spd_tensor(0))):
             with pytest.warns(CurveNotSmooth) if not curve.smooth else _nullcontext():
                 op = bem.assemble_single_layer(curve, kernel)
-
-            t, speed = curve.t, curve.speed
-            dt = t[:, None] - t[None, :]
-            log_fac = 4.0 * np.sin(dt / 2.0) ** 2
-            z = curve.points[:, 0] + 1j * curve.points[:, 1]
-            dz = z[:, None] - z[None, :]
-            r2 = dz.real**2 + dz.imag**2
-            np.fill_diagonal(r2, 1.0)
-            np.fill_diagonal(log_fac, 1.0)
-            e = dz / np.sqrt(r2)
-            np.fill_diagonal(e, curve.tangent[:, 0] + 1j * curve.tangent[:, 1])
-            smooth_log = 0.5 * np.log(r2 / log_fac)
-            np.fill_diagonal(smooth_log, np.log(speed))
-            m2 = kernel.phi0[None, None] * smooth_log[..., None, None] + kernel.angular(e)
-            rvec = bem.kress_log_weights(n)
-            rmat = rvec[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
-            a = rmat[..., None, None] * (0.5 * kernel.phi0)[None, None] + (2.0 * np.pi / n) * m2
-            a *= speed[None, :, None, None]
-            a = a.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-            assert np.abs(op.mat - a).max() <= 1e-13 * np.abs(a).max()
-            border = np.zeros((2 * n + 2, 2))
-            border[0 : 2 * n : 2, 0] = border[1 : 2 * n : 2, 1] = 1.0
-            assert np.array_equal(op.bordered[:, 2 * n :], border)
-            border[0 : 2 * n : 2, 0] = border[1 : 2 * n : 2, 1] = curve.weights
-            assert np.array_equal(op.bordered[2 * n :], border.T)
+            a = full_array_formula(curve, kernel)
+            assert op.rows.shape == (n, 2 * n)
+            assert np.abs(full_from_rows(op) - a).max() <= 1e-13 * np.abs(a).max()
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_log_weights_match_cosine_sum(self, n):
@@ -135,8 +164,9 @@ class TestAssembly:
         assert np.abs(bem.kress_log_weights(n) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_one_bordered_array(self):
-        """A is a view of the bordered array, so no second copy is kept, and
-        assembly holds little beyond that array (tracemalloc peak)."""
+        """The operator keeps only H = [B C], the (N, 2N) rows of A for nodes
+        0..N/2-1, and assembly holds little beyond that array (tracemalloc
+        peak)."""
         import tracemalloc
 
         curve = BoundaryCurve.ellipse(2.0, 1.0, n=512)
@@ -146,9 +176,29 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(op.mat, op.bordered)
-        assert op.bordered.shape == (1026, 1026)
-        assert peak <= 1.5 * op.bordered.nbytes
+        assert op.rows.shape == (512, 1024)
+        assert peak <= 1.5 * op.rows.nbytes
+
+    @pytest.mark.parametrize("shape, n", [("ellipse", 66), ("rounded-square", 64)])
+    def test_apply_matches_full_array_formula(self, shape, n):
+        """apply, [H psi; H swap(psi)], is A psi with A from the full-array
+        formula."""
+        curve, op = _symmetry_case(shape, n)
+        psi = np.random.default_rng(5).normal(size=(n, 2))
+        ref = (full_array_formula(curve, op.kernel) @ psi.reshape(-1)).reshape(n, 2)
+        assert np.abs(op.apply(psi) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _symmetry_case(shape, n):
+    """A curve and its operator for a general anisotropic kernel (n = 66
+    leaves N/2 odd)."""
+    if shape == "ellipse":
+        curve = BoundaryCurve.ellipse(2.0, 1.0, n=n)
+    else:
+        curve = BoundaryCurve.rounded_square(1.0, 0.25, n=n)
+    with pytest.warns(CurveNotSmooth) if not curve.smooth else _nullcontext():
+        op = bem.assemble_single_layer(curve, FundamentalSolution.from_tensor(random_spd_tensor(0)))
+    return curve, op
 
 
 class TestEquilibriumBasis:
@@ -319,13 +369,25 @@ class TestSolveDirichlet:
         BoundaryCurve.rounded_square(1.0, 0.25, n=128),
     ], ids=["ellipse", "rounded-square"])
     def test_transposed_factors_solve_bordered_system(self, curve):
-        """The solve from the factors of the transpose is the dense solve of
-        [A 1; W 0] itself."""
+        """The solve from the transposed factors of the even and odd blocks is
+        the dense solve of [A 1; W 0] itself, A rebuilt from H."""
         with pytest.warns(CurveNotSmooth) if not curve.smooth else _nullcontext():
             op = bem.assemble_single_layer(curve, ISO)
         rhs = np.random.default_rng(4).normal(size=2 * curve.n + 2)
         psi, kappa = bem._augmented_solve(op, rhs[:-2].reshape(-1, 2), rhs[-2:])
-        ref = np.linalg.solve(op.bordered, rhs)
+        ref = np.linalg.solve(bordered(curve, full_from_rows(op)), rhs)
+        x = np.concatenate([psi.reshape(-1), kappa])
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape, n", [("ellipse", 66), ("rounded-square", 64)])
+    def test_split_solve_matches_full_bordered_solve(self, shape, n):
+        """The pair of half-size block solves plus refinement is the dense
+        solve of [A 1; W 0] with A from the full-array formula, for an
+        anisotropic kernel."""
+        curve, op = _symmetry_case(shape, n)
+        rhs = np.random.default_rng(6).normal(size=2 * n + 2)
+        psi, kappa = bem._augmented_solve(op, rhs[:-2].reshape(-1, 2), rhs[-2:])
+        ref = np.linalg.solve(bordered(curve, full_array_formula(curve, op.kernel)), rhs)
         x = np.concatenate([psi.reshape(-1), kappa])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -358,7 +420,7 @@ class TestSolveDirichlet:
         a_star = np.exp(0.25)  # iso(1,1): exp((lam+mu)/(2(lam+3mu)))
         curve = BoundaryCurve.circle(a_star, n=128)
         op = bem.assemble_single_layer(curve, ISO)
-        assert np.linalg.cond(op.mat) > 1e12
+        assert np.linalg.cond(full_from_rows(op)) > 1e12
         const = np.tile([1.0, 0.0], (curve.n, 1))
         sol = bem.solve_dirichlet(op, const)
         assert sol.cond < 1e6

@@ -409,7 +409,7 @@ class TestRuns:
         rep = run(ExperimentConfig(kind=kind, curve="ellipse:2,1", nodes=64,
                                    outdir=str(tmp_path), **extra))
         assert rep.ok()
-        assert calls == [(130, 130)]
+        assert calls == [(66, 66), (64, 64)]
         assert set(rep.condition_numbers) <= {"augmented_system", "totals_matrix"}
         assert rep.condition_numbers["augmented_system"] < 1e12
 
@@ -549,7 +549,8 @@ class TestMainExitCodes:
         ["paradox", "--curve", "circle:1e-300", "--nodes", "64"],
         ["decay", "--curve", "circle:1e200", "--nodes", "64", "--seed", "0"],
         ["basis", "--curve", "rounded-square:1e-300,1e-301", "--nodes", "64"],
-    ], ids=["tiny-circle", "huge-circle", "tiny-square"])
+        ["paradox", "--curve", "ellipse:1,1e-200", "--nodes", "64"],
+    ], ids=["tiny-circle", "huge-circle", "tiny-square", "tiny-ellipse"])
     def test_extreme_curve_is_config_error(self, args, tmp_path, capsys):
         """A curve too small or too large for float64 is refused when the
         run is validated, naming curve, without a floating-point warning."""

@@ -131,9 +131,7 @@ class TestGeometry:
         lambda: BoundaryCurve.circle(1e-300, n=64),
         lambda: BoundaryCurve.circle(1e200, n=64),
         lambda: BoundaryCurve.rounded_square(1e-300, 1e-301, n=64),
-        # |grad f| overflows (a warning) in the constructor, before the check
-        pytest.param(lambda: BoundaryCurve.ellipse(1.0, 1e-200, n=64),
-                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        lambda: BoundaryCurve.ellipse(1.0, 1e-200, n=64),
     ], ids=["tiny-circle", "huge-circle", "tiny-square", "flat-ellipse"])
     def test_rejects_scale_outside_float64(self, build):
         """A curve whose squared node chords or speeds underflow, or whose
@@ -141,6 +139,30 @@ class TestGeometry:
         formed."""
         with pytest.raises(ValueError, match="float64"):
             build()
+
+    @pytest.mark.parametrize("n", [64, 66])
+    def test_nodes_centrally_symmetric(self, n):
+        """Every constructor gives node j + n/2 as node j turned by pi, bit
+        for bit, also for n/2 odd, where the rounded square has no quarter-turn
+        symmetry."""
+        for c in (BoundaryCurve.circle(1.5, n=n), BoundaryCurve.ellipse(2.0, 1.0, n=n),
+                  BoundaryCurve.rounded_square(1.0, 0.25, n=n)):
+            for v in (c.points, c.dpoints):
+                assert np.array_equal(v[n // 2 :], -v[: n // 2])
+
+    def test_refuses_nodes_not_centrally_symmetric(self):
+        """A curve whose node j + N/2 is not node j turned by pi is refused:
+        an egg, and an ellipse sampled by cos and sin at every node, whose
+        second half misses the negation of its first by round-off."""
+        t = 2.0 * np.pi * np.arange(64) / 64
+        egg = np.stack([np.cos(t), 0.8 * np.sin(t) * (1.0 + 0.2 * np.cos(t))], axis=-1)
+        degg = np.stack([-np.sin(t), 0.8 * (np.cos(t) + 0.2 * np.cos(2.0 * t))], axis=-1)
+        ellipse = np.stack([2.0 * np.cos(t), np.sin(t)], axis=-1)
+        dellipse = np.stack([-2.0 * np.sin(t), np.cos(t)], axis=-1)
+        assert not np.array_equal(ellipse[32:], -ellipse[:32])
+        for pts, dpts in ((egg, degg), (ellipse, dellipse)):
+            with pytest.raises(ValueError, match="centrally symmetric"):
+                BoundaryCurve(t, pts, dpts, kind="ellipse", inside=lambda p: p[:, 0] < 0.0)
 
     def test_inside_classification(self):
         for c in (BoundaryCurve.ellipse(2, 1, n=64), BoundaryCurve.rounded_square(1.0, 0.25, n=128)):

@@ -160,6 +160,24 @@ class TestKernel:
                        for j in fs.orders)
         assert FundamentalSolution.isotropic(ISO).orders == [0, 2]
 
+    @pytest.mark.parametrize("kernel", ["isotropic", "random-spd-0"])
+    def test_angular_matches_cos_sin_series(self, kernel):
+        """The one stacked product of real and imaginary harmonics against
+        the plain series sum_k cos(k phi) A_k + sin(k phi) B_k, term by term,
+        and its derivative, to 1e-14."""
+        fs = (FundamentalSolution.isotropic(ISO) if kernel == "isotropic"
+              else FundamentalSolution.from_tensor(random_spd_tensor(0)))
+        phi = np.linspace(-7.0, 7.0, 40001)
+        ref = np.zeros(phi.shape + (2, 2))
+        dref = np.zeros(phi.shape + (2, 2))
+        for k in range(fs.cos_coef.shape[0]):
+            c, s = np.cos(k * phi)[:, None, None], np.sin(k * phi)[:, None, None]
+            ref += c * fs.cos_coef[k] + s * fs.sin_coef[k]
+            dref += k * (c * fs.sin_coef[k] - s * fs.cos_coef[k])
+        e = np.exp(1j * phi)
+        assert np.abs(fs.angular(e) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(fs.angular(e, derivative=True) - dref).max() <= 1e-14 * np.abs(dref).max()
+
     def test_not_strongly_elliptic(self):
         with pytest.raises(NotStronglyElliptic):
             FundamentalSolution.from_tensor(np.zeros((2, 2, 2, 2)))
