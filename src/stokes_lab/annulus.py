@@ -121,16 +121,27 @@ def _add_cells(S: np.ndarray, ke: np.ndarray, nodes: slice):
             rows[:, :, o, d] += own[:, b]
 
 
+_APPLY_COPY_BYTES = 8 << 20     # shifted input copies _stiffness_apply holds at a time
+
+
 def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K x for nodal values x (n, n_theta, 2) on the n rings of a stencil S
     of _stencil, or of its rows on n consecutive rings; x counts as zero on
-    the rings beyond them.  A one-column S is shared by every theta."""
+    the rings beyond them.  A one-column S is shared by every theta.  The 9
+    shifted copies of x are stacked a chunk of rings at a time, at most
+    _APPLY_COPY_BYTES of them, and each chunk's product is written into its
+    rings of the result."""
     n, n_t = x.shape[:2]
     xp = np.zeros((n + 2, 2, n_t + 2))
     xp[1:-1, :, 1:-1] = x.transpose(0, 2, 1)
     xp[:, :, 0], xp[:, :, -1] = xp[:, :, -2], xp[:, :, 1]          # periodic in theta
-    X = np.stack([xp[o:o + n, :, d:d + n_t] for o in range(3) for d in range(3)], axis=1)
-    y = np.einsum("imkj,ikj->imj", S.reshape(n, 2, 18, -1), X.reshape(n, 18, n_t))
+    S = S.reshape(n, 2, 18, -1)
+    y = np.empty((n, 2, n_t))
+    step = max(1, _APPLY_COPY_BYTES // (18 * n_t * xp.itemsize))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        X = np.stack([xp[lo + o:hi + o, :, d:d + n_t] for o in range(3) for d in range(3)], axis=1)
+        np.einsum("imkj,ikj->imj", S[lo:hi], X.reshape(hi - lo, 18, n_t), out=y[lo:hi])
     return y.transpose(0, 2, 1)
 
 

@@ -343,6 +343,24 @@ class TestAssembly:
         Kx = _stiffness_apply(K_f, x)
         assert np.abs(Kx - ref_Kx).max() <= 1e-13 * np.abs(ref_Kx).max()
 
+    @pytest.mark.parametrize("material", ["random-scalar", "degiorgi"])
+    def test_chunked_apply_matches_one_chunk(self, material, monkeypatch):
+        """With a copy budget of 7 rings, the 24 rings of a stencil apply in
+        chunks of 7, 7, 7 and 3: bit for bit the one-chunk product, for a
+        theta-dependent stencil and a one-column one, on every ring and on
+        the rows of the free rings."""
+        grid = PolarGrid(16.0, 24, 48)
+        fld = {"random-scalar": random_scalar_field(1.0, 2.0, np.random.default_rng(4)),
+               "degiorgi": degiorgi_tensor(2.0)}[material]
+        S = _polar_stencil(grid, fld)
+        x = np.random.default_rng(8).normal(size=(grid.n_r, grid.n_theta, 2))
+        whole, free = _stiffness_apply(S, x), _stiffness_apply(S[1:-1], x[1:-1])
+        ring_bytes = 18 * grid.n_theta * x.itemsize
+        assert annulus._APPLY_COPY_BYTES >= grid.n_r * ring_bytes  # one chunk above
+        monkeypatch.setattr(annulus, "_APPLY_COPY_BYTES", 7 * ring_bytes + ring_bytes // 2)
+        assert np.array_equal(_stiffness_apply(S, x), whole)
+        assert np.array_equal(_stiffness_apply(S[1:-1], x[1:-1]), free)
+
     @staticmethod
     def textbook_polar_matrices(grid, fld):
         """(n_r - 1, n_theta, 4, 2, 4, 2) element matrices of every cell in

@@ -126,13 +126,20 @@ class TestAssembly:
     def test_odd_kernel_is_refused(self):
         """A kernel with an odd angular order is not even, so the rows of the
         second node half are not those of the first with the column halves
-        swapped; assembly refuses it."""
+        swapped; assembly refuses it, and so does evaluation, which forms
+        the even harmonics only."""
         iso = FundamentalSolution.isotropic(ISO)
         cos_coef = iso.cos_coef.copy()
         cos_coef[1] = 0.1 * np.eye(2)
         kernel = FundamentalSolution(iso.phi0, cos_coef, iso.sin_coef)
+        curve = BoundaryCurve.circle(1.0, n=64)
         with pytest.raises(ValueError, match="odd angular orders"):
-            bem.assemble_single_layer(BoundaryCurve.circle(1.0, n=64), kernel)
+            bem.assemble_single_layer(curve, kernel)
+        sol = bem.ExteriorSolution(curve=curve, kernel=kernel, psi=np.ones((64, 2)),
+                                   kappa=np.zeros(2), cond=1.0, replay_error=0.0)
+        for fn in (bem.evaluate, bem.evaluate_gradient):
+            with pytest.raises(ValueError, match="odd angular orders"):
+                fn(sol, [3.0, 0.0])
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("shape", ["ellipse", "rounded-square"])
@@ -553,6 +560,36 @@ class TestEvaluateOracle:
         assert np.allclose(bem.evaluate(sol, batch), u[:12].reshape(3, 4, 2), rtol=1e-14, atol=0.0)
         assert np.allclose(bem.evaluate_gradient(sol, batch), g[:12].reshape(3, 4, 2, 2),
                            rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [FundamentalSolution.isotropic(ISO), _soft_shear_kernel()],
+        ids=["isotropic", "soft_shear"],
+    )
+    def test_batches_match_single_targets(self, kernel, monkeypatch):
+        """The block buffers are reused from block to block and call to call:
+        a batch whose last block is partial, a batch of exactly one block
+        and a single target give, per target, what that target gives alone
+        (to 1e-14 of its largest component); no targets give empty arrays."""
+        curve = BoundaryCurve.ellipse(2.0, 1.0, n=64)
+        sol = bem.ExteriorSolution(
+            curve=curve, kernel=kernel, psi=zero_total_density(curve),
+            kappa=np.array([0.5, -1.0]), cond=1.0, replay_error=0.0,
+        )
+        monkeypatch.setattr(bem, "_BLOCK_PAIRS", 8 * curve.n)  # blocks of 8 targets
+        rng = np.random.default_rng(2)
+        node = rng.integers(0, curve.n, 19)
+        dist = curve.weights.max() * np.geomspace(0.1, 100.0, 19)
+        pts = curve.points[node] - dist[:, None] * curve.normal[node]
+        for fn in (bem.evaluate, bem.evaluate_gradient):
+            single = np.array([fn(sol, p) for p in pts])
+            scale = np.abs(single).reshape(len(pts), -1).max(axis=1)
+            # 8 + 8 + 3 targets, one block, one target
+            for idx in (np.arange(19), np.arange(8), np.array([3])):
+                err = np.abs(fn(sol, pts[idx]) - single[idx]).reshape(len(idx), -1).max(axis=1)
+                assert (err <= 1e-14 * scale[idx]).all()
+        assert bem.evaluate(sol, np.zeros((0, 2))).shape == (0, 2)
+        assert bem.evaluate_gradient(sol, np.zeros((0, 2))).shape == (0, 2, 2)
 
     @pytest.mark.parametrize(
         "curve",
