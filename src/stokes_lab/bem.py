@@ -14,22 +14,30 @@ boundary problem is a right-hand side of one bordered system
 [data; 0] gives the Dirichlet pair (psi, kappa), [0; e_i] the equilibrium
 density with total e_i and constant trace -kappa.  Every curve is centrally
 symmetric (node j + N/2 is node j turned by pi, bit for bit) and the kernel is
-even, so with the nodes split into halves A = [B C; C B].  The operator holds
-only H = [B C], the (N, 2N) rows of nodes 0..N/2-1, assembled a block of rows
-at a time.  In the coordinates s = (psi1 + psi2)/2, a = (psi1 - psi2)/2 the
-system splits into the even block E = [B+C 1; 2w 0] (w the weights of nodes
-0..N/2-1) for (s, kappa) and the odd block O = B - C for a, whose densities
-have total zero (the symmetry reduction of Allgower, Boehmer, Georg and
-Miranda, SIAM J. Numer. Anal. 29 (1992) 534-552).  Each block is factored
-once per operator, together a quarter of the flops of one LU of the bordered
-matrix; LAPACK factors their transposes in place.  A solve is a pair of
-half-size solves plus one refinement step whose residual is taken in the
-original coordinates, through A psi = [H psi; H swap(psi)].  The bordered
-system stays well conditioned at the logarithmic-capacity radius, where A
-alone is singular: that singular direction is even, so it falls in the
-bordered block E.  The weighted pairing of boundary data with the
+even, so A commutes with the half turn; the circle and the ellipse are also
+mirror-symmetric (node -j is node j reflected by sigma = diag(1, -1)), and an
+isotropic kernel commutes with sigma, so A then commutes with the mirror
+too.  The densities split into symmetry classes, two for the half turn and
+four with the mirror, and A maps each class to itself (the symmetry
+reduction of Allgower, Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29
+(1992) 534-552).  The operator holds only the rows of A for the
+representative nodes, 0..N/2-1 or 0..N/4, assembled a block of rows at a
+time; one folding routine, applied for the half turn and then for the
+mirror, turns them into one block of N (two blocks) or N/2 (four blocks)
+DOFs per class.  The classes that hold constant densities (the half-turn
+even ones; with the mirror, the x- and the y-constant one) are bordered by
+them and by their totals.  A node that its mirror fixes (node 0, and node
+N/4 when 4 divides N) keeps one component in each block.  Each block is
+factored once per operator, in place through its transpose: two blocks
+take a quarter, four blocks a sixteenth of the flops of one LU of the
+bordered matrix.  A solve is one solve per block plus one refinement step
+whose residual takes A from the stored rows, in one product with the class
+densities.  The bordered system stays well conditioned at the
+logarithmic-capacity radius, where A alone is singular: its singular
+directions are equilibrium densities, which lie in the bordered blocks.  The weighted pairing of boundary data with the
 equilibrium densities is the solvability residual that detects the Stokes
-paradox.
+paradox; psi_1 is exactly sigma-even and psi_2 exactly sigma-odd on mirrored
+operators.
 
 Off the curve, v[psi] and its gradient are evaluated by the same plain
 quadrature, written as the kernel's angular series Phi(e) = sum_k Re(e^k) A_k
@@ -51,11 +59,13 @@ solution on a 2x1 ellipse: 1.6e-4 at 1h and 2.2e-2 at 0.1h with N = 256,
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .curves import BoundaryCurve
@@ -120,8 +130,11 @@ def kress_log_weights(n: int) -> np.ndarray:
     return -2.0 * np.pi * np.fft.irfft(coef, n)
 
 
-_AUG_COND_LIMIT = 1e12     # symmetry blocks diag(E, O) of the bordered system
+_AUG_COND_LIMIT = 1e12     # symmetry blocks of the bordered system
 _TOTALS_COND_LIMIT = 1e8   # totals matrix of the equilibrium basis
+
+# sigma = diag(1, -1), the mirror x2 -> -x2, as component signs
+_MIRROR = np.array([1.0, -1.0])
 
 
 def _cond_estimate(lu, norm: float) -> float:
@@ -134,36 +147,169 @@ def _cond_estimate(lu, norm: float) -> float:
     return float(1.0 / max(rcond, 1e-300))
 
 
+@dataclass(frozen=True)
+class _SymmetryClass:
+    """The nodal densities that each symmetry of the operator maps to +-1
+    times themselves, the signs being the class's character.
+
+    A symmetry is one fold step (size, partner, sign): of the `size` nodes
+    left by the steps before, node r < reps stands for itself and for node
+    partner[r], whose value in the class is sign (per node and component, or
+    one number) times node r's.  The half turn comes first (node j + N/2,
+    sign c_rho); on mirrored operators the mirror follows on nodes
+    0..N/2-1 (node N/2 - r with c_sigma c_rho sigma, and node 0 its own
+    partner with c_sigma sigma).  A density of the class is stored by its
+    degrees of freedom (DOFs) at the `reps` nodes that the last step leaves,
+    in (node, component) order; a node that is its own partner keeps only
+    the component its sign keeps.
+    """
+
+    steps: tuple       # ((size, partner, sign), ...), the half turn first
+    reps: int          # representative nodes: 0..reps-1
+    keep: np.ndarray   # the kept DOFs among the flattened (node, component) pairs
+    mult: np.ndarray   # orbit size of each kept DOF: the nodes it stands for
+    border: tuple      # components whose constant density lies in the class
+
+    @classmethod
+    def of(cls, steps) -> "_SymmetryClass":
+        size = steps[0][0]
+        drop, mult, border = np.zeros((size, 2), dtype=bool), np.ones(size), {0, 1}
+        for size, partner, sign in steps:
+            partner = np.arange(size)[partner]
+            reps = partner.size
+            sign = np.broadcast_to(sign, (reps, 2))
+            own = partner == np.arange(reps)
+            # a step leaves the first nodes of those the step before left
+            drop = drop[:reps] | (own[:, None] & (sign < 0.0))
+            mult = mult[:reps] * np.where(own, 1.0, 2.0)
+            border &= {c for c in range(2) if (sign[:, c] > 0.0).all()}
+        keep = np.flatnonzero(~drop.reshape(-1))
+        return cls(tuple(steps), len(mult), keep, mult[keep // 2], tuple(sorted(border)))
+
+    @property
+    def order(self) -> int:
+        """The number of symmetries the class is fixed under."""
+        return 2 ** len(self.steps)
+
+    def fold(self, x, first: int = 0) -> np.ndarray:
+        """sum_g chi(g) M_g x[g r] over the symmetries g at the kept DOFs r:
+        (..., N, 2) -> (..., DOFs).  Over the rows of A it gives the class
+        block up to the column scale mult / order; over data, order times
+        the data's class part.  With first = k, x is already folded by the
+        first k steps."""
+        for step in self.steps[first:]:
+            x = _fold_step(x, *step)
+        return np.take(x.reshape(x.shape[:-2] + (-1,)), self.keep, axis=-1)
+
+    def border_columns(self) -> np.ndarray:
+        """(DOFs, borders): the constant densities of the border components."""
+        return (self.keep[:, None] % 2 == np.array(self.border, dtype=int)).astype(float)
+
+    def border_rows(self, weights) -> np.ndarray:
+        """(borders, DOFs): the totals of a class density, mult w per DOF."""
+        return self.border_columns().T * (self.mult * weights[self.keep // 2])
+
+    def expand(self, dofs) -> np.ndarray:
+        """The class density (N, 2) with the given DOFs, exactly: every node
+        is a DOF's value with its signs applied."""
+        x = np.zeros(2 * self.reps)
+        x[self.keep] = dofs
+        x = x.reshape(-1, 2)
+        for size, partner, sign in reversed(self.steps):
+            full = np.empty((size, 2))
+            full[partner] = sign * x
+            full[: len(x)] = x
+            x = full
+        return x
+
+
+def _fold_step(x, size: int, partner, sign, out=None) -> np.ndarray:
+    """The fold step (size, partner, sign) of x, whose second-last axis
+    holds the size nodes: x[r] + sign[r] x[partner[r]] for the nodes
+    r < len(partner), written into out if given.  One sign for all nodes
+    (the half turn) comes with a slice partner, read in place in one pass;
+    signs per node with an index array, whose gathered copy is signed and
+    summed in place."""
+    if np.ndim(sign) == 0:
+        part = x[..., partner, :]
+        reps = x[..., : part.shape[-2], :]
+        return (np.add if sign > 0.0 else np.subtract)(reps, part, out=out)
+    part = np.take(x, partner, axis=-2)
+    part *= sign
+    return np.add(x[..., : len(partner), :], part, out=part if out is None else out)
+
+
+def _symmetry_classes(n: int, mirrored: bool) -> tuple:
+    """The symmetry classes of densities on n nodes: two (c_rho = +-1) for the
+    half turn alone, four (c_rho, c_sigma) with the mirror.  Classes of one
+    c_rho share their first step, the same object."""
+    m, h = n // 2, n // 4
+    classes = []
+    for c_rho in (1.0, -1.0):
+        half = (n, slice(m, n), c_rho)
+        if not mirrored:
+            classes.append(_SymmetryClass.of([half]))
+            continue
+        partner = np.r_[0, m - 1 : m - h - 1 : -1]
+        for c_sigma in (1.0, -1.0):
+            sign = np.tile(c_sigma * c_rho * _MIRROR, (h + 1, 1))
+            sign[0] = c_sigma * _MIRROR
+            classes.append(_SymmetryClass.of([half, (m, partner, sign)]))
+    return tuple(classes)
+
+
 @dataclass
 class SingleLayerOperator:
     """Dense Nystrom discretization of the simple-layer boundary map on a
-    centrally symmetric curve.  With the nodes split into halves 0..N/2-1 and
-    N/2..N-1, A = [B C; C B]; the operator holds only H = [B C]."""
+    centrally symmetric curve.  The operator holds only `rows`, the rows of
+    A for the representative nodes of its symmetries: nodes 0..N/2-1, or
+    nodes 0..N/4 when the curve and the kernel are also mirror-symmetric
+    (see _SymmetryClass)."""
 
     curve: BoundaryCurve
     kernel: FundamentalSolution
-    rows: np.ndarray  # H, (N, 2N) C-ordered; rows and columns interleave node and component
-    _aug: Optional[tuple] = field(default=None, repr=False)  # (LU of E.T, LU of O.T, cond)
+    rows: np.ndarray  # (2R, 2N) C-ordered; rows and columns interleave node and component
+    _aug: Optional[tuple] = field(default=None, repr=False)  # (LUs of the blocks' transposes, cond)
+
+    @property
+    def mirror_symmetric(self) -> bool:
+        """Whether A commutes with the mirror too: four symmetry blocks."""
+        return self.curve.mirror_symmetric and self.kernel.mirror_symmetric
+
+    @functools.cached_property
+    def _classes(self) -> tuple:
+        return _symmetry_classes(self.curve.n, self.mirror_symmetric)
 
     def _augmented_lu(self) -> tuple:
-        """LUs of the transposes of the even block E = [B+C 1; 2 w 0] (w the
-        weights of nodes 0..N/2-1) and the odd block O = B - C, and the
-        condition estimate max(||E||, ||O||) max(||E^-1||, ||O^-1||) of
-        diag(E, O) in the 1-norm; built on first use, and raises
-        SingularSystem past _AUG_COND_LIMIT."""
+        """LUs of the transposes of the symmetry blocks, one per class: the
+        class's folded rows at its kept DOFs, bordered by the constant
+        densities of its border components (the totals their row takes are
+        mult w at those DOFs), and the condition estimate
+        max ||block|| max ||block^-1|| of the block diagonal in the 1-norm;
+        built on first use, and raises SingularSystem past _AUG_COND_LIMIT."""
         if self._aug is None:
-            n = self.curve.n
-            b, c = self.rows[:, :n], self.rows[:, n:]
-            even = np.zeros((n + 2, n + 2))
-            np.add(b, c, out=even[:n, :n])
-            even[0:n:2, n] = even[1:n:2, n + 1] = 1.0
-            even[n, 0:n:2] = even[n + 1, 1:n:2] = 2.0 * self.curve.weights[: n // 2]
-            lange = get_lapack_funcs("lange", (even,))
+            rows = self.rows.reshape(self.rows.shape[0], -1, 2)
+            lange = get_lapack_funcs("lange", (rows,))
             lus, norms, inverse_norms = [], [], []
-            for block in (even, b - c):
+            half = folded = None
+            for cls in self._classes:
+                dofs, size = cls.keep.size, cls.keep.size + len(cls.border)
+                block = np.zeros((size, size))
+                if len(cls.steps) == 1:  # the half turn alone: fold straight into the block
+                    _fold_step(rows, *cls.steps[0], out=block[:dofs, :dofs].reshape(dofs, -1, 2))
+                else:
+                    if cls.steps[0] is not half:  # the half-turn fold, shared, in one buffer
+                        half = cls.steps[0]
+                        folded = _fold_step(rows, *half, out=folded)
+                    np.take(cls.fold(folded, first=1), cls.keep, axis=0, out=block[:dofs, :dofs])
+                    # a node that is its own partner entered its column twice
+                    twice = np.flatnonzero(cls.mult < cls.order)
+                    block[:dofs, twice] *= cls.mult[twice] / cls.order
+                block[:dofs, dofs:] = cls.border_columns()
+                block[dofs:, :dofs] = cls.border_rows(self.curve.weights)
                 at = block.T  # Fortran-contiguous: getrf factors it in place
                 norm = lange("I", at)  # ||block||_1, taken before the factors overwrite it
-                # assemble_single_layer checked H for non-finite entries
+                # assemble_single_layer checked the rows for non-finite entries
                 lus.append(lu_factor(at, overwrite_a=True, check_finite=False))
                 norms.append(norm)
                 inverse_norms.append(_cond_estimate(lus[-1], norm) / norm)
@@ -172,46 +318,52 @@ class SingleLayerOperator:
                 raise SingularSystem(
                     f"augmented system condition {cond:.3g} exceeds {_AUG_COND_LIMIT:g}"
                 )
-            self._aug = (lus[0], lus[1], cond)
+            self._aug = (lus, cond)
         return self._aug
 
     @property
     def cond(self) -> float:
-        """1-norm condition estimate of diag(E, O), the bordered system
-        [A 1; W 0] in even/odd coordinates (see _augmented_lu)."""
-        return self._augmented_lu()[2]
+        """1-norm condition estimate of the bordered system [A 1; W 0] in its
+        symmetry blocks (see _augmented_lu)."""
+        return self._augmented_lu()[1]
+
+    def _image(self, parts) -> np.ndarray:
+        """The stored rows times each class density of `parts` (one per
+        class), in one product: (2R, classes)."""
+        return self.rows @ np.stack([p.reshape(-1) for p in parts], axis=1)
 
     def apply(self, density) -> np.ndarray:
-        """A psi at the nodes, (N, 2): [H psi; H swap(psi)], swap exchanging
-        the two node halves."""
-        psi = np.asarray(density, dtype=float).reshape(-1)
-        both = np.stack([psi, np.roll(psi, self.curve.n)], axis=1)
-        return (self.rows @ both).T.reshape(self.curve.n, 2)
-
-
-def _split_solve(even_lu, odd_lu, data, total) -> tuple:
-    """(psi, kappa) of the bordered system from its even and odd blocks:
-    E [s; kappa] = [(d1 + d2) / 2; total], O a = (d1 - d2) / 2 and
-    psi = [s + a; s - a], for flat data [d1; d2] split at the node halves."""
-    n = data.size // 2
-    d1, d2 = data[:n], data[n:]
-    x = lu_solve(even_lu, np.concatenate([0.5 * (d1 + d2), total]), trans=1)
-    a = lu_solve(odd_lu, 0.5 * (d1 - d2), trans=1)
-    return np.concatenate([x[:n] + a, x[:n] - a]), x[n:]
+        """A psi at the nodes, (N, 2): psi's class parts meet the stored rows
+        in one product, and each class's image is expanded from its
+        representative nodes."""
+        psi = np.asarray(density, dtype=float).reshape(self.curve.n, 2)
+        classes = self._classes
+        image = self._image([c.expand(c.fold(psi) / c.order) for c in classes])
+        return sum(c.expand(image[c.keep, k]) for k, c in enumerate(classes))
 
 
 def _augmented_solve(op: SingleLayerOperator, data, total) -> tuple:
     """(psi, kappa) with v[psi] + kappa = data at the nodes and total(psi) =
     total, from the cached block factors plus one refinement step whose
-    residual is taken in the original coordinates."""
-    even_lu, odd_lu, _ = op._augmented_lu()
-    n = op.curve.n
-    data = np.reshape(data, -1)
-    psi, kappa = _split_solve(even_lu, odd_lu, data, total)
-    residual = data - (op.apply(psi) + kappa).reshape(-1)
-    dpsi, dkappa = _split_solve(even_lu, odd_lu, residual,
-                                total - op.curve.total(psi.reshape(n, 2)))
-    return (psi + dpsi).reshape(n, 2), kappa + dkappa
+    residual takes A from the stored rows.  Each class solves for its part
+    of the data and of the totals; a class whose right-hand side is zero
+    gets an exactly zero density."""
+    lus, _ = op._augmented_lu()
+    classes, curve = op._classes, op.curve
+    data = np.reshape(data, (curve.n, 2))
+    total = np.asarray(total, dtype=float)
+    rhs = [np.concatenate([c.fold(data) / c.order, total[list(c.border)]]) for c in classes]
+    sol = [lu_solve(lu, b, trans=1) for lu, b in zip(lus, rhs)]
+    image = op._image([c.expand(x[: c.keep.size]) for c, x in zip(classes, sol)])
+    for k, c in enumerate(classes):
+        x, dofs = sol[k], c.keep.size
+        res = rhs[k] - np.concatenate([image[c.keep, k] + c.border_columns() @ x[dofs:],
+                                       c.border_rows(curve.weights) @ x[:dofs]])
+        sol[k] = x + lu_solve(lus[k], res, trans=1)
+    kappa = np.zeros(2)
+    for c, x in zip(classes, sol):
+        kappa[list(c.border)] = x[c.keep.size :]
+    return sum(c.expand(x[: c.keep.size]) for c, x in zip(classes, sol)), kappa
 
 
 # node pairs per block of assembly rows or evaluation targets: each (rows, N)
@@ -220,25 +372,39 @@ def _augmented_solve(op: SingleLayerOperator, data, total) -> tuple:
 _BLOCK_PAIRS = 1 << 14
 
 
+def _log_row(n: int) -> np.ndarray:
+    """The circulant row of the log terms, crow_k = R_k / 2 - (pi / n)
+    log(4 sin^2(pi k / n)), crow_0 = R_0 / 2 (see assemble_single_layer),
+    made exactly symmetric: crow[n - k] is crow[k]."""
+    k = np.arange(1, n // 2 + 1)
+    crow = 0.5 * kress_log_weights(n)
+    crow[k] -= (np.pi / n) * np.log(4.0 * np.sin(np.pi * k / n) ** 2)
+    crow[n - k] = crow[k]
+    return crow
+
+
 def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
-    """Assemble H = [B C], the rows of the 2N x 2N matrix A (mapping nodal
-    densities to v[psi] at the nodes) for nodes 0..N/2-1.
+    """Assemble the rows of the 2N x 2N matrix A (mapping nodal densities to
+    v[psi] at the nodes) for the representative nodes: 0..N/2-1, or 0..N/4
+    when the curve and the kernel are mirror-symmetric.
 
     The curve's nodes are centrally symmetric and the kernel is even, so
-    the rows of nodes N/2..N-1 are those of H with the column halves swapped:
-    A = [B C; C B].  The kernel's log part is integrated by the exact periodic
-    log-splitting weights; the smooth remainder by the plain trapezoid rule.
-    On the rounded square the same composite rule applies but only with
-    algebraic accuracy, which is reported as a CurveNotSmooth warning.
+    the rows of node j + N/2 are those of node j with the column halves
+    swapped; under the mirror, those of node -j are those of node j with
+    the columns of node -k in place of node k's and components times sigma
+    on both sides.  The kernel's log part is integrated by the exact
+    periodic log-splitting weights; the smooth remainder by the plain
+    trapezoid rule.  On the rounded square the same composite rule applies
+    but only with algebraic accuracy, which is reported as a CurveNotSmooth
+    warning.
 
-    H is written one block of rows at a time, so apart from the result only a
-    few (rows, N) arrays are live.  Its entry (i, m, j, h) is
-    (Phi0 S_ij + (2 pi / n) Phi(e_ij)) speed_j, where
-    the log terms S_ij = (pi / n) log r_ij^2 + crow[(i - j) % n] take the
-    parameter-difference parts of the splitting from one circulant row:
-    crow_k = R_k / 2 - (pi / n) log(4 sin^2(pi k / n)), crow_0 = R_0 / 2, and
-    S_ii = crow_0 + (2 pi / n) log speed_i (the limit of the smooth
-    remainder Phi0 (1/2) log(r^2 / 4 sin^2) + Phi(direction) is
+    The rows are written one block at a time into work arrays allocated once
+    (_layer_rows), so apart from the result only a few (rows, N) arrays are
+    live.  Entry (i, m, j, h) is (Phi0 S_ij + (2 pi / n) Phi(e_ij)) speed_j,
+    where the log terms S_ij = (pi / n) log r_ij^2 + crow[(i - j) % n] take
+    the parameter-difference parts of the splitting from one circulant row
+    (_log_row), and S_ii = crow_0 + (2 pi / n) log speed_i (the limit of the
+    smooth remainder Phi0 (1/2) log(r^2 / 4 sin^2) + Phi(direction) is
     Phi0 log|x'(t)| + Phi(tangent), Phi being even).  Raises ValueError for
     a kernel with odd angular orders, and SingularSystem when an entry is not
     finite; that scan replaces lu_factor's own.
@@ -246,7 +412,7 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
     kernel = _as_kernel(c0)
     if any(k % 2 for k in kernel.orders):
         raise ValueError("kernel has odd angular orders, so U(-d) != U(d) and "
-                         "A = [B C; C B] fails")
+                         "the half-turn symmetry of A fails")
     if not curve.smooth:
         warnings.warn(
             "curve is only piecewise-smooth: quadrature accuracy downgrades "
@@ -255,46 +421,58 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
             stacklevel=2,
         )
     n = curve.n
-    crow = 0.5 * kress_log_weights(n)
-    crow[1:] -= (np.pi / n) * np.log(4.0 * np.sin(np.pi * np.arange(1, n) / n) ** 2)
-
-    rows = np.empty((n, 2 * n))
-    blocks = rows.reshape(n // 2, 2, n, 2)
-    step = max(1, _BLOCK_PAIRS // n)
-    for lo in range(0, n // 2, step):
-        _layer_rows(blocks[lo : lo + step], curve, kernel, crow, lo)
+    reps = n // 4 + 1 if curve.mirror_symmetric and kernel.mirror_symmetric else n // 2
+    rows = np.empty((2 * reps, 2 * n))
+    _layer_rows(rows.reshape(reps, 2, n, 2), curve, kernel, _log_row(n))
     if not np.isfinite(rows).all():
         raise SingularSystem("layer matrix holds non-finite entries")
     return SingleLayerOperator(curve=curve, kernel=kernel, rows=rows)
 
 
-def _layer_rows(out, curve: BoundaryCurve, kernel: FundamentalSolution, crow, lo: int):
-    """Write the rows of A for nodes lo, lo + 1, ... into out, their
-    (rows, 2, N, 2) block of H (see assemble_single_layer).
-    Only (rows, N) arrays are formed, and they are freed on return."""
+def _layer_rows(out, curve: BoundaryCurve, kernel: FundamentalSolution, crow):
+    """Write the rows of A for nodes 0, 1, ..., len(out) - 1 into out,
+    (rows, 2, N, 2), one block of rows at a time (see
+    assemble_single_layer).  The block's (rows, N) work arrays and the
+    kernel's angular scratch are allocated once, here."""
     n = curve.n
-    i = np.arange(lo, lo + out.shape[0])
+    # at most _BLOCK_PAIRS pairs, and a sixteenth of the rows, so the work
+    # arrays (120 bytes a pair for an isotropic kernel) stay a small part
+    # of the result
+    step = max(1, min(_BLOCK_PAIRS // n, len(out) // 16))
     speed = curve.speed
-    z = curve.points[:, 0] + 1j * curve.points[:, 1]
-    e = z[i, None] - z[None, :]
-    r2 = e.real**2 + e.imag**2
-    r2[i - lo, i] = 1.0
-    # unit chords; on the diagonal their limit, the unit tangent
-    e /= np.sqrt(r2)
-    e[i - lo, i] = curve.tangent[i, 0] + 1j * curve.tangent[i, 1]
-    s = np.log(r2, out=r2)
-    s *= np.pi / n
-    s += crow[(i[:, None] - np.arange(n)) % n]
-    s[i - lo, i] = crow[0] + (2.0 * np.pi / n) * np.log(speed[i])
-    s *= speed
-    angular = kernel.angular(e)
     w = (2.0 * np.pi / n) * speed
-    # one (rows, N) component (m, h) at a time: long inner loops
-    for m in range(2):
-        for h in range(2):
-            comp = angular[:, :, m, h] * w
-            comp += kernel.phi0[m, h] * s
-            out[:, m, :, h] = comp
+    z = curve.points[:, 0] + 1j * curve.points[:, 1]
+    # row i of crow[(i - j) % n] is window n - i of the doubled row, crow
+    # being symmetric
+    windows = sliding_window_view(np.concatenate([crow, crow]), n)
+    e = np.empty((step, n), dtype=complex)
+    s, tmp, term = np.empty((3, step, n))
+    angular = np.empty((step, n, 2, 2))
+    work = kernel.angular_work(step * n)
+    for lo in range(0, len(out), step):
+        b = min(step, len(out) - lo)
+        i = np.arange(lo, lo + b)
+        eb, sb, tb, ab = e[:b], s[:b], tmp[:b], angular[:b]
+        np.subtract(z[i, None], z[None, :], out=eb)
+        np.multiply(eb.real, eb.real, out=sb)  # r^2
+        np.multiply(eb.imag, eb.imag, out=tb)
+        sb += tb
+        sb[i - lo, i] = 1.0
+        # unit chords; on the diagonal their limit, the unit tangent
+        eb /= np.sqrt(sb, out=tb)
+        eb[i - lo, i] = curve.tangent[i, 0] + 1j * curve.tangent[i, 1]
+        np.log(sb, out=sb)
+        sb *= np.pi / n
+        sb += windows[n - lo : n - lo - b : -1]
+        sb[i - lo, i] = crow[0] + (2.0 * np.pi / n) * np.log(speed[i])
+        sb *= speed
+        kernel.angular(eb, out=ab, work=work)
+        # one (rows, N) component (m, h) at a time: long inner loops
+        for m in range(2):
+            for h in range(2):
+                np.multiply(ab[:, :, m, h], w, out=tb)
+                tb += np.multiply(sb, kernel.phi0[m, h], out=term[:b])
+                out[lo : lo + b, m, :, h] = tb
 
 
 @dataclass

@@ -3,7 +3,10 @@
 Three curves: the circle and the ellipse (smooth, spectral quadrature) and
 the rounded square, the Lipschitz stand-in.  Each constructor hands the
 curve its own exact inside rule, and builds nodes that are exactly centrally
-symmetric (node j + N/2 is node j turned by pi).
+symmetric (node j + N/2 is node j turned by pi).  The circle and the ellipse
+are also exactly mirror-symmetric: they are built from nodes 0..N/4 alone,
+with the nodes on the axes exactly on them, and node -j mod N is node j
+reflected in the x1-axis.
 
 Convention: curves are parametrized counterclockwise on [0, 2pi); the stored
 unit normal points out of the exterior domain, i.e. into the bounded body.
@@ -20,9 +23,32 @@ _QUARTER_TURNS = np.stack([np.linalg.matrix_power(np.array([[0, -1], [1, 0]]), k
                            for k in range(4)])
 
 
+# sigma = diag(1, -1), the mirror x2 -> -x2, as component signs
+_MIRROR = np.array([1.0, -1.0])
+
+
 def _with_half_turn(first):
     """Nodes N/2..N-1 as the exact negation of nodes 0..N/2-1: (N/2, 2) -> (N, 2)."""
     return np.concatenate([first, -first])
+
+
+def _with_mirror(quarter, n: int, sign):
+    """Nodes 0..N/2-1 from nodes 0..N/4, node N/2 - r being sign times node
+    r: (N//4 + 1, ...) -> (N/2, ...).  With sign = -sigma for points and
+    sigma for derivatives, and the half turn after it, node -j mod N is
+    sigma times node j, and its derivative -sigma times node j's."""
+    m = n // 2
+    return np.concatenate([quarter, sign * quarter[m - len(quarter) : 0 : -1]])
+
+
+def _quarter_harmonics(n: int):
+    """cos t and sin t at t_j = 2 pi j / n for j = 0..n//4, with cos t = 0
+    exactly at j = n/4 (when 4 divides n)."""
+    t = 2.0 * np.pi * np.arange(n // 4 + 1) / n
+    c, s = np.cos(t), np.sin(t)
+    if n % 4 == 0:
+        c[-1] = 0.0
+    return c, s
 
 
 def _inside_ellipse(a: float, b: float):
@@ -48,7 +74,9 @@ class BoundaryCurve:
     Also raises ValueError unless the nodes are exactly centrally symmetric,
     node j + N/2 being node j turned by pi (points and derivatives negated bit
     for bit): the boundary solver factors its operator in that symmetry's
-    even and odd blocks.
+    even and odd blocks.  mirror_symmetric records whether node -j mod N is
+    also sigma times node j, sigma = diag(1, -1), and its derivative -sigma
+    times node j's, bit for bit; then the solver splits each block once more.
     """
 
     def __init__(self, t, points, dpoints, kind: str, inside, smooth: bool = True,
@@ -78,6 +106,10 @@ class BoundaryCurve:
                 and np.array_equal(self.dpoints[half:], -self.dpoints[:half])):
             raise ValueError("nodes are not centrally symmetric: node j + N/2 must be "
                              "node j turned by pi, in points and derivatives")
+        flip = -np.arange(n) % n
+        self.mirror_symmetric = bool(
+            np.array_equal(self.points[flip], _MIRROR * self.points)
+            and np.array_equal(self.dpoints[flip], -_MIRROR * self.dpoints))
         self.speed = np.linalg.norm(self.dpoints, axis=1)
         tangent = self.dpoints / self.speed[:, None]
         # CCW parametrization: (-tau_y, tau_x) points into the body
@@ -91,26 +123,31 @@ class BoundaryCurve:
     def circle(cls, a: float, n: int = 256) -> "BoundaryCurve":
         if a <= 0:
             raise ValueError("radius must be positive")
-        t = 2.0 * np.pi * np.arange(n) / n
-        first = t[: n // 2]
-        pts = _with_half_turn(a * np.stack([np.cos(first), np.sin(first)], axis=-1))
-        dpts = _with_half_turn(a * np.stack([-np.sin(first), np.cos(first)], axis=-1))
-        gf = np.full(n, 2.0 / a)  # |grad f| for f = |x|^2/a^2
-        return cls(t, pts, dpts, kind="circle", inside=_inside_ellipse(a, a), grad_f_norm=gf)
+        return cls._conic(a, a, n, kind="circle", grad_f_norm=np.full(n, 2.0 / a))
 
     @classmethod
     def ellipse(cls, a: float, b: float, n: int = 256) -> "BoundaryCurve":
         """Ellipse (x1/a)^2 + (x2/b)^2 = 1; carries |grad f| on the boundary."""
         if a <= 0 or b <= 0:
             raise ValueError("semi-axes must be positive")
-        t = 2.0 * np.pi * np.arange(n) / n
-        first = t[: n // 2]
-        pts = _with_half_turn(np.stack([a * np.cos(first), b * np.sin(first)], axis=-1))
-        dpts = _with_half_turn(np.stack([-a * np.sin(first), b * np.cos(first)], axis=-1))
-        # an axis below about 1e-154 overflows here; __init__ refuses that scale
-        with np.errstate(over="ignore"):
-            gf = np.tile(2.0 * np.sqrt((np.cos(first) / a) ** 2 + (np.sin(first) / b) ** 2), 2)
-        return cls(t, pts, dpts, kind="ellipse", inside=_inside_ellipse(a, b), grad_f_norm=gf)
+        return cls._conic(a, b, n, kind="ellipse")
+
+    @classmethod
+    def _conic(cls, a: float, b: float, n: int, kind: str,
+               grad_f_norm=None) -> "BoundaryCurve":
+        """(a cos t, b sin t) at t_j = 2 pi j / n, built from nodes 0..n//4 by
+        the mirror and the half turn, with |grad f| of the ellipse unless
+        given."""
+        c, s = _quarter_harmonics(n)
+        pts = _with_half_turn(_with_mirror(np.stack([a * c, b * s], axis=-1), n, -_MIRROR))
+        dpts = _with_half_turn(_with_mirror(np.stack([-a * s, b * c], axis=-1), n, _MIRROR))
+        if grad_f_norm is None:
+            # an axis below about 1e-154 overflows here; __init__ refuses that scale
+            with np.errstate(over="ignore"):
+                quarter = 2.0 * np.sqrt((c / a) ** 2 + (s / b) ** 2)
+            grad_f_norm = np.tile(_with_mirror(quarter, n, 1.0), 2)
+        return cls(2.0 * np.pi * np.arange(n) / n, pts, dpts, kind=kind,
+                   inside=_inside_ellipse(a, b), grad_f_norm=grad_f_norm)
 
     @classmethod
     def rounded_square(cls, half_side: float = 1.0, radius: float = 0.25,

@@ -32,15 +32,16 @@ __all__ = ["FundamentalSolution", "acoustic_tensor", "unit_powers"]
 _BLOCK_DIRECTIONS = 1 << 14
 
 
-def unit_powers(e, orders):
+def unit_powers(e, orders, out=None):
     """Yield e**k for each k of the ascending non-negative orders.
 
     The powers come from repeated multiplication, so for unit directions
     e = exp(i phi) the harmonics cos(k phi) + i sin(k phi) cost no trig call.
-    Every power is yielded in the same array, multiplied in place, so a
-    caller that keeps one past the next step must copy it.
+    Every power is yielded in the same array (out, if given), multiplied in
+    place, so a caller that keeps one past the next step must copy it.
     """
-    ek, at = np.ones_like(e), 0
+    ek = np.empty_like(e) if out is None else out
+    ek[...], at = 1.0, 0
     for k in orders:
         for _ in range(k - at):
             ek *= e
@@ -143,28 +144,49 @@ class FundamentalSolution:
             elif k > 0:
                 yield k, k * s, -k * c
 
-    def angular(self, e, derivative: bool = False):
+    def angular_work(self, size: int) -> tuple:
+        """Scratch arrays for angular calls on up to `size` directions per
+        block: the powers of e and the stacked harmonics.  A caller that
+        evaluates many blocks allocates them once and passes them to each
+        call."""
+        size = max(1, min(size, _BLOCK_DIRECTIONS))
+        return np.empty(size, dtype=complex), np.empty(2 * len(self.orders) * size)
+
+    def angular(self, e, derivative: bool = False, out=None, work=None):
         """Phi (or d Phi / d phi) at unit complex direction(s) e, shape
-        (...,2,2).
+        (...,2,2), written into out if given.
 
         Per block of directions the real and imaginary parts of the
         harmonics e^k are stacked in one contiguous (2K, block) array, which
         meets the stacked (2K, 4) cosine and sine coefficients in one matrix
-        product."""
+        product.  work is the scratch of angular_work, allocated here unless
+        given."""
         e = np.asarray(e, dtype=complex)
         terms = list(self.terms(derivative))
         orders = [k for k, _, _ in terms]
         coef = np.reshape([a for _, a, _ in terms] + [b for _, _, b in terms], (-1, 4))
         flat = e.reshape(-1)
-        out = np.empty((flat.size, 4))
-        for lo in range(0, flat.size, _BLOCK_DIRECTIONS):
-            block = flat[lo : lo + _BLOCK_DIRECTIONS]
-            h = np.empty((2, len(orders), block.size))
-            for row, ek in enumerate(unit_powers(block, orders)):
+        res = np.empty((flat.size, 4)) if out is None else out.reshape(flat.size, 4)
+        powers, planes = self.angular_work(flat.size) if work is None else work
+        for lo in range(0, flat.size, powers.size):
+            block = flat[lo : lo + powers.size]
+            h = planes[: 2 * len(orders) * block.size].reshape(2, len(orders), block.size)
+            for row, ek in enumerate(unit_powers(block, orders, out=powers[: block.size])):
                 h[0, row] = ek.real
                 h[1, row] = ek.imag
-            np.matmul(h.reshape(-1, block.size).T, coef, out=out[lo : lo + _BLOCK_DIRECTIONS])
-        return out.reshape(e.shape + (2, 2))
+            np.matmul(h.reshape(-1, block.size).T, coef, out=res[lo : lo + block.size])
+        return res.reshape(e.shape + (2, 2))
+
+    @property
+    def mirror_symmetric(self) -> bool:
+        """True when U(sigma d) = sigma U(d) sigma exactly, sigma = diag(1, -1)
+        the mirror x2 -> -x2: Phi0 and every cosine coefficient diagonal and
+        every sine coefficient off-diagonal, since sigma e = conj(e) keeps
+        Re e^k and flips Im e^k.  Isotropic kernels are; a general
+        from_tensor kernel is not."""
+        diag = np.eye(2, dtype=bool)
+        return not (self.phi0[~diag].any() or self.cos_coef[:, ~diag].any()
+                    or self.sin_coef[:, diag].any())
 
     def __call__(self, d):
         """U(d) for displacement difference(s) d of shape (...,2)."""

@@ -32,10 +32,27 @@ def zero_total_density(curve, seed=3):
     return bem.zero_total_density(curve, np.random.default_rng(seed))
 
 
+MIRROR = np.array([1.0, -1.0])
+
+
 def full_from_rows(op):
-    """A = [B C; C B], rebuilt from the stored rows H = [B C]."""
-    b, c = np.hsplit(op.rows, 2)
-    return np.block([[b, c], [c, b]])
+    """A rebuilt from the stored rows of nodes 0..R-1 by the operator's
+    symmetries g, node maps with component signs s_g:
+    A[(g(i), m), (g(j), h)] = s_g[m] A[(i, m), (j, h)] s_g[h], for the half
+    turn g(j) = j + N/2 (signs 1) and, on mirrored operators, the mirror
+    g(j) = -j and their product (signs sigma = diag(1, -1))."""
+    n = op.curve.n
+    reps = op.rows.shape[0] // 2
+    rows = op.rows.reshape(reps, 2, n, 2)
+    j = np.arange(n)
+    maps = [(j, np.ones(2)), ((j + n // 2) % n, np.ones(2))]
+    if op.mirror_symmetric:
+        maps += [(-j % n, MIRROR), ((n // 2 - j) % n, MIRROR)]
+    a = np.full((n, 2, n, 2), np.nan)
+    for g, sign in maps:
+        a[np.ix_(g[:reps], [0, 1], g, [0, 1])] = (sign[:, None, None] * rows * sign)
+    assert not np.isnan(a).any()
+    return a.reshape(2 * n, 2 * n)
 
 
 def bordered(curve, a):
@@ -144,10 +161,12 @@ class TestAssembly:
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("shape", ["ellipse", "rounded-square"])
     def test_matches_full_array_formula(self, shape, n):
-        """A rebuilt from the stored rows H = [B C] equals, to round-off, the
-        formula that forms the whole (n, n, 2, 2) array and then interleaves
-        it.  (Taking the parameter-difference terms from one circulant row
-        changes the round-off by up to 1.6e-14 of the largest entry.)"""
+        """A rebuilt from the stored rows equals, to round-off, the formula
+        that forms the whole (n, n, 2, 2) array and then interleaves it.
+        (Taking the parameter-difference terms from one circulant row
+        changes the round-off by up to 1.6e-14 of the largest entry.)  The
+        isotropic kernel on the ellipse stores the rows of nodes 0..n/4, the
+        anisotropic one and the rounded square those of nodes 0..n/2-1."""
         if shape == "ellipse":
             curve = BoundaryCurve.ellipse(2.0, 1.0, n=n)
         else:
@@ -157,7 +176,9 @@ class TestAssembly:
             with pytest.warns(CurveNotSmooth) if not curve.smooth else _nullcontext():
                 op = bem.assemble_single_layer(curve, kernel)
             a = full_array_formula(curve, kernel)
-            assert op.rows.shape == (n, 2 * n)
+            mirrored = curve.smooth and kernel.mirror_symmetric
+            assert op.mirror_symmetric == mirrored
+            assert op.rows.shape == (2 * (n // 4 + 1) if mirrored else n, 2 * n)
             assert np.abs(full_from_rows(op) - a).max() <= 1e-13 * np.abs(a).max()
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
@@ -171,9 +192,9 @@ class TestAssembly:
         assert np.abs(bem.kress_log_weights(n) - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_one_bordered_array(self):
-        """The operator keeps only H = [B C], the (N, 2N) rows of A for nodes
-        0..N/2-1, and assembly holds little beyond that array (tracemalloc
-        peak)."""
+        """On the mirrored ellipse the operator keeps only the (N/2 + 2, 2N)
+        rows of A for nodes 0..N/4, and assembly holds little beyond that
+        array (tracemalloc peak)."""
         import tracemalloc
 
         curve = BoundaryCurve.ellipse(2.0, 1.0, n=512)
@@ -183,13 +204,34 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.rows.shape == (512, 1024)
+        assert op.rows.shape == (258, 1024)
         assert peak <= 1.5 * op.rows.nbytes
+
+    @pytest.mark.parametrize("n", [64, 66, 1024])
+    def test_log_row_symmetric(self, n):
+        """The circulant row of the log terms is exactly symmetric,
+        crow[k] == crow[n - k], so the rows of A are exactly
+        mirror-invariant."""
+        crow = bem._log_row(n)
+        assert np.array_equal(crow[1:], crow[:0:-1])
+
+    def test_block_rows_match_single_rows(self, monkeypatch):
+        """Rows written in blocks of 3 (the last one of 2) through the
+        reused work arrays equal the rows written one at a time (to 1e-15 of
+        the largest entry: a BLAS may round the rows of a product by its row
+        count)."""
+        curve = BoundaryCurve.ellipse(2.0, 1.0, n=256)
+        rows = {}
+        for pairs in (3 * 256, 256):
+            monkeypatch.setattr(bem, "_BLOCK_PAIRS", pairs)
+            rows[pairs] = bem.assemble_single_layer(curve, ISO).rows
+        assert rows[768].shape == (130, 512)  # 65 nodes: 21 blocks of 3, one of 2
+        assert np.abs(rows[768] - rows[256]).max() <= 1e-15 * np.abs(rows[256]).max()
 
     @pytest.mark.parametrize("shape, n", [("ellipse", 66), ("rounded-square", 64)])
     def test_apply_matches_full_array_formula(self, shape, n):
-        """apply, [H psi; H swap(psi)], is A psi with A from the full-array
-        formula."""
+        """apply, the stored rows times the class parts of psi, is A psi
+        with A from the full-array formula."""
         curve, op = _symmetry_case(shape, n)
         psi = np.random.default_rng(5).normal(size=(n, 2))
         ref = (full_array_formula(curve, op.kernel) @ psi.reshape(-1)).reshape(n, 2)
@@ -252,6 +294,17 @@ class TestEquilibriumBasis:
             psi1, psi2 = bem.equilibrium_basis(bem.assemble_single_layer(curve, ISO)).psi
         turned = np.stack([-psi1[:, 1], psi1[:, 0]], axis=-1)
         assert np.abs(np.roll(psi2, -n // 4, axis=0) - turned).max() <= 1e-11 * np.abs(psi1).max()
+
+    @pytest.mark.parametrize("shape, n", [("ellipse", 64), ("ellipse", 66), ("circle", 64)])
+    def test_basis_mirror_parity(self, shape, n):
+        """psi_1 is sigma-even and psi_2 sigma-odd, bit for bit: node -j of
+        psi_1 is sigma times node j, and of psi_2 minus that."""
+        curve = (BoundaryCurve.ellipse(2.0, 1.0, n=n) if shape == "ellipse"
+                 else BoundaryCurve.circle(1.0, n=n))
+        psi1, psi2 = bem.equilibrium_basis(bem.assemble_single_layer(curve, ISO)).psi
+        flip = -np.arange(n) % n
+        assert np.array_equal(psi1[flip], MIRROR * psi1)
+        assert np.array_equal(psi2[flip], -MIRROR * psi2)
 
     def test_replay_reproduces_constants(self, circle_op, circle_basis):
         for i in range(2):
@@ -397,6 +450,39 @@ class TestSolveDirichlet:
         ref = np.linalg.solve(bordered(curve, full_array_formula(curve, op.kernel)), rhs)
         x = np.concatenate([psi.reshape(-1), kappa])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ["ellipse-64", "ellipse-66", "circle-capacity"])
+    def test_four_block_solve_matches_full_bordered_solve(self, case):
+        """On mirrored curves an isotropic kernel is solved in four blocks
+        of N/2 DOFs, and the solve plus refinement is the dense solve of
+        [A 1; W 0] with A from the full-array formula, also at the
+        log-capacity radius of the circle, where A alone is singular."""
+        if case == "circle-capacity":
+            curve = BoundaryCurve.circle(np.exp(0.25), n=64)
+        else:
+            curve = BoundaryCurve.ellipse(2.0, 1.0, n=int(case[-2:]))
+        op = bem.assemble_single_layer(curve, ISO)
+        assert op.mirror_symmetric and len(op._augmented_lu()[0]) == 4
+        rhs = np.random.default_rng(7).normal(size=2 * curve.n + 2)
+        psi, kappa = bem._augmented_solve(op, rhs[:-2].reshape(-1, 2), rhs[-2:])
+        ref = np.linalg.solve(bordered(curve, full_array_formula(curve, op.kernel)), rhs)
+        x = np.concatenate([psi.reshape(-1), kappa])
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n, sizes", [(64, [33, 33, 32, 32]), (66, [34, 34, 33, 33])],
+                             ids=["64", "66"])
+    def test_blocks_keep_one_component_at_mirror_fixed_nodes(self, n, sizes):
+        """Each of the four blocks has N/2 DOFs, plus one border in the x-
+        and the y-constant class: node 0, and node N/4 when 4 divides N,
+        keep one component in each block, every other node of 0..N/4 two."""
+        op = bem.assemble_single_layer(BoundaryCurve.ellipse(2.0, 1.0, n=n), ISO)
+        assert [lu[0].shape[0] for lu in op._augmented_lu()[0]] == sizes
+        fixed = [0, n // 4] if n % 4 == 0 else [0]
+        for cls in op._classes:
+            per_node = np.bincount(cls.keep // 2, minlength=n // 4 + 1)
+            assert per_node[fixed].tolist() == [1] * len(fixed)
+            assert (np.delete(per_node, fixed) == 2).all()
+            assert cls.keep.size == n // 2
 
     def test_constant_data(self, circle_op):
         const = np.tile([1.0, 0.0], (circle_op.curve.n, 1))

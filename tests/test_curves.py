@@ -150,6 +150,27 @@ class TestGeometry:
             for v in (c.points, c.dpoints):
                 assert np.array_equal(v[n // 2 :], -v[: n // 2])
 
+    @pytest.mark.parametrize("n", [64, 66, 1024])
+    def test_conic_nodes_mirror_symmetric(self, n):
+        """The circle and the ellipse give node -j mod n as node j reflected
+        by sigma = diag(1, -1), and its derivative as -sigma times node j's,
+        bit for bit; the nodes on the axes lie exactly on them."""
+        sigma = np.array([1.0, -1.0])
+        flip = -np.arange(n) % n
+        for c in (BoundaryCurve.circle(1.5, n=n), BoundaryCurve.ellipse(2.0, 1.0, n=n)):
+            assert c.mirror_symmetric
+            assert np.array_equal(c.points[flip], sigma * c.points)
+            assert np.array_equal(c.dpoints[flip], -sigma * c.dpoints)
+            assert c.points[0, 1] == 0.0 and c.dpoints[0, 0] == 0.0
+            if n % 4 == 0:
+                assert c.points[n // 4, 0] == 0.0 and c.dpoints[n // 4, 1] == 0.0
+
+    @pytest.mark.parametrize("n", [64, 66])
+    def test_square_not_mirror_symmetric(self, n):
+        """The rounded square's node 0 starts its bottom side, so node -j is
+        not node j reflected in the x1-axis: it reports no mirror."""
+        assert not BoundaryCurve.rounded_square(1.0, 0.25, n=n).mirror_symmetric
+
     def test_refuses_nodes_not_centrally_symmetric(self):
         """A curve whose node j + N/2 is not node j turned by pi is refused:
         an egg, and an ellipse sampled by cos and sin at every node, whose

@@ -178,6 +178,30 @@ class TestKernel:
         assert np.abs(fs.angular(e) - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.abs(fs.angular(e, derivative=True) - dref).max() <= 1e-14 * np.abs(dref).max()
 
+    @pytest.mark.parametrize("kernel", ["isotropic", "random-spd-0"])
+    def test_mirror_symmetry_from_coefficients(self, kernel):
+        """An isotropic kernel reports that it commutes with the mirror
+        sigma = diag(1, -1), U(sigma d) = sigma U(d) sigma, and it does to
+        round-off; the anisotropic kernel of random_spd_tensor(0) reports
+        that it does not, and it does not."""
+        fs = (FundamentalSolution.isotropic(ISO) if kernel == "isotropic"
+              else FundamentalSolution.from_tensor(random_spd_tensor(0)))
+        sigma = np.diag([1.0, -1.0])
+        d = np.random.default_rng(8).normal(size=(50, 2))
+        gap = np.abs(fs(d @ sigma) - sigma @ fs(d) @ sigma).max() / np.abs(fs(d)).max()
+        assert fs.mirror_symmetric == (kernel == "isotropic")
+        assert (gap <= 1e-15) == fs.mirror_symmetric
+
+    def test_angular_scratch_and_output_reused(self):
+        """angular writes into a given output through given scratch, over
+        several blocks, with the values it returns without them."""
+        fs = FundamentalSolution.from_tensor(random_spd_tensor(0))
+        e = np.exp(1j * np.linspace(-7.0, 7.0, 40001))
+        out = np.full(e.shape + (2, 2), np.nan)
+        got = fs.angular(e, out=out, work=fs.angular_work(e.size))
+        assert got.base is out or got is out
+        assert np.array_equal(out, fs.angular(e))
+
     def test_not_strongly_elliptic(self):
         with pytest.raises(NotStronglyElliptic):
             FundamentalSolution.from_tensor(np.zeros((2, 2, 2, 2)))
