@@ -17,27 +17,29 @@ symmetric (node j + N/2 is node j turned by pi, bit for bit) and the kernel is
 even, so A commutes with the half turn; the circle and the ellipse are also
 mirror-symmetric (node -j is node j reflected by sigma = diag(1, -1)), and an
 isotropic kernel commutes with sigma, so A then commutes with the mirror
-too.  The densities split into symmetry classes, two for the half turn and
-four with the mirror, and A maps each class to itself (the symmetry
-reduction of Allgower, Boehmer, Georg and Miranda, SIAM J. Numer. Anal. 29
-(1992) 534-552).  The operator holds only the rows of A for the
+too.  The densities split into symmetry classes, each named by its two
+characters (c_rho, c_sigma), the signs by which the half turn and the
+mirror map it to itself: two classes c_rho = +-1 for the half turn alone,
+four (c_rho, c_sigma) with the mirror.  A maps each class to itself (the
+symmetry reduction of Allgower, Boehmer, Georg and Miranda, SIAM J. Numer.
+Anal. 29 (1992) 534-552).  The operator holds only the rows of A for the
 representative nodes, 0..N/2-1 or 0..N/4, assembled a block of rows at a
-time; one folding routine, applied for the half turn and then for the
-mirror, turns them into one block of N (two blocks) or N/2 (four blocks)
-DOFs per class.  The classes that hold constant densities (the half-turn
-even ones; with the mirror, the x- and the y-constant one) are bordered by
-them and by their totals.  A node that its mirror fixes (node 0, and node
-N/4 when 4 divides N) keeps one component in each block.  Each block is
-factored once per operator, in place through its transpose: two blocks
-take a quarter, four blocks a sixteenth of the flops of one LU of the
-bordered matrix.  A solve is one solve per block plus one refinement step
-whose residual takes A from the stored rows, in one product with the class
-densities.  The bordered system stays well conditioned at the
-logarithmic-capacity radius, where A alone is singular: its singular
-directions are equilibrium densities, which lie in the bordered blocks.  The weighted pairing of boundary data with the
-equilibrium densities is the solvability residual that detects the Stokes
-paradox; psi_1 is exactly sigma-even and psi_2 exactly sigma-odd on mirrored
-operators.
+time; adding c_rho times the rows' other column half, then c_sigma sigma
+times their mirror columns, turns them into one block of N (two blocks) or
+N/2 (four blocks) DOFs per class.  The classes that hold constant densities
+(c_rho = 1; with the mirror, c_sigma = 1 holds the x- and c_sigma = -1 the
+y-constant one) are bordered by them and by their totals.  A node that its
+mirror fixes (node 0, and node N/4 when 4 divides N) keeps one component in
+each block.  Each block is factored once per operator, in place through its
+transpose: two blocks take a quarter, four blocks a sixteenth of the flops
+of one LU of the bordered matrix.  A solve is one solve per block plus one
+refinement step whose residual takes A from the stored rows, in one product
+with the class densities.  The bordered system stays well conditioned at
+the logarithmic-capacity radius, where A alone is singular: its singular
+directions are equilibrium densities, which lie in the bordered blocks.
+The weighted pairing of boundary data with the equilibrium densities is the
+solvability residual that detects the Stokes paradox; psi_1 is exactly
+sigma-even and psi_2 exactly sigma-odd on mirrored operators.
 
 Off the curve, v[psi] and its gradient are evaluated by the same plain
 quadrature, written as the kernel's angular series Phi(e) = sum_k Re(e^k) A_k
@@ -68,7 +70,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .curves import BoundaryCurve
+from .curves import _MIRROR, BoundaryCurve
 from .errors import (
     CurveNotSmooth,
     DegenerateBasis,
@@ -100,14 +102,6 @@ __all__ = [
 ]
 
 
-def _as_kernel(c0) -> FundamentalSolution:
-    if isinstance(c0, FundamentalSolution):
-        return c0
-    if isinstance(c0, IsotropicModuli):
-        return FundamentalSolution.isotropic(c0)
-    return FundamentalSolution.from_tensor(c0)
-
-
 def _check_data(curve: BoundaryCurve, data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.shape != (curve.n, 2):
@@ -133,9 +127,6 @@ def kress_log_weights(n: int) -> np.ndarray:
 _AUG_COND_LIMIT = 1e12     # symmetry blocks of the bordered system
 _TOTALS_COND_LIMIT = 1e8   # totals matrix of the equilibrium basis
 
-# sigma = diag(1, -1), the mirror x2 -> -x2, as component signs
-_MIRROR = np.array([1.0, -1.0])
-
 
 def _cond_estimate(lu, norm: float) -> float:
     """1-norm condition estimate of the matrix X whose transpose is factored
@@ -147,58 +138,66 @@ def _cond_estimate(lu, norm: float) -> float:
     return float(1.0 / max(rcond, 1e-300))
 
 
-@dataclass(frozen=True)
 class _SymmetryClass:
-    """The nodal densities that each symmetry of the operator maps to +-1
-    times themselves, the signs being the class's character.
+    """The nodal densities psi with psi[j + N/2] = c_rho psi[j] and, on
+    mirrored operators, psi[-j] = c_sigma sigma psi[j]; c_sigma is None for
+    the half turn alone.  order is the number of symmetries the class is
+    fixed under.
 
-    A symmetry is one fold step (size, partner, sign): of the `size` nodes
-    left by the steps before, node r < reps stands for itself and for node
-    partner[r], whose value in the class is sign (per node and component, or
-    one number) times node r's.  The half turn comes first (node j + N/2,
-    sign c_rho); on mirrored operators the mirror follows on nodes
-    0..N/2-1 (node N/2 - r with c_sigma c_rho sigma, and node 0 its own
-    partner with c_sigma sigma).  A density of the class is stored by its
-    degrees of freedom (DOFs) at the `reps` nodes that the last step leaves,
-    in (node, component) order; a node that is its own partner keeps only
-    the component its sign keeps.
+    A density of the class is stored by its degrees of freedom (DOFs) at the
+    representative nodes 0..reps-1, the entries `keep` of their flattened
+    (node, component) pairs: nodes 0..N/2-1 for the half turn alone, nodes
+    0..N/4 with the mirror.  With
+    the mirror, node N/2 - r = partner[r] holds sign[r] = c_sigma c_rho sigma
+    times node r, and node 0, its own partner, c_sigma sigma times itself.
+    A node that is its own partner (node 0, and node N/4 when 4 divides N)
+    keeps only the components that its sign keeps; mult counts the nodes
+    each kept DOF stands for.  border lists the components whose constant
+    density lies in the class: both for c_rho = 1 alone, x (y) for c_rho = 1
+    and c_sigma = 1 (-1), none for c_rho = -1.
     """
 
-    steps: tuple       # ((size, partner, sign), ...), the half turn first
-    reps: int          # representative nodes: 0..reps-1
-    keep: np.ndarray   # the kept DOFs among the flattened (node, component) pairs
-    mult: np.ndarray   # orbit size of each kept DOF: the nodes it stands for
-    border: tuple      # components whose constant density lies in the class
+    def __init__(self, n: int, c_rho: float, c_sigma: Optional[float] = None):
+        self.n, self.c_rho, self.c_sigma = n, c_rho, c_sigma
+        m, h = n // 2, n // 4
+        if c_sigma is None:
+            self.reps, self.order = m, 2
+            self.keep = np.arange(2 * m)
+            self.mult = np.full(2 * m, 2.0)
+            self.border = (0, 1) if c_rho > 0 else ()
+            return
+        self.reps, self.order = h + 1, 4
+        self.partner = np.r_[0, m - 1 : m - h - 1 : -1]
+        self.sign = np.tile(c_sigma * c_rho * _MIRROR, (h + 1, 1))
+        self.sign[0] = c_sigma * _MIRROR
+        own = self.partner == np.arange(h + 1)
+        self.keep = np.flatnonzero(~(own[:, None] & (self.sign < 0.0)).reshape(-1))
+        self.mult = np.where(own, 2.0, 4.0)[self.keep // 2]
+        self.border = () if c_rho < 0 else (0,) if c_sigma > 0 else (1,)
 
-    @classmethod
-    def of(cls, steps) -> "_SymmetryClass":
-        size = steps[0][0]
-        drop, mult, border = np.zeros((size, 2), dtype=bool), np.ones(size), {0, 1}
-        for size, partner, sign in steps:
-            partner = np.arange(size)[partner]
-            reps = partner.size
-            sign = np.broadcast_to(sign, (reps, 2))
-            own = partner == np.arange(reps)
-            # a step leaves the first nodes of those the step before left
-            drop = drop[:reps] | (own[:, None] & (sign < 0.0))
-            mult = mult[:reps] * np.where(own, 1.0, 2.0)
-            border &= {c for c in range(2) if (sign[:, c] > 0.0).all()}
-        keep = np.flatnonzero(~drop.reshape(-1))
-        return cls(tuple(steps), len(mult), keep, mult[keep // 2], tuple(sorted(border)))
+    def half(self, x, out=None) -> np.ndarray:
+        """The half-turn fold x[j] + c_rho x[j + N/2] for j < N/2, (..., N, 2)
+        -> (..., N/2, 2), read in place in one pass, into out if given."""
+        m = self.n // 2
+        fold = np.add if self.c_rho > 0 else np.subtract
+        return fold(x[..., :m, :], x[..., m:, :], out=out)
 
-    @property
-    def order(self) -> int:
-        """The number of symmetries the class is fixed under."""
-        return 2 ** len(self.steps)
-
-    def fold(self, x, first: int = 0) -> np.ndarray:
+    def fold(self, x) -> np.ndarray:
         """sum_g chi(g) M_g x[g r] over the symmetries g at the kept DOFs r:
         (..., N, 2) -> (..., DOFs).  Over the rows of A it gives the class
         block up to the column scale mult / order; over data, order times
-        the data's class part.  With first = k, x is already folded by the
-        first k steps."""
-        for step in self.steps[first:]:
-            x = _fold_step(x, *step)
+        the data's class part."""
+        return self.mirror(self.half(x))
+
+    def mirror(self, x) -> np.ndarray:
+        """The mirror fold x[r] + sign[r] x[partner[r]] of a half-turn fold x
+        at the kept DOFs, (..., N/2, 2) -> (..., DOFs): the partners gathered
+        by one index array, signed and summed in place.  For the half turn
+        alone, x at the kept DOFs."""
+        if self.c_sigma is not None:
+            part = np.take(x, self.partner, axis=-2)
+            part *= self.sign
+            x = np.add(x[..., : self.reps, :], part, out=part)
         return np.take(x.reshape(x.shape[:-2] + (-1,)), self.keep, axis=-1)
 
     def border_columns(self) -> np.ndarray:
@@ -215,47 +214,19 @@ class _SymmetryClass:
         x = np.zeros(2 * self.reps)
         x[self.keep] = dofs
         x = x.reshape(-1, 2)
-        for size, partner, sign in reversed(self.steps):
-            full = np.empty((size, 2))
-            full[partner] = sign * x
-            full[: len(x)] = x
+        if self.c_sigma is not None:
+            full = np.empty((self.n // 2, 2))
+            full[self.partner] = self.sign * x
+            full[: self.reps] = x
             x = full
-        return x
-
-
-def _fold_step(x, size: int, partner, sign, out=None) -> np.ndarray:
-    """The fold step (size, partner, sign) of x, whose second-last axis
-    holds the size nodes: x[r] + sign[r] x[partner[r]] for the nodes
-    r < len(partner), written into out if given.  One sign for all nodes
-    (the half turn) comes with a slice partner, read in place in one pass;
-    signs per node with an index array, whose gathered copy is signed and
-    summed in place."""
-    if np.ndim(sign) == 0:
-        part = x[..., partner, :]
-        reps = x[..., : part.shape[-2], :]
-        return (np.add if sign > 0.0 else np.subtract)(reps, part, out=out)
-    part = np.take(x, partner, axis=-2)
-    part *= sign
-    return np.add(x[..., : len(partner), :], part, out=part if out is None else out)
+        return np.concatenate([x, self.c_rho * x])
 
 
 def _symmetry_classes(n: int, mirrored: bool) -> tuple:
-    """The symmetry classes of densities on n nodes: two (c_rho = +-1) for the
-    half turn alone, four (c_rho, c_sigma) with the mirror.  Classes of one
-    c_rho share their first step, the same object."""
-    m, h = n // 2, n // 4
-    classes = []
-    for c_rho in (1.0, -1.0):
-        half = (n, slice(m, n), c_rho)
-        if not mirrored:
-            classes.append(_SymmetryClass.of([half]))
-            continue
-        partner = np.r_[0, m - 1 : m - h - 1 : -1]
-        for c_sigma in (1.0, -1.0):
-            sign = np.tile(c_sigma * c_rho * _MIRROR, (h + 1, 1))
-            sign[0] = c_sigma * _MIRROR
-            classes.append(_SymmetryClass.of([half, (m, partner, sign)]))
-    return tuple(classes)
+    """The symmetry classes of densities on n nodes: (c_rho, c_sigma) for
+    c_rho = +-1 and, on mirrored operators, c_sigma = +-1."""
+    return tuple(_SymmetryClass(n, c_rho, c_sigma) for c_rho in (1.0, -1.0)
+                 for c_sigma in ((1.0, -1.0) if mirrored else (None,)))
 
 
 @dataclass
@@ -291,17 +262,16 @@ class SingleLayerOperator:
             rows = self.rows.reshape(self.rows.shape[0], -1, 2)
             lange = get_lapack_funcs("lange", (rows,))
             lus, norms, inverse_norms = [], [], []
-            half = folded = None
+            folded = None
             for cls in self._classes:
                 dofs, size = cls.keep.size, cls.keep.size + len(cls.border)
                 block = np.zeros((size, size))
-                if len(cls.steps) == 1:  # the half turn alone: fold straight into the block
-                    _fold_step(rows, *cls.steps[0], out=block[:dofs, :dofs].reshape(dofs, -1, 2))
+                if cls.c_sigma is None:  # the half turn alone: fold straight into the block
+                    cls.half(rows, out=block[:dofs, :dofs].reshape(dofs, -1, 2))
                 else:
-                    if cls.steps[0] is not half:  # the half-turn fold, shared, in one buffer
-                        half = cls.steps[0]
-                        folded = _fold_step(rows, *half, out=folded)
-                    np.take(cls.fold(folded, first=1), cls.keep, axis=0, out=block[:dofs, :dofs])
+                    if cls.c_sigma > 0:  # the first class of its c_rho: the shared half-turn fold
+                        folded = cls.half(rows, out=folded)
+                    np.take(cls.mirror(folded), cls.keep, axis=0, out=block[:dofs, :dofs])
                     # a node that is its own partner entered its column twice
                     twice = np.flatnonzero(cls.mult < cls.order)
                     block[:dofs, twice] *= cls.mult[twice] / cls.order
@@ -383,10 +353,13 @@ def _log_row(n: int) -> np.ndarray:
     return crow
 
 
-def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
+def assemble_single_layer(curve: BoundaryCurve,
+                          c0: IsotropicModuli | FundamentalSolution) -> SingleLayerOperator:
     """Assemble the rows of the 2N x 2N matrix A (mapping nodal densities to
     v[psi] at the nodes) for the representative nodes: 0..N/2-1, or 0..N/4
-    when the curve and the kernel are mirror-symmetric.
+    when the curve and the kernel are mirror-symmetric.  c0 is isotropic
+    moduli or a kernel; an anisotropic tensor enters as its kernel,
+    FundamentalSolution.from_tensor(c0).
 
     The curve's nodes are centrally symmetric and the kernel is even, so
     the rows of node j + N/2 are those of node j with the column halves
@@ -409,7 +382,7 @@ def assemble_single_layer(curve: BoundaryCurve, c0) -> SingleLayerOperator:
     a kernel with odd angular orders, and SingularSystem when an entry is not
     finite; that scan replaces lu_factor's own.
     """
-    kernel = _as_kernel(c0)
+    kernel = FundamentalSolution.isotropic(c0) if isinstance(c0, IsotropicModuli) else c0
     if any(k % 2 for k in kernel.orders):
         raise ValueError("kernel has odd angular orders, so U(-d) != U(d) and "
                          "the half-turn symmetry of A fails")

@@ -423,6 +423,40 @@ class TestEllipseCompatibility:
             bem.ellipse_compatibility(np.zeros((curve.n, 2)), curve)
 
 
+CLASS_CASES = [(n, mirrored) for n in (64, 66) for mirrored in (True, False)]
+CLASS_IDS = [f"{n}-{'mirrored' if m else 'half-turn'}" for n, m in CLASS_CASES]
+
+
+class TestSymmetryClasses:
+    """The class algebra on its own: expand builds a density with the
+    class's characters, fold undoes it up to the order, and the class parts
+    of any density sum back to it."""
+
+    @pytest.mark.parametrize("n, mirrored", CLASS_CASES, ids=CLASS_IDS)
+    def test_expand_has_the_characters(self, n, mirrored):
+        rng = np.random.default_rng(n)
+        for cls in bem._symmetry_classes(n, mirrored):
+            psi = cls.expand(rng.normal(size=cls.keep.size))
+            assert np.array_equal(psi[n // 2 :], cls.c_rho * psi[: n // 2])
+            if mirrored:
+                assert np.array_equal(psi[-np.arange(n) % n], cls.c_sigma * MIRROR * psi)
+
+    @pytest.mark.parametrize("n, mirrored", CLASS_CASES, ids=CLASS_IDS)
+    def test_fold_undoes_expand(self, n, mirrored):
+        rng = np.random.default_rng(n + 1)
+        for cls in bem._symmetry_classes(n, mirrored):
+            x = rng.normal(size=cls.keep.size)
+            assert np.array_equal(cls.fold(cls.expand(x)), cls.order * x)
+
+    @pytest.mark.parametrize("n, mirrored", CLASS_CASES, ids=CLASS_IDS)
+    def test_class_parts_sum_to_the_density(self, n, mirrored):
+        psi = np.random.default_rng(n + 2).normal(size=(n, 2))
+        classes = bem._symmetry_classes(n, mirrored)
+        assert len(classes) == (4 if mirrored else 2)
+        parts = sum(c.expand(c.fold(psi) / c.order) for c in classes)
+        assert np.abs(parts - psi).max() <= 1e-15 * np.abs(psi).max()
+
+
 class TestSolveDirichlet:
     @pytest.mark.parametrize("curve", [
         BoundaryCurve.ellipse(2.0, 1.0, n=128),
