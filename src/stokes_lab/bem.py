@@ -68,7 +68,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .curves import _MIRROR, BoundaryCurve
 from .errors import (
@@ -128,10 +127,37 @@ _AUG_COND_LIMIT = 1e12     # symmetry blocks of the bordered system
 _TOTALS_COND_LIMIT = 1e8   # totals matrix of the equilibrium basis
 
 
+# scipy.linalg (about 0.3 s and 28 MB to import) is reached only through the
+# three functions below, which import it at their first call: assembling or
+# evaluating loads no SciPy, and the first dense factorization loads it.
+
+def lu_factor(a, overwrite_a: bool = False, check_finite: bool = True) -> tuple:
+    """scipy.linalg.lu_factor(a), importing scipy.linalg on first call."""
+    from scipy.linalg import lu_factor as factor
+
+    return factor(a, overwrite_a=overwrite_a, check_finite=check_finite)
+
+
+def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
+    """scipy.linalg.lu_solve(lu_and_piv, b, trans), importing scipy.linalg
+    on first call."""
+    from scipy.linalg import lu_solve as solve
+
+    return solve(lu_and_piv, b, trans=trans)
+
+
+def _lapack(name: str, a: np.ndarray):
+    """The LAPACK routine `name` for a's dtype (scipy.linalg.get_lapack_funcs),
+    importing scipy.linalg on first call."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(name, (a,))
+
+
 def _cond_estimate(lu, norm: float) -> float:
     """1-norm condition estimate of the matrix X whose transpose is factored
     in `lu`, given norm = ||X||_1: the infinity-norm estimate for X^T."""
-    gecon = get_lapack_funcs("gecon", (lu[0],))
+    gecon = _lapack("gecon", lu[0])
     rcond, info = gecon(lu[0], norm, norm="I")
     if info != 0 or not np.isfinite(rcond):
         return float("inf")
@@ -260,7 +286,7 @@ class SingleLayerOperator:
         built on first use, and raises SingularSystem past _AUG_COND_LIMIT."""
         if self._aug is None:
             rows = self.rows.reshape(self.rows.shape[0], -1, 2)
-            lange = get_lapack_funcs("lange", (rows,))
+            lange = _lapack("lange", rows)
             lus, norms, inverse_norms = [], [], []
             folded = None
             for cls in self._classes:

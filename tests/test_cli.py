@@ -1,5 +1,6 @@
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -619,20 +620,51 @@ class TestMainExitCodes:
         assert "configuration error" in err and f"{field}:" in err and reason in err
 
 
-@pytest.mark.parametrize("modules, absent", [
-    ("stokes_lab.cli, stokes_lab.annulus, stokes_lab.degiorgi, stokes_lab.inequalities",
-     ("scipy",)),
-    ("stokes_lab.cli, stokes_lab.bem", ("scipy.sparse", "stokes_lab.annulus")),
-], ids=["annulus-cli-without-scipy", "bem-without-sparse-or-annulus"])
-def test_imports_leave_out(modules, absent):
-    """Importing a module loads only what it needs: the annulus experiments
-    load no scipy at all (scipy.linalg alone costs about 0.3 s of a CLI
-    start), and the boundary solver neither scipy.sparse nor the annulus."""
+def _run_fresh(code: str) -> list:
+    """The lines `code` prints when run in a fresh interpreter on this
+    checkout's stokes_lab."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(stokes_lab.__file__)))
-    code = (f"import sys, {modules}; absent = {absent!r}; "
-            "print(sorted(m for m in sys.modules "
-            "if any(m == a or m.startswith(a + '.') for a in absent)))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()
+
+
+LOADED = ("def loaded(absent):\n"
+          "    return sorted(m for m in sys.modules\n"
+          "                  if any(m == a or m.startswith(a + '.') for a in absent))\n")
+LIBRARY = ", ".join(f"stokes_lab.{m.name}" for m in pkgutil.iter_modules(stokes_lab.__path__))
+
+
+@pytest.mark.parametrize("modules, absent", [
+    ("stokes_lab.cli, stokes_lab.annulus, stokes_lab.degiorgi, stokes_lab.inequalities",
+     ("scipy",)),
+    ("stokes_lab.cli, stokes_lab.bem", ("scipy", "stokes_lab.annulus")),
+    (LIBRARY, ("scipy",)),
+], ids=["annulus-cli-without-scipy", "bem-without-scipy-or-annulus", "library-without-scipy"])
+def test_imports_leave_out(modules, absent):
+    """Importing a module loads only what it needs: no library module loads
+    scipy (scipy.linalg alone costs about 0.3 s of a CLI start and 28 MB),
+    and the boundary solver does not load the annulus."""
+    assert _run_fresh(f"import sys, {modules}\n{LOADED}print(loaded({absent!r}))") == ["[]"]
+
+
+def test_scipy_loads_at_first_factorization():
+    """Assembling the boundary operator and evaluating a layer potential load
+    no scipy; the first condition estimate, which factors the operator, loads
+    scipy.linalg."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from stokes_lab import bem\n"
+            "from stokes_lab.curves import BoundaryCurve\n"
+            "from stokes_lab.tensors import IsotropicModuli\n"
+            f"{LOADED}"
+            "curve = BoundaryCurve.ellipse(2.0, 1.0, n=64)\n"
+            "op = bem.assemble_single_layer(curve, IsotropicModuli(1.0, 1.0))\n"
+            "psi = bem.zero_total_density(curve, np.random.default_rng(0))\n"
+            "sol = bem.ExteriorSolution(curve, op.kernel, psi, np.zeros(2), np.nan, np.nan)\n"
+            "assert np.isfinite(bem.evaluate(sol, [[3.0, 0.5], [0.0, -2.0]])).all()\n"
+            "print(loaded(('scipy',)))\n"
+            "assert op.cond < 1e12\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    assert _run_fresh(code) == ["[]", "True"]
