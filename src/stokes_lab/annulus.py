@@ -53,8 +53,10 @@ __all__ = [
 class VariationalProblem:
     """Data of the truncated exterior problem.
 
-    inner_data / outer_data: finite nodal (n_theta, 2) arrays, callables of
-    theta returning one, or None for zero.  outer_kind is "dirichlet" or
+    inner_data / outer_data: finite nodal (n_theta, 2) arrays, None for
+    zero, or callables of points, such as an exact field's displacement,
+    handed the ring's node points (n_theta, 2) (grid.node_points()[ring])
+    and returning the values there.  outer_kind is "dirichlet" or
     "traction_free" (natural condition: the outer ring stays free).  force,
     when present, must be supported strictly inside r_max / 2.
     """
@@ -73,7 +75,9 @@ class VariationalProblem:
         data = self.inner_data if which == "inner" else self.outer_data
         if data is None:
             return np.zeros((grid.n_theta, 2))
-        arr = np.asarray(data(grid.thetas) if callable(data) else data, dtype=float)
+        if callable(data):
+            data = data(grid.node_points()[0 if which == "inner" else -1])
+        arr = np.asarray(data, dtype=float)
         if arr.shape != (grid.n_theta, 2):
             raise ValueError(f"{which} boundary data must have shape (n_theta, 2) = "
                              f"({grid.n_theta}, 2), got {arr.shape}")
@@ -336,11 +340,16 @@ _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None]
 
 def _inverse_2x2(D: np.ndarray) -> np.ndarray:
     """Closed-form inverses adj(D) / det(D) of a stack of 2x2 blocks;
-    SolverDiverged when a determinant vanishes or a pivot is not finite."""
-    det = D[..., 0, 0, :] * D[..., 1, 1, :] - D[..., 0, 1, :] * D[..., 1, 0, :]
-    size = np.abs(D).max(axis=(-3, -2))
-    if not np.all(np.isfinite(det) & (np.abs(det) > 1e-14 * size * size)):
-        raise SolverDiverged("stiffness of an angular mode is singular")
+    SolverDiverged when a determinant is not finite (a pivot beyond the
+    float range) or vanishes.  The checks overflow quietly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = D[..., 0, 0, :] * D[..., 1, 1, :] - D[..., 0, 1, :] * D[..., 1, 0, :]
+        if not np.all(np.isfinite(det)):
+            raise SolverDiverged("stiffness of an angular mode overflows: a pivot's "
+                                 "determinant is not finite")
+        size = np.abs(D).max(axis=(-3, -2))
+        if not np.all(np.abs(det) > 1e-14 * size * size):
+            raise SolverDiverged("stiffness of an angular mode is singular")
     adj = np.swapaxes(D[..., ::-1, ::-1, :], -3, -2) * _ADJUGATE_SIGNS
     return adj / det[..., None, None, :]
 
@@ -568,12 +577,8 @@ class GrowthReport:
     Violations are reported as the worst fractional drop/rise between
     consecutive sampled radii; nothing is raised."""
 
-    gamma: float
-    radii: np.ndarray
-    g_scaled: np.ndarray        # G(R) / R^gamma
-    q_scaled: np.ndarray        # R^gamma Q(R)
-    worst_g_violation: float    # max fractional decrease of g_scaled
-    worst_q_violation: float    # max fractional increase of q_scaled
+    worst_g_violation: float    # max fractional decrease of G(R) / R^gamma
+    worst_q_violation: float    # max fractional increase of R^gamma Q(R)
     tolerance: float
     degenerate: bool
 
@@ -599,8 +604,7 @@ def growth_monotonicity_check(profile: EnergyProfile, gamma: float) -> GrowthRep
     total = profile.total
     # constant fields produce pure round-off energy (~1e-30); flag them
     if total <= 1e-20 or not np.isfinite(total):
-        return GrowthReport(gamma, rs, np.zeros_like(rs), np.zeros_like(rs),
-                            0.0, 0.0, _GROWTH_TOLERANCE, degenerate=True)
+        return GrowthReport(0.0, 0.0, _GROWTH_TOLERANCE, degenerate=True)
 
     g_scaled = G / rs**gamma
     q_scaled = rs**gamma * Q
@@ -608,10 +612,6 @@ def growth_monotonicity_check(profile: EnergyProfile, gamma: float) -> GrowthRep
         g_drop = np.where(g_scaled[:-1] > 0, 1.0 - g_scaled[1:] / g_scaled[:-1], 0.0)
         q_rise = np.where(q_scaled[:-1] > 0, q_scaled[1:] / q_scaled[:-1] - 1.0, 0.0)
     return GrowthReport(
-        gamma=gamma,
-        radii=rs,
-        g_scaled=g_scaled,
-        q_scaled=q_scaled,
         worst_g_violation=float(np.maximum(g_drop, 0.0).max(initial=0.0)),
         worst_q_violation=float(np.maximum(q_rise, 0.0).max(initial=0.0)),
         tolerance=_GROWTH_TOLERANCE,
@@ -693,9 +693,7 @@ class DecayFit:
 
     alpha: float
     u0: np.ndarray
-    residual: float
     radii: np.ndarray
-    distances: np.ndarray
     poor_fit: bool
 
 
@@ -718,21 +716,14 @@ def decay_exponent_fit(u: DiscreteField, radii: Optional[np.ndarray] = None) -> 
     if len(rings) < 5:
         raise ValueError(f"need >= 5 distinct fitting radii, got {len(rings)}")
 
-    u0 = u.angular_mean(rings[-1])
+    u0 = u.values[rings[-1]].mean(axis=0)
     rs = grid.radii[rings]
-    d = np.array([u.max_over_ring(k, offset=u0) for k in rings])
+    d = np.linalg.norm(u.values[rings] - u0, axis=-1).max(axis=-1)
     if np.any(d <= 0):
         raise ValueError("field coincides with its angular mean at a fitting radius")
     coef, res = np.polyfit(np.log(rs), np.log(d), 1, full=True)[:2]
     rms = float(np.sqrt(res[0] / len(rings))) if res.size else 0.0
-    return DecayFit(
-        alpha=float(-coef[0]),
-        u0=u0,
-        residual=rms,
-        radii=rs,
-        distances=d,
-        poor_fit=rms > _POOR_FIT_RMS,
-    )
+    return DecayFit(alpha=float(-coef[0]), u0=u0, radii=rs, poor_fit=rms > _POOR_FIT_RMS)
 
 
 # -- contraction fixed point --------------------------------------------------
@@ -743,7 +734,6 @@ class ContractionReport:
     factors: np.ndarray
     n_iter: int
     converged: bool
-    c0_scale: float
     direct_agreement: float     # max|u_fix - u_dir| / max|u_dir| against the direct solve
 
     @property
@@ -837,7 +827,6 @@ def contraction_solve(
         factors=np.asarray(factors),
         n_iter=n_iter,
         converged=converged,
-        c0_scale=float(c0_scale),
         direct_agreement=float(
             np.abs(u_fix.values - u_dir).max() / max(np.abs(u_dir).max(), 1e-300)
         ),

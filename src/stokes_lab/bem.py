@@ -131,19 +131,21 @@ _TOTALS_COND_LIMIT = 1e8   # totals matrix of the equilibrium basis
 # three functions below, which import it at their first call: assembling or
 # evaluating loads no SciPy, and the first dense factorization loads it.
 
-def lu_factor(a, overwrite_a: bool = False, check_finite: bool = True) -> tuple:
-    """scipy.linalg.lu_factor(a), importing scipy.linalg on first call."""
+def lu_factor(a) -> tuple:
+    """scipy.linalg.lu_factor of a, in place and without a finite check
+    (assembly scans the rows instead), importing scipy.linalg on first call."""
     from scipy.linalg import lu_factor as factor
 
-    return factor(a, overwrite_a=overwrite_a, check_finite=check_finite)
+    return factor(a, overwrite_a=True, check_finite=False)
 
 
-def lu_solve(lu_and_piv, b, trans: int = 0) -> np.ndarray:
-    """scipy.linalg.lu_solve(lu_and_piv, b, trans), importing scipy.linalg
-    on first call."""
+def lu_solve(lu_and_piv, b) -> np.ndarray:
+    """The solution x of X^T x = b for the matrix X factored in lu_and_piv
+    (scipy.linalg.lu_solve with trans=1), importing scipy.linalg on first
+    call."""
     from scipy.linalg import lu_solve as solve
 
-    return solve(lu_and_piv, b, trans=trans)
+    return solve(lu_and_piv, b, trans=1)
 
 
 def _lapack(name: str, a: np.ndarray):
@@ -305,8 +307,7 @@ class SingleLayerOperator:
                 block[dofs:, :dofs] = cls.border_rows(self.curve.weights)
                 at = block.T  # Fortran-contiguous: getrf factors it in place
                 norm = lange("I", at)  # ||block||_1, taken before the factors overwrite it
-                # assemble_single_layer checked the rows for non-finite entries
-                lus.append(lu_factor(at, overwrite_a=True, check_finite=False))
+                lus.append(lu_factor(at))
                 norms.append(norm)
                 inverse_norms.append(_cond_estimate(lus[-1], norm) / norm)
             cond = max(norms) * max(inverse_norms)
@@ -349,13 +350,13 @@ def _augmented_solve(op: SingleLayerOperator, data, total) -> tuple:
     data = np.reshape(data, (curve.n, 2))
     total = np.asarray(total, dtype=float)
     rhs = [np.concatenate([c.fold(data) / c.order, total[list(c.border)]]) for c in classes]
-    sol = [lu_solve(lu, b, trans=1) for lu, b in zip(lus, rhs)]
+    sol = [lu_solve(lu, b) for lu, b in zip(lus, rhs)]
     image = op._image([c.expand(x[: c.keep.size]) for c, x in zip(classes, sol)])
     for k, c in enumerate(classes):
         x, dofs = sol[k], c.keep.size
         res = rhs[k] - np.concatenate([image[c.keep, k] + c.border_columns() @ x[dofs:],
                                        c.border_rows(curve.weights) @ x[:dofs]])
-        sol[k] = x + lu_solve(lus[k], res, trans=1)
+        sol[k] = x + lu_solve(lus[k], res)
     kappa = np.zeros(2)
     for c, x in zip(classes, sol):
         kappa[list(c.border)] = x[c.keep.size :]
@@ -820,20 +821,19 @@ def m_space_representative(op: SingleLayerOperator, psi_prime) -> ExteriorSoluti
     )
 
 
-def circle_traction_total(gradient_fn, c0, radius: float, n_nodes: int = 1024,
-                          toward_origin: bool = False) -> np.ndarray:
-    """Quadrature of the traction of a field over the circle |x| = radius.
+_CIRCLE_NODES = 1024            # trapezoid nodes of circle_traction_total
+
+
+def circle_traction_total(gradient_fn, c0, radius: float) -> np.ndarray:
+    """Quadrature of the traction of a field over the circle |x| = radius,
+    with the normal pointing away from the origin (flux out of the disk),
+    by the trapezoid rule on 1024 nodes.
 
     gradient_fn(points) -> (...,2,2) Cartesian gradients; c0 is the constant
-    tensor producing the stress.  By default the normal points away from the
-    origin (flux out of the disk); toward_origin=True flips it, matching the
-    convention of a boundary seen from the exterior domain."""
-    t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+    tensor producing the stress."""
+    t = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     nrm = np.stack([np.cos(t), np.sin(t)], axis=-1)
-    pts = radius * nrm
-    if toward_origin:
-        nrm = -nrm
-    grad = gradient_fn(pts)
+    grad = gradient_fn(radius * nrm)
     stress = apply_tensor(c0, grad)
     trac = np.einsum("nik,nk->ni", stress, nrm)
-    return (radius * 2.0 * np.pi / n_nodes) * trac.sum(axis=0)
+    return (radius * 2.0 * np.pi / _CIRCLE_NODES) * trac.sum(axis=0)

@@ -151,18 +151,9 @@ class ClosedFormSolution:
 @dataclass
 class TailVerdict:
     verdict: str                 # CONVERGENT | DIVERGENT | INCONCLUSIVE
-    q: float
     threshold: float             # 2 / (1 - eps)
-    radii: np.ndarray            # dyadic panel edges
-    increments: np.ndarray       # integral of |grad u|^q over each dyadic annulus
-    trend: float                 # last/first increment on the asymptotic window
+    increments: np.ndarray       # integral of |grad u|^q over each annulus 2^k < r < 2^(k+1)
     flagged_critical: bool       # q within 2% of the threshold
-
-    def __str__(self):
-        return (
-            f"{self.verdict} (q={self.q:g}, threshold={self.threshold:.4f}, "
-            f"trend={self.trend:.4g})"
-        )
 
 
 # outer radius of the tail classification, and the band of total change
@@ -209,12 +200,5 @@ def q_tail_classify(sol: ClosedFormSolution, q: float) -> TailVerdict:
         verdict = "CONVERGENT"
     else:
         verdict = "DIVERGENT"
-    return TailVerdict(
-        verdict=verdict,
-        q=q,
-        threshold=threshold,
-        radii=edges,
-        increments=increments,
-        trend=trend,
-        flagged_critical=flagged,
-    )
+    return TailVerdict(verdict=verdict, threshold=threshold, increments=increments,
+                       flagged_critical=flagged)

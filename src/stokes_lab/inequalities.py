@@ -101,9 +101,9 @@ def hardy_check(r, values, q: float, u0) -> Trial:
     return Trial(sample, lhs, rhs, ok=lhs <= rhs * (1.0 + 1e-8) + 1e-300)
 
 
-def korn_first_check(u, hx: float, hy: float) -> Trial:
+def korn_first_check(u, h: float) -> Trial:
     """First Korn bound |grad u|_2 <= sqrt(2) |sym grad u|_2 for nodal fields
-    vanishing on the boundary of a uniform Cartesian grid.
+    vanishing on the boundary of a uniform Cartesian grid of spacing h.
 
     Gradients by centered differences on the interior (the field is extended
     by its boundary zeros), both sides by the same cell quadrature; ok
@@ -121,17 +121,17 @@ def korn_first_check(u, hx: float, hy: float) -> Trial:
 
     gx = np.zeros_like(u)
     gy = np.zeros_like(u)
-    gx[1:-1] = (u[2:] - u[:-2]) / (2.0 * hx)
-    gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * hy)
+    gx[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
     # one-sided closures at the boundary rows keep the compact support honest
-    gx[0] = (u[1] - u[0]) / hx
-    gx[-1] = (u[-1] - u[-2]) / hx
-    gy[:, 0] = (u[:, 1] - u[:, 0]) / hy
-    gy[:, -1] = (u[:, -1] - u[:, -2]) / hy
+    gx[0] = (u[1] - u[0]) / h
+    gx[-1] = (u[-1] - u[-2]) / h
+    gy[:, 0] = (u[:, 1] - u[:, 0]) / h
+    gy[:, -1] = (u[:, -1] - u[:, -2]) / h
 
     grad = np.stack([gx, gy], axis=-1)               # (...,2,2): d_k u_m
     gs = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    w = hx * hy
+    w = h * h
     lhs = float(np.sum(grad * grad) * w)
     rhs = float(2.0 * np.sum(gs * gs) * w)
     return Trial(u, lhs, rhs, ok=lhs <= rhs * (1.0 + 1e-8) + 1e-300)
@@ -181,7 +181,7 @@ def korn_trial(rng) -> Trial:
         axis=-1,
     )
     h = _X[1] - _X[0]
-    return korn_first_check(u, h, h)
+    return korn_first_check(u, h)
 
 
 TRIALS = {"wirtinger": wirtinger_trial, "hardy": hardy_trial, "korn": korn_trial}

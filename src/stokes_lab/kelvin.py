@@ -25,28 +25,13 @@ import numpy as np
 from .errors import NotStronglyElliptic, SingularPoint
 from .tensors import ElasticityTensor, IsotropicModuli, strong_ellipticity_margin
 
-__all__ = ["FundamentalSolution", "acoustic_tensor", "unit_powers"]
+__all__ = ["FundamentalSolution", "acoustic_tensor"]
 
 # directions per block of the angular series, so that the (K, block)
 # harmonics stay cache-sized
 _BLOCK_DIRECTIONS = 1 << 14
-
-
-def unit_powers(e, orders, out=None):
-    """Yield e**k for each k of the ascending non-negative orders.
-
-    The powers come from repeated multiplication, so for unit directions
-    e = exp(i phi) the harmonics cos(k phi) + i sin(k phi) cost no trig call.
-    Every power is yielded in the same array (out, if given), multiplied in
-    place, so a caller that keeps one past the next step must copy it.
-    """
-    ek = np.empty_like(e) if out is None else out
-    ek[...], at = 1.0, 0
-    for k in orders:
-        for _ in range(k - at):
-            ek *= e
-        at = k
-        yield ek
+# directions at which from_tensor samples the inverse acoustic tensor
+_FROM_TENSOR_ANGLES = 512
 
 
 def acoustic_tensor(C, n):
@@ -84,10 +69,10 @@ class FundamentalSolution:
         return cls(phi0, cos_coef, sin_coef)
 
     @classmethod
-    def from_tensor(cls, c0, n_angles: int = 512) -> "FundamentalSolution":
+    def from_tensor(cls, c0) -> "FundamentalSolution":
         """Angular-representation construction for a general constant tensor.
 
-        Computes Gamma(n)^{-1} at n_angles directions, convolves with the
+        Computes Gamma(n)^{-1} at 512 directions, convolves with the
         cosine series of log|cos| by FFT, and keeps the (spectrally decaying)
         trigonometric coefficients of Phi.  Raises NotStronglyElliptic when
         the strong-ellipticity margin is not positive.
@@ -98,7 +83,7 @@ class FundamentalSolution:
         if margin <= 0.0:
             raise NotStronglyElliptic(f"ellipticity margin {margin:.6g} <= 0")
 
-        m = int(n_angles)
+        m = _FROM_TENSOR_ANGLES
         theta = 2.0 * np.pi * np.arange(m) / m
         n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         g = np.linalg.inv(acoustic_tensor(c0, n))          # (m,2,2)
@@ -159,8 +144,9 @@ class FundamentalSolution:
         Per block of directions the real and imaginary parts of the
         harmonics e^k are stacked in one contiguous (2K, block) array, which
         meets the stacked (2K, 4) cosine and sine coefficients in one matrix
-        product.  work is the scratch of angular_work, allocated here unless
-        given."""
+        product.  The powers e^k come from repeated multiplication in place,
+        so the harmonics cos(k phi) + i sin(k phi) cost no trig call.  work
+        is the scratch of angular_work, allocated here unless given."""
         e = np.asarray(e, dtype=complex)
         terms = list(self.terms(derivative))
         orders = [k for k, _, _ in terms]
@@ -171,7 +157,12 @@ class FundamentalSolution:
         for lo in range(0, flat.size, powers.size):
             block = flat[lo : lo + powers.size]
             h = planes[: 2 * len(orders) * block.size].reshape(2, len(orders), block.size)
-            for row, ek in enumerate(unit_powers(block, orders, out=powers[: block.size])):
+            ek = powers[: block.size]
+            ek[...], at = 1.0, 0
+            for row, k in enumerate(orders):
+                for _ in range(k - at):
+                    ek *= block
+                at = k
                 h[0, row] = ek.real
                 h[1, row] = ek.imag
             np.matmul(h.reshape(-1, block.size).T, coef, out=res[lo : lo + block.size])

@@ -238,15 +238,6 @@ class DiscreteField:
         """(n_r - 1, n_theta, nq, 2) values at the Gauss points of every cell."""
         return self.grid.qp_shapes @ corners(self.values)
 
-    def angular_mean(self, ring: int) -> np.ndarray:
-        return self.values[ring].mean(axis=0)
-
-    def max_over_ring(self, ring: int, offset=None) -> float:
-        v = self.values[ring]
-        if offset is not None:
-            v = v - offset
-        return float(np.linalg.norm(v, axis=-1).max())
-
 
 def relative_l2_error(u: DiscreteField, exact: DiscreteField) -> float:
     """L2 norm of u - exact over the annulus relative to that of exact, both

@@ -60,8 +60,8 @@ class ElasticityTensor:
     """Constant fourth-order elasticity tensor with major symmetry.
 
     The stored components carry right-pair symmetry, so the action
-    C[L] = einsum('ijhk,hk->ij') automatically goes through sym(L) and
-    vanishes on skew arguments.
+    C[L] = einsum('ijhk,hk->ij') (apply_tensor) automatically goes through
+    sym(L) and vanishes on skew arguments.
     """
 
     def __init__(self, components):
@@ -76,9 +76,6 @@ class ElasticityTensor:
         c = 0.5 * (c + np.transpose(c, (0, 1, 3, 2)))
         self.c = c
         self._bounds: Optional[tuple[float, float]] = None
-
-    def __call__(self, L):
-        return apply_tensor(self, L)
 
     @property
     def mu0(self) -> float:
@@ -222,7 +219,7 @@ class ElasticityField:
     """Position-dependent elasticity action with certified bounds.
 
     action(points) maps (...,2) coordinates to (...,2,2,2,2) component
-    arrays.  sym_bounds = (mu0, mue) bound E.C(x)[E]/|E|^2 on symmetric E;
+    arrays.  mu0 and mue bound E.C(x)[E]/|E|^2 on symmetric E;
     lin_bounds_pair additionally bounds the quotient on all of Lin when the
     action does not annihilate skew tensors (both certificates are recorded
     because different results assume different ones).  The bounds are

@@ -44,6 +44,16 @@ def annulus_calls(monkeypatch):
     return count
 
 
+def fourier_ring_data(coef, th) -> np.ndarray:
+    """Ring data (th.size, 2) at the angles th: harmonics 1..len(coef), the
+    coefficients coef[k] of cos and sin in u1, then in u2."""
+    u = np.zeros((th.size, 2))
+    for k in range(len(coef)):
+        u[:, 0] += coef[k, 0] * np.cos((k + 1) * th) + coef[k, 1] * np.sin((k + 1) * th)
+        u[:, 1] += coef[k, 2] * np.cos((k + 1) * th) + coef[k, 3] * np.sin((k + 1) * th)
+    return u
+
+
 def cell_nodes(grid) -> np.ndarray:
     """(n_r - 1, n_theta, 4) ring-major ids i * n_theta + j of the corner
     nodes of every cell."""

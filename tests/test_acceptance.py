@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import fourier_ring_data, record_criterion
 
 from stokes_lab import bem
 from stokes_lab.annulus import (
@@ -46,26 +46,6 @@ from stokes_lab.tensors import (
 )
 
 ISO = IsotropicModuli(1.0, 1.0)
-
-
-def ring_data(func, radius=1.0):
-    def data(th):
-        return func(np.stack([radius * np.cos(th), radius * np.sin(th)], axis=-1))
-
-    return data
-
-
-def random_fourier_data(rng, n_modes=3):
-    coef = rng.normal(size=(n_modes, 4))
-
-    def data(th):
-        u = np.zeros((th.size, 2))
-        for k in range(n_modes):
-            u[:, 0] += coef[k, 0] * np.cos((k + 1) * th) + coef[k, 1] * np.sin((k + 1) * th)
-            u[:, 1] += coef[k, 2] * np.cos((k + 1) * th) + coef[k, 3] * np.sin((k + 1) * th)
-        return u
-
-    return data
 
 
 def test_criterion_1_ellipse_equilibrium_space():
@@ -130,12 +110,10 @@ def test_criterion_3_far_field_decay():
     radii = np.geomspace(10.0, 1000.0, 9)
     angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     slopes = []
+    pts = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     for _ in range(3):
         sol = bem.solve_dirichlet(op, op.apply(bem.zero_total_density(curve, rng)))
-        dist = []
-        for r in radii:
-            pts = np.stack([r * np.cos(angles), r * np.sin(angles)], axis=-1)
-            dist.append(np.linalg.norm(bem.evaluate(sol, pts) - sol.kappa, axis=-1).max())
+        dist = np.linalg.norm(bem.evaluate(sol, pts) - sol.kappa, axis=-1).max(axis=-1)
         slopes.append(float(np.polyfit(np.log(radii), np.log(dist), 1)[0]))
     worst = max(abs(s + 1.0) for s in slopes)
     ok = worst <= 0.05
@@ -153,7 +131,7 @@ def test_criterion_4_degiorgi_oracle():
         prob = VariationalProblem(
             field=degiorgi_tensor(xi_ref),
             inner_data=None,
-            outer_data=ring_data(sol.displacement, 64.0),
+            outer_data=sol.displacement,
         )
         u = solve_annulus(prob, grid)
         errs.append(relative_l2_error(u, DiscreteField.sample(grid, sol.displacement)))
@@ -165,8 +143,8 @@ def test_criterion_4_degiorgi_oracle():
         grid = PolarGrid(128.0, 128, 256)
         prob = VariationalProblem(
             field=degiorgi_tensor(xi),
-            inner_data=ring_data(dec.displacement, 1.0),
-            outer_data=ring_data(dec.displacement, 128.0),
+            inner_data=dec.displacement,
+            outer_data=dec.displacement,
         )
         u = solve_annulus(prob, grid)
         fits[xi] = decay_exponent_fit(u).alpha
@@ -238,9 +216,8 @@ def test_criterion_6_growth_monotonicity():
     grid_r = PolarGrid(64.0, 48, 96)
     iso_viols = []
     for _ in range(10):
-        prob = VariationalProblem(
-            field=constant_field(ISO.tensor()), outer_data=random_fourier_data(rng)
-        )
+        outer = fourier_ring_data(rng.normal(size=(3, 4)), grid_r.thetas)
+        prob = VariationalProblem(field=constant_field(ISO.tensor()), outer_data=outer)
         u = solve_annulus(prob, grid_r)
         iso_viols.append(growth_monotonicity_check(energy_profiles(u), gam_iso).worst_g_violation)
 
@@ -274,8 +251,8 @@ def test_criterion_7_energy_identity_and_net_traction():
     grid = PolarGrid(64.0, 128, 256)
     prob_k = VariationalProblem(
         field=constant_field(ISO.tensor()),
-        inner_data=ring_data(kelvin, 1.0),
-        outer_data=ring_data(kelvin, 64.0),
+        inner_data=kelvin,
+        outer_data=kelvin,
     )
     u_k = solve_annulus(prob_k, grid)
     res_k = energy_identity_residual(u_k, prob_k, 16.0)
@@ -284,8 +261,8 @@ def test_criterion_7_energy_identity_and_net_traction():
     dec = ClosedFormSolution(xi, 0.0, 1.0)
     prob_d = VariationalProblem(
         field=degiorgi_tensor(xi),
-        inner_data=ring_data(dec.displacement, 1.0),
-        outer_data=ring_data(dec.displacement, 64.0),
+        inner_data=dec.displacement,
+        outer_data=dec.displacement,
     )
     u_d = solve_annulus(prob_d, grid)
     res_d = energy_identity_residual(u_d, prob_d, 16.0)

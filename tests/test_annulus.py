@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import ReferenceSystem, cell_nodes
+from conftest import ReferenceSystem, cell_nodes, fourier_ring_data
 
 from stokes_lab import annulus
 from stokes_lab.annulus import (
@@ -73,27 +73,15 @@ def solve_unchecked(prob, grid):
     return stiffness.field(_solve(stiffness))
 
 
-def ring_data(func):
-    def data(th):
-        return func(np.stack([np.cos(th), np.sin(th)], axis=-1))
-
-    return data
-
-
-def outer_ring_data(func, rmax):
-    def data(th):
-        return func(np.stack([rmax * np.cos(th), rmax * np.sin(th)], axis=-1))
-
-    return data
-
-
-def degiorgi_problem(xi, rmax, coef=(1.0, -1.0)):
+def degiorgi_problem(xi, coef=(1.0, -1.0)):
+    """The closed-form field and the problem posed with its values on both
+    rings (only the outer one for the growth branch, which vanishes on the
+    inner ring)."""
     sol = ClosedFormSolution(xi, *coef)
     prob = VariationalProblem(
         field=degiorgi_tensor(xi),
-        inner_data=ring_data(sol.displacement) if coef != (1.0, -1.0) else None,
-        outer_kind="dirichlet",
-        outer_data=outer_ring_data(sol.displacement, rmax),
+        inner_data=sol.displacement if coef != (1.0, -1.0) else None,
+        outer_data=sol.displacement,
     )
     return sol, prob
 
@@ -446,8 +434,8 @@ class TestSolveAnnulus:
             grid = PolarGrid(64.0, nr, nt)
             prob = VariationalProblem(
                 field=constant_field(ISO.tensor()),
-                inner_data=ring_data(exact),
-                outer_data=outer_ring_data(exact, 64.0),
+                inner_data=exact,
+                outer_data=exact,
             )
             u = solve_annulus(prob, grid)
             ex = DiscreteField.sample(grid, exact)
@@ -456,14 +444,14 @@ class TestSolveAnnulus:
         assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
 
     def test_degiorgi_oracle(self):
-        sol, prob = degiorgi_problem(2.0, 64.0)
+        sol, prob = degiorgi_problem(2.0)
         grid = PolarGrid(64.0, 64, 128)
         u = solve_annulus(prob, grid)
         exact = DiscreteField.sample(grid, sol.displacement)
         assert relative_l2_error(u, exact) <= 1e-3
 
     def test_minimization_property(self):
-        sol, prob = degiorgi_problem(2.0, 16.0)
+        sol, prob = degiorgi_problem(2.0)
         grid = PolarGrid(16.0, 32, 64)
         u = solve_annulus(prob, grid)
         action = prob.field(grid.qp_points)
@@ -498,9 +486,9 @@ class TestSolveAnnulus:
                 solve(prob, PolarGrid(8.0, 16, 32))
 
     @pytest.mark.parametrize("data, match", [
-        ({"outer_data": lambda th: np.stack([np.cos(th), np.sin(th)])},
+        ({"outer_data": lambda p: p.T},
          r"outer boundary data must have shape .* got \(2, 32\)"),
-        ({"inner_data": lambda th: np.full((th.size, 2), np.nan)},
+        ({"inner_data": lambda p: np.full(p.shape, np.nan)},
          "inner boundary data must be finite"),
         ({"outer_data": np.full((32, 2), np.inf)}, "outer boundary data must be finite"),
     ], ids=["transposed-callable", "nan-callable", "inf-array"])
@@ -512,6 +500,30 @@ class TestSolveAnnulus:
         for solve in (solve_annulus, contraction_solve):
             with pytest.raises(ValueError, match=match):
                 solve(prob, PolarGrid(8.0, 16, 32))
+
+    def test_ring_data_are_functions_of_points(self):
+        """A callable ring datum is handed the ring's node points,
+        grid.node_points()[ring], and an exact field's displacement posed as
+        it is gives, bit for bit, the solve of its values at r_max (cos, sin)
+        of the grid's angles."""
+        grid = PolarGrid(16.0, 24, 48)
+        fld, sol = degiorgi_tensor(2.0), ClosedFormSolution(2.0)
+        th = grid.thetas
+        values = sol.displacement(np.stack([16.0 * np.cos(th), 16.0 * np.sin(th)], axis=-1))
+        by_points = solve_annulus(VariationalProblem(field=fld, outer_data=sol.displacement), grid)
+        by_array = solve_annulus(VariationalProblem(field=fld, outer_data=values), grid)
+        assert np.array_equal(by_points.values, by_array.values)
+
+        seen = []
+
+        def record(points):
+            seen.append(points.copy())
+            return np.zeros_like(points)
+
+        solve_annulus(VariationalProblem(field=fld, inner_data=record, outer_data=record), grid)
+        nodes = grid.node_points()
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], nodes[0]) and np.array_equal(seen[1], nodes[-1])
 
     def test_singular_system_diverges(self, annulus_calls):
         """Both solve paths: a zero material is rotation-equivariant (one
@@ -529,16 +541,16 @@ class TestSolveAnnulus:
             keep = ~((p[..., 0] > 0) & (p[..., 1] > 0))
             return keep[..., None, None, None, None] * ISO.tensor().c
 
-        def data(th):
-            return np.stack([np.cos(th), 0 * th], -1)
+        grid = PolarGrid(8.0, 16, 32)
+        data = np.stack([np.cos(grid.thetas), 0 * grid.thetas], -1)
 
-        for action, n_cols, message in ((zero, 1, "angular mode"),
+        for action, n_cols, message in ((zero, 1, "angular mode is singular"),
                                          (zero_quadrant, 32, "196 of 896 free DOFs")):
             stiffness_builds.clear()
             fld = ElasticityField(action=action, mu0=1.0, mue=1.0)
             prob = VariationalProblem(field=fld, outer_data=data)
             with pytest.raises(SolverDiverged, match=message):
-                solve_unchecked(prob, PolarGrid(8.0, 16, 32))
+                solve_unchecked(prob, grid)
             assert stiffness_builds == [(16, 32, n_cols)]
 
 
@@ -736,7 +748,7 @@ class TestEnergyProfiles:
     def test_exterior_variant_ratio_bounded(self):
         """Decaying fields also satisfy the boundary-free exterior bound
         int_{r>2R} |grad u|^2 <= c R^-2 int_{T_R} |u|^2 with stable c."""
-        dec, _ = degiorgi_problem(2.0, 64.0, coef=(0.0, 1.0))
+        dec, _ = degiorgi_problem(2.0, coef=(0.0, 1.0))
         grid = PolarGrid(64.0, 96, 192)
         u = DiscreteField.sample(grid, dec.displacement)
         g = u.gradient_at_qp()
@@ -794,15 +806,7 @@ class TestGrowthMonotonicity:
         rng = np.random.default_rng(4)
         grid = PolarGrid(64.0, 48, 96)
         for _ in range(3):
-            coef = rng.normal(size=(3, 4))
-
-            def outer(th):
-                u = np.zeros((th.size, 2))
-                for k in range(3):
-                    u[:, 0] += coef[k, 0] * np.cos((k + 1) * th) + coef[k, 1] * np.sin((k + 1) * th)
-                    u[:, 1] += coef[k, 2] * np.cos((k + 1) * th) + coef[k, 3] * np.sin((k + 1) * th)
-                return u
-
+            outer = fourier_ring_data(rng.normal(size=(3, 4)), grid.thetas)
             prob = VariationalProblem(field=constant_field(ISO.tensor()), outer_data=outer)
             u = solve_annulus(prob, grid)
             rep = growth_monotonicity_check(energy_profiles(u), gam)
@@ -819,7 +823,7 @@ class TestEnergyIdentity:
     def test_degiorgi_residual_and_order(self):
         xi = 2.0
         dec = ClosedFormSolution(xi, 0.0, 1.0)
-        prob = VariationalProblem(field=degiorgi_tensor(xi), inner_data=ring_data(dec.displacement))
+        prob = VariationalProblem(field=degiorgi_tensor(xi), inner_data=dec.displacement)
         res = []
         for nr, nt in ((64, 128), (128, 256)):
             grid = PolarGrid(64.0, nr, nt)
@@ -837,8 +841,8 @@ class TestEnergyIdentity:
         grid = PolarGrid(64.0, 128, 256)
         prob = VariationalProblem(
             field=constant_field(ISO.tensor()),
-            inner_data=ring_data(exact),
-            outer_data=outer_ring_data(exact, 64.0),
+            inner_data=exact,
+            outer_data=exact,
         )
         u = solve_annulus(prob, grid)
         assert energy_identity_residual(u, prob, 16.0) <= 0.01
@@ -861,7 +865,7 @@ class TestEnergyIdentity:
 
 class TestNetTraction:
     def test_decaying_branch_vanishes(self):
-        dec, prob = degiorgi_problem(2.0, 64.0, coef=(0.0, 1.0))
+        dec, prob = degiorgi_problem(2.0, coef=(0.0, 1.0))
         grid = PolarGrid(64.0, 96, 192)
         u = DiscreteField.sample(grid, dec.displacement)
         t = net_traction_discrete(u, prob)
@@ -869,7 +873,7 @@ class TestNetTraction:
         assert np.abs(t).max() <= 1e-6 * scale
 
     def test_flux_conserved_between_radii(self):
-        dec, prob = degiorgi_problem(2.0, 64.0, coef=(0.0, 1.0))
+        dec, prob = degiorgi_problem(2.0, coef=(0.0, 1.0))
         grid = PolarGrid(64.0, 96, 192)
         u = DiscreteField.sample(grid, dec.displacement)
         t1 = net_traction_discrete(u, prob, radius=4.0)
@@ -888,7 +892,7 @@ class TestNetTraction:
         net traction alone does not separate the two radial branches."""
         from stokes_lab.annulus import _ring_traction_data
 
-        grow, prob = degiorgi_problem(2.0, 64.0, coef=(1.0, 0.0))
+        grow, prob = degiorgi_problem(2.0, coef=(1.0, 0.0))
         grid = PolarGrid(64.0, 96, 192)
         u = DiscreteField.sample(grid, grow.displacement)
         t = net_traction_discrete(u, prob)
@@ -1001,16 +1005,10 @@ class TestDecayFit:
 
         rng = np.random.default_rng(1)
         grid = PolarGrid(128.0, 128, 256)
-        coef = rng.normal(size=(3, 4))
-
-        def inner(th):
-            u = np.zeros((th.size, 2))
-            for k in range(3):
-                u[:, 0] += coef[k, 0] * np.cos((k + 1) * th) + coef[k, 1] * np.sin((k + 1) * th)
-                u[:, 1] += coef[k, 2] * np.cos((k + 1) * th) + coef[k, 3] * np.sin((k + 1) * th)
-            et = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-            return u - np.mean(np.sum(u * et, axis=-1)) * et
-
+        th = grid.thetas
+        u = fourier_ring_data(rng.normal(size=(3, 4)), th)
+        et = np.stack([-np.sin(th), np.cos(th)], axis=-1)
+        inner = u - np.mean(np.sum(u * et, axis=-1)) * et
         prob = VariationalProblem(field=fld, inner_data=inner, outer_kind="traction_free")
         fit = decay_exponent_fit(solve_annulus(prob, grid))
         assert fit.alpha >= 0.9
@@ -1022,13 +1020,12 @@ class TestDecayFit:
         grid = PolarGrid(64.0, 64, 128)
         prob = VariationalProblem(
             field=constant_field(ISO.tensor()),
-            inner_data=lambda th: np.stack([-np.sin(th), np.cos(th)], axis=-1),
+            inner_data=lambda p: np.stack([-p[:, 1], p[:, 0]], axis=-1),
             outer_kind="traction_free",
         )
         u = solve_annulus(prob, grid)
         k1, k2 = _ring_at(grid.radii, 4.0), _ring_at(grid.radii, 32.0)
-        m1 = u.max_over_ring(k1, offset=np.zeros(2))
-        m2 = u.max_over_ring(k2, offset=np.zeros(2))
+        m1, m2 = np.linalg.norm(u.values[[k1, k2]], axis=-1).max(axis=-1)
         ratio = (m2 / m1) / (grid.radii[k2] / grid.radii[k1])
         assert abs(ratio - 1.0) < 0.05  # amplitude ~ r: the rigid rotation
 

@@ -769,10 +769,9 @@ class TestMSpaceAndTraction:
 
     def test_circle_quadrature_cross_check(self, circle_op, circle_basis):
         h = bem.m_space_representative(circle_op, circle_basis.psi[0])
-        total = bem.circle_traction_total(
-            lambda p: bem.evaluate_gradient(h, p), ISO.tensor(), radius=50.0, n_nodes=1024,
-            toward_origin=True,
-        )
+        # the normal toward the origin, as seen from the exterior domain
+        total = -bem.circle_traction_total(lambda p: bem.evaluate_gradient(h, p), ISO.tensor(),
+                                           radius=50.0)
         assert np.abs(total - h.total_density).max() < 1e-6
 
     def test_work_energy_relation(self, circle_op):

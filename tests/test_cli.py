@@ -547,6 +547,22 @@ class TestMainExitCodes:
         assert not (tmp_path / args[0]).exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind, extra", [("degiorgi", []), ("contraction", ["--seed", "0"])],
+                             ids=["degiorgi", "contraction"])
+    def test_overflowing_pivot_exits_two(self, kind, extra, tmp_path, capsys):
+        """xi = 1e-100 passes validation, but the stiffness reaches about
+        1e200, so the determinants of an angular mode's pivots overflow.  The
+        run stops with a SolverDiverged that says so, not that the mode is
+        singular, and without a floating-point warning."""
+        code = main([kind, "--xi", "1e-100", "--grid", "24x48", "--rmax", "16", *extra,
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stokes-lab: SolverDiverged: " in err and "determinant is not finite" in err
+        assert "singular" not in err and "Traceback" not in err
+        assert not (tmp_path / kind).exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("args", [
         ["paradox", "--curve", "circle:1e-300", "--nodes", "64"],
         ["decay", "--curve", "circle:1e200", "--nodes", "64", "--seed", "0"],

@@ -114,7 +114,7 @@ class TestKernel:
         """Closed form and angular representation differ by a constant matrix
         (the kernel is unique modulo constants); gradients agree exactly."""
         fs_a = FundamentalSolution.isotropic(ISO)
-        fs_b = FundamentalSolution.from_tensor(ISO.tensor(), n_angles=256)
+        fs_b = FundamentalSolution.from_tensor(ISO.tensor())
         d = np.stack(
             [np.array([np.cos(a), np.sin(a)]) * r
              for a, r in zip(np.linspace(0, 6, 25), np.linspace(0.2, 9, 25))]
