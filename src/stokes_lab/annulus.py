@@ -501,17 +501,25 @@ def solve_annulus(problem: VariationalProblem, grid: PolarGrid) -> DiscreteField
 # -- energy bookkeeping --------------------------------------------------------
 
 
-def _dirichlet_integrand_qp(u: DiscreteField) -> np.ndarray:
-    """|grad u|^2 + |div u|^2 at the Gauss points, (n_r - 1, n_theta, nq)."""
-    g = u.gradient_at_qp()
+def _dirichlet_density(g: np.ndarray, _rings: slice) -> np.ndarray:
+    """|grad u|^2 + |div u|^2 at the Gauss points of the gradient g (..., 2, 2)."""
     div = g[..., 0, 0] + g[..., 1, 1]
     return np.sum(g * g, axis=(-2, -1)) + div * div
 
 
-def _ring_sums(grid: PolarGrid, qp_values: np.ndarray) -> np.ndarray:
-    """The Gauss-rule integrals over each ring of cells of the values
-    (n_r - 1, n_theta, nq) at the Gauss points."""
-    return np.sum(qp_values * grid.qp_weights[:, None], axis=-1).sum(axis=1)
+def _ring_integrals(u: DiscreteField, density: Callable, n_rings: Optional[int] = None
+                    ) -> np.ndarray:
+    """The Gauss-rule integrals over the rings of cells 0..n_rings - 1 (all
+    by default) of density(g, rings): its values (n_rings, n_theta, nq) at
+    the Gauss points of the rings of cells `rings`, where u has the gradient
+    g = u.gradient_at_qp(rings).  One block of rings (PolarGrid.ring_blocks)
+    at a time, so the temporaries are those of one block."""
+    grid = u.grid
+    sums = np.empty(grid.n_r - 1 if n_rings is None else n_rings)
+    for rings in grid.ring_blocks(sums.size):
+        dens = density(u.gradient_at_qp(rings), rings)
+        sums[rings] = np.sum(dens * grid.qp_weights[rings, None], axis=-1).sum(axis=1)
+    return sums
 
 
 @dataclass
@@ -532,8 +540,10 @@ class EnergyProfile:
 
 
 def energy_profiles(u: DiscreteField) -> EnergyProfile:
+    """G and Q of u on its grid rings, from the ring integrals of the Dirichlet
+    density summed one block of rings at a time."""
     grid = u.grid
-    ring = _ring_sums(grid, _dirichlet_integrand_qp(u))
+    ring = _ring_integrals(u, _dirichlet_density)
     G = np.concatenate([[0.0], np.cumsum(ring)])
     return EnergyProfile(radii=grid.radii.copy(), G=G, Q=G[-1] - G)
 
@@ -649,11 +659,10 @@ def energy_identity_residual(u: DiscreteField, problem: VariationalProblem, radi
         raise RadiusOutOfGrid(f"radius {radius} below the first interior ring")
     R = grid.radii[kR]
 
-    g = u.gradient_at_qp()
-    action = problem.field(grid.qp_points)
-    dens = np.einsum("...mk,...mkhl,...hl->...", g, action, g)
-    ring_e = _ring_sums(grid, dens)
-    energy = float(ring_e[:kR].sum())
+    def work(g, rings):
+        return np.einsum("...mk,...mkhl,...hl->...", g, problem.field(grid.qp_points[rings]), g)
+
+    energy = float(_ring_integrals(u, work, kR).sum())
 
     total_work = 0.0
     for ring, sign in ((0, -1.0), (kR, +1.0)):

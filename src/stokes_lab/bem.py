@@ -284,8 +284,9 @@ class SingleLayerOperator:
         class's folded rows at its kept DOFs, bordered by the constant
         densities of its border components (the totals their row takes are
         mult w at those DOFs), and the condition estimate
-        max ||block|| max ||block^-1|| of the block diagonal in the 1-norm;
-        built on first use, and raises SingularSystem past _AUG_COND_LIMIT."""
+        max ||block|| max ||block^-1|| of the block diagonal in the 1-norm,
+        rounded to 6 significant digits; built on first use, and raises
+        SingularSystem when the unrounded estimate passes _AUG_COND_LIMIT."""
         if self._aug is None:
             rows = self.rows.reshape(self.rows.shape[0], -1, 2)
             lange = _lapack("lange", rows)
@@ -315,13 +316,15 @@ class SingleLayerOperator:
                 raise SingularSystem(
                     f"augmented system condition {cond:.3g} exceeds {_AUG_COND_LIMIT:g}"
                 )
-            self._aug = (lus, cond)
+            # gecon's estimate on one set of factors varies in its last digits
+            # from call to call; an estimate is good to a small factor only
+            self._aug = (lus, float(f"{cond:.6g}"))
         return self._aug
 
     @property
     def cond(self) -> float:
         """1-norm condition estimate of the bordered system [A 1; W 0] in its
-        symmetry blocks (see _augmented_lu)."""
+        symmetry blocks, to 6 significant digits (see _augmented_lu)."""
         return self._augmented_lu()[1]
 
     def _image(self, parts) -> np.ndarray:

@@ -11,6 +11,7 @@ ConfigInvalid, named on stderr) on a valid configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -191,13 +192,20 @@ def _parse_data(spec: str, notes: list):
 # -- output helpers ------------------------------------------------------------
 
 
-def _write_atomic(path: str, text: str):
+# rows of a CSV table formatted and written at once
+_CSV_BLOCK_ROWS = 1 << 12
+
+
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file, open for writing, that replaces path by one rename when
+    the block exits; on an error it is removed and path is left as it was."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
-            f.write(text)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -205,19 +213,32 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+def _write_atomic(path: str, text: str):
+    with _atomic_file(path) as f:
+        f.write(text)
+
+
 def _write_csv(path: str, header: list[str], columns: list) -> str:
     """Columns of numbers (written as floats at 17 significant digits) or of
-    strings under one header line, the whole table formatted by one `%`."""
+    strings under one header line, written atomically.  Each block of
+    _CSV_BLOCK_ROWS rows is formatted by one `%` and written before the next
+    is formatted, so the text and the Python floats of one block are held at
+    a time, not those of the whole table."""
     import numpy as np
 
     cells, specs = [], []
     for col in columns:
         text = len(col) > 0 and isinstance(col[0], str)
-        cells.append(list(col) if text else np.asarray(col, dtype=float).tolist())
+        cells.append(list(col) if text else np.asarray(col, dtype=float))
         specs.append("%s" if text else "%.17g")
     n_rows = len(cells[0]) if cells else 0
-    body = (",".join(specs) + "\n") * n_rows % tuple(itertools.chain.from_iterable(zip(*cells)))
-    _write_atomic(path, ",".join(header) + "\n" + body)
+    row = ",".join(specs) + "\n"
+    with _atomic_file(path) as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in cells]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            f.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
     return path
 
 

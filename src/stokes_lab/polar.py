@@ -9,8 +9,10 @@ nodal values to the corners and `scatter_corners`, its adjoint, sums them
 back.  The grid caches its quadrature geometry: the Gauss points, and per
 ring the radii and weights (the r dr dtheta area element folded in).
 Cartesian shape gradients are made when read: those of theta-column 0 for
-the stiffness, which rotates them to every other column, and the whole
-grid's for field gradients.
+the stiffness, which rotates them to every other column, and those of one
+block of rings of cells for field gradients.  Whole-grid Gauss-point
+diagnostics run over the blocks of `PolarGrid.ring_blocks`, so their
+temporaries are those of one block, whatever the grid.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ _GAUSS1 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 # (ring, angle) offsets of a cell's corners, counterclockwise in (r, theta)
 CORNER_RING = (0, 1, 1, 0)
 CORNER_ANGLE = (0, 0, 1, 1)
+
+# cells of the block of rings that a whole-grid Gauss-point diagnostic works
+# on at once (one ring at least): about 1 KB of temporaries per cell
+_RING_BLOCK_CELLS = 1 << 12
 
 
 def corners(u: np.ndarray) -> np.ndarray:
@@ -118,14 +124,15 @@ class PolarGrid:
         self._qp = {"rq": rq, "wq": wq, "shapes": shp, "points": pts}
         return self._qp
 
-    def _shape_gradients(self, n_cols: int) -> np.ndarray:
-        """(n_r - 1, n_cols, nq, 4, 2) Cartesian gradients d_k N_a of the shape
-        functions at the Gauss points of the cells in the theta-columns
-        0..n_cols - 1, one elementwise formula for any n_cols."""
+    def _shape_gradients(self, n_cols: int, rings: slice = slice(None)) -> np.ndarray:
+        """(n_rings, n_cols, nq, 4, 2) Cartesian gradients d_k N_a of the shape
+        functions at the Gauss points of the cells in the rings of cells
+        `rings` (all by default) and the theta-columns 0..n_cols - 1, one
+        elementwise formula for any rings and n_cols."""
         xi, eta = _ref_points()
         dt = self.dtheta
-        dr = np.diff(self.radii)[:, None, None, None]                # (n_r-1, 1, 1, 1)
-        rq = self.qp_radii[:, None, :, None]                        # (n_r-1, 1, nq, 1)
+        dr = np.diff(self.radii)[rings, None, None, None]           # (n_rings, 1, 1, 1)
+        rq = self.qp_radii[rings, None, :, None]                    # (n_rings, 1, nq, 1)
         tq = self.thetas[:n_cols, None] + 0.5 * dt * (1.0 + eta)[None, :]
         er = np.stack([np.cos(tq), np.sin(tq)], axis=-1)[:, :, None, :]    # (n_cols, nq, 1, 2)
         et = np.stack([-np.sin(tq), np.cos(tq)], axis=-1)[:, :, None, :]
@@ -134,6 +141,14 @@ class PolarGrid:
         d_dr = dxi * (2.0 / dr)                                       # (n_r-1, 1, nq, 4)
         d_dt = deta * (2.0 / dt) / rq
         return d_dr[..., None] * er + d_dt[..., None] * et
+
+    def ring_blocks(self, n_rings: int | None = None) -> list[slice]:
+        """Consecutive blocks of the rings of cells 0..n_rings - 1 (all
+        n_r - 1 by default), each of at most _RING_BLOCK_CELLS cells and one
+        ring at least, in order."""
+        n = self.n_r - 1 if n_rings is None else n_rings
+        step = max(1, _RING_BLOCK_CELLS // self.n_theta)
+        return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
     @property
     def qp_points(self) -> np.ndarray:
@@ -228,23 +243,36 @@ class DiscreteField:
     def zeros(cls, grid: PolarGrid) -> "DiscreteField":
         return cls(grid, np.zeros((grid.n_r, grid.n_theta, 2)))
 
-    def gradient_at_qp(self) -> np.ndarray:
-        """(n_r - 1, n_theta, nq, 2, 2) with [..., m, k] = d_k u_m at the Gauss
-        points of every cell."""
-        u_cells = np.swapaxes(corners(self.values), -1, -2)        # (n_r-1, n_theta, 2, 4)
-        return u_cells[:, :, None] @ self.grid.qp_shape_gradients
+    def _corners(self, rings: slice) -> np.ndarray:
+        """(n_rings, n_theta, 4, 2) corner values of the cells in the rings of
+        cells `rings`."""
+        lo, hi, _ = rings.indices(self.grid.n_r - 1)
+        return corners(self.values[lo:hi + 1])
 
-    def values_at_qp(self) -> np.ndarray:
-        """(n_r - 1, n_theta, nq, 2) values at the Gauss points of every cell."""
-        return self.grid.qp_shapes @ corners(self.values)
+    def gradient_at_qp(self, rings: slice = slice(None)) -> np.ndarray:
+        """(n_rings, n_theta, nq, 2, 2) with [..., m, k] = d_k u_m at the Gauss
+        points of the cells in the rings of cells `rings` (all by default);
+        the shape gradients are made for those rings only."""
+        u_cells = np.swapaxes(self._corners(rings), -1, -2)        # (n_rings, n_theta, 2, 4)
+        return u_cells[:, :, None] @ self.grid._shape_gradients(self.grid.n_theta, rings)
+
+    def values_at_qp(self, rings: slice = slice(None)) -> np.ndarray:
+        """(n_rings, n_theta, nq, 2) values at the Gauss points of the cells in
+        the rings of cells `rings` (all by default)."""
+        return self.grid.qp_shapes @ self._corners(rings)
 
 
 def relative_l2_error(u: DiscreteField, exact: DiscreteField) -> float:
     """L2 norm of u - exact over the annulus relative to that of exact, both
-    by Gauss quadrature of the bilinear interpolants."""
+    by Gauss quadrature of the bilinear interpolants.  The two weighted
+    integrands are filled one block of rings at a time and each is summed
+    once, as a whole."""
     grid = exact.grid
     diff = DiscreteField(grid, u.values - exact.values)
-    w = grid.qp_weights[:, None]
-    num = float(np.sum(w * np.sum(diff.values_at_qp() ** 2, axis=-1)))
-    den = float(np.sum(w * np.sum(exact.values_at_qp() ** 2, axis=-1)))
-    return float(np.sqrt(num / max(den, 1e-300)))
+    num = np.empty((grid.n_r - 1, grid.n_theta, grid.qp_weights.shape[1]))
+    den = np.empty_like(num)
+    for rings in grid.ring_blocks():
+        w = grid.qp_weights[rings, None]
+        np.multiply(w, np.sum(diff.values_at_qp(rings) ** 2, axis=-1), out=num[rings])
+        np.multiply(w, np.sum(exact.values_at_qp(rings) ** 2, axis=-1), out=den[rings])
+    return float(np.sqrt(float(np.sum(num)) / max(float(np.sum(den)), 1e-300)))

@@ -863,6 +863,117 @@ class TestEnergyIdentity:
             energy_identity_residual(DiscreteField.zeros(grid), prob, radius)
 
 
+class TestRingBlocks:
+    """The whole-grid Gauss-point diagnostics run one block of rings of cells
+    at a time and read bit for bit what their whole-grid formulas, kept
+    here, read."""
+
+    # (grid, cells per block or None for the default): n_r = 3 in one block
+    # and in blocks of one ring; 19 rings in blocks of 3 (a partial last
+    # block) and 21 (whole blocks); 127 and 128 rings at the default
+    CASES = [
+        ((1.4, 3, 16), None),
+        ((1.4, 3, 16), 16),
+        ((16.0, 20, 32), 3 * 32),
+        ((16.0, 22, 32), 3 * 32),
+        ((64.0, 128, 256), None),
+        ((64.0, 129, 256), None),
+    ]
+
+    @staticmethod
+    def field(grid, seed=0):
+        """The decaying counter-example branch plus noise: a field with
+        every ring and theta-column different."""
+        dec = ClosedFormSolution(2.0, 0.0, 1.0)
+        noise = 1e-3 * np.random.default_rng(seed).normal(size=(grid.n_r, grid.n_theta, 2))
+        return DiscreteField(grid, DiscreteField.sample(grid, dec.displacement).values + noise)
+
+    @staticmethod
+    def whole_grid_gradient(u):
+        u_cells = np.swapaxes(corners(u.values), -1, -2)
+        return u_cells[:, :, None] @ u.grid.qp_shape_gradients
+
+    @staticmethod
+    def whole_grid_ring_sums(grid, qp_values):
+        return np.sum(qp_values * grid.qp_weights[:, None], axis=-1).sum(axis=1)
+
+    @pytest.fixture(params=CASES, ids=lambda c: f"{c[0][1]}x{c[0][2]}-{c[1]}")
+    def grid(self, request, monkeypatch):
+        from stokes_lab import polar
+
+        shape, cells = request.param
+        if cells is not None:
+            monkeypatch.setattr(polar, "_RING_BLOCK_CELLS", cells)
+        grid = PolarGrid(*shape)
+        blocks = grid.ring_blocks()
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == grid.n_r - 1
+        return grid
+
+    def test_gradient_of_a_block_is_the_whole_grid_slice(self, grid):
+        u = self.field(grid)
+        whole = self.whole_grid_gradient(u)
+        for rings in grid.ring_blocks():
+            assert np.array_equal(u.gradient_at_qp(rings), whole[rings])
+            assert np.array_equal(u.values_at_qp(rings), (grid.qp_shapes @ corners(u.values))[rings])
+
+    def test_energy_profiles(self, grid):
+        u = self.field(grid)
+        g = self.whole_grid_gradient(u)
+        div = g[..., 0, 0] + g[..., 1, 1]
+        ring = self.whole_grid_ring_sums(grid, np.sum(g * g, axis=(-2, -1)) + div * div)
+        G = np.concatenate([[0.0], np.cumsum(ring)])
+        prof = energy_profiles(u)
+        assert np.array_equal(prof.G, G) and np.array_equal(prof.Q, G[-1] - G)
+
+    def test_relative_l2_error(self, grid):
+        u, exact = self.field(grid, 1), self.field(grid, 2)
+        w = grid.qp_weights[:, None]
+        diff = corners(u.values - exact.values)
+        num = float(np.sum(w * np.sum((grid.qp_shapes @ diff) ** 2, axis=-1)))
+        den = float(np.sum(w * np.sum((grid.qp_shapes @ corners(exact.values)) ** 2, axis=-1)))
+        assert relative_l2_error(u, exact) == float(np.sqrt(num / max(den, 1e-300)))
+
+    @pytest.mark.parametrize("material", ["degiorgi", "random"])
+    def test_energy_identity_residual(self, grid, material):
+        fld = (degiorgi_tensor(2.0) if material == "degiorgi"
+               else random_scalar_field(1.0, 2.0, np.random.default_rng(3)))
+        prob = VariationalProblem(field=fld)
+        u = self.field(grid)
+        g = self.whole_grid_gradient(u)
+        dens = np.einsum("...mk,...mkhl,...hl->...", g, fld(grid.qp_points), g)
+        ring_e = self.whole_grid_ring_sums(grid, dens)
+        for kR in sorted({1, (grid.n_r - 1) // 2, grid.n_r - 2, grid.n_r - 1} - {0}):
+            energy = float(ring_e[:kR].sum())
+            work = 0.0
+            for ring, sign in ((0, -1.0), (kR, +1.0)):
+                pts, _, stress = annulus._ring_traction_data(u, prob, ring)
+                r = grid.radii[ring]
+                s_u = np.einsum("nmk,nk->nm", stress, sign * pts / r)
+                work += r * grid.dtheta * float(np.einsum("nm,nm->", u.values[ring], s_u))
+            expected = abs(energy - work) / max(abs(energy), 1e-300)
+            assert energy_identity_residual(u, prob, grid.radii[kR]) == expected
+
+    def test_energy_profiles_memory_is_one_block(self):
+        """energy_profiles at 256x512 holds one block's temporaries beyond
+        its input: 2.7 MB traced here, about the same at every size, where
+        the whole-grid form held 75 MB (302 MB at 512x1024)."""
+        import tracemalloc
+
+        grid = PolarGrid(64.0, 256, 512)
+        u = self.field(grid)
+        grid.qp_weights  # the grid's cached quadrature geometry is input too
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            energy_profiles(u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6, f"energy_profiles peaked {peak / 1e6:.2f} MB above its input"
+
+
 class TestNetTraction:
     def test_decaying_branch_vanishes(self):
         dec, prob = degiorgi_problem(2.0, coef=(0.0, 1.0))

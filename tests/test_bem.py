@@ -554,6 +554,15 @@ class TestSolveDirichlet:
         assert np.allclose(sol.kappa, [1.0, 0.0], atol=1e-10)
         assert np.abs(sol.psi).max() < 1e-10
 
+    def test_condition_estimate_repeats(self):
+        """LAPACK's gecon returns estimates that differ in their last digits
+        on bit-identical LU factors; rounded to 6 significant digits, eight
+        builds of one operator report one condition estimate."""
+        curve = BoundaryCurve.ellipse(2.0, 1.0, n=1024)
+        conds = {bem.assemble_single_layer(curve, ISO).cond for _ in range(8)}
+        assert len(conds) == 1
+        assert conds.pop() == 474427.0
+
     def test_basis_span_survives_degenerate_scale(self):
         """psi_i has a positive multiple of e_i as its total on either side of
         the log-capacity radius; on circles, including that radius where the
