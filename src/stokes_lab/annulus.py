@@ -18,24 +18,30 @@ the way in) and the solution (on the way out) are rotated between Cartesian
 and polar components.  The module also measures the quantities the theory
 estimates: interior/exterior energy profiles and their rate-gamma
 monotonicity, the truncated work-energy defect, net tractions, far-field
-decay exponents, and the contraction fixed point.
+decay exponents, and the contraction fixed point.  One harness,
+oracle_ladder, checks the solver against an exact field: the relative L2
+errors of solves on a ladder of grids and the orders between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import NotContracting, RadiusOutOfGrid, SolverDiverged
-from .polar import CORNER_ANGLE, CORNER_RING, DiscreteField, PolarGrid, scatter_corners
+from .polar import (
+    CORNER_ANGLE, CORNER_RING, DiscreteField, PolarGrid, relative_l2_error, scatter_corners
+)
 from .tensors import ID_LIN, ElasticityField
 
 __all__ = [
     "VariationalProblem",
     "bump_force",
     "solve_annulus",
+    "OracleLadder",
+    "oracle_ladder",
     "EnergyProfile",
     "energy_profiles",
     "GrowthReport",
@@ -498,6 +504,35 @@ def solve_annulus(problem: VariationalProblem, grid: PolarGrid) -> DiscreteField
     return stiffness.field(_solve(stiffness))
 
 
+# -- exact-field oracles ---------------------------------------------------------
+
+
+@dataclass
+class OracleLadder:
+    """Relative L2 errors on grids coarse to fine, the orders log2(e_k /
+    e_{k+1}) between them, and the finest grid's solve and exact field."""
+
+    errors: np.ndarray
+    orders: np.ndarray
+    solution: DiscreteField
+    exact: DiscreteField
+
+
+def oracle_ladder(problem: VariationalProblem, exact: Callable,
+                  grids: Iterable[PolarGrid]) -> OracleLadder:
+    """Solve the problem on each grid and take relative_l2_error against the
+    exact displacement, a function of points, sampled at the nodes.  The
+    caller poses the ring data, so data the exact field meets only to
+    round-off (zero on a ring) can be posed exactly."""
+    errors = []
+    for grid in grids:
+        solution = solve_annulus(problem, grid)
+        sampled = DiscreteField.sample(grid, exact)
+        errors.append(relative_l2_error(solution, sampled))
+    errors = np.asarray(errors)
+    return OracleLadder(errors, np.log2(errors[:-1] / errors[1:]), solution, sampled)
+
+
 # -- energy bookkeeping --------------------------------------------------------
 
 
@@ -711,12 +746,12 @@ _POOR_FIT_RMS = 0.1
 
 
 def decay_exponent_fit(u: DiscreteField, radii: Optional[np.ndarray] = None) -> DecayFit:
-    """Fit u - u0 = O(r^-alpha) on (at least 5) dyadic radii.
+    """Fit u - u0 = O(r^-alpha) on the given radii, or by default the dyadic
+    ladder in [2, r_max/4]; at least 5 distinct rings are needed.
 
     u0 is the angular mean at the largest fitting radius; radii are snapped to
-    the nearest grid rings (RadiusOutOfGrid outside the grid) and default to
-    the dyadic ladder inside [2, r_max/4] (the outer quarter is dropped to
-    suppress truncation pollution)."""
+    the nearest grid rings (RadiusOutOfGrid outside the grid).  The default
+    drops the outer quarter to suppress truncation pollution."""
     grid = u.grid
     if radii is None:
         rings = _dyadic_rings(grid.radii, 2.0, grid.r_max / 4.0)

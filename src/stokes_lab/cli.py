@@ -387,10 +387,10 @@ def _run_degiorgi(spec: dict, out: dict):
         decay_exponent_fit,
         energy_profiles,
         growth_monotonicity_check,
-        solve_annulus,
+        oracle_ladder,
     )
     from .degiorgi import ClosedFormSolution, degiorgi_tensor, epsilon
-    from .polar import DiscreteField, relative_l2_error
+    from .polar import DiscreteField
     from .tensors import gamma_exponent
 
     xi, rmax, grid = spec["xi"], spec["rmax"], spec["grid"]
@@ -399,9 +399,8 @@ def _run_degiorgi(spec: dict, out: dict):
     # zero inner data: the growth branch vanishes on |x| = 1, but |x| is 1 at
     # the inner ring's nodes only to round-off, where it reads up to 1e-16
     prob = VariationalProblem(field=fld, outer_data=sol.displacement)
-    u = solve_annulus(prob, grid)
-    exact = DiscreteField.sample(grid, sol.displacement)
-    l2 = relative_l2_error(u, exact)
+    oracle = oracle_ladder(prob, sol.displacement, [grid])
+    l2 = oracle.errors[-1]
 
     # decaying branch: exponent fit and tail monotonicity; the geometric
     # ladder densifies on short grids so the regression keeps >= 5 radii
@@ -427,7 +426,7 @@ def _run_degiorgi(spec: dict, out: dict):
     tt = np.arctan2(pts[:, 1], pts[:, 0])
     out["files"]["solution.csv"] = (
         ["r", "theta", "u1", "u2", "u1_exact", "u2_exact"],
-        [rr, tt, *u.values.reshape(-1, 2).T, *exact.values.reshape(-1, 2).T],
+        [rr, tt, *oracle.solution.values.reshape(-1, 2).T, *oracle.exact.values.reshape(-1, 2).T],
     )
     out["files"]["profiles.csv"] = (["R", "G", "Q"], [prof.radii, prof.G, prof.Q])
 

@@ -24,17 +24,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def annulus_calls(monkeypatch):
     """annulus_calls(name, result=None): the grids (n_r, n_theta) of the
-    calls that stokes_lab.annulus makes from now on to its builder `name`,
-    whose first argument is the grid, in call order; each followed by
-    result(returned value) when result is given."""
+    calls that stokes_lab.annulus makes from now on to its function `name`,
+    which takes a grid, in call order; each followed by result(returned
+    value) when result is given."""
     from stokes_lab import annulus
 
     def count(name, result=None):
         calls = []
         real = getattr(annulus, name)
 
-        def counting(grid, *args, **kwargs):
-            out = real(grid, *args, **kwargs)
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            grid = next(a for a in args if isinstance(a, annulus.PolarGrid))
             calls.append((grid.n_r, grid.n_theta) + (() if result is None else (result(out),)))
             return out
 
@@ -42,6 +43,45 @@ def annulus_calls(monkeypatch):
         return calls
 
     return count
+
+
+def degiorgi_problem(xi, coef=(1.0, -1.0)):
+    """The closed-form field ClosedFormSolution(xi, *coef) and the problem on
+    degiorgi_tensor(xi) posed with its values on both rings, but zero on the
+    inner ring for the growth branch (1, -1): it vanishes at r = 1, where its
+    closed form reads up to 1.1e-16 at the nodes."""
+    from stokes_lab.annulus import VariationalProblem
+    from stokes_lab.degiorgi import ClosedFormSolution, degiorgi_tensor
+
+    sol = ClosedFormSolution(xi, *coef)
+    prob = VariationalProblem(
+        field=degiorgi_tensor(xi),
+        inner_data=sol.displacement if coef != (1.0, -1.0) else None,
+        outer_data=sol.displacement,
+    )
+    return sol, prob
+
+
+def closed_form_audit(grid, coef):
+    """growth_monotonicity_check of ClosedFormSolution(2, *coef) sampled on
+    the grid, at the rate gamma of its material's bounds (1, 1 + 4/2^2)."""
+    from stokes_lab.annulus import energy_profiles, growth_monotonicity_check
+    from stokes_lab.degiorgi import ClosedFormSolution
+    from stokes_lab.polar import DiscreteField
+    from stokes_lab.tensors import gamma_exponent
+
+    u = DiscreteField.sample(grid, ClosedFormSolution(2.0, *coef).displacement)
+    return growth_monotonicity_check(energy_profiles(u), gamma_exponent(1.0, 2.0))
+
+
+def kelvin_field(source):
+    """The displacement U(x - source) e_1 of a point force e_1 at source in
+    the isotropic material with moduli (1, 1), a function of points x."""
+    from stokes_lab.kelvin import FundamentalSolution
+    from stokes_lab.tensors import IsotropicModuli
+
+    fs = FundamentalSolution.isotropic(IsotropicModuli(1.0, 1.0))
+    return lambda p: fs(np.asarray(p) - np.asarray(source)) @ np.array([1.0, 0.0])
 
 
 def fourier_ring_data(coef, th) -> np.ndarray:

@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import fourier_ring_data, record_criterion
+from conftest import (
+    closed_form_audit,
+    degiorgi_problem,
+    fourier_ring_data,
+    kelvin_field,
+    record_criterion,
+)
 
 from stokes_lab import bem
 from stokes_lab.annulus import (
@@ -23,20 +29,19 @@ from stokes_lab.annulus import (
     energy_profiles,
     growth_monotonicity_check,
     net_traction_discrete,
+    oracle_ladder,
     solve_annulus,
 )
 from stokes_lab.cli import ExperimentConfig, run
 from stokes_lab.curves import BoundaryCurve
 from stokes_lab.degiorgi import (
     ClosedFormSolution,
-    degiorgi_tensor,
     epsilon,
     q_tail_classify,
     restricted_tensor,
 )
 from stokes_lab.inequalities import TRIALS, wirtinger_check
-from stokes_lab.kelvin import FundamentalSolution
-from stokes_lab.polar import DiscreteField, PolarGrid, relative_l2_error
+from stokes_lab.polar import PolarGrid
 from stokes_lab.tensors import (
     IsotropicModuli,
     constant_field,
@@ -123,31 +128,15 @@ def test_criterion_3_far_field_decay():
 
 
 def test_criterion_4_degiorgi_oracle():
-    xi_ref = 2.0
-    sol = ClosedFormSolution(xi_ref, 1.0, -1.0)
-    errs = []
-    for nr, nt in ((32, 64), (64, 128), (128, 256)):
-        grid = PolarGrid(64.0, nr, nt)
-        prob = VariationalProblem(
-            field=degiorgi_tensor(xi_ref),
-            inner_data=None,
-            outer_data=sol.displacement,
-        )
-        u = solve_annulus(prob, grid)
-        errs.append(relative_l2_error(u, DiscreteField.sample(grid, sol.displacement)))
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    sol, prob = degiorgi_problem(2.0)
+    grids = [PolarGrid(64.0, nr, nt) for nr, nt in ((32, 64), (64, 128), (128, 256))]
+    ladder = oracle_ladder(prob, sol.displacement, grids)
+    errs, orders = ladder.errors, ladder.orders
 
     fits = {}
     for xi in (1.0, 2.0, 4.0):
-        dec = ClosedFormSolution(xi, 0.0, 1.0)
-        grid = PolarGrid(128.0, 128, 256)
-        prob = VariationalProblem(
-            field=degiorgi_tensor(xi),
-            inner_data=dec.displacement,
-            outer_data=dec.displacement,
-        )
-        u = solve_annulus(prob, grid)
-        fits[xi] = decay_exponent_fit(u).alpha
+        _, prob = degiorgi_problem(xi, coef=(0.0, 1.0))
+        fits[xi] = decay_exponent_fit(solve_annulus(prob, PolarGrid(128.0, 128, 256))).alpha
 
     fit_errs = {xi: abs(fits[xi] - epsilon(xi)) for xi in fits}
     ok = (
@@ -198,18 +187,9 @@ def test_criterion_6_growth_monotonicity():
     hypothesis class; the printed note quantifies that violation so the
     class split stays visible.
     """
-    xi = 2.0
-    gam_dg = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
     grid = PolarGrid(64.0, 256, 512)
-
-    grow = ClosedFormSolution(xi, 1.0, -1.0)
-    rep_grow = growth_monotonicity_check(
-        energy_profiles(DiscreteField.sample(grid, grow.displacement)), gam_dg
-    )
-    dec = ClosedFormSolution(xi, 0.0, 1.0)
-    rep_dec = growth_monotonicity_check(
-        energy_profiles(DiscreteField.sample(grid, dec.displacement)), gam_dg
-    )
+    rep_grow = closed_form_audit(grid, (1.0, -1.0))
+    rep_dec = closed_form_audit(grid, (0.0, 1.0))
 
     gam_iso = gamma_exponent(*ISO.tensor().bounds)
     rng = np.random.default_rng(21)
@@ -243,11 +223,7 @@ def test_criterion_6_growth_monotonicity():
 
 def test_criterion_7_energy_identity_and_net_traction():
     # truncated work-energy on two independent solutions
-    fs = FundamentalSolution.isotropic(ISO)
-
-    def kelvin(p):
-        return fs(np.asarray(p) - np.array([0.3, 0.2])) @ np.array([1.0, 0.0])
-
+    kelvin = kelvin_field((0.3, 0.2))
     grid = PolarGrid(64.0, 128, 256)
     prob_k = VariationalProblem(
         field=constant_field(ISO.tensor()),
@@ -257,13 +233,7 @@ def test_criterion_7_energy_identity_and_net_traction():
     u_k = solve_annulus(prob_k, grid)
     res_k = energy_identity_residual(u_k, prob_k, 16.0)
 
-    xi = 2.0
-    dec = ClosedFormSolution(xi, 0.0, 1.0)
-    prob_d = VariationalProblem(
-        field=degiorgi_tensor(xi),
-        inner_data=dec.displacement,
-        outer_data=dec.displacement,
-    )
+    _, prob_d = degiorgi_problem(2.0, coef=(0.0, 1.0))
     u_d = solve_annulus(prob_d, grid)
     res_d = energy_identity_residual(u_d, prob_d, 16.0)
 

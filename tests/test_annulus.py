@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import ReferenceSystem, cell_nodes, fourier_ring_data
+from conftest import (
+    ReferenceSystem,
+    cell_nodes,
+    closed_form_audit,
+    degiorgi_problem,
+    fourier_ring_data,
+    kelvin_field,
+)
 
 from stokes_lab import annulus
 from stokes_lab.annulus import (
@@ -30,6 +37,7 @@ from stokes_lab.annulus import (
     energy_profiles,
     growth_monotonicity_check,
     net_traction_discrete,
+    oracle_ladder,
     solve_annulus,
 )
 from stokes_lab.degiorgi import (
@@ -44,7 +52,6 @@ from stokes_lab.errors import (
     RadiusOutOfGrid,
     SolverDiverged,
 )
-from stokes_lab.kelvin import FundamentalSolution
 from stokes_lab.polar import (
     DiscreteField,
     PolarGrid,
@@ -66,24 +73,19 @@ from stokes_lab.tensors import (
 ISO = IsotropicModuli(1.0, 1.0)
 
 
+def random_problem(field, grid, kind, rng):
+    """The problem on the material field with random data on both rings (the
+    outer ones unread when traction-free) and a random bump force."""
+    return VariationalProblem(field=field, inner_data=rng.normal(size=(grid.n_theta, 2)),
+                              outer_kind=kind, outer_data=rng.normal(size=(grid.n_theta, 2)),
+                              force=bump_force(rng.normal(size=4), grid.r_max))
+
+
 def solve_unchecked(prob, grid):
     """solve_annulus without its spot-check of the declared bounds, for the
     materials that break them on purpose."""
     stiffness = _Stiffness(prob, grid)
     return stiffness.field(_solve(stiffness))
-
-
-def degiorgi_problem(xi, coef=(1.0, -1.0)):
-    """The closed-form field and the problem posed with its values on both
-    rings (only the outer one for the growth branch, which vanishes on the
-    inner ring)."""
-    sol = ClosedFormSolution(xi, *coef)
-    prob = VariationalProblem(
-        field=degiorgi_tensor(xi),
-        inner_data=sol.displacement if coef != (1.0, -1.0) else None,
-        outer_data=sol.displacement,
-    )
-    return sol, prob
 
 
 class TestPolarGrid:
@@ -293,13 +295,7 @@ class TestAssembly:
         data and a force."""
         grid = PolarGrid(16.0, 24, 48)
         rng = np.random.default_rng(11)
-        prob = VariationalProblem(
-            field=random_scalar_field(1.0, 2.0, rng),
-            inner_data=rng.normal(size=(grid.n_theta, 2)),
-            outer_kind=kind,
-            outer_data=rng.normal(size=(grid.n_theta, 2)),
-            force=bump_force(rng.normal(size=4), 16.0),
-        )
+        prob = random_problem(random_scalar_field(1.0, 2.0, rng), grid, kind, rng)
         stiffness = _Stiffness(prob, grid)
         K_f, rhs, last = stiffness.K_f, stiffness.rhs, stiffness.last
         u = stiffness.field(np.zeros_like(rhs)).values
@@ -422,13 +418,7 @@ class TestSolveAnnulus:
         assert np.abs(u.values).max() < 1e-14
 
     def test_kelvin_trace_oracle_with_convergence(self):
-        fs = FundamentalSolution.isotropic(ISO)
-        x_in = np.array([0.3, 0.2])
-        e1 = np.array([1.0, 0.0])
-
-        def exact(p):
-            return fs(np.asarray(p) - x_in) @ e1
-
+        exact = kelvin_field((0.3, 0.2))
         errs = []
         for nr, nt in ((32, 64), (64, 128)):
             grid = PolarGrid(64.0, nr, nt)
@@ -443,12 +433,18 @@ class TestSolveAnnulus:
         assert errs[-1] <= 1e-3
         assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
 
-    def test_degiorgi_oracle(self):
+    def test_degiorgi_oracle(self, annulus_calls):
+        """The growth branch through oracle_ladder: one solve_annulus per
+        grid, coarse to fine, looked up as a module global (where a tracer
+        wraps it); the finest grid's solve and sample are kept."""
+        solves = annulus_calls("solve_annulus")
         sol, prob = degiorgi_problem(2.0)
-        grid = PolarGrid(64.0, 64, 128)
-        u = solve_annulus(prob, grid)
-        exact = DiscreteField.sample(grid, sol.displacement)
-        assert relative_l2_error(u, exact) <= 1e-3
+        grids = [PolarGrid(64.0, 32, 64), PolarGrid(64.0, 64, 128)]
+        ladder = oracle_ladder(prob, sol.displacement, grids)
+        assert solves == [(32, 64), (64, 128)]
+        assert ladder.solution.grid is grids[-1] and ladder.exact.grid is grids[-1]
+        assert ladder.orders.tolist() == [np.log2(ladder.errors[0] / ladder.errors[1])]
+        assert ladder.errors[-1] <= 1e-3
 
     def test_minimization_property(self):
         sol, prob = degiorgi_problem(2.0)
@@ -507,11 +503,11 @@ class TestSolveAnnulus:
         it is gives, bit for bit, the solve of its values at r_max (cos, sin)
         of the grid's angles."""
         grid = PolarGrid(16.0, 24, 48)
-        fld, sol = degiorgi_tensor(2.0), ClosedFormSolution(2.0)
+        sol, prob = degiorgi_problem(2.0)
         th = grid.thetas
         values = sol.displacement(np.stack([16.0 * np.cos(th), 16.0 * np.sin(th)], axis=-1))
-        by_points = solve_annulus(VariationalProblem(field=fld, outer_data=sol.displacement), grid)
-        by_array = solve_annulus(VariationalProblem(field=fld, outer_data=values), grid)
+        by_points = solve_annulus(prob, grid)
+        by_array = solve_annulus(VariationalProblem(field=prob.field, outer_data=values), grid)
         assert np.array_equal(by_points.values, by_array.values)
 
         seen = []
@@ -520,7 +516,7 @@ class TestSolveAnnulus:
             seen.append(points.copy())
             return np.zeros_like(points)
 
-        solve_annulus(VariationalProblem(field=fld, inner_data=record, outer_data=record), grid)
+        solve_annulus(VariationalProblem(field=prob.field, inner_data=record, outer_data=record), grid)
         nodes = grid.node_points()
         assert len(seen) == 2
         assert np.array_equal(seen[0], nodes[0]) and np.array_equal(seen[1], nodes[-1])
@@ -552,6 +548,48 @@ class TestSolveAnnulus:
             with pytest.raises(SolverDiverged, match=message):
                 solve_unchecked(prob, grid)
             assert stiffness_builds == [(16, 32, n_cols)]
+
+
+def restricted_radial_field(xi, lo, hi):
+    """The exact radial displacement f(r) e_r on restricted_tensor(xi, lo, hi)
+    with f = 1/r beyond hi.  Both sides of a jump of the material carry the
+    radial stress mue f', so f and f' are continuous there; f is a r + b / r
+    outside [lo, hi], where the material is mue Id_Lin, and c r^eps + d r^-eps
+    inside it, eps = epsilon(xi)."""
+    eps = epsilon(xi)
+
+    def jet(p, r):
+        """(f, f') at r of f = r^p."""
+        return np.array([r**p, p * r ** (p - 1.0)])
+
+    c, d = np.linalg.solve(np.column_stack([jet(eps, hi), jet(-eps, hi)]), jet(-1.0, hi))
+    a, b = np.linalg.solve(np.column_stack([jet(1.0, lo), jet(-1.0, lo)]),
+                           c * jet(eps, lo) + d * jet(-eps, lo))
+
+    def displacement(points):
+        pts = np.asarray(points, dtype=float)
+        r = np.linalg.norm(pts, axis=-1)
+        f = np.where(r < lo, a * r + b / r, np.where(r > hi, 1.0 / r, c * r**eps + d * r**-eps))
+        return (f / r)[..., None] * pts
+
+    return displacement
+
+
+class TestRestrictedTensorOracle:
+    @pytest.mark.parametrize("lo_exponent, on_rings", [(1 / 4, True), (25 / 96, False)])
+    def test_restricted_tensor_order(self, lo_exponent, on_rings):
+        """Second order on restricted_tensor(2, lo, 8) with both jumps of the
+        material on ring radii of every grid (64^(k/32) at 33 rings); with lo
+        = 64^(25/96), on no ring, the jump caps the order (1.43 and 0.77)."""
+        lo, hi = 64.0**lo_exponent, 8.0
+        exact = restricted_radial_field(2.0, lo, hi)
+        prob = VariationalProblem(field=restricted_tensor(2.0, lo, hi),
+                                  inner_data=exact, outer_data=exact)
+        grids = [PolarGrid(64.0, nr, nt) for nr, nt in ((33, 64), (65, 128), (129, 256))]
+        ladder = oracle_ladder(prob, exact, grids)
+        assert all(abs(ladder.orders - 2.0) <= 0.3) == on_rings
+        if on_rings:
+            assert ladder.errors[-1] <= 5e-5
 
 
 def radial_scalar_field():
@@ -595,13 +633,7 @@ class TestFourierSolve:
         stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
-        prob = VariationalProblem(
-            field=self.MATERIALS[material](),
-            inner_data=rng.normal(size=(nt, 2)),
-            outer_kind=kind,
-            outer_data=rng.normal(size=(nt, 2)),
-            force=bump_force(rng.normal(size=4), 16.0),
-        )
+        prob = random_problem(self.MATERIALS[material](), grid, kind, rng)
         u = solve_annulus(prob, grid)
         assert stiffness_builds == [(nr, nt, 1)]
 
@@ -677,13 +709,7 @@ class TestConjugateGradients:
         stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
         grid = PolarGrid(16.0, nr, nt)
         rng = np.random.default_rng(nr + nt)
-        prob = VariationalProblem(
-            field=self.MATERIALS[material](grid, rng),
-            inner_data=rng.normal(size=(nt, 2)),
-            outer_kind=kind,
-            outer_data=rng.normal(size=(nt, 2)),
-            force=bump_force(rng.normal(size=4), 16.0),
-        )
+        prob = random_problem(self.MATERIALS[material](grid, rng), grid, kind, rng)
         u = (solve_unchecked if material == "perturbed" else solve_annulus)(prob, grid)
         assert stiffness_builds == [(nr, nt, nt)]
 
@@ -768,30 +794,15 @@ class TestEnergyProfiles:
 
 class TestGrowthMonotonicity:
     def test_decaying_branch_tail_holds(self):
-        xi = 2.0
-        gam = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
-        grid = PolarGrid(64.0, 128, 256)
-        dec = ClosedFormSolution(xi, 0.0, 1.0)
-        rep = growth_monotonicity_check(energy_profiles(DiscreteField.sample(grid, dec.displacement)), gam)
-        assert rep.worst_q_violation <= 0.01
+        assert closed_form_audit(PolarGrid(64.0, 128, 256), (0.0, 1.0)).worst_q_violation <= 0.01
 
     def test_vanishing_branch_interior_holds(self):
-        xi = 2.0
-        gam = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
-        grid = PolarGrid(64.0, 128, 256)
-        grow = ClosedFormSolution(xi, 1.0, -1.0)
-        rep = growth_monotonicity_check(energy_profiles(DiscreteField.sample(grid, grow.displacement)), gam)
-        assert rep.worst_g_violation <= 0.01
+        assert closed_form_audit(PolarGrid(64.0, 128, 256), (1.0, -1.0)).worst_g_violation <= 0.01
 
     def test_decaying_branch_interior_fails(self):
         """The interior monotonicity provably fails for the decaying branch
         (its hypothesis class excludes it); the report must expose that."""
-        xi = 2.0
-        gam = gamma_exponent(1.0, 1.0 + 4.0 / xi**2)
-        grid = PolarGrid(64.0, 128, 256)
-        dec = ClosedFormSolution(xi, 0.0, 1.0)
-        rep = growth_monotonicity_check(energy_profiles(DiscreteField.sample(grid, dec.displacement)), gam)
-        assert rep.worst_g_violation > 0.05
+        assert closed_form_audit(PolarGrid(64.0, 128, 256), (0.0, 1.0)).worst_g_violation > 0.05
 
     def test_constant_field_degenerate(self):
         grid = PolarGrid(8.0, 16, 32)
@@ -821,9 +832,7 @@ class TestEnergyIdentity:
         assert energy_identity_residual(u, prob, 8.0) < 1e-10
 
     def test_degiorgi_residual_and_order(self):
-        xi = 2.0
-        dec = ClosedFormSolution(xi, 0.0, 1.0)
-        prob = VariationalProblem(field=degiorgi_tensor(xi), inner_data=dec.displacement)
+        dec, prob = degiorgi_problem(2.0, coef=(0.0, 1.0))
         res = []
         for nr, nt in ((64, 128), (128, 256)):
             grid = PolarGrid(64.0, nr, nt)
@@ -831,21 +840,6 @@ class TestEnergyIdentity:
             res.append(energy_identity_residual(u, prob, 16.0))
         assert res[0] <= 0.01
         assert np.log2(res[0] / res[1]) > 1.5
-
-    def test_kelvin_solution_residual(self):
-        fs = FundamentalSolution.isotropic(ISO)
-
-        def exact(p):
-            return fs(np.asarray(p) - np.array([0.3, 0.2])) @ np.array([1.0, 0.0])
-
-        grid = PolarGrid(64.0, 128, 256)
-        prob = VariationalProblem(
-            field=constant_field(ISO.tensor()),
-            inner_data=exact,
-            outer_data=exact,
-        )
-        u = solve_annulus(prob, grid)
-        assert energy_identity_residual(u, prob, 16.0) <= 0.01
 
     def test_radius_below_first_ring(self):
         grid = PolarGrid(16.0, 24, 48)
