@@ -3,19 +3,24 @@
 The exterior domain is replaced by the annulus 1 < r < r_max with a
 configurable outer condition; the solver minimizes the discrete energy
 int grad(u) . C[grad(u)] over bilinear elements.  Every stiffness is built
-once, in polar components, one block of theta-columns at a time: the
-material at the Gauss points of each theta-column of cells is rotated into
-that column's polar frame, turned into element matrices by one matrix
-product per ring and added into a 9-point stencil of 2x2 blocks over the
-(ring, theta) nodes, with one column of blocks per theta-column of nodes,
-or a single column when the material is rotation-equivariant and the
-stiffness block-circulant in theta.  Neither the whole grid's frame nor its
-element matrices are ever held.  A block-circulant stiffness is inverted by
-one angular Fourier solve (a block-Thomas sweep over the rings per mode);
+once, in polar components, one block of _FRAME_BLOCK theta-columns at a
+time: the material at the Gauss points of each theta-column of cells, made
+for that block only, is rotated into that column's polar frame, turned into
+element matrices by one matrix product per ring and added into a 9-point
+stencil of 2x2 blocks over the (ring, theta) nodes, with one column of
+blocks per theta-column of nodes, or a single column when the material is
+rotation-equivariant and the stiffness block-circulant in theta.  A
+block-circulant stiffness is inverted by one angular Fourier solve (a
+block-Thomas sweep over the rings per mode, factored over its symbols);
 any other is solved by conjugate gradients preconditioned by the Fourier
-solve of its theta-mean.  Only the load and the Dirichlet data (on
-the way in) and the solution (on the way out) are rotated between Cartesian
-and polar components.  The module also measures the quantities the theory
+solve of its theta-mean.  Beyond the stencil, the Fourier factors and the
+iteration vectors, every stage holds one block of work at most: the load
+and the diagnostics work one block of rings at a time, the stencil one
+block of columns, and its product a chunk of rings of shifted copies; no
+whole-grid array of Gauss points, frames or element matrices is ever
+held.  Only the load and the Dirichlet data (on the way in) and the
+solution (on the way out) are rotated between Cartesian and polar
+components.  The module also measures the quantities the theory
 estimates: interior/exterior energy profiles and their rate-gamma
 monotonicity, the truncated work-energy defect, net tractions, far-field
 decay exponents, and the contraction fixed point.  One harness,
@@ -131,7 +136,7 @@ def _add_cells(S: np.ndarray, ke: np.ndarray, nodes: slice):
             rows[:, :, o, d] += own[:, b]
 
 
-_APPLY_COPY_BYTES = 8 << 20     # shifted input copies _stiffness_apply holds at a time
+_APPLY_COPY_BYTES = 1 << 20     # shifted input copies _stiffness_apply holds at a time
 
 
 def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -157,20 +162,28 @@ def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _force_vector(grid: PolarGrid, force: Optional[Callable]) -> np.ndarray:
     """Load vector int f.N_a, nodal (n_r, n_theta, 2); the force must vanish
-    beyond r_max / 2."""
+    beyond r_max / 2.  The force is evaluated one block of rings at a time
+    (PolarGrid.ring_blocks) into the cells' loads."""
     if force is None:
         return np.zeros((grid.n_r, grid.n_theta, 2))
-    f_qp = np.asarray(force(grid.qp_points), dtype=float)
-    mags = np.linalg.norm(f_qp, axis=-1)
-    outside = grid.qp_radii[:, None] > 0.5 * grid.r_max
-    if mags.max(initial=0.0, where=outside) > 1e-12 * max(mags.max(), 1.0):
+    loads = np.empty((grid.n_r - 1, grid.n_theta, 4, 2))
+    largest = outside = 0.0
+    for rings in grid.ring_blocks():
+        f_qp = np.asarray(force(grid.gauss_points(rings)), dtype=float)
+        mags = np.linalg.norm(f_qp, axis=-1)
+        beyond = grid.qp_radii[rings, None] > 0.5 * grid.r_max
+        outside = mags.max(initial=outside, where=beyond)
+        largest = max(largest, mags.max())
+        np.einsum("iq,qa,ijqm->ijam", grid.qp_weights[rings], grid.qp_shapes, f_qp,
+                  out=loads[rings])
+    if outside > 1e-12 * max(largest, 1.0):
         raise ValueError("volume force must be supported strictly inside r_max / 2")
-    return scatter_corners(np.einsum("iq,qa,ijqm->ijam", grid.qp_weights, grid.qp_shapes, f_qp))
+    return scatter_corners(loads)
 
 
 # -- the polar frame ------------------------------------------------------------
 
-_FRAME_BLOCK = 32               # theta-columns of nodes built per batch
+_FRAME_BLOCK = 8                # theta-columns of nodes built per batch
 
 
 def _rotations(thetas: np.ndarray) -> np.ndarray:
@@ -245,23 +258,23 @@ def _polar_stencil(grid: PolarGrid, field: Callable) -> np.ndarray:
     stiffness of the material field, built one block of _FRAME_BLOCK
     theta-columns of nodes at a time from the cells that touch them.
 
-    Per block, the material at the cells' Gauss points is rotated into each
-    cell column's polar frame (_polar_frame), compared with column 0's and
-    turned into element matrices (_element_map).  While every column equals
+    Per block, the material at the cells' Gauss points, made for the block
+    only (PolarGrid.gauss_points), is rotated into each cell column's polar
+    frame (_polar_frame), compared with column 0's and turned into element
+    matrices (_element_map).  While every column equals
     column 0 to 1e-12 relative, C(R x) = R * C(x) holds at the Gauss points
     and nothing is kept: the stiffness is block-circulant and its stencil
     has the one column of column 0's frame.  At the first block that
     differs, the n_theta-column stencil is allocated and the earlier blocks
     are evaluated again."""
     n_t = grid.n_theta
-    pts = grid.qp_points
     element_matrices = _element_map(grid)
 
     def block(lo):
         """The node columns from lo and the polar frame of their cells."""
         nodes = slice(lo, min(lo + _FRAME_BLOCK, n_t))
         cells = np.arange(lo - 1, nodes.stop) % n_t
-        return nodes, _polar_frame(field(pts[:, cells]), grid.thetas[cells])
+        return nodes, _polar_frame(field(grid.gauss_points(cols=cells)), grid.thetas[cells])
 
     S = None
     for lo in range(0, n_t, _FRAME_BLOCK):
@@ -370,19 +383,18 @@ def _mul_2x2(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _block_thomas_factor(A: np.ndarray, U: np.ndarray, L: np.ndarray):
     """Forward-sweep factors of the block-tridiagonal systems with diagonal
     A (n, 2, 2, m), upper U and lower L (n - 1, 2, 2, m), one per index of
-    the last axis: the inverse pivots D_i^-1, W_i = D_i^-1 U_i and
-    M_i = D_i^-1 L_{i-1}; W and M column-first, W[i, c, r] = W_i[r, c], so
-    that the solve sweeps read each block's columns as (2, m) rows."""
-    Dinv = np.empty_like(A)
-    W = np.empty_like(U)
-    M = np.empty_like(L)
-    W_rows, M_rows = np.swapaxes(W, 1, 2), np.swapaxes(M, 1, 2)
-    Dinv[0] = _inverse_2x2(A[0])
+    the last axis, written over them and returned as (A, U, L): the inverse
+    pivots D_i^-1 over A, W_i = D_i^-1 U_i over U and M_i = D_i^-1 L_{i-1}
+    over L; W and M column-first, W[i, c, r] = W_i[r, c], so that the solve
+    sweeps read each block's columns as (2, m) rows.  Each block is read
+    before its factor is written."""
+    W_rows, M_rows = np.swapaxes(U, 1, 2), np.swapaxes(L, 1, 2)
+    A[0] = _inverse_2x2(A[0])
     for i in range(1, A.shape[0]):
-        W_rows[i - 1] = _mul_2x2(Dinv[i - 1], U[i - 1])
-        Dinv[i] = _inverse_2x2(A[i] - _mul_2x2(L[i - 1], W_rows[i - 1]))
-        M_rows[i - 1] = _mul_2x2(Dinv[i], L[i - 1])
-    return Dinv, W, M
+        W_rows[i - 1] = _mul_2x2(A[i - 1], U[i - 1])
+        A[i] = _inverse_2x2(A[i] - _mul_2x2(L[i - 1], W_rows[i - 1]))
+        M_rows[i - 1] = _mul_2x2(A[i], L[i - 1])
+    return A, U, L
 
 
 def _block_thomas_solve(factors, F: np.ndarray) -> np.ndarray:
@@ -403,8 +415,9 @@ def _fourier_inverse(S: np.ndarray, n_theta: int) -> Callable:
     the rows S of its one-column stencil on those rings.  One real FFT in
     theta splits it into one block-tridiagonal system over the rings per
     angular mode, with symbol s(0) + s(1) e^{i phi_k} + s(-1) e^{-i phi_k};
-    these are factored here, once.  The returned solve maps nodal values
-    (free rings, n_theta, 2) to nodal values in the components of S."""
+    these are factored here, once, over the symbol arrays.  The returned
+    solve maps nodal values (free rings, n_theta, 2) to nodal values in the
+    components of S."""
     k = np.arange(n_theta // 2 + 1)
     phase = np.exp(1j * np.outer([-1.0, 0.0, 1.0], 2.0 * np.pi * k / n_theta))
     down, same, up = (np.einsum("imdh,dk->imhk", S[:, :, o, :, :, 0], phase) for o in range(3))
@@ -498,8 +511,7 @@ def solve_annulus(problem: VariationalProblem, grid: PolarGrid) -> DiscreteField
     steps, or when the result misses a relative residual of 1e-8
     (ill-conditioning proxy).
     """
-    flat = grid.qp_points.reshape(-1, 2)
-    problem.field.check_bounds_at(flat[:: max(flat.shape[0] // 257, 1)])
+    problem.field.check_bounds_at(grid.qp_sample(257))
     stiffness = _Stiffness(problem, grid)
     return stiffness.field(_solve(stiffness))
 
@@ -695,7 +707,7 @@ def energy_identity_residual(u: DiscreteField, problem: VariationalProblem, radi
     R = grid.radii[kR]
 
     def work(g, rings):
-        return np.einsum("...mk,...mkhl,...hl->...", g, problem.field(grid.qp_points[rings]), g)
+        return np.einsum("...mk,...mkhl,...hl->...", g, problem.field(grid.gauss_points(rings)), g)
 
     energy = float(_ring_integrals(u, work, kR).sum())
 

@@ -6,13 +6,16 @@ nodal values (n_r, n_theta, ...), cells (n_r - 1, n_theta, ...) and their
 Gauss points (n_r - 1, n_theta, nq, ...).  Corner a of cell (i, j) is node
 (i + CORNER_RING[a], j + CORNER_ANGLE[a] mod n_theta); `corners` gathers
 nodal values to the corners and `scatter_corners`, its adjoint, sums them
-back.  The grid caches its quadrature geometry: the Gauss points, and per
-ring the radii and weights (the r dr dtheta area element folded in).
-Cartesian shape gradients are made when read: those of theta-column 0 for
-the stiffness, which rotates them to every other column, and those of one
-block of rings of cells for field gradients.  Whole-grid Gauss-point
-diagnostics run over the blocks of `PolarGrid.ring_blocks`, so their
-temporaries are those of one block, whatever the grid.
+back.  The grid caches only per-ring quadrature geometry: the Gauss radii
+and weights (the r dr dtheta area element folded in) and the shapes.
+Gauss points and Cartesian shape gradients are made when asked for, for a
+slice of rings and theta-columns: the points of one block of columns for
+the stiffness, of one block of rings for the load or a diagnostic, or a
+sparse sample of them; the shape gradients of theta-column 0 for the stiffness, which
+rotates them to every other column, and those of one block of rings of
+cells for field gradients.  Whole-grid Gauss-point diagnostics run over the
+blocks of `PolarGrid.ring_blocks`, so their temporaries are those of one
+block, whatever the grid.
 """
 
 from __future__ import annotations
@@ -96,18 +99,17 @@ class PolarGrid:
     # -- quadrature geometry -----------------------------------------------------
 
     def _quadrature(self):
+        """Per-ring Gauss radii and weights and the shapes, made once."""
         if self._qp is not None:
             return self._qp
         r0 = self.radii[:-1]
         r1 = self.radii[1:]
         dr = (r1 - r0)[:, None]                       # (n_r-1, 1)
         rmid = (0.5 * (r0 + r1))[:, None]
-        dt = self.dtheta
         xi, eta = _ref_points()
 
         rq = rmid + 0.5 * dr * xi[None, :]            # (n_r-1, nq)
-        tq = self.thetas[:, None] + 0.5 * dt * (1.0 + eta)[None, :]     # (n_theta, nq)
-        wq = 0.25 * dr * dt * rq                      # area weight incl. Jacobian r
+        wq = 0.25 * dr * self.dtheta * rq             # area weight incl. Jacobian r
 
         # bilinear shapes, one per corner (CORNER_RING, CORNER_ANGLE)
         shp = 0.25 * np.stack(
@@ -119,10 +121,31 @@ class PolarGrid:
             ],
             axis=-1,
         )                                              # (nq, 4)
-
-        pts = rq[:, None, :, None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
-        self._qp = {"rq": rq, "wq": wq, "shapes": shp, "points": pts}
+        self._qp = {"rq": rq, "wq": wq, "shapes": shp}
         return self._qp
+
+    def _qp_angles(self, cols) -> np.ndarray:
+        """(n_cols, nq) Gauss-point angles of the cells of the theta-columns
+        cols (a slice or an index array)."""
+        eta = _ref_points()[1]
+        return self.thetas[cols, None] + 0.5 * self.dtheta * (1.0 + eta)[None, :]
+
+    def gauss_points(self, rings: slice = slice(None), cols=slice(None)) -> np.ndarray:
+        """(n_rings, n_cols, nq, 2) Cartesian Gauss points of the cells in the
+        rings of cells `rings` and the theta-columns cols (a slice or an index
+        array), all by default; bit for bit that slice of qp_points."""
+        tq = self._qp_angles(cols)
+        return self.qp_radii[rings, None, :, None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
+
+    def qp_sample(self, count: int) -> np.ndarray:
+        """(m, 2) every max(N // count, 1)-th of the N Gauss points of the
+        grid in the (ring, column, point) order of qp_points, so about count
+        of them, made without the others."""
+        shape = (self.n_r - 1, self.n_theta, self.qp_radii.shape[1])
+        n = int(np.prod(shape))
+        i, j, q = np.unravel_index(np.arange(0, n, max(n // count, 1)), shape)
+        tq = self._qp_angles(j)[np.arange(j.size), q]
+        return self.qp_radii[i, q, None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
 
     def _shape_gradients(self, n_cols: int, rings: slice = slice(None)) -> np.ndarray:
         """(n_rings, n_cols, nq, 4, 2) Cartesian gradients d_k N_a of the shape
@@ -133,7 +156,7 @@ class PolarGrid:
         dt = self.dtheta
         dr = np.diff(self.radii)[rings, None, None, None]           # (n_rings, 1, 1, 1)
         rq = self.qp_radii[rings, None, :, None]                    # (n_rings, 1, nq, 1)
-        tq = self.thetas[:n_cols, None] + 0.5 * dt * (1.0 + eta)[None, :]
+        tq = self._qp_angles(slice(n_cols))
         er = np.stack([np.cos(tq), np.sin(tq)], axis=-1)[:, :, None, :]    # (n_cols, nq, 1, 2)
         et = np.stack([-np.sin(tq), np.cos(tq)], axis=-1)[:, :, None, :]
         dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=-1)
@@ -152,8 +175,10 @@ class PolarGrid:
 
     @property
     def qp_points(self) -> np.ndarray:
-        """(n_r - 1, n_theta, nq, 2) Cartesian Gauss points of every cell."""
-        return self._quadrature()["points"]
+        """(n_r - 1, n_theta, nq, 2) Cartesian Gauss points of every cell, made
+        on each read; the solver makes them a block at a time (gauss_points)
+        and never holds the whole grid's."""
+        return self.gauss_points()
 
     @property
     def qp_weights(self) -> np.ndarray:
