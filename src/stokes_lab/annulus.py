@@ -221,7 +221,7 @@ def _polar_frame(C: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 def _shape_products(grid: PolarGrid) -> np.ndarray:
     """(n_r - 1, 4 nq, 16) products w_q d_k N_a d_l N_b of theta-column 0's
     cells, rows (q, k, l) and columns (corner a, corner b)."""
-    g = grid.column_shape_gradients
+    g = grid.shape_gradients(1)[:, 0]
     return np.einsum("iq,iqak,iqbl->iqklab", grid.qp_weights, g, g).reshape(g.shape[0], -1, 16)
 
 
@@ -446,9 +446,8 @@ def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray) -> np.ndarray
     stop = _PCG_TOL * np.linalg.norm(rhs)
     if np.linalg.norm(r) <= stop:
         return x
-    z = precondition(r)
-    p = z
-    rz = np.vdot(r, z)
+    p = precondition(r)
+    rz = np.vdot(r, p)
     for _ in range(_PCG_MAX_ITER):
         Kp = apply(p)
         pKp = np.vdot(p, Kp)
@@ -457,11 +456,14 @@ def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray) -> np.ndarray
         alpha = rz / pKp
         x += alpha * p
         r -= alpha * Kp
+        del Kp                  # not held through the preconditioner, nor z through apply
         if np.linalg.norm(r) <= stop:
             return x
         z = precondition(r)
         rz, rz_prev = np.vdot(r, z), rz
-        p = z + (rz / rz_prev) * p
+        p *= rz / rz_prev
+        p += z
+        del z
     raise SolverDiverged(f"conjugate gradients did not reach a relative residual of "
                          f"{_PCG_TOL:g} in {_PCG_MAX_ITER} steps")
 
@@ -679,17 +681,16 @@ def growth_monotonicity_check(profile: EnergyProfile, gamma: float) -> GrowthRep
 # -- boundary functionals --------------------------------------------------------
 
 
-def _ring_traction_data(u: DiscreteField, problem: VariationalProblem, ring: int):
-    """Gradient, stress and normal data on a grid ring.
-
-    Returns (points, grad, stress) with grad from the 3-point ring stencils
-    and stress = C[grad] evaluated with the problem's material."""
+def _ring_traction(u: DiscreteField, problem: VariationalProblem, ring: int,
+                   sign: float) -> np.ndarray:
+    """(n_theta, 2) traction C[grad u] n at the nodes of a grid ring for the
+    normal n = sign * e_r, with grad u from the 3-point ring stencils and C
+    the problem's material there."""
     grid = u.grid
     grad = grid.ring_gradient(u.values, ring)
     pts = grid.node_points()[ring]
-    action = problem.field(pts)
-    stress = np.einsum("nmkhl,nhl->nmk", action, grad)
-    return pts, grad, stress
+    stress = np.einsum("nmkhl,nhl->nmk", problem.field(pts), grad)
+    return np.einsum("nmk,nk->nm", stress, sign * pts / grid.radii[ring])
 
 
 def energy_identity_residual(u: DiscreteField, problem: VariationalProblem, radius: float) -> float:
@@ -713,10 +714,8 @@ def energy_identity_residual(u: DiscreteField, problem: VariationalProblem, radi
 
     total_work = 0.0
     for ring, sign in ((0, -1.0), (kR, +1.0)):
-        pts, grad, stress = _ring_traction_data(u, problem, ring)
+        s_u = _ring_traction(u, problem, ring, sign)
         r = grid.radii[ring]
-        n = sign * pts / r
-        s_u = np.einsum("nmk,nk->nm", stress, n)
         total_work += r * grid.dtheta * float(np.einsum("nm,nm->", u.values[ring], s_u))
 
     scale = max(abs(energy), 1e-300)
@@ -733,11 +732,7 @@ def net_traction_discrete(u: DiscreteField, problem: VariationalProblem,
     conservation cross-check.  Vanishes for decaying solutions."""
     grid = u.grid
     ring = 0 if radius is None else _ring_at(grid.radii, radius)
-    pts, grad, stress = _ring_traction_data(u, problem, ring)
-    r = grid.radii[ring]
-    n = -pts / r
-    s_u = np.einsum("nmk,nk->nm", stress, n)
-    return r * grid.dtheta * s_u.sum(axis=0)
+    return grid.radii[ring] * grid.dtheta * _ring_traction(u, problem, ring, -1.0).sum(axis=0)
 
 
 # -- decay fits --------------------------------------------------------------

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -268,7 +268,6 @@ class SingleLayerOperator:
     curve: BoundaryCurve
     kernel: FundamentalSolution
     rows: np.ndarray  # (2R, 2N) C-ordered; rows and columns interleave node and component
-    _aug: Optional[tuple] = field(default=None, repr=False)  # (LUs of the blocks' transposes, cond)
 
     @property
     def mirror_symmetric(self) -> bool:
@@ -279,6 +278,7 @@ class SingleLayerOperator:
     def _classes(self) -> tuple:
         return _symmetry_classes(self.curve.n, self.mirror_symmetric)
 
+    @functools.cached_property
     def _augmented_lu(self) -> tuple:
         """LUs of the transposes of the symmetry blocks, one per class: the
         class's folded rows at its kept DOFs, bordered by the constant
@@ -287,45 +287,43 @@ class SingleLayerOperator:
         max ||block|| max ||block^-1|| of the block diagonal in the 1-norm,
         rounded to 6 significant digits; built on first use, and raises
         SingularSystem when the unrounded estimate passes _AUG_COND_LIMIT."""
-        if self._aug is None:
-            rows = self.rows.reshape(self.rows.shape[0], -1, 2)
-            lange = _lapack("lange", rows)
-            lus, norms, inverse_norms = [], [], []
-            folded = None
-            for cls in self._classes:
-                dofs, size = cls.keep.size, cls.keep.size + len(cls.border)
-                block = np.zeros((size, size))
-                if cls.c_sigma is None:  # the half turn alone: fold straight into the block
-                    cls.half(rows, out=block[:dofs, :dofs].reshape(dofs, -1, 2))
-                else:
-                    if cls.c_sigma > 0:  # the first class of its c_rho: the shared half-turn fold
-                        folded = cls.half(rows, out=folded)
-                    np.take(cls.mirror(folded), cls.keep, axis=0, out=block[:dofs, :dofs])
-                    # a node that is its own partner entered its column twice
-                    twice = np.flatnonzero(cls.mult < cls.order)
-                    block[:dofs, twice] *= cls.mult[twice] / cls.order
-                block[:dofs, dofs:] = cls.border_columns()
-                block[dofs:, :dofs] = cls.border_rows(self.curve.weights)
-                at = block.T  # Fortran-contiguous: getrf factors it in place
-                norm = lange("I", at)  # ||block||_1, taken before the factors overwrite it
-                lus.append(lu_factor(at))
-                norms.append(norm)
-                inverse_norms.append(_cond_estimate(lus[-1], norm) / norm)
-            cond = max(norms) * max(inverse_norms)
-            if not np.isfinite(cond) or cond > _AUG_COND_LIMIT:
-                raise SingularSystem(
-                    f"augmented system condition {cond:.3g} exceeds {_AUG_COND_LIMIT:g}"
-                )
-            # gecon's estimate on one set of factors varies in its last digits
-            # from call to call; an estimate is good to a small factor only
-            self._aug = (lus, float(f"{cond:.6g}"))
-        return self._aug
+        rows = self.rows.reshape(self.rows.shape[0], -1, 2)
+        lange = _lapack("lange", rows)
+        lus, norms, inverse_norms = [], [], []
+        folded = None
+        for cls in self._classes:
+            dofs, size = cls.keep.size, cls.keep.size + len(cls.border)
+            block = np.zeros((size, size))
+            if cls.c_sigma is None:  # the half turn alone: fold straight into the block
+                cls.half(rows, out=block[:dofs, :dofs].reshape(dofs, -1, 2))
+            else:
+                if cls.c_sigma > 0:  # the first class of its c_rho: the shared half-turn fold
+                    folded = cls.half(rows, out=folded)
+                np.take(cls.mirror(folded), cls.keep, axis=0, out=block[:dofs, :dofs])
+                # a node that is its own partner entered its column twice
+                twice = np.flatnonzero(cls.mult < cls.order)
+                block[:dofs, twice] *= cls.mult[twice] / cls.order
+            block[:dofs, dofs:] = cls.border_columns()
+            block[dofs:, :dofs] = cls.border_rows(self.curve.weights)
+            at = block.T  # Fortran-contiguous: getrf factors it in place
+            norm = lange("I", at)  # ||block||_1, taken before the factors overwrite it
+            lus.append(lu_factor(at))
+            norms.append(norm)
+            inverse_norms.append(_cond_estimate(lus[-1], norm) / norm)
+        cond = max(norms) * max(inverse_norms)
+        if not np.isfinite(cond) or cond > _AUG_COND_LIMIT:
+            raise SingularSystem(
+                f"augmented system condition {cond:.3g} exceeds {_AUG_COND_LIMIT:g}"
+            )
+        # gecon's estimate on one set of factors varies in its last digits
+        # from call to call; an estimate is good to a small factor only
+        return lus, float(f"{cond:.6g}")
 
     @property
     def cond(self) -> float:
         """1-norm condition estimate of the bordered system [A 1; W 0] in its
         symmetry blocks, to 6 significant digits (see _augmented_lu)."""
-        return self._augmented_lu()[1]
+        return self._augmented_lu[1]
 
     def _image(self, parts) -> np.ndarray:
         """The stored rows times each class density of `parts` (one per
@@ -348,7 +346,7 @@ def _augmented_solve(op: SingleLayerOperator, data, total) -> tuple:
     residual takes A from the stored rows.  Each class solves for its part
     of the data and of the totals; a class whose right-hand side is zero
     gets an exactly zero density."""
-    lus, _ = op._augmented_lu()
+    lus, _ = op._augmented_lu
     classes, curve = op._classes, op.curve
     data = np.reshape(data, (curve.n, 2))
     total = np.asarray(total, dtype=float)

@@ -6,16 +6,18 @@ nodal values (n_r, n_theta, ...), cells (n_r - 1, n_theta, ...) and their
 Gauss points (n_r - 1, n_theta, nq, ...).  Corner a of cell (i, j) is node
 (i + CORNER_RING[a], j + CORNER_ANGLE[a] mod n_theta); `corners` gathers
 nodal values to the corners and `scatter_corners`, its adjoint, sums them
-back.  The grid caches only per-ring quadrature geometry: the Gauss radii
-and weights (the r dr dtheta area element folded in) and the shapes.
-Gauss points and Cartesian shape gradients are made when asked for, for a
-slice of rings and theta-columns: the points of one block of columns for
-the stiffness, of one block of rings for the load or a diagnostic, or a
-sparse sample of them; the shape gradients of theta-column 0 for the stiffness, which
-rotates them to every other column, and those of one block of rings of
-cells for field gradients.  Whole-grid Gauss-point diagnostics run over the
-blocks of `PolarGrid.ring_blocks`, so their temporaries are those of one
-block, whatever the grid.
+back.  The reference Gauss coordinates and the corners' shapes there are
+module constants; a grid keeps only its per-ring Gauss radii qp_radii and
+weights qp_weights (the r dr dtheta area element folded in), both
+(n_r - 1, nq).  Gauss points and Cartesian shape gradients are made only
+for a slice of rings and theta-columns: the points of one block of
+columns for the stiffness, of one block of rings for the load or a
+diagnostic, or a sparse sample of them; the shape gradients of
+theta-column 0 for the stiffness, which rotates them to every other
+column, and those of one block of rings of cells for field gradients.
+Whole-grid Gauss-point diagnostics run over the blocks of
+`PolarGrid.ring_blocks`, so their temporaries are those of one block,
+whatever the grid.
 """
 
 from __future__ import annotations
@@ -27,11 +29,24 @@ import numpy as np
 
 __all__ = ["PolarGrid", "DiscreteField", "relative_l2_error"]
 
-_GAUSS1 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+
+def _constant(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# radial and angular reference coordinates (xi, eta) of the 2x2 Gauss points
+# in the reference square, radial index first, each (nq,)
+_XI = _constant(np.repeat([-1.0, 1.0], 2) / np.sqrt(3.0))
+_ETA = _constant(np.tile([-1.0, 1.0], 2) / np.sqrt(3.0))
 
 # (ring, angle) offsets of a cell's corners, counterclockwise in (r, theta)
 CORNER_RING = (0, 1, 1, 0)
 CORNER_ANGLE = (0, 0, 1, 1)
+
+# (nq, 4) bilinear shapes of the corners at the Gauss points
+_SHAPES = _constant(0.25 * np.stack([(1 - _XI) * (1 - _ETA), (1 + _XI) * (1 - _ETA),
+                                     (1 + _XI) * (1 + _ETA), (1 - _XI) * (1 + _ETA)], axis=-1))
 
 # cells of the block of rings that a whole-grid Gauss-point diagnostic works
 # on at once (one ring at least): about 1 KB of temporaries per cell
@@ -57,15 +72,10 @@ def scatter_corners(c: np.ndarray) -> np.ndarray:
     return u
 
 
-def _ref_points():
-    """Radial and angular reference coordinates (xi, eta) of the 2x2 Gauss
-    points in the reference square, each (nq,)."""
-    gx, gy = np.meshgrid(_GAUSS1, _GAUSS1, indexing="ij")
-    return gx.ravel(), gy.ravel()
-
-
 class PolarGrid:
     """Annulus 1 <= r <= r_max with geometric radial grading, periodic in theta."""
+
+    qp_shapes = _SHAPES
 
     def __init__(self, r_max: float, n_r: int, n_theta: int, r_min: float = 1.0):
         if r_max <= r_min:
@@ -89,7 +99,7 @@ class PolarGrid:
         self.radii[-1] = r_max
         self.thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
         self.dtheta = 2.0 * np.pi / n_theta
-        self._qp = None
+        self._quadrature()
 
     def node_points(self) -> np.ndarray:
         """(n_r, n_theta, 2) Cartesian positions of the nodes."""
@@ -99,68 +109,49 @@ class PolarGrid:
     # -- quadrature geometry -----------------------------------------------------
 
     def _quadrature(self):
-        """Per-ring Gauss radii and weights and the shapes, made once."""
-        if self._qp is not None:
-            return self._qp
-        r0 = self.radii[:-1]
-        r1 = self.radii[1:]
-        dr = (r1 - r0)[:, None]                       # (n_r-1, 1)
-        rmid = (0.5 * (r0 + r1))[:, None]
-        xi, eta = _ref_points()
-
-        rq = rmid + 0.5 * dr * xi[None, :]            # (n_r-1, nq)
-        wq = 0.25 * dr * self.dtheta * rq             # area weight incl. Jacobian r
-
-        # bilinear shapes, one per corner (CORNER_RING, CORNER_ANGLE)
-        shp = 0.25 * np.stack(
-            [
-                (1 - xi) * (1 - eta),
-                (1 + xi) * (1 - eta),
-                (1 + xi) * (1 + eta),
-                (1 - xi) * (1 + eta),
-            ],
-            axis=-1,
-        )                                              # (nq, 4)
-        self._qp = {"rq": rq, "wq": wq, "shapes": shp}
-        return self._qp
+        """Set the Gauss-point radii qp_radii and the Gauss weights qp_weights
+        of a cell of each ring, the same in every theta-column, both
+        (n_r - 1, nq)."""
+        dr = np.diff(self.radii)[:, None]
+        rmid = (0.5 * (self.radii[:-1] + self.radii[1:]))[:, None]
+        self.qp_radii = rmid + 0.5 * dr * _XI
+        self.qp_weights = 0.25 * dr * self.dtheta * self.qp_radii
 
     def _qp_angles(self, cols) -> np.ndarray:
         """(n_cols, nq) Gauss-point angles of the cells of the theta-columns
         cols (a slice or an index array)."""
-        eta = _ref_points()[1]
-        return self.thetas[cols, None] + 0.5 * self.dtheta * (1.0 + eta)[None, :]
+        return self.thetas[cols, None] + 0.5 * self.dtheta * (1.0 + _ETA)
 
     def gauss_points(self, rings: slice = slice(None), cols=slice(None)) -> np.ndarray:
         """(n_rings, n_cols, nq, 2) Cartesian Gauss points of the cells in the
         rings of cells `rings` and the theta-columns cols (a slice or an index
-        array), all by default; bit for bit that slice of qp_points."""
+        array), all by default; bit for bit that slice of the whole grid's."""
         tq = self._qp_angles(cols)
         return self.qp_radii[rings, None, :, None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
 
     def qp_sample(self, count: int) -> np.ndarray:
         """(m, 2) every max(N // count, 1)-th of the N Gauss points of the
-        grid in the (ring, column, point) order of qp_points, so about count
-        of them, made without the others."""
+        grid in the (ring, column, point) order of gauss_points(), so about
+        count of them, made without the others."""
         shape = (self.n_r - 1, self.n_theta, self.qp_radii.shape[1])
         n = int(np.prod(shape))
         i, j, q = np.unravel_index(np.arange(0, n, max(n // count, 1)), shape)
         tq = self._qp_angles(j)[np.arange(j.size), q]
         return self.qp_radii[i, q, None] * np.stack([np.cos(tq), np.sin(tq)], axis=-1)
 
-    def _shape_gradients(self, n_cols: int, rings: slice = slice(None)) -> np.ndarray:
+    def shape_gradients(self, n_cols: int, rings: slice = slice(None)) -> np.ndarray:
         """(n_rings, n_cols, nq, 4, 2) Cartesian gradients d_k N_a of the shape
         functions at the Gauss points of the cells in the rings of cells
         `rings` (all by default) and the theta-columns 0..n_cols - 1, one
         elementwise formula for any rings and n_cols."""
-        xi, eta = _ref_points()
         dt = self.dtheta
         dr = np.diff(self.radii)[rings, None, None, None]           # (n_rings, 1, 1, 1)
         rq = self.qp_radii[rings, None, :, None]                    # (n_rings, 1, nq, 1)
         tq = self._qp_angles(slice(n_cols))
         er = np.stack([np.cos(tq), np.sin(tq)], axis=-1)[:, :, None, :]    # (n_cols, nq, 1, 2)
         et = np.stack([-np.sin(tq), np.cos(tq)], axis=-1)[:, :, None, :]
-        dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=-1)
-        deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=-1)
+        dxi = 0.25 * np.stack([-(1 - _ETA), (1 - _ETA), (1 + _ETA), -(1 + _ETA)], axis=-1)
+        deta = 0.25 * np.stack([-(1 - _XI), -(1 + _XI), (1 + _XI), (1 - _XI)], axis=-1)
         d_dr = dxi * (2.0 / dr)                                       # (n_r-1, 1, nq, 4)
         d_dt = deta * (2.0 / dt) / rq
         return d_dr[..., None] * er + d_dt[..., None] * et
@@ -172,40 +163,6 @@ class PolarGrid:
         n = self.n_r - 1 if n_rings is None else n_rings
         step = max(1, _RING_BLOCK_CELLS // self.n_theta)
         return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-    @property
-    def qp_points(self) -> np.ndarray:
-        """(n_r - 1, n_theta, nq, 2) Cartesian Gauss points of every cell, made
-        on each read; the solver makes them a block at a time (gauss_points)
-        and never holds the whole grid's."""
-        return self.gauss_points()
-
-    @property
-    def qp_weights(self) -> np.ndarray:
-        """(n_r - 1, nq) Gauss weights of a cell of each ring, the same in
-        every theta-column."""
-        return self._quadrature()["wq"]
-
-    @property
-    def qp_radii(self) -> np.ndarray:
-        """(n_r - 1, nq) Gauss-point radii of a cell of each ring."""
-        return self._quadrature()["rq"]
-
-    @property
-    def qp_shapes(self) -> np.ndarray:
-        """(nq, 4) values of the corners' shape functions at the Gauss points."""
-        return self._quadrature()["shapes"]
-
-    @property
-    def qp_shape_gradients(self) -> np.ndarray:
-        """(n_r - 1, n_theta, nq, 4, 2) shape gradients of every cell, made on
-        each read."""
-        return self._shape_gradients(self.n_theta)
-
-    @property
-    def column_shape_gradients(self) -> np.ndarray:
-        """(n_r - 1, nq, 4, 2) shape gradients of the cells of theta-column 0."""
-        return self._shape_gradients(1)[:, 0]
 
     # -- ring differencing ---------------------------------------------------
 
@@ -264,10 +221,6 @@ class DiscreteField:
         """Sample func(points (...,2)) -> (...,2) at the grid nodes."""
         return cls(grid, np.asarray(func(grid.node_points()), dtype=float))
 
-    @classmethod
-    def zeros(cls, grid: PolarGrid) -> "DiscreteField":
-        return cls(grid, np.zeros((grid.n_r, grid.n_theta, 2)))
-
     def _corners(self, rings: slice) -> np.ndarray:
         """(n_rings, n_theta, 4, 2) corner values of the cells in the rings of
         cells `rings`."""
@@ -279,7 +232,7 @@ class DiscreteField:
         points of the cells in the rings of cells `rings` (all by default);
         the shape gradients are made for those rings only."""
         u_cells = np.swapaxes(self._corners(rings), -1, -2)        # (n_rings, n_theta, 2, 4)
-        return u_cells[:, :, None] @ self.grid._shape_gradients(self.grid.n_theta, rings)
+        return u_cells[:, :, None] @ self.grid.shape_gradients(self.grid.n_theta, rings)
 
     def values_at_qp(self, rings: slice = slice(None)) -> np.ndarray:
         """(n_rings, n_theta, nq, 2) values at the Gauss points of the cells in

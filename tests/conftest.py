@@ -109,7 +109,7 @@ def element_matrices(grid, action) -> np.ndarray:
     rows and columns (corner a, component m): the textbook sum over the
     Gauss points q and k, l of w_q d_k N_a C_mkhl d_l N_b, for the material
     components action (n_r - 1, n_theta, nq, 2, 2, 2, 2)."""
-    g = grid.qp_shape_gradients
+    g = grid.shape_gradients(grid.n_theta)
     ke = np.einsum("iq,ijqak,ijqmkhl,ijqbl->ijambh", grid.qp_weights, g, action, g)
     return ke.reshape(ke.shape[:2] + (8, 8))
 
@@ -133,7 +133,7 @@ class ReferenceSystem:
         from stokes_lab.annulus import _force_vector
 
         if action is None:
-            action = problem.field(grid.qp_points)
+            action = problem.field(grid.gauss_points())
         ke = element_matrices(grid, action)
         dofs = (2 * cell_nodes(grid)[..., None] + np.arange(2)).reshape(-1, 8)
         rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -496,12 +498,20 @@ class TestSolveDirichlet:
         else:
             curve = BoundaryCurve.ellipse(2.0, 1.0, n=int(case[-2:]))
         op = bem.assemble_single_layer(curve, ISO)
-        assert op.mirror_symmetric and len(op._augmented_lu()[0]) == 4
+        assert op.mirror_symmetric and len(op._augmented_lu[0]) == 4
         rhs = np.random.default_rng(7).normal(size=2 * curve.n + 2)
         psi, kappa = bem._augmented_solve(op, rhs[:-2].reshape(-1, 2), rhs[-2:])
         ref = np.linalg.solve(bordered(curve, full_array_formula(curve, op.kernel)), rhs)
         x = np.concatenate([psi.reshape(-1), kappa])
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_replaced_rows_are_factored_afresh(self):
+        """The block factors are cached on the operator, not passed to it:
+        an operator made from another with other rows factors its own."""
+        op = bem.assemble_single_layer(BoundaryCurve.ellipse(2.0, 1.0, n=64), ISO)
+        assert [f.name for f in dataclasses.fields(op)] == ["curve", "kernel", "rows"]
+        cond = op.cond
+        assert dataclasses.replace(op, rows=2.0 * op.rows).cond != cond
 
     @pytest.mark.parametrize("n, sizes", [(64, [33, 33, 32, 32]), (66, [34, 34, 33, 33])],
                              ids=["64", "66"])
@@ -510,7 +520,7 @@ class TestSolveDirichlet:
         and the y-constant class: node 0, and node N/4 when 4 divides N,
         keep one component in each block, every other node of 0..N/4 two."""
         op = bem.assemble_single_layer(BoundaryCurve.ellipse(2.0, 1.0, n=n), ISO)
-        assert [lu[0].shape[0] for lu in op._augmented_lu()[0]] == sizes
+        assert [lu[0].shape[0] for lu in op._augmented_lu[0]] == sizes
         fixed = [0, n // 4] if n % 4 == 0 else [0]
         for cls in op._classes:
             per_node = np.bincount(cls.keep // 2, minlength=n // 4 + 1)

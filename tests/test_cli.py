@@ -516,7 +516,7 @@ class TestRuns:
         th = rng.uniform(0, 2 * np.pi, size=2000)
         scale = rng.uniform(1.0, 1.2, size=2000)
         fld = tabulated_scalar_field(r, th, scale)
-        pts = PolarGrid(24.0, 24, 48).qp_points
+        pts = PolarGrid(24.0, 24, 48).gauss_points()
         tracemalloc.start()
         try:
             action = fld(pts)
@@ -640,6 +640,27 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "stokes-lab: configuration error: curve:" in err and "Traceback" not in err
         assert not (tmp_path / args[0]).exists()
+
+    @pytest.mark.parametrize("data", ["const:1e308,0", "const:1e154,0"])
+    def test_overflowing_data_is_config_error(self, data, tmp_path, capsys):
+        """Data whose weighted squared norm float64 cannot hold would crash
+        the solve or scale the data-relative tolerances to infinity; the run
+        is refused, naming data, and no report is written."""
+        code = main(["paradox", "--data", data, "--nodes", "64", "--outdir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stokes-lab: configuration error: data:" in err and "Traceback" not in err
+        assert not (tmp_path / "paradox").exists()
+
+    def test_zero_total_density_scales_with_data(self, tmp_path, capsys):
+        """A total of round-off relative to large data passes: the verdict's
+        tolerance is 1e-10 times the data's weighted L2 norm (at least 1)."""
+        code = main(["paradox", "--curve", "circle:1", "--nodes", "256", "--data", "fourier:1e5",
+                     "--outdir", str(tmp_path)])
+        verd = {v["name"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        total = verd["zero_total_density"]
+        assert code == 0 and total["pass"]
+        assert total["tolerance"] == pytest.approx(1e-10 * 1e5 * np.sqrt(2 * np.pi))
 
     def test_not_contracting_exits_two(self, tmp_path, capsys, monkeypatch):
         from stokes_lab import annulus
