@@ -66,7 +66,7 @@ class VariationalProblem:
 
     inner_data / outer_data: finite nodal (n_theta, 2) arrays, None for
     zero, or callables of points, such as an exact field's displacement,
-    handed the ring's node points (n_theta, 2) (grid.node_points()[ring])
+    handed the ring's node points (n_theta, 2) (grid.node_points(ring))
     and returning the values there.  outer_kind is "dirichlet" or
     "traction_free" (natural condition: the outer ring stays free).  force,
     when present, must be supported strictly inside r_max / 2.
@@ -87,7 +87,7 @@ class VariationalProblem:
         if data is None:
             return np.zeros((grid.n_theta, 2))
         if callable(data):
-            data = data(grid.node_points()[0 if which == "inner" else -1])
+            data = data(grid.node_points(0 if which == "inner" else -1))
         arr = np.asarray(data, dtype=float)
         if arr.shape != (grid.n_theta, 2):
             raise ValueError(f"{which} boundary data must have shape (n_theta, 2) = "
@@ -688,7 +688,7 @@ def _ring_traction(u: DiscreteField, problem: VariationalProblem, ring: int,
     the problem's material there."""
     grid = u.grid
     grad = grid.ring_gradient(u.values, ring)
-    pts = grid.node_points()[ring]
+    pts = grid.node_points(ring)
     stress = np.einsum("nmkhl,nhl->nmk", problem.field(pts), grad)
     return np.einsum("nmk,nk->nm", stress, sign * pts / grid.radii[ring])
 

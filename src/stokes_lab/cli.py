@@ -308,8 +308,9 @@ def _run_paradox(spec: dict, out: dict):
     from . import bem
 
     curve = spec["curve"]
-    data = spec["data"](curve)
-    data_norm = float(np.sqrt(curve.inner_product(data, data)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = spec["data"](curve)
+        data_norm = float(np.sqrt(curve.inner_product(data, data)))
     if not np.isfinite(data_norm):
         # every tolerance below scales with the norm; float64 cannot hold it
         raise ConfigInvalid("data: the weighted L2 norm of the boundary data overflows float64")

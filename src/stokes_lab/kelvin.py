@@ -23,22 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotStronglyElliptic, SingularPoint
-from .tensors import ElasticityTensor, IsotropicModuli, strong_ellipticity_margin
+from .tensors import ElasticityTensor, IsotropicModuli, acoustic_tensor, strong_ellipticity_margin
 
-__all__ = ["FundamentalSolution", "acoustic_tensor"]
+__all__ = ["FundamentalSolution"]
 
 # directions per block of the angular series, so that the (K, block)
 # harmonics stay cache-sized
 _BLOCK_DIRECTIONS = 1 << 14
 # directions at which from_tensor samples the inverse acoustic tensor
 _FROM_TENSOR_ANGLES = 512
-
-
-def acoustic_tensor(C, n):
-    """Gamma(n)_ih = C_ijhk n_j n_k for direction(s) n of shape (...,2)."""
-    c = C.c if isinstance(C, ElasticityTensor) else np.asarray(C, dtype=float)
-    n = np.asarray(n, dtype=float)
-    return np.einsum("ijhk,...j,...k->...ih", c, n, n)
 
 
 class FundamentalSolution:
@@ -93,20 +86,16 @@ class FundamentalSolution:
         phi0 = 2.0 * np.pi * ghat[0].real
 
         # log|cos t| = -log 2 + sum_{j>=1} (-1)^{j+1} cos(2jt)/j
-        khat = np.zeros(m, dtype=complex)
+        j = np.arange(1, m // 4)
+        khat = np.zeros(m)
         khat[0] = -np.log(2.0)
-        for j in range(1, m // 4):
-            khat[2 * j] = (-1) ** (j + 1) / (2.0 * j)
-            khat[m - 2 * j] = khat[2 * j]
+        khat[2 * j] = khat[m - 2 * j] = np.where(j % 2 == 1, 1.0, -1.0) / (2.0 * j)
         fhat = 2.0 * np.pi * ghat * khat[:, None, None]
 
         K = m // 2 - 1
-        cos_coef = np.zeros((K + 1, 2, 2))
-        sin_coef = np.zeros((K + 1, 2, 2))
-        cos_coef[0] = fhat[0].real
-        for k in range(1, K + 1):
-            cos_coef[k] = 2.0 * fhat[k].real
-            sin_coef[k] = -2.0 * fhat[k].imag
+        cos_coef = 2.0 * fhat[: K + 1].real
+        sin_coef = -2.0 * fhat[: K + 1].imag
+        cos_coef[0], sin_coef[0] = fhat[0].real, 0.0
         # drop the numerically-zero tail so evaluation stays cheap
         mags = np.abs(cos_coef).max(axis=(1, 2)) + np.abs(sin_coef).max(axis=(1, 2))
         keep = max(int(np.nonzero(mags > 1e-15 * mags.max())[0].max()) + 1, 3)

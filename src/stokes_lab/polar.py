@@ -101,10 +101,12 @@ class PolarGrid:
         self.dtheta = 2.0 * np.pi / n_theta
         self._quadrature()
 
-    def node_points(self) -> np.ndarray:
-        """(n_r, n_theta, 2) Cartesian positions of the nodes."""
+    def node_points(self, rings=slice(None)) -> np.ndarray:
+        """Cartesian positions of the nodes of the rings `rings`, a ring
+        index (n_theta, 2) or a slice (n_rings, n_theta, 2), all rings by
+        default; bit for bit that part of the whole grid's."""
         t = self.thetas
-        return self.radii[:, None, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+        return self.radii[rings, None, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
     # -- quadrature geometry -----------------------------------------------------
 

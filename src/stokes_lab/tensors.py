@@ -31,6 +31,7 @@ __all__ = [
     "random_scalar_field",
     "apply_tensor",
     "certify_bounds",
+    "acoustic_tensor",
     "strong_ellipticity_margin",
     "gamma_exponent",
 ]
@@ -121,15 +122,26 @@ class IsotropicModuli:
         return ElasticityTensor(c)
 
 
+def _components(C) -> np.ndarray:
+    """The components of an ElasticityTensor, or raw components as floats."""
+    return C.c if isinstance(C, ElasticityTensor) else np.asarray(C, dtype=float)
+
+
 def apply_tensor(C, L):
     """Evaluate C[L] = C[sym L]; the result is symmetric.
 
     Accepts an ElasticityTensor or raw components; both the components
     (..., 2,2,2,2) and L (..., 2,2) may carry broadcastable batch dimensions.
     """
-    c = C.c if isinstance(C, ElasticityTensor) else np.asarray(C, dtype=float)
     L = np.asarray(L, dtype=float)
-    return np.einsum("...ijhk,...hk->...ij", c, sym(L))
+    return np.einsum("...ijhk,...hk->...ij", _components(C), sym(L))
+
+
+def _sym_eigenvalues(c) -> np.ndarray:
+    """(..., 3) ascending eigenvalues of the operators that the components c
+    (..., 2,2,2,2) induce on Sym, through the symmetric Voigt matrices."""
+    m = np.einsum("aij,...ijhk,bhk->...ab", _VOIGT, c, _VOIGT)
+    return np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
 
 
 def certify_bounds(C) -> tuple[float, float]:
@@ -138,69 +150,60 @@ def certify_bounds(C) -> tuple[float, float]:
     Returns (mu0, mue) with mu0 |E|^2 <= E.C[E] <= mue |E|^2 on Sym.
     Raises NotPositiveDefinite when the least eigenvalue is <= 0.
     """
-    c = C.c if isinstance(C, ElasticityTensor) else np.asarray(C, dtype=float)
-    m = np.einsum("aij,ijhk,bhk->ab", _VOIGT, c, _VOIGT)
-    m = 0.5 * (m + m.T)
-    ev = np.linalg.eigvalsh(m)
+    ev = _sym_eigenvalues(_components(C))
     if ev[0] <= 0.0:
         raise NotPositiveDefinite(f"least Sym eigenvalue {ev[0]:.6g} <= 0")
     return float(ev[0]), float(ev[-1])
 
 
-def _rank_one_form(c, alpha, beta):
-    """a.C[a x b]b for unit vectors at angles alpha, beta (broadcastable)."""
-    a = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1)
-    b = np.stack([np.cos(beta), np.sin(beta)], axis=-1)
-    return np.einsum("ijhk,...i,...j,...h,...k->...", c, a, b, a, b)
+def acoustic_tensor(C, n):
+    """Gamma(n)_ih = C_ijhk n_j n_k for direction(s) n of shape (...,2)."""
+    n = np.asarray(n, dtype=float)
+    return np.einsum("ijhk,...j,...k->...ih", _components(C), n, n)
 
 
-# angular samples per half circle, and Newton steps refining their minimizer
+def _least_acoustic_eigenvalue(c, beta):
+    """Least eigenvalue of sym Gamma(b), b = (cos beta, sin beta), in closed
+    form (tr - hypot(g00 - g11, g01 + g10)) / 2, for angle(s) beta."""
+    g = acoustic_tensor(c, np.stack([np.cos(beta), np.sin(beta)], axis=-1))
+    g00, g11 = g[..., 0, 0], g[..., 1, 1]
+    return 0.5 * (g00 + g11 - np.hypot(g00 - g11, g[..., 0, 1] + g[..., 1, 0]))
+
+
+# directions sampled per half circle, and golden-section steps refining the
+# least sample between its two neighbours (the bracket shrinks to 4e-11 rad)
 _MARGIN_ANGLES = 720
-_MARGIN_NEWTON_STEPS = 3
+_MARGIN_GOLDEN_STEPS = 40
 
 
 def strong_ellipticity_margin(C) -> float:
     """Minimum of a.C[a x b]b over unit vectors a, b.
 
-    Dense angular sampling (720 angles per half circle) locates the
-    minimizing pair; three Newton steps in the two angles refine it.  A
+    Since a.C[a x b]b = a.Gamma(b)a, this is the least eigenvalue of the
+    acoustic tensor Gamma(b) minimized over directions b: sampled at 720
+    directions per half circle (Gamma is even in b), then refined by a
+    golden-section search between the neighbours of the least sample.  A
     positive value certifies strong ellipticity; a nonpositive return is a
     valid verdict.
     """
-    c = C.c if isinstance(C, ElasticityTensor) else np.asarray(C, dtype=float)
-    ang = np.linspace(0.0, np.pi, _MARGIN_ANGLES, endpoint=False)  # the form is pi-periodic
-    vals = _rank_one_form(c, ang[:, None], ang[None, :])
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    alpha, beta = ang[i], ang[j]
-
-    def vecs(t):
-        return np.array([np.cos(t), np.sin(t)]), np.array([-np.sin(t), np.cos(t)])
-
-    f = vals[i, j]
-    for _ in range(_MARGIN_NEWTON_STEPS):
-        a, da = vecs(alpha)
-        b, db = vecs(beta)
-
-        def e(p, q, r, s):
-            return np.einsum("ijhk,i,j,h,k->", c, p, q, r, s)
-
-        f = e(a, b, a, b)
-        ga = 2.0 * e(da, b, a, b)
-        gb = 2.0 * e(a, db, a, b)
-        haa = 2.0 * (e(da, b, da, b) - f)
-        hbb = 2.0 * (e(a, db, a, db) - f)
-        hab = 2.0 * (e(da, db, a, b) + e(da, b, a, db))
-        H = np.array([[haa, hab], [hab, hbb]])
-        g = np.array([ga, gb])
-        ev = np.linalg.eigvalsh(H)
-        if ev[0] <= 1e-14 * max(abs(ev[-1]), 1.0):
-            break  # flat or saddle direction: keep the sampled minimizer
-        step = np.linalg.solve(H, -g)
-        alpha, beta = alpha + step[0], beta + step[1]
-    a, _ = vecs(alpha)
-    b, _ = vecs(beta)
-    f_ref = np.einsum("ijhk,i,j,h,k->", c, a, b, a, b)
-    return float(min(f, f_ref, vals[i, j]))
+    c = _components(C)
+    h = np.pi / _MARGIN_ANGLES
+    vals = _least_acoustic_eigenvalue(c, h * np.arange(_MARGIN_ANGLES))
+    i = int(np.argmin(vals))
+    lo, hi = h * (i - 1), h * (i + 1)
+    r = 0.5 * (np.sqrt(5.0) - 1.0)
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = _least_acoustic_eigenvalue(c, x1), _least_acoustic_eigenvalue(c, x2)
+    for _ in range(_MARGIN_GOLDEN_STEPS):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - r * (hi - lo)
+            f1 = _least_acoustic_eigenvalue(c, x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + r * (hi - lo)
+            f2 = _least_acoustic_eigenvalue(c, x2)
+    return float(min(vals[i], f1, f2))
 
 
 def _check_bounds_pair(mu0: float, mue: float):
@@ -245,11 +248,7 @@ class ElasticityField:
         Raises BoundsViolated naming the worst offender; returns the sampled
         (min, max) eigenvalue range when the certificate holds.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        act = self(pts)
-        m = np.einsum("aij,...ijhk,bhk->...ab", _VOIGT, act, _VOIGT)
-        m = 0.5 * (m + np.swapaxes(m, -1, -2))
-        ev = np.linalg.eigvalsh(m)
+        ev = _sym_eigenvalues(self(np.atleast_2d(np.asarray(points, dtype=float))))
         lo, hi = float(ev[..., 0].min()), float(ev[..., -1].max())
         slack = 1e-9 * max(self.mue, 1.0)
         if lo < self.mu0 - slack or hi > self.mue + slack:

@@ -45,6 +45,27 @@ def annulus_calls(monkeypatch):
     return count
 
 
+def random_spd_tensor(seed):
+    """Major-symmetric positive tensor from the seeded SPD Voigt matrix
+    a a^T + 3 I, a a standard normal 3x3 draw."""
+    from stokes_lab.tensors import _VOIGT, ElasticityTensor
+
+    a = np.random.default_rng(seed).normal(size=(3, 3))
+    m = a @ a.T + 3.0 * np.eye(3)
+    return ElasticityTensor(np.einsum("aij,ab,bhk->ijhk", _VOIGT, m, _VOIGT))
+
+
+def shear_unstable_tensor():
+    """Components of the isotropic form with mu = 1 and lambda = -3: the
+    acoustic tensor I - 2 b x b has eigenvalues 1 and -1 at every direction
+    b, so the strong-ellipticity margin is -1."""
+    from stokes_lab.tensors import ElasticityTensor
+
+    d = np.eye(2)
+    return ElasticityTensor(np.einsum("ih,jk->ijhk", d, d) + np.einsum("ik,jh->ijhk", d, d)
+                            - 3.0 * np.einsum("ij,hk->ijhk", d, d))
+
+
 def degiorgi_problem(xi, coef=(1.0, -1.0)):
     """The closed-form field ClosedFormSolution(xi, *coef) and the problem on
     degiorgi_tensor(xi) posed with its values on both rings, but zero on the

@@ -124,6 +124,15 @@ class TestPolarGrid:
             for count in (1, 257, flat.shape[0] + 1):
                 assert np.array_equal(g.qp_sample(count), flat[::max(flat.shape[0] // count, 1)])
 
+    def test_node_points_of_a_ring_are_the_whole_grid_slice(self):
+        """Node points made for one ring (first, last or a middle one) or a
+        slice of rings are bit for bit that part of the whole grid's."""
+        for g in (PolarGrid(16.0, 24, 48), PolarGrid(64.0, 128, 256)):
+            whole = g.node_points()
+            assert whole.shape == (g.n_r, g.n_theta, 2)
+            for rings in (0, -1, g.n_r // 2, slice(3, 11)):
+                assert np.array_equal(g.node_points(rings), whole[rings])
+
     @pytest.mark.parametrize("nt", [8, 40])
     def test_corner_gather_and_scatter(self, nt):
         """corners gathers nodal values as a node-id table of the cells'
@@ -546,7 +555,7 @@ class TestSolveAnnulus:
 
     def test_ring_data_are_functions_of_points(self):
         """A callable ring datum is handed the ring's node points,
-        grid.node_points()[ring], and an exact field's displacement posed as
+        grid.node_points(ring), and an exact field's displacement posed as
         it is gives, bit for bit, the solve of its values at r_max (cos, sin)
         of the grid's angles."""
         grid = PolarGrid(16.0, 24, 48)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import random_spd_tensor
 
 from stokes_lab import bem
 from stokes_lab.curves import BoundaryCurve
@@ -14,7 +15,6 @@ from stokes_lab.errors import (
 )
 from stokes_lab.kelvin import FundamentalSolution
 from stokes_lab.tensors import _VOIGT, ElasticityTensor, IsotropicModuli
-from test_kelvin import random_spd_tensor
 
 ISO = IsotropicModuli(1.0, 1.0)
 

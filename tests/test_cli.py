@@ -641,11 +641,14 @@ class TestMainExitCodes:
         assert "stokes-lab: configuration error: curve:" in err and "Traceback" not in err
         assert not (tmp_path / args[0]).exists()
 
-    @pytest.mark.parametrize("data", ["const:1e308,0", "const:1e154,0"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("data", ["const:1e308,0", "const:1e154,0", "fourier:1e308,1e308"])
     def test_overflowing_data_is_config_error(self, data, tmp_path, capsys):
         """Data whose weighted squared norm float64 cannot hold would crash
         the solve or scale the data-relative tolerances to infinity; the run
-        is refused, naming data, and no report is written."""
+        is refused, naming data, and no report is written.  Data that
+        overflow while they are built (the sum of two fourier harmonics at
+        1e308) are refused by the same check, with no RuntimeWarning."""
         code = main(["paradox", "--data", data, "--nodes", "64", "--outdir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err

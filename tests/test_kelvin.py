@@ -1,24 +1,16 @@
 import numpy as np
 import pytest
+from conftest import random_spd_tensor, shear_unstable_tensor
 
 from stokes_lab.errors import NotStronglyElliptic, SingularPoint
-from stokes_lab.kelvin import FundamentalSolution, acoustic_tensor
+from stokes_lab.kelvin import FundamentalSolution
 from stokes_lab.tensors import (
-    ElasticityTensor,
     IsotropicModuli,
+    acoustic_tensor,
     apply_tensor,
 )
 
 ISO = IsotropicModuli(1.0, 1.0)
-
-
-def random_spd_tensor(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 3))
-    m = a @ a.T + 3.0 * np.eye(3)
-    from stokes_lab.tensors import _VOIGT
-
-    return ElasticityTensor(np.einsum("aij,ab,bhk->ijhk", _VOIGT, m, _VOIGT))
 
 
 def pde_residual(fs, c, x, h, e=np.array([1.0, 0.0])):
@@ -205,6 +197,37 @@ class TestKernel:
     def test_not_strongly_elliptic(self):
         with pytest.raises(NotStronglyElliptic):
             FundamentalSolution.from_tensor(np.zeros((2, 2, 2, 2)))
+        with pytest.raises(NotStronglyElliptic):
+            FundamentalSolution.from_tensor(shear_unstable_tensor())
+
+    def test_from_tensor_matches_per_order_loops(self):
+        """The log|cos| series and the cosine/sine coefficients, built with
+        array operations, are bit for bit those of a plain loop over the
+        orders from the same FFT of the inverse acoustic tensor."""
+        m = 512
+        theta = 2.0 * np.pi * np.arange(m) / m
+        n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        for seed in range(5):
+            c = random_spd_tensor(seed)
+            g = np.linalg.inv(acoustic_tensor(c, n))
+            g *= -1.0 / (4.0 * np.pi**2)
+            ghat = np.fft.fft(g, axis=0) / m
+            khat = np.zeros(m, dtype=complex)
+            khat[0] = -np.log(2.0)
+            for j in range(1, m // 4):
+                khat[2 * j] = khat[m - 2 * j] = (-1) ** (j + 1) / (2.0 * j)
+            fhat = 2.0 * np.pi * ghat * khat[:, None, None]
+            cos_coef = np.zeros((m // 2, 2, 2))
+            sin_coef = np.zeros((m // 2, 2, 2))
+            cos_coef[0] = fhat[0].real
+            for k in range(1, m // 2):
+                cos_coef[k] = 2.0 * fhat[k].real
+                sin_coef[k] = -2.0 * fhat[k].imag
+            fs = FundamentalSolution.from_tensor(c)
+            keep = fs.cos_coef.shape[0]
+            assert np.array_equal(fs.phi0, 2.0 * np.pi * ghat[0].real)
+            assert np.array_equal(fs.cos_coef, cos_coef[:keep])
+            assert np.array_equal(fs.sin_coef, sin_coef[:keep])
 
 
 class TestHelpers:

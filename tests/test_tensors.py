@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from conftest import random_spd_tensor, shear_unstable_tensor
 
 from stokes_lab.errors import InvalidBounds, NotPositiveDefinite
 from stokes_lab.tensors import (
     ElasticityTensor,
     IsotropicModuli,
+    acoustic_tensor,
     apply_tensor,
     certify_bounds,
     constant_field,
@@ -14,16 +16,6 @@ from stokes_lab.tensors import (
 )
 
 ISO11 = IsotropicModuli(1.0, 1.0).tensor()
-
-
-def random_spd_tensor(seed):
-    """Major-symmetric positive tensor from a random SPD Voigt matrix."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(3, 3))
-    m = a @ a.T + 3.0 * np.eye(3)
-    from stokes_lab.tensors import _VOIGT
-
-    return ElasticityTensor(np.einsum("aij,ab,bhk->ijhk", _VOIGT, m, _VOIGT)), m
 
 
 class TestMat2:
@@ -70,7 +62,7 @@ class TestApply:
             assert np.allclose(apply_tensor(ISO11, L), apply_tensor(ISO11, sym(L)))
 
     def test_major_symmetry_pairing(self):
-        C, _ = random_spd_tensor(4)
+        C = random_spd_tensor(4)
         rng = np.random.default_rng(1)
         for _ in range(50):
             e = sym(rng.normal(size=(2, 2)))
@@ -100,7 +92,7 @@ class TestBounds:
         assert np.isclose(mu0, 1.0) and np.isclose(mue, 2.0)
 
     def test_random_vs_sampling_oracle(self):
-        C, _ = random_spd_tensor(7)
+        C = random_spd_tensor(7)
         mu0, mue = certify_bounds(C)
         rng = np.random.default_rng(8)
         e = sym(rng.normal(size=(10**5, 2, 2)))
@@ -128,8 +120,35 @@ class TestMargin:
         z = ElasticityTensor(np.zeros((2, 2, 2, 2)))
         assert strong_ellipticity_margin(z) == 0.0
 
+    @pytest.mark.parametrize("seed", [0, 11, 23])
+    def test_margin_is_least_acoustic_eigenvalue(self, seed):
+        """a.C[a x b]b = a.Gamma(b)a, so the margin is the least eigenvalue of
+        the acoustic tensor over directions b.  It is no more than the least
+        eigvalsh at 4096 directions per half circle, and within 1e-10 of it
+        relatively once 4096 more directions between the least sample's
+        neighbours bring the sampling error (1e-7 on the coarse grid) below
+        round-off."""
+        C = random_spd_tensor(seed)
+
+        def least(beta):
+            b = np.stack([np.cos(beta), np.sin(beta)], axis=-1)
+            return np.linalg.eigvalsh(acoustic_tensor(C, b))[:, 0]
+
+        h = np.pi / 4096
+        coarse = least(h * np.arange(4096))
+        k = int(np.argmin(coarse))
+        fine = least(np.linspace(h * (k - 1), h * (k + 1), 4096)).min()
+        margin = strong_ellipticity_margin(C)
+        assert margin <= coarse.min()
+        assert abs(fine - margin) <= 1e-10 * abs(fine)
+
+    def test_negative_margin(self):
+        """A tensor whose acoustic tensor I - 2 b x b is indefinite at every
+        direction reads its margin -1."""
+        assert strong_ellipticity_margin(shear_unstable_tensor()) == pytest.approx(-1.0, rel=1e-12)
+
     def test_margin_vs_angular_oracle(self):
-        C, _ = random_spd_tensor(11)
+        C = random_spd_tensor(11)
         margin = strong_ellipticity_margin(C)
         ang = np.deg2rad(np.arange(0.0, 180.0, 1.0))
         a = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
@@ -141,7 +160,7 @@ class TestMargin:
         (|sym(a x b)|^2 >= |a|^2 |b|^2 / 2); the isotropic case shows the
         factor 1/2 cannot be dropped (margin mu vs mu0 = 2 mu)."""
         for seed in (2, 11, 23):
-            C, _ = random_spd_tensor(seed)
+            C = random_spd_tensor(seed)
             mu0, _ = certify_bounds(C)
             assert strong_ellipticity_margin(C) >= 0.5 * mu0 * (1 - 1e-9)
         assert strong_ellipticity_margin(ISO11) == pytest.approx(0.5 * ISO11.mu0)
