@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -25,7 +24,9 @@ import time
 import warnings
 from dataclasses import dataclass, field as dc_field
 
-from .errors import ConfigInvalid, InvalidBounds, StokesLabError
+import numpy as np
+
+from .errors import ConfigInvalid, CurveNotSmooth, InvalidBounds, StokesLabError
 
 __all__ = ["main", "ExperimentConfig", "validate", "run"]
 
@@ -48,8 +49,9 @@ class ExperimentConfig:
     notes: list = dc_field(default_factory=list)
 
 
-# -- field grammars: each maps a field's value to what the runner reads, adds
-# -- any note to `notes`, or raises ConfigInvalid naming the field
+# -- field grammars: each maps a field's value, given the fields parsed before
+# -- it in `got`, to what the runner reads, adds any note to `notes`, or raises
+# -- ConfigInvalid naming the field
 
 
 def _parse_numbers(text: str, what: str, count: int | None = 2) -> tuple[float, ...]:
@@ -67,7 +69,7 @@ def _parse_numbers(text: str, what: str, count: int | None = 2) -> tuple[float, 
 def _rule(ok, message: str):
     """The parser that passes a value for which ok(value) holds."""
 
-    def parse(value, notes):
+    def parse(value, got, notes):
         if not ok(value):
             raise ConfigInvalid(f"{message}, got {value!r}")
         return value
@@ -89,9 +91,9 @@ _parse_seed = _rule(lambda s: s is not None and s >= 0,
                     "seed: a non-negative seed is mandatory for a randomized experiment")
 
 
-def _parse_curve(spec: str, notes: list):
-    """The BoundaryCurve constructor that `spec` names, with its arguments
-    bound; _parse builds the curve, with nodes, and BoundaryCurve checks it."""
+def _parse_curve(spec: str, got: dict, notes: list):
+    """The BoundaryCurve of `spec` at got["nodes"] nodes; BoundaryCurve owns
+    the curve rules.  A curve that is not smooth is noted."""
     from .curves import BoundaryCurve
 
     kind, _, rest = spec.partition(":")
@@ -102,10 +104,36 @@ def _parse_curve(spec: str, notes: list):
     if kind == "ellipse" and args[1] > args[0]:
         args = args[::-1]
         notes.append(f"ellipse axes normalized to a >= b: {args}")
-    return functools.partial(getattr(BoundaryCurve, kind.replace("-", "_")), *args)
+    try:
+        curve = getattr(BoundaryCurve, kind.replace("-", "_"))(*args, n=got["nodes"])
+    except ValueError as exc:
+        raise ConfigInvalid(f"curve: {exc}") from None
+    if not curve.smooth:
+        notes.append(f"{kind} is only piecewise smooth: the boundary quadrature converges "
+                     "at the composite trapezoid rate, not spectrally")
+    return curve
 
 
-def _parse_material(spec: str, notes: list):
+# decay's sample points: 8 angles on each of 9 radii from 10 to 1000
+_DECAY_RADII = np.geomspace(10.0, 1000.0, 9)
+_DECAY_ANGLES = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+_DECAY_POINTS = _DECAY_RADII[:, None, None] * np.stack([np.cos(_DECAY_ANGLES),
+                                                        np.sin(_DECAY_ANGLES)], axis=-1)
+
+
+def _parse_decay_curve(spec: str, got: dict, notes: list):
+    """A curve whose nodes lie in |x| < 10 and whose body holds none of
+    decay's sample points, where the solution is evaluated."""
+    curve = _parse_curve(spec, got, notes)
+    if (np.hypot(*curve.points.T).max() >= _DECAY_RADII[0]
+            or curve.is_inside(_DECAY_POINTS.reshape(-1, 2)).any()):
+        raise ConfigInvalid(f"curve: decay samples the solution from |x| = {_DECAY_RADII[0]:g} "
+                            f"out, so the curve must lie inside |x| < {_DECAY_RADII[0]:g}, "
+                            f"got {spec!r}")
+    return curve
+
+
+def _parse_material(spec: str, got: dict, notes: list):
     """The IsotropicModuli of iso:lambda,mu; IsotropicModuli owns the Lame rule."""
     from .tensors import IsotropicModuli
 
@@ -119,9 +147,10 @@ def _parse_material(spec: str, notes: list):
         raise ConfigInvalid(f"material: {exc}") from None
 
 
-def _parse_table(spec: str, notes: list) -> str | None:
+def _parse_table(spec: str, got: dict, notes: list) -> str | None:
     """contraction's material: the path of a table:<csv>, or None when the
-    material is left unset ("" or the default)."""
+    material is left unset ("" or the default).  _parse reads the table once
+    the run's one material source is known."""
     if spec in ("", ExperimentConfig.material):
         return None
     kind, _, path = spec.partition(":")
@@ -132,7 +161,7 @@ def _parse_table(spec: str, notes: list) -> str | None:
     return path
 
 
-def _parse_bounds(spec: str, notes: list) -> tuple[float, float] | None:
+def _parse_bounds(spec: str, got: dict, notes: list) -> tuple[float, float] | None:
     if not spec:
         return None
     lo, hi = _parse_numbers(spec, "contrast_bounds")
@@ -141,52 +170,78 @@ def _parse_bounds(spec: str, notes: list) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _parse_grid(spec: str, notes: list) -> tuple[int, int]:
-    """(nr, nt); _parse checks them, with rmax, by building the PolarGrid."""
+def _parse_grid(spec: str, got: dict, notes: list):
+    """The PolarGrid of NRxNT out to got["rmax"]; PolarGrid owns the grading rule."""
+    from .polar import PolarGrid
+
     try:
         nr, nt = (int(x) for x in spec.lower().split("x"))
     except Exception:
         raise ConfigInvalid(f"grid: expected 'NRxNT', got {spec!r}") from None
-    return nr, nt
+    try:
+        return PolarGrid(got["rmax"], nr, nt)
+    except ValueError as exc:
+        raise ConfigInvalid(f"grid: {exc}") from None
 
 
-def _parse_data(spec: str, notes: list):
-    """The function of the curve that gives the nodal boundary data `spec`
-    names; a file: profile is read when that function runs."""
-    import numpy as np
-
+def _parse_data(spec: str, got: dict, notes: list):
+    """The (N, 2) nodal boundary data `spec` names on got["curve"], built
+    without floating-point warnings; data whose weighted L2 norm overflows
+    float64 are refused."""
+    curve = got["curve"]
     kind, _, rest = spec.partition(":")
-    if kind == "const":
-        c = _parse_numbers(rest, "data: const")
-        return lambda curve: np.tile(c, (curve.n, 1))
-    if kind == "tangent" and not rest:
-        return lambda curve: np.stack([-np.sin(curve.t), np.cos(curve.t)], axis=-1)
-    if kind == "fourier":
-        coefs = _parse_numbers(rest, "data: fourier", None)
-
-        def fourier(curve):
-            u = np.zeros((curve.n, 2))
-            for k, c in enumerate(coefs, start=1):
-                u[:, 0] += c * np.cos(k * curve.t)
-                u[:, 1] += c * np.sin(k * curve.t)
-            return u
-
-        return fourier
-    if kind == "file" and rest:
-
-        def from_file(curve):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "const":
+            data = np.tile(_parse_numbers(rest, "data: const"), (curve.n, 1))
+        elif kind == "tangent" and not rest:
+            data = np.stack([-np.sin(curve.t), np.cos(curve.t)], axis=-1)
+        elif kind == "fourier":
+            data = np.zeros((curve.n, 2))
+            for k, c in enumerate(_parse_numbers(rest, "data: fourier", None), start=1):
+                data[:, 0] += c * np.cos(k * curve.t)
+                data[:, 1] += c * np.sin(k * curve.t)
+        elif kind == "file" and rest:
             # CSV of nodal values: header u1,u2 and one row per quadrature node
-            arr = _read_csv(rest, "data")
-            if arr.shape != (curve.n, 2):
-                raise ConfigInvalid(
-                    f"data: file {rest!r} holds {arr.shape}, expected ({curve.n}, 2) "
-                    "nodal values matching --nodes"
-                )
-            return arr
+            data = _read_csv(rest, "data")
+            if data.shape != (curve.n, 2):
+                raise ConfigInvalid(f"data: file {rest!r} holds {data.shape}, expected "
+                                    f"({curve.n}, 2) nodal values matching --nodes")
+        else:
+            raise ConfigInvalid(f"data: unknown profile {spec!r}; need const:cx,cy, tangent, "
+                                "fourier:c1,c2,... or file:<csv>")
+        norm2 = curve.inner_product(data, data)
+    if not np.isfinite(norm2):
+        # every tolerance of the run scales with the norm; float64 cannot hold it
+        raise ConfigInvalid("data: the weighted L2 norm of the boundary data overflows float64")
+    return data
 
-        return from_file
-    raise ConfigInvalid(f"data: unknown profile {spec!r}; need const:cx,cy, tangent, "
-                        "fourier:c1,c2,... or file:<csv>")
+
+def _read_csv(path: str, what: str):
+    """Finite numeric rows, at least one, of a CSV file with one header line."""
+    try:
+        with warnings.catch_warnings():
+            # a header-only file: refused below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"{what}: cannot read {path!r}: {exc}") from None
+    if arr.size == 0:
+        raise ConfigInvalid(f"{what}: {path!r} holds no rows")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigInvalid(f"{what}: {path!r} holds non-finite values")
+    return arr
+
+
+def _table_material(path: str):
+    """The tabulated scalar stiffness of a CSV with header r,theta,scale."""
+    from .tensors import tabulated_scalar_field
+
+    arr = _read_csv(path, "material")
+    if arr.shape[1] != 3:
+        raise ConfigInvalid("material: table needs columns r,theta,scale")
+    if arr[:, 2].min() <= 0:
+        raise ConfigInvalid("material: tabulated scales must be positive")
+    return tabulated_scalar_field(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 # -- output helpers ------------------------------------------------------------
@@ -224,8 +279,6 @@ def _write_csv(path: str, header: list[str], columns: list) -> str:
     _CSV_BLOCK_ROWS rows is formatted by one `%` and written before the next
     is formatted, so the text and the Python floats of one block are held at
     a time, not those of the whole table."""
-    import numpy as np
-
     cells, specs = [], []
     for col in columns:
         text = len(col) > 0 and isinstance(col[0], str)
@@ -242,13 +295,14 @@ def _write_csv(path: str, header: list[str], columns: list) -> str:
     return path
 
 
-def _verdict(name: str, quantity: str, value, tolerance: float, ok: bool) -> dict:
+def _verdict(name: str, quantity: str, value, tolerance: float, ok: bool | None = None) -> dict:
+    """A verdict that passes when ok holds, or, for ok None, when value <= tolerance."""
     return {
         "name": name,
         "quantity": quantity,
         "value": value if isinstance(value, (int, float)) else [float(v) for v in value],
         "tolerance": tolerance,
-        "pass": bool(ok),
+        "pass": bool(value <= tolerance if ok is None else ok),
     }
 
 
@@ -272,48 +326,12 @@ class RunReport:
 # -- experiment bodies: each reads only the parsed fields in `spec` -------------
 
 
-def _read_csv(path: str, what: str):
-    """Finite numeric rows, at least one, of a CSV file with one header line."""
-    import numpy as np
-
-    try:
-        with warnings.catch_warnings():
-            # a header-only file: refused below, not warned about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigInvalid(f"{what}: cannot read {path!r}: {exc}") from None
-    if arr.size == 0:
-        raise ConfigInvalid(f"{what}: {path!r} holds no rows")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigInvalid(f"{what}: {path!r} holds non-finite values")
-    return arr
-
-
-def _table_material(path: str):
-    """The tabulated scalar stiffness of a CSV with header r,theta,scale."""
-    from .tensors import tabulated_scalar_field
-
-    arr = _read_csv(path, "material")
-    if arr.shape[1] != 3:
-        raise ConfigInvalid("material: table needs columns r,theta,scale")
-    if arr[:, 2].min() <= 0:
-        raise ConfigInvalid("material: tabulated scales must be positive")
-    return tabulated_scalar_field(arr[:, 0], arr[:, 1], arr[:, 2])
-
-
 def _run_paradox(spec: dict, out: dict):
-    import numpy as np
-
     from . import bem
 
-    curve = spec["curve"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = spec["data"](curve)
-        data_norm = float(np.sqrt(curve.inner_product(data, data)))
-    if not np.isfinite(data_norm):
-        # every tolerance below scales with the norm; float64 cannot hold it
-        raise ConfigInvalid("data: the weighted L2 norm of the boundary data overflows float64")
+    curve, data = spec["curve"], spec["data"]
+    # the data-relative tolerances scale with the weighted L2 norm, at least 1
+    scale = max(float(np.sqrt(curve.inner_product(data, data))), 1.0)
     op = bem.assemble_single_layer(curve, spec["material"])
     basis = bem.equilibrium_basis(op)
     residual = bem.paradox_residual(data, basis)
@@ -323,29 +341,22 @@ def _run_paradox(spec: dict, out: dict):
         # the residual pairs the data with psi_i, the closed form with
         # e_i / |grad f|: on an ellipse these agree to round-off after rescaling
         agreement = bem.ellipse_residual_agreement(residual, compat, basis)
-        tol_agreement = 1e-10 * max(data_norm, 1.0)
         out["verdicts"] += [
             _verdict("ellipse_compatibility", "residual", compat, 1e-8, True),
-            _verdict("ellipse_residual_agreement", "residual", agreement, tol_agreement,
-                     agreement <= tol_agreement),
+            _verdict("ellipse_residual_agreement", "residual", agreement, 1e-10 * scale),
         ]
 
-    tol_replay = 1e-8 * max(data_norm, 1.0)
     total = float(np.abs(sol.total_density).max())
-    tol_total = 1e-10 * max(data_norm, 1.0)
     # reciprocity: with A weighted-symmetric, <data, psi_i>_w = total(psi_i) . kappa;
     # the basis and the Dirichlet solve share one factorization, so this
     # holds to round-off unless that solve path is wrong
     reciprocity = float(np.abs(residual - basis.totals.T @ sol.kappa).max())
-    tol_reciprocity = 1e-10 * max(data_norm, 1.0)
     out["verdicts"] += [
         _verdict("paradox_residual", "residual", residual, 1e-8, True),
         _verdict("kappa", "kappa", sol.kappa, 1e-10, True),
-        _verdict("kappa_reciprocity", "residual", reciprocity, tol_reciprocity,
-                 reciprocity <= tol_reciprocity),
-        _verdict("boundary_replay", "residual", sol.replay_error, tol_replay,
-                 sol.replay_error <= tol_replay),
-        _verdict("zero_total_density", "residual", total, tol_total, total <= tol_total),
+        _verdict("kappa_reciprocity", "residual", reciprocity, 1e-10 * scale),
+        _verdict("boundary_replay", "residual", sol.replay_error, 1e-8 * scale),
+        _verdict("zero_total_density", "residual", total, 1e-10 * scale),
     ]
     out["condition_numbers"]["augmented_system"] = sol.cond
     out["condition_numbers"]["totals_matrix"] = basis.cond_totals
@@ -356,8 +367,6 @@ def _run_paradox(spec: dict, out: dict):
 
 
 def _run_basis(spec: dict, out: dict):
-    import numpy as np
-
     from . import bem
 
     curve = spec["curve"]
@@ -376,17 +385,13 @@ def _run_basis(spec: dict, out: dict):
         header.append("grad_f_norm")
         cols.append(curve.grad_f_norm)
         err = bem.ellipse_direction_error(basis)
-        out["verdicts"].append(
-            _verdict("ellipse_direction_error", "residual", err, 1e-6, err <= 1e-6)
-        )
+        out["verdicts"].append(_verdict("ellipse_direction_error", "residual", err, 1e-6))
     out["condition_numbers"]["augmented_system"] = op.cond
     out["condition_numbers"]["totals_matrix"] = basis.cond_totals
     out["files"]["basis.csv"] = (header, cols)
 
 
 def _run_degiorgi(spec: dict, out: dict):
-    import numpy as np
-
     from .annulus import (
         VariationalProblem,
         decay_exponent_fit,
@@ -421,7 +426,7 @@ def _run_degiorgi(spec: dict, out: dict):
 
     eps = epsilon(xi)
     out["verdicts"] += [
-        _verdict("closed_form_l2_error", "residual", l2, 1e-3, l2 <= 1e-3),
+        _verdict("closed_form_l2_error", "residual", l2, 1e-3),
         _verdict("decay_exponent", "epsilon", fit.alpha, 0.02, abs(fit.alpha - eps) <= 0.02),
         _verdict("tail_monotonicity", "gamma", rep.worst_q_violation, rep.tolerance, rep.q_ok),
     ]
@@ -437,8 +442,6 @@ def _run_degiorgi(spec: dict, out: dict):
 
 
 def _run_decay(spec: dict, out: dict):
-    import numpy as np
-
     from . import bem
 
     curve = spec["curve"]
@@ -446,25 +449,20 @@ def _run_decay(spec: dict, out: dict):
     op = bem.assemble_single_layer(curve, spec["material"])
     sol = bem.solve_dirichlet(op, op.apply(psi_star))
 
-    radii = np.geomspace(10.0, 1000.0, 9)
-    angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-    pts = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    dist = np.linalg.norm(bem.evaluate(sol, pts) - sol.kappa, axis=-1).max(axis=-1)
+    dist = np.linalg.norm(bem.evaluate(sol, _DECAY_POINTS) - sol.kappa, axis=-1).max(axis=-1)
     # the r^-2 term still bends the log-log line out to r ~ 100 (slopes off
     # by 0.07 on a 2x1 ellipse): fit the outer three radii, r >= 316
-    slope = float(np.polyfit(np.log(radii[6:]), np.log(dist[6:]), 1)[0])
+    slope = float(np.polyfit(np.log(_DECAY_RADII[6:]), np.log(dist[6:]), 1)[0])
     kap = float(np.abs(sol.kappa).max())
     out["verdicts"] += [
         _verdict("far_field_slope", "alpha", slope, 0.05, abs(slope + 1.0) <= 0.05),
-        _verdict("kappa_recovery", "kappa", kap, 1e-8, kap <= 1e-8),
+        _verdict("kappa_recovery", "kappa", kap, 1e-8),
     ]
     out["condition_numbers"]["augmented_system"] = sol.cond
-    out["files"]["decay.csv"] = (["r", "dist"], [radii, dist])
+    out["files"]["decay.csv"] = (["r", "dist"], [_DECAY_RADII, dist])
 
 
 def _run_contraction(spec: dict, out: dict):
-    import numpy as np
-
     from .annulus import VariationalProblem, bump_force, contraction_solve
     from .degiorgi import restricted_tensor
     from .tensors import random_scalar_field
@@ -472,7 +470,7 @@ def _run_contraction(spec: dict, out: dict):
     rmax, grid = spec["rmax"], spec["grid"]
     rng = np.random.default_rng(spec["seed"])
     if spec["material"] is not None:
-        fld = _table_material(spec["material"])
+        fld = spec["material"]
     elif spec["contrast_bounds"] is not None:
         fld = random_scalar_field(*spec["contrast_bounds"], rng)
     else:
@@ -486,9 +484,8 @@ def _run_contraction(spec: dict, out: dict):
     bound = (hi - lo) / hi
     out["verdicts"] += [
         _verdict("worst_contraction_factor", "residual", rep.worst_factor,
-                 max(bound * 1.05, 0.5), rep.worst_factor <= max(bound * 1.05, 0.5)),
-        _verdict("direct_solver_agreement", "residual", rep.direct_agreement, 1e-4,
-                 rep.direct_agreement <= 1e-4),
+                 max(bound * 1.05, 0.5)),
+        _verdict("direct_solver_agreement", "residual", rep.direct_agreement, 1e-4),
         _verdict("converged", "residual", float(rep.converged), 1.0, rep.converged),
     ]
     out["condition_numbers"]["contrast_bound"] = bound
@@ -497,8 +494,6 @@ def _run_contraction(spec: dict, out: dict):
 
 
 def _run_gym(spec: dict, out: dict):
-    import numpy as np
-
     from . import inequalities
 
     rng = np.random.default_rng(spec["seed"])
@@ -522,13 +517,15 @@ def _run_gym(spec: dict, out: dict):
 # Each experiment's runner and the ExperimentConfig fields it reads, each with
 # the parser of its grammar: the one statement of what an experiment takes.
 # The parser, validation and the report's config echo all derive from it.
-_BOUNDARY = {"curve": _parse_curve, "material": _parse_material, "nodes": _parse_nodes}
-_ANNULUS = {"xi": _parse_xi, "grid": _parse_grid, "rmax": _parse_rmax}
+# Fields are listed in the order they are parsed: a parser reads the fields
+# before it (curve reads nodes, data reads curve, grid reads rmax).
+_BOUNDARY = {"nodes": _parse_nodes, "curve": _parse_curve, "material": _parse_material}
+_ANNULUS = {"xi": _parse_xi, "rmax": _parse_rmax, "grid": _parse_grid}
 _EXPERIMENTS = {
     "paradox": (_run_paradox, {**_BOUNDARY, "data": _parse_data}),
     "basis": (_run_basis, _BOUNDARY),
     "degiorgi": (_run_degiorgi, _ANNULUS),
-    "decay": (_run_decay, {**_BOUNDARY, "seed": _parse_seed}),
+    "decay": (_run_decay, {**_BOUNDARY, "curve": _parse_decay_curve, "seed": _parse_seed}),
     "contraction": (_run_contraction, {**_ANNULUS, "contrast_bounds": _parse_bounds,
                                        "material": _parse_table, "seed": _parse_seed}),
     "gym": (_run_gym, {"check": _parse_check, "trials": _parse_trials, "seed": _parse_seed}),
@@ -555,11 +552,11 @@ def _has_type(name: str, value) -> bool:
 
 
 def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
-    """The parsed value of each field the experiment reads (None for a
-    contraction material source the run does not use; the BoundaryCurve of
-    curve and nodes for curve, the PolarGrid of grid and rmax for grid), and
-    the run's notes; raises ConfigInvalid with a field-precise message.  cfg
-    is left as it is."""
+    """The built value of each field the experiment reads (the BoundaryCurve
+    for curve, the PolarGrid for grid, the nodal array for data, the field of
+    a table: material; None for a contraction material source the run does
+    not use), and the run's notes; raises ConfigInvalid with a field-precise
+    message.  cfg is left as it is."""
     if cfg.kind not in _EXPERIMENTS:
         raise ConfigInvalid(f"kind: unknown experiment {cfg.kind!r}")
     reads = _EXPERIMENTS[cfg.kind][1]
@@ -572,21 +569,9 @@ def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
             raise ConfigInvalid(f"{name}: expected {_field_type(name).__name__}, "
                                 f"got {getattr(cfg, name)!r}")
     notes = list(cfg.notes)
-    spec = {name: parse(getattr(cfg, name), notes) for name, parse in reads.items()}
-    if "curve" in reads:
-        # the boundary runs read curve and nodes; BoundaryCurve owns the curve rules
-        try:
-            spec["curve"] = spec["curve"](n=spec["nodes"])
-        except ValueError as exc:
-            raise ConfigInvalid(f"curve: {exc}") from None
-    if "grid" in reads:
-        # the annulus runs read grid and rmax; PolarGrid owns their grading rule
-        from .polar import PolarGrid
-
-        try:
-            spec["grid"] = PolarGrid(spec["rmax"], *spec["grid"])
-        except ValueError as exc:
-            raise ConfigInvalid(f"grid: {exc}") from None
+    spec = {}
+    for name, parse in reads.items():
+        spec[name] = parse(getattr(cfg, name), spec, notes)
     if cfg.kind == "contraction":
         # one material source: a table, a random field or the restricted
         # counter-example tensor of xi (the default)
@@ -598,12 +583,15 @@ def _parse(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         for f in ("material", "contrast_bounds", "xi"):
             if f != (given or ["xi"])[0]:
                 spec[f] = None
+        if spec["material"] is not None:
+            spec["material"] = _table_material(spec["material"])
     return spec, notes
 
 
 def validate(cfg: ExperimentConfig) -> list[str]:
-    """Pure validation: the run's notes, or ConfigInvalid with a
-    field-precise message."""
+    """The run's notes, or ConfigInvalid with a field-precise message: every
+    input the run reads is built, file: data and table: materials read, and
+    nothing is written."""
     return _parse(cfg)[1]
 
 
@@ -614,7 +602,10 @@ def run(cfg: ExperimentConfig) -> RunReport:
     spec, notes = _parse(cfg)
     t0 = time.perf_counter()
     out = {"verdicts": [], "condition_numbers": {}, "files": {}}
-    _EXPERIMENTS[cfg.kind][0](spec, out)
+    with warnings.catch_warnings():
+        # the curve parser notes a curve that is not smooth
+        warnings.simplefilter("ignore", CurveNotSmooth)
+        _EXPERIMENTS[cfg.kind][0](spec, out)
 
     outdir = os.path.join(cfg.outdir, cfg.kind)
     written = [_write_csv(os.path.join(outdir, fname), header, cols)

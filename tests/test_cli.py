@@ -106,13 +106,36 @@ class TestValidate:
         a silent run of the counter-example tensor."""
         with pytest.raises(ConfigInvalid, match="material"):
             validate(ExperimentConfig(kind="contraction", material="iso:5,3", seed=1))
-        for material in ("", ExperimentConfig.material, "table:scales.csv"):
+        table = tmp_path / "scales.csv"
+        table.write_text("r,theta,scale\n2,0,1\n3,1,1.5\n")
+        for material in ("", ExperimentConfig.material, f"table:{table}"):
             validate(ExperimentConfig(kind="contraction", material=material, seed=1))
         code = main(["contraction", "--material", "iso:5,3", "--grid", "24x48", "--rmax", "24",
                      "--seed", "1", "--outdir", str(tmp_path)])
         assert code == 1
         assert "material:" in capsys.readouterr().err
         assert not (tmp_path / "contraction").exists()
+
+    @pytest.mark.parametrize("kind, field, spec, text", [
+        ("paradox", "data", "const:1e308,0", None),
+        ("paradox", "data", "file:{path}", None),
+        ("paradox", "data", "file:{path}", "u1,u2\n1,0\n2,0\n"),
+        ("contraction", "material", "table:{path}", None),
+        ("contraction", "material", "table:{path}", "r,theta\n2,0\n3,1\n"),
+        ("contraction", "material", "table:{path}", "r,theta,scale\n2,0,1\n3,1,0\n"),
+        ("decay", "curve", "circle:20", None),
+    ], ids=["overflowing-data", "missing-file", "file-shape", "missing-table", "table-columns",
+            "table-scale", "decay-curve-beyond-samples"])
+    def test_refuses_what_run_refuses(self, kind, field, spec, text, tmp_path):
+        """validate builds every input the run reads, reading file: data and
+        table: materials, so each of these is refused naming its field (each
+        passed validation and was refused only by the run)."""
+        path = tmp_path / "input.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigInvalid) as exc:
+            validate(seeded(kind, **{field: spec.format(path=path)}))
+        assert str(exc.value).startswith(f"{field}: ")
 
     @pytest.mark.parametrize("kind, field, extra", [(k, f, {}) for k, f in UNREAD] + [
         ("contraction", "xi", {"contrast_bounds": "1,2"}),
@@ -631,10 +654,18 @@ class TestMainExitCodes:
         ["decay", "--curve", "circle:1e200", "--nodes", "64", "--seed", "0"],
         ["basis", "--curve", "rounded-square:1e-300,1e-301", "--nodes", "64"],
         ["paradox", "--curve", "ellipse:1,1e-200", "--nodes", "64"],
-    ], ids=["tiny-circle", "huge-circle", "tiny-square", "tiny-ellipse"])
+        *(["decay", "--curve", curve, "--nodes", "64", "--seed", "0"]
+          for curve in ("circle:2000", "ellipse:1e6,1", "circle:10", "rounded-square:7.36467,1")),
+    ], ids=["tiny-circle", "huge-circle", "tiny-square", "tiny-ellipse", "decay-circle",
+            "decay-ellipse", "decay-circle-on-samples", "decay-square-corner"])
     def test_extreme_curve_is_config_error(self, args, tmp_path, capsys):
         """A curve too small or too large for float64 is refused when the
-        run is validated, naming curve, without a floating-point warning."""
+        run is validated, naming curve, without a floating-point warning.
+        So is a decay curve that reaches decay's sample points at |x| = 10 to
+        1000: one with a node at |x| >= 10, or one whose body holds a sample
+        point between its nodes (this rounded square's corner arc reaches
+        |x| = 10.001 while its 64 nodes stay below 9.996).  Those decay runs
+        ended in PointInsideBody or SingularPoint (exit 2)."""
         code = main(args + ["--outdir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
@@ -654,6 +685,19 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "stokes-lab: configuration error: data:" in err and "Traceback" not in err
         assert not (tmp_path / "paradox").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["paradox", "basis"])
+    def test_rounded_square_is_noted_not_warned(self, kind, tmp_path, capsys):
+        """Under warnings as errors: a rounded-square run reports its
+        algebraic quadrature as a note in report.json, and leaves stderr
+        empty (it printed a raw CurveNotSmooth warning)."""
+        code = main([kind, "--curve", "rounded-square:1,0.25", "--nodes", "64",
+                     "--outdir", str(tmp_path)])
+        assert code == 0 and capsys.readouterr().err == ""
+        notes = json.loads((tmp_path / kind / "report.json").read_text())["notes"]
+        assert notes == ["rounded-square is only piecewise smooth: the boundary quadrature "
+                         "converges at the composite trapezoid rate, not spectrally"]
 
     def test_zero_total_density_scales_with_data(self, tmp_path, capsys):
         """A total of round-off relative to large data passes: the verdict's
