@@ -31,6 +31,7 @@ errors of solves on a ladder of grids and the orders between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -400,13 +401,20 @@ def _block_thomas_factor(A: np.ndarray, U: np.ndarray, L: np.ndarray):
 def _block_thomas_solve(factors, F: np.ndarray) -> np.ndarray:
     """Solve the factored systems for the right-hand sides F (n, 2, m): all
     D_i^-1 F_i in one batch, then the sweeps z_i -= M_i z_{i-1} forward and
-    z_i -= W_i z_{i+1} back, each step two factor columns times one entry."""
+    z_i -= W_i z_{i+1} back.  Each step is three ufunc calls into one
+    (2, 2, m) work array P: P[c] = column c of the factor times entry c of
+    the neighbour, P[0] += P[1], z_i -= P[0], so z_i - (m0 p0 + m1 p1) in
+    that order of operations."""
     Dinv, W, M = factors
     z = _mul_2x2(Dinv, F[:, :, None])[:, :, 0]
-    for (m0, m1), prev, cur in zip(M, z, z[1:]):
-        cur -= m0 * prev[0] + m1 * prev[1]
-    for (w0, w1), nxt, cur in zip(W[::-1], z[::-1], z[-2::-1]):
-        cur -= w0 * nxt[0] + w1 * nxt[1]
+    entries = z[:, :, None]                     # (n, 2, 1, m): entry c of each z_i
+    P = np.empty(M.shape[1:], dtype=np.result_type(M, z))
+    P0, P1 = P
+    forward, back = zip(M, entries, z[1:]), zip(W[::-1], entries[::-1], z[-2::-1])
+    for factor, near, cur in chain(forward, back):
+        np.multiply(factor, near, out=P)
+        np.add(P0, P1, out=P0)
+        np.subtract(cur, P0, out=cur)
     return z
 
 
@@ -844,7 +852,7 @@ def contraction_solve(
 
     stiffness = _Stiffness(problem, grid)
     u_dir = stiffness.field(_solve(stiffness)).values   # before Q: their work arrays never coexist
-    K_f, res, last = stiffness.K_f, stiffness.rhs, stiffness.last
+    K_f, res, last = stiffness.K_f, stiffness.rhs.copy(), stiffness.last
     green0 = _fourier_inverse(_identity_stencil(grid, c0_scale)[1:last + 1], grid.n_theta)
 
     w = np.zeros_like(res)
@@ -855,8 +863,8 @@ def contraction_solve(
     for n_iter in range(1, _CONTRACTION_MAX_ITER + 1):
         inc = green0(res)
         inc_norm = float(np.sqrt(max(np.vdot(inc, res), 0.0) / c0_scale))
-        res = res - _stiffness_apply(K_f, inc)
-        w = w + inc
+        res -= _stiffness_apply(K_f, inc)
+        w += inc
         if scale_norm is None:
             scale_norm = max(inc_norm, 1e-300)
         if prev_inc_norm is not None and prev_inc_norm > 0:

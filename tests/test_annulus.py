@@ -669,6 +669,18 @@ def perturbed_counterexample(grid, column=5):
     return ElasticityField(action=perturbed, mu0=base.mu0, mue=base.mue)
 
 
+def reference_sweep(factors, F):
+    """The block-Thomas solve as a plain loop: z = D^-1 F, then z_i -=
+    m0 * z_{i-1}[0] + m1 * z_{i-1}[1] forward and the same with W back."""
+    Dinv, W, M = factors
+    z = Dinv[:, :, 0] * F[:, None, 0] + Dinv[:, :, 1] * F[:, None, 1]
+    for (m0, m1), prev, cur in zip(M, z, z[1:]):
+        cur -= m0 * prev[0] + m1 * prev[1]
+    for (w0, w1), nxt, cur in zip(W[::-1], z[::-1], z[-2::-1]):
+        cur -= w0 * nxt[0] + w1 * nxt[1]
+    return z
+
+
 class TestFourierSolve:
     """solve_annulus on rotation-equivariant materials: one real FFT in theta
     and a 2x2 block-tridiagonal sweep per angular mode, against SuperLU on
@@ -725,6 +737,47 @@ class TestFourierSolve:
                         dense[2 * i:2 * i + 2, 2 * (i + o - 1):2 * (i + o)] = blocks[o][i, :, :, k]
             ref = np.linalg.solve(dense, F[..., k].ravel())
             assert np.abs(z[..., k].ravel() - ref).max() <= 1e-12 * np.abs(ref).max(), modes[k]
+
+    @pytest.mark.parametrize("m", [3, 129])
+    @pytest.mark.parametrize("n", [1, 2, 3, 126])
+    def test_sweep_steps_match_reference_bit_for_bit(self, n, m):
+        """The three-call ring steps of _block_thomas_solve give, bit for bit,
+        what the plain loop reference_sweep gives on the same factors, for n
+        free rings (1: no ring step at all) and m angular modes.  The bits
+        are compared, so a zero of the other sign would count; mode 0's
+        blocks and right-hand side are real, as the symbols and rffts of
+        real data are, so its imaginary parts are zeros."""
+        rng = np.random.default_rng(n * m)
+
+        def blocks(k):
+            b = rng.normal(size=(k, 2, 2, m)) + 1j * rng.normal(size=(k, 2, 2, m))
+            b[..., 0] = b[..., 0].real
+            return b
+
+        A = blocks(n)
+        A[:, [0, 1], [0, 1]] += 4.0
+        factors = _block_thomas_factor(A, blocks(n - 1), blocks(n - 1))
+        F = rng.normal(size=(n, 2, m)) + 1j * rng.normal(size=(n, 2, m))
+        F[..., 0] = F[..., 0].real
+        expected = reference_sweep(factors, F)
+        z = _block_thomas_solve(factors, F)
+        assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("material", ["degiorgi-sym", "random-scalar"])
+    def test_one_free_ring_matches_superlu(self, material):
+        """A 3-ring grid with a Dirichlet outer ring has one free ring, so the
+        Fourier solve's sweeps make no ring step: the direct solve (an
+        equivariant material) and the preconditioned one (a theta-dependent
+        material) still agree with SuperLU."""
+        grid = PolarGrid(1.4, 3, 16)
+        rng = np.random.default_rng(3)
+        fld = (degiorgi_tensor(2.0) if material == "degiorgi-sym"
+               else random_scalar_field(1.0, 2.0, rng))
+        prob = VariationalProblem(field=fld, inner_data=rng.normal(size=(16, 2)),
+                                  outer_data=rng.normal(size=(16, 2)))
+        u = solve_annulus(prob, grid)
+        ref = ReferenceSystem(prob, grid).nodal()
+        assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_path_choice(self, annulus_calls):
         """Every solve builds one polar stencil: one column for the
