@@ -9,7 +9,8 @@ for that block only, is rotated into that column's polar frame, turned into
 element matrices by one matrix product per ring and added into a 9-point
 stencil of 2x2 blocks over the (ring, theta) nodes, with one column of
 blocks per theta-column of nodes, or a single column when the material is
-rotation-equivariant and the stiffness block-circulant in theta.  A
+rotation-equivariant and the stiffness block-circulant in theta (from two
+theta-columns of cells when the material declares it).  A
 block-circulant stiffness is inverted by one angular Fourier solve (a
 block-Thomas sweep over the rings per mode, factored over its symbols);
 any other is solved by conjugate gradients preconditioned by the Fourier
@@ -254,22 +255,40 @@ def _column_stencil(ke: np.ndarray) -> np.ndarray:
     return S
 
 
-def _polar_stencil(grid: PolarGrid, field: Callable) -> np.ndarray:
+def _polar_stencil(grid: PolarGrid, field: ElasticityField) -> np.ndarray:
     """The stencil (_add_cells), in the polar components of the nodes, of the
-    stiffness of the material field, built one block of _FRAME_BLOCK
-    theta-columns of nodes at a time from the cells that touch them.
+    stiffness of the material field.
 
-    Per block, the material at the cells' Gauss points, made for the block
-    only (PolarGrid.gauss_points), is rotated into each cell column's polar
-    frame (_polar_frame), compared with column 0's and turned into element
-    matrices (_element_map).  While every column equals
-    column 0 to 1e-12 relative, C(R x) = R * C(x) holds at the Gauss points
-    and nothing is kept: the stiffness is block-circulant and its stencil
-    has the one column of column 0's frame.  At the first block that
-    differs, the n_theta-column stencil is allocated and the earlier blocks
-    are evaluated again."""
+    A material declared equivariant (ElasticityField.equivariant) is
+    evaluated at the Gauss points of two theta-columns of cells only:
+    column 0 and the fence column n_theta // 3 + 1, which for every grid
+    (n_theta even and >= 8) is no quarter or half turn of column 0, so a
+    material with only a four-fold symmetry cannot pass it.  Both are
+    rotated into their polar frames (_polar_frame); when they differ by more
+    than 1e-12 relative the declaration is false and ValueError is raised,
+    else the stencil has the one column of column 0's frame.
+
+    Any other material is built one block of _FRAME_BLOCK theta-columns of
+    nodes at a time from the cells that touch them.  Per block, the material
+    at the cells' Gauss points, made for the block only
+    (PolarGrid.gauss_points), is rotated into each cell column's polar frame,
+    compared with column 0's and turned into element matrices
+    (_element_map).  While every column equals column 0 to 1e-12 relative,
+    C(R x) = R * C(x) holds at the Gauss points and nothing is kept: the
+    stiffness is block-circulant and its stencil has the one column of
+    column 0's frame, bit for bit the declared path's.  At the first block
+    that differs, the n_theta-column stencil is allocated and the earlier
+    blocks are evaluated again."""
     n_t = grid.n_theta
     element_matrices = _element_map(grid)
+    if field.equivariant:
+        cells = np.array([0, n_t // 3 + 1])
+        frame = _polar_frame(field(grid.gauss_points(cols=cells)), grid.thetas[cells])
+        ref = frame[:, 0:1]
+        if np.abs(frame - ref).max() > 1e-12 * np.abs(ref).max():
+            raise ValueError(f"a material declared equivariant differs in theta-column "
+                             f"{cells[1]} of {n_t} from column 0 in its polar frame")
+        return _column_stencil(element_matrices(ref))
 
     def block(lo):
         """The node columns from lo and the polar frame of their cells."""
@@ -508,14 +527,18 @@ def solve_annulus(problem: VariationalProblem, grid: PolarGrid) -> DiscreteField
     every Gauss point (isotropic constants, radial scalar fields, the
     counter-example tensors), it is block-circulant in theta and solved
     directly by one FFT in theta and a block-tridiagonal sweep over the
-    rings per angular mode.  Any other material is solved by
+    rings per angular mode.  A material declared equivariant
+    (ElasticityField.equivariant) is evaluated at two theta-columns of
+    cells for this, an undeclared one at every column (_polar_stencil).
+    Any other material is solved by
     conjugate gradients on its stiffness stencil to a relative residual of
     1e-12, preconditioned by that Fourier solve for the theta-mean of the
     stencil (the stencil of the material averaged over theta in its polar
     frame); the step count is bounded in terms of the contrast of the
     material to that average (10-20 steps at contrast 2).
     Raises BoundsViolated when spot-checked material samples leave the
-    declared bounds, SolverDiverged when the system is singular (a vanishing
+    declared bounds, ValueError when a material declared equivariant is
+    not, SolverDiverged when the system is singular (a vanishing
     angular mode, or a free DOF whose stiffness diagonal is at most 1e-14 of
     the largest), when conjugate gradients break down or take more than 500
     steps, or when the result misses a relative residual of 1e-8

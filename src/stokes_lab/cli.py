@@ -273,24 +273,37 @@ def _write_atomic(path: str, text: str):
         f.write(text)
 
 
+def _csv_block(b) -> tuple[list, str]:
+    """One block of one column and its `%` spec: strings as they are; floats
+    as Python floats for "%.17g", or, when the block holds at most half as
+    many distinct values (by bit pattern, so 0.0 and -0.0 stay apart) as
+    rows, as the text of each value, every distinct value formatted once."""
+    if isinstance(b, list):
+        return b, "%s"
+    bits, inverse = np.unique(b.view(np.uint64), return_inverse=True)
+    if 2 * bits.size > b.size:
+        return b.tolist(), "%.17g"
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist(), "%s"
+
+
 def _write_csv(path: str, header: list[str], columns: list) -> str:
     """Columns of numbers (written as floats at 17 significant digits) or of
     strings under one header line, written atomically.  Each block of
     _CSV_BLOCK_ROWS rows is formatted by one `%` and written before the next
     is formatted, so the text and the Python floats of one block are held at
-    a time, not those of the whole table."""
-    cells, specs = [], []
+    a time, not those of the whole table; a column that repeats its values
+    within a block has each distinct value formatted once (_csv_block)."""
+    cells = []
     for col in columns:
         text = len(col) > 0 and isinstance(col[0], str)
         cells.append(list(col) if text else np.asarray(col, dtype=float))
-        specs.append("%s" if text else "%.17g")
     n_rows = len(cells[0]) if cells else 0
-    row = ",".join(specs) + "\n"
     with _atomic_file(path) as f:
         f.write(",".join(header) + "\n")
         for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in cells]
-            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            block, specs = zip(*(_csv_block(c[lo:lo + _CSV_BLOCK_ROWS]) for c in cells))
+            row = ",".join(specs) + "\n"
             f.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
     return path
 

@@ -58,7 +58,8 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
     arguments) with Sym bounds (1, 1 + 4/xi^2).  action_on="lin" keeps the
     full gradient (base = identity on Lin), the flavor positive on all of Lin
     with the same bounds; the two agree on symmetric arguments and share the
-    closed-form radial family.
+    closed-form radial family.  Both depend on x through e_r only, so they
+    are declared equivariant.
     """
     sq = float(xi) * float(xi)
     amp = 4.0 / sq if sq > 0 else math.inf
@@ -82,6 +83,7 @@ def degiorgi_tensor(xi: float, action_on: Literal["sym", "lin"] = "sym") -> Elas
         mu0=mu0,
         mue=mue,
         lin_bounds_pair=(mu0, mue) if action_on == "lin" else None,
+        equivariant=True,
     )
 
 
@@ -89,7 +91,8 @@ def restricted_tensor(xi: float, lo: float, hi: float) -> ElasticityField:
     """The Lin flavor of degiorgi_tensor(xi) on lo <= r <= hi, and its upper
     bound 1 + 4/xi^2 times Id_Lin elsewhere, with Lin bounds (1, 1 + 4/xi^2):
     a heterogeneous material of relative contrast (4/xi^2) / (1 + 4/xi^2)
-    that is homogeneous near the hole and far out."""
+    that is homogeneous near the hole and far out, and radial, so declared
+    equivariant."""
     base = degiorgi_tensor(xi, action_on="lin")
     mue = base.mue
 
@@ -100,7 +103,8 @@ def restricted_tensor(xi: float, lo: float, hi: float) -> ElasticityField:
         a[(r < lo) | (r > hi)] = mue * ID_LIN
         return a
 
-    return ElasticityField(action=action, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue))
+    return ElasticityField(action=action, mu0=1.0, mue=mue, lin_bounds_pair=(1.0, mue),
+                           equivariant=True)
 
 
 @dataclass(frozen=True)

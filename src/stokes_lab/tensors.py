@@ -227,13 +227,18 @@ class ElasticityField:
     action does not annihilate skew tensors (both certificates are recorded
     because different results assume different ones).  The bounds are
     caller-supplied and spot-verified at sample points, never silently
-    clamped.
+    clamped.  equivariant declares C(R x) = R * C(x) for every rotation R,
+    (R * C)_ijhk = R_ia R_jb R_hc R_kd C_abcd, a property of the material's
+    construction: the annulus solver then builds its one-column stiffness
+    from column 0's cells and checks it against one fence column only, where
+    an undeclared material is scanned column by column.
     """
 
     action: Callable[[np.ndarray], np.ndarray]
     mu0: float
     mue: float
     lin_bounds_pair: Optional[tuple[float, float]] = None
+    equivariant: bool = False
 
     def __post_init__(self):
         _check_bounds_pair(self.mu0, self.mue)
@@ -261,19 +266,25 @@ class ElasticityField:
 
 
 def constant_field(C) -> ElasticityField:
-    """Wrap a constant tensor (or IsotropicModuli) as an ElasticityField."""
+    """Wrap a constant tensor (or IsotropicModuli) as an ElasticityField,
+    declared equivariant exactly when the tensor is isotropic: when its
+    components equal their rotation by 1 rad to 1e-12 relative (invariance
+    under an irrational turn is invariance under every turn)."""
     if isinstance(C, IsotropicModuli):
         C = C.tensor()
     if not isinstance(C, ElasticityTensor):
         C = ElasticityTensor(C)
     mu0, mue = C.bounds
     comp = C.c.copy()
+    R = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+    turned = np.einsum("ia,jb,hc,kd,abcd->ijhk", R, R, R, R, comp)
+    isotropic = np.abs(turned - comp).max() <= 1e-12 * np.abs(comp).max()
 
     def action(points):
         pts = np.asarray(points, dtype=float)
         return np.broadcast_to(comp, pts.shape[:-1] + (2, 2, 2, 2)).copy()
 
-    return ElasticityField(action=action, mu0=mu0, mue=mue)
+    return ElasticityField(action=action, mu0=mu0, mue=mue, equivariant=bool(isotropic))
 
 
 def scalar_field(scale, lo: float, hi: float) -> ElasticityField:

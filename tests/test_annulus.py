@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -246,18 +248,23 @@ class TestAssembly:
 
     @pytest.mark.parametrize("nt", [40, 44, 48])
     def test_blockwise_frame_matches_whole_grid(self, nt, monkeypatch):
-        """_polar_stencil evaluates, rotates and assembles blocks of 8
+        """_polar_stencil's scan evaluates, rotates and assembles blocks of 8
         theta-columns (the last one partial at n_theta = 44): bit for
         bit the stencil built from the whole grid in one block, for every
-        shipped material and for the counter-example perturbed in a late
-        theta-column; the equivariant ones keep column 0 only."""
+        shipped material (those that declare equivariance undeclared, so
+        that they are scanned) and for the counter-example perturbed in a
+        late theta-column; the equivariant ones keep column 0 only."""
         grid = PolarGrid(16.0, 24, nt)
         rng = np.random.default_rng(5)
+
+        def scanned(fld):
+            return dataclasses.replace(fld, equivariant=False)
+
         materials = {
-            "isotropic": constant_field(ISO.tensor()),
-            "degiorgi-sym": degiorgi_tensor(2.0),
-            "degiorgi-lin": degiorgi_tensor(2.0, "lin"),
-            "restricted": restricted_tensor(6.0, 2.0, 8.0),
+            "isotropic": scanned(constant_field(ISO.tensor())),
+            "degiorgi-sym": scanned(degiorgi_tensor(2.0)),
+            "degiorgi-lin": scanned(degiorgi_tensor(2.0, "lin")),
+            "restricted": scanned(restricted_tensor(6.0, 2.0, 8.0)),
             "radial-scalar": radial_scalar_field(),
             "random-scalar": random_scalar_field(1.0, 2.0, rng),
             "table": table_field(rng),
@@ -269,6 +276,57 @@ class TestAssembly:
             n_cols = nt if name in ("random-scalar", "table", "perturbed") else 1
             assert blockwise[name].shape == (grid.n_r, 2, 3, 3, 2, n_cols), name
             assert np.array_equal(blockwise[name], _polar_stencil(grid, fld)), name
+
+    DECLARED = {
+        "isotropic": lambda: constant_field(ISO),
+        "degiorgi-sym": lambda: degiorgi_tensor(2.0),
+        "degiorgi-lin": lambda: degiorgi_tensor(2.0, "lin"),
+        "restricted": lambda: restricted_tensor(2.0, 2.0, 16.0),
+    }
+
+    @pytest.mark.parametrize("nt", [40, 44, 48, 256])
+    @pytest.mark.parametrize("material", sorted(DECLARED))
+    def test_declared_stencil_matches_scan(self, material, nt):
+        """A material declared equivariant is built from column 0 and the
+        fence column only: bit for bit the one-column stencil that the
+        column-by-column scan finds for the same material undeclared."""
+        grid = PolarGrid(16.0, 24, nt)
+        fld = self.DECLARED[material]()
+        assert fld.equivariant
+        declared = _polar_stencil(grid, fld)
+        scanned = _polar_stencil(grid, dataclasses.replace(fld, equivariant=False))
+        assert declared.shape == scanned.shape == (grid.n_r, 2, 3, 3, 2, 1)
+        assert np.array_equal(declared.view(np.uint64), scanned.view(np.uint64))
+
+    @pytest.mark.parametrize("nt", [40, 48])
+    def test_false_declaration_is_refused(self, nt):
+        """Declared equivariant, the counter-example perturbed in the fence
+        column n_theta // 3 + 1 (frames 1e-9 apart) and a cubic constant,
+        which every quarter turn leaves as it is, are refused rather than
+        built into a wrong stiffness."""
+        grid = PolarGrid(16.0, 24, nt)
+        cubic = np.zeros((2, 2, 2, 2))
+        cubic[0, 0, 0, 0] = cubic[1, 1, 1, 1] = 3.0
+        cubic[0, 0, 1, 1] = cubic[1, 1, 0, 0] = 1.0
+        cubic[0, 1, 0, 1] = cubic[1, 0, 1, 0] = cubic[0, 1, 1, 0] = cubic[1, 0, 0, 1] = 0.5
+        for fld in (perturbed_counterexample(grid, nt // 3 + 1), constant_field(cubic)):
+            with pytest.raises(ValueError, match="declared equivariant"):
+                _polar_stencil(grid, dataclasses.replace(fld, equivariant=True))
+
+    @pytest.mark.parametrize("material", sorted(DECLARED))
+    def test_declared_build_evaluates_few_columns(self, material):
+        """The declared build evaluates the material at most at the Gauss
+        points of three theta-columns of cells, of the 256 the scan reads."""
+        grid = PolarGrid(64.0, 128, 256)
+        fld = self.DECLARED[material]()
+        points = []
+
+        def counted(p):
+            points.append(p[..., 0].size)
+            return fld.action(p)
+
+        _polar_stencil(grid, dataclasses.replace(fld, action=counted))
+        assert 0 < sum(points) <= 3 * (grid.n_r - 1) * len(grid.qp_shapes)
 
     def test_late_theta_dependence(self, annulus_calls):
         """The counter-example perturbed in theta-column 40 of 48 matches every
@@ -413,7 +471,7 @@ class TestComparisonSolve:
 
         S = _identity_stencil(grid, 1.7)
         assert S.shape == (nr, 2, 3, 3, 2, 1)
-        assert np.array_equal(S, _polar_stencil(grid, c0))
+        assert np.array_equal(S, _polar_stencil(grid, ElasticityField(c0, 1.7, 1.7)))
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])

@@ -319,6 +319,37 @@ class TestRuns:
         assert path.read_bytes() == self.one_percent_table(header, columns)
         assert os.listdir(tmp_path) == ["t.csv"]
 
+    @pytest.mark.parametrize("n_rows", [7, 2 * cli._CSV_BLOCK_ROWS + 3])
+    def test_repeated_csv_values_match_one_percent_table(self, n_rows, tmp_path):
+        """Columns that repeat their values, so each block formats every
+        distinct value once, have the bytes of one `%` over the whole table:
+        signed zeros (told apart by their bits, where a float comparison
+        merges them), nan and both infinities, a constant column, a text
+        column, and a column whose runs straddle the block boundaries."""
+        special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), -0.0, 0.0]
+        header = ["special", "constant", "name", "runs", "distinct"]
+        columns = [
+            np.array([special[k % len(special)] for k in range(n_rows)]),
+            np.full(n_rows, 0.1),
+            [("a", "bb")[k % 2] for k in range(n_rows)],
+            (np.arange(n_rows) + 5) // 11 / 3.0,
+            np.random.default_rng(2).normal(size=n_rows),
+        ]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), header, columns)
+        assert path.read_bytes() == self.one_percent_table(header, columns)
+        assert b"\n-0,0.10000000000000001," in path.read_bytes()
+
+    def test_csv_block_formats_repeated_values_once(self):
+        """A float block with at most half as many distinct values as rows
+        comes back as text under "%s"; one with more keeps its floats under
+        "%.17g"; a text block is kept as it is."""
+        cells, spec = cli._csv_block(np.array([0.0, -0.0, 0.0, -0.0]))
+        assert (cells, spec) == (["0", "-0", "0", "-0"], "%s")
+        cells, spec = cli._csv_block(np.array([1.0, 2.0, 3.0, 1.0]))
+        assert (cells, spec) == ([1.0, 2.0, 3.0, 1.0], "%.17g")
+        assert cli._csv_block(["x", "y"]) == (["x", "y"], "%s")
+
     def test_failed_csv_write_leaves_the_old_file(self, tmp_path):
         """A table that fails to format mid-stream removes its temporary file
         and leaves the file it would have replaced as it was."""

@@ -11,6 +11,7 @@ from stokes_lab.tensors import (
     certify_bounds,
     constant_field,
     gamma_exponent,
+    scalar_field,
     strong_ellipticity_margin,
     sym,
 )
@@ -211,6 +212,24 @@ class TestField:
         rng = np.random.default_rng(0)
         lo, hi = fld.check_bounds_at(rng.normal(size=(40, 2)))
         assert np.isclose(lo, 2.0) and np.isclose(hi, 4.0)
+
+    def test_constant_field_declares_isotropy_only(self):
+        """constant_field declares equivariance for isotropic tensors, given as
+        moduli or as components, and not for a cubic tensor, which a quarter
+        turn leaves as it is but a turn by 1 rad does not; the radial fields
+        of the counter-example declare it, scalar fields do not."""
+        from stokes_lab.degiorgi import degiorgi_tensor
+
+        iso = IsotropicModuli(2.0, 0.5)
+        assert constant_field(iso).equivariant
+        assert constant_field(iso.tensor().c).equivariant
+        cubic = np.zeros((2, 2, 2, 2))
+        cubic[0, 0, 0, 0] = cubic[1, 1, 1, 1] = 3.0
+        cubic[0, 0, 1, 1] = cubic[1, 1, 0, 0] = 1.0
+        cubic[0, 1, 0, 1] = cubic[1, 0, 1, 0] = cubic[0, 1, 1, 0] = cubic[1, 0, 0, 1] = 0.5
+        assert not constant_field(cubic).equivariant
+        assert degiorgi_tensor(2.0).equivariant and degiorgi_tensor(2.0, "lin").equivariant
+        assert not scalar_field(lambda p: np.linalg.norm(p, axis=-1), 1.0, 2.0).equivariant
 
     def test_bounds_violation_raises(self):
         from stokes_lab.errors import BoundsViolated
