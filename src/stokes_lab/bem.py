@@ -32,11 +32,16 @@ y-constant one) are bordered by them and by their totals.  A node that its
 mirror fixes (node 0, and node N/4 when 4 divides N) keeps one component in
 each block.  Each block is factored once per operator, in place through its
 transpose: two blocks take a quarter, four blocks a sixteenth of the flops
-of one LU of the bordered matrix.  A solve is one solve per block plus one
-refinement step whose residual takes A from the stored rows, in one product
-with the class densities.  The bordered system stays well conditioned at
-the logarithmic-capacity radius, where A alone is singular: its singular
-directions are equilibrium densities, which lie in the bordered blocks.
+of one LU of the bordered matrix.  The blocks of the two half-turn groups,
+c_rho = 1 and c_rho = -1, are built and factored concurrently, one group by
+the calling thread and one by a worker thread that lives only for the call;
+every block meets the same operations either way, so the factors, and all
+results, are the same bits at any CPU count.  A solve is one solve per
+block plus one refinement step whose residual takes A from the stored rows,
+in one product with the class densities.  The bordered system stays well
+conditioned at the logarithmic-capacity radius, where A alone is singular:
+its singular directions are equilibrium densities, which lie in the
+bordered blocks.
 The weighted pairing of boundary data with the equilibrium densities is the
 solvability residual that detects the Stokes paradox; psi_1 is exactly
 sigma-even and psi_2 exactly sigma-odd on mirrored operators.
@@ -286,30 +291,34 @@ class SingleLayerOperator:
         mult w at those DOFs), and the condition estimate
         max ||block|| max ||block^-1|| of the block diagonal in the 1-norm,
         rounded to 6 significant digits; built on first use, and raises
-        SingularSystem when the unrounded estimate passes _AUG_COND_LIMIT."""
-        rows = self.rows.reshape(self.rows.shape[0], -1, 2)
+        SingularSystem when the unrounded estimate passes _AUG_COND_LIMIT.
+
+        The two half-turn groups of classes, c_rho = 1 and c_rho = -1 (two
+        classes each on mirrored operators, one otherwise), are built and
+        factored concurrently (_factor_group): this thread takes the first,
+        one worker thread, started and joined within the call, the second.
+        LAPACK and NumPy's large ufuncs release the GIL.  Each block meets
+        the same operations as it would alone, so its factors and pivots do
+        not depend on the CPU count.  The caller allocates every array the
+        worker writes, so they stay in its malloc arena.  An exception in
+        either group propagates once both have stopped, and nothing is
+        cached."""
+        # imported here, as scipy.linalg is: it loads logging (about 7 ms)
+        from concurrent.futures import ThreadPoolExecutor
+
+        classes, rows = self._classes, self.rows
+        blocks = [np.zeros((c.keep.size + len(c.border),) * 2) for c in classes]
+        # per group, the half-turn fold at nodes 0..N/4 and at their mirror
+        # partners, shared by the group's two classes
+        work = (np.empty((2, 2, len(rows), len(rows) // 2), dtype=complex)
+                if self.mirror_symmetric else (None, None))
         lange = _lapack("lange", rows)
-        lus, norms, inverse_norms = [], [], []
-        folded = None
-        for cls in self._classes:
-            dofs, size = cls.keep.size, cls.keep.size + len(cls.border)
-            block = np.zeros((size, size))
-            if cls.c_sigma is None:  # the half turn alone: fold straight into the block
-                cls.half(rows, out=block[:dofs, :dofs].reshape(dofs, -1, 2))
-            else:
-                if cls.c_sigma > 0:  # the first class of its c_rho: the shared half-turn fold
-                    folded = cls.half(rows, out=folded)
-                np.take(cls.mirror(folded), cls.keep, axis=0, out=block[:dofs, :dofs])
-                # a node that is its own partner entered its column twice
-                twice = np.flatnonzero(cls.mult < cls.order)
-                block[:dofs, twice] *= cls.mult[twice] / cls.order
-            block[:dofs, dofs:] = cls.border_columns()
-            block[dofs:, :dofs] = cls.border_rows(self.curve.weights)
-            at = block.T  # Fortran-contiguous: getrf factors it in place
-            norm = lange("I", at)  # ||block||_1, taken before the factors overwrite it
-            lus.append(lu_factor(at))
-            norms.append(norm)
-            inverse_norms.append(_cond_estimate(lus[-1], norm) / norm)
+        half = len(classes) // 2
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(self._factor_group, classes[half:], blocks[half:], work[1], lange)
+            factored = self._factor_group(classes[:half], blocks[:half], work[0], lange)
+            factored += other.result()
+        lus, norms, inverse_norms = zip(*factored)
         cond = max(norms) * max(inverse_norms)
         if not np.isfinite(cond) or cond > _AUG_COND_LIMIT:
             raise SingularSystem(
@@ -318,6 +327,57 @@ class SingleLayerOperator:
         # gecon's estimate on one set of factors varies in its last digits
         # from call to call; an estimate is good to a small factor only
         return lus, float(f"{cond:.6g}")
+
+    def _factor_group(self, classes, blocks, work, lange) -> list:
+        """Build the blocks of one half-turn group of classes (one c_rho)
+        into `blocks`, zeroed (size, size) arrays, and factor them: a list
+        of (LU, ||block||_1, ||block^-1||_1) per class (see _augmented_lu).
+
+        On mirrored operators `work` is two (2R, R) complex arrays, for the
+        rows' (node, component) pairs read as complex numbers, so that
+        every gather is one strided slice: the half-turn fold at nodes
+        0..N/4, and the one at their mirror partners times the first
+        class's signs.  The second class's signs are the first's negated,
+        so its block takes the difference where the first takes the sum."""
+        n = self.curve.n
+        m, h = n // 2, n // 4
+        pairs = self.rows.view(complex)  # (2R, N): node j's (x, y) as x + iy
+        fold = np.add if classes[0].c_rho > 0 else np.subtract
+        if work is not None:
+            reps, part = work
+            fold(pairs[:, : h + 1], pairs[:, m : m + h + 1], out=reps)
+            # partner[r]: node 0, then nodes N/2 - 1 down to N/2 - N/4
+            part[:, 0] = reps[:, 0]
+            fold(pairs[:, m - 1 : m - h - 1 : -1], pairs[:, n - 1 : n - h - 1 : -1],
+                 out=part[:, 1:])
+            signed = part.view(float).reshape(len(part), -1, 2)
+            signed *= classes[0].sign
+            reps, part = reps.view(float), part.view(float)  # (2R, 2R)
+        factored = []
+        for cls, block, combine in zip(classes, blocks, (np.add, np.subtract)):
+            dofs = cls.keep.size
+            if cls.c_sigma is None:  # the half turn alone: fold straight into the block
+                rows = self.rows.reshape(len(self.rows), -1, 2)
+                cls.half(rows, out=block[:dofs, :dofs].reshape(dofs, -1, 2))
+            else:
+                # the kept DOFs in runs of consecutive indices, one sum per
+                # pair of runs written straight into the block
+                cut = np.flatnonzero(np.diff(cls.keep) > 1) + 1
+                runs = [(lo, hi, cls.keep[lo]) for lo, hi in zip(np.r_[0, cut], np.r_[cut, dofs])]
+                for lo, hi, i in runs:
+                    for clo, chi, j in runs:
+                        cells = np.s_[i : i + hi - lo, j : j + chi - clo]
+                        combine(reps[cells], part[cells], out=block[lo:hi, clo:chi])
+                # a node that is its own partner entered its column twice
+                twice = np.flatnonzero(cls.mult < cls.order)
+                block[:dofs, twice] *= cls.mult[twice] / cls.order
+            block[:dofs, dofs:] = cls.border_columns()
+            block[dofs:, :dofs] = cls.border_rows(self.curve.weights)
+            at = block.T  # Fortran-contiguous: getrf factors it in place
+            norm = lange("I", at)  # ||block||_1, taken before the factors overwrite it
+            lu = lu_factor(at)
+            factored.append((lu, norm, _cond_estimate(lu, norm) / norm))
+        return factored
 
     @property
     def cond(self) -> float:

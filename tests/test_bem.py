@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -457,6 +458,91 @@ class TestSymmetryClasses:
         assert len(classes) == (4 if mirrored else 2)
         parts = sum(c.expand(c.fold(psi) / c.order) for c in classes)
         assert np.abs(parts - psi).max() <= 1e-15 * np.abs(psi).max()
+
+
+def reference_augmented_lu(op):
+    """The block factors and rounded condition estimate of _augmented_lu
+    as one sequential loop over the classes, the half-turn fold shared by
+    the two classes of each c_rho on mirrored operators."""
+    rows = op.rows.reshape(op.rows.shape[0], -1, 2)
+    lange = bem._lapack("lange", rows)
+    lus, norms, inverse_norms = [], [], []
+    folded = None
+    for cls in op._classes:
+        dofs, size = cls.keep.size, cls.keep.size + len(cls.border)
+        block = np.zeros((size, size))
+        if cls.c_sigma is None:
+            cls.half(rows, out=block[:dofs, :dofs].reshape(dofs, -1, 2))
+        else:
+            if cls.c_sigma > 0:
+                folded = cls.half(rows, out=folded)
+            np.take(cls.mirror(folded), cls.keep, axis=0, out=block[:dofs, :dofs])
+            twice = np.flatnonzero(cls.mult < cls.order)
+            block[:dofs, twice] *= cls.mult[twice] / cls.order
+        block[:dofs, dofs:] = cls.border_columns()
+        block[dofs:, :dofs] = cls.border_rows(op.curve.weights)
+        at = block.T
+        norm = lange("I", at)
+        lus.append(bem.lu_factor(at))
+        norms.append(norm)
+        inverse_norms.append(bem._cond_estimate(lus[-1], norm) / norm)
+    return lus, float(f"{max(norms) * max(inverse_norms):.6g}")
+
+
+CONCURRENT_CASES = {  # name: (curve and kernel, symmetry blocks)
+    "ellipse-64": (lambda: (BoundaryCurve.ellipse(2.0, 1.0, n=64), ISO), 4),
+    "ellipse-66": (lambda: (BoundaryCurve.ellipse(2.0, 1.0, n=66), ISO), 4),
+    "ellipse-254": (lambda: (BoundaryCurve.ellipse(2.0, 1.0, n=254), ISO), 4),
+    "ellipse-1024": (lambda: (BoundaryCurve.ellipse(2.0, 1.0, n=1024), ISO), 4),
+    "circle-256": (lambda: (BoundaryCurve.circle(1.0, n=256), ISO), 4),
+    "rounded-square-64": (lambda: (BoundaryCurve.rounded_square(1.0, 0.25, n=64), ISO), 2),
+    "anisotropic-ellipse-64": (lambda: (BoundaryCurve.ellipse(2.0, 1.0, n=64),
+                                        FundamentalSolution.from_tensor(random_spd_tensor(0))), 2),
+}
+
+
+class TestConcurrentFactorization:
+    """_augmented_lu builds and factors its two half-turn groups of blocks
+    in two threads; each block meets the operations of the sequential loop,
+    so the factors and pivots are the same bits."""
+
+    @pytest.mark.parametrize("case", list(CONCURRENT_CASES))
+    def test_matches_sequential_reference(self, case):
+        build, blocks = CONCURRENT_CASES[case]
+        curve, c0 = build()
+        with pytest.warns(CurveNotSmooth) if not curve.smooth else _nullcontext():
+            op = bem.assemble_single_layer(curve, c0)
+        lus, cond = op._augmented_lu
+        ref_lus, ref_cond = reference_augmented_lu(op)
+        assert len(lus) == len(ref_lus) == blocks
+        for (lu, piv), (ref_lu, ref_piv) in zip(lus, ref_lus):
+            assert np.array_equal(lu.view(np.uint64), ref_lu.view(np.uint64))
+            assert np.array_equal(piv, ref_piv)
+        assert cond == ref_cond
+
+    @pytest.mark.parametrize("group, size", [("worker", 32), ("caller", 33)])
+    def test_failure_in_either_group_propagates(self, group, size, monkeypatch):
+        """An exception in a group's factorization leaves the call once both
+        threads have stopped; nothing is cached, so a retry factors afresh.
+        At N = 64 the c_rho = -1 group (the worker's) has blocks of 32 and
+        the c_rho = 1 group (the caller's) bordered blocks of 33."""
+        op = bem.assemble_single_layer(BoundaryCurve.ellipse(2.0, 1.0, n=64), ISO)
+        real_lu_factor = bem.lu_factor
+
+        def failing_lu_factor(a):
+            if a.shape[0] == size:
+                raise RuntimeError(f"{group} group")
+            return real_lu_factor(a)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(bem, "lu_factor", failing_lu_factor)
+        with pytest.raises(RuntimeError, match=f"{group} group"):
+            op.cond
+        assert threading.active_count() == threads
+        assert "_augmented_lu" not in vars(op)
+        monkeypatch.setattr(bem, "lu_factor", real_lu_factor)
+        assert op.cond == reference_augmented_lu(op)[1]
+        assert threading.active_count() == threads
 
 
 class TestSolveDirichlet:

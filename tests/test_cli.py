@@ -527,8 +527,9 @@ class TestRuns:
         rep = run(ExperimentConfig(kind=kind, curve="ellipse:2,1", nodes=64,
                                    outdir=str(tmp_path), **extra))
         assert rep.ok()
-        # four blocks of N/2 DOFs, the x- and y-constant classes bordered
-        assert calls == [(33, 33), (33, 33), (32, 32), (32, 32)]
+        # four blocks of N/2 DOFs, the x- and y-constant classes bordered; the
+        # two half-turn groups are factored in two threads, in either order
+        assert sorted(calls) == [(32, 32), (32, 32), (33, 33), (33, 33)]
         assert set(rep.condition_numbers) <= {"augmented_system", "totals_matrix"}
         assert rep.condition_numbers["augmented_system"] < 1e12
 
