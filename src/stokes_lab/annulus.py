@@ -8,18 +8,19 @@ time: the material at the Gauss points of each theta-column of cells, made
 for that block only, is rotated into that column's polar frame, turned into
 element matrices by one matrix product per ring and added into a 9-point
 stencil of 2x2 blocks over the (ring, theta) nodes, with one column of
-blocks per theta-column of nodes, or a single column when the material is
-rotation-equivariant and the stiffness block-circulant in theta (from two
-theta-columns of cells when the material declares it).  A
-block-circulant stiffness is inverted by one angular Fourier solve (a
-block-Thomas sweep over the rings per mode, factored over its symbols);
-any other is solved by conjugate gradients preconditioned by the Fourier
-solve of its theta-mean.  Beyond the stencil, the Fourier factors and the
-iteration vectors, every stage holds one block of work at most: the load
-and the diagnostics work one block of rings at a time, the stencil one
-block of columns, and its product a chunk of rings of shifted copies; no
-whole-grid array of Gauss points, frames or element matrices is ever
-held.  Only the load and the Dirichlet data (on the way in) and the
+blocks per theta-column of nodes, or a single column, from two
+theta-columns of cells, when the material declares itself
+rotation-equivariant (ElasticityField.equivariant): its stiffness is
+block-circulant in theta.  The declaration alone sets the width; nothing
+is detected.  A one-column stiffness is inverted by one angular Fourier
+solve (a block-Thomas sweep over the rings per mode, factored over its
+symbols); any other is solved by conjugate gradients preconditioned by
+the Fourier solve of its theta-mean.  Beyond the stencil, the Fourier
+factors and the iteration vectors, every stage holds one block of work at
+most: the load and the diagnostics work one block of rings at a time, the
+stencil one block of columns, and its product a chunk of rings of shifted
+copies; no whole-grid array of Gauss points, frames or element matrices
+is ever held.  Only the load and the Dirichlet data (on the way in) and the
 solution (on the way out) are rotated between Cartesian and polar
 components.  The module also measures the quantities the theory
 estimates: interior/exterior energy profiles and their rate-gamma
@@ -143,7 +144,7 @@ _APPLY_COPY_BYTES = 1 << 20     # shifted input copies _stiffness_apply holds at
 
 def _stiffness_apply(S: np.ndarray, x: np.ndarray) -> np.ndarray:
     """K x for nodal values x (n, n_theta, 2) on the n rings of a stencil S
-    of _stencil, or of its rows on n consecutive rings; x counts as zero on
+    of _polar_stencil, or of its rows on n consecutive rings; x counts as zero on
     the rings beyond them.  A one-column S is shared by every theta.  The 9
     shifted copies of x are stacked a chunk of rings at a time, at most
     _APPLY_COPY_BYTES of them, and each chunk's product is written into its
@@ -247,38 +248,26 @@ def _element_map(grid: PolarGrid) -> Callable:
     return lambda frame: T.T @ _cell_matrices(P, frame) @ T
 
 
-def _column_stencil(ke: np.ndarray) -> np.ndarray:
-    """The one-column stencil of the element matrices ke (n_r - 1, 1, 8, 8)
-    of every theta-column: the cell before column 0 is column 0 itself."""
-    S = np.zeros((ke.shape[0] + 1, 2, 3, 3, 2, 1))
-    _add_cells(S, np.broadcast_to(ke, (ke.shape[0], 2) + ke.shape[2:]), slice(0, 1))
-    return S
-
-
 def _polar_stencil(grid: PolarGrid, field: ElasticityField) -> np.ndarray:
     """The stencil (_add_cells), in the polar components of the nodes, of the
-    stiffness of the material field.
+    stiffness of the material field; its declaration alone sets the width.
 
-    A material declared equivariant (ElasticityField.equivariant) is
-    evaluated at the Gauss points of two theta-columns of cells only:
-    column 0 and the fence column n_theta // 3 + 1, which for every grid
-    (n_theta even and >= 8) is no quarter or half turn of column 0, so a
-    material with only a four-fold symmetry cannot pass it.  Both are
-    rotated into their polar frames (_polar_frame); when they differ by more
-    than 1e-12 relative the declaration is false and ValueError is raised,
-    else the stencil has the one column of column 0's frame.
+    A material declared equivariant (ElasticityField.equivariant) has a
+    block-circulant stiffness and a one-column stencil.  It is evaluated at
+    the Gauss points of two theta-columns of cells only: column 0 and the
+    fence column n_theta // 3 + 1, which for every grid (n_theta even and
+    >= 8) is no quarter or half turn of column 0, so a material with only a
+    four-fold symmetry cannot pass it.  Both are rotated into their polar
+    frames (_polar_frame); when they differ by more than 1e-12 relative the
+    declaration is false and ValueError is raised, else column 0's frame
+    gives the one column, column 0's cells standing for the cells before it.
 
-    Any other material is built one block of _FRAME_BLOCK theta-columns of
-    nodes at a time from the cells that touch them.  Per block, the material
-    at the cells' Gauss points, made for the block only
-    (PolarGrid.gauss_points), is rotated into each cell column's polar frame,
-    compared with column 0's and turned into element matrices
-    (_element_map).  While every column equals column 0 to 1e-12 relative,
-    C(R x) = R * C(x) holds at the Gauss points and nothing is kept: the
-    stiffness is block-circulant and its stencil has the one column of
-    column 0's frame, bit for bit the declared path's.  At the first block
-    that differs, the n_theta-column stencil is allocated and the earlier
-    blocks are evaluated again."""
+    Any other material has one stencil column per theta-column of nodes,
+    built in one pass, one block of _FRAME_BLOCK node columns at a time from
+    the cells that touch them: per block, the material at the cells' Gauss
+    points, made for the block only (PolarGrid.gauss_points), is rotated
+    into each cell column's polar frame and turned into element matrices
+    (_element_map).  An undeclared equivariant material is built so too."""
     n_t = grid.n_theta
     element_matrices = _element_map(grid)
     if field.equivariant:
@@ -288,36 +277,18 @@ def _polar_stencil(grid: PolarGrid, field: ElasticityField) -> np.ndarray:
         if np.abs(frame - ref).max() > 1e-12 * np.abs(ref).max():
             raise ValueError(f"a material declared equivariant differs in theta-column "
                              f"{cells[1]} of {n_t} from column 0 in its polar frame")
-        return _column_stencil(element_matrices(ref))
+        ke = element_matrices(ref)
+        S = np.zeros((grid.n_r, 2, 3, 3, 2, 1))
+        _add_cells(S, np.broadcast_to(ke, (ke.shape[0], 2) + ke.shape[2:]), slice(0, 1))
+        return S
 
-    def block(lo):
-        """The node columns from lo and the polar frame of their cells."""
+    S = np.zeros((grid.n_r, 2, 3, 3, 2, n_t))
+    for lo in range(0, n_t, _FRAME_BLOCK):
         nodes = slice(lo, min(lo + _FRAME_BLOCK, n_t))
         cells = np.arange(lo - 1, nodes.stop) % n_t
-        return nodes, _polar_frame(field(grid.gauss_points(cols=cells)), grid.thetas[cells])
-
-    S = None
-    for lo in range(0, n_t, _FRAME_BLOCK):
-        nodes, frame = block(lo)
-        if lo == 0:
-            ref = frame[:, 1:2]                         # column 0: R(0) is the identity
-            tol = 1e-12 * np.abs(ref).max()
-        if S is None and np.abs(frame - ref).max() > tol:
-            S = np.zeros((grid.n_r, 2, 3, 3, 2, n_t))
-            for early in range(0, lo, _FRAME_BLOCK):
-                nodes_e, frame_e = block(early)
-                _add_cells(S, element_matrices(frame_e), nodes_e)
-        if S is not None:
-            _add_cells(S, element_matrices(frame), nodes)
-    return _column_stencil(element_matrices(ref)) if S is None else S
-
-
-def _identity_stencil(grid: PolarGrid, scale: float) -> np.ndarray:
-    """The one-column polar stencil of the stiffness of scale * Id_Lin, whose
-    frame in every column is itself: Id_Lin is invariant under R x R."""
-    c0 = (scale * ID_LIN).transpose(0, 2, 1, 3)                       # axes (m, h, k, l)
-    frame = np.broadcast_to(c0[:, :, None], (grid.n_r - 1, 1, 2, 2, len(grid.qp_shapes), 2, 2))
-    return _column_stencil(_element_map(grid)(frame))
+        frame = _polar_frame(field(grid.gauss_points(cols=cells)), grid.thetas[cells])
+        _add_cells(S, element_matrices(frame), nodes)
+    return S
 
 
 class _Stiffness:
@@ -523,19 +494,18 @@ def solve_annulus(problem: VariationalProblem, grid: PolarGrid) -> DiscreteField
 
     The declared bounds of the material are spot-checked at about 257 Gauss
     points first, before anything is built.  The stiffness is built in polar
-    components.  For a rotation-equivariant material, C(R x) = R * C(x) at
-    every Gauss point (isotropic constants, radial scalar fields, the
-    counter-example tensors), it is block-circulant in theta and solved
-    directly by one FFT in theta and a block-tridiagonal sweep over the
-    rings per angular mode.  A material declared equivariant
-    (ElasticityField.equivariant) is evaluated at two theta-columns of
-    cells for this, an undeclared one at every column (_polar_stencil).
-    Any other material is solved by
-    conjugate gradients on its stiffness stencil to a relative residual of
-    1e-12, preconditioned by that Fourier solve for the theta-mean of the
-    stencil (the stencil of the material averaged over theta in its polar
-    frame); the step count is bounded in terms of the contrast of the
-    material to that average (10-20 steps at contrast 2).
+    components (_polar_stencil).  For a material declared equivariant
+    (ElasticityField.equivariant), C(R x) = R * C(x) at every point (the
+    isotropic constants and the counter-example tensors), it is
+    block-circulant in theta, built from two theta-columns of cells and
+    solved directly by one FFT in theta and a block-tridiagonal sweep over
+    the rings per angular mode.  Any other material, an undeclared
+    equivariant one too, is solved by conjugate gradients on its stiffness
+    stencil to a relative residual of 1e-12, preconditioned by that Fourier
+    solve for the theta-mean of the stencil (the stencil of the material
+    averaged over theta in its polar frame); the step count is bounded in
+    terms of the contrast of the material to that average (10-20 steps at
+    contrast 2).
     Raises BoundsViolated when spot-checked material samples leave the
     declared bounds, ValueError when a material declared equivariant is
     not, SolverDiverged when the system is singular (a vanishing
@@ -843,17 +813,20 @@ def contraction_solve(
 
     Q inverts the discrete C0-operator on the same grid and boundary
     conditions, the desk-scale stand-in for the whole-plane kernel
-    convolution: C0 is rotation-invariant, so its polar stencil has one
-    column and Q is the angular Fourier inverse of solve_annulus (one real
-    FFT in theta and one 2x2 block-tridiagonal sweep over the rings per
-    angular mode), factored once per call.  The limit therefore solves
-    exactly the same discrete system as solve_annulus.  One _Stiffness
-    serves both: the direct solve of solve_annulus runs on it first, before
-    Q is factored, and only its nodal values u_dir are kept; direct_agreement
-    is max|u_fix - u_dir| / max(max|u_dir|, 1e-300).  The declared bounds are
-    not spot-checked, so an indefinite material meets the NotContracting
-    guard.  The iteration runs in polar components and carries its residual
-    from step to step: each step applies Q to what the previous increment
+    convolution: C0 is rotation-invariant and declared equivariant, so its
+    polar stencil (_polar_stencil) has one column and Q is the angular
+    Fourier inverse of solve_annulus (one real FFT in theta and one 2x2
+    block-tridiagonal sweep over the rings per angular mode), factored once
+    per call.  The limit therefore solves exactly the same discrete system
+    as solve_annulus.  One _Stiffness serves both: the direct solve of
+    solve_annulus runs on it first, before Q is factored, and only its nodal
+    values u_dir are kept; direct_agreement is max|u_fix - u_dir| /
+    max(max|u_dir|, 1e-300).  The declared bounds are not spot-checked: an
+    indefinite material declared equivariant meets the NotContracting guard,
+    an undeclared one with a stiffness diagonal that is not positive the
+    singular guard of the direct solve (SolverDiverged).  The iteration runs
+    in polar components and carries its residual from step to step: each
+    step applies Q to what the previous increment
     left, and the material's polar stencil to the increment.  So the
     increments never cancel against the data and their ratios stay clear of
     round-off.  Per-iteration contraction factors are ratios of the gradient
@@ -876,7 +849,9 @@ def contraction_solve(
     stiffness = _Stiffness(problem, grid)
     u_dir = stiffness.field(_solve(stiffness)).values   # before Q: their work arrays never coexist
     K_f, res, last = stiffness.K_f, stiffness.rhs.copy(), stiffness.last
-    green0 = _fourier_inverse(_identity_stencil(grid, c0_scale)[1:last + 1], grid.n_theta)
+    c0 = ElasticityField(lambda p: np.broadcast_to(c0_scale * ID_LIN, p.shape[:-1] + ID_LIN.shape),
+                         c0_scale, c0_scale, equivariant=True)
+    green0 = _fourier_inverse(_polar_stencil(grid, c0)[1:last + 1], grid.n_theta)
 
     w = np.zeros_like(res)
     factors = []

@@ -229,9 +229,11 @@ class ElasticityField:
     caller-supplied and spot-verified at sample points, never silently
     clamped.  equivariant declares C(R x) = R * C(x) for every rotation R,
     (R * C)_ijhk = R_ia R_jb R_hc R_kd C_abcd, a property of the material's
-    construction: the annulus solver then builds its one-column stiffness
-    from column 0's cells and checks it against one fence column only, where
-    an undeclared material is scanned column by column.
+    construction, and the only thing that decides the annulus solver's
+    path: a declared material gets a one-column stiffness from column 0's
+    cells, checked against one fence column, and the angular Fourier solve;
+    an undeclared one, equivariant or not, one stiffness column per
+    theta-column and conjugate gradients.
     """
 
     action: Callable[[np.ndarray], np.ndarray]

@@ -21,7 +21,6 @@ from stokes_lab.annulus import (
     _cell_matrices,
     _force_vector,
     _fourier_inverse,
-    _identity_stencil,
     _polar_frame,
     _polar_stencil,
     _ring_at,
@@ -248,24 +247,20 @@ class TestAssembly:
 
     @pytest.mark.parametrize("nt", [40, 44, 48])
     def test_blockwise_frame_matches_whole_grid(self, nt, monkeypatch):
-        """_polar_stencil's scan evaluates, rotates and assembles blocks of 8
-        theta-columns (the last one partial at n_theta = 44): bit for
-        bit the stencil built from the whole grid in one block, for every
-        shipped material (those that declare equivariance undeclared, so
-        that they are scanned) and for the counter-example perturbed in a
-        late theta-column; the equivariant ones keep column 0 only."""
+        """_polar_stencil builds an undeclared material in blocks of 8
+        theta-columns (the last one partial at n_theta = 44): bit for bit
+        the stencil built from the whole grid in one block, with n_theta
+        columns, for every shipped material (those that declare
+        equivariance undeclared) and for the counter-example perturbed in a
+        late theta-column."""
         grid = PolarGrid(16.0, 24, nt)
         rng = np.random.default_rng(5)
-
-        def scanned(fld):
-            return dataclasses.replace(fld, equivariant=False)
-
         materials = {
-            "isotropic": scanned(constant_field(ISO.tensor())),
-            "degiorgi-sym": scanned(degiorgi_tensor(2.0)),
-            "degiorgi-lin": scanned(degiorgi_tensor(2.0, "lin")),
-            "restricted": scanned(restricted_tensor(6.0, 2.0, 8.0)),
-            "radial-scalar": radial_scalar_field(),
+            "isotropic": undeclared(constant_field(ISO.tensor())),
+            "degiorgi-sym": undeclared(degiorgi_tensor(2.0)),
+            "degiorgi-lin": undeclared(degiorgi_tensor(2.0, "lin")),
+            "restricted": undeclared(restricted_tensor(6.0, 2.0, 8.0)),
+            "radial-scalar": undeclared(radial_scalar_field()),
             "random-scalar": random_scalar_field(1.0, 2.0, rng),
             "table": table_field(rng),
             "perturbed": perturbed_counterexample(grid, 36),
@@ -273,8 +268,7 @@ class TestAssembly:
         blockwise = {name: _polar_stencil(grid, fld) for name, fld in materials.items()}
         monkeypatch.setattr(annulus, "_FRAME_BLOCK", nt)
         for name, fld in materials.items():
-            n_cols = nt if name in ("random-scalar", "table", "perturbed") else 1
-            assert blockwise[name].shape == (grid.n_r, 2, 3, 3, 2, n_cols), name
+            assert blockwise[name].shape == (grid.n_r, 2, 3, 3, 2, nt), name
             assert np.array_equal(blockwise[name], _polar_stencil(grid, fld)), name
 
     DECLARED = {
@@ -288,15 +282,24 @@ class TestAssembly:
     @pytest.mark.parametrize("material", sorted(DECLARED))
     def test_declared_stencil_matches_scan(self, material, nt):
         """A material declared equivariant is built from column 0 and the
-        fence column only: bit for bit the one-column stencil that the
-        column-by-column scan finds for the same material undeclared."""
+        fence column only, into one stencil column; the same material
+        undeclared is built column by column into n_theta columns, each of
+        them that one column to 1e-12 relative, and the two solves (Fourier
+        and conjugate gradients) agree to 1e-11 relative."""
         grid = PolarGrid(16.0, 24, nt)
         fld = self.DECLARED[material]()
         assert fld.equivariant
         declared = _polar_stencil(grid, fld)
-        scanned = _polar_stencil(grid, dataclasses.replace(fld, equivariant=False))
-        assert declared.shape == scanned.shape == (grid.n_r, 2, 3, 3, 2, 1)
-        assert np.array_equal(declared.view(np.uint64), scanned.view(np.uint64))
+        copy = _polar_stencil(grid, undeclared(fld))
+        assert declared.shape == (grid.n_r, 2, 3, 3, 2, 1)
+        assert copy.shape == (grid.n_r, 2, 3, 3, 2, nt)
+        assert np.abs(copy - declared).max() <= 1e-12 * np.abs(declared).max()
+
+        rng = np.random.default_rng(nt)
+        prob = random_problem(fld, grid, "dirichlet", rng)
+        u = solve_annulus(prob, grid).values
+        u_copy = solve_annulus(dataclasses.replace(prob, field=undeclared(fld)), grid).values
+        assert np.abs(u_copy - u).max() <= 1e-11 * np.abs(u).max()
 
     @pytest.mark.parametrize("nt", [40, 48])
     def test_false_declaration_is_refused(self, nt):
@@ -316,7 +319,8 @@ class TestAssembly:
     @pytest.mark.parametrize("material", sorted(DECLARED))
     def test_declared_build_evaluates_few_columns(self, material):
         """The declared build evaluates the material at most at the Gauss
-        points of three theta-columns of cells, of the 256 the scan reads."""
+        points of three theta-columns of cells, of the 256 an undeclared
+        build reads."""
         grid = PolarGrid(64.0, 128, 256)
         fld = self.DECLARED[material]()
         points = []
@@ -460,18 +464,25 @@ class TestComparisonSolve:
     polar components."""
 
     @pytest.mark.parametrize("nr, nt", [(24, 48), (40, 72)])
-    def test_identity_stencil_is_polar_stencil(self, nr, nt):
-        """Built directly from scale * Id_Lin, the comparison stencil equals,
-        bit for bit, the stencil _polar_stencil finds for the constant field
-        scale * Id_Lin, whose every column frame is the constant itself."""
+    def test_identity_stencil_is_polar_stencil(self, nr, nt, annulus_calls):
+        """contraction_solve builds its comparison stencil with _polar_stencil,
+        after the material's: bit for bit the one-column stencil of the
+        constant field scale * Id_Lin declared equivariant, with scale the
+        material's upper Lin bound.  Undeclared, that constant gives n_theta
+        columns, each equal to the one column to 1e-14 relative."""
+        builds = annulus_calls("_polar_stencil", lambda S: S)
         grid = PolarGrid(16.0, nr, nt)
-
-        def c0(p):
-            return np.broadcast_to(1.7 * ID_LIN, np.asarray(p).shape[:-1] + (2, 2, 2, 2))
-
-        S = _identity_stencil(grid, 1.7)
+        prob = VariationalProblem(field=random_scalar_field(1.0, 1.7, np.random.default_rng(nt)),
+                                  force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
+        contraction_solve(prob, grid)
+        assert [call[:2] for call in builds] == [(nr, nt), (nr, nt)]
+        S = builds[1][2]
         assert S.shape == (nr, 2, 3, 3, 2, 1)
-        assert np.array_equal(S, _polar_stencil(grid, ElasticityField(c0, 1.7, 1.7)))
+        declared = identity_field(1.7)
+        assert np.array_equal(S.view(np.uint64), _polar_stencil(grid, declared).view(np.uint64))
+        copy = _polar_stencil(grid, undeclared(declared))
+        assert copy.shape == (nr, 2, 3, 3, 2, nt)
+        assert np.abs(copy - S).max() <= 1e-14 * np.abs(S).max()
 
     @pytest.mark.parametrize("kind", ["dirichlet", "traction_free"])
     @pytest.mark.parametrize("nr, nt", [(24, 48), (48, 96), (24, 40)])
@@ -481,7 +492,7 @@ class TestComparisonSolve:
         c0 = np.broadcast_to(1.7 * ID_LIN, grid.gauss_points().shape[:-1] + (2, 2, 2, 2))
         reference = ReferenceSystem(prob, grid, c0)
         last = grid.n_r - 2 if kind == "dirichlet" else grid.n_r - 1
-        green0 = _fourier_inverse(_identity_stencil(grid, 1.7)[1:last + 1], nt)
+        green0 = _fourier_inverse(_polar_stencil(grid, identity_field(1.7))[1:last + 1], nt)
         R = _rotations(grid.thetas)
         rng = np.random.default_rng(nr + nt)
         for _ in range(3):
@@ -636,11 +647,12 @@ class TestSolveAnnulus:
         assert np.array_equal(seen[0], nodes[0]) and np.array_equal(seen[1], nodes[-1])
 
     def test_singular_system_diverges(self, annulus_calls):
-        """Both solve paths: a zero material is rotation-equivariant (one
-        stencil column, Fourier path); one that is zero on a quadrant only is
-        not, and the free DOFs inside that quadrant have no stiffness
-        (conjugate-gradient path, which would converge there and return a
-        wrong field)."""
+        """Both solve paths: the zero material declared equivariant has one
+        stencil column and a singular angular mode (Fourier path);
+        undeclared, it has n_theta columns and no free DOF has stiffness;
+        one that is zero on a quadrant only is not equivariant, and the free
+        DOFs inside that quadrant have no stiffness (conjugate-gradient
+        path, which would converge there and return a wrong field)."""
         stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
 
         def zero(p):
@@ -654,10 +666,12 @@ class TestSolveAnnulus:
         grid = PolarGrid(8.0, 16, 32)
         data = np.stack([np.cos(grid.thetas), 0 * grid.thetas], -1)
 
-        for action, n_cols, message in ((zero, 1, "angular mode is singular"),
-                                         (zero_quadrant, 32, "196 of 896 free DOFs")):
+        for action, declared, n_cols, message in (
+                (zero, True, 1, "angular mode is singular"),
+                (zero, False, 32, "896 of 896 free DOFs"),
+                (zero_quadrant, False, 32, "196 of 896 free DOFs")):
             stiffness_builds.clear()
-            fld = ElasticityField(action=action, mu0=1.0, mue=1.0)
+            fld = ElasticityField(action=action, mu0=1.0, mue=1.0, equivariant=declared)
             prob = VariationalProblem(field=fld, outer_data=data)
             with pytest.raises(SolverDiverged, match=message):
                 solve_unchecked(prob, grid)
@@ -706,10 +720,25 @@ class TestRestrictedTensorOracle:
             assert ladder.errors[-1] <= 5e-5
 
 
+def undeclared(fld):
+    """The material fld with no declaration of equivariance."""
+    return dataclasses.replace(fld, equivariant=False)
+
+
+def identity_field(scale):
+    """scale * Id_Lin declared equivariant: the comparison material of
+    contraction_solve."""
+
+    def action(p):
+        return np.broadcast_to(scale * ID_LIN, np.asarray(p).shape[:-1] + (2, 2, 2, 2))
+
+    return ElasticityField(action, scale, scale, equivariant=True)
+
+
 def radial_scalar_field():
-    return scalar_field(
-        lambda p: 1.5 + 0.5 * np.tanh(np.linalg.norm(p, axis=-1) - 4.0), 1.0, 2.0
-    )
+    """A radial scalar stiffness in [1, 2], declared equivariant, as it is."""
+    fld = scalar_field(lambda p: 1.5 + 0.5 * np.tanh(np.linalg.norm(p, axis=-1) - 4.0), 1.0, 2.0)
+    return dataclasses.replace(fld, equivariant=True)
 
 
 def perturbed_counterexample(grid, column=5):
@@ -838,13 +867,15 @@ class TestFourierSolve:
         assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_path_choice(self, annulus_calls):
-        """Every solve builds one polar stencil: one column for the
-        equivariant materials, n_theta columns (conjugate gradients) for a
-        theta-dependent one or for the counter-example perturbed in one
-        theta-column of cells by 1e-9."""
+        """Every solve builds one polar stencil: one column for the materials
+        declared equivariant, n_theta columns (conjugate gradients) for the
+        same materials undeclared, for a theta-dependent one and for the
+        counter-example perturbed in one theta-column of cells by 1e-9."""
         stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
         grid = PolarGrid(16.0, 24, 48)
         cases = [(label, f(), 1) for label, f in TestFourierSolve.MATERIALS.items()]
+        cases += [(label + " undeclared", undeclared(f()), 48)
+                  for label, f in TestFourierSolve.MATERIALS.items()]
         cases += [
             ("random-scalar", random_scalar_field(1.0, 2.0, np.random.default_rng(3)), 48),
             ("perturbed", perturbed_counterexample(grid), 48),
@@ -1357,27 +1388,31 @@ class TestContraction:
         the agreement with an independent solve_annulus of the same problem,
         on both solve paths."""
         stiffness_builds = annulus_calls("_polar_stencil", stencil_columns)
-        comparison_builds = annulus_calls("_identity_stencil", stencil_columns)
         grid = PolarGrid(16.0, 24, 48)
         prob = VariationalProblem(field=material(), force=bump_force([1.0, 0.5, -0.3, 0.2], 16.0))
         u_fix, rep = contraction_solve(prob, grid)
         u_dir = solve_annulus(prob, grid)
-        assert stiffness_builds == [(24, 48, n_cols), (24, 48, n_cols)]
-        assert comparison_builds == [(24, 48, 1)]
+        # the contraction run's material and comparison, then solve_annulus's material
+        assert stiffness_builds == [(24, 48, n_cols), (24, 48, 1), (24, 48, n_cols)]
         agree = np.abs(u_fix.values - u_dir.values).max() / max(np.abs(u_dir.values).max(), 1e-300)
         assert rep.converged
         assert rep.direct_agreement == agree
         assert 0.0 < agree <= 1e-4
 
     def test_not_contracting_detected(self):
-        """An indefinite material (certificate violated) must trip the guard."""
+        """An indefinite radial material (certificate violated), declared
+        equivariant, must trip the guard; undeclared, its negative stiffness
+        diagonals stop the direct solve at the singular guard first."""
         fld = scalar_field(  # negative stiffness outside r = 4
             lambda p: np.where(np.linalg.norm(p, axis=-1) < 4.0, 1.0, -1.0), 0.1, 1.0
         )
         grid = PolarGrid(16.0, 24, 48)
-        prob = VariationalProblem(field=fld, force=smooth_force(16.0))
+        prob = VariationalProblem(field=dataclasses.replace(fld, equivariant=True),
+                                  force=smooth_force(16.0))
         with pytest.raises(NotContracting):
             contraction_solve(prob, grid)
+        with pytest.raises(SolverDiverged, match="free DOFs"):
+            contraction_solve(dataclasses.replace(prob, field=fld), grid)
 
     def test_grad_norm_matches_cartesian_quadrature(self):
         """The measure of an increment, sqrt(x^T K0 x / scale) with the polar
@@ -1388,7 +1423,7 @@ class TestContraction:
         rng = np.random.default_rng(2)
         for last in (grid.n_r - 2, grid.n_r - 1):          # Dirichlet, traction-free
             x = rng.normal(size=(last, grid.n_theta, 2))
-            K0_f = _identity_stencil(grid, 1.7)[1:last + 1]
+            K0_f = _polar_stencil(grid, identity_field(1.7))[1:last + 1]
             norm = np.sqrt(np.vdot(x, _stiffness_apply(K0_f, x)) / 1.7)
             values = np.zeros((grid.n_r, grid.n_theta, 2))
             values[1:last + 1] = _to_cartesian(_rotations(grid.thetas), x)

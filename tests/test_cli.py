@@ -541,20 +541,18 @@ class TestRuns:
     def test_stiffness_builds_per_annulus_run(self, kind, extra, n_comparison, tmp_path,
                                               annulus_calls):
         """Every run builds one polar stencil of its material: one column for
-        the rotation-equivariant counter-example tensors, n_theta for the
+        the counter-example tensors, declared equivariant, n_theta for the
         seeded random material.  A contraction run shares it between its
         direct reference solve and its fixed-point iteration, and builds one
         more, the one-column stencil of its comparison material.  Every run
         builds its load vector once, a contraction run too."""
         stiffness_builds = annulus_calls("_polar_stencil", lambda S: S.shape[-1])
-        comparison_builds = annulus_calls("_identity_stencil", lambda S: S.shape[-1])
         load_builds = annulus_calls("_force_vector")
         rep = run(ExperimentConfig(kind=kind, grid="24x48", rmax=24.0, outdir=str(tmp_path),
                                    **extra))
         assert rep.ok()
         n_cols = 48 if "contrast_bounds" in extra else 1
-        assert stiffness_builds == [(24, 48, n_cols)]
-        assert comparison_builds == [(24, 48, 1)] * n_comparison
+        assert stiffness_builds == [(24, 48, n_cols)] + [(24, 48, 1)] * n_comparison
         assert load_builds == [(24, 48)]
 
     def test_table_lookup_is_blocked(self):
@@ -599,6 +597,21 @@ class TestRuns:
         assert rep.ok()
         verd = {v["name"]: v for v in rep.verdicts}
         assert verd["worst_contraction_factor"]["value"] <= 0.5
+
+    def test_contraction_one_row_table(self, tmp_path, annulus_calls):
+        """A one-row table has one scale everywhere, so it is equivariant,
+        but a table: material declares nothing: its stencil has n_theta
+        columns and its direct solve takes conjugate gradients, beside the
+        one-column comparison stencil, and every verdict passes."""
+        stiffness_builds = annulus_calls("_polar_stencil", lambda S: S.shape[-1])
+        path = tmp_path / "one.csv"
+        path.write_text("r,theta,scale\n3,0.5,1.25\n")
+        rep = run(ExperimentConfig(kind="contraction", material=f"table:{path}",
+                                   grid="24x48", rmax=16.0, seed=0, outdir=str(tmp_path)))
+        assert rep.ok() and all(v["pass"] for v in rep.verdicts)
+        assert stiffness_builds == [(24, 48, 48), (24, 48, 1)]
+        verd = {v["name"]: v for v in rep.verdicts}
+        assert verd["direct_solver_agreement"]["value"] <= 1e-12
 
 
     @pytest.mark.parametrize("kind, fields", [
